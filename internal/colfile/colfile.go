@@ -286,21 +286,18 @@ func levelsAt(levels []int, i int64) int {
 	return n
 }
 
-// decodeValue decodes one value from the stream with transactional counter
-// charging: on a retryable short buffer, counters are not polluted.
-func decodeValue(s *stream, schema *serde.Schema, stats *sim.CPUStats) (any, error) {
+// decodeValue decodes one value from the stream through the reader's own
+// decoder. serde.Decoder commits a call's charges only when it succeeds, so
+// a retried short window pollutes no counter.
+func decodeValue(s *stream, d *serde.Decoder, schema *serde.Schema, stats *sim.CPUStats) (any, error) {
 	var v any
 	err := s.decodeRetry(func(buf []byte) (int, error) {
-		var local sim.CPUStats
-		d := serde.NewDecoder(buf, &local)
+		d.Init(buf, stats)
 		val, err := d.Value(schema)
 		if err != nil {
 			return 0, err
 		}
 		v = val
-		if stats != nil {
-			stats.Add(local)
-		}
 		return d.Pos(), nil
 	})
 	return v, err
@@ -308,15 +305,11 @@ func decodeValue(s *stream, schema *serde.Schema, stats *sim.CPUStats) (any, err
 
 // scanValue walks one value charging full per-type decode counters — the
 // paper's "no deserialization savings" skip used by Plain layouts.
-func scanValue(s *stream, schema *serde.Schema, stats *sim.CPUStats) error {
+func scanValue(s *stream, d *serde.Decoder, schema *serde.Schema, stats *sim.CPUStats) error {
 	return s.decodeRetry(func(buf []byte) (int, error) {
-		var local sim.CPUStats
-		d := serde.NewDecoder(buf, &local)
+		d.Init(buf, stats)
 		if err := d.Scan(schema); err != nil {
 			return 0, err
-		}
-		if stats != nil {
-			stats.Add(local)
 		}
 		return d.Pos(), nil
 	})

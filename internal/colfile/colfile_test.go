@@ -31,7 +31,7 @@ func mapSchema() *serde.Schema { return serde.MapOf(serde.Int()) }
 
 // writeColumn writes n deterministic map values and returns the file plus
 // the values.
-func writeColumn(t *testing.T, schema *serde.Schema, opts Options, n int, gen func(i int) any) (*memFile, []any) {
+func writeColumn(t testing.TB, schema *serde.Schema, opts Options, n int, gen func(i int) any) (*memFile, []any) {
 	t.Helper()
 	f := &memFile{}
 	w, err := NewWriter(f, schema, opts, nil)

@@ -94,6 +94,7 @@ type plainReader struct {
 	s      *stream
 	schema *serde.Schema
 	stats  *sim.CPUStats
+	dec    serde.Decoder // reused for every value: decoding allocates no decoder
 	rec    int64
 	total  int64
 }
@@ -105,7 +106,7 @@ func (p *plainReader) Value() (any, error) {
 	if p.rec >= p.total {
 		return nil, fmt.Errorf("colfile: read past end (record %d of %d)", p.rec, p.total)
 	}
-	v, err := decodeValue(p.s, p.schema, p.stats)
+	v, err := decodeValue(p.s, &p.dec, p.schema, p.stats)
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +119,7 @@ func (p *plainReader) SkipTo(target int64) error {
 		return fmt.Errorf("colfile: skip to %d past end %d", target, p.total)
 	}
 	for p.rec < target {
-		if err := scanValue(p.s, p.schema, p.stats); err != nil {
+		if err := scanValue(p.s, &p.dec, p.schema, p.stats); err != nil {
 			return err
 		}
 		p.rec++
@@ -136,10 +137,14 @@ type blockReader struct {
 	schema *serde.Schema
 	stats  *sim.CPUStats
 	codec  compress.Codec
+	dec    serde.Decoder
 	rec    int64
 	total  int64
 
-	frame     []byte // decompressed current frame
+	// frame is the decompressed current frame. Its buffer is reused from
+	// frame to frame, so nothing decoded may alias it: strings, byte slices
+	// and map keys are copies.
+	frame     []byte
 	framePos  int
 	frameLeft int // records remaining in current frame (incl. cursor's)
 }
@@ -168,11 +173,17 @@ func (b *blockReader) loadFrame() error {
 	if err != nil {
 		return err
 	}
+	return b.inflateFrame(records, rawLen, compLen)
+}
+
+// inflateFrame reads and decompresses the payload of the frame whose header
+// was just read, making it the current frame.
+func (b *blockReader) inflateFrame(records, rawLen, compLen int) error {
 	comp, err := b.s.readFull(compLen)
 	if err != nil {
 		return err
 	}
-	raw, err := b.codec.Decompress(nil, comp, rawLen)
+	raw, err := b.codec.Decompress(b.frame[:0], comp, rawLen)
 	if err != nil {
 		return err
 	}
@@ -192,18 +203,23 @@ func (b *blockReader) Value() (any, error) {
 			return nil, err
 		}
 	}
-	var local sim.CPUStats
-	d := serde.NewDecoder(b.frame[b.framePos:], &local)
-	v, err := d.Value(b.schema)
+	v, err := b.frameValue()
 	if err != nil {
 		return nil, err
 	}
-	if b.stats != nil {
-		b.stats.Add(local)
-	}
-	b.framePos += d.Pos()
-	b.frameLeft--
 	b.rec++
+	return v, nil
+}
+
+// frameValue decodes the value at the frame cursor and steps past it.
+func (b *blockReader) frameValue() (any, error) {
+	b.dec.Init(b.frame[b.framePos:], b.stats)
+	v, err := b.dec.Value(b.schema)
+	if err != nil {
+		return nil, err
+	}
+	b.framePos += b.dec.Pos()
+	b.frameLeft--
 	return v, nil
 }
 
@@ -226,30 +242,17 @@ func (b *blockReader) SkipTo(target int64) error {
 				b.rec += int64(records)
 				continue
 			}
-			comp, err := b.s.readFull(compLen)
-			if err != nil {
+			if err := b.inflateFrame(records, rawLen, compLen); err != nil {
 				return err
 			}
-			raw, err := b.codec.Decompress(nil, comp, rawLen)
-			if err != nil {
-				return err
-			}
-			compress.ChargeDecomp(b.stats, b.codec.Name(), int64(len(raw)))
-			b.frame = raw
-			b.framePos = 0
-			b.frameLeft = records
 		}
 		// Walk within the decompressed frame: decompression is already
 		// paid, so per-record movement is cheap skipping.
-		var local sim.CPUStats
-		d := serde.NewDecoder(b.frame[b.framePos:], &local)
-		if err := d.Skip(b.schema); err != nil {
+		b.dec.Init(b.frame[b.framePos:], b.stats)
+		if err := b.dec.Skip(b.schema); err != nil {
 			return err
 		}
-		if b.stats != nil {
-			b.stats.Add(local)
-		}
-		b.framePos += d.Pos()
+		b.framePos += b.dec.Pos()
 		b.frameLeft--
 		b.rec++
 	}
@@ -266,6 +269,7 @@ type slReader struct {
 	s       *stream
 	schema  *serde.Schema
 	stats   *sim.CPUStats
+	dec     serde.Decoder
 	levels  []int
 	dcsl    bool
 	noBloom bool
@@ -274,6 +278,7 @@ type slReader struct {
 
 	aligned bool
 	dict    *compress.Dictionary
+	ptrs    []byte // SkipTo's copy of the current group's skip pointers
 
 	// KeyProber memoization: repeated probes for the same key reuse the
 	// group's Bloom verdict and the window's dictionary answer instead of
@@ -374,25 +379,16 @@ func (r *slReader) Value() (any, error) {
 			r.aligned = false
 			return val, nil
 		}
-		d := serde.NewDecoder(buf, nil)
-		m, err := parseDictMap(d, r.schema, r.dict)
+		m, err := r.dictMap(buf)
 		if err != nil {
 			return nil, err
-		}
-		if r.stats != nil {
-			compress.ChargeDecomp(r.stats, "dict", int64(d.Pos()))
-			r.stats.ValuesMaterialized += int64(len(m) + 1)
 		}
 		v = m
 	} else {
-		var local sim.CPUStats
-		d := serde.NewDecoder(buf, &local)
-		val, err := d.Value(r.schema)
+		r.dec.Init(buf, r.stats)
+		val, err := r.dec.Value(r.schema)
 		if err != nil {
 			return nil, err
-		}
-		if r.stats != nil {
-			r.stats.Add(local)
 		}
 		v = val
 	}
@@ -414,7 +410,8 @@ func (r *slReader) SkipTo(target int64) error {
 			}
 			// readFull's view aliases the window and a dictionary load can
 			// refill it, so copy the pointers out first.
-			ptrs = append([]byte(nil), ptrs...)
+			r.ptrs = append(r.ptrs[:0], ptrs...)
+			ptrs = r.ptrs
 			if r.stats != nil {
 				r.stats.SkippedBytes += int64(k * groupPtrSize)
 			}
@@ -504,37 +501,47 @@ func (r *slReader) HasKey(key string) (bool, bool, error) {
 	if !inWindow {
 		return false, true, nil
 	}
+	has, err := r.peekHasID(id)
+	return has, err == nil, err
+}
+
+// peekHasID reports whether the map record at the cursor carries dictionary
+// id, walking its (id, value) pairs comparing ids — skipping element bytes,
+// building no objects, consuming nothing. The walk is priced as raw byte
+// movement.
+func (r *slReader) peekHasID(id uint32) (bool, error) {
 	n, w, err := r.s.peekUvarint()
 	if err != nil {
-		return false, false, fmt.Errorf("colfile: probe length: %w", err)
+		return false, fmt.Errorf("colfile: probe length: %w", err)
 	}
 	buf, err := r.s.peekAt(w, int(n))
 	if err != nil {
-		return false, false, fmt.Errorf("colfile: probe body: %w", err)
+		return false, fmt.Errorf("colfile: probe body: %w", err)
 	}
-	d := serde.NewDecoder(buf, nil)
+	d := &r.dec
+	d.Init(buf, nil)
 	count, err := readCount(d)
 	if err != nil {
-		return false, false, err
+		return false, err
 	}
 	has := false
 	for i := 0; i < count; i++ {
 		got, err := readCount(d)
 		if err != nil {
-			return false, false, err
+			return false, err
 		}
 		if uint32(got) == id {
 			has = true
 			break
 		}
 		if err := d.Skip(r.schema.Elem); err != nil {
-			return false, false, err
+			return false, err
 		}
 	}
 	if r.stats != nil {
 		r.stats.RawBytes += int64(d.Pos())
 	}
-	return has, true, nil
+	return has, nil
 }
 
 // walkOne advances past one value using its length prefix: a varint read
@@ -579,6 +586,20 @@ func (r *slReader) dictValue(buf []byte) (any, error) {
 		return []byte(s), nil
 	}
 	return s, nil
+}
+
+// dictMap materializes and charges one DCSL map value from its blob.
+func (r *slReader) dictMap(buf []byte) (map[string]any, error) {
+	r.dec.Init(buf, nil)
+	m, err := parseDictMap(&r.dec, r.schema, r.dict)
+	if err != nil {
+		return nil, err
+	}
+	if r.stats != nil {
+		compress.ChargeDecomp(r.stats, "dict", int64(r.dec.Pos()))
+		r.stats.ValuesMaterialized += int64(len(m) + 1)
+	}
+	return m, nil
 }
 
 // parseDictMap materializes one dictionary-compressed map value. All bytes

@@ -1,6 +1,7 @@
 package colfile
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -18,7 +19,9 @@ import (
 // (CPUStats.VecBytes/VecValues) instead of the boxed per-object rates.
 // Complex kinds (maps, arrays, nested records) still build boxed objects
 // and keep their scalar charges: vectorization wins control flow there, not
-// object churn, and the cost model says so honestly.
+// object churn, and the cost model says so honestly. So does a vector marked
+// scan.Vector.Boxed, whose rows exist only to be boxed into records: its
+// primitive values are charged exactly what Reader.Value charges for them.
 //
 // The cpu argument is an explicit per-call sink: a caller fanning
 // per-column decodes across goroutines hands each call its own CPUStats and
@@ -114,7 +117,14 @@ func vecAppendOne(buf []byte, schema *serde.Schema, v *scan.Vector) (int, error)
 		if uint64(len(buf)-n) < l {
 			return 0, fmt.Errorf("colfile: vector decode payload: short buffer")
 		}
-		v.AppendBytes(buf[n : n+int(l)])
+		switch p := buf[n : n+int(l)]; {
+		case !v.Boxed || len(p) <= scan.BoxArenaMax:
+			v.AppendBytes(p)
+		case schema.Kind == serde.KindString:
+			v.AppendSingle(string(p))
+		default:
+			v.AppendSingle(bytes.Clone(p))
+		}
 		return n + int(l), nil
 	}
 	return 0, fmt.Errorf("colfile: vector decode: unsupported kind %v", schema.Kind)
@@ -126,6 +136,30 @@ func chargeVec(cpu *sim.CPUStats, n int) {
 		cpu.VecBytes += int64(n)
 		cpu.VecValues++
 	}
+}
+
+// chargeAppended credits one primitive value of n encoded bytes appended to
+// v: at the vector rate, or — for a vector bound for boxing — to the
+// counters serde.Decoder.Value charges for a top-level value of that kind.
+func chargeAppended(cpu *sim.CPUStats, v *scan.Vector, n int) {
+	if !v.Boxed {
+		chargeVec(cpu, n)
+		return
+	}
+	if cpu == nil {
+		return
+	}
+	switch v.Kind {
+	case scan.VecFloat64:
+		cpu.DoubleBytes += int64(n)
+	case scan.VecString:
+		cpu.StringBytes += int64(n)
+	case scan.VecBytes:
+		cpu.RawBytes += int64(n)
+	default:
+		cpu.IntBytes += int64(n)
+	}
+	cpu.ValuesMaterialized++
 }
 
 // DecodeVector implements VectorDecoder.
@@ -145,7 +179,7 @@ func (p *plainReader) DecodeVector(start, end int64, v *scan.Vector, cpu *sim.CP
 	boxed := VecKindOf(p.schema) == scan.VecAny
 	for p.rec < end {
 		if boxed {
-			val, err := decodeValue(p.s, p.schema, p.stats)
+			val, err := decodeValue(p.s, &p.dec, p.schema, p.stats)
 			if err != nil {
 				return err
 			}
@@ -156,7 +190,7 @@ func (p *plainReader) DecodeVector(start, end int64, v *scan.Vector, cpu *sim.CP
 				if err != nil {
 					return 0, err
 				}
-				chargeVec(p.stats, n)
+				chargeAppended(p.stats, v, n)
 				return n, nil
 			})
 			if err != nil {
@@ -192,26 +226,20 @@ func (b *blockReader) DecodeVector(start, end int64, v *scan.Vector, cpu *sim.CP
 			}
 		}
 		if boxed {
-			var local sim.CPUStats
-			d := serde.NewDecoder(b.frame[b.framePos:], &local)
-			val, err := d.Value(b.schema)
+			val, err := b.frameValue()
 			if err != nil {
 				return err
 			}
-			if b.stats != nil {
-				b.stats.Add(local)
-			}
 			v.AppendAny(val)
-			b.framePos += d.Pos()
 		} else {
 			n, err := vecAppendOne(b.frame[b.framePos:], b.schema, v)
 			if err != nil {
 				return err
 			}
-			chargeVec(b.stats, n)
+			chargeAppended(b.stats, v, n)
 			b.framePos += n
+			b.frameLeft--
 		}
-		b.frameLeft--
 		b.rec++
 	}
 	return nil
@@ -251,23 +279,23 @@ func (r *slReader) DecodeVector(start, end int64, v *scan.Vector, cpu *sim.CPUSt
 			if r.dict == nil {
 				return fmt.Errorf("colfile: DCSL value before dictionary")
 			}
-			d := serde.NewDecoder(buf, nil)
-			m, err := parseDictMap(d, r.schema, r.dict)
+			m, err := r.dictMap(buf)
 			if err != nil {
 				return err
-			}
-			if r.stats != nil {
-				compress.ChargeDecomp(r.stats, "dict", int64(d.Pos()))
-				r.stats.ValuesMaterialized += int64(len(m) + 1)
 			}
 			v.AppendAny(m)
 		case r.dcsl:
 			// Dictionary-encoded string/bytes: expand the id through the
 			// window dictionary. The expansion is what the dictionary-id
 			// path (DecodeIDVector) avoids — here the full string lands in
-			// the vector arena and is charged at the vector rate.
+			// the vector arena and is charged at the vector rate, or, bound
+			// for boxing, as the one materialized value (null or not) that
+			// Value counts.
 			if r.dict == nil {
 				return fmt.Errorf("colfile: DCSL value before dictionary")
+			}
+			if v.Boxed && r.stats != nil {
+				r.stats.ValuesMaterialized++
 			}
 			if len(buf) == 0 {
 				v.AppendNull()
@@ -280,21 +308,26 @@ func (r *slReader) DecodeVector(start, end int64, v *scan.Vector, cpu *sim.CPUSt
 				if err != nil {
 					return err
 				}
-				v.AppendString(s)
+				switch {
+				case !v.Boxed || len(s) <= scan.BoxArenaMax:
+					v.AppendString(s)
+				case r.schema.Kind == serde.KindString:
+					v.AppendSingle(s) // the interned string itself, as Value hands it out
+				default:
+					v.AppendSingle([]byte(s))
+				}
 				if r.stats != nil {
 					compress.ChargeDecomp(r.stats, "dict", int64(len(buf)))
 				}
-				chargeVec(r.stats, len(s))
+				if !v.Boxed {
+					chargeVec(r.stats, len(s))
+				}
 			}
 		case boxed:
-			var local sim.CPUStats
-			d := serde.NewDecoder(buf, &local)
-			val, err := d.Value(r.schema)
+			r.dec.Init(buf, r.stats)
+			val, err := r.dec.Value(r.schema)
 			if err != nil {
 				return err
-			}
-			if r.stats != nil {
-				r.stats.Add(local)
 			}
 			v.AppendAny(val)
 		default:
@@ -305,7 +338,7 @@ func (r *slReader) DecodeVector(start, end int64, v *scan.Vector, cpu *sim.CPUSt
 			if n != len(buf) {
 				return fmt.Errorf("colfile: vector decode: value used %d of %d bytes", n, len(buf))
 			}
-			chargeVec(r.stats, n)
+			chargeAppended(r.stats, v, n)
 		}
 		r.rec++
 		r.aligned = false
@@ -458,37 +491,10 @@ func (r *slReader) ProbeKeys(key string, start, end int64, sel *scan.Selection, 
 			continue
 		}
 		if sel.Test(int(r.rec - start)) {
-			// Record tier: walk the record's (id, value) pairs comparing
-			// ids, building no objects (cf. HasKey).
-			n, w, err := r.s.peekUvarint()
-			if err != nil {
-				return false, fmt.Errorf("colfile: probe length: %w", err)
-			}
-			buf, err := r.s.peekAt(w, int(n))
-			if err != nil {
-				return false, fmt.Errorf("colfile: probe body: %w", err)
-			}
-			d := serde.NewDecoder(buf, nil)
-			count, err := readCount(d)
+			// Record tier: the id walk HasKey uses.
+			has, err := r.peekHasID(id)
 			if err != nil {
 				return false, err
-			}
-			has := false
-			for i := 0; i < count; i++ {
-				got, err := readCount(d)
-				if err != nil {
-					return false, err
-				}
-				if uint32(got) == id {
-					has = true
-					break
-				}
-				if err := d.Skip(r.schema.Elem); err != nil {
-					return false, err
-				}
-			}
-			if r.stats != nil {
-				r.stats.RawBytes += int64(d.Pos())
 			}
 			if !has {
 				sel.Clear(int(r.rec - start))

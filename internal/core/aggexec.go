@@ -137,62 +137,19 @@ func (r *Reader) aggStatsShortcut(st *scan.AggState, pos int64) (end int64, ok b
 }
 
 // aggBatchFold advances the vectorized aggregate loop one step from
-// curPos+1: group-tier pruning exactly as vecAdvance, then one batch whose
+// curPos+1: the batch a materializing scan would build (nextBatch), whose
 // selected rows fold from vectors without surfacing. With no predicate the
 // full batch folds (selection all-set, no filter counters).
 func (r *Reader) aggBatchFold(st *scan.AggState) error {
-	pos := r.curPos + 1
-	pred := r.planner.Predicate()
-	if pred != nil && pos >= r.pruneValidTo {
-		tri, end, byBloom := r.planner.PruneGroup(pos, r.total, r.groupStats)
-		if tri == scan.NoMatch {
-			if r.stats != nil {
-				r.stats.GroupsPruned++
-				r.stats.RecordsPruned += end - pos
-				if byBloom {
-					r.stats.BloomPruned++
-				}
-			}
-			r.curPos = end - 1
-			return nil
-		}
-		r.pruneValidTo = end
-	}
-	end := r.total
-	if pred != nil && r.pruneValidTo < end {
-		end = r.pruneValidTo
-	}
-	if m := pos + vecBatchRows; m < end {
-		end = m
-	}
-	b := newColBatch(r, r.dirs[r.dirIdx], pos, end)
-	var sel *scan.Selection
-	if pred != nil {
-		b.prefetch(r.eagerCols(), true)
-		in := scan.GetFullSelection(b.n)
-		del := r.dels.mask(in, pos, end)
-		out, err := pred.VecEval(b, in)
-		scan.PutSelection(in)
-		r.foldCursorStats()
-		if err != nil {
-			b.release()
-			return err
-		}
-		sel = out
-		if r.stats != nil {
-			r.stats.VecBatches++
-			r.stats.RowsVectorized += int64(b.n)
-			r.stats.RecordsFiltered += int64(b.n) - del - int64(sel.Count())
-		}
-	} else {
-		sel = scan.GetFullSelection(b.n)
-		r.dels.mask(sel, pos, end)
+	b, sel, err := r.nextBatch()
+	if b == nil {
+		return err
 	}
 	rows, err := st.FoldBatch(sel, b)
 	r.foldCursorStats()
 	scan.PutSelection(sel)
 	b.release()
-	r.curPos = end - 1
+	r.curPos = b.end - 1
 	if err != nil {
 		return err
 	}

@@ -526,16 +526,15 @@ type Reader struct {
 	// cache is the session's cross-batch scan cache (nil outside a caching
 	// Session); attached to every column-file stream this reader opens.
 	cache *hdfs.ScanCache
-	// vectorize selects batch-at-a-time predicate evaluation (vecexec.go):
-	// set when a predicate is present and the spec enables it. vecOK
-	// narrows it per open directory to cursor sets whose filter columns can
-	// all batch-decode; anything else runs the scalar loop below.
+	// vectorize selects batch-at-a-time execution (vecexec.go): set when the
+	// spec enables it and the scan has something to do a batch at a time —
+	// evaluate a predicate, fold an aggregate, or assemble eager records.
+	// vecOK narrows it per open directory to cursor sets whose batch-decoded
+	// columns all can be; anything else runs the scalar loop below.
 	vectorize bool
 	vecOK     bool
-	// vecCache is the session's decoded-vector cache (nil disables);
-	// vecPool recycles batch scratch vectors.
+	// vecCache is the session's decoded-vector cache (nil disables).
 	vecCache *vec.Cache
-	vecPool  vec.Pool
 	// probeOnly marks filter columns safe for batch key probing: read
 	// through exactly one exists() test and not projected, so consuming
 	// their stream without producing values is safe.
@@ -546,8 +545,11 @@ type Reader struct {
 	// the stream without producing values) cannot starve a later value
 	// access.
 	idOnly map[string]bool
-	// batch is the active evaluated batch (nil between batches).
+	// batch is the active evaluated batch a lazy scan draws records from
+	// (nil between batches); ready holds the records assembled from an eager
+	// scan's last batch that Next has yet to hand out.
 	batch *colBatch
+	ready []serde.GenericRecord
 
 	// agg, when set, turns the scan into an aggregation: DrainAggregate
 	// folds qualifying rows into aggState and Next is never used. aggCols
@@ -665,7 +667,7 @@ func newReader(fs *hdfs.FileSystem, dirs, dels []string, columns []string, spec 
 		noBloom:        !spec.Bloom(),
 		planner:        scan.NewPlanner(pred),
 		cache:          cache,
-		vectorize:      spec.Vectorize() && (pred != nil || agg != nil),
+		vectorize:      spec.Vectorize() && (pred != nil || agg != nil || !spec.Lazy),
 		vecCache:       vcache,
 		schema:         schema,
 		proj:           proj,
@@ -683,7 +685,7 @@ func newReader(fs *hdfs.FileSystem, dirs, dels []string, columns []string, spec 
 		r.aggState = scan.NewAggState(agg)
 		r.aggCols = agg.Columns(nil)
 	}
-	if r.vectorize {
+	if r.vectorize && pred != nil {
 		r.probeOnly = make(map[string]bool)
 		for _, col := range scan.ProbeOnlyColumns(pred) {
 			r.probeOnly[col] = true
@@ -887,19 +889,32 @@ func (r *Reader) pruneDirFiles(files []*hdfs.FileReader) bool {
 
 // Next implements mapred.RecordReader. In lazy mode the returned Record is
 // reused across calls (like Hadoop Writables): use it before the next call.
+// An eager record is never reused and may be kept indefinitely — past the
+// next call, past Close — but the records of one batch share their backing
+// storage (see serde.GenericRecord), so keeping one keeps at most its batch
+// reachable.
+//
 // With a predicate set, non-qualifying records are crossed inside this
 // loop: whole groups by zone-map pruning, then — vectorized — whole batches
 // evaluated at once with only the selected rows surfacing here, or —
-// scalar — single records after evaluating only the filter columns.
+// scalar — single records after evaluating only the filter columns. Eager
+// records are assembled a batch at a time (assemble), a scan with no
+// predicate counting as a full selection; only Spec.NoVec, or a layout that
+// cannot batch-decode, builds them one by one below.
 func (r *Reader) Next() (any, any, bool, error) {
 	for {
 		if r.done {
 			return nil, nil, false, nil
 		}
+		if len(r.ready) > 0 {
+			rec := &r.ready[0]
+			r.ready = r.ready[1:]
+			return nil, rec, true, nil
+		}
 		if b := r.batch; b != nil {
 			// Drain the evaluated batch: each selected row surfaces as one
-			// record; exhaustion advances past the batch and re-enters the
-			// planning loop below.
+			// lazy record; exhaustion advances past the batch and re-enters
+			// the planning loop below.
 			idx := b.sel.Next(b.next)
 			if idx < 0 {
 				r.curPos = b.end - 1
@@ -908,7 +923,7 @@ func (r *Reader) Next() (any, any, bool, error) {
 			}
 			b.next = idx + 1
 			r.curPos = b.start + int64(idx)
-			break
+			return nil, r.lrec, true, nil
 		}
 		if r.curPos+1 >= r.total {
 			if err := r.nextDir(); err != nil {
@@ -916,7 +931,7 @@ func (r *Reader) Next() (any, any, bool, error) {
 			}
 			continue
 		}
-		if r.vecOK && r.planner.Predicate() != nil {
+		if r.vecOK {
 			if err := r.vecAdvance(); err != nil {
 				return nil, nil, false, err
 			}
@@ -959,6 +974,7 @@ func (r *Reader) Next() (any, any, bool, error) {
 // Close implements mapred.RecordReader.
 func (r *Reader) Close() error {
 	r.releaseBatch()
+	r.ready = nil
 	r.foldCursorStats()
 	for _, c := range r.cursors {
 		c.hr.Close()

@@ -84,12 +84,24 @@ func scanAll(t *testing.T, fs *hdfs.FileSystem, dataset string, conf *mapred.Job
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rows []map[string]any
 	var total sim.TaskStats
 	// Fold the scheduler tier's pruning into the aggregate, as the engine
 	// does, so counters cover the whole dataset whichever tier pruned.
 	total.SplitsPruned += int64(report.SplitsPruned)
 	total.RecordsPruned += report.RecordsPruned
+	rows, st := drainSplits(t, fs, conf, splits)
+	total.Add(st)
+	return rows, total
+}
+
+// drainSplits scans splits (hand-built ones may carry delete vectors) to
+// completion, copying each record's fields out so lazy and eager runs
+// compare alike.
+func drainSplits(t *testing.T, fs *hdfs.FileSystem, conf *mapred.JobConf, splits []mapred.Split) ([]map[string]any, sim.TaskStats) {
+	t.Helper()
+	in := &InputFormat{}
+	var rows []map[string]any
+	var total sim.TaskStats
 	for _, sp := range splits {
 		var st sim.TaskStats
 		rr, err := in.Open(fs, conf, sp, hdfs.AnyNode, &st)
@@ -107,11 +119,9 @@ func scanAll(t *testing.T, fs *hdfs.FileSystem, dataset string, conf *mapred.Job
 			rec := v.(serde.Record)
 			row := map[string]any{}
 			for _, f := range rec.Schema().Fields {
-				fv, err := rec.Get(f.Name)
-				if err != nil {
+				if row[f.Name], err = rec.Get(f.Name); err != nil {
 					t.Fatal(err)
 				}
-				row[f.Name] = fv
 			}
 			rows = append(rows, row)
 		}

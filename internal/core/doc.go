@@ -36,10 +36,14 @@
 // vec.Cache), the predicate runs once per batch via VecEval, and only
 // selected rows are materialized into the usual Next record shape. Batch
 // boundaries never cross a zone-map consultation boundary, so the pruning
-// trajectory and logical counters are bit-for-bit the scalar loop's; any
-// shape the batch path cannot take (no predicate, Spec.NoVec, a layout
-// without VectorDecoder, a shared set with a scalar member) falls back to
-// the record-at-a-time loop per directory. See docs/VECTORIZED.md.
+// trajectory and logical counters are bit-for-bit the scalar loop's. The
+// solo Reader assembles its eager records a batch at a time too — a scan
+// with no predicate is a full selection — column by column out of per-batch
+// slabs and arenas, charging exactly what the record-at-a-time loop charges.
+// Any shape the batch path cannot take (Spec.NoVec, a lazy scan with no
+// predicate, a layout without VectorDecoder, a shared set with a scalar
+// member) falls back to the record-at-a-time loop per directory. See
+// docs/VECTORIZED.md.
 //
 // Jobs that only fold an aggregate skip records entirely (aggexec.go,
 // docs/AGGREGATION.md): with scan.Spec.Agg set, Reader.DrainAggregate

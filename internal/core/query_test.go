@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"colmr/internal/mapred"
@@ -144,7 +145,7 @@ func TestBuilderJobRuns(t *testing.T) {
 	fs := testFS(t, 4)
 	loadDataset(t, fs, "/data/crawl", LoadOptions{SplitRecords: 128}, 512)
 
-	var urls int
+	var urls atomic.Int64 // map tasks run in parallel
 	job := ScanDataset("/data/crawl").
 		Columns("url").
 		Where(scan.NotNull("url")).
@@ -153,7 +154,7 @@ func TestBuilderJobRuns(t *testing.T) {
 			if _, err := v.(serde.Record).Get("url"); err != nil {
 				return err
 			}
-			urls++
+			urls.Add(1)
 			return nil
 		}))
 	if err := job.Validate(); err != nil {
@@ -163,8 +164,8 @@ func TestBuilderJobRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if urls != 512 || res.Total.RecordsProcessed != 512 {
-		t.Errorf("scanned %d urls, %d records, want 512", urls, res.Total.RecordsProcessed)
+	if urls.Load() != 512 || res.Total.RecordsProcessed != 512 {
+		t.Errorf("scanned %d urls, %d records, want 512", urls.Load(), res.Total.RecordsProcessed)
 	}
 	// Projection pushdown held: only url (the single projected and filter
 	// column) was opened, so the metadata/content columns cost nothing.

@@ -124,15 +124,17 @@ func (e evalCtx) HasKey(col, key string) (bool, bool, error) {
 
 // valueAt materializes cursor c's value for the record curPos points at,
 // through the per-record cache shared by lazy records, predicate
-// evaluation, and eager materialization: each column of each record is
-// deserialized at most once, however many consumers ask.
+// evaluation, and record-at-a-time eager materialization: each column of
+// each record is deserialized at most once, however many consumers ask.
 func (r *Reader) valueAt(c *cursor) (any, error) {
 	if c.cachedPos == r.curPos {
 		return c.cached, nil
 	}
-	// A column already decoded for the active batch serves from its vector:
-	// the cursor was advanced to the batch end by the decode, so the vector
-	// is also the only correct source for rows inside the batch.
+	// A lazy record inside an evaluated batch: a column already decoded for
+	// the batch serves from its vector — the cursor was advanced to the batch
+	// end by the decode, so the vector is also the only correct source for
+	// rows inside the batch. (Eager records never come this way; assemble
+	// boxes whole columns at once.)
 	if b := r.batch; b != nil && b.contains(r.curPos) {
 		if v := b.vecAt(c.name); v != nil {
 			val := v.Value(int(r.curPos - b.start))

@@ -507,7 +507,6 @@ type SharedReader struct {
 	vectorize bool
 	vecOK     bool
 	vecCache  *vec.Cache
-	vecPool   vec.Pool
 	probeOnly map[string]bool
 	idOnly    map[string]bool
 	groupPred []scan.Predicate

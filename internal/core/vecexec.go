@@ -6,6 +6,7 @@ import (
 
 	"colmr/internal/colfile"
 	"colmr/internal/scan"
+	"colmr/internal/serde"
 	"colmr/internal/sim"
 	"colmr/internal/vec"
 )
@@ -16,6 +17,11 @@ import (
 // batch-at-a-time over selection bitmaps (scan.VecEval). Only selected rows
 // are then materialized into the same record shape Next has always
 // returned, so everything downstream of the reader is untouched.
+//
+// The solo Reader's eager records are assembled a batch at a time as well
+// (Reader.assemble): a scan with no predicate is a full selection, and the
+// selected rows of either kind of batch become records column by column out
+// of a handful of allocations per batch instead of several per value.
 //
 // The batch boundaries follow the exact zone-map consultation trajectory of
 // the scalar loop — a batch never crosses pruneValidTo — so the logical
@@ -39,8 +45,21 @@ import (
 // only for very large groups and predicate-dense regions.
 const vecBatchRows = 4096
 
+// eagerBatchRows bounds one batch of a scan with no predicate, whose every
+// live row becomes a record. Measured on the all-columns scan of the
+// 13-column synthetic schema, 128-256 rows ran about a tenth faster than
+// 1024 or more (the batch's value slab, 52 KB at 256 rows, stays cache
+// resident while the columns are strided into it) and 64 no faster; small
+// also bounds what a retained record keeps reachable (see Reader.Next).
+const eagerBatchRows = 256
+
 // vecDecodeParallel bounds the per-batch decode fan-out of the solo reader.
 const vecDecodeParallel = 4
+
+// vecScratch recycles batch scratch vectors for every reader in the
+// process: splits are short (an ingest partition is a single batch), so a
+// pool per reader would start cold for each and re-grow every vector.
+var vecScratch vec.Pool
 
 // batchHost is what a colBatch needs from the reader driving it. Both the
 // solo Reader and the SharedReader implement it; the interface carries the
@@ -56,8 +75,6 @@ type batchHost interface {
 	batchSinks(c *cursor) (*sim.CPUStats, *sim.TaskStats)
 	// batchVecCache returns the session vector cache (nil disables).
 	batchVecCache() *vec.Cache
-	// batchVecPool returns the scratch-vector pool.
-	batchVecPool() *vec.Pool
 	// batchProbeOnly reports whether col may be answered by a batch key
 	// probe, which consumes the column's stream for the batch without
 	// producing values — only safe for columns nothing else will read.
@@ -171,11 +188,11 @@ func (b *colBatch) decode(col string) *colVecEntry {
 		// Destined for the cache: allocate fresh, never pooled.
 		v = scan.NewVector(kind, b.n)
 	} else {
-		v = b.host.batchVecPool().Get(kind, b.n)
+		v = vecScratch.Get(kind, b.n)
 	}
 	if err := dec.DecodeVector(b.start, b.end, v, cpu); err != nil {
 		if cache == nil {
-			b.host.batchVecPool().Put(v)
+			vecScratch.Put(v)
 		}
 		return &colVecEntry{err: fmt.Errorf("core: column %q batch decode [%d,%d): %w", col, b.start, b.end, err)}
 	}
@@ -307,7 +324,7 @@ func (b *colBatch) contains(pos int64) bool {
 func (b *colBatch) release() {
 	for _, e := range b.vecs {
 		if e.v != nil && !e.cached {
-			b.host.batchVecPool().Put(e.v)
+			vecScratch.Put(e.v)
 		}
 	}
 	b.vecs = nil
@@ -363,9 +380,6 @@ func (r *Reader) batchSinks(c *cursor) (*sim.CPUStats, *sim.TaskStats) {
 // batchVecCache implements batchHost.
 func (r *Reader) batchVecCache() *vec.Cache { return r.vecCache }
 
-// batchVecPool implements batchHost.
-func (r *Reader) batchVecPool() *vec.Pool { return &r.vecPool }
-
 // batchProbeOnly implements batchHost.
 func (r *Reader) batchProbeOnly(col string) bool { return r.probeOnly[col] }
 
@@ -381,31 +395,29 @@ func (r *Reader) batchDictCompares(n int64) {
 	}
 }
 
-// vecEligible decides, per directory, whether the batch path runs: a
-// predicate or aggregate is set, the spec enables vectorization, and every
-// filter and aggregate column's layout can batch-decode. Anything else
-// falls back to the scalar loop — identical results, record-at-a-time
+// vecEligible decides, per directory, whether the batch path runs: the spec
+// enables vectorization for this scan's shape (Reader.vectorize) and every
+// column a batch would decode — filter and aggregate columns, and for eager
+// records the projected ones — has a layout that can batch-decode. Anything
+// else falls back to the scalar loop — identical results, record-at-a-time
 // control flow.
 func (r *Reader) vecEligible() bool {
-	if !r.vectorize || (r.planner.Predicate() == nil && r.agg == nil) {
+	if !r.vectorize {
 		return false
 	}
-	for _, col := range r.planner.FilterColumns() {
-		c, ok := r.byName[col]
-		if !ok {
-			return false
-		}
-		if _, ok := c.r.(colfile.VectorDecoder); !ok {
-			return false
-		}
+	sets := [][]string{r.planner.FilterColumns(), r.aggCols}
+	if !r.lazy && r.agg == nil {
+		sets = append(sets, r.columns)
 	}
-	for _, col := range r.aggCols {
-		c, ok := r.byName[col]
-		if !ok {
-			return false
-		}
-		if _, ok := c.r.(colfile.VectorDecoder); !ok {
-			return false
+	for _, cols := range sets {
+		for _, col := range cols {
+			c, ok := r.byName[col]
+			if !ok {
+				return false
+			}
+			if _, ok := c.r.(colfile.VectorDecoder); !ok {
+				return false
+			}
 		}
 	}
 	return true
@@ -429,61 +441,158 @@ func (r *Reader) eagerCols() []string {
 	return out
 }
 
-// vecAdvance drives the batch loop one step from curPos+1: it either prunes
-// a group (advancing curPos exactly as the scalar loop would), or builds
-// and evaluates the next batch. On return either r.batch holds a batch with
-// a non-empty selection, or curPos advanced past a pruned/empty region; the
-// caller's scan loop re-checks bounds either way.
-func (r *Reader) vecAdvance() error {
+// nextBatch plans and evaluates the batch at curPos+1, for record delivery
+// and aggregate folding alike: with a predicate, group-tier pruning first
+// (advancing curPos exactly as the scalar loop would — b is then nil and the
+// caller's loop re-checks bounds), a batch clipped to the zone-map verdict's
+// validity, and VecEval over its live rows; with none, the next run of rows,
+// all of its live ones selected. The selection is the caller's to return
+// (scan.PutSelection).
+func (r *Reader) nextBatch() (b *colBatch, sel *scan.Selection, err error) {
 	pos := r.curPos + 1
-	if pos >= r.pruneValidTo {
-		tri, end, byBloom := r.planner.PruneGroup(pos, r.total, r.groupStats)
-		if tri == scan.NoMatch {
-			if r.stats != nil {
-				r.stats.GroupsPruned++
-				r.stats.RecordsPruned += end - pos
-				if byBloom {
-					r.stats.BloomPruned++
-				}
-			}
-			r.curPos = end - 1
-			return nil
+	pred := r.planner.Predicate()
+	end, limit := r.total, int64(vecBatchRows)
+	if pred != nil {
+		// The scalar loop steps over deleted rows before it consults a zone
+		// map, so a verdict is never asked for — or counted from — one.
+		for r.dels.has(pos) {
+			pos++
 		}
-		r.pruneValidTo = end
+		if pos >= r.total {
+			r.curPos = r.total - 1
+			return nil, nil, nil
+		}
+		if pos >= r.pruneValidTo {
+			tri, gEnd, byBloom := r.planner.PruneGroup(pos, r.total, r.groupStats)
+			if tri == scan.NoMatch {
+				if r.stats != nil {
+					r.stats.GroupsPruned++
+					r.stats.RecordsPruned += gEnd - pos
+					if byBloom {
+						r.stats.BloomPruned++
+					}
+				}
+				r.curPos = gEnd - 1
+				return nil, nil, nil
+			}
+			r.pruneValidTo = gEnd
+		}
+		if r.pruneValidTo < end {
+			end = r.pruneValidTo
+		}
+	} else if r.agg == nil {
+		limit = eagerBatchRows
 	}
-	end := r.pruneValidTo
-	if end > r.total {
-		end = r.total
-	}
-	if m := pos + vecBatchRows; m < end {
+	if m := pos + limit; m < end {
 		end = m
 	}
-	b := newColBatch(r, r.dirs[r.dirIdx], pos, end)
-	b.prefetch(r.eagerCols(), true)
+	b = newColBatch(r, r.dirs[r.dirIdx], pos, end)
 	// Deleted (superseded) rows are masked out of the input selection, so
 	// they are neither evaluated nor counted — the exact rows the scalar
 	// loop skips before its predicate check.
-	in := scan.NewSelection(b.n)
-	del := r.dels.mask(in, pos, end)
-	sel, err := r.planner.Predicate().VecEval(b, in)
+	sel = scan.GetFullSelection(b.n)
+	del := r.dels.mask(sel, pos, end)
+	if pred == nil {
+		return b, sel, nil
+	}
+	b.prefetch(r.eagerCols(), true)
+	out, err := pred.VecEval(b, sel)
+	scan.PutSelection(sel)
 	r.foldCursorStats()
 	if err != nil {
 		b.release()
-		return err
+		return nil, nil, err
 	}
 	if r.stats != nil {
 		r.stats.VecBatches++
 		r.stats.RowsVectorized += int64(b.n)
-		r.stats.RecordsFiltered += int64(b.n) - del - int64(sel.Count())
+		r.stats.RecordsFiltered += int64(b.n) - del - int64(out.Count())
 	}
-	if sel.Empty() {
-		r.curPos = end - 1
-		b.release()
+	return b, out, nil
+}
+
+// vecAdvance drives the batch loop one step from curPos+1. On return either
+// records are waiting — assembled in r.ready for an eager scan, or as
+// r.batch with a non-empty selection for lazy ones to draw on — or curPos
+// advanced past a pruned or empty region; the caller's scan loop re-checks
+// bounds either way.
+func (r *Reader) vecAdvance() error {
+	b, sel, err := r.nextBatch()
+	if b == nil {
+		return err
+	}
+	if r.lazy && !sel.Empty() {
+		b.sel = sel
+		r.batch = b
 		return nil
 	}
-	b.sel = sel
-	r.batch = b
-	return nil
+	if !sel.Empty() {
+		r.ready, err = r.assemble(b, sel)
+	}
+	scan.PutSelection(sel)
+	b.release()
+	r.curPos = b.end - 1
+	return err
+}
+
+// assemble builds the eager records of the batch rows sel picks, column by
+// column into one slab of records and one of values (serde.NewRecords). A
+// column the predicate already decoded is boxed from its vector, as serving
+// it row by row would (one ValuesMaterialized per primitive value — the
+// decode was charged at the vector rate). Every other projected column is
+// decoded here for the selected rows only — late materialization, run by
+// run, so the cursor crosses unselected and deleted rows with the skips the
+// scalar loop's SkipTo would use — into a scratch vector marked Boxed, which
+// makes the storage layer charge what Reader.Value charges. A full drain
+// therefore reads the same bytes and charges the same counters as the
+// record-at-a-time loop (Spec.NoVec); the counters land per batch, at
+// decode, not per record at delivery.
+func (r *Reader) assemble(b *colBatch, sel *scan.Selection) ([]serde.GenericRecord, error) {
+	n := sel.Count()
+	recs, vals := serde.NewRecords(r.proj, n)
+	width := len(r.columns)
+	var served int64
+	for j, c := range r.cursors[:width] {
+		if v := b.vecAt(c.name); v != nil {
+			if k := v.Box(sel, vals[j:], width); v.Kind != scan.VecAny {
+				served += int64(k)
+			}
+			continue
+		}
+		v, err := b.decodeBoxed(c, sel, n)
+		if err != nil {
+			return nil, err
+		}
+		v.Box(nil, vals[j:], width)
+		vecScratch.Put(v)
+	}
+	r.foldCursorStats()
+	if r.stats != nil {
+		r.stats.CPU.ValuesMaterialized += served
+		r.stats.CPU.RecordsMaterialized += int64(n)
+	}
+	return recs, nil
+}
+
+// decodeBoxed decodes the n batch rows sel picks from c into a scratch
+// vector bound for boxing, one DecodeVector call per run of adjacent rows.
+func (b *colBatch) decodeBoxed(c *cursor, sel *scan.Selection, n int) (*scan.Vector, error) {
+	dec := c.r.(colfile.VectorDecoder) // vecEligible checked the projection
+	cpu, _ := b.host.batchSinks(c)
+	v := vecScratch.Get(colfile.VecKindOf(c.schema), n)
+	v.Boxed = true
+	for lo := sel.Next(0); lo >= 0; {
+		hi := lo + 1
+		for hi < b.n && sel.Test(hi) {
+			hi++
+		}
+		if err := dec.DecodeVector(b.start+int64(lo), b.start+int64(hi), v, cpu); err != nil {
+			vecScratch.Put(v)
+			return nil, fmt.Errorf("core: column %q batch decode [%d,%d): %w", c.name, b.start+int64(lo), b.start+int64(hi), err)
+		}
+		lo = sel.Next(hi)
+	}
+	return v, nil
 }
 
 // releaseBatch retires the active batch, if any.
@@ -527,9 +636,6 @@ func (sr *SharedReader) batchSinks(*cursor) (*sim.CPUStats, *sim.TaskStats) {
 
 // batchVecCache implements batchHost.
 func (sr *SharedReader) batchVecCache() *vec.Cache { return sr.vecCache }
-
-// batchVecPool implements batchHost.
-func (sr *SharedReader) batchVecPool() *vec.Pool { return &sr.vecPool }
 
 // batchProbeOnly implements batchHost.
 func (sr *SharedReader) batchProbeOnly(col string) bool { return sr.probeOnly[col] }

@@ -1,6 +1,9 @@
 package scan
 
-import "math/bits"
+import (
+	"math/bits"
+	"strings"
+)
 
 // Column vectors and selection bitmaps — the data shapes of vectorized
 // execution. A Vector holds one column's values for a contiguous batch of
@@ -55,6 +58,15 @@ func (k VecKind) String() string {
 // scans and must never be mutated.
 type Vector struct {
 	Kind VecKind
+	// Boxed marks a vector whose rows are decoded only to be boxed into
+	// records (Box). The storage layer charges such a decode at the
+	// per-object rates a record-at-a-time decode of the same values pays —
+	// CPUStats.IntBytes/StringBytes/…, ValuesMaterialized — and not at the
+	// vector rates, so the cost model prices an eager scan the same however
+	// its records are assembled. A Boxed vector is good for Box only: its
+	// string/bytes rows longer than BoxArenaMax bypass the arena (they sit in
+	// Anys, boxed at append; BytesAt shows them empty). Reset clears it.
+	Boxed bool
 
 	Ints   []int64   // VecBool (0/1), VecInt32, VecInt64
 	Floats []float64 // VecFloat64
@@ -79,12 +91,14 @@ func NewVector(kind VecKind, capacity int) *Vector {
 // across resets, so a pooled vector's arena warms up to its working size.
 func (v *Vector) Reset(kind VecKind, capacity int) {
 	v.Kind = kind
+	v.Boxed = false
 	v.n = 0
 	v.null = v.null[:0]
 	v.Ints = v.Ints[:0]
 	v.Floats = v.Floats[:0]
 	v.Data = v.Data[:0]
 	v.Offs = v.Offs[:0]
+	clear(v.Anys) // a pooled vector must not keep the last batch's objects alive
 	v.Anys = v.Anys[:0]
 	switch kind {
 	case VecBool, VecInt32, VecInt64:
@@ -119,6 +133,29 @@ func (v *Vector) AppendInt(x int64) {
 // AppendFloat appends a float64 row.
 func (v *Vector) AppendFloat(x float64) {
 	v.Floats = append(v.Floats, x)
+	v.n++
+}
+
+// BoxArenaMax is the longest string/bytes payload the storage layer appends
+// to a Boxed vector's arena, for Box to carve out of one allocation per
+// column. A longer one it allocates singly, straight from the decode buffer
+// (AppendSingle): past a few hundred bytes a second copy costs more than
+// the allocation it saves, a page-sized row would pin its whole batch, and
+// an arena of such rows — unlike one of short strings — outgrows what a
+// recycled vector keeps warm.
+const BoxArenaMax = 256
+
+// AppendSingle appends a string/bytes row to a Boxed vector as the finished
+// boxed value x (a string or a []byte the vector may keep), leaving its
+// arena extent empty.
+func (v *Vector) AppendSingle(x any) {
+	if rows := cap(v.Offs) - 1; cap(v.Anys) < rows {
+		v.Anys = append(make([]any, 0, rows), v.Anys...) // once, at the batch's size
+	}
+	// Reset left everything past len(Anys) nil: the rows in between read as
+	// arena rows.
+	v.Anys = append(v.Anys[:v.n], x)
+	v.Offs = append(v.Offs, int32(len(v.Data)))
 	v.n++
 }
 
@@ -219,6 +256,94 @@ func (v *Vector) Value(i int) any {
 	default:
 		return v.Anys[i]
 	}
+}
+
+// Box boxes rows of v for a reader assembling records column by column: the
+// k-th boxed row lands in dst[k*stride], in row order, in the representation
+// Value produces. sel picks the rows (nil boxes every row); the count of
+// boxed rows is returned. Where Value allocates a payload per string or
+// bytes row, Box carves a column's rows out of one arena — substrings of one
+// string, capacity-clipped slices of one buffer — sized to exactly the boxed
+// rows and allocated once, so the boxed values never alias v's own storage
+// and v can go back to a pool.
+func (v *Vector) Box(sel *Selection, dst []any, stride int) int {
+	nulls := v.HasNulls()
+	k, off := 0, 0
+	var strs string
+	var raw []byte
+	switch v.Kind {
+	case VecString:
+		var sb strings.Builder
+		sb.Grow(v.payloadLen(sel))
+		if sel == nil {
+			sb.Write(v.Data)
+		} else {
+			for i := sel.Next(0); i >= 0; i = sel.Next(i + 1) {
+				sb.Write(v.BytesAt(i))
+			}
+		}
+		strs = sb.String()
+	case VecBytes:
+		raw = make([]byte, 0, v.payloadLen(sel))
+	}
+	for i := v.nextRow(sel, 0); i >= 0; i = v.nextRow(sel, i+1) {
+		if nulls && v.IsNull(i) {
+			dst[k*stride] = nil
+			k++
+			continue
+		}
+		var x any
+		if i < len(v.Anys) {
+			x = v.Anys[i] // a complex value, or a payload too long for the arena
+		}
+		if x == nil {
+			switch v.Kind {
+			case VecBool:
+				x = v.Ints[i] != 0
+			case VecInt32:
+				x = int32(v.Ints[i])
+			case VecInt64:
+				x = v.Ints[i]
+			case VecFloat64:
+				x = v.Floats[i]
+			case VecString:
+				end := off + int(v.Offs[i+1]-v.Offs[i])
+				x = strs[off:end]
+				off = end
+			case VecBytes:
+				raw = append(raw, v.BytesAt(i)...)
+				x = raw[off:len(raw):len(raw)]
+				off = len(raw)
+			}
+		}
+		dst[k*stride] = x
+		k++
+	}
+	return k
+}
+
+// nextRow returns the first row >= i that sel picks (every row when sel is
+// nil), or -1.
+func (v *Vector) nextRow(sel *Selection, i int) int {
+	if sel != nil {
+		return sel.Next(i)
+	}
+	if i < v.n {
+		return i
+	}
+	return -1
+}
+
+// payloadLen sums the string/bytes payload of the rows sel picks.
+func (v *Vector) payloadLen(sel *Selection) int {
+	if sel == nil {
+		return len(v.Data)
+	}
+	total := 0
+	for i := sel.Next(0); i >= 0; i = sel.Next(i + 1) {
+		total += int(v.Offs[i+1] - v.Offs[i])
+	}
+	return total
 }
 
 // MemBytes estimates the vector's resident size, the unit vector-cache

@@ -10,6 +10,7 @@ package scan_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"colmr/internal/scan"
@@ -125,6 +126,108 @@ func TestVectorValueBoxing(t *testing.T) {
 	v.AppendBytes([]byte("q"))
 	if v.Len() != 1 || v.Value(0) != "q" {
 		t.Fatal("reset vector broken")
+	}
+}
+
+// Box is Value in bulk: the picked rows, in order, strided into dst, equal
+// to what Value boxes — and owning their bytes, so the vector can be reset
+// and refilled (as a pooled one is) without the boxed values noticing.
+func TestVectorBox(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for round := 0; round < 200; round++ {
+		n := 1 + rng.Intn(150)
+		v := vecTestColumn(rng, n)
+		var sel *scan.Selection
+		if rng.Intn(3) > 0 {
+			sel = scan.NewEmptySelection(n)
+			for i := 0; i < n; i++ {
+				if rng.Intn(3) == 0 {
+					sel.Set(i)
+				}
+			}
+		}
+		var want []any
+		for i := 0; i < n; i++ {
+			if sel == nil || sel.Test(i) {
+				want = append(want, v.Value(i))
+			}
+		}
+		const stride, col = 3, 1
+		dst := make([]any, stride*len(want)+col)
+		for i := range dst {
+			dst[i] = "untouched"
+		}
+		if k := v.Box(sel, dst[col:], stride); k != len(want) {
+			t.Fatalf("round %d: boxed %d rows, want %d", round, k, len(want))
+		}
+		kind := v.Kind
+		v.Reset(kind, n)
+		for i := 0; i < n; i++ {
+			switch kind {
+			case scan.VecString, scan.VecBytes:
+				v.AppendBytes([]byte("~~"))
+			case scan.VecAny:
+				v.AppendAny("~~")
+			case scan.VecFloat64:
+				v.AppendFloat(-1)
+			default:
+				v.AppendInt(-1)
+			}
+		}
+		for i, x := range dst {
+			if i%stride != col {
+				if x != "untouched" {
+					t.Fatalf("round %d: Box wrote slot %d outside its column", round, i)
+				}
+				continue
+			}
+			if w := want[i/stride]; fmt.Sprintf("%T %v", x, x) != fmt.Sprintf("%T %v", w, w) {
+				t.Fatalf("round %d (%v): row %d boxed as %T %v, Value gives %T %v", round, kind, i/stride, x, x, w, w)
+			}
+		}
+	}
+
+	// Bytes rows share one arena but not their tails: an append to one
+	// reallocates instead of running into the next.
+	v := scan.NewVector(scan.VecBytes, 2)
+	v.AppendBytes([]byte("ab"))
+	v.AppendBytes([]byte("cd"))
+	dst := make([]any, 2)
+	v.Box(nil, dst, 1)
+	_ = append(dst[0].([]byte), 'X')
+	if got := string(dst[1].([]byte)); got != "cd" {
+		t.Fatalf("append to one boxed bytes row changed its neighbour to %q", got)
+	}
+
+	// Rows the storage layer boxed singly (payloads too long for the arena)
+	// interleave with arena rows and nulls.
+	long := strings.Repeat("x", scan.BoxArenaMax+1)
+	for _, kind := range []scan.VecKind{scan.VecString, scan.VecBytes} {
+		single := func(s string) any {
+			if kind == scan.VecBytes {
+				return []byte(s)
+			}
+			return s
+		}
+		v := scan.NewVector(kind, 5)
+		v.Boxed = true
+		v.AppendBytes([]byte("short"))
+		v.AppendSingle(single(long))
+		v.AppendNull()
+		v.AppendSingle(single(long + "y"))
+		v.AppendString("tail")
+		dst := make([]any, 5)
+		v.Box(nil, dst, 1)
+		got := fmt.Sprintf("%s|%s|%v|%s|%s", dst[0], dst[1], dst[2], dst[3], dst[4])
+		if want := "short|" + long + "|<nil>|" + long + "y|tail"; got != want {
+			t.Fatalf("%v: boxed %.40q..., want %.40q...", kind, got, want)
+		}
+		if len(v.Data) != len("shorttail") {
+			t.Fatalf("%v: arena holds %d bytes, want only the short rows'", kind, len(v.Data))
+		}
+		if v.Reset(kind, 4); v.Boxed {
+			t.Fatal("Reset kept the Boxed mark")
+		}
 	}
 }
 

@@ -19,11 +19,23 @@ import (
 // are the expensive case: everything inside a map, keys and values alike,
 // is charged to MapBytes, the entry-object/hash-insert churn rate that
 // Figure 8 shows dropping below disk bandwidth.
+//
+// Charging is transactional per top-level call (Value, Record, Scan, Skip):
+// the call's charges accumulate in the decoder by value and reach the stats
+// sink only when it succeeds, so a decode that fails — a caller retrying a
+// short window, corrupt input — pollutes no counter, and no caller needs a
+// scratch CPUStats of its own to get that.
 type Decoder struct {
 	buf   []byte
 	pos   int
 	stats *sim.CPUStats
-	depth int // >0 while inside a map value
+	depth int     // >0 while inside a map value
+	n     charges // charges of the top-level call in progress
+}
+
+// charges is the subset of sim.CPUStats a decoder can touch.
+type charges struct {
+	raw, ints, doubles, strs, maps, skipped, values int64
 }
 
 // NewDecoder returns a decoder over buf. Stats may be nil to disable
@@ -32,11 +44,16 @@ func NewDecoder(buf []byte, stats *sim.CPUStats) *Decoder {
 	return &Decoder{buf: buf, stats: stats}
 }
 
+// Init points d at buf with the given stats sink (nil disables accounting).
+// A reader that decodes value after value embeds one Decoder and re-Inits
+// it, so decoding allocates no decoder.
+func (d *Decoder) Init(buf []byte, stats *sim.CPUStats) {
+	*d = Decoder{buf: buf, stats: stats}
+}
+
 // Reset repoints the decoder at a new buffer, keeping the stats sink.
 func (d *Decoder) Reset(buf []byte) {
-	d.buf = buf
-	d.pos = 0
-	d.depth = 0
+	d.Init(buf, d.stats)
 }
 
 // Pos returns the current byte offset.
@@ -50,48 +67,59 @@ func (d *Decoder) fail(what string) error {
 }
 
 func (d *Decoder) charge(kind Kind, n int) {
-	if d.stats == nil {
-		return
-	}
 	if d.depth > 0 {
-		d.stats.MapBytes += int64(n)
+		d.n.maps += int64(n)
 		return
 	}
 	switch kind {
 	case KindBool, KindInt, KindLong, KindTime:
-		d.stats.IntBytes += int64(n)
+		d.n.ints += int64(n)
 	case KindDouble:
-		d.stats.DoubleBytes += int64(n)
+		d.n.doubles += int64(n)
 	case KindString:
-		d.stats.StringBytes += int64(n)
+		d.n.strs += int64(n)
 	case KindBytes:
-		d.stats.RawBytes += int64(n)
+		d.n.raw += int64(n)
 	default:
-		d.stats.MapBytes += int64(n)
+		d.n.maps += int64(n)
 	}
 }
 
 // chargeHeader attributes structural bytes (array counts) to varint work.
 func (d *Decoder) chargeHeader(n int) {
-	if d.stats == nil {
-		return
-	}
 	if d.depth > 0 {
-		d.stats.MapBytes += int64(n)
+		d.n.maps += int64(n)
 		return
 	}
-	d.stats.IntBytes += int64(n)
+	d.n.ints += int64(n)
 }
 
-func (d *Decoder) materialized() {
-	if d.stats != nil {
-		d.stats.ValuesMaterialized++
+func (d *Decoder) materialized() { d.n.values++ }
+
+// settle closes a top-level call: success commits its charges to the sink,
+// failure drops them.
+func (d *Decoder) settle(err error) error {
+	if st := d.stats; err == nil && st != nil {
+		st.RawBytes += d.n.raw
+		st.IntBytes += d.n.ints
+		st.DoubleBytes += d.n.doubles
+		st.StringBytes += d.n.strs
+		st.MapBytes += d.n.maps
+		st.SkippedBytes += d.n.skipped
+		st.ValuesMaterialized += d.n.values
 	}
+	d.n = charges{}
+	return err
 }
 
 // Value decodes one value of schema s, materializing the documented Go
 // representation ("boxed" decoding — the Java analogue).
 func (d *Decoder) Value(s *Schema) (any, error) {
+	v, err := d.value(s)
+	return v, d.settle(err)
+}
+
+func (d *Decoder) value(s *Schema) (any, error) {
 	start := d.pos
 	switch s.Kind {
 	case KindBool:
@@ -162,7 +190,7 @@ func (d *Decoder) Value(s *Schema) (any, error) {
 		}
 		arr := make([]any, 0, count)
 		for i := uint64(0); i < count; i++ {
-			e, err := d.Value(s.Elem)
+			e, err := d.value(s.Elem)
 			if err != nil {
 				return nil, err
 			}
@@ -171,36 +199,16 @@ func (d *Decoder) Value(s *Schema) (any, error) {
 		d.materialized()
 		return arr, nil
 	case KindMap:
+		// In a helper, depth restored by hand: a defer here would not be
+		// open-coded and would run on every return, ints and strings too.
 		d.depth++
-		defer func() { d.depth-- }()
-		count, n, err := d.uvarint("map count")
-		if err != nil {
-			return nil, err
-		}
-		d.charge(s.Kind, n)
-		if count > uint64(d.Remaining()) {
-			return nil, d.fail("map count")
-		}
-		m := make(map[string]any, count)
-		for i := uint64(0); i < count; i++ {
-			kb, kn, err := d.lengthPrefixed("map key")
-			if err != nil {
-				return nil, err
-			}
-			d.charge(KindMap, kn)
-			d.materialized()
-			v, err := d.Value(s.Elem)
-			if err != nil {
-				return nil, err
-			}
-			m[string(kb)] = v
-		}
-		d.materialized()
-		return m, nil
+		m, err := d.mapValue(s)
+		d.depth--
+		return m, err
 	case KindRecord:
 		rec := NewRecord(s)
 		for i, f := range s.Fields {
-			v, err := d.Value(f.Type)
+			v, err := d.value(f.Type)
 			if err != nil {
 				return nil, fmt.Errorf("field %q: %w", f.Name, err)
 			}
@@ -210,6 +218,34 @@ func (d *Decoder) Value(s *Schema) (any, error) {
 		return rec, nil
 	}
 	return nil, fmt.Errorf("serde: decode: unknown kind %v", s.Kind)
+}
+
+// mapValue decodes a map's entries; the caller holds depth raised.
+func (d *Decoder) mapValue(s *Schema) (any, error) {
+	count, n, err := d.uvarint("map count")
+	if err != nil {
+		return nil, err
+	}
+	d.charge(s.Kind, n)
+	if count > uint64(d.Remaining()) {
+		return nil, d.fail("map count")
+	}
+	m := make(map[string]any, count)
+	for i := uint64(0); i < count; i++ {
+		kb, kn, err := d.lengthPrefixed("map key")
+		if err != nil {
+			return nil, err
+		}
+		d.charge(KindMap, kn)
+		d.materialized()
+		v, err := d.value(s.Elem)
+		if err != nil {
+			return nil, err
+		}
+		m[string(kb)] = v
+	}
+	d.materialized()
+	return m, nil
 }
 
 // Record decodes a full record of schema s.
@@ -233,6 +269,10 @@ func (d *Decoder) Record(s *Schema) (*GenericRecord, error) {
 // analogue; price with sim.CostModel.ViewCPUSeconds). Tests assert Scan and
 // Value consume identical bytes and charge identical counters.
 func (d *Decoder) Scan(s *Schema) error {
+	return d.settle(d.scan(s))
+}
+
+func (d *Decoder) scan(s *Schema) error {
 	switch s.Kind {
 	case KindBool:
 		if d.pos >= len(d.buf) {
@@ -273,36 +313,19 @@ func (d *Decoder) Scan(s *Schema) error {
 			return d.fail("array count")
 		}
 		for i := uint64(0); i < count; i++ {
-			if err := d.Scan(s.Elem); err != nil {
+			if err := d.scan(s.Elem); err != nil {
 				return err
 			}
 		}
 		return nil
 	case KindMap:
 		d.depth++
-		defer func() { d.depth-- }()
-		count, n, err := d.uvarint("map count")
-		if err != nil {
-			return err
-		}
-		d.charge(s.Kind, n)
-		if count > uint64(d.Remaining()) {
-			return d.fail("map count")
-		}
-		for i := uint64(0); i < count; i++ {
-			_, kn, err := d.lengthPrefixed("map key")
-			if err != nil {
-				return err
-			}
-			d.charge(KindMap, kn)
-			if err := d.Scan(s.Elem); err != nil {
-				return err
-			}
-		}
-		return nil
+		err := d.scanMap(s)
+		d.depth--
+		return err
 	case KindRecord:
 		for _, f := range s.Fields {
-			if err := d.Scan(f.Type); err != nil {
+			if err := d.scan(f.Type); err != nil {
 				return fmt.Errorf("field %q: %w", f.Name, err)
 			}
 		}
@@ -311,22 +334,37 @@ func (d *Decoder) Scan(s *Schema) error {
 	return fmt.Errorf("serde: scan: unknown kind %v", s.Kind)
 }
 
+// scanMap walks a map's entries; the caller holds depth raised.
+func (d *Decoder) scanMap(s *Schema) error {
+	count, n, err := d.uvarint("map count")
+	if err != nil {
+		return err
+	}
+	d.charge(s.Kind, n)
+	if count > uint64(d.Remaining()) {
+		return d.fail("map count")
+	}
+	for i := uint64(0); i < count; i++ {
+		_, kn, err := d.lengthPrefixed("map key")
+		if err != nil {
+			return err
+		}
+		d.charge(KindMap, kn)
+		if err := d.scan(s.Elem); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Skip advances past one value of schema s without decoding it, charging
 // only SkippedBytes (the cheap per-record skip of Section 5.2: lengths must
 // still be read, but no objects are created).
 func (d *Decoder) Skip(s *Schema) error {
 	start := d.pos
-	saved := d.stats
-	d.stats = nil
-	err := d.Scan(s)
-	d.stats = saved
-	if err != nil {
-		return err
-	}
-	if d.stats != nil {
-		d.stats.SkippedBytes += int64(d.pos - start)
-	}
-	return nil
+	err := d.scan(s)
+	d.n = charges{skipped: int64(d.pos - start)}
+	return d.settle(err)
 }
 
 // ReadUvarint reads a raw unsigned varint at the cursor. Layered formats

@@ -32,6 +32,12 @@ type Record interface {
 //	array   -> []any
 //	map     -> map[string]any
 //	record  -> *GenericRecord
+//
+// A record handed out by a reader is never reused, so it may be kept for as
+// long as the caller likes. Records built together by NewRecords share two
+// allocations, and a batch-assembling reader (core.Reader) also carves one
+// batch's string and bytes values out of one arena per column: keeping any
+// one of them keeps at most that one batch reachable.
 type GenericRecord struct {
 	schema *Schema
 	values []any
@@ -40,6 +46,22 @@ type GenericRecord struct {
 // NewRecord returns an empty record of the given record schema.
 func NewRecord(s *Schema) *GenericRecord {
 	return &GenericRecord{schema: s, values: make([]any, len(s.Fields))}
+}
+
+// NewRecords returns n empty records of the record schema s carved from two
+// allocations, one slab of records and one of field values, for readers
+// that assemble a batch of records column by column. vals is the records'
+// field storage, row-major: field j of recs[i] is vals[i*len(s.Fields)+j],
+// so a column is filled with one strided walk. Each record's fields are
+// capped to its own row; &recs[i] is an ordinary *GenericRecord.
+func NewRecords(s *Schema, n int) (recs []GenericRecord, vals []any) {
+	w := len(s.Fields)
+	recs = make([]GenericRecord, n)
+	vals = make([]any, n*w)
+	for i := range recs {
+		recs[i] = GenericRecord{schema: s, values: vals[i*w : (i+1)*w : (i+1)*w]}
+	}
+	return recs, vals
 }
 
 // Schema implements Record.

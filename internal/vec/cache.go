@@ -216,15 +216,17 @@ func (c *Cache) Budget() int64 {
 
 // Pool recycles batch scratch vectors so steady-state scans stop
 // allocating: a reader takes a vector per column per batch and returns it
-// when the batch retires. Vectors admitted to a Cache must NOT be returned
-// — they are shared and read-only from that point on.
+// when the batch retires. Vectors are pooled per representation, so a
+// recycled vector's buffers are already the shape — and, once warm, the
+// size — its next user fills. Vectors admitted to a Cache must NOT be
+// returned — they are shared and read-only from that point on.
 type Pool struct {
-	p sync.Pool
+	p [scan.VecAny + 1]sync.Pool
 }
 
 // Get returns a reset vector of the given representation.
 func (p *Pool) Get(kind scan.VecKind, capacity int) *scan.Vector {
-	if v, ok := p.p.Get().(*scan.Vector); ok && v != nil {
+	if v, ok := p.p[kind].Get().(*scan.Vector); ok && v != nil {
 		v.Reset(kind, capacity)
 		return v
 	}
@@ -234,6 +236,6 @@ func (p *Pool) Get(kind scan.VecKind, capacity int) *scan.Vector {
 // Put returns a vector to the pool.
 func (p *Pool) Put(v *scan.Vector) {
 	if v != nil {
-		p.p.Put(v)
+		p.p[v.Kind].Put(v)
 	}
 }

@@ -103,9 +103,13 @@ func TestVectorCacheBounds(t *testing.T) {
 
 func TestVectorPoolReuse(t *testing.T) {
 	var p Pool
-	v := p.Get(scan.VecInt64, 8)
-	v.AppendInt(1)
+	v := p.Get(scan.VecString, 8)
+	v.AppendBytes([]byte("stale"))
 	p.Put(v)
+	// Vectors recycle within their representation only, and come back reset.
+	if w := p.Get(scan.VecInt64, 8); w == v || w.Len() != 0 || w.Kind != scan.VecInt64 {
+		t.Fatal("an int64 request was served a string vector, or one not reset")
+	}
 	w := p.Get(scan.VecString, 8)
 	if w.Len() != 0 || w.Kind != scan.VecString {
 		t.Fatal("pooled vector not reset")
