@@ -256,3 +256,42 @@ func BenchmarkValue(b *testing.B) {
 		return err
 	})
 }
+
+// BenchmarkDecodeVector batch-decodes an int and a string column, 4096 rows
+// a call into one reused vector, on each layout: the decode under every
+// vectorized predicate and every batch fold.
+func BenchmarkDecodeVector(b *testing.B) {
+	const n, batch = 1 << 14, 4096
+	for _, tc := range cursorCases() {
+		kind := tc.schema.Kind
+		if (kind != serde.KindInt && kind != serde.KindString) || tc.opts.Codec == "zlib" {
+			continue // zlib would time compress/flate
+		}
+		layout := tc.opts.Layout.String()
+		if tc.opts.Codec != "" {
+			layout += "_" + tc.opts.Codec
+		}
+		b.Run(layout+"/"+kind.String(), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			f, _ := writeColumn(b, tc.schema, tc.opts, n, func(i int) any { return tc.gen(rng, i) })
+			data := f.Bytes()
+			var st sim.CPUStats
+			v := scan.NewVector(VecKindOf(tc.schema), batch)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for it := 0; it < b.N; it++ {
+				r, err := NewReader(bytes.NewReader(data), tc.schema, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for at := int64(0); at < n; at += batch {
+					v.Reset(v.Kind, batch)
+					if err := r.(VectorDecoder).DecodeVector(at, at+batch, v, &st); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+		})
+	}
+}

@@ -138,15 +138,16 @@ func chargeVec(cpu *sim.CPUStats, n int) {
 	}
 }
 
-// chargeAppended credits one primitive value of n encoded bytes appended to
-// v: at the vector rate, or — for a vector bound for boxing — to the
-// counters serde.Decoder.Value charges for a top-level value of that kind.
-func chargeAppended(cpu *sim.CPUStats, v *scan.Vector, n int) {
-	if !v.Boxed {
-		chargeVec(cpu, n)
+// chargeAppended credits values primitive values of n encoded bytes in all
+// appended to v: at the vector rate, or — for a vector bound for boxing — to
+// the counters serde.Decoder.Value charges for top-level values of that kind.
+func chargeAppended(cpu *sim.CPUStats, v *scan.Vector, n, values int) {
+	if cpu == nil {
 		return
 	}
-	if cpu == nil {
+	if !v.Boxed {
+		cpu.VecBytes += int64(n)
+		cpu.VecValues += int64(values)
 		return
 	}
 	switch v.Kind {
@@ -159,7 +160,7 @@ func chargeAppended(cpu *sim.CPUStats, v *scan.Vector, n int) {
 	default:
 		cpu.IntBytes += int64(n)
 	}
-	cpu.ValuesMaterialized++
+	cpu.ValuesMaterialized += int64(values)
 }
 
 // DecodeVector implements VectorDecoder.
@@ -190,7 +191,7 @@ func (p *plainReader) DecodeVector(start, end int64, v *scan.Vector, cpu *sim.CP
 				if err != nil {
 					return 0, err
 				}
-				chargeAppended(p.stats, v, n)
+				chargeAppended(p.stats, v, n, 1)
 				return n, nil
 			})
 			if err != nil {
@@ -236,7 +237,7 @@ func (b *blockReader) DecodeVector(start, end int64, v *scan.Vector, cpu *sim.CP
 			if err != nil {
 				return err
 			}
-			chargeAppended(b.stats, v, n)
+			chargeAppended(b.stats, v, n, 1)
 			b.framePos += n
 			b.frameLeft--
 		}
@@ -265,6 +266,17 @@ func (r *slReader) DecodeVector(start, end int64, v *scan.Vector, cpu *sim.CPUSt
 	for r.rec < end {
 		if err := r.align(); err != nil {
 			return err
+		}
+		if !r.dcsl && !boxed {
+			from := r.rec
+			if err := r.decodeRun(end, v); err != nil {
+				return err
+			}
+			if r.rec > from {
+				continue
+			}
+			// The value at the cursor runs past the buffered window, or is
+			// malformed: the step below refills for it, or words the error.
 		}
 		n64, err := r.s.readUvarint()
 		if err != nil {
@@ -338,12 +350,76 @@ func (r *slReader) DecodeVector(start, end int64, v *scan.Vector, cpu *sim.CPUSt
 			if n != len(buf) {
 				return fmt.Errorf("colfile: vector decode: value used %d of %d bytes", n, len(buf))
 			}
-			chargeAppended(r.stats, v, n)
+			chargeAppended(r.stats, v, n, 1)
 		}
 		r.rec++
 		r.aligned = false
 	}
 	return nil
+}
+
+// decodeRun appends the primitive values from the aligned cursor up to the
+// next skip-group boundary (or end) to v in one pass over the buffered
+// window, consuming them at once: between two boundaries the stream is
+// nothing but length-prefixed values, so none of them needs align's group
+// test or a window check of its own. The run stops short at a value that
+// does not lie wholly inside the window, leaving it at the cursor for the
+// caller's value-at-a-time step; since every value it takes was already
+// buffered, the stream refills exactly where that step alone would have.
+// The values are charged together, each what that step charges it.
+func (r *slReader) decodeRun(end int64, v *scan.Vector) (err error) {
+	if g := r.rec - r.rec%r.minLevel() + r.minLevel(); g < end {
+		end = g
+	}
+	kind := r.schema.Kind
+	buf := r.s.view()
+	from, off, charged := r.rec, 0, 0
+	for r.rec < end && off < len(buf) {
+		// The length prefix is one byte for every value under 128 bytes.
+		l, w := uint64(buf[off]), 1
+		if l >= 0x80 {
+			if l, w = binary.Uvarint(buf[off:]); w <= 0 {
+				break
+			}
+		}
+		if uint64(len(buf)-off-w) < l {
+			break
+		}
+		body := buf[off+w : off+w+int(l)]
+		// A well-formed integer or short string appends here; anything else
+		// — another kind, a payload bound for boxing on its own, a malformed
+		// body — goes through vecAppendOne, which also words the errors.
+		n := 0
+		switch kind {
+		case serde.KindInt, serde.KindLong, serde.KindTime:
+			if x, m := binary.Varint(body); m == len(body) && (kind != serde.KindInt || int64(int32(x)) == x) {
+				v.AppendInt(x)
+				n = m
+			}
+		case serde.KindString, serde.KindBytes:
+			if pl, pw := binary.Uvarint(body); pw > 0 && uint64(len(body)-pw) == pl && !(v.Boxed && pl > scan.BoxArenaMax) {
+				v.AppendBytes(body[pw:])
+				n = len(body)
+			}
+		}
+		if n == 0 {
+			if n, err = vecAppendOne(body, r.schema, v); err == nil && n != len(body) {
+				err = fmt.Errorf("colfile: vector decode: value used %d of %d bytes", n, len(body))
+			}
+			if err != nil {
+				break
+			}
+		}
+		charged += n
+		off += w + n
+		r.rec++
+	}
+	if r.rec > from {
+		r.s.consume(off)
+		r.aligned = false
+		chargeAppended(r.stats, v, charged, int(r.rec-from))
+	}
+	return err
 }
 
 // IDVectorDecoder is implemented by readers (DCSL string/bytes) that can

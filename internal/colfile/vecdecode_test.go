@@ -1,11 +1,16 @@
 package colfile
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"colmr/internal/scan"
 	"colmr/internal/serde"
+	"colmr/internal/sim"
 )
 
 // Batch decode equivalence: DecodeVector over arbitrary sub-ranges must box
@@ -170,6 +175,147 @@ func TestVectorKeyProbeEquivalence(t *testing.T) {
 			t.Fatal(err)
 		} else if answered {
 			t.Fatal("skip-list reader answered a key probe")
+		}
+	}
+}
+
+// refillLog records a stream's physical refills, so two readers can be held
+// to the same reads.
+type refillLog []int
+
+func (l *refillLog) options(chunk int) ReaderOptions {
+	return ReaderOptions{Chunk: chunk, OnRefill: func(bytes, chunk int) { *l = append(*l, bytes, chunk) }}
+}
+
+// asVectorCharges restates what the scalar cursor charged for primitive
+// values as an unboxed vector decode of the same values is charged: every
+// value's encoded bytes to VecBytes, one VecValues each.
+func asVectorCharges(c sim.CPUStats) sim.CPUStats {
+	c.VecBytes = c.IntBytes + c.DoubleBytes + c.StringBytes + c.RawBytes
+	c.VecValues = c.ValuesMaterialized
+	c.IntBytes, c.DoubleBytes, c.StringBytes, c.RawBytes, c.ValuesMaterialized = 0, 0, 0, 0, 0
+	return c
+}
+
+// TestSkipListRunDecodeEquivalence holds the skip-list run decoder to the
+// scalar cursor: over random primitive columns, walked as ranges that start
+// and end inside skip groups with skipped gaps between them, through windows
+// from one far smaller than a group (nearly every value straddles a refill)
+// to one that holds the file, a batch decode yields the Value loop's values,
+// charges what it charges, refills where it refills — and where the file's
+// last value is cut short, fails with its error after the same rows.
+func TestSkipListRunDecodeEquivalence(t *testing.T) {
+	const n = 613
+	opts := Options{Layout: SkipList, Levels: []int{100, 10}}
+	for name, tc := range vecDecodeSchemas() {
+		if VecKindOf(tc.schema) == scan.VecAny {
+			continue
+		}
+		rng := rand.New(rand.NewSource(77))
+		gen := tc.gen
+		if tc.schema.Kind == serde.KindString {
+			// Lengths on both sides of the one-byte prefix and of the
+			// boxing arena's cut-off.
+			gen = func(rng *rand.Rand, i int) any { return strings.Repeat("s", []int{0, 3, 40, 130, 300}[rng.Intn(5)]) }
+		}
+		f, _ := writeColumn(t, tc.schema, opts, n, func(i int) any { return gen(rng, i) })
+		data := f.Bytes()
+		for _, truncated := range []bool{false, true} {
+			if truncated {
+				// Lengthen the last value's length prefix: its body now runs
+				// past the end of the data region.
+				probe, err := NewReader(bytes.NewReader(data), tc.schema, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				last := probe.(*slReader)
+				if err := last.SkipTo(n - 1); err != nil {
+					t.Fatal(err)
+				}
+				if err := last.align(); err != nil {
+					t.Fatal(err)
+				}
+				data = bytes.Clone(data)
+				data[last.s.pos()] += 9
+			}
+			for _, chunk := range []int{0, 64, 7, 1} {
+				for _, boxed := range []bool{false, true} {
+					ctx := fmt.Sprintf("%s chunk %d boxed %v truncated %v", name, chunk, boxed, truncated)
+					var wantCPU, gotCPU sim.CPUStats
+					var wantRefills, gotRefills refillLog
+					scalar, err := NewReaderOpts(bytes.NewReader(data), tc.schema, wantRefills.options(chunk), &wantCPU)
+					if err != nil {
+						t.Fatal(err)
+					}
+					batch, err := NewReaderOpts(bytes.NewReader(data), tc.schema, gotRefills.options(chunk), nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					walk := rand.New(rand.NewSource(int64(chunk)))
+					for pos := int64(0); pos < n; {
+						start := pos + int64(walk.Intn(25))
+						end := start + 1 + int64(walk.Intn(90))
+						if walk.Intn(6) == 0 || end > n {
+							end = n
+						}
+						if start >= end {
+							start = end - 1
+						}
+						pos = end
+
+						var want []any
+						var wantErr error
+						if wantErr = scalar.SkipTo(start); wantErr == nil {
+							for i := start; i < end; i++ {
+								var x any
+								if x, wantErr = scalar.Value(); wantErr != nil {
+									break
+								}
+								want = append(want, x)
+							}
+						}
+						v := scan.NewVector(VecKindOf(tc.schema), int(end-start))
+						v.Boxed = boxed
+						gotErr := batch.(VectorDecoder).DecodeVector(start, end, v, &gotCPU)
+
+						if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+							t.Fatalf("%s [%d,%d): batch error %v, scalar error %v", ctx, start, end, gotErr, wantErr)
+						}
+						if (wantErr != nil) != (truncated && end == n) {
+							t.Fatalf("%s [%d,%d): scalar error %v", ctx, start, end, wantErr)
+						}
+						if v.Len() != len(want) {
+							t.Fatalf("%s [%d,%d): batch decoded %d rows, scalar %d", ctx, start, end, v.Len(), len(want))
+						}
+						got := make([]any, v.Len())
+						if boxed {
+							v.Box(nil, got, 1)
+						} else {
+							for i := range got {
+								got[i] = v.Value(i)
+							}
+						}
+						for i := range want {
+							if !serde.ValuesEqual(tc.schema, got[i], want[i]) {
+								t.Fatalf("%s [%d,%d): record %d: batch %v, scalar %v", ctx, start, end, start+int64(i), got[i], want[i])
+							}
+						}
+						wantCharges := wantCPU
+						if !boxed {
+							wantCharges = asVectorCharges(wantCPU)
+						}
+						if gotCPU != wantCharges {
+							t.Fatalf("%s [%d,%d): batch charged\n%+v\nscalar\n%+v", ctx, start, end, gotCPU, wantCharges)
+						}
+						if !slices.Equal(gotRefills, wantRefills) {
+							t.Fatalf("%s [%d,%d): batch refills (bytes, chunk) %v, scalar %v", ctx, start, end, gotRefills, wantRefills)
+						}
+						if wantErr == nil && batch.Record() != scalar.Record() {
+							t.Fatalf("%s [%d,%d): batch cursor at %d, scalar at %d", ctx, start, end, batch.Record(), scalar.Record())
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"colmr/internal/colfile"
@@ -248,12 +249,12 @@ func TestAggSharedBatchMatchesBruteForce(t *testing.T) {
 		agg2 := aggPropAggregate(t, rng)
 		ctx := fmt.Sprintf("trial %d (n=%d pred1=%v agg1=%s pred2=%v agg2=%s)", trial, n, pred1, agg1, pred2, agg2)
 
-		var matched int64
+		var matched atomic.Int64 // shared map tasks run in parallel
 		jobs := []*mapred.Job{
 			ScanDataset("/d").Where(pred1).Aggregate(agg1).AggJob(),
 			ScanDataset("/d").Where(pred2).Aggregate(agg2).AggJob(),
 			ScanDataset("/d").Columns("s").Where(pred1).Job(
-				mapred.MapperFunc(func(_, _ any, _ mapred.Emit) error { matched++; return nil })),
+				mapred.MapperFunc(func(_, _ any, _ mapred.Emit) error { matched.Add(1); return nil })),
 		}
 		br, err := mapred.RunBatch(fs, jobs...)
 		if err != nil {
@@ -271,8 +272,8 @@ func TestAggSharedBatchMatchesBruteForce(t *testing.T) {
 				ctx, br.Results[0].Total.RecordsProcessed, br.Results[1].Total.RecordsProcessed)
 		}
 		wantMatched := int64(len(wantMatchesSchema(t, recs, pred1)))
-		if matched != wantMatched {
-			t.Fatalf("%s: record member saw %d rows, want %d", ctx, matched, wantMatched)
+		if matched.Load() != wantMatched {
+			t.Fatalf("%s: record member saw %d rows, want %d", ctx, matched.Load(), wantMatched)
 		}
 	}
 }

@@ -103,8 +103,7 @@ func (r *Reader) aggStatsShortcut(st *scan.AggState, pos int64) (end int64, ok b
 	// Clip the region to the aggregate columns' group geometry; every
 	// consulted entry must then cover exactly [pos, end) or the bounds and
 	// null counts would describe rows outside the fold.
-	entries := make(map[string]*scan.ColStats, len(r.aggCols))
-	for _, col := range r.aggCols {
+	for i, col := range r.aggCols {
 		cst, cend := r.groupStats(col, pos)
 		if cst == nil || cend <= pos {
 			return 0, false, nil
@@ -112,21 +111,20 @@ func (r *Reader) aggStatsShortcut(st *scan.AggState, pos int64) (end int64, ok b
 		if cend < end {
 			end = cend
 		}
-		entries[col] = cst
+		r.aggEntries[i] = cst
 	}
 	rows := end - pos
-	for _, cst := range entries {
+	for _, cst := range r.aggEntries {
 		if cst.Rows != rows {
 			return 0, false, nil
 		}
 	}
-	stats := func(col string) *scan.ColStats { return entries[col] }
-	if !st.StatsAnswerable(rows, stats) {
+	if !st.StatsAnswerable(rows, r.aggEntry) {
 		return 0, false, nil
 	}
 	// Past this point a failure is a real error, not a fallback: the
 	// answerability check promised the fold.
-	if err := st.FoldStats(rows, stats); err != nil {
+	if err := st.FoldStats(rows, r.aggEntry); err != nil {
 		return 0, false, err
 	}
 	if r.stats != nil {

@@ -553,10 +553,14 @@ type Reader struct {
 
 	// agg, when set, turns the scan into an aggregation: DrainAggregate
 	// folds qualifying rows into aggState and Next is never used. aggCols
-	// are the aggregate's input columns (function arguments + group-by).
-	agg      *scan.Aggregate
-	aggState *scan.AggState
-	aggCols  []string
+	// are the aggregate's input columns (function arguments + group-by);
+	// aggEntries, parallel to it, holds the stats entries of the region the
+	// stats shortcut is considering, which aggEntry looks up by column.
+	agg        *scan.Aggregate
+	aggState   *scan.AggState
+	aggCols    []string
+	aggEntries []*scan.ColStats
+	aggEntry   scan.StatsFunc
 
 	schema  *serde.Schema // full dataset schema
 	proj    *serde.Schema // projected record schema
@@ -684,6 +688,15 @@ func newReader(fs *hdfs.FileSystem, dirs, dels []string, columns []string, spec 
 	if agg != nil {
 		r.aggState = scan.NewAggState(agg)
 		r.aggCols = agg.Columns(nil)
+		r.aggEntries = make([]*scan.ColStats, len(r.aggCols))
+		r.aggEntry = func(col string) *scan.ColStats {
+			for i, c := range r.aggCols {
+				if c == col {
+					return r.aggEntries[i]
+				}
+			}
+			return nil
+		}
 	}
 	if r.vectorize && pred != nil {
 		r.probeOnly = make(map[string]bool)

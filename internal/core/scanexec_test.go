@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"colmr/internal/colfile"
@@ -252,7 +253,7 @@ func TestPredicateViaJob(t *testing.T) {
 	SetColumns(&conf, "url")
 	SetLazy(&conf, true)
 	scan.SetPredicate(&conf, pred)
-	var seen int
+	var seen atomic.Int64 // map tasks run in parallel
 	job := &mapred.Job{
 		Conf:   conf,
 		Output: mapred.NullOutput{},
@@ -263,7 +264,7 @@ func TestPredicateViaJob(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			seen++
+			seen.Add(1)
 			return emit(url, int64(1))
 		}),
 	}
@@ -271,8 +272,8 @@ func TestPredicateViaJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seen != len(want) {
-		t.Fatalf("map saw %d records, want %d", seen, len(want))
+	if seen.Load() != int64(len(want)) {
+		t.Fatalf("map saw %d records, want %d", seen.Load(), len(want))
 	}
 	if res == nil {
 		t.Fatal("nil result")

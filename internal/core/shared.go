@@ -717,6 +717,11 @@ func (sr *SharedReader) Next() (any, []any, []int, bool, error) {
 		}
 		sr.curPos++
 		pos := sr.curPos
+		// Superseded rows are stepped over before any zone map is consulted,
+		// as in the solo loop: no verdict is asked for, or counted from, one.
+		if sr.dels.has(pos) {
+			continue
+		}
 		// Union group tier: skip regions no member can match. The union
 		// extent is the narrowest group consulted across every member's
 		// filter columns, so each member's own accounting re-proves (and
@@ -733,9 +738,6 @@ func (sr *SharedReader) Next() (any, []any, []int, bool, error) {
 				continue
 			}
 			sr.pruneValidTo = end
-		}
-		if sr.dels.has(pos) {
-			continue
 		}
 		sr.outVals = sr.outVals[:0]
 		sr.outIdx = sr.outIdx[:0]
@@ -782,13 +784,15 @@ func (sr *SharedReader) Next() (any, []any, []int, bool, error) {
 // per-job sum invariant cannot silently break.
 func (sr *SharedReader) advanceMember(m *sharedMember, limit int64) {
 	for m.acctPos < limit {
+		// Superseded rows are invisible to the solo reader: it steps over
+		// them before it consults a zone map, and counts them nowhere.
+		if sr.dels.has(m.acctPos) {
+			m.acctPos++
+			continue
+		}
 		if m.acctPos < m.validTo {
-			end := m.validTo
-			if end > limit {
-				end = limit
-			}
-			m.stats.RecordsFiltered += end - m.acctPos
-			m.acctPos = end
+			m.stats.RecordsFiltered++
+			m.acctPos++
 			continue
 		}
 		tri, end, byBloom := m.planner.PruneGroup(m.acctPos, sr.total, sr.groupStats)

@@ -182,3 +182,122 @@ func TestSharedSplitsMemberSets(t *testing.T) {
 		t.Fatal("no directory remained single-member (jobs 0 and 2 have exclusive regions)")
 	}
 }
+
+// TestSharedScanDeletesMatchSolo: a one-member shared scan is the solo scan,
+// counter for counter, when a delete vector covers the rows at which a zone
+// map would be consulted — the first rows of a prunable group, a whole
+// prunable group, the directory's tail. The solo loops step over deleted
+// rows before they ask for a verdict, so a pruned extent starts at a live
+// row and a fully deleted group is never counted; the shared reader's union
+// tier and its member's replay must do the same. Every field of the task's
+// stats is held equal: the union tier's and the member's prune counters each
+// to the solo reader's, and everything else in their sum.
+func TestSharedScanDeletesMatchSolo(t *testing.T) {
+	schema := serde.RecordOf("R",
+		serde.Field{Name: "x", Type: serde.Long()},
+		serde.Field{Name: "s", Type: serde.String()})
+	fs := testFS(t, 4)
+	// 400 rows, zone-map groups of 50, x ascending: under x <= 60 the groups
+	// from row 100 on are prunable.
+	opts := LoadOptions{Default: colfile.Options{Layout: colfile.SkipList, StatsEvery: 50}, SplitRecords: 400}
+	w, err := NewWriter(fs, "/d", schema, opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 400; i++ {
+		rec := serde.NewRecord(schema)
+		rec.SetAt(0, int64(i))
+		rec.SetAt(1, fmt.Sprintf("v%d", i%7))
+		if err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var ords []int64
+	for _, run := range [][2]int64{{3, 5}, {100, 110}, {200, 250}, {390, 400}} {
+		for o := run[0]; o < run[1]; o++ {
+			ords = append(ords, o)
+		}
+	}
+	if err := WriteDeletes(fs, "/d/s0/_deletes.1", ords); err != nil {
+		t.Fatal(err)
+	}
+	split := &Split{Dirs: []string{"/d/s0"}, Dels: []string{"/d/s0/_deletes.1"}}
+	agg, err := scan.ParseAggregate("count,sum(x) group by s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, vect := range []bool{true, false} {
+		for _, agg := range []*scan.Aggregate{nil, agg} {
+			ctx := fmt.Sprintf("vectorize=%v agg=%v", vect, agg)
+			conf := predConf(nil, false, scan.Le("x", int64(60)))
+			conf.InputPaths = []string{"/d"}
+			scan.SetVectorize(conf, vect)
+			scan.SetAggregate(conf, agg)
+			in := &InputFormat{}
+
+			var solo sim.TaskStats
+			rr, err := in.Open(fs, conf, split, hdfs.AnyNode, &solo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			soloRows := 0
+			if agg != nil {
+				if _, err := rr.(mapred.AggRecordReader).DrainAggregate(); err != nil {
+					t.Fatalf("%s: %v", ctx, err)
+				}
+			} else {
+				for ; ; soloRows++ {
+					if _, _, ok, err := rr.Next(); err != nil {
+						t.Fatalf("%s: %v", ctx, err)
+					} else if !ok {
+						break
+					}
+				}
+			}
+			rr.Close()
+
+			var member, shared sim.TaskStats
+			sr, err := in.OpenShared(fs, []*mapred.JobConf{conf}, split, []int{0}, hdfs.AnyNode, []*sim.TaskStats{&member}, &shared)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sharedRows := 0
+			for ; ; sharedRows++ {
+				if _, _, _, ok, err := sr.Next(); err != nil {
+					t.Fatalf("%s: %v", ctx, err)
+				} else if !ok {
+					break
+				}
+			}
+			sr.Close()
+
+			if sharedRows != soloRows {
+				t.Fatalf("%s: shared scan surfaced %d rows, solo %d", ctx, sharedRows, soloRows)
+			}
+			// Of the six prunable groups, [100,150) is pruned from its first
+			// live row, 110, and [200,250), deleted whole, is never consulted.
+			if solo.GroupsPruned != 5 || solo.RecordsPruned != 40+4*50 {
+				t.Fatalf("%s: solo scan pruned %d groups, %d rows: the deletes no longer sit where zone maps are consulted",
+					ctx, solo.GroupsPruned, solo.RecordsPruned)
+			}
+			prunes := func(st sim.TaskStats) [3]int64 {
+				return [3]int64{st.GroupsPruned, st.RecordsPruned, st.BloomPruned}
+			}
+			if prunes(shared) != prunes(solo) || prunes(member) != prunes(solo) {
+				t.Fatalf("%s: groups/records/bloom pruned: union tier %v, member %v, solo %v",
+					ctx, prunes(shared), prunes(member), prunes(solo))
+			}
+			// One member: the union tier's verdicts are the member's, counted
+			// on both sides. Everything else is counted once.
+			whole := member
+			whole.GroupsPruned, whole.RecordsPruned, whole.BloomPruned = 0, 0, 0
+			whole.Add(shared)
+			if whole != solo {
+				t.Fatalf("%s: task stats differ:\nshared %+v\nsolo   %+v", ctx, whole, solo)
+			}
+		}
+	}
+}

@@ -670,6 +670,15 @@ func (sr *SharedReader) vecEligible() bool {
 // next may-match extent.
 func (sr *SharedReader) vecAdvance() error {
 	pos := sr.curPos + 1
+	// As in Reader.nextBatch: a zone map is never consulted at — or an
+	// extent counted from — a deleted row.
+	for sr.dels.has(pos) {
+		pos++
+	}
+	if pos >= sr.total {
+		sr.curPos = sr.total - 1
+		return nil
+	}
 	if pos >= sr.pruneValidTo {
 		tri, end, byBloom := sr.planner.PruneGroup(pos, sr.total, sr.groupStats)
 		if tri == scan.NoMatch {

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"colmr/internal/colfile"
@@ -138,20 +139,20 @@ func TestSessionGenerationInvalidation(t *testing.T) {
 	}
 
 	sumX2 := func(run func(*mapred.Job) (*mapred.Result, error)) int64 {
-		var sum int64
+		var sum atomic.Int64 // map tasks run in parallel
 		job := core.ScanDataset("/d").Columns("x2").Where(scan.Le("x", 500)).
 			Job(mapred.MapperFunc(func(_, v any, _ mapred.Emit) error {
 				x2, err := v.(serde.Record).Get("x2")
 				if err != nil {
 					return err
 				}
-				sum += x2.(int64)
+				sum.Add(x2.(int64))
 				return nil
 			}))
 		if _, err := run(job); err != nil {
 			t.Fatal(err)
 		}
-		return sum
+		return sum.Load()
 	}
 	want := sumX2(func(j *mapred.Job) (*mapred.Result, error) { return mapred.Run(fs, j) })
 	if got := sumX2(sess.Run); got != want {

@@ -1,6 +1,7 @@
 package scan
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sort"
@@ -218,9 +219,11 @@ func ParseAggregate(src string) (*Aggregate, error) {
 	return a, nil
 }
 
-// gkey is the comparable map key for one group. Float keys store their
-// bit pattern so NaN groups collapse into one key (Go map semantics would
-// otherwise make every NaN insertion distinct).
+// gkey is the comparable identity of one group in the form every fold site
+// can produce: it is how Merge finds another state's groups in this one and
+// what Rows sorts by. Float keys store their bit pattern so NaN groups
+// collapse into one key (Go map semantics would otherwise make every NaN
+// insertion distinct).
 type gkey struct {
 	kind byte // 'n' null, 'b' bool/int, 'f' float, 's' string/bytes
 	i    int64
@@ -252,19 +255,12 @@ func groupKeyOf(v any) (gkey, error) {
 
 // aggAcc accumulates one function over one group.
 type aggAcc struct {
-	count    int64
-	hasVal   bool
-	min, max any
-	sumI     int64
-	sumF     float64
-	sumIsF   bool
-}
-
-// aggGroup is one group's accumulators plus the boxed group value for
-// output.
-type aggGroup struct {
-	val  any
-	accs []aggAcc
+	count  int64
+	hasVal bool
+	bound  any // MIN/MAX so far, boxed in the column's own Go type
+	sumI   int64
+	sumF   float64
+	sumIsF bool
 }
 
 // AggState folds an aggregation incrementally: per batch from vectors,
@@ -272,33 +268,94 @@ type aggGroup struct {
 // across tasks via Merge. It is not goroutine-safe; each task folds its
 // own state and the engine merges them.
 type AggState struct {
-	agg    *Aggregate
-	groups map[gkey]*aggGroup
-	order  []gkey // insertion order, re-sorted by Rows
-	// vecScratch is FoldBatch's per-call vector table, kept on the state
-	// so the steady-state batch fold loop stays allocation-free.
-	vecScratch []*Vector
+	agg *Aggregate
+
+	// Groups are numbered in first-seen order: group g has key keys[g], boxed
+	// output value vals[g] and one accumulator per function at
+	// accs[g*len(Funcs):].
+	keys []gkey
+	vals []any
+	accs []aggAcc
+
+	// The group index, one map per key kind, so that a batch fold probes with
+	// the grouping column's own representation — the arena bytes of a string
+	// row, an integer, a float's bit pattern — and never builds a gkey or
+	// boxes a value for a group it has seen.
+	byStr   map[string]int32
+	byInt   map[int64]int32
+	byFloat map[int64]int32
+	nullID  int32 // the null key's group; -1 until one is seen
+
+	// FoldBatch's scratch, kept on the state so a steady-state batch fold
+	// allocates nothing: the per-call vector table, the selected rows, the
+	// non-null ones among them for the column being folded, and each batch
+	// row's group.
+	vecScratch  []*Vector
+	rows, valid []int32
+	gids        []int32
 }
 
 // NewAggState returns an empty fold state for the spec.
 func NewAggState(a *Aggregate) *AggState {
-	return &AggState{agg: a, groups: make(map[gkey]*aggGroup)}
+	return &AggState{
+		agg:     a,
+		byStr:   make(map[string]int32),
+		byInt:   make(map[int64]int32),
+		byFloat: make(map[int64]int32),
+		nullID:  -1,
+	}
 }
 
 // Agg returns the spec the state folds.
 func (s *AggState) Agg() *Aggregate { return s.agg }
 
-func (s *AggState) group(key gkey, val any) (*aggGroup, error) {
-	g, ok := s.groups[key]
-	if !ok {
-		if len(s.groups) >= maxAggGroups {
-			return nil, fmt.Errorf("scan: group by %q exceeds %d groups", s.agg.GroupBy, maxAggGroups)
-		}
-		g = &aggGroup{val: copyBoundValue(val), accs: make([]aggAcc, len(s.agg.Funcs))}
-		s.groups[key] = g
-		s.order = append(s.order, key)
+// groupID returns the number of key's group, adding it — with val as its
+// output value — when key is new.
+func (s *AggState) groupID(key gkey, val any) (int32, error) {
+	var id int32
+	var ok bool
+	switch key.kind {
+	case 'n':
+		id, ok = s.nullID, s.nullID >= 0
+	case 's':
+		id, ok = s.byStr[key.s]
+	case 'f':
+		id, ok = s.byFloat[key.i]
+	default:
+		id, ok = s.byInt[key.i]
 	}
-	return g, nil
+	if ok {
+		return id, nil
+	}
+	return s.addGroup(key, val)
+}
+
+// addGroup numbers a group whose key the index does not hold yet.
+func (s *AggState) addGroup(key gkey, val any) (int32, error) {
+	if len(s.keys) >= maxAggGroups {
+		return 0, fmt.Errorf("scan: group by %q exceeds %d groups", s.agg.GroupBy, maxAggGroups)
+	}
+	id := int32(len(s.keys))
+	switch key.kind {
+	case 'n':
+		s.nullID = id
+	case 's':
+		s.byStr[key.s] = id
+	case 'f':
+		s.byFloat[key.i] = id
+	default:
+		s.byInt[key.i] = id
+	}
+	s.keys = append(s.keys, key)
+	s.vals = append(s.vals, copyBoundValue(val))
+	s.accs = append(s.accs, make([]aggAcc, len(s.agg.Funcs))...)
+	return id, nil
+}
+
+// groupAccs returns group id's accumulators, one per function.
+func (s *AggState) groupAccs(id int32) []aggAcc {
+	nf := len(s.agg.Funcs)
+	return s.accs[int(id)*nf:][:nf]
 }
 
 // copyBoundValue deep-copies mutable values retained past the fold call.
@@ -309,25 +366,33 @@ func copyBoundValue(v any) any {
 	return v
 }
 
-// foldValue folds one non-count value into one accumulator.
+// improves reports whether a value that compares c against a MIN/MAX bound
+// replaces it. Ties keep the bound, so the first of equal values — which
+// may differ in Go type, or be -0 and +0 — is the one reported.
+func (k AggKind) improves(c int) bool {
+	return (k == AggMin && c < 0) || (k == AggMax && c > 0)
+}
+
+// foldValue folds one non-null boxed value into the accumulator: the single
+// entry for record folds, stats folds, merges, and batch rows that have no
+// typed kernel.
 func (acc *aggAcc) foldValue(kind AggKind, col string, v any) error {
 	switch kind {
 	case AggCountCol:
 		acc.count++
 		return nil
 	case AggMin, AggMax:
-		if !acc.hasVal {
-			acc.hasVal = true
-			acc.min = copyBoundValue(v)
-			return nil
+		if acc.hasVal {
+			c, ok := CompareValues(v, acc.bound)
+			if !ok {
+				return fmt.Errorf("scan: cannot compare %s(%s) value %T with %T", kind, col, v, acc.bound)
+			}
+			if !kind.improves(c) {
+				return nil
+			}
 		}
-		c, ok := CompareValues(v, acc.min)
-		if !ok {
-			return fmt.Errorf("scan: cannot compare %s(%s) value %T with %T", kind, col, v, acc.min)
-		}
-		if (kind == AggMin && c < 0) || (kind == AggMax && c > 0) {
-			acc.min = copyBoundValue(v)
-		}
+		acc.hasVal = true
+		acc.bound = copyBoundValue(v)
 		return nil
 	default: // AggSum, AggAvg: sum partials (avg also counts its non-nulls)
 		switch x := v.(type) {
@@ -359,7 +424,7 @@ func (acc *aggAcc) value(kind AggKind) any {
 		if !acc.hasVal {
 			return nil
 		}
-		return acc.min
+		return acc.bound
 	case AggAvg:
 		if !acc.hasVal {
 			return nil
@@ -384,8 +449,17 @@ func (acc *aggAcc) value(kind AggKind) any {
 // vectors, returning the number of rows folded. Columns are resolved
 // through src once per call, so the decoded-vector cache and lazy decode
 // apply exactly as they do for predicate evaluation.
+//
+// The fold runs a column at a time: one pass resolves each selected row's
+// group (none for an ungrouped aggregation), then each function runs one
+// typed loop over its column's flat storage. No row is boxed unless it
+// becomes a new group's value or a new MIN/MAX bound, so a batch that meets
+// no new group and moves no bound allocates nothing. Within a group every
+// function still sees its rows in row order: float sums and MIN/MAX ties
+// come out bit-identical to FoldRecord's.
 func (s *AggState) FoldBatch(sel *Selection, src VecSource) (int64, error) {
-	if sel.Empty() {
+	n := sel.Count()
+	if n == 0 {
 		return 0, nil
 	}
 	var groupVec *Vector
@@ -400,105 +474,293 @@ func (s *AggState) FoldBatch(sel *Selection, src VecSource) (int64, error) {
 		s.vecScratch = make([]*Vector, len(s.agg.Funcs))
 	}
 	vecs := s.vecScratch[:len(s.agg.Funcs)]
-	for i := range vecs {
-		vecs[i] = nil
-	}
+	// An ungrouped count needs only the bitmaps; everything else walks the
+	// selected rows as a list, built once.
+	needRows := groupVec != nil
 	for fi, f := range s.agg.Funcs {
+		vecs[fi] = nil
 		if f.Col == "" {
 			continue
 		}
 		if vecs[fi], err = src.ColVec(f.Col); err != nil {
 			return 0, err
 		}
+		if f.Kind != AggCountCol || vecs[fi].Kind == VecAny {
+			needRows = true
+		}
 	}
-	var rows int64
-	// Resolve the group once per run of identical keys: grouped columns
-	// are low-cardinality and often sorted, so the common case is one
-	// lookup per batch.
-	var curG *aggGroup
-	var curKey gkey
-	haveCur := false
-	for i := sel.Next(0); i >= 0; i = sel.Next(i + 1) {
-		rows++
-		g := curG
-		if s.agg.GroupBy != "" {
-			gv := groupVec.Value(i)
-			key, err := groupKeyOf(gv)
-			if err != nil {
-				return rows, err
-			}
-			if !haveCur || key != curKey {
-				if g, err = s.group(key, gv); err != nil {
-					return rows, err
+	var rows []int32
+	if needRows {
+		rows = sel.appendRows(s.rows[:0])
+		s.rows = rows
+	}
+	t := accSlot{nf: len(s.agg.Funcs)}
+	if groupVec != nil {
+		if t.gids, err = s.resolveGroups(groupVec, rows); err != nil {
+			return 0, err
+		}
+		t.accs = s.accs
+	} else {
+		one, err := s.groupID(gkey{kind: 'n'}, nil)
+		if err != nil {
+			return 0, err
+		}
+		t.accs = s.groupAccs(one)
+	}
+	for fi, f := range s.agg.Funcs {
+		t.fi = fi
+		if err := s.foldColumn(t, f, vecs[fi], sel, rows); err != nil {
+			return 0, err
+		}
+	}
+	return int64(n), nil
+}
+
+// resolveGroups numbers the group of every row of rows by its key in v,
+// returning the numbers indexed by batch row. Keys probe the index in v's
+// own representation; a row whose key equals the previous row's — sorted
+// and clustered grouping columns are mostly that — skips the probe.
+func (s *AggState) resolveGroups(v *Vector, rows []int32) ([]int32, error) {
+	if cap(s.gids) < v.Len() {
+		s.gids = make([]int32, v.Len())
+	}
+	gids := s.gids[:v.Len()]
+	nulls := v.HasNulls()
+	id := int32(-1) // the previous non-null row's group
+	var err error
+	switch v.Kind {
+	case VecString, VecBytes:
+		var prev []byte
+		for _, i := range rows {
+			if nulls && v.IsNull(int(i)) {
+				if gids[i], err = s.groupID(gkey{kind: 'n'}, nil); err != nil {
+					return nil, err
 				}
-				curG, curKey, haveCur = g, key, true
+				continue
+			}
+			if b := v.BytesAt(int(i)); id < 0 || !bytes.Equal(b, prev) {
+				var ok bool
+				if id, ok = s.byStr[string(b)]; !ok { // the conversion in a map index does not allocate
+					if id, err = s.addGroup(gkey{kind: 's', s: string(b)}, v.Value(int(i))); err != nil {
+						return nil, err
+					}
+				}
+				prev = b
+			}
+			gids[i] = id
+		}
+	case VecBool, VecInt32, VecInt64, VecFloat64:
+		// Fixed-width keys: by value, or by bit pattern for floats.
+		index, kind := s.byInt, byte('b')
+		if v.Kind == VecFloat64 {
+			index, kind = s.byFloat, 'f'
+		}
+		var prev int64
+		for _, i := range rows {
+			if nulls && v.IsNull(int(i)) {
+				if gids[i], err = s.groupID(gkey{kind: 'n'}, nil); err != nil {
+					return nil, err
+				}
+				continue
+			}
+			var x int64
+			if kind == 'f' {
+				x = int64(math.Float64bits(v.Floats[i]))
 			} else {
-				g = curG
+				x = v.Ints[i]
 			}
-		} else {
-			if !haveCur {
-				if g, err = s.group(gkey{kind: 'n'}, nil); err != nil {
-					return rows, err
+			if id < 0 || x != prev {
+				var ok bool
+				if id, ok = index[x]; !ok {
+					if id, err = s.addGroup(gkey{kind: kind, i: x}, v.Value(int(i))); err != nil {
+						return nil, err
+					}
 				}
-				curG, haveCur = g, true
+				prev = x
 			}
-			g = curG
+			gids[i] = id
 		}
-		for fi, f := range s.agg.Funcs {
-			acc := &g.accs[fi]
-			if f.Kind == AggCount {
-				acc.count++
-				continue
+	default: // boxed rows key themselves as records' values do
+		for _, i := range rows {
+			val := v.Value(int(i))
+			key, err := groupKeyOf(val)
+			if err != nil {
+				return nil, err
 			}
-			v := vecs[fi]
-			if v.IsNull(i) {
-				continue
-			}
-			// count(col) needs only the null verdict; skip the boxing
-			// Value() call for typed vectors (VecAny rows can still be a
-			// nil value without a null bit, so they take the slow path).
-			if f.Kind == AggCountCol && v.Kind != VecAny {
-				acc.count++
-				continue
-			}
-			val := v.Value(i)
-			if val == nil {
-				continue
-			}
-			if err := acc.foldValue(f.Kind, f.Col, val); err != nil {
-				return rows, err
+			if gids[i], err = s.groupID(key, val); err != nil {
+				return nil, err
 			}
 		}
 	}
-	return rows, nil
+	return gids, nil
+}
+
+// accSlot addresses one function's accumulators across a batch: group
+// gids[i]'s for batch row i, or the only group's when the aggregation is
+// ungrouped (gids nil, accs that group's).
+type accSlot struct {
+	accs   []aggAcc
+	nf, fi int
+	gids   []int32
+}
+
+func (t accSlot) at(i int32) *aggAcc {
+	if t.gids == nil {
+		return &t.accs[t.fi]
+	}
+	return &t.accs[int(t.gids[i])*t.nf+t.fi]
+}
+
+// addCount counts rows: each to its group, or all n of them at once to the
+// only group.
+func (t accSlot) addCount(rows []int32, n int) {
+	if t.gids == nil {
+		t.accs[t.fi].count += int64(n)
+		return
+	}
+	for _, i := range rows {
+		t.accs[int(t.gids[i])*t.nf+t.fi].count++
+	}
+}
+
+// foldColumn folds function f over v's selected rows (rows lists them when
+// the fold needs a list) with the typed loop for f and v's representation.
+func (s *AggState) foldColumn(t accSlot, f AggFunc, v *Vector, sel *Selection, rows []int32) error {
+	switch {
+	case f.Kind == AggCount:
+		t.addCount(rows, sel.Count())
+		return nil
+	case v.Kind == VecAny:
+		// Boxed rows are objects already, and one can be nil with no null
+		// bit: they fold as record values do.
+		return foldBoxed(t, f, v, rows)
+	case f.Kind == AggCountCol && t.gids == nil:
+		t.addCount(nil, sel.countWithout(v.null))
+		return nil
+	}
+	if v.HasNulls() {
+		s.valid = s.valid[:0]
+		for _, i := range rows {
+			if !v.IsNull(int(i)) {
+				s.valid = append(s.valid, i)
+			}
+		}
+		rows = s.valid
+	}
+	switch f.Kind {
+	case AggCountCol:
+		t.addCount(rows, len(rows))
+	case AggMin, AggMax:
+		return t.foldBounds(f, v, rows)
+	default: // AggSum, AggAvg
+		switch v.Kind {
+		case VecInt32, VecInt64:
+			t.sumInts(v.Ints, rows)
+		case VecFloat64:
+			t.sumFloats(v.Floats, rows)
+		default:
+			return foldBoxed(t, f, v, rows) // not a number: foldValue words the error
+		}
+		if f.Kind == AggAvg {
+			t.addCount(rows, len(rows))
+		}
+	}
+	return nil
+}
+
+// foldBoxed is the batch fold's row loop: each row boxed and folded as a
+// record's value would be.
+func foldBoxed(t accSlot, f AggFunc, v *Vector, rows []int32) error {
+	for _, i := range rows {
+		if val := v.Value(int(i)); val != nil {
+			if err := t.at(i).foldValue(f.Kind, f.Col, val); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+func (t accSlot) sumInts(ints []int64, rows []int32) {
+	if len(rows) == 0 {
+		return
+	}
+	if t.gids == nil {
+		var sum int64
+		for _, i := range rows {
+			sum += ints[i]
+		}
+		acc := &t.accs[t.fi]
+		acc.sumI += sum
+		acc.hasVal = true
+		return
+	}
+	for _, i := range rows {
+		acc := &t.accs[int(t.gids[i])*t.nf+t.fi]
+		acc.sumI += ints[i]
+		acc.hasVal = true
+	}
+}
+
+// sumFloats adds one value at a time, in row order, into the running sum:
+// float addition does not reassociate, and the record fold adds in this
+// order.
+func (t accSlot) sumFloats(floats []float64, rows []int32) {
+	for _, i := range rows {
+		acc := t.at(i)
+		acc.sumF += floats[i]
+		acc.hasVal, acc.sumIsF = true, true
+	}
+}
+
+// foldBounds folds MIN or MAX over non-null rows, comparing in v's own
+// representation and boxing a row only when it becomes the bound. A bound
+// of another type — possible only where earlier folds saw the column under
+// a different schema — takes the row through foldValue, which compares
+// across numeric types and words the error for incomparable ones.
+func (t accSlot) foldBounds(f AggFunc, v *Vector, rows []int32) error {
+	for _, i := range rows {
+		acc := t.at(i)
+		if acc.hasVal {
+			c, ok := v.compareBound(int(i), acc.bound)
+			if !ok {
+				if err := acc.foldValue(f.Kind, f.Col, v.Value(int(i))); err != nil {
+					return err
+				}
+				continue
+			}
+			if !f.Kind.improves(c) {
+				continue
+			}
+		}
+		acc.hasVal = true
+		acc.bound = v.Value(int(i))
+	}
+	return nil
 }
 
 // FoldRecord folds one record's values — the scalar site, identical in
 // result to FoldBatch over a one-row selection.
 func (s *AggState) FoldRecord(ev Evaluator) error {
-	var g *aggGroup
+	var gv any
 	if s.agg.GroupBy != "" {
-		gv, err := ev.Value(s.agg.GroupBy)
-		if err != nil {
-			return err
-		}
-		key, err := groupKeyOf(gv)
-		if err != nil {
-			return err
-		}
-		if g, err = s.group(key, gv); err != nil {
-			return err
-		}
-	} else {
 		var err error
-		if g, err = s.group(gkey{kind: 'n'}, nil); err != nil {
+		if gv, err = ev.Value(s.agg.GroupBy); err != nil {
 			return err
 		}
 	}
+	key, err := groupKeyOf(gv)
+	if err != nil {
+		return err
+	}
+	g, err := s.groupID(key, gv)
+	if err != nil {
+		return err
+	}
+	accs := s.groupAccs(g)
 	for fi, f := range s.agg.Funcs {
-		acc := &g.accs[fi]
 		if f.Kind == AggCount {
-			acc.count++
+			accs[fi].count++
 			continue
 		}
 		val, err := ev.Value(f.Col)
@@ -508,7 +770,7 @@ func (s *AggState) FoldRecord(ev Evaluator) error {
 		if val == nil {
 			continue
 		}
-		if err := acc.foldValue(f.Kind, f.Col, val); err != nil {
+		if err := accs[fi].foldValue(f.Kind, f.Col, val); err != nil {
 			return err
 		}
 	}
@@ -579,28 +841,23 @@ func (s *AggState) StatsAnswerable(rows int64, stats StatsFunc) bool {
 // stats with zero bytes decoded. The caller must have checked
 // StatsAnswerable with the same arguments.
 func (s *AggState) FoldStats(rows int64, stats StatsFunc) error {
-	var g *aggGroup
+	var gv any
 	if s.agg.GroupBy != "" {
-		gst := stats(s.agg.GroupBy)
-		var gv any
-		if gst.Nulls != rows {
+		if gst := stats(s.agg.GroupBy); gst.Nulls != rows {
 			gv = gst.Min
 		}
-		key, err := groupKeyOf(gv)
-		if err != nil {
-			return err
-		}
-		if g, err = s.group(key, gv); err != nil {
-			return err
-		}
-	} else {
-		var err error
-		if g, err = s.group(gkey{kind: 'n'}, nil); err != nil {
-			return err
-		}
 	}
+	key, err := groupKeyOf(gv)
+	if err != nil {
+		return err
+	}
+	g, err := s.groupID(key, gv)
+	if err != nil {
+		return err
+	}
+	accs := s.groupAccs(g)
 	for fi, f := range s.agg.Funcs {
-		acc := &g.accs[fi]
+		acc := &accs[fi]
 		switch f.Kind {
 		case AggCount:
 			acc.count += rows
@@ -632,20 +889,20 @@ func (s *AggState) Merge(o *AggState) error {
 	if o == nil {
 		return nil
 	}
-	for _, key := range o.order {
-		og := o.groups[key]
-		g, err := s.group(key, og.val)
+	for og, key := range o.keys {
+		g, err := s.groupID(key, o.vals[og])
 		if err != nil {
 			return err
 		}
+		accs, oaccs := s.groupAccs(g), o.groupAccs(int32(og))
 		for fi, f := range s.agg.Funcs {
-			acc, oacc := &g.accs[fi], &og.accs[fi]
+			acc, oacc := &accs[fi], &oaccs[fi]
 			switch f.Kind {
 			case AggCount, AggCountCol:
 				acc.count += oacc.count
 			case AggMin, AggMax:
 				if oacc.hasVal {
-					if err := acc.foldValue(f.Kind, f.Col, oacc.min); err != nil {
+					if err := acc.foldValue(f.Kind, f.Col, oacc.bound); err != nil {
 						return err
 					}
 				}
@@ -676,7 +933,7 @@ type AggRow struct {
 // rows still yields its one row — COUNT 0, MIN/MAX/SUM null — the SQL
 // convention; an empty GROUP BY result yields no rows.
 func (s *AggState) Rows() []AggRow {
-	if s.agg.GroupBy == "" && len(s.groups) == 0 {
+	if s.agg.GroupBy == "" && len(s.keys) == 0 {
 		vals := make([]any, len(s.agg.Funcs))
 		for i, f := range s.agg.Funcs {
 			var zero aggAcc
@@ -684,14 +941,17 @@ func (s *AggState) Rows() []AggRow {
 		}
 		return []AggRow{{Values: vals}}
 	}
-	keys := append([]gkey(nil), s.order...)
-	sort.Slice(keys, func(i, j int) bool { return gkeyLess(keys[i], keys[j]) })
-	out := make([]AggRow, 0, len(keys))
-	for _, key := range keys {
-		g := s.groups[key]
-		row := AggRow{Group: g.val, Values: make([]any, len(s.agg.Funcs))}
+	ids := make([]int32, len(s.keys))
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	sort.Slice(ids, func(i, j int) bool { return gkeyLess(s.keys[ids[i]], s.keys[ids[j]]) })
+	out := make([]AggRow, 0, len(ids))
+	for _, g := range ids {
+		accs := s.groupAccs(g)
+		row := AggRow{Group: s.vals[g], Values: make([]any, len(accs))}
 		for fi, f := range s.agg.Funcs {
-			row.Values[fi] = g.accs[fi].value(f.Kind)
+			row.Values[fi] = accs[fi].value(f.Kind)
 		}
 		out = append(out, row)
 	}
@@ -699,7 +959,7 @@ func (s *AggState) Rows() []AggRow {
 }
 
 // NumGroups returns the number of groups folded so far.
-func (s *AggState) NumGroups() int { return len(s.groups) }
+func (s *AggState) NumGroups() int { return len(s.keys) }
 
 func gkeyLess(a, b gkey) bool {
 	if a.kind != b.kind {

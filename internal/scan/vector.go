@@ -1,6 +1,8 @@
 package scan
 
 import (
+	"bytes"
+	"cmp"
 	"math/bits"
 	"strings"
 )
@@ -258,6 +260,50 @@ func (v *Vector) Value(i int) any {
 	}
 }
 
+// compareBound orders non-null row i against a boxed value of the row's own
+// Go type (the type Value boxes it to), as CompareValues orders the two, and
+// without boxing the row. ok is false for a value of any other type.
+func (v *Vector) compareBound(i int, bound any) (c int, ok bool) {
+	switch v.Kind {
+	case VecBool:
+		if y, ok := bound.(bool); ok {
+			var yi int64
+			if y {
+				yi = 1
+			}
+			return cmp.Compare(v.Ints[i], yi), true
+		}
+	case VecInt32:
+		if y, ok := bound.(int32); ok {
+			return cmp.Compare(v.Ints[i], int64(y)), true
+		}
+	case VecInt64:
+		if y, ok := bound.(int64); ok {
+			return cmp.Compare(v.Ints[i], y), true
+		}
+	case VecFloat64:
+		if y, ok := bound.(float64); ok {
+			return cmpFloat(v.Floats[i], y), true
+		}
+	case VecString:
+		if y, ok := bound.(string); ok {
+			// Conversions in a comparison do not allocate.
+			switch b := v.BytesAt(i); {
+			case string(b) < y:
+				return -1, true
+			case string(b) > y:
+				return 1, true
+			}
+			return 0, true
+		}
+	case VecBytes:
+		if y, ok := bound.([]byte); ok {
+			return bytes.Compare(v.BytesAt(i), y), true
+		}
+	}
+	return 0, false
+}
+
 // Box boxes rows of v for a reader assembling records column by column: the
 // k-th boxed row lands in dst[k*stride], in row order, in the representation
 // Value produces. sel picks the rows (nil boxes every row); the count of
@@ -422,6 +468,29 @@ func (s *Selection) Count() int {
 		c += bits.OnesCount64(w)
 	}
 	return c
+}
+
+// countWithout returns the number of selected rows whose bit in mask (a
+// bitmap that may be shorter than the selection) is clear.
+func (s *Selection) countWithout(mask []uint64) int {
+	c := 0
+	for i, w := range s.words {
+		if i < len(mask) {
+			w &^= mask[i]
+		}
+		c += bits.OnesCount64(w)
+	}
+	return c
+}
+
+// appendRows appends the selected rows to dst, in order.
+func (s *Selection) appendRows(dst []int32) []int32 {
+	for wi, w := range s.words {
+		for ; w != 0; w &= w - 1 {
+			dst = append(dst, int32(wi<<6+bits.TrailingZeros64(w)))
+		}
+	}
+	return dst
 }
 
 // Empty reports whether no row is selected.
