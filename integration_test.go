@@ -359,3 +359,112 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 // colfileOptions aliases the column options type for composite literals in
 // this external test package.
 type colfileOptions = colmr.ColumnOptions
+
+// TestShuffleCountersPinned holds two shuffling jobs to the counters and the
+// reduce output they had before the shuffle stopped storing key bytes, hashed
+// keys without a hash object and sorted indexes instead of pairs: the crawl
+// job (lazy CIF, DCSL metadata, string keys over two reducers) and a count by
+// kind (three keys, one reducer).
+func TestShuffleCountersPinned(t *testing.T) {
+	fs := hdfs.New(smallCluster(8), 1)
+	fs.SetPlacementPolicy(hdfs.NewColumnPlacementPolicy())
+	gen := workload.NewCrawl(workload.CrawlOptions{Seed: 99, ContentBytes: 800})
+	w, err := core.NewWriter(fs, "/pin/cif", gen.Schema(), core.LoadOptions{
+		SplitRecords: 128,
+		PerColumn:    map[string]colfileOptions{"metadata": {Layout: colmr.LayoutDCSL}},
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 600; i++ {
+		if err := w.Append(gen.Record(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	count := mapred.ReducerFunc(func(k any, vs []any, emit mapred.Emit) error {
+		var n int64
+		for _, v := range vs {
+			n += v.(int64)
+		}
+		return emit(k, n)
+	})
+	crawl := core.ScanDataset("/pin/cif").Columns("url", "metadata").Lazy(true).
+		Job(mapred.MapperFunc(func(_, v any, emit mapred.Emit) error {
+			rec := v.(serde.Record)
+			url, err := rec.Get("url")
+			if err != nil {
+				return err
+			}
+			if !strings.Contains(url.(string), workload.MatchPattern) {
+				return nil
+			}
+			md, err := rec.Get("metadata")
+			if err != nil {
+				return err
+			}
+			return emit(md.(map[string]any)["content-type"], int64(1))
+		}))
+	crawl.Reducer = count
+	crawl.Conf.NumReducers = 2
+	crawl.Conf.OutputPath = "/pin/out-crawl"
+	crawl.Output = mapred.TextOutput{}
+
+	byLen := core.ScanDataset("/pin/cif").Columns("url").
+		Job(mapred.MapperFunc(func(_, v any, emit mapred.Emit) error {
+			url, err := v.(serde.Record).Get("url")
+			if err != nil {
+				return err
+			}
+			return emit(int32(len(url.(string))%3), int64(1))
+		}))
+	byLen.Reducer = count
+	byLen.Combiner = count
+	byLen.Conf.NumReducers = 1
+	byLen.Conf.OutputPath = "/pin/out-len"
+	byLen.Output = mapred.TextOutput{}
+
+	for _, tc := range []struct {
+		name          string
+		job           *mapred.Job
+		parts         int
+		groups, out   int64
+		total, output string
+	}{
+		{name: "crawl", job: crawl, parts: 2, groups: pinCrawlGroups, out: pinCrawlGroups, total: pinCrawlTotal, output: pinCrawlOutput},
+		{name: "bylen", job: byLen, parts: 1, groups: 3, out: 3, total: pinLenTotal, output: pinLenOutput},
+	} {
+		res, err := mapred.Run(fs, tc.job)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if res.ReduceGroups != tc.groups || res.OutputRecords != tc.out {
+			t.Errorf("%s: %d reduce groups, %d output records, want %d and %d", tc.name, res.ReduceGroups, res.OutputRecords, tc.groups, tc.out)
+		}
+		if got := fmt.Sprintf("%+v", res.Total); got != tc.total {
+			t.Errorf("%s: Result.Total\n got %s\nwant %s", tc.name, got, tc.total)
+		}
+		var output string
+		for p := 0; p < tc.parts; p++ {
+			data, err := fs.ReadFile(fmt.Sprintf("%s/part-%05d", tc.job.Conf.OutputPath, p))
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			output += fmt.Sprintf("[%d]%s", p, data)
+		}
+		if output != tc.output {
+			t.Errorf("%s: reduce output\n got %q\nwant %q", tc.name, output, tc.output)
+		}
+	}
+}
+
+// Recorded at the commit before the shuffle change.
+const (
+	pinCrawlGroups = 8
+	pinCrawlTotal  = "{IO:{LocalBytes:70599 RemoteBytes:0 LogicalBytes:56658 Seeks:0 InterleavedBytes:14166 Opens:10 BytesWritten:0} CPU:{RawBytes:0 IntBytes:0 DoubleBytes:0 StringBytes:27657 MapBytes:0 TextBytes:0 SkippedBytes:11597 ZlibBytes:0 LzoBytes:0 DictBytes:2043 ZlibCompBytes:0 LzoCompBytes:0 DictCompBytes:0 RecordsMaterialized:600 ValuesMaterialized:775 VecBytes:0 VecValues:0} RecordsProcessed:600 OutputBytes:745 OutputRecords:35 GroupsPruned:0 RecordsPruned:0 BloomPruned:0 RecordsFiltered:0 SplitsPruned:0 FilesPruned:0 SharedReads:0 BytesSaved:0 CacheHits:0 BytesFromCache:0 VecBatches:0 RowsVectorized:0 VecCacheHits:0 DecodeSavedValues:0 AggBatches:0 RowsAggregated:0 AggGroupsShortcut:0 DictIdCompares:0 FlushedFiles:0 CompactionBytes:0 UpsertsResolved:0 FreshPartitionsScanned:0}"
+	pinCrawlOutput = "[0]application/msword\t3\napplication/pdf\t6\ntext/css\t6\ntext/html\t4\n[1]application/javascript\t1\napplication/xml\t6\nimage/jpeg\t5\ntext/plain\t4\n"
+	pinLenTotal    = "{IO:{LocalBytes:39052 RemoteBytes:0 LogicalBytes:27712 Seeks:0 InterleavedBytes:0 Opens:5 BytesWritten:0} CPU:{RawBytes:0 IntBytes:0 DoubleBytes:0 StringBytes:27657 MapBytes:0 TextBytes:0 SkippedBytes:0 ZlibBytes:0 LzoBytes:0 DictBytes:0 ZlibCompBytes:0 LzoCompBytes:0 DictCompBytes:0 RecordsMaterialized:600 ValuesMaterialized:600 VecBytes:0 VecValues:0} RecordsProcessed:600 OutputBytes:180 OutputRecords:15 GroupsPruned:0 RecordsPruned:0 BloomPruned:0 RecordsFiltered:0 SplitsPruned:0 FilesPruned:0 SharedReads:0 BytesSaved:0 CacheHits:0 BytesFromCache:0 VecBatches:0 RowsVectorized:0 VecCacheHits:0 DecodeSavedValues:0 AggBatches:0 RowsAggregated:0 AggGroupsShortcut:0 DictIdCompares:0 FlushedFiles:0 CompactionBytes:0 UpsertsResolved:0 FreshPartitionsScanned:0}"
+	pinLenOutput   = "[0]0\t217\n1\t235\n2\t148\n"
+)

@@ -256,6 +256,11 @@ type Reader interface {
 	Record() int64
 	// Total returns the number of records in the file.
 	Total() int64
+	// Release hands the reader's buffered window back for the next file to
+	// reuse; call it when done with the reader. Calling it twice is a no-op,
+	// and a reader never released still works (its window is collected).
+	// Values already decoded stay valid: they never alias the window.
+	Release()
 }
 
 // KeyProber is implemented by readers (DCSL) that can decide whether the

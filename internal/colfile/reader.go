@@ -101,6 +101,7 @@ type plainReader struct {
 
 func (p *plainReader) Record() int64 { return p.rec }
 func (p *plainReader) Total() int64  { return p.total }
+func (p *plainReader) Release()      { p.s.release() }
 
 func (p *plainReader) Value() (any, error) {
 	if p.rec >= p.total {
@@ -151,6 +152,7 @@ type blockReader struct {
 
 func (b *blockReader) Record() int64 { return b.rec }
 func (b *blockReader) Total() int64  { return b.total }
+func (b *blockReader) Release()      { b.s.release() }
 
 func (b *blockReader) readFrameHeader() (records, rawLen, compLen int, err error) {
 	r64, err := b.s.readUvarint()
@@ -294,6 +296,7 @@ type slReader struct {
 
 func (r *slReader) Record() int64 { return r.rec }
 func (r *slReader) Total() int64  { return r.total }
+func (r *slReader) Release()      { r.s.release() }
 
 func (r *slReader) minLevel() int64 { return int64(r.levels[len(r.levels)-1]) }
 func (r *slReader) maxLevel() int64 { return int64(r.levels[0]) }
@@ -590,44 +593,59 @@ func (r *slReader) dictValue(buf []byte) (any, error) {
 
 // dictMap materializes and charges one DCSL map value from its blob.
 func (r *slReader) dictMap(buf []byte) (map[string]any, error) {
-	r.dec.Init(buf, nil)
-	m, err := parseDictMap(&r.dec, r.schema, r.dict)
+	m, n, err := parseDictMap(&r.dec, buf, r.schema, r.dict)
 	if err != nil {
 		return nil, err
 	}
 	if r.stats != nil {
-		compress.ChargeDecomp(r.stats, "dict", int64(r.dec.Pos()))
+		compress.ChargeDecomp(r.stats, "dict", int64(n))
 		r.stats.ValuesMaterialized += int64(len(m) + 1)
 	}
 	return m, nil
 }
 
-// parseDictMap materializes one dictionary-compressed map value. All bytes
-// are charged at the dictionary-decode rate: key strings are shared
-// interned objects, which is why the paper's DCSL decompression "proved to
-// be extremely fast".
-func parseDictMap(d *serde.Decoder, schema *serde.Schema, dict *compress.Dictionary) (map[string]any, error) {
+// parseDictMap materializes one dictionary-compressed map value from buf,
+// returning it with the bytes it took. All bytes are charged at the
+// dictionary-decode rate: key strings are shared interned objects, which is
+// why the paper's DCSL decompression "proved to be extremely fast". String
+// values are substrings of one copy of the blob — their payloads sit in it
+// whole — so a map of strings costs one string allocation, not one per entry.
+func parseDictMap(d *serde.Decoder, buf []byte, schema *serde.Schema, dict *compress.Dictionary) (map[string]any, int, error) {
+	d.Init(buf, nil)
 	count, err := readCount(d)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	m := make(map[string]any, count)
+	strs := schema.Elem.Kind == serde.KindString
+	var arena string
+	if strs && count > 0 {
+		arena = string(buf)
+	}
 	for i := 0; i < count; i++ {
 		id, err := readCount(d)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		key, err := dict.Lookup(uint32(id))
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		v, err := d.Value(schema.Elem)
-		if err != nil {
-			return nil, err
+		if !strs {
+			if m[key], err = d.Value(schema.Elem); err != nil {
+				return nil, 0, err
+			}
+			continue
 		}
-		m[key] = v
+		// Skip validates the length prefix and payload it steps over.
+		at := d.Pos()
+		if err := d.Skip(schema.Elem); err != nil {
+			return nil, 0, err
+		}
+		_, w := binary.Uvarint(buf[at:])
+		m[key] = arena[at+w : d.Pos()]
 	}
-	return m, nil
+	return m, d.Pos(), nil
 }
 
 // readCount reads a raw uvarint (entry counts and dictionary ids).

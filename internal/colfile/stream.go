@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // defaultChunk is the refill granularity of the buffered stream. It matches
@@ -36,6 +37,9 @@ type stream struct {
 	base int64  // file offset of buf[0]
 	buf  []byte // buffered window
 	off  int    // cursor within buf
+	// win is the pooled window buf was cut from, nil until the first refill
+	// and again after release.
+	win *window
 
 	// onRefill, when set, is invoked on every physical refill with the
 	// number of bytes about to be fetched and the refill granularity in
@@ -136,12 +140,14 @@ func (s *stream) ensure(n int) error {
 		if want <= 0 {
 			return io.ErrUnexpectedEOF
 		}
-		chunk := make([]byte, want)
+		s.reserve(want)
 		if s.onRefill != nil {
 			s.onRefill(want, s.chunk)
 		}
-		m, err := s.r.ReadAt(chunk, readAt)
-		s.buf = append(s.buf, chunk[:m]...)
+		// Straight into the window's spare capacity: the bytes are copied
+		// once, by the reader underneath.
+		m, err := s.r.ReadAt(s.buf[len(s.buf):len(s.buf)+want], readAt)
+		s.buf = s.buf[:len(s.buf)+m]
 		if err != nil && err != io.EOF {
 			return err
 		}
@@ -151,6 +157,65 @@ func (s *stream) ensure(n int) error {
 		s.seqEnd = readAt + int64(m)
 	}
 	return nil
+}
+
+// window is a stream's byte window while it rests in windowPool. The pool
+// holds the struct a stream took out, handed back, so a Put allocates nothing.
+type window struct{ buf []byte }
+
+// windowPool recycles windows across every column file the process opens: a
+// scan opens a file per column per split-directory, and a window filled once
+// per refill is still a fresh allocation per file without it. Pooled windows
+// are dirty — a stream reads only below len(s.buf), which it has filled
+// itself — and nothing a reader hands out may alias a window, since release
+// gives it to the next file (decoded strings, byte slices, map keys and
+// dictionary entries are all copies).
+var windowPool = sync.Pool{New: func() any { return new(window) }}
+
+// poisonReleased, set by tests, overwrites every window as it is released,
+// so a value still aliasing one shows up corrupted.
+var poisonReleased bool
+
+// reserve makes room for want more bytes after len(s.buf), taking the
+// stream's window from the pool on first use and replacing it with a larger
+// one when the pooled one is too small (the pool's windows only ever grow
+// toward the largest refill asked of them).
+func (s *stream) reserve(want int) {
+	need := len(s.buf) + want
+	if need <= cap(s.buf) {
+		return
+	}
+	if s.win == nil {
+		s.win = windowPool.Get().(*window)
+		if need <= cap(s.win.buf) {
+			s.buf = append(s.win.buf[:0], s.buf...)
+			return
+		}
+	}
+	// An eighth over: the bytes carried across a refill vary with where the
+	// last value ended, and must not cost a new window each time they peak.
+	grown := make([]byte, len(s.buf), need+need/8)
+	copy(grown, s.buf)
+	s.buf = grown
+}
+
+// release returns the window to the pool. The stream stays usable — its next
+// read takes a new window and refills at the cursor — and releasing twice is
+// a no-op.
+func (s *stream) release() {
+	if s.win == nil {
+		return
+	}
+	if poisonReleased {
+		full := s.buf[:cap(s.buf)]
+		for i := range full {
+			full[i] = 0xAA
+		}
+	}
+	w := s.win
+	w.buf = s.buf[:0]
+	s.base, s.buf, s.off, s.win = s.pos(), nil, 0, nil
+	windowPool.Put(w)
 }
 
 // view returns the currently buffered bytes at the cursor without

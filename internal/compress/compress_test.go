@@ -94,6 +94,62 @@ func TestRoundTripOverlappingMatches(t *testing.T) {
 	}
 }
 
+// LZO decodes straight into the tail of the buffer it is handed: what the
+// buffer already holds is neither touched nor reachable by a match offset, a
+// block that would outgrow its raw length fails at the sequence that does it,
+// every failure hands the buffer back as it came, and a buffer with room costs
+// no allocation (the block reader hands the same frame back every time).
+func TestLZODecompressIntoTail(t *testing.T) {
+	data := []byte(strings.Repeat("GET /index.html HTTP/1.1 ", 400) + "tail")
+	comp, err := LZO{}.Compress(nil, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := []byte("already here|")
+	out, err := LZO{}.Decompress(append([]byte(nil), prefix...), comp, len(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out[:len(prefix)], prefix) || !bytes.Equal(out[len(prefix):], data) {
+		t.Fatal("decompressing after a prefix changed the prefix or the block")
+	}
+
+	// One literal, then a match reaching four bytes back: before the block's
+	// own start, whatever the buffer holds ahead of it.
+	reachesBack := []byte{0x10, 'x', 0x03, 0x00}
+	// Sixteen literals declared for a block of eight.
+	outgrows := append([]byte{0xF0, 0x01}, "0123456789abcdef"...)
+	for name, tc := range map[string]struct {
+		src    []byte
+		rawLen int
+	}{
+		"match before block start": {reachesBack, 9},
+		"literals past raw length": {outgrows, 8},
+		"one short of raw length":  {comp, len(data) + 1},
+		"one past raw length":      {comp, len(data) - 1},
+		"negative raw length":      {comp, -1},
+	} {
+		dst := append(make([]byte, 0, 64), prefix...)
+		got, err := LZO{}.Decompress(dst, tc.src, tc.rawLen)
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if len(got) != len(prefix) || !bytes.Equal(got, prefix) {
+			t.Errorf("%s: the caller's buffer came back as %q", name, got)
+		}
+	}
+
+	frame := make([]byte, 0, len(data))
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := (LZO{}).Decompress(frame[:0], comp, len(data)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("decompressing into a buffer with room allocates %.0f objects, want 0", allocs)
+	}
+}
+
 func TestRoundTripRandomIncompressible(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	data := make([]byte, 300_000)

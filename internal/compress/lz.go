@@ -3,6 +3,7 @@ package compress
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // LZO is a fast LZ77 byte codec standing in for the LZO library (see the
@@ -104,12 +105,20 @@ func lzExtend(dst []byte, n int) []byte {
 	return append(dst, byte(n))
 }
 
-// Decompress implements Codec.
+// Decompress implements Codec. The block decodes straight into dst's tail —
+// a caller handing back the same buffer frame after frame allocates nothing —
+// so match offsets count back from the write position but never past the
+// block's own start in dst. On error the caller's dst comes back as it was.
 func (LZO) Decompress(dst, src []byte, rawLen int) ([]byte, error) {
 	if rawLen == 0 && len(src) == 0 {
 		return dst, nil
 	}
-	out := make([]byte, 0, rawLen)
+	if rawLen < 0 {
+		return dst, fmt.Errorf("compress: lzo: negative raw length %d", rawLen)
+	}
+	base := len(dst)
+	end := base + rawLen
+	out := slices.Grow(dst, rawLen)
 	p := 0
 	for p < len(src) {
 		token := src[p]
@@ -126,6 +135,9 @@ func (LZO) Decompress(dst, src []byte, rawLen int) ([]byte, error) {
 		}
 		if p+litLen > len(src) {
 			return dst, fmt.Errorf("compress: lzo: literal run past end of block")
+		}
+		if len(out)+litLen > end {
+			return dst, fmt.Errorf("compress: lzo: block decompresses past its %d bytes", rawLen)
 		}
 		out = append(out, src[p:p+litLen]...)
 		p += litLen
@@ -147,18 +159,21 @@ func (LZO) Decompress(dst, src []byte, rawLen int) ([]byte, error) {
 		offset := int(binary.LittleEndian.Uint16(src[p:])) + 1
 		p += 2
 		start := len(out) - offset
-		if start < 0 {
+		if start < base {
 			return dst, fmt.Errorf("compress: lzo: match offset %d before block start", offset)
+		}
+		if len(out)+matchLen > end {
+			return dst, fmt.Errorf("compress: lzo: block decompresses past its %d bytes", rawLen)
 		}
 		// Byte-wise copy: matches may overlap their own output.
 		for k := 0; k < matchLen; k++ {
 			out = append(out, out[start+k])
 		}
 	}
-	if len(out) != rawLen {
-		return dst, fmt.Errorf("compress: lzo: decompressed %d bytes, want %d", len(out), rawLen)
+	if len(out) != end {
+		return dst, fmt.Errorf("compress: lzo: decompressed %d bytes, want %d", len(out)-base, rawLen)
 	}
-	return append(dst, out...), nil
+	return out, nil
 }
 
 func lzReadExtend(src []byte, p int) (int, int, error) {

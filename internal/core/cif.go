@@ -545,10 +545,8 @@ type Reader struct {
 	// the stream without producing values) cannot starve a later value
 	// access.
 	idOnly map[string]bool
-	// batch is the active evaluated batch a lazy scan draws records from
-	// (nil between batches); ready holds the records assembled from an eager
-	// scan's last batch that Next has yet to hand out.
-	batch *colBatch
+	// ready holds the records assembled from an eager scan's last batch that
+	// Next has yet to hand out.
 	ready []serde.GenericRecord
 
 	// agg, when set, turns the scan into an aggregation: DrainAggregate
@@ -569,17 +567,17 @@ type Reader struct {
 
 	dirs []string
 	// delFiles is each directory's delete-file path, parallel to dirs (nil
-	// for bulk-loaded data); dels is the open directory's loaded delete set
-	// (nil when it has none). Deleted ordinals are superseded recrawl rows:
-	// they are skipped before predicate evaluation and counted nowhere.
+	// for bulk-loaded data).
 	delFiles []string
-	dels     *delSet
 	dirIdx   int
-	cursors  []*cursor
-	byName   map[string]*cursor
-	total    int64 // records in the open split-directory
-	curPos   int64 // index of the record most recently returned by Next
-	done     bool
+	// scanPos is the scan's position in the open directory (lazy.go).
+	scanPos
+	// cursors holds the projected columns' cursors first, in projection
+	// order, then the filter- and aggregate-only ones; byName finds any of
+	// them for the per-batch and per-group paths.
+	cursors []*cursor
+	byName  map[string]*cursor
+	done    bool
 	// eval is the column accessor predicate evaluation uses, built once
 	// per reader (Eval runs per record; the scan loop is hot).
 	eval evalCtx
@@ -604,10 +602,25 @@ type cursor struct {
 	r         colfile.Reader
 	cached    any
 	cachedPos int64
+	// Lazy runs (scanPos.startRun): run holds the values of records
+	// [runStart, runEnd), decoded and boxed ahead of the Gets that will ask
+	// for them; streak counts the consecutive surfaced rows the cursor has
+	// been read on, the last of them being the servedAt-th the scan surfaced.
+	run              []any
+	runStart, runEnd int64
+	streak           int
+	servedAt         int64
 	// phys is the cursor's physical accounting bucket, used while
 	// vectorizing so parallel per-column decodes never share a counter;
 	// Reader.foldCursorStats folds it behind the fan-out barriers.
 	phys sim.TaskStats
+}
+
+// close releases the cursor's stream window for the next file and closes its
+// file. Values it handed out stay valid.
+func (c *cursor) close() {
+	c.r.Release()
+	c.hr.Close()
 }
 
 func newReader(fs *hdfs.FileSystem, dirs, dels []string, columns []string, spec *scan.Spec, fileTier bool, cache *hdfs.ScanCache, vcache *vec.Cache, node hdfs.NodeID, stats *sim.TaskStats) (*Reader, error) {
@@ -684,6 +697,10 @@ func newReader(fs *hdfs.FileSystem, dirs, dels []string, columns []string, spec 
 		lastCounted:    -1,
 		lastCountedDir: -1,
 	}
+	r.everyRow = pred == nil && spec.Vectorize()
+	if stats != nil {
+		r.cpu = &stats.CPU
+	}
 	r.planner.SetBloom(spec.Bloom())
 	if agg != nil {
 		r.aggState = scan.NewAggState(agg)
@@ -742,7 +759,7 @@ func (r *Reader) nextDir() error {
 		r.releaseBatch()
 		r.foldCursorStats()
 		for _, c := range r.cursors {
-			c.hr.Close()
+			c.close()
 		}
 		r.cursors = nil
 		r.byName = nil
@@ -787,10 +804,6 @@ func (r *Reader) nextDir() error {
 // pruning tier proves the directory irrelevant first (pruned=true, no
 // cursors left open).
 func (r *Reader) openDir(dir string) (pruned bool, err error) {
-	var cpu *sim.CPUStats
-	if r.stats != nil {
-		cpu = &r.stats.CPU
-	}
 	selective := r.planner.Predicate() != nil
 	ropts, collide := dirCursorOptions(r.fs, len(r.allCols), selective)
 	ropts.NoBloom = r.noBloom
@@ -841,7 +854,7 @@ func (r *Reader) openDir(dir string) (pruned bool, err error) {
 				hr.ChargeInterleaved(int64(float64(n)*collide*float64(sim.ReadaheadBytes)/float64(cur) + 0.5))
 			}
 		}
-		cr, err := colfile.NewReaderOpts(hr, r.schema.Field(col), opts, cpu)
+		cr, err := colfile.NewReaderOpts(hr, r.schema.Field(col), opts, r.cpu)
 		if err != nil {
 			closeAll()
 			return false, fmt.Errorf("core: column %q: %w", col, err)
@@ -936,6 +949,7 @@ func (r *Reader) Next() (any, any, bool, error) {
 			}
 			b.next = idx + 1
 			r.curPos = b.start + int64(idx)
+			r.surfaced++
 			return nil, r.lrec, true, nil
 		}
 		if r.curPos+1 >= r.total {
@@ -965,6 +979,7 @@ func (r *Reader) Next() (any, any, bool, error) {
 			break
 		}
 	}
+	r.surfaced++
 	if r.lazy {
 		return nil, r.lrec, true, nil
 	}
@@ -990,7 +1005,7 @@ func (r *Reader) Close() error {
 	r.ready = nil
 	r.foldCursorStats()
 	for _, c := range r.cursors {
-		c.hr.Close()
+		c.close()
 	}
 	r.cursors = nil
 	r.byName = nil

@@ -16,7 +16,9 @@
 // (every projected column deserialized per record) or lazy (Section 5): a
 // LazyRecord tracks the split-level curPos and per-column lastPos,
 // deserializing a column only when the map function calls Get, with
-// skip-list column layouts making the intervening skips cheap.
+// skip-list column layouts making the intervening skips cheap. A column
+// Get is called on row after row is decoded a short run at a time instead
+// (lazy.go), at the same modeled cost.
 //
 // Role in the scheduler→file→group→value pipeline: this package *hosts*
 // three of the four tiers, driving the shared scan.Planner at each.

@@ -121,42 +121,3 @@ func (e evalCtx) HasKey(col, key string) (bool, bool, error) {
 	}
 	return kp.HasKey(key)
 }
-
-// valueAt materializes cursor c's value for the record curPos points at,
-// through the per-record cache shared by lazy records, predicate
-// evaluation, and record-at-a-time eager materialization: each column of
-// each record is deserialized at most once, however many consumers ask.
-func (r *Reader) valueAt(c *cursor) (any, error) {
-	if c.cachedPos == r.curPos {
-		return c.cached, nil
-	}
-	// A lazy record inside an evaluated batch: a column already decoded for
-	// the batch serves from its vector — the cursor was advanced to the batch
-	// end by the decode, so the vector is also the only correct source for
-	// rows inside the batch. (Eager records never come this way; assemble
-	// boxes whole columns at once.)
-	if b := r.batch; b != nil && b.contains(r.curPos) {
-		if v := b.vecAt(c.name); v != nil {
-			val := v.Value(int(r.curPos - b.start))
-			if r.stats != nil && v.Kind != scan.VecAny {
-				// Boxing on serve; VecAny rows were charged at decode.
-				r.stats.CPU.ValuesMaterialized++
-			}
-			c.cached = val
-			c.cachedPos = r.curPos
-			return val, nil
-		}
-	}
-	// lastPos -> curPos: cross the records nothing asked for. Skip-list
-	// layouts charge cheap skips; plain layouts degrade to walking.
-	if err := c.r.SkipTo(r.curPos); err != nil {
-		return nil, fmt.Errorf("core: column %q skip to %d: %w", c.name, r.curPos, err)
-	}
-	v, err := c.r.Value()
-	if err != nil {
-		return nil, fmt.Errorf("core: column %q record %d: %w", c.name, r.curPos, err)
-	}
-	c.cached = v
-	c.cachedPos = r.curPos
-	return v, nil
-}

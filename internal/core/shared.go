@@ -282,6 +282,7 @@ func (f *InputFormat) OpenShared(fs *hdfs.FileSystem, confs []*mapred.JobConf, s
 		delFiles: csplit.Dels,
 		dirIdx:   -1,
 	}
+	sr.cpu = &shared.CPU
 	preds := make([]scan.Predicate, len(members))
 	anyNoBloom := false
 	allVec := true
@@ -391,6 +392,14 @@ func (f *InputFormat) OpenShared(fs *hdfs.FileSystem, confs []*mapred.JobConf, s
 	// union.Shared nil means some member takes every record, and the batch
 	// path has nothing to evaluate.
 	sr.vectorize = allVec && union.Shared != nil
+	// With no union predicate the scalar loop below surfaces every undeleted
+	// row if some member takes every record as a record (an aggregating
+	// member folds its rows and surfaces none).
+	for _, m := range sr.members {
+		if allVec && m.planner.Predicate() == nil && m.aggState == nil {
+			sr.everyRow = true
+		}
+	}
 	sr.groupPred = make([]scan.Predicate, union.NumGroups)
 	for k, m := range sr.members {
 		if g := m.evalGroup; g >= 0 && sr.groupPred[g] == nil {
@@ -478,19 +487,19 @@ type SharedReader struct {
 	needers []int // members needing each column
 
 	dirs []string
-	// delFiles / dels: superseded-row masking, as in the solo Reader.
+	// delFiles / scanPos.dels: superseded-row masking, as in the solo Reader.
 	// Deleted rows never surface or fold; unlike the solo path, a deleted
 	// row inside a member's may-match region lands in that member's
 	// defensive RecordsFiltered count (advanceMember crosses it), an
 	// accepted counter divergence on ingest datasets.
-	delFiles     []string
-	dels         *delSet
-	dirIdx       int
+	delFiles []string
+	dirIdx   int
+	// scanPos is the scan's position in the open directory (lazy.go); its
+	// batch is the evaluated batch of the vectorized demux below.
+	scanPos
 	cursors      []*cursor
 	colIO        []sim.IOStats // per-cursor physical I/O for the open dir
 	byName       map[string]*cursor
-	total        int64
-	curPos       int64
 	pruneValidTo int64
 	done         bool
 
@@ -502,8 +511,8 @@ type SharedReader struct {
 	matCounted int64
 
 	// Vectorized demux (vecexec.go): groupPred holds one residual per eval
-	// group; per batch, memberSel[i] is member i's match bitmap and batch
-	// the evaluated batch. vecOK narrows vectorize per directory.
+	// group; per batch, memberSel[i] is member i's match bitmap. vecOK
+	// narrows vectorize per directory.
 	vectorize bool
 	vecOK     bool
 	vecCache  *vec.Cache
@@ -511,7 +520,6 @@ type SharedReader struct {
 	idOnly    map[string]bool
 	groupPred []scan.Predicate
 	memberSel []*scan.Selection
-	batch     *colBatch
 
 	outVals []any
 	outIdx  []int
@@ -603,7 +611,7 @@ func (sr *SharedReader) openDir(dir string) error {
 	sr.colIO = make([]sim.IOStats, len(sr.allCols))
 	closeAll := func() {
 		for _, c := range sr.cursors {
-			c.hr.Close()
+			c.close()
 		}
 		sr.cursors = nil
 		sr.colIO = nil
@@ -653,7 +661,7 @@ func (sr *SharedReader) openDir(dir string) error {
 // stream that served k members replaced k-1 solo cursors and their bytes.
 func (sr *SharedReader) closeCursors() {
 	for i, c := range sr.cursors {
-		c.hr.Close()
+		c.close()
 		io := sr.colIO[i]
 		sr.shared.IO.Add(io)
 		if extra := sr.needers[i] - 1; extra > 0 {
@@ -700,6 +708,7 @@ func (sr *SharedReader) Next() (any, []any, []int, bool, error) {
 			}
 			// The union selection is the OR of the member bitmaps, so at
 			// least one member took the record.
+			sr.surfaced++
 			return nil, sr.outVals, sr.outIdx, true, nil
 		}
 		if sr.curPos+1 >= sr.total {
@@ -769,6 +778,7 @@ func (sr *SharedReader) Next() (any, []any, []int, bool, error) {
 			sr.outIdx = append(sr.outIdx, mi)
 		}
 		if len(sr.outIdx) > 0 {
+			sr.surfaced++
 			return nil, sr.outVals, sr.outIdx, true, nil
 		}
 	}
@@ -936,39 +946,6 @@ func (sr *SharedReader) groupStats(col string, rec int64) (*scan.ColStats, int64
 	return src.GroupStats(rec)
 }
 
-// valueAt materializes cursor c's value for the current record through the
-// shared per-record cache (cf. Reader.valueAt).
-func (sr *SharedReader) valueAt(c *cursor) (any, error) {
-	if c.cachedPos == sr.curPos {
-		return c.cached, nil
-	}
-	// A column decoded for the active batch serves from its vector: its
-	// cursor sits at the batch end, so the vector is also the only correct
-	// source for rows inside the batch (cf. Reader.valueAt).
-	if b := sr.batch; b != nil && b.contains(sr.curPos) {
-		if v := b.vecAt(c.name); v != nil {
-			val := v.Value(int(sr.curPos - b.start))
-			if v.Kind != scan.VecAny {
-				// Boxing on serve; VecAny rows were charged at decode.
-				sr.shared.CPU.ValuesMaterialized++
-			}
-			c.cached = val
-			c.cachedPos = sr.curPos
-			return val, nil
-		}
-	}
-	if err := c.r.SkipTo(sr.curPos); err != nil {
-		return nil, fmt.Errorf("core: column %q skip to %d: %w", c.name, sr.curPos, err)
-	}
-	v, err := c.r.Value()
-	if err != nil {
-		return nil, fmt.Errorf("core: column %q record %d: %w", c.name, sr.curPos, err)
-	}
-	c.cached = v
-	c.cachedPos = sr.curPos
-	return v, nil
-}
-
 // sharedEval adapts the SharedReader to scan.Evaluator for residual
 // evaluation (cf. evalCtx in scanexec.go).
 type sharedEval struct {
@@ -1018,14 +995,12 @@ func (l *sharedLazyRecord) Schema() *serde.Schema { return l.m.proj }
 // Get implements serde.Record.
 func (l *sharedLazyRecord) Get(name string) (any, error) {
 	sr, m := l.sr, l.m
-	if m.proj.FieldIndex(name) < 0 {
+	// One lookup: the member's projection index names its cursor (colCursor).
+	i := m.proj.FieldIndex(name)
+	if i < 0 || len(sr.cursors) == 0 {
 		return nil, fmt.Errorf("core: column %q is not in the projection %v", name, m.columns)
 	}
-	c, ok := sr.byName[name]
-	if !ok {
-		return nil, fmt.Errorf("core: column %q is not in the shared cursor set %v", name, sr.allCols)
-	}
-	v, err := sr.valueAt(c)
+	v, err := sr.valueAt(sr.cursors[m.colCursor[i]])
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
 )
 
@@ -60,15 +59,62 @@ func SizeOf(v any) int64 {
 // Partition returns the reduce partition for a key.
 func Partition(key any, numReducers int) (int, error) {
 	if numReducers <= 1 {
-		return 0, nil
+		return 0, nil // nothing to hash, so no key to reject
 	}
-	kb, err := KeyBytes(key)
+	h, err := hashKey(key)
 	if err != nil {
 		return 0, err
 	}
-	h := fnv.New32a()
-	h.Write(kb)
-	return int(h.Sum32() % uint32(numReducers)), nil
+	return partitionOf(h, numReducers), nil
+}
+
+// partitionOf maps a key hash to one of numReducers partitions.
+func partitionOf(h uint32, numReducers int) int {
+	if numReducers <= 1 {
+		return 0
+	}
+	return int(h % uint32(numReducers))
+}
+
+// hashKey is 32-bit FNV-1a over KeyBytes(key), computed from the typed value:
+// no byte slice and no hash object is built per emitted pair. It fails on the
+// key types KeyBytes rejects.
+func hashKey(key any) (uint32, error) {
+	const offset32, prime32 = 2166136261, 16777619
+	h := uint32(offset32)
+	fixed := func(x uint64, width int) uint32 {
+		for shift := 8 * (width - 1); shift >= 0; shift -= 8 {
+			h = (h ^ uint32(byte(x>>shift))) * prime32
+		}
+		return h
+	}
+	switch x := key.(type) {
+	case nil:
+		return h, nil
+	case bool:
+		if x {
+			return fixed(1, 1), nil
+		}
+		return fixed(0, 1), nil
+	case int32:
+		return fixed(uint64(uint32(x)), 4), nil
+	case int64:
+		return fixed(uint64(x), 8), nil
+	case float64:
+		return fixed(math.Float64bits(x), 8), nil
+	case string:
+		for i := 0; i < len(x); i++ {
+			h = (h ^ uint32(x[i])) * prime32
+		}
+		return h, nil
+	case []byte:
+		for _, b := range x {
+			h = (h ^ uint32(b)) * prime32
+		}
+		return h, nil
+	default:
+		return 0, fmt.Errorf("mapred: unsupported shuffle type %T", key)
+	}
 }
 
 // Compare totally orders shuffle keys: nil first, then by type rank

@@ -1,9 +1,10 @@
 package mapred
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"colmr/internal/hdfs"
@@ -45,8 +46,7 @@ type Result struct {
 
 type shufflePair struct {
 	key, value any
-	keyBytes   []byte
-	valBytes   []byte
+	valBytes   []byte // KeyBytes(value): the reduce-input tiebreaker
 }
 
 type taskOutput struct {
@@ -278,7 +278,9 @@ func (e recordEval) HasKey(string, string) (bool, bool, error) { return false, f
 // accounting is identical in both execution modes.
 func emitInto(out *taskOutput, numParts int) Emit {
 	return func(key, value any) error {
-		kb, err := KeyBytes(key)
+		// Hashed whatever numParts is: it is also what rejects a key of an
+		// unsupported type.
+		h, err := hashKey(key)
 		if err != nil {
 			return err
 		}
@@ -286,11 +288,8 @@ func emitInto(out *taskOutput, numParts int) Emit {
 		if err != nil {
 			return err
 		}
-		p, err := Partition(key, numParts)
-		if err != nil {
-			return err
-		}
-		out.partitions[p] = append(out.partitions[p], shufflePair{key: key, value: value, keyBytes: kb, valBytes: vb})
+		p := partitionOf(h, numParts)
+		out.partitions[p] = append(out.partitions[p], shufflePair{key: key, value: value, valBytes: vb})
 		out.stats.OutputRecords++
 		out.stats.OutputBytes += SizeOf(key) + SizeOf(value)
 		return nil
@@ -309,15 +308,14 @@ func combine(job *Job, out *taskOutput) error {
 		}
 		var combined []shufflePair
 		emit := func(key, value any) error {
-			kb, err := KeyBytes(key)
-			if err != nil {
+			if _, err := typeRank(key); err != nil {
 				return err
 			}
 			vb, err := KeyBytes(value)
 			if err != nil {
 				return err
 			}
-			combined = append(combined, shufflePair{key: key, value: value, keyBytes: kb, valBytes: vb})
+			combined = append(combined, shufflePair{key: key, value: value, valBytes: vb})
 			outRecords++
 			outBytes += SizeOf(key) + SizeOf(value)
 			return nil
@@ -336,7 +334,11 @@ func combine(job *Job, out *taskOutput) error {
 // runs the reducer (or writes map output directly for map-only jobs).
 func reducePhase(fs *hdfs.FileSystem, job *Job, outputs []*taskOutput, numParts int, res *Result) error {
 	for p := 0; p < numParts; p++ {
-		var pairs []shufflePair
+		n := 0
+		for _, out := range outputs {
+			n += len(out.partitions[p])
+		}
+		pairs := make([]shufflePair, 0, n)
 		for _, out := range outputs {
 			pairs = append(pairs, out.partitions[p]...)
 		}
@@ -388,24 +390,31 @@ func groupAndReduce(r Reducer, pairs []shufflePair, emit Emit) error {
 }
 
 func groupAndReduceCounted(r Reducer, pairs []shufflePair, emit Emit, groups *int64) error {
+	// The sort permutes indexes, not pairs: the comparator is the one a stable
+	// sort of the pairs themselves would use, so the order is the same.
+	order := make([]int32, len(pairs))
+	for i := range order {
+		order[i] = int32(i)
+	}
 	var sortErr error
-	sort.SliceStable(pairs, func(i, j int) bool {
+	slices.SortStableFunc(order, func(i, j int32) int {
 		c, err := Compare(pairs[i].key, pairs[j].key)
 		if err != nil && sortErr == nil {
 			sortErr = err
 		}
 		if c != 0 {
-			return c < 0
+			return c
 		}
-		return string(pairs[i].valBytes) < string(pairs[j].valBytes)
+		return bytes.Compare(pairs[i].valBytes, pairs[j].valBytes)
 	})
 	if sortErr != nil {
 		return sortErr
 	}
-	for i := 0; i < len(pairs); {
+	for i := 0; i < len(order); {
+		key := pairs[order[i]].key
 		j := i + 1
-		for j < len(pairs) {
-			c, err := Compare(pairs[i].key, pairs[j].key)
+		for j < len(order) {
+			c, err := Compare(key, pairs[order[j]].key)
 			if err != nil {
 				return err
 			}
@@ -415,13 +424,13 @@ func groupAndReduceCounted(r Reducer, pairs []shufflePair, emit Emit, groups *in
 			j++
 		}
 		values := make([]any, 0, j-i)
-		for _, pr := range pairs[i:j] {
-			values = append(values, pr.value)
+		for _, k := range order[i:j] {
+			values = append(values, pairs[k].value)
 		}
 		if groups != nil {
 			*groups++
 		}
-		if err := r.Reduce(pairs[i].key, values, emit); err != nil {
+		if err := r.Reduce(key, values, emit); err != nil {
 			return err
 		}
 		i = j

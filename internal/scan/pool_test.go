@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"testing"
 
+	"colmr/internal/race"
 	"colmr/internal/scan"
 )
 
@@ -26,9 +27,7 @@ func TestAggSelectionPoolAllocationFree(t *testing.T) {
 		}
 		scan.PutSelection(s)
 	})
-	if allocs > 0 {
-		t.Errorf("get/put selection cycle allocates %.1f objects per run, want 0", allocs)
-	}
+	race.AllocCeiling(t, "a get/put selection cycle", allocs, 0)
 }
 
 // foldBenchSource is the batch the fold guard and BenchmarkFoldBatch share:
@@ -144,7 +143,5 @@ func TestAggVecEvalAllocationFree(t *testing.T) {
 	})
 	// One allocation per batch is the comparator closure vecComparer builds;
 	// everything per-row must come from the pool.
-	if allocs > 1 {
-		t.Errorf("steady-state VecEval allocates %.1f objects per run, want <= 1", allocs)
-	}
+	race.AllocCeiling(t, "steady-state VecEval", allocs, 1)
 }

@@ -313,6 +313,17 @@ func (v *Vector) compareBound(i int, bound any) (c int, ok bool) {
 // rows and allocated once, so the boxed values never alias v's own storage
 // and v can go back to a pool.
 func (v *Vector) Box(sel *Selection, dst []any, stride int) int {
+	return v.box(sel, 0, v.n, dst, stride)
+}
+
+// BoxRange is Box for the adjacent rows [lo, hi), every one of them, into
+// dst[0:hi-lo].
+func (v *Vector) BoxRange(lo, hi int, dst []any) {
+	v.box(nil, lo, hi, dst, 1)
+}
+
+// box boxes the rows of [lo, hi) that sel picks (nil: all of them).
+func (v *Vector) box(sel *Selection, lo, hi int, dst []any, stride int) int {
 	nulls := v.HasNulls()
 	k, off := 0, 0
 	var strs string
@@ -320,19 +331,19 @@ func (v *Vector) Box(sel *Selection, dst []any, stride int) int {
 	switch v.Kind {
 	case VecString:
 		var sb strings.Builder
-		sb.Grow(v.payloadLen(sel))
+		sb.Grow(v.payloadLen(sel, lo, hi))
 		if sel == nil {
-			sb.Write(v.Data)
+			sb.Write(v.Data[v.Offs[lo]:v.Offs[hi]])
 		} else {
-			for i := sel.Next(0); i >= 0; i = sel.Next(i + 1) {
+			for i := nextRow(sel, lo, hi); i >= 0; i = nextRow(sel, i+1, hi) {
 				sb.Write(v.BytesAt(i))
 			}
 		}
 		strs = sb.String()
 	case VecBytes:
-		raw = make([]byte, 0, v.payloadLen(sel))
+		raw = make([]byte, 0, v.payloadLen(sel, lo, hi))
 	}
-	for i := v.nextRow(sel, 0); i >= 0; i = v.nextRow(sel, i+1) {
+	for i := nextRow(sel, lo, hi); i >= 0; i = nextRow(sel, i+1, hi) {
 		if nulls && v.IsNull(i) {
 			dst[k*stride] = nil
 			k++
@@ -368,25 +379,26 @@ func (v *Vector) Box(sel *Selection, dst []any, stride int) int {
 	return k
 }
 
-// nextRow returns the first row >= i that sel picks (every row when sel is
-// nil), or -1.
-func (v *Vector) nextRow(sel *Selection, i int) int {
+// nextRow returns the first row in [i, hi) that sel picks (every row when sel
+// is nil), or -1.
+func nextRow(sel *Selection, i, hi int) int {
 	if sel != nil {
-		return sel.Next(i)
+		i = sel.Next(i)
 	}
-	if i < v.n {
+	if i >= 0 && i < hi {
 		return i
 	}
 	return -1
 }
 
-// payloadLen sums the string/bytes payload of the rows sel picks.
-func (v *Vector) payloadLen(sel *Selection) int {
+// payloadLen sums the string/bytes payload of the rows of [lo, hi) that sel
+// picks.
+func (v *Vector) payloadLen(sel *Selection, lo, hi int) int {
 	if sel == nil {
-		return len(v.Data)
+		return int(v.Offs[hi] - v.Offs[lo])
 	}
 	total := 0
-	for i := sel.Next(0); i >= 0; i = sel.Next(i + 1) {
+	for i := nextRow(sel, lo, hi); i >= 0; i = nextRow(sel, i+1, hi) {
 		total += int(v.Offs[i+1] - v.Offs[i])
 	}
 	return total
