@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sort"
 
 	"colmr/internal/scan"
@@ -97,271 +99,192 @@ func minMaxKind(k serde.Kind) bool {
 	return false
 }
 
-// statsCollector accumulates per-group statistics on the write path.
-// observe sees every appended value; cut closes the current group. The
-// collector prices nothing: zone maps are derived from values the writer
-// already encoded, and their bytes are charged as ordinary written output.
-type statsCollector struct {
+// statsWriter builds a column file's stats section on the write path: one
+// entry per record group and the whole-file aggregate that leads the
+// section (the statistic the scheduler and file pruning tiers read without
+// touching data). observe sees every appended value; cut closes the
+// current group; finish closes the file. The writer prices nothing: zone
+// maps are derived from values the writer already encoded, and their bytes
+// are charged as ordinary written output.
+//
+// Each value is looked at once. What both the group and the file need from
+// it — its Bloom hash, its sorted map keys, an owned copy of a caller's
+// []byte — is derived once and shared; what the file needs that its groups
+// already hold exactly (rows, nulls, min/max, the distinct set) is merged
+// from each group as it closes. Only what cannot be merged exactly is kept
+// per value for the file too: the Bloom hash set (a group may abandon its
+// own), the key universe (the subset retained under the cap depends on
+// arrival order) and the histogram sample.
+type statsWriter struct {
 	schema *serde.Schema
 	every  int // cut cadence in records; 0 = external cuts only (Block)
 
+	minMax    bool // the kind carries min/max bounds (and a histogram)
+	bloomVals bool // string/bytes column filtering its values
+	bloomKeys bool // map column filtering its keys
+
 	entries  []statsEntry
 	curStart int64
-	cur      scan.ColStats
-	distinct map[any]struct{}
-	keys     map[string]struct{}
+	group    zone
+	file     zone
 
-	minMax bool
-	mapCol bool
-
-	// Bloom collection: string/bytes columns filter their values, map
-	// columns their keys (bloomVals and bloomKeys are mutually exclusive).
-	// Observed byte strings dedup as hashes; the filter is sized from the
-	// hash count at cut, capped at bloomMax bytes (0 disables). Once the
-	// distinct count guarantees a saturated (dropped) filter even at the
-	// size cap, collection abandons: the group yields no filter and the
-	// dedup set stops growing — at crawl-scale distinct counts the
-	// whole-file collector would otherwise burn memory building a filter
-	// buildBloom is certain to discard.
-	bloomVals      bool
-	bloomKeys      bool
-	bloomMax       int
-	bloomSet       map[uint64]struct{}
-	bloomAbandoned bool
-
-	// Histogram sampling (whole-file collectors only; histMax 0 disables):
-	// a systematic sample of non-null ordered values, kept evenly spaced by
+	// Histogram sampling, whole file only (group entries stay lean): a
+	// systematic sample of non-null ordered values, kept evenly spaced by
 	// doubling the stride whenever the buffer fills — deterministic by
 	// arrival order, so identical data yields identical file bytes.
 	histMax      int
 	samples      []any
 	sampleStride int64
 	sampleSeen   int64
+
+	own  any      // the value under observe in a form to keep; see owned
+	keys []string // the map value under observe's keys, sorted
 }
 
-// newStatsCollector builds a collector cutting groups every `every`
+// zone is the statistics of one extent under construction — the current
+// group, or the whole file.
+type zone struct {
+	// st carries rows, nulls, min/max and the key flags as they accumulate;
+	// seal fills in the rest.
+	st       scan.ColStats
+	distinct distinctSet
+	// keys is the map-key universe seen so far, sorted, at most
+	// statsMaxKeys long.
+	keys []string
+
+	// Bloom collection. Observed byte strings dedup as hashes; the filter
+	// is sized from the hash count at seal, capped at bloomMax bytes (0
+	// disables). Once the distinct count guarantees a saturated (dropped)
+	// filter even at the size cap, collection abandons: the extent yields
+	// no filter and the dedup set stops growing — at crawl-scale distinct
+	// counts the whole-file zone would otherwise burn memory building a
+	// filter buildBloom is certain to discard.
+	bloomMax       int
+	bloomSet       map[uint64]struct{}
+	bloomAbandoned bool
+}
+
+// bloomSetKeep bounds the hash set a zone carries from one extent (or one
+// pooled writer) to the next: clearing a map costs its capacity, so a set
+// that grew past this is dropped rather than cleared.
+const bloomSetKeep = 1 << 12
+
+// newStatsWriter readies a pooled writer cutting groups every `every`
 // records (0 = external cuts only). A negative cadence disables statistics
-// entirely: the nil collector accepts observe/cut and yields no section.
-// bloomMax caps the per-group Bloom filter in bytes; 0 writes none.
-func newStatsCollector(schema *serde.Schema, every, bloomMax int) *statsCollector {
+// entirely: the nil writer accepts observe/cut and yields no section.
+// noBloom suppresses Bloom filters while keeping the rest of the section.
+// The file zone gets the larger size cap: its single filter covers every
+// distinct value in the file, and it is what split elision probes.
+func newStatsWriter(w *statsWriter, schema *serde.Schema, every int, noBloom bool) *statsWriter {
 	if every < 0 {
 		return nil
 	}
-	c := &statsCollector{
-		schema: schema,
-		every:  every,
-		minMax: minMaxKind(schema.Kind),
-		mapCol: schema.Kind == serde.KindMap,
-	}
-	if bloomMax > 0 {
-		c.bloomVals = schema.Kind == serde.KindString || schema.Kind == serde.KindBytes
-		c.bloomKeys = c.mapCol
-		c.bloomMax = bloomMax
-	}
-	return c
+	w.schema, w.every = schema, every
+	w.minMax = minMaxKind(schema.Kind)
+	w.bloomVals = !noBloom && (schema.Kind == serde.KindString || schema.Kind == serde.KindBytes)
+	w.bloomKeys = !noBloom && schema.Kind == serde.KindMap
+	w.group.bloomMax, w.file.bloomMax = bloomMaxGroupBytes, bloomMaxFileBytes
+	w.group.distinct.float = schema.Kind == serde.KindDouble
+	w.file.distinct.float = w.group.distinct.float
+	w.histMax = statsHistSamples
+	return w
 }
 
-// bloomAdd records one byte-string hash for the current group's filter.
-func (c *statsCollector) bloomAdd(h uint64) {
-	if c.bloomAbandoned {
+// reset drops everything the writer holds of the file it has finished, and
+// keeps the memory: the next file's writer starts from it.
+func (w *statsWriter) reset() {
+	clear(w.entries)
+	clear(w.samples)
+	w.entries, w.samples = w.entries[:0], w.samples[:0]
+	w.curStart, w.sampleStride, w.sampleSeen = 0, 0, 0
+	clear(w.keys)
+	w.keys = w.keys[:0]
+	w.group.reset()
+	w.file.reset()
+}
+
+func (z *zone) reset() {
+	z.st = scan.ColStats{}
+	z.distinct.reset()
+	clear(z.keys)
+	z.keys = z.keys[:0]
+	if len(z.bloomSet) > bloomSetKeep {
+		z.bloomSet = nil
+	} else {
+		clear(z.bloomSet)
+	}
+	z.bloomAbandoned = false
+}
+
+// bloomAdd records one byte-string hash for the zone's filter.
+func (z *zone) bloomAdd(h uint64) {
+	if z.bloomAbandoned {
 		return
 	}
-	if c.bloomSet == nil {
-		c.bloomSet = make(map[uint64]struct{})
+	if z.bloomSet == nil {
+		z.bloomSet = make(map[uint64]struct{})
 	}
-	c.bloomSet[h] = struct{}{}
+	z.bloomSet[h] = struct{}{}
 	// Past 1/4 of the capped filter's bit count, the expected fill
 	// (1-e^(-k/4) ~ 0.83) is beyond the saturation bound buildBloom drops
 	// at — abandon rather than keep paying 16 bytes per distinct value for
 	// a filter that cannot survive. Abandoning early is sound: no filter
 	// means MayMatch, never a wrong proof.
-	if len(c.bloomSet) > c.bloomMax*8/4 {
-		c.bloomAbandoned = true
-		c.bloomSet = nil
+	if len(z.bloomSet) > z.bloomMax*8/4 {
+		z.bloomAbandoned = true
+		z.bloomSet = nil
 	}
 }
 
-// distinctKey maps a value to a comparable key for distinct counting, or
-// ok=false for kinds whose distinct count is not tracked.
-func distinctKey(v any) (any, bool) {
-	switch x := v.(type) {
-	case bool, int32, int64, float64, string:
-		return x, true
-	case []byte:
-		return string(x), true
+// addKey enters one map key into the zone's key universe, unless the
+// universe is full: then the key list becomes a subset (KeysCapped) and
+// nothing can enter it again. It reports whether the key was already in.
+func (z *zone) addKey(k string) (seen bool) {
+	i, seen := slices.BinarySearch(z.keys, k)
+	if seen || z.st.KeysCapped {
+		return seen
 	}
-	return nil, false
+	if len(z.keys) >= statsMaxKeys {
+		z.st.KeysCapped = true
+		return false
+	}
+	z.keys = slices.Insert(z.keys, i, k)
+	return false
 }
 
-func (c *statsCollector) observe(v any) {
-	if c == nil {
-		return
+// seal finishes the zone's entry and empties the zone for the next extent.
+func (z *zone) seal() scan.ColStats {
+	st := z.st
+	st.Distinct = int64(len(z.distinct.ids))
+	st.DistinctCapped = z.distinct.capped
+	if st.HasKeys {
+		st.Keys = append(make([]string, 0, len(z.keys)), z.keys...)
 	}
-	c.cur.Rows++
-	if v == nil {
-		c.cur.Nulls++
-	} else {
-		if c.minMax {
-			if !c.cur.HasMinMax {
-				c.cur.HasMinMax = true
-				c.cur.Min, c.cur.Max = copyBound(v), copyBound(v)
-			} else {
-				if cmp, ok := scan.CompareValues(v, c.cur.Min); ok && cmp < 0 {
-					c.cur.Min = copyBound(v)
-				}
-				if cmp, ok := scan.CompareValues(v, c.cur.Max); ok && cmp > 0 {
-					c.cur.Max = copyBound(v)
-				}
-			}
-		}
-		if key, ok := distinctKey(v); ok {
-			if !c.cur.DistinctCapped {
-				if c.distinct == nil {
-					c.distinct = make(map[any]struct{}, statsMaxDistinct)
-				}
-				if _, seen := c.distinct[key]; !seen {
-					if len(c.distinct) >= statsMaxDistinct {
-						c.cur.DistinctCapped = true
-					} else {
-						c.distinct[key] = struct{}{}
-					}
-				}
-			}
-		} else {
-			// Distinct is untracked for complex kinds: leave the count a
-			// capped lower bound so consumers never treat it as exact.
-			c.cur.DistinctCapped = true
-		}
-		if c.bloomVals {
-			switch x := v.(type) {
-			case string:
-				c.bloomAdd(scan.BloomHashString(x))
-			case []byte:
-				c.bloomAdd(scan.BloomHash(x))
-			}
-		}
-		if c.histMax > 0 && c.minMax {
-			c.histObserve(v)
-		}
-		if c.mapCol {
-			if m, ok := v.(map[string]any); ok {
-				c.cur.HasKeys = true
-				if c.keys == nil {
-					c.keys = make(map[string]struct{}, statsMaxKeys)
-				}
-				if c.bloomKeys {
-					// Unlike the capped key list below, the filter sees
-					// every key, so a negative probe stays a proof even
-					// when KeysCapped.
-					for k := range m {
-						c.bloomAdd(scan.BloomHashString(k))
-					}
-				}
-				// Sorted iteration keeps the retained subset under the
-				// cap deterministic: identical data must produce
-				// identical file bytes (the simulation replays by seed).
-				for _, k := range mapKeysSorted(m) {
-					if _, seen := c.keys[k]; seen {
-						continue
-					}
-					if len(c.keys) >= statsMaxKeys {
-						c.cur.KeysCapped = true
-						break
-					}
-					c.keys[k] = struct{}{}
-				}
-			}
-		}
-	}
-	if c.every > 0 && c.cur.Rows >= int64(c.every) {
-		c.cut()
-	}
-}
-
-// histObserve feeds one non-null ordered value to the systematic sample.
-// While the buffer has room every stride-th value is kept; when it fills,
-// every other retained sample is dropped and the stride doubles, so the
-// kept positions remain the multiples of the (new) stride. The sample is
-// bounded by histMax values regardless of file size.
-func (c *statsCollector) histObserve(v any) {
-	if c.sampleStride == 0 {
-		c.sampleStride = 1
-	}
-	if c.sampleSeen%c.sampleStride == 0 {
-		if len(c.samples) >= c.histMax {
-			keep := c.samples[:0]
-			for i := 0; i < len(c.samples); i += 2 {
-				keep = append(keep, c.samples[i])
-			}
-			c.samples = keep
-			c.sampleStride *= 2
-		}
-		if c.sampleSeen%c.sampleStride == 0 {
-			c.samples = append(c.samples, copyBound(v))
-		}
-	}
-	c.sampleSeen++
-}
-
-// copyBound deep-copies mutable bound values so later caller mutations
-// cannot corrupt recorded statistics.
-func copyBound(v any) any {
-	if b, ok := v.([]byte); ok {
-		return append([]byte(nil), b...)
-	}
-	return v
-}
-
-// cut closes the current group, if it has any rows.
-func (c *statsCollector) cut() {
-	if c == nil || c.cur.Rows == 0 {
-		return
-	}
-	c.cur.Distinct = int64(len(c.distinct))
-	if c.cur.HasKeys {
-		keys := make([]string, 0, len(c.keys))
-		for k := range c.keys {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		c.cur.Keys = keys
-	}
-	c.cur.Bloom = c.buildBloom()
-	if c.cur.Bloom != nil {
+	st.Bloom = z.buildBloom()
+	if st.Bloom != nil {
 		// Record the fill fraction at write time: the estimator's
 		// false-positive confidence weight, readable without a popcount
 		// over the decoded filter.
-		c.cur.BloomFill = c.cur.Bloom.FillFraction()
+		st.BloomFill = st.Bloom.FillFraction()
 	}
-	if len(c.samples) > 0 {
-		c.cur.Hist = scan.BuildHistogram(c.samples, statsHistBuckets)
-		c.samples = nil
-		c.sampleSeen = 0
-		c.sampleStride = 0
-	}
-	c.entries = append(c.entries, statsEntry{start: c.curStart, st: c.cur})
-	c.curStart += c.cur.Rows
-	c.cur = scan.ColStats{}
-	c.distinct = nil
-	c.keys = nil
-	c.bloomSet = nil
-	c.bloomAbandoned = false
+	z.reset()
+	return st
 }
 
-// buildBloom sizes a filter from the group's deduplicated hashes and
+// buildBloom sizes a filter from the zone's deduplicated hashes and
 // inserts them. Insertion order is irrelevant (bits OR together), so the
 // random map iteration still yields deterministic file bytes. A filter
 // still saturated at the size cap refutes too little to be worth its
 // bytes and is dropped.
-func (c *statsCollector) buildBloom() *scan.Bloom {
-	if len(c.bloomSet) == 0 {
+func (z *zone) buildBloom() *scan.Bloom {
+	if len(z.bloomSet) == 0 {
 		return nil
 	}
-	b := scan.NewBloomSized(len(c.bloomSet), c.bloomMax)
+	b := scan.NewBloomSized(len(z.bloomSet), z.bloomMax)
 	if b == nil {
 		return nil
 	}
-	for h := range c.bloomSet {
+	for h := range z.bloomSet {
 		b.AddHash(h)
 	}
 	if b.Saturated() {
@@ -370,75 +293,279 @@ func (c *statsCollector) buildBloom() *scan.Bloom {
 	return b
 }
 
-// statsWriter pairs the per-group collector with a whole-file collector.
-// The file collector cuts exactly once, at finish, so its single entry is
-// the aggregate over every record — the statistic the scheduler and file
-// pruning tiers read without touching data. Observing into two collectors
-// costs two min/max comparisons per value on the load path; like the group
-// collector, it prices nothing.
-type statsWriter struct {
-	group *statsCollector
-	file  *statsCollector
+// distinctSet is a zone's exact set of distinct values, up to
+// statsMaxDistinct of them; one value more and the count becomes a lower
+// bound (capped). A member is a 64-bit id and a byte string, and a
+// membership test is a walk over at most that many ids. A scalar's id is
+// its value and its byte string empty, so the id decides. A string or
+// []byte value's id is the Bloom hash observe has computed anyway, and a
+// match is confirmed against the set's own copy of the bytes: a value
+// already present — or arriving after the cap — is neither hashed again
+// nor copied.
+type distinctSet struct {
+	ids    []uint64
+	arena  []byte // the members' bytes, back to back
+	ends   []int  // where member i ends in arena
+	float  bool   // ids are float64 bits: a NaN equals nothing, itself included
+	capped bool
 }
 
-// newStatsWriter builds the collector pair cutting groups every `every`
-// records (0 = external cuts only). A negative cadence disables statistics
-// entirely: the nil writer accepts observe/cut and yields no section.
-// noBloom suppresses Bloom filters while keeping the rest of the section.
-// The file collector gets the larger size cap: its single filter covers
-// every distinct value in the file, and it is what split elision probes.
-func newStatsWriter(schema *serde.Schema, every int, noBloom bool) *statsWriter {
-	if every < 0 {
-		return nil
+func (d *distinctSet) reset() {
+	d.ids, d.arena, d.ends, d.capped = d.ids[:0], d.arena[:0], d.ends[:0], false
+}
+
+// add enters the member (id, v).
+func add[T string | []byte](d *distinctSet, id uint64, v T) {
+	if d.capped {
+		return
 	}
-	groupMax, fileMax := bloomMaxGroupBytes, bloomMaxFileBytes
-	if noBloom {
-		groupMax, fileMax = 0, 0
+	if !d.float || !math.IsNaN(math.Float64frombits(id)) {
+		lo := 0
+		for i, member := range d.ids {
+			hi := d.ends[i]
+			if member == id && string(d.arena[lo:hi]) == string(v) {
+				return
+			}
+			lo = hi
+		}
 	}
-	w := &statsWriter{
-		group: newStatsCollector(schema, every, groupMax),
-		file:  newStatsCollector(schema, 0, fileMax),
+	if len(d.ids) >= statsMaxDistinct {
+		d.capped = true
+		return
 	}
-	// Only the whole-file collector samples for a histogram: its single
-	// entry is what selectivity estimation reads, and group entries stay
-	// lean.
-	w.file.histMax = statsHistSamples
-	return w
+	d.ids = append(d.ids, id)
+	d.arena = append(d.arena, v...)
+	d.ends = append(d.ends, len(d.arena))
+}
+
+// scalarID maps a bool, int32, int64 or float64 to the id that is equal
+// exactly when the values are: the integer itself, or a double's bits with
+// -0 folded onto +0.
+func scalarID(v any) (uint64, bool) {
+	switch x := v.(type) {
+	case bool:
+		if x {
+			return 1, true
+		}
+		return 0, true
+	case int32:
+		return uint64(x), true
+	case int64:
+		return uint64(x), true
+	case float64:
+		if x == 0 {
+			x = 0
+		}
+		return math.Float64bits(x), true
+	}
+	return 0, false
+}
+
+// merge enters a closed group's members into the file's set. Exact: the
+// file's members are the union of its groups' until one of them caps, and
+// a capped group's members alone fill the file's set to the cap.
+func (d *distinctSet) merge(g *distinctSet) {
+	lo := 0
+	for i, id := range g.ids {
+		add(d, id, g.arena[lo:g.ends[i]])
+		lo = g.ends[i]
+	}
+	d.capped = d.capped || g.capped
+}
+
+// owned returns v in a form the writer may keep: v itself, or for a
+// caller's []byte — which the caller may overwrite once Append returns —
+// one copy, made the first time some retainer (a bound, the histogram
+// sample) asks and shared by all of them.
+func (w *statsWriter) owned(v any) any {
+	if w.own == nil {
+		w.own = v
+		if b, ok := v.([]byte); ok {
+			w.own = append([]byte(nil), b...)
+		}
+	}
+	return w.own
 }
 
 func (w *statsWriter) observe(v any) {
 	if w == nil {
 		return
 	}
-	w.group.observe(v)
-	w.file.observe(v)
+	g := &w.group
+	g.st.Rows++
+	if v == nil {
+		g.st.Nulls++
+	} else {
+		if w.minMax {
+			if !g.st.HasMinMax {
+				g.st.HasMinMax = true
+				g.st.Min, g.st.Max = w.owned(v), w.owned(v)
+			} else {
+				if cmp, ok := scan.CompareValues(v, g.st.Min); ok && cmp < 0 {
+					g.st.Min = w.owned(v)
+				}
+				if cmp, ok := scan.CompareValues(v, g.st.Max); ok && cmp > 0 {
+					g.st.Max = w.owned(v)
+				}
+			}
+			w.histObserve(v)
+			w.own = nil
+		}
+		switch x := v.(type) {
+		case string:
+			if w.wantsHash() {
+				observeBytes(w, scan.BloomHashString(x), x)
+			}
+		case []byte:
+			if w.wantsHash() {
+				observeBytes(w, scan.BloomHash(x), x)
+			}
+		case map[string]any:
+			g.distinct.capped = true
+			if w.schema.Kind == serde.KindMap {
+				w.observeKeys(x)
+			}
+		default:
+			if id, ok := scalarID(v); ok {
+				add(&g.distinct, id, "")
+			} else {
+				// Distinct is untracked for complex kinds: leave the count
+				// a capped lower bound so consumers never treat it as exact.
+				g.distinct.capped = true
+			}
+		}
+	}
+	if w.every > 0 && g.st.Rows >= int64(w.every) {
+		w.cut()
+	}
 }
 
-// cut closes the current record group (the file collector never cuts until
-// finish).
-func (w *statsWriter) cut() {
-	if w == nil {
+// wantsHash reports whether a string/[]byte value's Bloom hash has a taker:
+// a filter still collecting, or the group's distinct set below its cap.
+func (w *statsWriter) wantsHash() bool {
+	return !w.group.distinct.capped ||
+		w.bloomVals && !(w.group.bloomAbandoned && w.file.bloomAbandoned)
+}
+
+// observeBytes is observe's string/[]byte half: the one hash h serves the
+// group's distinct set and both filters.
+func observeBytes[T string | []byte](w *statsWriter, h uint64, x T) {
+	add(&w.group.distinct, h, x)
+	if w.bloomVals {
+		w.group.bloomAdd(h)
+		w.file.bloomAdd(h)
+	}
+}
+
+// observeKeys is observe's map half. A key the current group already holds
+// needs nothing more: when it entered the group it was hashed into both
+// filters and offered to the file's universe, and none of the three forgets
+// before the group closes. Map columns draw their keys from a small
+// universe, so that is nearly every key of nearly every value, and a value
+// made of such keys is not even sorted. A key new to the group takes the
+// full path, in sorted order: sorted iteration keeps the subset retained
+// under the cap deterministic (identical data must produce identical file
+// bytes; the simulation replays by seed). Unlike the capped key lists, the
+// filters see every key, so a negative probe stays a proof even when
+// KeysCapped.
+func (w *statsWriter) observeKeys(m map[string]any) {
+	g, f := &w.group, &w.file
+	g.st.HasKeys, f.st.HasKeys = true, true
+	known := true
+	for k := range m {
+		if _, known = slices.BinarySearch(g.keys, k); !known {
+			break
+		}
+	}
+	if known {
 		return
 	}
-	w.group.cut()
+	w.keys = appendSortedKeys(w.keys[:0], m)
+	for _, k := range w.keys {
+		if g.addKey(k) {
+			continue
+		}
+		f.addKey(k)
+		if w.bloomKeys && !(g.bloomAbandoned && f.bloomAbandoned) {
+			h := scan.BloomHashString(k)
+			g.bloomAdd(h)
+			f.bloomAdd(h)
+		}
+	}
 }
 
-// finish closes the trailing group and returns the encoded stats section:
-// per-group entries followed by the whole-file aggregate trailer (empty
-// when no records were observed).
-func (w *statsWriter) finish() ([]byte, error) {
+// histObserve feeds one non-null ordered value to the systematic sample.
+// While the buffer has room every stride-th value is kept; when it fills,
+// every other retained sample is dropped and the stride doubles, so the
+// kept positions remain the multiples of the (new) stride. The sample is
+// bounded by histMax values regardless of file size.
+func (w *statsWriter) histObserve(v any) {
+	if w.sampleStride == 0 {
+		w.sampleStride = 1
+	}
+	if w.sampleSeen%w.sampleStride == 0 {
+		if len(w.samples) >= w.histMax {
+			keep := w.samples[:0]
+			for i := 0; i < len(w.samples); i += 2 {
+				keep = append(keep, w.samples[i])
+			}
+			clear(w.samples[len(keep):])
+			w.samples = keep
+			w.sampleStride *= 2
+		}
+		if w.sampleSeen%w.sampleStride == 0 {
+			w.samples = append(w.samples, w.owned(v))
+		}
+	}
+	w.sampleSeen++
+}
+
+// cut closes the current record group, if it has any rows: its rows,
+// nulls, bounds and distinct members merge into the file's, and its entry
+// joins the section.
+func (w *statsWriter) cut() {
+	if w == nil || w.group.st.Rows == 0 {
+		return
+	}
+	g, f := &w.group.st, &w.file.st
+	f.Rows += g.Rows
+	f.Nulls += g.Nulls
+	if g.HasMinMax {
+		// Strict comparisons, groups in order: among equal bounds the file
+		// keeps the first seen, as comparing value by value would.
+		if !f.HasMinMax {
+			f.HasMinMax, f.Min, f.Max = true, g.Min, g.Max
+		} else {
+			if cmp, ok := scan.CompareValues(g.Min, f.Min); ok && cmp < 0 {
+				f.Min = g.Min
+			}
+			if cmp, ok := scan.CompareValues(g.Max, f.Max); ok && cmp > 0 {
+				f.Max = g.Max
+			}
+		}
+	}
+	w.file.distinct.merge(&w.group.distinct)
+	rows := g.Rows
+	w.entries = append(w.entries, statsEntry{start: w.curStart, st: w.group.seal()})
+	w.curStart += rows
+}
+
+// finish closes the trailing group and appends the encoded stats section
+// to dst: the whole-file aggregate followed by the per-group entries
+// (nothing when no records were observed).
+func (w *statsWriter) finish(dst []byte) ([]byte, error) {
 	if w == nil {
-		return nil, nil
+		return dst, nil
 	}
-	w.group.cut()
-	w.file.cut()
-	if len(w.group.entries) == 0 {
-		return nil, nil
+	w.cut()
+	if len(w.entries) == 0 {
+		return dst, nil
 	}
-	if len(w.file.entries) != 1 {
-		return nil, fmt.Errorf("colfile: file aggregate collector produced %d entries, want 1", len(w.file.entries))
+	agg := w.file.seal()
+	if len(w.samples) > 0 {
+		agg.Hist = scan.BuildHistogram(w.samples, statsHistBuckets)
 	}
-	return appendStatsSectionV4(nil, w.group.schema, &w.file.entries[0].st, w.group.entries)
+	return appendStatsSectionV4(dst, w.schema, &agg, w.entries)
 }
 
 // Stats section encoding (current, "CFS4"; see docs/FORMAT.md for the

@@ -2,14 +2,60 @@ package colfile
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"sync"
 
 	"colmr/internal/compress"
 	"colmr/internal/serde"
 	"colmr/internal/sim"
 )
+
+// scratch is the memory a column writer works in between values: the
+// statistics under construction and the staging buffers of its layout.
+// Writers are short-lived — a memtable flush opens one per column every few
+// hundred records — so the memory is not: it comes from a process-wide
+// pool at NewWriter and returns at Close, and a writer starts with the
+// capacity its predecessors grew.
+type scratch struct {
+	stats statsWriter
+
+	// arena stages encoded values. Plain: the value being written. Block:
+	// the current frame's values, back to back. SkipList/DCSL: the current
+	// window's length-prefixed values, value i at arena[spans[i].lo:
+	// spans[i].hi] (a few bytes of slack before each, see stage).
+	arena []byte
+	spans []span
+	// out is what goes to the file in one Write: a compressed frame, a
+	// window with its skip pointers, the stats section and footer.
+	out []byte
+	// boxed holds a DCSL window's values until its dictionary is complete.
+	boxed []any
+	// geom is the window geometry flush computes (entity starts, value
+	// bases); keys a map value's keys, sorted.
+	geom []int64
+	keys []string
+}
+
+type span struct{ lo, hi int }
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// release returns the scratch to the pool holding no reference to the
+// file it served.
+func (sc *scratch) release() {
+	sc.stats.reset()
+	clear(sc.boxed)
+	clear(sc.keys)
+	sc.boxed, sc.keys = sc.boxed[:0], sc.keys[:0]
+	sc.arena, sc.spans, sc.out = sc.arena[:0], sc.spans[:0], sc.out[:0]
+	scratchPool.Put(sc)
+}
+
+var errClosed = errors.New("colfile: writer is closed")
 
 // NewWriter creates a column file writer for one column of the given value
 // schema. Serialization work is charged to stats as raw byte movement;
@@ -26,6 +72,15 @@ func NewWriter(w io.Writer, schema *serde.Schema, opts Options, stats *sim.CPUSt
 		schema.Kind != serde.KindString && schema.Kind != serde.KindBytes {
 		return nil, fmt.Errorf("colfile: DCSL layout requires a map, string, or bytes column, got %s", schema.Kind)
 	}
+	var codec compress.Codec
+	if opts.Layout == Block {
+		var err error
+		if codec, err = compress.ByName(opts.Codec); err != nil {
+			return nil, err
+		}
+	} else if opts.Layout > DCSL {
+		return nil, fmt.Errorf("colfile: unsupported layout %v", opts.Layout)
+	}
 	h := header{layout: opts.Layout, levels: opts.Levels, codec: opts.Codec}
 	if opts.Layout == Plain || opts.Layout == SkipList || opts.Layout == DCSL {
 		h.codec = "none"
@@ -33,53 +88,55 @@ func NewWriter(w io.Writer, schema *serde.Schema, opts Options, stats *sim.CPUSt
 	if opts.Layout == Plain || opts.Layout == Block {
 		h.levels = nil
 	}
-	if _, err := w.Write(appendHeader(nil, h)); err != nil {
+	sc := scratchPool.Get().(*scratch)
+	sc.out = appendHeader(sc.out[:0], h)
+	if _, err := w.Write(sc.out); err != nil {
+		sc.release()
 		return nil, err
 	}
+	every := opts.StatsEvery
+	if opts.Layout == Block && every > 0 {
+		// Block groups follow frame boundaries, so the statistics are cut
+		// externally on flush rather than on a record cadence.
+		every = 0
+	}
+	base := writerBase{w: w, schema: schema, stats: stats, sc: sc,
+		zm: newStatsWriter(&sc.stats, schema, every, opts.NoBloom)}
 	switch opts.Layout {
 	case Plain:
-		return &plainWriter{w: w, schema: schema, stats: stats,
-			zm: newStatsWriter(schema, opts.StatsEvery, opts.NoBloom)}, nil
+		return &plainWriter{writerBase: base}, nil
 	case Block:
-		codec, err := compress.ByName(opts.Codec)
-		if err != nil {
-			return nil, err
-		}
-		// Block groups follow frame boundaries, so the collector is cut
-		// externally on flush rather than on a record cadence.
-		every := 0
-		if opts.StatsEvery < 0 {
-			every = -1
-		}
-		return &blockWriter{w: w, schema: schema, stats: stats, codec: codec, blockBytes: opts.BlockBytes,
-			zm: newStatsWriter(schema, every, opts.NoBloom)}, nil
-	case SkipList, DCSL:
-		return &slWriter{
-			w:      w,
-			schema: schema,
-			stats:  stats,
-			levels: opts.Levels,
-			dcsl:   opts.Layout == DCSL,
-			zm:     newStatsWriter(schema, opts.StatsEvery, opts.NoBloom),
-		}, nil
+		return &blockWriter{writerBase: base, codec: codec, blockBytes: opts.BlockBytes}, nil
+	default:
+		return &slWriter{writerBase: base, levels: opts.Levels, dcsl: opts.Layout == DCSL}, nil
 	}
-	return nil, fmt.Errorf("colfile: unsupported layout %v", opts.Layout)
 }
 
-// closeWith finalizes a writer: it emits the zone-map stats section
-// (per-group entries plus the whole-file aggregate) followed by the footer
-// recording the record count and stats length.
-func closeWith(w io.Writer, zm *statsWriter, count int64) error {
-	blob, err := zm.finish()
+// writerBase is what the three layouts' writers share.
+type writerBase struct {
+	w      io.Writer
+	schema *serde.Schema
+	stats  *sim.CPUStats
+	sc     *scratch     // nil once closed
+	zm     *statsWriter // &sc.stats, or nil when statistics are disabled
+	count  int64
+}
+
+func (b *writerBase) Count() int64 { return b.count }
+
+// finish finalizes a writer: it emits the zone-map stats section (the
+// whole-file aggregate plus per-group entries) followed by the footer
+// recording the record count and stats length, and gives the scratch back.
+func (b *writerBase) finish() error {
+	sc, zm := b.sc, b.zm
+	b.sc, b.zm = nil, nil
+	defer sc.release()
+	blob, err := zm.finish(sc.out[:0])
 	if err != nil {
 		return err
 	}
-	if len(blob) > 0 {
-		if _, err := w.Write(blob); err != nil {
-			return err
-		}
-	}
-	_, err = w.Write(appendFooter(nil, count, len(blob)))
+	sc.out = appendFooter(blob, b.count, len(blob))
+	_, err = b.w.Write(sc.out)
 	return err
 }
 
@@ -91,21 +148,17 @@ func chargeEncode(stats *sim.CPUStats, n int) {
 }
 
 // plainWriter appends concatenated self-delimiting values.
-type plainWriter struct {
-	w       io.Writer
-	schema  *serde.Schema
-	stats   *sim.CPUStats
-	zm      *statsWriter
-	count   int64
-	scratch []byte
-}
+type plainWriter struct{ writerBase }
 
 func (p *plainWriter) Append(v any) error {
-	buf, err := serde.AppendValue(p.scratch[:0], p.schema, v)
+	if p.sc == nil {
+		return errClosed
+	}
+	buf, err := serde.AppendValue(p.sc.arena[:0], p.schema, v)
 	if err != nil {
 		return err
 	}
-	p.scratch = buf
+	p.sc.arena = buf
 	chargeEncode(p.stats, len(buf))
 	if _, err := p.w.Write(buf); err != nil {
 		return err
@@ -115,37 +168,36 @@ func (p *plainWriter) Append(v any) error {
 	return nil
 }
 
-func (p *plainWriter) Count() int64 { return p.count }
-
 func (p *plainWriter) Close() error {
-	return closeWith(p.w, p.zm, p.count)
+	if p.sc == nil {
+		return errClosed
+	}
+	return p.finish()
 }
 
 // blockWriter accumulates encoded values and emits compressed frames.
 type blockWriter struct {
-	w          io.Writer
-	schema     *serde.Schema
-	stats      *sim.CPUStats
-	zm         *statsWriter
+	writerBase
 	codec      compress.Codec
 	blockBytes int
-
-	raw     []byte
-	records int
-	count   int64
+	records    int
 }
 
 func (b *blockWriter) Append(v any) error {
-	buf, err := serde.AppendValue(b.raw, b.schema, v)
+	if b.sc == nil {
+		return errClosed
+	}
+	raw := b.sc.arena
+	buf, err := serde.AppendValue(raw, b.schema, v)
 	if err != nil {
 		return err
 	}
-	chargeEncode(b.stats, len(buf)-len(b.raw))
-	b.raw = buf
+	chargeEncode(b.stats, len(buf)-len(raw))
+	b.sc.arena = buf
 	b.zm.observe(v)
 	b.records++
 	b.count++
-	if len(b.raw) >= b.blockBytes {
+	if len(buf) >= b.blockBytes {
 		return b.flush()
 	}
 	return nil
@@ -155,28 +207,30 @@ func (b *blockWriter) flush() error {
 	if b.records == 0 {
 		return nil
 	}
-	frame, err := compress.AppendFrame(nil, b.codec, b.records, b.raw, b.stats)
+	frame, err := compress.AppendFrame(b.sc.out[:0], b.codec, b.records, b.sc.arena, b.stats)
 	if err != nil {
 		return err
 	}
+	b.sc.out = frame
 	if _, err := b.w.Write(frame); err != nil {
 		return err
 	}
 	// One stats group per frame: pruning a group skips exactly one
 	// decompression.
 	b.zm.cut()
-	b.raw = b.raw[:0]
+	b.sc.arena = b.sc.arena[:0]
 	b.records = 0
 	return nil
 }
 
-func (b *blockWriter) Count() int64 { return b.count }
-
 func (b *blockWriter) Close() error {
+	if b.sc == nil {
+		return errClosed
+	}
 	if err := b.flush(); err != nil {
 		return err
 	}
-	return closeWith(b.w, b.zm, b.count)
+	return b.finish()
 }
 
 // slWriter builds skip-list (and dictionary compressed skip-list) files.
@@ -184,26 +238,23 @@ func (b *blockWriter) Close() error {
 // fact: the writer double-buffers one largest-level window of values,
 // computes every pointer's span, and only then emits bytes — the same
 // double-buffering the paper describes in Appendix B.3, with the largest
-// skip bounded by memory.
+// skip bounded by memory. The window is staged encoded in the scratch
+// arena (SkipList) or still boxed (DCSL, whose encoding needs the window's
+// finished dictionary and lands in the same arena at flush).
 type slWriter struct {
-	w      io.Writer
-	schema *serde.Schema
-	stats  *sim.CPUStats
-	zm     *statsWriter
+	writerBase
 	levels []int
 	dcsl   bool
-
-	// window holds the encoded (SkipList) or still-boxed (DCSL) values of
-	// the current largest-level window.
-	encoded [][]byte
-	boxed   []any
-	count   int64
 }
 
 func (s *slWriter) maxLevel() int { return s.levels[0] }
 func (s *slWriter) minLevel() int { return s.levels[len(s.levels)-1] }
 
 func (s *slWriter) Append(v any) error {
+	if s.sc == nil {
+		return errClosed
+	}
+	window := 0
 	if s.dcsl {
 		switch s.schema.Kind {
 		case serde.KindMap:
@@ -219,99 +270,124 @@ func (s *slWriter) Append(v any) error {
 				return fmt.Errorf("colfile: DCSL append: value %T is not bytes", v)
 			}
 		}
-		s.boxed = append(s.boxed, v)
+		s.sc.boxed = append(s.sc.boxed, v)
+		window = len(s.sc.boxed)
 	} else {
-		buf, err := serde.AppendValue(nil, s.schema, v)
+		base := s.reserve()
+		buf, err := serde.AppendValue(s.sc.arena, s.schema, v)
 		if err != nil {
+			s.sc.arena = s.sc.arena[:base]
 			return err
 		}
-		chargeEncode(s.stats, len(buf))
-		s.encoded = append(s.encoded, prefixed(buf))
+		s.sc.arena = buf
+		s.stage(base)
+		window = len(s.sc.spans)
 	}
 	s.zm.observe(v)
 	s.count++
-	if s.windowLen() == s.maxLevel() {
+	if window == s.maxLevel() {
 		return s.flush()
 	}
 	return nil
 }
 
-// prefixed length-prefixes one encoded value. Skip-list files carry
-// per-value lengths so that skipping a single record costs a length read
-// and a seek instead of a full decode — the property that lets CIF-SL's
-// map time collapse to near-pure I/O in Table 1.
-func prefixed(enc []byte) []byte {
-	out := binary.AppendUvarint(make([]byte, 0, len(enc)+3), uint64(len(enc)))
-	return append(out, enc...)
+// Skip-list files carry per-value lengths so that skipping a single record
+// costs a length read and a seek instead of a full decode — the property
+// that lets CIF-SL's map time collapse to near-pure I/O in Table 1. The
+// length is known only once the value is encoded, so reserve leaves room
+// for the longest prefix, the value is encoded after it, and stage writes
+// the prefix flush against the value: one copy into the arena, no second
+// buffer, at the price of a few slack bytes between staged values.
+var prefixRoom [binary.MaxVarintLen64]byte
+
+// reserve opens the next staged value: it returns where the value's slot
+// begins and leaves the arena ready for the encoding.
+func (s *slWriter) reserve() (base int) {
+	base = len(s.sc.arena)
+	s.sc.arena = append(s.sc.arena, prefixRoom[:]...)
+	return base
 }
 
-func (s *slWriter) windowLen() int {
-	if s.dcsl {
-		return len(s.boxed)
-	}
-	return len(s.encoded)
+// stage closes the staged value whose slot began at base: it charges the
+// encoding, length-prefixes it in place and records its span. It returns
+// the encoded length.
+func (s *slWriter) stage(base int) int {
+	sc := s.sc
+	n := len(sc.arena) - base - len(prefixRoom)
+	chargeEncode(s.stats, n)
+	var prefix [len(prefixRoom)]byte
+	k := binary.PutUvarint(prefix[:], uint64(n))
+	lo := base + len(prefixRoom) - k
+	copy(sc.arena[lo:], prefix[:k])
+	sc.spans = append(sc.spans, span{lo, len(sc.arena)})
+	return n
 }
-
-func (s *slWriter) Count() int64 { return s.count }
 
 func (s *slWriter) Close() error {
+	if s.sc == nil {
+		return errClosed
+	}
 	if err := s.flush(); err != nil {
 		return err
 	}
-	return closeWith(s.w, s.zm, s.count)
+	return s.finish()
+}
+
+// encodeDCSL builds the window dictionary and stages the boxed values with
+// dictionary-compressed keys (map columns) or as bare dictionary ids
+// (string/bytes columns; nulls encode as an empty value blob, which no
+// non-null value produces since an id is at least one byte). It returns the
+// length-prefixed dictionary.
+func (s *slWriter) encodeDCSL() ([]byte, error) {
+	sc := s.sc
+	dict := compress.NewDictionary()
+	mapCol := s.schema.Kind == serde.KindMap
+	if !mapCol {
+		// Sorted insertion keeps the id assignment — and so the file
+		// bytes — deterministic for identical data.
+		for _, v := range stringsSorted(sc.boxed) {
+			dict.Add(v)
+		}
+	}
+	var rawTotal int64
+	for _, v := range sc.boxed {
+		base := s.reserve()
+		var err error
+		if mapCol {
+			// A key's id is its rank of first appearance, records in order
+			// and keys sorted within a record, so a map can be encoded as
+			// soon as its own keys are in: every id it needs is final.
+			sc.arena, err = s.appendDictMap(sc.arena, dict, v.(map[string]any))
+		} else {
+			sc.arena, err = appendDictValue(sc.arena, dict, v)
+		}
+		if err != nil {
+			sc.arena, sc.spans = sc.arena[:0], sc.spans[:0]
+			return nil, err
+		}
+		rawTotal += int64(s.stage(base))
+	}
+	compress.ChargeComp(s.stats, "dict", rawTotal)
+	body := dict.Append(nil)
+	return append(binary.AppendUvarint(nil, uint64(len(body))), body...), nil
 }
 
 // flush emits the buffered window: skip groups, the window dictionary
 // (DCSL), and values.
 func (s *slWriter) flush() error {
-	w := s.windowLen()
+	sc := s.sc
+	var dictBlob []byte
+	if s.dcsl && len(sc.boxed) > 0 {
+		var err error
+		if dictBlob, err = s.encodeDCSL(); err != nil {
+			return err
+		}
+	}
+	w := len(sc.spans)
 	if w == 0 {
 		return nil
 	}
 	windowBase := s.count - int64(w)
-
-	// DCSL: build the window dictionary and re-encode values with
-	// dictionary-compressed keys (map columns) or as bare dictionary ids
-	// (string/bytes columns; nulls encode as an empty value blob, which no
-	// non-null value produces since an id is at least one byte).
-	var dictBlob []byte
-	enc := s.encoded
-	if s.dcsl {
-		dict := compress.NewDictionary()
-		if s.schema.Kind == serde.KindMap {
-			for _, v := range s.boxed {
-				for _, k := range mapKeysSorted(v.(map[string]any)) {
-					dict.Add(k)
-				}
-			}
-		} else {
-			// Sorted insertion keeps the id assignment — and so the file
-			// bytes — deterministic for identical data.
-			for _, v := range stringsSorted(s.boxed) {
-				dict.Add(v)
-			}
-		}
-		enc = make([][]byte, w)
-		var rawTotal int64
-		for i, v := range s.boxed {
-			var b []byte
-			var err error
-			if s.schema.Kind == serde.KindMap {
-				if b, err = appendDictMap(nil, dict, s.schema, v.(map[string]any)); err != nil {
-					return err
-				}
-			} else if b, err = appendDictValue(nil, dict, v); err != nil {
-				return err
-			}
-			enc[i] = prefixed(b)
-			rawTotal += int64(len(b))
-			chargeEncode(s.stats, len(b))
-		}
-		compress.ChargeComp(s.stats, "dict", rawTotal)
-		body := dict.Append(nil)
-		dictBlob = binary.AppendUvarint(nil, uint64(len(body)))
-		dictBlob = append(dictBlob, body...)
-	}
 
 	// Entity geometry: entityStart[i] is the window-relative offset of
 	// record i's entity (group, then dictionary, then value);
@@ -320,10 +396,10 @@ func (s *slWriter) flush() error {
 	// the group AND the window dictionary — because a DCSL reader always
 	// loads the dictionary before following a pointer (the dictionary is
 	// the only part of a block that must be read to enter it).
-	entityStart := make([]int64, w+1)
-	valueBase := make([]int64, w)
+	sc.geom = slices.Grow(sc.geom[:0], 2*w+1)[:2*w+1]
+	entityStart, valueBase := sc.geom[:w+1], sc.geom[w+1:]
 	cur := int64(0)
-	for i := 0; i < w; i++ {
+	for i, sp := range sc.spans {
 		rec := windowBase + int64(i)
 		entityStart[i] = cur
 		if rec%int64(s.minLevel()) == 0 {
@@ -333,7 +409,7 @@ func (s *slWriter) flush() error {
 			cur += int64(len(dictBlob))
 		}
 		valueBase[i] = cur
-		cur += int64(len(enc[i]))
+		cur += int64(sp.hi - sp.lo)
 	}
 	entityStart[w] = cur
 
@@ -341,8 +417,8 @@ func (s *slWriter) flush() error {
 	// before hitting the writer.
 	chargeEncode(s.stats, int(cur))
 
-	out := make([]byte, 0, cur)
-	for i := 0; i < w; i++ {
+	out := slices.Grow(sc.out[:0], int(cur))
+	for i, sp := range sc.spans {
 		rec := windowBase + int64(i)
 		if rec%int64(s.minLevel()) == 0 {
 			for _, l := range s.levels {
@@ -363,32 +439,30 @@ func (s *slWriter) flush() error {
 		if s.dcsl && rec%int64(s.maxLevel()) == 0 {
 			out = append(out, dictBlob...)
 		}
-		out = append(out, enc[i]...)
+		out = append(out, sc.arena[sp.lo:sp.hi]...)
 	}
+	sc.out = out
 	if int64(len(out)) != cur {
 		return fmt.Errorf("colfile: window geometry mismatch: wrote %d, computed %d", len(out), cur)
 	}
 	if _, err := s.w.Write(out); err != nil {
 		return err
 	}
-	s.encoded = s.encoded[:0]
-	s.boxed = s.boxed[:0]
+	clear(sc.boxed)
+	sc.arena, sc.spans, sc.boxed = sc.arena[:0], sc.spans[:0], sc.boxed[:0]
 	return nil
 }
 
-// appendDictMap encodes a map value with dictionary-compressed keys:
-// uvarint count, then (uvarint keyID, encoded element) pairs in sorted key
-// order.
-func appendDictMap(dst []byte, dict *compress.Dictionary, schema *serde.Schema, m map[string]any) ([]byte, error) {
+// appendDictMap encodes a map value with dictionary-compressed keys,
+// entering keys the window has not seen into its dictionary: uvarint count,
+// then (uvarint keyID, encoded element) pairs in sorted key order.
+func (s *slWriter) appendDictMap(dst []byte, dict *compress.Dictionary, m map[string]any) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, uint64(len(m)))
+	s.sc.keys = appendSortedKeys(s.sc.keys[:0], m)
 	var err error
-	for _, k := range mapKeysSorted(m) {
-		id, ok := dict.ID(k)
-		if !ok {
-			return dst, fmt.Errorf("colfile: dict missing key %q", k)
-		}
-		dst = binary.AppendUvarint(dst, uint64(id))
-		dst, err = serde.AppendValue(dst, schema.Elem, m[k])
+	for _, k := range s.sc.keys {
+		dst = binary.AppendUvarint(dst, uint64(dict.Add(k)))
+		dst, err = serde.AppendValue(dst, s.schema.Elem, m[k])
 		if err != nil {
 			return dst, err
 		}
@@ -440,16 +514,16 @@ func stringsSorted(vals []any) []string {
 	return out
 }
 
-func mapKeysSorted(m map[string]any) []string {
-	keys := make([]string, 0, len(m))
+// appendSortedKeys appends m's keys to dst in sorted order.
+func appendSortedKeys(dst []string, m map[string]any) []string {
 	for k := range m {
-		keys = append(keys, k)
+		dst = append(dst, k)
 	}
 	// Insertion sort: key universes are small by construction.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
+	for i := 1; i < len(dst); i++ {
+		for j := i; j > 0 && dst[j] < dst[j-1]; j-- {
+			dst[j], dst[j-1] = dst[j-1], dst[j]
 		}
 	}
-	return keys
+	return dst
 }

@@ -30,17 +30,23 @@ type FrameHeader struct {
 }
 
 // AppendFrame compresses raw with the codec and appends a complete frame to
-// dst, charging compression work to stats.
+// dst, charging compression work to stats. The payload is compressed
+// straight into dst behind room for the longest length prefix, then closed
+// up against the prefix it turned out to need.
 func AppendFrame(dst []byte, codec Codec, records int, raw []byte, stats *sim.CPUStats) ([]byte, error) {
-	comp, err := codec.Compress(nil, raw)
-	if err != nil {
-		return dst, err
-	}
-	ChargeComp(stats, codec.Name(), int64(len(raw)))
+	start := len(dst)
 	dst = binary.AppendUvarint(dst, uint64(records))
 	dst = binary.AppendUvarint(dst, uint64(len(raw)))
-	dst = binary.AppendUvarint(dst, uint64(len(comp)))
-	return append(dst, comp...), nil
+	lenAt := len(dst)
+	var room [binary.MaxVarintLen64]byte
+	dst, err := codec.Compress(append(dst, room[:]...), raw)
+	if err != nil {
+		return dst[:start], err
+	}
+	ChargeComp(stats, codec.Name(), int64(len(raw)))
+	comp := dst[lenAt+len(room):]
+	n := binary.PutUvarint(dst[lenAt:], uint64(len(comp)))
+	return dst[:lenAt+n+copy(dst[lenAt+n:], comp)], nil
 }
 
 // WriteFrame is AppendFrame directly to a writer.

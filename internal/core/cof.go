@@ -10,9 +10,105 @@ import (
 	"colmr/internal/sim"
 )
 
+// SplitWriter writes one split-directory: the schema file, then one column
+// file per top-level field (Figure 4), each through the layout the load
+// options give its column. It is the single place a record is taken apart
+// into column appends — the bulk loader rotates through a sequence of them,
+// the streaming ingester flushes each fresh partition through one.
+type SplitWriter struct {
+	dir    string
+	schema *serde.Schema
+	files  []*hdfs.FileWriter
+	cols   []colfile.Writer
+	count  int64
+}
+
+// NewSplitWriter creates dir's schema file and opens its column files, in
+// schema order. opts supplies the layouts and the writer node; its split
+// bounds are the caller's business.
+func NewSplitWriter(fs *hdfs.FileSystem, dir string, schema *serde.Schema, opts LoadOptions, stats *sim.TaskStats) (*SplitWriter, error) {
+	var ioStats *sim.IOStats
+	var cpu *sim.CPUStats
+	if stats != nil {
+		ioStats, cpu = &stats.IO, &stats.CPU
+	}
+	schemaWriter, err := fs.Create(dir+"/"+SchemaFile, opts.WriterNode)
+	if err != nil {
+		return nil, err
+	}
+	schemaWriter.SetStats(ioStats)
+	if _, err := schemaWriter.Write([]byte(schema.String())); err != nil {
+		return nil, err
+	}
+	if err := schemaWriter.Close(); err != nil {
+		return nil, err
+	}
+	w := &SplitWriter{dir: dir, schema: schema,
+		files: make([]*hdfs.FileWriter, 0, len(schema.Fields)),
+		cols:  make([]colfile.Writer, 0, len(schema.Fields))}
+	for _, f := range schema.Fields {
+		fw, err := fs.Create(dir+"/"+f.Name, opts.WriterNode)
+		if err != nil {
+			return nil, err
+		}
+		fw.SetStats(ioStats)
+		cw, err := colfile.NewWriter(fw, f.Type, opts.layoutFor(f.Name), cpu)
+		if err != nil {
+			return nil, err
+		}
+		w.files = append(w.files, fw)
+		w.cols = append(w.cols, cw)
+	}
+	return w, nil
+}
+
+// Append writes one record of the split's schema (the caller has checked
+// that it is) as one value per column file.
+func (w *SplitWriter) Append(rec *serde.GenericRecord) error {
+	for i, cw := range w.cols {
+		v := rec.GetAt(i)
+		if v == nil {
+			return fmt.Errorf("core: field %q is unset", w.schema.Fields[i].Name)
+		}
+		if err := cw.Append(v); err != nil {
+			return fmt.Errorf("core: column %q: %w", w.schema.Fields[i].Name, err)
+		}
+	}
+	w.count++
+	return nil
+}
+
+// Dir returns the split-directory's path.
+func (w *SplitWriter) Dir() string { return w.dir }
+
+// Count returns the number of records appended.
+func (w *SplitWriter) Count() int64 { return w.count }
+
+// Bytes returns the bytes the column files hold so far.
+func (w *SplitWriter) Bytes() int64 {
+	var total int64
+	for _, f := range w.files {
+		total += f.Size()
+	}
+	return total
+}
+
+// Close finalizes every column file.
+func (w *SplitWriter) Close() error {
+	for i, cw := range w.cols {
+		if err := cw.Close(); err != nil {
+			return err
+		}
+		if err := w.files[i].Close(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Writer is the ColumnOutputFormat (COF) loader: it horizontally partitions
-// the record stream into split-directories and writes one column file per
-// top-level field (Figure 4).
+// the record stream into split-directories, writing each through a
+// SplitWriter.
 type Writer struct {
 	fs      *hdfs.FileSystem
 	dataset string
@@ -20,12 +116,9 @@ type Writer struct {
 	opts    LoadOptions
 	stats   *sim.TaskStats
 
-	splitIdx   int
-	splitCount int64
-	count      int64
-
-	files []*hdfs.FileWriter
-	cols  []colfile.Writer
+	splitIdx int
+	count    int64
+	split    *SplitWriter // nil between split-directories
 }
 
 // NewWriter starts a COF load into the dataset directory, which must not
@@ -44,27 +137,23 @@ func NewWriter(fs *hdfs.FileSystem, dataset string, schema *serde.Schema, opts L
 
 // Append writes one record, rotating split-directories as bounds fill.
 func (w *Writer) Append(rec *serde.GenericRecord) error {
-	if w.cols == nil {
-		if err := w.openSplit(); err != nil {
+	if w.split == nil {
+		w.splitIdx++
+		var err error
+		w.split, err = NewSplitWriter(w.fs, w.dataset+"/"+splitDirName(w.splitIdx), w.schema, w.opts, w.stats)
+		if err != nil {
 			return err
 		}
 	}
 	if !rec.Schema().Equal(w.schema) {
 		return fmt.Errorf("core: record schema does not match dataset schema")
 	}
-	for i := range w.schema.Fields {
-		v := rec.GetAt(i)
-		if v == nil {
-			return fmt.Errorf("core: field %q is unset", w.schema.Fields[i].Name)
-		}
-		if err := w.cols[i].Append(v); err != nil {
-			return fmt.Errorf("core: column %q: %w", w.schema.Fields[i].Name, err)
-		}
+	if err := w.split.Append(rec); err != nil {
+		return err
 	}
-	w.splitCount++
 	w.count++
 	if w.splitFull() {
-		return w.closeSplit()
+		return w.Close()
 	}
 	return nil
 }
@@ -74,91 +163,33 @@ func (w *Writer) Append(rec *serde.GenericRecord) error {
 // records later (e.g. ingest compaction rebuilding its key index) call
 // Tell before each Append.
 func (w *Writer) Tell() (string, int64) {
-	if w.cols == nil {
+	if w.split == nil {
 		// Rotation (or first write) pending: the next Append opens a fresh
 		// split-directory.
 		return w.dataset + "/" + splitDirName(w.splitIdx+1), 0
 	}
-	return w.dataset + "/" + splitDirName(w.splitIdx), w.splitCount
+	return w.split.Dir(), w.split.Count()
 }
 
 func (w *Writer) splitFull() bool {
-	if w.opts.SplitRecords > 0 && w.splitCount >= w.opts.SplitRecords {
+	if w.opts.SplitRecords > 0 && w.split.Count() >= w.opts.SplitRecords {
 		return true
 	}
-	if w.opts.SplitBytes > 0 {
-		var total int64
-		for _, f := range w.files {
-			total += f.Size()
-		}
-		return total >= w.opts.SplitBytes
-	}
-	return false
-}
-
-func (w *Writer) openSplit() error {
-	w.splitIdx++
-	w.splitCount = 0
-	dir := w.dataset + "/" + splitDirName(w.splitIdx)
-	schemaWriter, err := w.fs.Create(dir+"/"+SchemaFile, w.opts.WriterNode)
-	if err != nil {
-		return err
-	}
-	if w.stats != nil {
-		schemaWriter.SetStats(&w.stats.IO)
-	}
-	if _, err := schemaWriter.Write([]byte(w.schema.String())); err != nil {
-		return err
-	}
-	if err := schemaWriter.Close(); err != nil {
-		return err
-	}
-	w.files = w.files[:0]
-	w.cols = w.cols[:0]
-	for _, f := range w.schema.Fields {
-		fw, err := w.fs.Create(dir+"/"+f.Name, w.opts.WriterNode)
-		if err != nil {
-			return err
-		}
-		if w.stats != nil {
-			fw.SetStats(&w.stats.IO)
-		}
-		var cpu *sim.CPUStats
-		if w.stats != nil {
-			cpu = &w.stats.CPU
-		}
-		cw, err := colfile.NewWriter(fw, f.Type, w.opts.layoutFor(f.Name), cpu)
-		if err != nil {
-			return err
-		}
-		w.files = append(w.files, fw)
-		w.cols = append(w.cols, cw)
-	}
-	return nil
-}
-
-func (w *Writer) closeSplit() error {
-	if w.cols == nil {
-		return nil
-	}
-	for i, cw := range w.cols {
-		if err := cw.Close(); err != nil {
-			return err
-		}
-		if err := w.files[i].Close(); err != nil {
-			return err
-		}
-	}
-	w.cols = nil
-	w.files = nil
-	return nil
+	return w.opts.SplitBytes > 0 && w.split.Bytes() >= w.opts.SplitBytes
 }
 
 // Count returns the number of records appended.
 func (w *Writer) Count() int64 { return w.count }
 
 // Close finalizes the last split-directory.
-func (w *Writer) Close() error { return w.closeSplit() }
+func (w *Writer) Close() error {
+	if w.split == nil {
+		return nil
+	}
+	split := w.split
+	w.split = nil
+	return split.Close()
+}
 
 // Load converts a dataset readable by any InputFormat into a CIF dataset —
 // the paper's parallel loader (Section 4.2; load costs are Table 2's

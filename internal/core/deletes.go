@@ -26,6 +26,10 @@ import (
 // set. The files are uncharged metadata, like schemas: they are tiny next
 // to the column data whose reads they mask.
 
+// DeletesPrefix names delete files within a partition directory: the version
+// written by the commit of generation N is the file DeletesPrefix + N.
+const DeletesPrefix = "_deletes."
+
 // delSet is one partition's loaded delete set.
 type delSet struct {
 	pos map[int64]bool

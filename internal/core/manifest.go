@@ -32,8 +32,9 @@ import (
 // without changing any column byte. Invalidation after compaction is purely
 // a budget release for retired directories.
 
-// manifestPrefix names manifest files within a dataset directory.
-const manifestPrefix = "_manifest."
+// ManifestPrefix names manifest files within a dataset directory: generation
+// N is the file ManifestPrefix + N.
+const ManifestPrefix = "_manifest."
 
 // ManifestPartition is one partition of a manifest-published dataset.
 type ManifestPartition struct {
@@ -60,7 +61,7 @@ type Manifest struct {
 
 // manifestPath returns the manifest file path for a generation.
 func manifestPath(dataset string, gen int64) string {
-	return dataset + "/" + manifestPrefix + strconv.FormatInt(gen, 10)
+	return dataset + "/" + ManifestPrefix + strconv.FormatInt(gen, 10)
 }
 
 // WriteManifest publishes m as generation m.Generation of the dataset. The
@@ -83,10 +84,10 @@ func ReadManifest(fs *hdfs.FileSystem, dataset string) (*Manifest, bool, error) 
 	}
 	var gens []int64
 	for _, fi := range infos {
-		if fi.IsDir || !strings.HasPrefix(fi.Name(), manifestPrefix) {
+		if fi.IsDir || !strings.HasPrefix(fi.Name(), ManifestPrefix) {
 			continue
 		}
-		n, err := strconv.ParseInt(strings.TrimPrefix(fi.Name(), manifestPrefix), 10, 64)
+		n, err := strconv.ParseInt(strings.TrimPrefix(fi.Name(), ManifestPrefix), 10, 64)
 		if err != nil {
 			continue
 		}

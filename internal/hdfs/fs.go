@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -40,8 +41,13 @@ type FileSystem struct {
 	cfg    sim.ClusterConfig
 	policy BlockPlacementPolicy
 	files  map[string]*fileMeta
-	dirs   map[string]bool
-	rng    *rand.Rand
+	// dirs is the namenode's directory table and its index at once: every
+	// directory maps to the set of its immediate children, files and
+	// directories alike, by full path. Create, mkdirAll, Remove and
+	// RemoveAll keep it, so List costs its directory and RemoveAll and
+	// TreeSize their subtree, whatever else the namespace holds.
+	dirs map[string]map[string]struct{}
+	rng  *rand.Rand
 	// usage tracks bytes stored per node, used by the default policy for
 	// coarse balancing.
 	usage []int64
@@ -81,7 +87,7 @@ func New(cfg sim.ClusterConfig, seed int64) *FileSystem {
 	fs := &FileSystem{
 		cfg:   cfg,
 		files: make(map[string]*fileMeta),
-		dirs:  map[string]bool{"/": true},
+		dirs:  map[string]map[string]struct{}{"/": {}},
 		rng:   rand.New(rand.NewSource(seed)),
 		usage: make([]int64, cfg.Nodes),
 		dead:  make([]bool, cfg.Nodes),
@@ -118,10 +124,18 @@ func (fs *FileSystem) MkdirAll(dir string) {
 	fs.mkdirAllLocked(clean(dir))
 }
 
-func (fs *FileSystem) mkdirAllLocked(dir string) {
-	for d := dir; d != "/"; d = path.Dir(d) {
-		fs.dirs[d] = true
+// mkdirAllLocked creates dir and its missing ancestors, entering each in
+// its parent, and returns dir's child set.
+func (fs *FileSystem) mkdirAllLocked(dir string) map[string]struct{} {
+	if children, ok := fs.dirs[dir]; ok {
+		return children
 	}
+	children := map[string]struct{}{}
+	fs.dirs[dir] = children
+	if dir != "/" {
+		fs.mkdirAllLocked(path.Dir(dir))[dir] = struct{}{}
+	}
+	return children
 }
 
 // Create opens a new append-only file for writing from the given node.
@@ -134,10 +148,10 @@ func (fs *FileSystem) Create(p string, writer NodeID) (*FileWriter, error) {
 	if _, ok := fs.files[p]; ok {
 		return nil, fmt.Errorf("hdfs: create %s: file exists", p)
 	}
-	if fs.dirs[p] {
+	if _, ok := fs.dirs[p]; ok {
 		return nil, fmt.Errorf("hdfs: create %s: is a directory", p)
 	}
-	fs.mkdirAllLocked(path.Dir(p))
+	fs.mkdirAllLocked(path.Dir(p))[p] = struct{}{}
 	fs.nextGen++
 	meta := &fileMeta{path: p, gen: fs.nextGen}
 	fs.files[p] = meta
@@ -165,7 +179,7 @@ func (fs *FileSystem) Stat(p string) (FileInfo, error) {
 	if meta, ok := fs.files[p]; ok {
 		return FileInfo{Path: p, Size: meta.size}, nil
 	}
-	if fs.dirs[p] {
+	if _, ok := fs.dirs[p]; ok {
 		return FileInfo{Path: p, IsDir: true}, nil
 	}
 	return FileInfo{}, fmt.Errorf("hdfs: stat %s: no such file or directory", p)
@@ -182,34 +196,22 @@ func (fs *FileSystem) List(dir string) ([]FileInfo, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	dir = clean(dir)
-	if !fs.dirs[dir] {
+	children, ok := fs.dirs[dir]
+	if !ok {
 		if _, ok := fs.files[dir]; ok {
 			return nil, fmt.Errorf("hdfs: list %s: not a directory", dir)
 		}
 		return nil, fmt.Errorf("hdfs: list %s: no such directory", dir)
 	}
-	seen := make(map[string]FileInfo)
-	add := func(p string, isDir bool, size int64) {
-		if path.Dir(p) != dir {
-			return
-		}
-		if _, ok := seen[p]; !ok {
-			seen[p] = FileInfo{Path: p, Size: size, IsDir: isDir}
-		}
-	}
-	for p, m := range fs.files {
-		add(p, false, m.size)
-	}
-	for d := range fs.dirs {
-		if d != "/" {
-			add(d, true, 0)
+	out := make([]FileInfo, 0, len(children))
+	for p := range children {
+		if m, ok := fs.files[p]; ok {
+			out = append(out, FileInfo{Path: p, Size: m.size})
+		} else {
+			out = append(out, FileInfo{Path: p, IsDir: true})
 		}
 	}
-	out := make([]FileInfo, 0, len(seen))
-	for _, fi := range seen {
-		out = append(out, fi)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
+	slices.SortFunc(out, func(a, b FileInfo) int { return strings.Compare(a.Path, b.Path) })
 	return out, nil
 }
 
@@ -218,41 +220,48 @@ func (fs *FileSystem) Remove(p string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	p = clean(p)
-	meta, ok := fs.files[p]
-	if !ok {
+	if _, ok := fs.files[p]; !ok {
 		return fmt.Errorf("hdfs: remove %s: no such file", p)
 	}
-	for _, b := range meta.blocks {
+	fs.removeFileLocked(p)
+	return nil
+}
+
+// removeFileLocked drops the file at p, which must exist: its bytes leave
+// the datanodes' usage and its name leaves the parent directory, unless a
+// directory of the same name (MkdirAll over a file) still holds the entry.
+func (fs *FileSystem) removeFileLocked(p string) {
+	for _, b := range fs.files[p].blocks {
 		for _, n := range b.replicas {
 			fs.usage[n] -= int64(len(b.data))
 		}
 	}
 	delete(fs.files, p)
-	return nil
+	if _, ok := fs.dirs[p]; !ok {
+		delete(fs.dirs[path.Dir(p)], p)
+	}
 }
 
 // RemoveAll deletes a directory tree (or a single file).
 func (fs *FileSystem) RemoveAll(p string) error {
 	fs.mu.Lock()
-	pp := clean(p)
-	var victims []string
-	for f := range fs.files {
-		if f == pp || strings.HasPrefix(f, pp+"/") {
-			victims = append(victims, f)
-		}
-	}
-	for d := range fs.dirs {
-		if d == pp || strings.HasPrefix(d, pp+"/") {
-			delete(fs.dirs, d)
-		}
-	}
-	fs.mu.Unlock()
-	for _, f := range victims {
-		if err := fs.Remove(f); err != nil {
-			return err
-		}
-	}
+	defer fs.mu.Unlock()
+	fs.removeAllLocked(clean(p))
 	return nil
+}
+
+func (fs *FileSystem) removeAllLocked(p string) {
+	if children, ok := fs.dirs[p]; ok {
+		for c := range children {
+			fs.removeAllLocked(c)
+		}
+		delete(fs.dirs, p)
+	}
+	if _, ok := fs.files[p]; ok {
+		fs.removeFileLocked(p)
+	} else {
+		delete(fs.dirs[path.Dir(p)], p)
+	}
 }
 
 // BlockLocations returns, for each block of the file, the node IDs holding
@@ -368,12 +377,16 @@ func (fs *FileSystem) TotalSize(p string) int64 {
 func (fs *FileSystem) TreeSize(dir string) int64 {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	dir = clean(dir)
+	return fs.treeSizeLocked(clean(dir))
+}
+
+func (fs *FileSystem) treeSizeLocked(p string) int64 {
 	var total int64
-	for p, m := range fs.files {
-		if p == dir || strings.HasPrefix(p, dir+"/") {
-			total += m.size
-		}
+	if m, ok := fs.files[p]; ok {
+		total = m.size
+	}
+	for c := range fs.dirs[p] {
+		total += fs.treeSizeLocked(c)
 	}
 	return total
 }

@@ -2,7 +2,6 @@ package ingest
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -68,8 +67,10 @@ func (ing *Ingester) compactLocked() error {
 			dels[i] = p.dir + "/" + p.delFile
 		}
 	}
+	// The output partitions, in the order the writer opens them, and where
+	// every surfaced key now lives.
+	var out []*part
 	newLoc := make(map[string]loc)
-	counts := make(map[string]int64)
 	mapper := func(_, v any, _ mapred.Emit) error {
 		rec, ok := v.(*serde.GenericRecord)
 		if !ok {
@@ -79,8 +80,12 @@ func (ing *Ingester) compactLocked() error {
 		if err := w.Append(rec); err != nil {
 			return err
 		}
-		newLoc[rec.GetAt(ing.keyI).(string)] = loc{dir: dir, ord: ord}
-		counts[dir]++
+		if len(out) == 0 || out[len(out)-1].dir != dir {
+			out = append(out, &part{dir: dir})
+		}
+		p := out[len(out)-1]
+		p.records++
+		newLoc[rec.GetAt(ing.keyI).(string)] = loc{part: p, ord: ord}
 		return nil
 	}
 	job := &mapred.Job{
@@ -111,24 +116,12 @@ func (ing *Ingester) compactLocked() error {
 	// The new layout: kept partitions, then the compacted output's
 	// split-directories in order. The old fresh directories (and the delete
 	// files inside them — the masking is now physical) are retired.
-	outDirs := make([]string, 0, len(counts))
-	for dir := range counts {
-		outDirs = append(outDirs, dir)
-	}
-	sort.Slice(outDirs, func(i, j int) bool {
-		return splitNum(outDirs[i]) < splitNum(outDirs[j])
-	})
-	ing.parts = keep
-	for _, dir := range outDirs {
-		ing.parts = append(ing.parts, &part{dir: dir, records: counts[dir]})
-	}
+	ing.parts = append(keep, out...)
 	prefix := ing.opts.Dataset + "/"
 	newRetired := make([]string, len(fresh))
 	for i, p := range fresh {
 		newRetired[i] = p.dir
 		ing.retired = append(ing.retired, p.dir[len(prefix):])
-		delete(ing.deletes, p.dir)
-		delete(ing.dirty, p.dir)
 	}
 	for k, l := range newLoc {
 		ing.keyLoc[k] = l
@@ -147,24 +140,57 @@ func (ing *Ingester) compactLocked() error {
 	return nil
 }
 
-// GC removes the retired directories and superseded manifest generations
-// from disk, then commits a manifest with the retired list cleared. Call it
-// only at a quiesce point: a scan still planning against an older
-// generation would find its files gone. (Scans already running keep their
-// open readers — removal does not affect them.)
+// GC collects what no committed layout names any more. If compaction has
+// retired directories it first commits a manifest with the retired list
+// cleared (an unchanged layout gets no new generation); then, new manifest
+// first and removals after, it removes the retired directories, every
+// manifest generation below the committed one, and every delete file a live
+// partition's manifest entry does not name. What the dataset stores
+// afterwards is its live partitions and one manifest, however many commits
+// came before. Call it only at a quiesce point: a scan still planning
+// against an older generation would find its files gone. (Scans already
+// running keep their open readers — removal does not affect them.)
 func (ing *Ingester) GC() error {
 	ing.mu.Lock()
 	defer ing.mu.Unlock()
-	if len(ing.retired) == 0 {
-		return nil
+	retired := ing.retired
+	if len(retired) > 0 {
+		ing.retired = nil
+		if err := ing.commitLocked(nil); err != nil {
+			return err
+		}
 	}
-	for _, rel := range ing.retired {
+	for _, rel := range retired {
 		if err := ing.fs.RemoveAll(ing.opts.Dataset + "/" + rel); err != nil {
 			return err
 		}
 	}
-	ing.retired = nil
-	return ing.commitLocked(nil)
+	current := core.ManifestPrefix + strconv.FormatInt(ing.gen, 10)
+	if err := ing.sweep(ing.opts.Dataset, core.ManifestPrefix, current); err != nil {
+		return err
+	}
+	for _, p := range ing.parts {
+		if err := ing.sweep(p.dir, core.DeletesPrefix, p.delFile); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sweep removes dir's files whose names begin with prefix, but for keep.
+func (ing *Ingester) sweep(dir, prefix, keep string) error {
+	infos, err := ing.fs.List(dir)
+	if err != nil {
+		return err
+	}
+	for _, fi := range infos {
+		if name := fi.Name(); !fi.IsDir && name != keep && strings.HasPrefix(name, prefix) {
+			if err := ing.fs.Remove(fi.Path); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // isFresh mirrors the core reader's fresh-partition test: the directory
@@ -175,17 +201,6 @@ func isFresh(dir string) bool {
 		base = dir[i+1:]
 	}
 	return strings.HasPrefix(base, "seq-")
-}
-
-// splitNum extracts the numeric suffix of a split-directory name for
-// ordering compaction output (s0, s1, ... s10).
-func splitNum(dir string) int {
-	base := dir
-	if i := strings.LastIndexByte(dir, '/'); i >= 0 {
-		base = dir[i+1:]
-	}
-	n, _ := strconv.Atoi(strings.TrimPrefix(base, "s"))
-	return n
 }
 
 // sealedInput is an InputFormat whose split set is fixed at construction:

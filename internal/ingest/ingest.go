@@ -2,11 +2,10 @@ package ingest
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 
-	"colmr/internal/colfile"
 	"colmr/internal/core"
 	"colmr/internal/hdfs"
 	"colmr/internal/mapred"
@@ -77,10 +76,10 @@ func (o *Options) withDefaults() (Options, error) {
 	return opts, nil
 }
 
-// loc addresses one written record: its split-directory and ordinal.
+// loc addresses one written record: its partition and ordinal.
 type loc struct {
-	dir string
-	ord int64
+	part *part
+	ord  int64
 }
 
 // entry is one buffered arrival; rec is nil when a later arrival of the
@@ -96,6 +95,11 @@ type part struct {
 	dir     string // absolute
 	records int64
 	delFile string // current delete-file name ("" when none)
+	// deleted is the partition's superseded ordinals, cumulative. A row is
+	// superseded at most once (its key's location moves on when it is), so
+	// the list holds no duplicates; a commit sorts what flushes appended.
+	deleted []int64
+	dirty   bool // deleted grew since delFile was written
 }
 
 // Ingester is the streaming writer for one dataset. Its methods are safe
@@ -119,10 +123,8 @@ type Ingester struct {
 	gen     int64 // committed manifest generation (0 = none yet)
 	flushes int   // flushes since last compaction
 
-	keyLoc  map[string]loc            // live flushed record per key
-	deletes map[string]map[int64]bool // dir -> superseded ordinals (cumulative)
-	dirty   map[string]bool           // dirs whose delete file must be rewritten
-	retired []string                  // dirs replaced by compaction, pending GC (relative)
+	keyLoc  map[string]loc // live flushed record per key
+	retired []string       // dirs replaced by compaction, pending GC (relative)
 
 	onCommit []func(gen int64, retired []string)
 }
@@ -143,8 +145,6 @@ func New(fs *hdfs.FileSystem, o Options) (*Ingester, error) {
 		tmI:      opts.Schema.FieldIndex(opts.TimeColumn),
 		buffered: make(map[string]int),
 		keyLoc:   make(map[string]loc),
-		deletes:  make(map[string]map[int64]bool),
-		dirty:    make(map[string]bool),
 	}, nil
 }
 
@@ -225,16 +225,17 @@ func (ing *Ingester) flushLocked() error {
 	// Write the survivors in arrival order, cutting a new partition at
 	// every bucket change so scan order (manifest order, then ordinal)
 	// remains arrival order.
-	var pw *partWriter
+	var pw *core.SplitWriter
+	var cur *part
 	curBucket := int64(0)
 	closePart := func() error {
 		if pw == nil {
 			return nil
 		}
-		if err := pw.close(); err != nil {
+		if err := pw.Close(); err != nil {
 			return err
 		}
-		ing.parts = append(ing.parts, &part{dir: pw.dir, records: pw.count})
+		ing.parts = append(ing.parts, cur)
 		pw = nil
 		return nil
 	}
@@ -251,22 +252,25 @@ func (ing *Ingester) flushLocked() error {
 			ing.seq++
 			curBucket = e.bucket
 			var err error
-			if pw, err = newPartWriter(ing.fs, dir, ing.opts.Schema, ing.opts.Load, ing.opts.Stats); err != nil {
+			if pw, err = core.NewSplitWriter(ing.fs, dir, ing.opts.Schema, ing.opts.Load, ing.opts.Stats); err != nil {
 				return err
 			}
+			ing.opts.Stats.FlushedFiles += int64(1 + len(ing.opts.Schema.Fields))
+			cur = &part{dir: dir}
 		}
-		ord := pw.count
-		if err := pw.append(e.rec); err != nil {
+		if err := pw.Append(e.rec); err != nil {
 			return err
 		}
 		if old, ok := ing.keyLoc[e.key]; ok {
 			// Recrawl of a flushed page: the old row is immutable, so it is
 			// superseded by position — masked out of every scan from the
 			// next commit on, removed physically at compaction.
-			ing.markDeleted(old)
+			old.part.deleted = append(old.part.deleted, old.ord)
+			old.part.dirty = true
 			ing.opts.Stats.UpsertsResolved++
 		}
-		ing.keyLoc[e.key] = loc{dir: pw.dir, ord: ord}
+		ing.keyLoc[e.key] = loc{part: cur, ord: cur.records}
+		cur.records++
 	}
 	if err := closePart(); err != nil {
 		return err
@@ -284,42 +288,23 @@ func (ing *Ingester) flushLocked() error {
 	return nil
 }
 
-func (ing *Ingester) markDeleted(l loc) {
-	set := ing.deletes[l.dir]
-	if set == nil {
-		set = make(map[int64]bool)
-		ing.deletes[l.dir] = set
-	}
-	set[l.ord] = true
-	ing.dirty[l.dir] = true
-}
-
 // commitLocked publishes the current layout: rewrite the delete file of
 // every partition whose superseded set grew, then write the next manifest
 // generation in one atomic step.
 func (ing *Ingester) commitLocked(newRetired []string) error {
 	gen := ing.gen + 1
-	for _, p := range ing.parts {
-		if !ing.dirty[p.dir] {
-			continue
-		}
-		set := ing.deletes[p.dir]
-		ords := make([]int64, 0, len(set))
-		for o := range set {
-			ords = append(ords, o)
-		}
-		sort.Slice(ords, func(i, j int) bool { return ords[i] < ords[j] })
-		name := "_deletes." + strconv.FormatInt(gen, 10)
-		if err := core.WriteDeletes(ing.fs, p.dir+"/"+name, ords); err != nil {
-			return err
-		}
-		p.delFile = name
-		ing.opts.Stats.FlushedFiles++
-	}
-	ing.dirty = make(map[string]bool)
 	m := &core.Manifest{Generation: gen, Retired: ing.retired}
 	prefix := ing.opts.Dataset + "/"
 	for _, p := range ing.parts {
+		if p.dirty {
+			slices.Sort(p.deleted)
+			name := core.DeletesPrefix + strconv.FormatInt(gen, 10)
+			if err := core.WriteDeletes(ing.fs, p.dir+"/"+name, p.deleted); err != nil {
+				return err
+			}
+			p.delFile, p.dirty = name, false
+			ing.opts.Stats.FlushedFiles++
+		}
 		m.Partitions = append(m.Partitions, core.ManifestPartition{
 			Dir:     p.dir[len(prefix):],
 			Deletes: p.delFile,
@@ -332,77 +317,6 @@ func (ing *Ingester) commitLocked(newRetired []string) error {
 	ing.gen = gen
 	for _, fn := range ing.onCommit {
 		fn(gen, newRetired)
-	}
-	return nil
-}
-
-// partWriter writes one fresh partition: a single split-directory with the
-// same files, layouts, and statistics zones a bulk load would produce.
-type partWriter struct {
-	fs    *hdfs.FileSystem
-	dir   string
-	count int64
-	files []*hdfs.FileWriter
-	cols  []colfile.Writer
-}
-
-func newPartWriter(fs *hdfs.FileSystem, dir string, schema *serde.Schema, load core.LoadOptions, stats *sim.TaskStats) (*partWriter, error) {
-	pw := &partWriter{fs: fs, dir: dir}
-	sw, err := fs.Create(dir+"/"+core.SchemaFile, load.WriterNode)
-	if err != nil {
-		return nil, err
-	}
-	sw.SetStats(&stats.IO)
-	if _, err := sw.Write([]byte(schema.String())); err != nil {
-		return nil, err
-	}
-	if err := sw.Close(); err != nil {
-		return nil, err
-	}
-	stats.FlushedFiles++
-	for _, f := range schema.Fields {
-		fw, err := fs.Create(dir+"/"+f.Name, load.WriterNode)
-		if err != nil {
-			return nil, err
-		}
-		fw.SetStats(&stats.IO)
-		layout := load.Default
-		if o, ok := load.PerColumn[f.Name]; ok {
-			layout = o
-		}
-		cw, err := colfile.NewWriter(fw, f.Type, layout, &stats.CPU)
-		if err != nil {
-			return nil, err
-		}
-		pw.files = append(pw.files, fw)
-		pw.cols = append(pw.cols, cw)
-		stats.FlushedFiles++
-	}
-	return pw, nil
-}
-
-func (pw *partWriter) append(rec *serde.GenericRecord) error {
-	for i := range pw.cols {
-		v := rec.GetAt(i)
-		if v == nil {
-			return fmt.Errorf("ingest: field %d is unset", i)
-		}
-		if err := pw.cols[i].Append(v); err != nil {
-			return err
-		}
-	}
-	pw.count++
-	return nil
-}
-
-func (pw *partWriter) close() error {
-	for i, cw := range pw.cols {
-		if err := cw.Close(); err != nil {
-			return err
-		}
-		if err := pw.files[i].Close(); err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -1,6 +1,6 @@
 package scan
 
-import "sort"
+import "slices"
 
 // Equi-depth histograms for selectivity estimation. Zone maps answer "can
 // this group match at all?"; a histogram answers "how many rows?" — the
@@ -74,12 +74,13 @@ func BuildHistogram(sample []any, maxBuckets int) *Histogram {
 	}
 	sorted := append([]any(nil), sample...)
 	comparable := true
-	sort.SliceStable(sorted, func(i, j int) bool {
-		c, ok := CompareValues(sorted[i], sorted[j])
+	slices.SortStableFunc(sorted, func(a, b any) int {
+		c, ok := CompareValues(a, b)
 		if !ok {
 			comparable = false
+			return 0
 		}
-		return ok && c < 0
+		return c
 	})
 	if !comparable {
 		return nil

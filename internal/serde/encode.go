@@ -88,7 +88,8 @@ func AppendValue(dst []byte, s *Schema, v any) ([]byte, error) {
 		}
 		dst = binary.AppendUvarint(dst, uint64(len(mv)))
 		var err error
-		for _, k := range sortedKeys(mv) {
+		var few [16]string // a small map's keys sort without leaving the stack
+		for _, k := range sortedKeys(few[:0], mv) {
 			dst = binary.AppendUvarint(dst, uint64(len(k)))
 			dst = append(dst, k...)
 			dst, err = AppendValue(dst, s.Elem, mv[k])

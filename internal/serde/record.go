@@ -2,7 +2,7 @@ package serde
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Record is the generic record abstraction map functions are written
@@ -240,12 +240,12 @@ func RecordsEqual(a, b Record) bool {
 	return true
 }
 
-// sortedKeys returns a map's keys sorted, for deterministic encoding.
-func sortedKeys(m map[string]any) []string {
-	keys := make([]string, 0, len(m))
+// sortedKeys appends a map's keys to keys, sorted, for deterministic
+// encoding.
+func sortedKeys(keys []string, m map[string]any) []string {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	return keys
 }

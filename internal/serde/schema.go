@@ -166,10 +166,15 @@ func (s *Schema) Project(names ...string) (*Schema, error) {
 	return RecordOf(s.Name, fields...), nil
 }
 
-// Equal reports deep structural equality.
+// Equal reports deep structural equality. Writers check it per record, and
+// a record almost always carries the dataset's own schema object, so the
+// identical-pointer case returns before walking either tree.
 func (s *Schema) Equal(o *Schema) bool {
+	if s == o {
+		return true
+	}
 	if s == nil || o == nil {
-		return s == o
+		return false
 	}
 	if s.Kind != o.Kind || s.Name != o.Name || len(s.Fields) != len(o.Fields) {
 		return false
