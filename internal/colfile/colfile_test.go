@@ -304,6 +304,14 @@ func TestCorruptFiles(t *testing.T) {
 	schema := mapSchema()
 	f, _ := writeColumn(t, schema, Options{Layout: Plain}, 10, genMap)
 	good := f.Bytes()
+	// A file rejected after its header was read (the corrupt magic and layout
+	// below) has taken a stream window and has no reader to release it.
+	held := WindowsInUse()
+	defer func() {
+		if got := WindowsInUse(); got != held {
+			t.Errorf("%d stream windows still out of the pool after the rejected opens", got-held)
+		}
+	}()
 
 	// Truncated footer.
 	if _, err := NewReader(bytes.NewReader(good[:len(good)-4]), schema, nil); err == nil {

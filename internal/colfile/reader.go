@@ -39,12 +39,19 @@ func NewReader(r ReaderAtSize, schema *serde.Schema, stats *sim.CPUStats) (Reade
 }
 
 // NewReaderOpts is NewReader with explicit options.
-func NewReaderOpts(r ReaderAtSize, schema *serde.Schema, opts ReaderOptions, stats *sim.CPUStats) (Reader, error) {
+func NewReaderOpts(r ReaderAtSize, schema *serde.Schema, opts ReaderOptions, stats *sim.CPUStats) (_ Reader, err error) {
 	total, statsLen, err := readFooter(r)
 	if err != nil {
 		return nil, err
 	}
 	s := newStream(r, opts.Chunk)
+	// Parsing the header takes the stream's window out of the pool; a file
+	// rejected after that has no reader to Release it.
+	defer func() {
+		if err != nil {
+			s.release()
+		}
+	}()
 	s.dataEnd = r.Size() - footerSize - statsLen
 	s.setShrink(opts.ChunkMin)
 	s.onRefill = opts.OnRefill

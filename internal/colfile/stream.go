@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 )
 
 // defaultChunk is the refill granularity of the buffered stream. It matches
@@ -172,6 +173,15 @@ type window struct{ buf []byte }
 // dictionary entries are all copies).
 var windowPool = sync.Pool{New: func() any { return new(window) }}
 
+// windowsOut counts the windows streams hold out of the pool.
+var windowsOut atomic.Int64
+
+// WindowsInUse reports how many pooled stream windows open readers hold
+// right now: every reader's Release brings it down, and a reader dropped
+// without one leaves it up for good — which is how tests of the layers above
+// find a cursor that was built and never closed.
+func WindowsInUse() int64 { return windowsOut.Load() }
+
 // poisonReleased, set by tests, overwrites every window as it is released,
 // so a value still aliasing one shows up corrupted.
 var poisonReleased bool
@@ -187,6 +197,7 @@ func (s *stream) reserve(want int) {
 	}
 	if s.win == nil {
 		s.win = windowPool.Get().(*window)
+		windowsOut.Add(1)
 		if need <= cap(s.win.buf) {
 			s.buf = append(s.win.buf[:0], s.buf...)
 			return
@@ -216,6 +227,7 @@ func (s *stream) release() {
 	w.buf = s.buf[:0]
 	s.base, s.buf, s.off, s.win = s.pos(), nil, 0, nil
 	windowPool.Put(w)
+	windowsOut.Add(-1)
 }
 
 // view returns the currently buffered bytes at the cursor without

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"colmr/internal/catalog"
 	"colmr/internal/colfile"
 	"colmr/internal/hdfs"
 	"colmr/internal/mapred"
@@ -208,13 +209,14 @@ func (f *InputFormat) PlannedSplits(fs *hdfs.FileSystem, conf *mapred.JobConf) (
 }
 
 func (f *InputFormat) plannedSplits(fs *hdfs.FileSystem, conf *mapred.JobConf, allowElide bool) ([]mapred.Split, scan.PruneReport, error) {
-	plan, err := f.planDirs(fs, conf, allowElide, nil)
+	cat := catalogOf(fs, conf)
+	plan, err := f.planDirs(fs, cat, conf, allowElide, nil)
 	if err != nil {
 		return nil, plan.report, err
 	}
 	var out []mapred.Split
 	for _, ds := range plan.datasets {
-		per := f.splitSize(fs, plan.dps, plan.pred, plan.bloom, ds.kept)
+		per := f.splitSize(cat, plan.dps, plan.pred, plan.bloom, ds.kept)
 		for i := 0; i < len(ds.kept); i += per {
 			j := i + per
 			if j > len(ds.kept) {
@@ -256,7 +258,7 @@ type datasetDirs struct {
 // per-job elision accounting in a batch identical to a solo run; layouts,
 // when non-nil, pins every member to one layout snapshot per dataset so a
 // manifest commit cannot land between their planning passes.
-func (f *InputFormat) planDirs(fs *hdfs.FileSystem, conf *mapred.JobConf, allowElide bool, layouts map[string]dsLayout) (dirPlan, error) {
+func (f *InputFormat) planDirs(fs *hdfs.FileSystem, cat *catalog.Catalog, conf *mapred.JobConf, allowElide bool, layouts map[string]dsLayout) (dirPlan, error) {
 	var plan dirPlan
 	spec, err := resolveSpec(conf)
 	if err != nil {
@@ -300,7 +302,7 @@ func (f *InputFormat) planDirs(fs *hdfs.FileSystem, conf *mapred.JobConf, allowE
 			kept = make([]string, 0, len(dirs))
 			keptDels = make([]string, 0, len(dirs))
 			for i, dir := range dirs {
-				if pruneSplitDir(fs, dir, planner, &plan.report) {
+				if pruneSplitDir(cat, dir, planner, &plan.report) {
 					plan.report.SplitsPruned++
 					continue
 				}
@@ -324,9 +326,9 @@ func (f *InputFormat) dirsPerSplit(spec scan.Spec) int {
 
 // splitSize resolves the directories-per-split for one run of directories:
 // the configured constant, or the selectivity-estimated size in auto mode.
-func (f *InputFormat) splitSize(fs *hdfs.FileSystem, dps int, pred scan.Predicate, bloom bool, dirs []string) int {
+func (f *InputFormat) splitSize(cat *catalog.Catalog, dps int, pred scan.Predicate, bloom bool, dirs []string) int {
 	if dps == AutoDirsPerSplit {
-		return autoDirsPerSplit(fs, pred, bloom, dirs)
+		return autoDirsPerSplit(cat, pred, bloom, dirs)
 	}
 	if dps < 1 {
 		return 1
@@ -340,13 +342,13 @@ func (f *InputFormat) splitSize(fs *hdfs.FileSystem, dps int, pred scan.Predicat
 // grows as rows/matches, clamped to the surviving run. Estimation failure
 // (no statistics, unreadable footers) falls back to the constant default —
 // sizing is a costing decision, never a correctness one.
-func autoDirsPerSplit(fs *hdfs.FileSystem, pred scan.Predicate, bloom bool, dirs []string) int {
+func autoDirsPerSplit(cat *catalog.Catalog, pred scan.Predicate, bloom bool, dirs []string) int {
 	if pred == nil || len(dirs) < 2 {
 		return 1
 	}
 	var rows, matches float64
 	for _, dir := range dirs {
-		r, est, ok := estimateDirMatches(fs, dir, pred, bloom)
+		r, est, ok := estimateDirMatches(cat, dir, pred, bloom)
 		if !ok {
 			return 1
 		}
@@ -374,15 +376,15 @@ func autoDirsPerSplit(fs *hdfs.FileSystem, pred scan.Predicate, bloom bool, dirs
 // phase, not a pruning one: its footer reads are uncharged metadata (and
 // not counted in PruneReport.FilesChecked, which reports the scheduler
 // tier's consultations).
-func estimateDirMatches(fs *hdfs.FileSystem, dir string, pred scan.Predicate, bloom bool) (rows, est float64, ok bool) {
-	schema, err := readSplitSchema(fs, dir)
+func estimateDirMatches(cat *catalog.Catalog, dir string, pred scan.Predicate, bloom bool) (rows, est float64, ok bool) {
+	schema, err := readSplitSchema(cat, dir)
 	if err != nil {
 		return 0, 0, false
 	}
-	stats, recordCount := dirStatsSource(fs, dir, schema, nil)
+	ds := dirStats{cat: cat, dir: dir, schema: schema}
 	var maxRows int64
 	wrapped := func(col string) *scan.ColStats {
-		st := stats(col)
+		st := ds.stats(col)
 		if st != nil && st.Rows > maxRows {
 			maxRows = st.Rows
 		}
@@ -396,67 +398,26 @@ func estimateDirMatches(fs *hdfs.FileSystem, dir string, pred scan.Predicate, bl
 	if maxRows == 0 {
 		// The estimate consulted no statistics; count records directly from
 		// any column's footer so the row total stays real.
-		if maxRows = recordCount(); maxRows == 0 {
+		if maxRows = ds.recordCount(); maxRows == 0 {
 			return 0, 0, false
 		}
 	}
 	return float64(maxRows), frac * float64(maxRows), true
 }
 
-// dirStatsSource returns a cached whole-file statistics resolver over dir's
-// column footers, plus a record-count fallback (any column's footer can
-// count the directory's records). The optional onRead observes each footer
-// actually consulted. Every failure mode (missing schema handled by the
-// caller, missing file, corrupt stats) degrades to "no statistics", never
-// to an error: real I/O errors surface in the task that opens the
-// directory, not in planning.
-func dirStatsSource(fs *hdfs.FileSystem, dir string, schema *serde.Schema, onRead func()) (scan.StatsFunc, func() int64) {
-	cache := make(map[string]*scan.ColStats)
-	stats := func(col string) *scan.ColStats {
-		if st, ok := cache[col]; ok {
-			return st
-		}
-		var st *scan.ColStats
-		if cs := schema.Field(col); cs != nil {
-			if hr, err := fs.Open(dir+"/"+col, hdfs.AnyNode); err == nil {
-				if onRead != nil {
-					onRead()
-				}
-				st, _ = colfile.FileStats(hr, cs)
-				hr.Close()
-			}
-		}
-		cache[col] = st
-		return st
-	}
-	recordCount := func() int64 {
-		if len(schema.Fields) == 0 {
-			return 0
-		}
-		hr, err := fs.Open(dir+"/"+schema.Fields[0].Name, hdfs.AnyNode)
-		if err != nil {
-			return 0
-		}
-		defer hr.Close()
-		n, _ := colfile.RecordCount(hr)
-		return n
-	}
-	return stats, recordCount
-}
-
 // pruneSplitDir decides the scheduler tier for one split-directory. Filter
 // columns resolve lazily, so only the files the predicate's Prune
-// traversal actually consults cost a footer read. A directory the planner
+// traversal actually consults are looked up. A directory the planner
 // cannot judge is scheduled. The record-count fallback covers proofs that
 // consulted no statistics (a constant-false predicate): the elided records
 // still need accounting.
-func pruneSplitDir(fs *hdfs.FileSystem, dir string, planner *scan.Planner, report *scan.PruneReport) bool {
-	schema, err := readSplitSchema(fs, dir)
+func pruneSplitDir(cat *catalog.Catalog, dir string, planner *scan.Planner, report *scan.PruneReport) bool {
+	schema, err := readSplitSchema(cat, dir)
 	if err != nil {
 		return false
 	}
-	stats, recordCount := dirStatsSource(fs, dir, schema, func() { report.FilesChecked++ })
-	pruned, rows := planner.PruneFileRows(stats, recordCount)
+	ds := dirStats{cat: cat, dir: dir, schema: schema, checked: &report.FilesChecked}
+	pruned, rows := planner.PruneFileRows(ds.stats, ds.recordCount)
 	if pruned {
 		report.RecordsPruned += rows
 	}
@@ -499,14 +460,17 @@ func (f *InputFormat) Open(fs *hdfs.FileSystem, conf *mapred.JobConf, split mapr
 	// The reader's file tier runs only for splits the scheduler has not
 	// already judged (and not at all when elision is disabled).
 	fileTier := spec.Elide() && !csplit.Judged
-	return newReader(fs, csplit.Dirs, csplit.Dels, columns, &spec, fileTier, conf.Cache, conf.VecCache, node, stats)
+	return newReader(fs, catalogOf(fs, conf), csplit.Dirs, csplit.Dels, columns, &spec, fileTier, conf.Cache, conf.VecCache, node, stats)
 }
 
 // Reader iterates the records of a CIF split. It is also usable directly
 // (outside MapReduce) for scans. With a predicate set it returns only
 // qualifying records (see scanexec.go).
 type Reader struct {
-	fs    *hdfs.FileSystem
+	fs *hdfs.FileSystem
+	// cat is the job's metadata catalog: split-directory schemas and the
+	// file tier's whole-file statistics come through it.
+	cat   *catalog.Catalog
 	node  hdfs.NodeID
 	stats *sim.TaskStats
 	lazy  bool
@@ -623,8 +587,8 @@ func (c *cursor) close() {
 	c.hr.Close()
 }
 
-func newReader(fs *hdfs.FileSystem, dirs, dels []string, columns []string, spec *scan.Spec, fileTier bool, cache *hdfs.ScanCache, vcache *vec.Cache, node hdfs.NodeID, stats *sim.TaskStats) (*Reader, error) {
-	schema, err := readSplitSchema(fs, dirs[0])
+func newReader(fs *hdfs.FileSystem, cat *catalog.Catalog, dirs, dels []string, columns []string, spec *scan.Spec, fileTier bool, cache *hdfs.ScanCache, vcache *vec.Cache, node hdfs.NodeID, stats *sim.TaskStats) (*Reader, error) {
+	schema, err := readSplitSchema(cat, dirs[0])
 	if err != nil {
 		return nil, err
 	}
@@ -677,6 +641,7 @@ func newReader(fs *hdfs.FileSystem, dirs, dels []string, columns []string, spec 
 	}
 	r := &Reader{
 		fs:             fs,
+		cat:            cat,
 		node:           node,
 		stats:          stats,
 		lazy:           spec.Lazy,
@@ -744,6 +709,7 @@ func newReader(fs *hdfs.FileSystem, dirs, dels []string, columns []string, spec 
 	r.lrec = &LazyRecord{reader: r}
 	r.eval = evalCtx{r}
 	if err := r.nextDir(); err != nil {
+		r.Close()
 		return nil, err
 	}
 	return r, nil
@@ -772,7 +738,7 @@ func (r *Reader) nextDir() error {
 		dir := r.dirs[r.dirIdx]
 		if r.dirIdx > 0 {
 			// Subsequent directories must agree on the schema.
-			s, err := readSplitSchema(r.fs, dir)
+			s, err := readSplitSchema(r.cat, dir)
 			if err != nil {
 				return err
 			}
@@ -808,10 +774,18 @@ func (r *Reader) openDir(dir string) (pruned bool, err error) {
 	ropts, collide := dirCursorOptions(r.fs, len(r.allCols), selective)
 	ropts.NoBloom = r.noBloom
 	files := make([]*hdfs.FileReader, 0, len(r.allCols))
+	// closeAll undoes a partly opened directory: the cursors already built
+	// hold pooled stream windows and are closed as cursors, so the windows go
+	// back to the pool now and not whenever the collector finds them; the
+	// files past them have no reader yet.
 	closeAll := func() {
-		for _, hr := range files {
+		for _, c := range r.cursors {
+			c.close()
+		}
+		for _, hr := range files[len(r.cursors):] {
 			hr.Close()
 		}
+		r.cursors, r.byName = nil, nil
 	}
 	for _, col := range r.allCols {
 		hr, err := r.fs.Open(dir+"/"+col, r.node)
@@ -825,7 +799,7 @@ func (r *Reader) openDir(dir string) (pruned bool, err error) {
 	// any reader parses a header or charges a byte. Disabled together with
 	// scheduler elision (scan.SetElision), which restores the
 	// group-tier-only baseline for comparison.
-	if selective && r.elide && r.pruneDirFiles(files) {
+	if selective && r.elide && r.pruneDirFiles(dir) {
 		closeAll()
 		return true, nil
 	}
@@ -869,45 +843,29 @@ func (r *Reader) openDir(dir string) (pruned bool, err error) {
 	r.total = r.cursors[0].r.Total()
 	for _, c := range r.cursors {
 		if c.r.Total() != r.total {
-			return false, fmt.Errorf("core: column %q has %d records, %q has %d", c.name, c.r.Total(), r.cursors[0].name, r.total)
+			err := fmt.Errorf("core: column %q has %d records, %q has %d", c.name, c.r.Total(), r.cursors[0].name, r.total)
+			closeAll()
+			return false, err
 		}
 	}
 	return false, nil
 }
 
-// pruneDirFiles decides the file tier for the already-opened (but not yet
-// parsed) column files: their whole-file aggregates are read from footers
-// and handed to the planner. On a NoMatch proof the pruned records and
-// skipped files are counted; the split scheduler usually elides such
-// directories first, but the reader tier still fires when elision is off,
-// when DirsPerSplit groups directories, and for direct Reader use.
-func (r *Reader) pruneDirFiles(files []*hdfs.FileReader) bool {
-	stats := func(col string) *scan.ColStats {
-		for i, name := range r.allCols {
-			if name != col {
-				continue
-			}
-			st, err := colfile.FileStats(files[i], r.schema.Field(col))
-			if err != nil {
-				return nil
-			}
-			return st
-		}
-		return nil
-	}
-	recordCount := func() int64 {
-		if len(files) == 0 {
-			return 0
-		}
-		n, _ := colfile.RecordCount(files[0])
-		return n
-	}
-	pruned, rows := r.planner.PruneFileRows(stats, recordCount)
+// pruneDirFiles decides the file tier for dir before any of its (already
+// opened) column files is parsed: the filter columns' whole-file aggregates
+// come from the catalog — the planner's own parse when this split was
+// planned moments ago — and go to the planner. On a NoMatch proof the pruned
+// records and skipped files are counted; the split scheduler usually elides
+// such directories first, but the reader tier still fires when elision is
+// off, when DirsPerSplit groups directories, and for direct Reader use.
+func (r *Reader) pruneDirFiles(dir string) bool {
+	ds := dirStats{cat: r.cat, dir: dir, schema: r.schema}
+	pruned, rows := r.planner.PruneFileRows(ds.stats, ds.recordCount)
 	if !pruned {
 		return false
 	}
 	if r.stats != nil {
-		r.stats.FilesPruned += int64(len(files))
+		r.stats.FilesPruned += int64(len(r.allCols))
 		r.stats.RecordsPruned += rows
 	}
 	return true

@@ -6,8 +6,11 @@ import (
 	"strconv"
 	"strings"
 
+	"colmr/internal/catalog"
 	"colmr/internal/colfile"
 	"colmr/internal/hdfs"
+	"colmr/internal/mapred"
+	"colmr/internal/scan"
 	"colmr/internal/serde"
 )
 
@@ -72,19 +75,85 @@ func ReadSchema(fs *hdfs.FileSystem, dataset string) (*serde.Schema, error) {
 	if err != nil {
 		return nil, err
 	}
-	return readSplitSchema(fs, layout.dirs[0])
+	return readSplitSchema(catalog.New(fs), layout.dirs[0])
 }
 
-func readSplitSchema(fs *hdfs.FileSystem, dir string) (*serde.Schema, error) {
-	data, err := fs.ReadFile(dir + "/" + SchemaFile)
-	if err != nil {
-		return nil, fmt.Errorf("core: reading %s/%s: %w", dir, SchemaFile, err)
+// Everything CIF knows about a split-directory before it scans it — the
+// parsed schema, each column file's whole-file statistics and record count —
+// is a pure function of immutable files, and is read through the job's
+// metadata catalog (internal/catalog) by the planner and the readers alike:
+// readSplitSchema and dirStats below are the only two lookups, so a schema
+// or a footer is parsed once per plan-and-run (once per session, under one)
+// however many batch members, planning passes and tasks ask for it.
+
+// catalogOf returns the catalog a job's metadata is read through: the one
+// attached to it (by its Session, or by mapred.Run for the run in progress),
+// else — a direct Splits/Open/Explain call on a bare conf — a fresh one.
+func catalogOf(fs *hdfs.FileSystem, confs ...*mapred.JobConf) *catalog.Catalog {
+	for _, conf := range confs {
+		if conf.Catalog != nil {
+			return conf.Catalog
+		}
 	}
-	s, err := serde.Parse(string(data))
-	if err != nil {
-		return nil, fmt.Errorf("core: parsing schema in %s: %w", dir, err)
+	return catalog.New(fs)
+}
+
+// readSplitSchema returns a split-directory's schema. The schema is shared
+// with every other reader of the directory and must not be modified.
+func readSplitSchema(cat *catalog.Catalog, dir string) (*serde.Schema, error) {
+	return cat.Schema(dir + "/" + SchemaFile)
+}
+
+// dirStats resolves one split-directory's whole-file column statistics for
+// one consultation — one pruning or estimation pass of one job. Every
+// failure mode (missing file, corrupt stats) degrades to "no statistics",
+// never to an error: real I/O errors surface in the task that opens the
+// directory, not in planning.
+type dirStats struct {
+	cat    *catalog.Catalog
+	dir    string
+	schema *serde.Schema
+	// checked, when set, counts the column files this consultation looked
+	// at (scan.PruneReport.FilesChecked) — once per file, and whether the
+	// catalog had the answer resident or read the footer for it: the count
+	// describes the plan, not the catalog.
+	checked *int
+	seen    []colStats
+}
+
+type colStats struct {
+	col string
+	st  *scan.ColStats
+}
+
+// stats is the consultation's scan.StatsFunc. Columns resolve lazily, so
+// only the files a predicate's traversal actually asks about are looked up.
+func (d *dirStats) stats(col string) *scan.ColStats {
+	for i := range d.seen {
+		if d.seen[i].col == col {
+			return d.seen[i].st
+		}
 	}
-	return s, nil
+	var st *scan.ColStats
+	if cs := d.schema.Field(col); cs != nil {
+		var ok bool
+		if st, _, ok = d.cat.FileStats(d.dir+"/"+col, cs); ok && d.checked != nil {
+			*d.checked++
+		}
+	}
+	d.seen = append(d.seen, colStats{col, st})
+	return st
+}
+
+// recordCount is the fallback for verdicts that consulted no statistics:
+// any column's footer counts the directory's records.
+func (d *dirStats) recordCount() int64 {
+	if len(d.schema.Fields) == 0 {
+		return 0
+	}
+	f := d.schema.Fields[0]
+	_, n, _ := d.cat.FileStats(d.dir+"/"+f.Name, f.Type)
+	return n
 }
 
 // LoadOptions configures a COF writer.

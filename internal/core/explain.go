@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"colmr/internal/catalog"
 	"colmr/internal/hdfs"
 	"colmr/internal/mapred"
 	"colmr/internal/scan"
@@ -96,6 +97,7 @@ func (f *InputFormat) Explain(fs *hdfs.FileSystem, conf *mapred.JobConf, model s
 		filter[c] = true
 	}
 
+	cat := catalogOf(fs, conf)
 	var filterBytes, otherBytes int64
 	for _, dataset := range conf.InputPaths {
 		layout, err := layoutCached(fs, dataset, nil)
@@ -104,7 +106,7 @@ func (f *InputFormat) Explain(fs *hdfs.FileSystem, conf *mapred.JobConf, model s
 		}
 		for _, dir := range layout.dirs {
 			p.SplitsTotal++
-			rows, est, ok := estimateDirMatches(fs, dir, pred, spec.Bloom())
+			rows, est, ok := estimateDirMatches(cat, dir, pred, spec.Bloom())
 			if !ok {
 				p.Estimated = false
 				p.SplitsEst++
@@ -117,7 +119,7 @@ func (f *InputFormat) Explain(fs *hdfs.FileSystem, conf *mapred.JobConf, model s
 			p.SplitsEst++
 			p.RowsKept += int64(rows)
 			p.RowsEst += est
-			fb, ob := dirColumnBytes(fs, dir, cols, filter)
+			fb, ob := dirColumnBytes(fs, cat, dir, cols, filter)
 			filterBytes += fb
 			otherBytes += ob
 		}
@@ -157,10 +159,10 @@ func (f *InputFormat) Explain(fs *hdfs.FileSystem, conf *mapred.JobConf, model s
 // predicate's filter columns and the rest. cols nil means every column of
 // the split schema. Missing files contribute nothing — the task that opens
 // them will surface the error.
-func dirColumnBytes(fs *hdfs.FileSystem, dir string, cols []string, filter map[string]bool) (filterBytes, otherBytes int64) {
+func dirColumnBytes(fs *hdfs.FileSystem, cat *catalog.Catalog, dir string, cols []string, filter map[string]bool) (filterBytes, otherBytes int64) {
 	names := cols
 	if names == nil {
-		schema, err := readSplitSchema(fs, dir)
+		schema, err := readSplitSchema(cat, dir)
 		if err != nil {
 			return 0, 0
 		}

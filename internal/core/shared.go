@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"colmr/internal/catalog"
 	"colmr/internal/colfile"
 	"colmr/internal/hdfs"
 	"colmr/internal/mapred"
@@ -53,10 +54,13 @@ func (f *InputFormat) SharedSplits(fs *hdfs.FileSystem, confs []*mapred.JobConf)
 	plans := make([]dirPlan, len(confs))
 	// One layout snapshot per dataset for the whole batch: a manifest commit
 	// landing mid-planning must not hand members different generations of
-	// one cursor set.
+	// one cursor set. Layouts are the one planning input that is mutable;
+	// the schemas and footer statistics below them are not, and come through
+	// the batch's catalog, parsed once however many members consult them.
 	layouts := make(map[string]dsLayout)
+	cat := catalogOf(fs, confs...)
 	for i, conf := range confs {
-		plan, err := f.planDirs(fs, conf, true, layouts)
+		plan, err := f.planDirs(fs, cat, conf, true, layouts)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: planning batch member %d: %w", i, err)
 		}
@@ -104,7 +108,7 @@ func (f *InputFormat) SharedSplits(fs *hdfs.FileSystem, confs []*mapred.JobConf)
 			// union predicates keep each member's pruning intact. Declined
 			// pairings are reported per member (a member in a cluster of c
 			// lost len(ms)-c potential co-scan partners).
-			for _, cl := range f.admitRun(fs, plans, ms, run) {
+			for _, cl := range f.admitRun(cat, plans, ms, run) {
 				if declined := len(ms) - len(cl); declined > 0 {
 					for _, m := range cl {
 						reports[m].SharedDeclined += declined
@@ -119,7 +123,7 @@ func (f *InputFormat) SharedSplits(fs *hdfs.FileSystem, confs []*mapred.JobConf)
 				// resolved directories-per-split (and its bloom setting,
 				// which only sharpens the estimate); the batch scheduler only
 				// groups jobs whose sizing agrees.
-				per := f.splitSize(fs, plans[cl[0]].dps, union.Shared, plans[cl[0]].bloom, run)
+				per := f.splitSize(cat, plans[cl[0]].dps, union.Shared, plans[cl[0]].bloom, run)
 				cols := unionColumns(plans, cl)
 				for a := 0; a < len(run); a += per {
 					b := a + per
@@ -151,7 +155,7 @@ func (f *InputFormat) SharedSplits(fs *hdfs.FileSystem, confs []*mapred.JobConf)
 // cursor sets are shared — so admission is purely a cost decision. When
 // selectivity estimation fails for any member, the whole set stays one
 // cluster, which is the pre-cost-model behavior.
-func (f *InputFormat) admitRun(fs *hdfs.FileSystem, plans []dirPlan, ms []int, run []string) [][]int {
+func (f *InputFormat) admitRun(cat *catalog.Catalog, plans []dirPlan, ms []int, run []string) [][]int {
 	if len(ms) < 2 {
 		return [][]int{ms}
 	}
@@ -160,7 +164,7 @@ func (f *InputFormat) admitRun(fs *hdfs.FileSystem, plans []dirPlan, ms []int, r
 		fr := 1.0
 		if plans[m].pred != nil {
 			var ok bool
-			if fr, ok = runFraction(fs, run, plans[m].pred, plans[m].bloom); !ok {
+			if fr, ok = runFraction(cat, run, plans[m].pred, plans[m].bloom); !ok {
 				return [][]int{ms}
 			}
 		}
@@ -184,7 +188,7 @@ func (f *InputFormat) admitRun(fs *hdfs.FileSystem, plans []dirPlan, ms []int, r
 			uf := 1.0
 			if u := scan.NewUnion(preds); u.Shared != nil {
 				var ok bool
-				if uf, ok = runFraction(fs, run, u.Shared, plans[cand[0]].bloom); !ok {
+				if uf, ok = runFraction(cat, run, u.Shared, plans[cand[0]].bloom); !ok {
 					uf = 1.0
 				}
 			}
@@ -204,10 +208,10 @@ func (f *InputFormat) admitRun(fs *hdfs.FileSystem, plans []dirPlan, ms []int, r
 // runFraction estimates the qualifying fraction of pred over a run of
 // split-directories from footer statistics, false when any directory
 // cannot be estimated.
-func runFraction(fs *hdfs.FileSystem, dirs []string, pred scan.Predicate, bloom bool) (float64, bool) {
+func runFraction(cat *catalog.Catalog, dirs []string, pred scan.Predicate, bloom bool) (float64, bool) {
 	var rows, est float64
 	for _, dir := range dirs {
-		r, e, ok := estimateDirMatches(fs, dir, pred, bloom)
+		r, e, ok := estimateDirMatches(cat, dir, pred, bloom)
 		if !ok {
 			return 0, false
 		}
@@ -269,12 +273,14 @@ func (f *InputFormat) OpenShared(fs *hdfs.FileSystem, confs []*mapred.JobConf, s
 	if len(members) == 0 || len(members) != len(memberStats) {
 		return nil, fmt.Errorf("core: %d members with %d stats sinks", len(members), len(memberStats))
 	}
-	schema, err := readSplitSchema(fs, csplit.Dirs[0])
+	cat := catalogOf(fs, confs...)
+	schema, err := readSplitSchema(cat, csplit.Dirs[0])
 	if err != nil {
 		return nil, err
 	}
 	sr := &SharedReader{
 		fs:       fs,
+		cat:      cat,
 		node:     node,
 		shared:   shared,
 		schema:   schema,
@@ -476,6 +482,7 @@ func (f *InputFormat) OpenShared(fs *hdfs.FileSystem, confs []*mapred.JobConf, s
 // implementing mapred.SharedRecordReader.
 type SharedReader struct {
 	fs      *hdfs.FileSystem
+	cat     *catalog.Catalog // the batch's metadata catalog (directory schemas)
 	node    hdfs.NodeID
 	shared  *sim.TaskStats
 	cache   *hdfs.ScanCache
@@ -571,7 +578,7 @@ func (sr *SharedReader) nextDir() error {
 	}
 	dir := sr.dirs[sr.dirIdx]
 	if sr.dirIdx > 0 {
-		s, err := readSplitSchema(sr.fs, dir)
+		s, err := readSplitSchema(sr.cat, dir)
 		if err != nil {
 			return err
 		}

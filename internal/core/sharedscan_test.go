@@ -14,7 +14,7 @@ import (
 
 // loadClustered writes a dataset whose x column is monotone in the load
 // order, so split-directories cover disjoint x ranges.
-func loadClustered(t *testing.T, fs *hdfs.FileSystem, dataset string, records, splits int64) {
+func loadClustered(t testing.TB, fs *hdfs.FileSystem, dataset string, records, splits int64) {
 	t.Helper()
 	schema := serde.RecordOf("C",
 		serde.Field{Name: "x", Type: serde.Long()},

@@ -171,6 +171,21 @@ func (fs *FileSystem) Open(p string, reader NodeID) (*FileReader, error) {
 	return &FileReader{fs: fs, meta: meta, node: reader, chargedEnd: -1}, nil
 }
 
+// Generation returns the creation generation of the file at p (see
+// FileReader.Generation) without opening it. ok is false when p is not a
+// file, or is one its writer has not closed: a file is immutable only once
+// closed, so only then does (path, generation) name fixed contents that a
+// cache may key on.
+func (fs *FileSystem) Generation(p string) (gen int64, ok bool) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	meta, found := fs.files[clean(p)]
+	if !found || !meta.closed {
+		return 0, false
+	}
+	return meta.gen, true
+}
+
 // Stat returns metadata for a path.
 func (fs *FileSystem) Stat(p string) (FileInfo, error) {
 	fs.mu.Lock()

@@ -417,6 +417,138 @@ func TestIngestConcurrentServe(t *testing.T) {
 	}
 }
 
+// TestIngestServeCatalogFollowsCommits keeps a scan server's metadata catalog
+// warm across the whole life of a live dataset — flushes adding partitions,
+// recrawls replacing delete files, compaction retiring directories, GC
+// removing them — and asks the same filtered queries at every stage, twice
+// (the second answer comes from the catalog). Every answer must be the one
+// the files committed so far give: a bulk load of the same record set,
+// scanned without a session. Nothing is invalidated for correctness; what
+// ServeLive's hook does is drop the retired directories' entries, which the
+// test checks by finding nothing left to drop.
+func TestIngestServeCatalogFollowsCommits(t *testing.T) {
+	n, chunk := 480, 96
+	if testing.Short() {
+		n = 288
+	}
+	arr, crawl := arrivals(n, 0.35, 4242)
+	fs := testFS(3)
+	srv := serve.New(fs, serve.Options{CacheBytes: 1 << 20})
+	defer srv.Close()
+	cat := srv.Session().Catalog()
+
+	opts := ingestOptions("/live/crawl", crawl.Schema(), 40)
+	opts.Session = srv.Session()
+	ing, err := ingest.New(fs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.ServeLive(ing)
+	var retired []string
+	ing.OnCommit(func(_ int64, dirs []string) { retired = append(retired, dirs...) })
+
+	agg, err := scan.ParseAggregate("count,min(fetchTime),max(fetchTime)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid := int64(1293840000000 + 2000)
+	preds := []scan.Predicate{
+		scan.Gt("fetchTime", mid),
+		scan.Le("fetchTime", mid),
+		scan.HasPrefix("url", "http://www.ibm.com"),
+	}
+	served := func(pred scan.Predicate) ([]string, string) {
+		t.Helper()
+		var mu sync.Mutex
+		var rows []string
+		scanJob := core.ScanDataset("/live/crawl").Where(pred).DirsPerSplit(1 << 20).
+			Job(mapred.MapperFunc(func(_, v any, _ mapred.Emit) error {
+				mu.Lock()
+				defer mu.Unlock()
+				rows = append(rows, rowKey(v.(*serde.GenericRecord)))
+				return nil
+			}))
+		aggJob := core.ScanDataset("/live/crawl").Where(pred).Aggregate(agg).AggJob()
+		var tickets []*serve.Ticket
+		for _, job := range []*mapred.Job{scanJob, aggJob} {
+			tk, err := srv.Enqueue("reader", job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tickets = append(tickets, tk)
+		}
+		var aggRes *mapred.Result
+		for _, tk := range tickets {
+			res, err := tk.Wait()
+			if err != nil {
+				t.Fatalf("served query: %v", err)
+			}
+			aggRes = res
+		}
+		return rows, fmt.Sprintf("%v", aggRes.Agg.Rows())
+	}
+	check := func(stage string, committed int) {
+		t.Helper()
+		final := finalSet(arr[:committed])
+		ref := testFS(3)
+		bulkLoad(t, ref, "/bulk/crawl", crawl.Schema(), final)
+		for pi, pred := range preds {
+			wantRows := scanRows(t, ref, "/bulk/crawl", pred, true)
+			wantAgg := aggRows(t, ref, "/bulk/crawl", "count,min(fetchTime),max(fetchTime)", pred, true)
+			for pass := 0; pass < 2; pass++ {
+				rows, aggGot := served(pred)
+				if !reflect.DeepEqual(rows, wantRows) || aggGot != wantAgg {
+					t.Fatalf("%s, predicate %d, pass %d: served %d rows and %s; the %d committed records hold %d rows and %s",
+						stage, pi, pass, len(rows), aggGot, len(final), len(wantRows), wantAgg)
+				}
+			}
+		}
+	}
+
+	for at := 0; at < n; at += chunk {
+		for _, a := range arr[at : at+chunk] {
+			if err := ing.Append(a.Rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ing.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("after the flush at %d", at+chunk), at+chunk)
+	}
+	warm := cat.Len()
+	if warm == 0 {
+		t.Fatal("the server's catalog is empty after serving filtered queries")
+	}
+	if err := ing.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if len(retired) == 0 {
+		t.Fatal("compaction retired nothing")
+	}
+	left := cat.Len()
+	for _, dir := range retired {
+		cat.Invalidate(dir)
+	}
+	if cat.Len() != left {
+		t.Errorf("%d entries of retired directories were still catalogued after the commit hook ran", left-cat.Len())
+	}
+	if left >= warm {
+		t.Errorf("%d entries before compaction retired %d directories, %d after", warm, len(retired), left)
+	}
+	check("after compaction", n)
+	if err := ing.GC(); err != nil {
+		t.Fatal(err)
+	}
+	check("after GC", n)
+
+	srv.Session().Invalidate("/live/crawl")
+	if cat.Len() != 0 {
+		t.Errorf("%d entries left after invalidating the dataset", cat.Len())
+	}
+	check("after Invalidate", n)
+}
+
 // TestIngestFreshPartitionCounters checks the ingest-side accounting:
 // flushes produce files and fresh partitions that scans observe via
 // merge-on-read, and compaction retires them.

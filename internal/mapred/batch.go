@@ -178,6 +178,7 @@ func runBatch(fs *hdfs.FileSystem, jobs []*Job) (*BatchResult, error) {
 			return nil, fmt.Errorf("mapred: batch job %d: %w", i, err)
 		}
 	}
+	jobs = withCatalog(fs, jobs)
 	br := &BatchResult{Results: make([]*Result, len(jobs))}
 
 	// Group co-schedulable jobs: same shared-capable input format type over

@@ -1,6 +1,7 @@
 package mapred
 
 import (
+	"colmr/internal/catalog"
 	"colmr/internal/hdfs"
 	"colmr/internal/vec"
 )
@@ -42,16 +43,18 @@ type SessionOptions struct {
 // reuse the regions earlier rounds charged.
 type Session struct {
 	Engine
-	cache  *hdfs.ScanCache
-	vcache *vec.Cache
+	cache   *hdfs.ScanCache
+	vcache  *vec.Cache
+	catalog *catalog.Catalog
 }
 
 // NewSession returns a session over the filesystem.
 func NewSession(fs *hdfs.FileSystem, opts SessionOptions) *Session {
 	return &Session{
-		Engine: Engine{fs: fs},
-		cache:  hdfs.NewScanCache(opts.CacheBytes),
-		vcache: vec.New(opts.VecCacheBytes),
+		Engine:  Engine{fs: fs},
+		cache:   hdfs.NewScanCache(opts.CacheBytes),
+		vcache:  vec.New(opts.VecCacheBytes),
+		catalog: catalog.New(fs),
 	}
 }
 
@@ -59,6 +62,7 @@ func NewSession(fs *hdfs.FileSystem, opts SessionOptions) *Session {
 func (s *Session) attach(job *Job) {
 	job.Conf.Cache = s.cache
 	job.Conf.VecCache = s.vcache
+	job.Conf.Catalog = s.catalog
 }
 
 // Submit queues a job for the next Wait, attaching the session caches.
@@ -86,14 +90,20 @@ func (s *Session) Run(job *Job) (*Result, error) {
 	return Run(s.fs, job)
 }
 
-// Invalidate drops the cached regions and vectors of the file or dataset at
-// prefix. Generations already make stale hits impossible; Invalidate
-// releases the budgets eagerly when a dataset is known dead (e.g. after
-// RemoveAll).
+// Invalidate drops the cached regions, vectors and catalogued metadata of
+// the file or dataset at prefix. Generations already make stale hits
+// impossible; Invalidate releases the budgets eagerly when a dataset is
+// known dead (e.g. after RemoveAll).
 func (s *Session) Invalidate(prefix string) {
 	s.cache.Invalidate(prefix)
 	s.vcache.Invalidate(prefix)
+	s.catalog.Invalidate(prefix)
 }
+
+// Catalog returns the session's metadata catalog, for callers that plan
+// outside a run against the data the session scans (the scan server's
+// EXPLAIN) and for inspection.
+func (s *Session) Catalog() *catalog.Catalog { return s.catalog }
 
 // VecCacheUsage reports the vector cache's resident bytes and vector count.
 func (s *Session) VecCacheUsage() (bytes int64, vectors int) {

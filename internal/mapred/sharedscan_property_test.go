@@ -122,6 +122,36 @@ var bpLayouts = []core.LoadOptions{
 	{Default: colfile.Options{Layout: colfile.Block, Codec: "zlib", BlockBytes: 2 << 10}},
 }
 
+// bpLoad writes records rows of schema at dataset, "t" clustered in the load
+// order: split-directories cover disjoint ranges, the regime where per-job
+// elision diverges between members.
+func bpLoad(t *testing.T, rng *rand.Rand, fs *hdfs.FileSystem, dataset string, schema *serde.Schema, opts core.LoadOptions, records int) {
+	t.Helper()
+	w, err := core.NewWriter(fs, dataset, schema, opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < records; i++ {
+		rec := serde.NewRecord(schema)
+		for _, f := range schema.Fields {
+			if f.Name == "t" {
+				err = rec.Set("t", int64(i)*1000/int64(records))
+			} else {
+				err = rec.Set(f.Name, bpValue(rng, f.Type))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // bpJob builds one random job over the dataset: random predicate (possibly
 // none), projection, materialization mode, and reduce shape. The mapper
 // renders the projected columns (fmt prints maps in sorted key order, so
@@ -231,31 +261,7 @@ func TestSharedScanEquivalenceProperty(t *testing.T) {
 		opts := bpLayouts[round%len(bpLayouts)]
 		opts.SplitRecords = int64(20 + rng.Intn(100))
 		fs := hdfs.New(sim.SingleNode(), int64(round))
-		w, err := core.NewWriter(fs, "/d", schema, opts, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < records; i++ {
-			rec := serde.NewRecord(schema)
-			for _, f := range schema.Fields {
-				if f.Name == "t" {
-					// Clustered: split-directories cover disjoint ranges, the
-					// regime where per-job elision diverges between members.
-					err = rec.Set("t", int64(i)*1000/int64(records))
-				} else {
-					err = rec.Set(f.Name, bpValue(rng, f.Type))
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := w.Append(rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
+		bpLoad(t, rng, fs, "/d", schema, opts, records)
 
 		njobs := 2 + rng.Intn(3)
 		soloJobs := make([]*mapred.Job, njobs)
@@ -270,6 +276,7 @@ func TestSharedScanEquivalenceProperty(t *testing.T) {
 
 		soloRes := make([]*mapred.Result, njobs)
 		for j, job := range soloJobs {
+			var err error
 			if soloRes[j], err = mapred.Run(fs, job); err != nil {
 				t.Fatalf("round %d job %d solo: %v", round, j, err)
 			}

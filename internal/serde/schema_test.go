@@ -1,8 +1,12 @@
 package serde
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
+
+	"colmr/internal/race"
 )
 
 // urlInfoDSL is the paper's Figure 2 schema.
@@ -180,5 +184,101 @@ func TestKindString(t *testing.T) {
 	}
 	if KindInt.IsComplex() || KindBytes.IsComplex() {
 		t.Error("primitive kinds misclassified as complex")
+	}
+}
+
+// wideRecord returns a record of n int fields f0..f(n-1), built the way every
+// record schema is (RecordOf), and their names.
+func wideRecord(n int) (*Schema, []string) {
+	fields := make([]Field, n)
+	names := make([]string, n)
+	for i := range fields {
+		names[i] = fmt.Sprintf("f%d", i)
+		fields[i] = Field{Name: names[i], Type: Int()}
+	}
+	return RecordOf("Wide", fields...), names
+}
+
+// TestSchemaSharedFieldIndex: one schema object serves the planner and every
+// task of a batch at once (the metadata catalog hands the same parse to all
+// of them), so name lookups may only read it. Several goroutines hammer
+// FieldIndex and Field on shared schemas on both sides of the linear-scan
+// width — and on a record literal, which has no index at all — and every
+// answer must be the declaration position. Run under -race: a lookup that
+// writes to the schema (the index was once built on first use) is a report.
+func TestSchemaSharedFieldIndex(t *testing.T) {
+	var schemas []*Schema
+	for _, n := range []int{1, 5, linearFields, linearFields + 1, 13, 40} {
+		s, _ := wideRecord(n)
+		schemas = append(schemas, s)
+		parsed, err := Parse(s.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		schemas = append(schemas, parsed, &Schema{Kind: KindRecord, Name: s.Name, Fields: s.Fields})
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 50; round++ {
+				for _, s := range schemas {
+					for i, f := range s.Fields {
+						if got := s.FieldIndex(f.Name); got != i {
+							t.Errorf("%d-field record: FieldIndex(%q) = %d, want %d", len(s.Fields), f.Name, got, i)
+							return
+						}
+						if s.Field(f.Name) != f.Type {
+							t.Errorf("%d-field record: Field(%q) is not the declared type", len(s.Fields), f.Name)
+							return
+						}
+					}
+					if got := s.FieldIndex("absent"); got != -1 {
+						t.Errorf("%d-field record: FieldIndex of an absent name = %d", len(s.Fields), got)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// BenchmarkFieldIndex looks up every field of a record once per iteration:
+// the per-Get cost under LazyRecord.Get. One field is what a projected record
+// often has and is found by comparing names; 5 is just past that width, 13
+// the synthetic dataset's full width, 40 a wide table — all three through the
+// name index.
+func BenchmarkFieldIndex(b *testing.B) {
+	for _, n := range []int{1, 5, 13, 40} {
+		s, names := wideRecord(n)
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			sum := 0
+			for i := 0; i < b.N; i++ {
+				for _, name := range names {
+					sum += s.FieldIndex(name)
+				}
+			}
+			if want := b.N * n * (n - 1) / 2; sum != want {
+				b.Fatalf("index sum %d, want %d", sum, want)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/lookup")
+		})
+	}
+}
+
+// TestFieldIndexAllocCeiling: a lookup allocates nothing at any width.
+func TestFieldIndexAllocCeiling(t *testing.T) {
+	for _, n := range []int{1, 5, 13, 40} {
+		s, names := wideRecord(n)
+		allocs := testing.AllocsPerRun(100, func() {
+			for _, name := range names {
+				if s.FieldIndex(name) < 0 {
+					t.Fatalf("field %q not found", name)
+				}
+			}
+		})
+		race.AllocCeiling(t, fmt.Sprintf("FieldIndex over a %d-field record", n), allocs, 0)
 	}
 }

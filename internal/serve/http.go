@@ -20,6 +20,11 @@ import (
 // never run scans themselves — they build a typed job, Enqueue it, and wait
 // on the ticket, so HTTP queries batch with in-process ones.
 
+// maxQueryBody bounds a POST /query body. A query is a dataset name, a few
+// column names and two expressions; a megabyte is far past any real one, and
+// a body past it is refused (413) before it is decoded.
+const maxQueryBody = 1 << 20
+
 // HandlerOptions configures the HTTP handler.
 type HandlerOptions struct {
 	// Datasets maps query-able dataset names to CIF dataset directories.
@@ -229,7 +234,12 @@ func (h *httpHandler) query(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBody)).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
@@ -288,6 +298,9 @@ func (h *httpHandler) query(w http.ResponseWriter, r *http.Request) {
 	var plan *core.QueryPlan
 	if req.Explain || h.opts.AlwaysExplain {
 		if cif, ok := job.Input.(*core.InputFormat); ok {
+			// Plan through the session's catalog: EXPLAIN reads the footers
+			// the batch planner is about to, or already has.
+			job.Conf.Catalog = h.srv.Session().Catalog()
 			var err error
 			if plan, err = cif.Explain(h.srv.FS(), &job.Conf, h.srv.Model()); err != nil {
 				writeError(w, http.StatusInternalServerError, "explain: %v", err)

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"colmr/internal/serve"
@@ -173,6 +174,18 @@ func TestHTTPServeErrors(t *testing.T) {
 	getResp.Body.Close()
 	if getResp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /query: status %d, want 405", getResp.StatusCode)
+	}
+	// A body past the 1 MiB bound is refused before it is decoded, in the
+	// JSON error shape of every other failure.
+	resp, body := svPost(t, ts, serve.QueryRequest{Where: strings.Repeat(" ", 1<<20) + `t <= 50`})
+	var refused map[string]string
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: status %d, want 413", resp.StatusCode)
+	} else if err := json.Unmarshal(body, &refused); err != nil || refused["error"] == "" {
+		t.Errorf("oversized body: response %q is not a JSON error", body)
+	}
+	if resp, _ = svPost(t, ts, serve.QueryRequest{Where: strings.Repeat(" ", 1<<19) + `t <= 50`}); resp.StatusCode != http.StatusOK {
+		t.Errorf("half-megabyte body: status %d, want 200", resp.StatusCode)
 	}
 
 	srv.Drain()
