@@ -237,3 +237,32 @@ func TestDictIdVectorDecodeRanges(t *testing.T) {
 		}
 	}
 }
+
+// A DCSL string column boxes each entry of a window's dictionary once, on its
+// first lookup: past that, Value on a row whose string the window has already
+// served allocates nothing — no box, no chunk, no copy.
+func TestDCSLStringValueBoxesDictionaryEntryOnce(t *testing.T) {
+	schema := serde.String()
+	const n, window = 1000, 100
+	f, vals := writeStringDCSL(t, schema, n, 21)
+	r, err := NewReader(f.reader(), schema, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func(rows int) {
+		for i := 0; i < rows; i++ {
+			at := r.Record()
+			v, err := r.Value()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v != vals[at] {
+				t.Fatalf("record %d read as %v, wrote %v", at, v, vals[at])
+			}
+		}
+	}
+	read(3*window + 60) // every one of the window's twelve strings has come by
+	if allocs := testing.AllocsPerRun(1, func() { read(15) }); allocs != 0 {
+		t.Errorf("15 values of a warm window allocate %.0f objects, want 0", allocs)
+	}
+}

@@ -3,6 +3,7 @@ package colfile
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"colmr/internal/compress"
 	"colmr/internal/serde"
@@ -287,7 +288,11 @@ type slReader struct {
 
 	aligned bool
 	dict    *compress.Dictionary
-	ptrs    []byte // SkipTo's copy of the current group's skip pointers
+	// dictBoxed[id] is the window dictionary's string id as Value hands it
+	// out, boxed on first lookup (nil until then): a DCSL string column
+	// repeats few strings over many rows.
+	dictBoxed []any
+	ptrs      []byte // SkipTo's copy of the current group's skip pointers
 
 	// KeyProber memoization: repeated probes for the same key reuse the
 	// group's Bloom verdict and the window's dictionary answer instead of
@@ -326,6 +331,10 @@ func (r *slReader) loadDict() error {
 	}
 	compress.ChargeDecomp(r.stats, "dict", int64(n))
 	r.dict = dict
+	if r.schema.Kind == serde.KindString {
+		clear(r.dictBoxed) // the last window's boxes; past its length all is nil
+		r.dictBoxed = slices.Grow(r.dictBoxed[:0], dict.Len())[:dict.Len()]
+	}
 	return nil
 }
 
@@ -578,8 +587,8 @@ func (r *slReader) walkOne() error {
 
 // dictValue materializes one dictionary-encoded string/bytes value from
 // its blob: empty means null, otherwise a uvarint id into the window
-// dictionary. Looked-up strings are shared interned objects; bytes
-// columns copy them out since callers may mutate byte slices.
+// dictionary. Looked-up strings are shared interned objects, boxed once per
+// window; bytes columns copy them out since callers may mutate byte slices.
 func (r *slReader) dictValue(buf []byte) (any, error) {
 	if len(buf) == 0 {
 		return nil, nil
@@ -593,9 +602,12 @@ func (r *slReader) dictValue(buf []byte) (any, error) {
 		return nil, err
 	}
 	if r.schema.Kind == serde.KindBytes {
-		return []byte(s), nil
+		return r.dec.Boxer().Bytes([]byte(s)), nil
 	}
-	return s, nil
+	if r.dictBoxed[id] == nil {
+		r.dictBoxed[id] = r.dec.Boxer().String(s)
+	}
+	return r.dictBoxed[id], nil
 }
 
 // dictMap materializes and charges one DCSL map value from its blob.
@@ -616,7 +628,8 @@ func (r *slReader) dictMap(buf []byte) (map[string]any, error) {
 // dictionary-decode rate: key strings are shared interned objects, which is
 // why the paper's DCSL decompression "proved to be extremely fast". String
 // values are substrings of one copy of the blob — their payloads sit in it
-// whole — so a map of strings costs one string allocation, not one per entry.
+// whole — boxed from the decoder's chunks, so a map of strings costs one
+// string allocation and a share of a chunk, not two allocations per entry.
 func parseDictMap(d *serde.Decoder, buf []byte, schema *serde.Schema, dict *compress.Dictionary) (map[string]any, int, error) {
 	d.Init(buf, nil)
 	count, err := readCount(d)
@@ -650,7 +663,7 @@ func parseDictMap(d *serde.Decoder, buf []byte, schema *serde.Schema, dict *comp
 			return nil, 0, err
 		}
 		_, w := binary.Uvarint(buf[at:])
-		m[key] = arena[at+w : d.Pos()]
+		m[key] = d.Boxer().String(arena[at+w : d.Pos()])
 	}
 	return m, d.Pos(), nil
 }

@@ -214,6 +214,10 @@ func (s *scanPos) startRun(c *cursor, n int) error {
 	}
 	if cap(c.run) < n {
 		c.run = make([]any, n)
+	} else if n < len(c.run) {
+		// A cursor pins its current run and nothing older: the tail of a longer
+		// run before this one goes now (every slot past len(c.run) is nil).
+		clear(c.run[n:])
 	}
 	c.run = c.run[:n]
 	if v := s.batchVec(c); v != nil {

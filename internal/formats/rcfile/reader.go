@@ -84,6 +84,7 @@ type reader struct {
 	rowIdx   int
 	chunks   [][]byte // decompressed chunks of projected columns
 	chunkPos []int
+	dec      serde.Decoder // re-Inited per value: its chunks box value after value
 }
 
 func (rd *reader) cpu() *sim.CPUStats {
@@ -331,12 +332,12 @@ func (rd *reader) Next() (any, any, bool, error) {
 	rec := serde.NewRecord(rd.outSchema)
 	for oi := range rd.chunks {
 		fs := rd.outSchema.Fields[oi].Type
-		d := serde.NewDecoder(rd.chunks[oi][rd.chunkPos[oi]:], rd.cpu())
-		v, err := d.Value(fs)
+		rd.dec.Init(rd.chunks[oi][rd.chunkPos[oi]:], rd.cpu())
+		v, err := rd.dec.Value(fs)
 		if err != nil {
 			return nil, nil, false, fmt.Errorf("rcfile: row %d col %q: %w", rd.rowIdx, rd.outSchema.Fields[oi].Name, err)
 		}
-		rd.chunkPos[oi] += d.Pos()
+		rd.chunkPos[oi] += rd.dec.Pos()
 		rec.SetAt(oi, v)
 	}
 	if cpu := rd.cpu(); cpu != nil {

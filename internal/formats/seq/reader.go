@@ -62,6 +62,7 @@ type reader struct {
 	hdr   header
 	codec compress.Codec
 	fdec  map[string]compress.Codec
+	dec   serde.Decoder // re-Inited per record: its chunks box record after record
 
 	pos  int64 // absolute offset of buf[0]... consumed bytes are dropped
 	end  int64
@@ -355,8 +356,8 @@ func (rd *reader) decodeFromBlock() (*serde.GenericRecord, error) {
 // decodeRecord deserializes a full record (SEQ always materializes every
 // column) and reverses any application-level field compression.
 func (rd *reader) decodeRecord(enc []byte) (*serde.GenericRecord, error) {
-	d := serde.NewDecoder(enc, rd.cpu())
-	rec, err := d.Record(rd.hdr.schema)
+	rd.dec.Init(enc, rd.cpu())
+	rec, err := rd.dec.Record(rd.hdr.schema)
 	if err != nil {
 		return nil, err
 	}

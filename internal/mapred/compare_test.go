@@ -1,8 +1,14 @@
 package mapred
 
 import (
+	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"colmr/internal/serde"
 )
 
 func TestCompareOrdering(t *testing.T) {
@@ -86,5 +92,59 @@ func TestSizeOf(t *testing.T) {
 	}
 	if SizeOf([]byte{1, 2, 3}) != 4 {
 		t.Errorf("SizeOf([]byte) = %d", SizeOf([]byte{1, 2, 3}))
+	}
+}
+
+// A shuffle key boxed from a decoder's chunks (serde.Boxer) orders, hashes,
+// partitions, sizes and serializes as the same value boxed by the compiler:
+// the shuffle never learns how a key was boxed.
+func TestShuffleKeysBoxedFromChunks(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var bx serde.Boxer
+	draw := func() (plain, boxed any) {
+		switch rng.Intn(6) {
+		case 0:
+			return nil, nil
+		case 1:
+			x := int32(rng.Intn(50) - 25)
+			return x, bx.Int32(x)
+		case 2:
+			x := int64(rng.Intn(50) - 25)
+			return x, bx.Int64(x)
+		case 3:
+			x := []float64{float64(rng.Intn(9)) / 2, 0, math.Copysign(0, -1), math.Inf(-1)}[rng.Intn(4)]
+			return x, bx.Float64(x)
+		case 4:
+			x := fmt.Sprint("k", rng.Intn(30))
+			return x, bx.String(x)
+		default:
+			x := []byte(fmt.Sprint("b", rng.Intn(30)))
+			return x, bx.Bytes(x)
+		}
+	}
+	for i := 0; i < 3000; i++ {
+		a, ba := draw()
+		b, bb := draw()
+		want, err := Compare(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pair := range [][2]any{{ba, bb}, {ba, b}, {a, bb}} {
+			if got, err := Compare(pair[0], pair[1]); err != nil || got != want {
+				t.Fatalf("Compare(%#v, %#v) = %d, %v with boxed operands, %d plain", a, b, got, err, want)
+			}
+		}
+		hp, err := hashKey(a)
+		hb, errB := hashKey(ba)
+		if err != nil || errB != nil || hp != hb {
+			t.Fatalf("hashKey(%#v) = %d (%v), boxed %d (%v)", a, hp, err, hb, errB)
+		}
+		pp, _ := Partition(a, 7)
+		pb, _ := Partition(ba, 7)
+		kp, _ := KeyBytes(a)
+		kb, _ := KeyBytes(ba)
+		if pp != pb || !bytes.Equal(kp, kb) || SizeOf(a) != SizeOf(ba) {
+			t.Fatalf("%#v: partition %d, key bytes %x, size %d; boxed %d, %x, %d", a, pp, kp, SizeOf(a), pb, kb, SizeOf(ba))
+		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"cmp"
 	"math/bits"
 	"strings"
+
+	"colmr/internal/serde"
 )
 
 // Column vectors and selection bitmaps — the data shapes of vectorized
@@ -234,27 +236,30 @@ func (v *Vector) BytesAt(i int) []byte {
 // Value boxes row i into the serde dynamic representation the scalar path
 // produces: bool, int32, int64, float64, string, a copied []byte, or the
 // boxed complex value; nil for null rows. Byte-identical materialization
-// from vectors depends on this mapping matching serde.Decoder.Value.
+// from vectors depends on this mapping matching serde.Decoder.Value. One row
+// is one allocation, as the compiler's conversion was; Box and BoxRange share
+// a chunk between rows.
 func (v *Vector) Value(i int) any {
 	if v.IsNull(i) {
 		return nil
 	}
+	var bx serde.Boxer // one value: a chunk of one slot
 	switch v.Kind {
 	case VecBool:
 		return v.Ints[i] != 0
 	case VecInt32:
-		return int32(v.Ints[i])
+		return bx.Int32(int32(v.Ints[i]))
 	case VecInt64:
-		return v.Ints[i]
+		return bx.Int64(v.Ints[i])
 	case VecFloat64:
-		return v.Floats[i]
+		return bx.Float64(v.Floats[i])
 	case VecString:
-		return string(v.BytesAt(i))
+		return bx.String(string(v.BytesAt(i)))
 	case VecBytes:
 		b := v.BytesAt(i)
 		out := make([]byte, len(b))
 		copy(out, b)
-		return out
+		return bx.Bytes(out)
 	default:
 		return v.Anys[i]
 	}
@@ -310,8 +315,11 @@ func (v *Vector) compareBound(i int, bound any) (c int, ok bool) {
 // boxed rows is returned. Where Value allocates a payload per string or
 // bytes row, Box carves a column's rows out of one arena — substrings of one
 // string, capacity-clipped slices of one buffer — sized to exactly the boxed
-// rows and allocated once, so the boxed values never alias v's own storage
-// and v can go back to a pool.
+// rows and allocated once, and where Value allocates a box per row, Box draws
+// the rows' boxes from chunks cut to the boxed rows (serde.Boxer: 256 int32s
+// are one allocation, 256 strings eight). Arena and chunks are allocated here
+// for these values alone, so they never alias v's own storage and v can go
+// back to a pool.
 func (v *Vector) Box(sel *Selection, dst []any, stride int) int {
 	return v.box(sel, 0, v.n, dst, stride)
 }
@@ -325,6 +333,12 @@ func (v *Vector) BoxRange(lo, hi int, dst []any) {
 // box boxes the rows of [lo, hi) that sel picks (nil: all of them).
 func (v *Vector) box(sel *Selection, lo, hi int, dst []any, stride int) int {
 	nulls := v.HasNulls()
+	rows := hi - lo
+	if sel != nil {
+		rows = sel.Count() // only Box selects, and over the whole vector
+	}
+	var bx serde.Boxer
+	bx.Expect(rows)
 	k, off := 0, 0
 	var strs string
 	var raw []byte
@@ -358,18 +372,18 @@ func (v *Vector) box(sel *Selection, lo, hi int, dst []any, stride int) int {
 			case VecBool:
 				x = v.Ints[i] != 0
 			case VecInt32:
-				x = int32(v.Ints[i])
+				x = bx.Int32(int32(v.Ints[i]))
 			case VecInt64:
-				x = v.Ints[i]
+				x = bx.Int64(v.Ints[i])
 			case VecFloat64:
-				x = v.Floats[i]
+				x = bx.Float64(v.Floats[i])
 			case VecString:
 				end := off + int(v.Offs[i+1]-v.Offs[i])
-				x = strs[off:end]
+				x = bx.String(strs[off:end])
 				off = end
 			case VecBytes:
 				raw = append(raw, v.BytesAt(i)...)
-				x = raw[off:len(raw):len(raw)]
+				x = bx.Bytes(raw[off:len(raw):len(raw)])
 				off = len(raw)
 			}
 		}

@@ -31,6 +31,11 @@ type Decoder struct {
 	stats *sim.CPUStats
 	depth int     // >0 while inside a map value
 	n     charges // charges of the top-level call in progress
+	// box boxes every primitive the decoder materializes, top-level or a map
+	// or array element. It outlives Init and Reset: its chunks belong to the
+	// values already handed out and to the ones still to come, never to a
+	// buffer, so pointing the decoder at new input touches no earlier result.
+	box Boxer
 }
 
 // charges is the subset of sim.CPUStats a decoder can touch.
@@ -48,13 +53,18 @@ func NewDecoder(buf []byte, stats *sim.CPUStats) *Decoder {
 // A reader that decodes value after value embeds one Decoder and re-Inits
 // it, so decoding allocates no decoder.
 func (d *Decoder) Init(buf []byte, stats *sim.CPUStats) {
-	*d = Decoder{buf: buf, stats: stats}
+	d.buf, d.pos, d.stats, d.depth, d.n = buf, 0, stats, 0, charges{}
 }
 
 // Reset repoints the decoder at a new buffer, keeping the stats sink.
 func (d *Decoder) Reset(buf []byte) {
 	d.Init(buf, d.stats)
 }
+
+// Boxer returns the decoder's boxer, for a layered format (dictionary-
+// compressed maps) to box the values it decodes itself as the decoder boxes
+// its own.
+func (d *Decoder) Boxer() *Boxer { return &d.box }
 
 // Pos returns the current byte offset.
 func (d *Decoder) Pos() int { return d.pos }
@@ -142,7 +152,7 @@ func (d *Decoder) value(s *Schema) (any, error) {
 		if v > math.MaxInt32 || v < math.MinInt32 {
 			return nil, fmt.Errorf("serde: decode int at offset %d: value %d overflows int32", start, v)
 		}
-		return int32(v), nil
+		return d.box.Int32(int32(v)), nil
 	case KindLong, KindTime:
 		v, n := binary.Varint(d.buf[d.pos:])
 		if n <= 0 {
@@ -151,7 +161,7 @@ func (d *Decoder) value(s *Schema) (any, error) {
 		d.pos += n
 		d.charge(s.Kind, n)
 		d.materialized()
-		return v, nil
+		return d.box.Int64(v), nil
 	case KindDouble:
 		if d.pos+8 > len(d.buf) {
 			return nil, d.fail("double")
@@ -160,7 +170,7 @@ func (d *Decoder) value(s *Schema) (any, error) {
 		d.pos += 8
 		d.charge(s.Kind, 8)
 		d.materialized()
-		return math.Float64frombits(bits), nil
+		return d.box.Float64(math.Float64frombits(bits)), nil
 	case KindString:
 		b, n, err := d.lengthPrefixed("string")
 		if err != nil {
@@ -168,7 +178,7 @@ func (d *Decoder) value(s *Schema) (any, error) {
 		}
 		d.charge(s.Kind, n)
 		d.materialized()
-		return string(b), nil
+		return d.box.String(string(b)), nil
 	case KindBytes:
 		b, n, err := d.lengthPrefixed("bytes")
 		if err != nil {
@@ -178,7 +188,7 @@ func (d *Decoder) value(s *Schema) (any, error) {
 		d.materialized()
 		out := make([]byte, len(b))
 		copy(out, b)
-		return out, nil
+		return d.box.Bytes(out), nil
 	case KindArray:
 		count, n, err := d.uvarint("array count")
 		if err != nil {

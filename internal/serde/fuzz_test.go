@@ -1,6 +1,7 @@
 package serde
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -17,6 +18,13 @@ T { string s, int i, double d, bytes b, string[] a, map<long> m, Inner { int x }
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F})
 	f.Add(good[:len(good)/2])
+	// One decoder serves every input, as a column reader's does every value:
+	// what it decoded from an earlier input — after a failed attempt at a
+	// window cut short, like the ones stream.decodeRetry retries — must read
+	// the same once it has moved on.
+	var reused Decoder
+	var last *GenericRecord
+	var lastPrinted string
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := NewDecoder(data, nil)
 		_, _ = d.Record(schema) // must not panic
@@ -24,6 +32,17 @@ T { string s, int i, double d, bytes b, string[] a, map<long> m, Inner { int x }
 		_ = d.Scan(schema)
 		d.Reset(data)
 		_ = d.Skip(schema)
+
+		reused.Init(data[:len(data)/2], nil)
+		_, _ = reused.Record(schema)
+		reused.Reset(data)
+		rec, err := reused.Record(schema)
+		if last != nil && fmt.Sprint(last) != lastPrinted {
+			t.Fatalf("an earlier record reads %v after the decoder moved on, was %s", last, lastPrinted)
+		}
+		if err == nil {
+			last, lastPrinted = rec, fmt.Sprint(rec)
+		}
 	})
 }
 

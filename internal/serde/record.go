@@ -36,8 +36,13 @@ type Record interface {
 // A record handed out by a reader is never reused, so it may be kept for as
 // long as the caller likes. Records built together by NewRecords share two
 // allocations, and a batch-assembling reader (core.Reader) also carves one
-// batch's string and bytes values out of one arena per column: keeping any
-// one of them keeps at most that one batch reachable.
+// batch's string and bytes values out of one arena per column and boxes a
+// column's values from chunks of that batch's own (Boxer): keeping any one of
+// them keeps at most that one batch reachable. A record decoded by a Decoder
+// shares chunks of boxes with the values the same decoder produced just before
+// and after it: keeping it keeps at most a chunk (1 KiB or less) per primitive
+// kind reachable, and through a chunk of strings or bytes at most 31
+// neighbouring payloads of 256 bytes or less.
 type GenericRecord struct {
 	schema *Schema
 	values []any

@@ -7,6 +7,14 @@
 // the cost model can price "boxed" Java-style object creation against
 // "view" C++-style direct buffer access — the contrast measured by the
 // paper's Figure 8.
+//
+// Every primitive a decoder or a column vector hands out as an `any` is boxed
+// by a Boxer: its backing word is a slot of a small write-once chunk instead
+// of an allocation of its own. The ownership rule: a boxed value is immutable,
+// is never backed by pooled, cached or otherwise reused storage, and kept
+// alive keeps at most one chunk of 1 KiB or less reachable plus — for a string
+// or []byte — the payloads its chunk-mates share with it (its batch's arena,
+// or up to 31 payloads of at most 256 bytes). docs/VECTORIZED.md, "Boxing".
 package serde
 
 import (
