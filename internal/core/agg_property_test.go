@@ -278,6 +278,87 @@ func TestAggSharedBatchMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestAggSharedDuplicatesFoldOnce: two members of a three-member batch share
+// their aggregate and predicate, so the scan folds their rows once. AggStates
+// still hands each its own state — equal to the brute-force fold, and not
+// aliased, so merging into one leaves the other as it was — and the shared
+// stats count one fold per distinct aggregate per batch: twice the solo
+// scan's, for the two distinct aggregates.
+func TestAggSharedDuplicatesFoldOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(8800))
+	fs := testFS(t, 4)
+	const n = 300
+	opts := LoadOptions{SplitRecords: n, Default: colfile.Options{Layout: colfile.SkipList, Levels: []int{64, 8}, StatsEvery: 16}}
+	recs := aggPropLoad(t, fs, "/d", rng, opts, n, false)
+	pred := scan.Le("a", int64(600))
+	var aggs []*scan.Aggregate
+	for _, src := range []string{"count,sum(a) group by g", "count,sum(a) group by g", "max(b),sum(b)"} {
+		agg, err := scan.ParseAggregate(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		aggs = append(aggs, agg)
+	}
+	in := &InputFormat{}
+	confs := make([]*mapred.JobConf, len(aggs))
+	for i, agg := range aggs {
+		conf := ScanDataset("/d").Where(pred).Aggregate(agg).Conf()
+		confs[i] = &conf
+	}
+	splits, err := in.Splits(fs, confs[0])
+	if err != nil || len(splits) != 1 {
+		t.Fatalf("%d splits, %v", len(splits), err)
+	}
+
+	var solo sim.TaskStats
+	rr, err := in.Open(fs, confs[0], splits[0], hdfs.AnyNode, &solo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rr.(mapred.AggRecordReader).DrainAggregate(); err != nil {
+		t.Fatal(err)
+	}
+	rr.Close()
+
+	members := []*sim.TaskStats{{}, {}, {}}
+	var shared sim.TaskStats
+	sr, err := in.OpenShared(fs, confs, splits[0], []int{0, 1, 2}, hdfs.AnyNode, members, &shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		_, _, _, ok, err := sr.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+	}
+	states := sr.(mapred.AggSharedRecordReader).AggStates()
+	sr.Close()
+
+	for i, st := range states {
+		checkAggRows(t, fmt.Sprintf("member %d", i), st.Rows(), aggPropGold(t, recs, pred, aggs[i]).Rows())
+		if members[i].RowsAggregated != solo.RowsAggregated {
+			t.Fatalf("member %d aggregated %d rows, solo %d", i, members[i].RowsAggregated, solo.RowsAggregated)
+		}
+	}
+	if states[0] == states[1] {
+		t.Fatal("duplicate members share one AggState object")
+	}
+	if err := states[0].Merge(states[1]); err != nil {
+		t.Fatal(err)
+	}
+	checkAggRows(t, "member 1 after merging it into member 0", states[1].Rows(), aggPropGold(t, recs, pred, aggs[1]).Rows())
+	if solo.AggBatches == 0 {
+		t.Fatal("the solo scan folded no batch: the fixture no longer exercises the fold")
+	}
+	if shared.AggBatches != 2*solo.AggBatches {
+		t.Fatalf("shared scan counted %d batch folds for 2 distinct aggregates, solo %d for one", shared.AggBatches, solo.AggBatches)
+	}
+}
+
 func wantMatchesSchema(t *testing.T, recs []*serde.GenericRecord, pred scan.Predicate) []*serde.GenericRecord {
 	t.Helper()
 	if pred == nil {

@@ -2,115 +2,146 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"colmr/internal/scan"
 )
 
 // Aggregation pushdown (the scan subsystem's fold side). With scan.Spec.Agg
-// set the reader stops surfacing records entirely: DrainAggregate runs the
-// split to completion and folds qualifying rows into a scan.AggState at the
-// cheapest site that can answer them, keeping the exact pruning trajectory
-// of a materializing scan:
+// set a member surfaces no records: its rows fold into a scan.AggState at the
+// cheapest site that can answer them, on the exact pruning trajectory of a
+// materializing scan:
 //
-//  1. Zone stats: when a region's zone maps already prove every row matches
-//     the predicate (Planner.MatchAllGroup) and every aggregate function is
-//     answerable from the region's ColStats (AggState.StatsAnswerable), the
-//     whole region folds with zero bytes decoded (AggGroupsShortcut).
-//  2. Vectors: regions needing evaluation run the same batch loop as a
-//     materializing vectorized scan — same batch boundaries, same pruning
-//     and filter counters — but the selected rows fold straight from the
-//     selection bitmap and the decoded vectors (FoldBatch); no record
-//     object is ever built.
-//  3. Records: with vectorization off (or a layout that cannot
-//     batch-decode) the scalar loop evaluates per record and folds the
-//     match (FoldRecord) — identical results, boxed-value costs.
+//  1. Zone stats: a region the zone maps prove all-matching
+//     (Planner.MatchAllGroup), whose every aggregate is answerable from its
+//     ColStats (AggState.StatsAnswerable), folds with zero bytes decoded
+//     (AggGroupsShortcut) — in a one-member scan only: a shared cursor must
+//     visit the region for the other members anyway.
+//  2. Vectors: other regions run the batch loop and fold straight from the
+//     selection bitmap and the decoded vectors (FoldBatch).
+//  3. Records: under Spec.NoVec each match folds through the cursor cache
+//     (FoldRecord) — identical results, boxed-value costs.
 //
-// The logical counters stay bit-identical to a materializing scan: the
-// stats shortcut fires only inside regions the group tier would judge
-// MayMatch (a NoMatch region cannot be MatchAll), and a later PruneGroup
-// consultation at any position inside such a region returns the same
-// MayMatch verdict, so GroupsPruned / RecordsPruned / BloomPruned /
-// RecordsFiltered are unchanged. RecordsProcessed stays zero — no record
-// reaches a map function — which is the point.
+// Members with the same aggregate and residual (one eval group) match the
+// same rows, so they share one fold, and AggStates copies it out to each.
+//
+// The logical counters are a materializing scan's: the shortcut fires only
+// inside regions the group tier judges MayMatch (a NoMatch region cannot be
+// MatchAll), and any later consultation inside one returns the same verdict.
+// RecordsProcessed stays zero — no record reaches a map function.
+
+// addFold gives an aggregating member its fold: the state of an earlier
+// member with the same aggregate in the same eval group, or its own.
+func (r *Reader) addFold(m *member) {
+	for _, o := range r.members {
+		if o.folder && o.evalGroup == m.evalGroup && o.agg.Equal(m.agg) {
+			m.fold = o.fold
+			return
+		}
+	}
+	m.fold, m.folder = scan.NewAggState(m.agg), true
+}
 
 // DrainAggregate consumes the split and returns the folded aggregate state
 // (mapred.AggRecordReader). The reader must have been opened with
 // scan.Spec.Agg set; Next must not be mixed with DrainAggregate.
 func (r *Reader) DrainAggregate() (*scan.AggState, error) {
-	if r.agg == nil {
+	st := r.members[0].fold
+	if st == nil {
 		return nil, fmt.Errorf("core: reader has no aggregation to drain")
 	}
-	st := r.aggState
-	for {
-		if r.done {
-			return st, nil
-		}
-		if r.curPos+1 >= r.total {
-			if err := r.nextDir(); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if end, ok, err := r.aggStatsShortcut(st, r.curPos+1); err != nil {
-			return nil, err
-		} else if ok {
-			r.curPos = end - 1
-			continue
-		}
-		if r.vecOK {
-			if err := r.aggBatchFold(st); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		r.curPos++
-		if r.dels.has(r.curPos) {
-			continue
-		}
-		if r.planner.Predicate() != nil {
-			ok, err := r.qualifies()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		if err := st.FoldRecord(r.eval); err != nil {
-			return nil, err
-		}
-		if r.stats != nil {
-			r.stats.RowsAggregated++
-		}
+	// An aggregating member surfaces no row, so this runs to the end.
+	if _, err := r.advance(); err != nil {
+		return nil, err
 	}
+	return st, nil
 }
 
-// aggStatsShortcut tries the zero-decode tier at pos: a region the zone
-// maps prove all-matching, whose every aggregate input column has a stats
-// entry covering exactly the region, folds from those entries alone. ok
-// reports whether the fold happened (end is then one past the folded
-// region); a false return costs only zone-map lookups, never a byte.
-func (r *Reader) aggStatsShortcut(st *scan.AggState, pos int64) (end int64, ok bool, err error) {
-	if r.dels != nil {
+// AggStates implements mapred.AggSharedRecordReader: the folded state of
+// each aggregating member (nil entries for members that surface records),
+// indexed like the members slice. Valid after the reader is exhausted.
+// Members sharing a fold get equal states, never one aliased object.
+func (s *SharedReader) AggStates() []*scan.AggState {
+	out := make([]*scan.AggState, len(s.members))
+	for i, m := range s.members {
+		switch {
+		case m.folder:
+			out[i] = m.fold
+		case m.fold != nil:
+			out[i] = scan.NewAggState(m.agg)
+			// Merging into an empty state of the same spec cannot fail: the
+			// copy holds exactly the groups the original admitted.
+			_ = out[i].Merge(m.fold)
+		}
+	}
+	return out
+}
+
+// foldBatch is the aggregate sink: each fold takes its members' matches once
+// — from the batch's vectors, or record at a time through the cursor cache —
+// and credits the rows to every member sharing it.
+func (r *Reader) foldBatch(b *colBatch) error {
+	for _, f := range r.members {
+		if !f.folder {
+			continue
+		}
+		var rows int64
+		if r.vectorize {
+			var err error
+			if rows, err = f.fold.FoldBatch(f.sel, b); err != nil {
+				return err
+			}
+			r.task.AggBatches++
+		} else if f.sel.Test(0) {
+			if err := f.fold.FoldRecord(evalCtx{r}); err != nil {
+				return err
+			}
+			rows = 1
+		}
+		for _, m := range r.members {
+			if m.fold == f.fold {
+				m.stats.RowsAggregated += rows
+			}
+		}
+	}
+	return nil
+}
+
+// aggStatsShortcut tries the zero-decode tier at pos for a one-member
+// aggregating scan: a region the zone maps prove all-matching, whose every
+// aggregate input column has a stats entry covering exactly the region,
+// folds from those entries alone. ok reports whether the fold happened (end
+// is then one past the folded region); a false return costs only zone-map
+// lookups, never a byte.
+func (r *Reader) aggStatsShortcut(pos int64) (end int64, ok bool, err error) {
+	m := r.members[0]
+	if len(r.members) > 1 || m.fold == nil || r.dels != nil {
 		// A directory with superseded rows cannot fold from stats: the
 		// entries describe deleted rows too.
 		return 0, false, nil
 	}
-	all, end := r.planner.MatchAllGroup(pos, r.total, r.groupStats)
+	all, end := r.planner.MatchAllGroup(pos, r.total, r.zones)
 	if !all || end <= pos {
 		return 0, false, nil
+	}
+	if r.aggEntry == nil {
+		r.aggEntries = make([]*scan.ColStats, len(m.aggCols))
+		r.aggEntry = func(col string) *scan.ColStats {
+			if i := slices.Index(m.aggCols, col); i >= 0 {
+				return r.aggEntries[i]
+			}
+			return nil
+		}
 	}
 	// Clip the region to the aggregate columns' group geometry; every
 	// consulted entry must then cover exactly [pos, end) or the bounds and
 	// null counts would describe rows outside the fold.
-	for i, col := range r.aggCols {
+	for i, col := range m.aggCols {
 		cst, cend := r.groupStats(col, pos)
 		if cst == nil || cend <= pos {
 			return 0, false, nil
 		}
-		if cend < end {
-			end = cend
-		}
+		end = min(end, cend)
 		r.aggEntries[i] = cst
 	}
 	rows := end - pos
@@ -119,6 +150,7 @@ func (r *Reader) aggStatsShortcut(st *scan.AggState, pos int64) (end int64, ok b
 			return 0, false, nil
 		}
 	}
+	st := m.fold
 	if !st.StatsAnswerable(rows, r.aggEntry) {
 		return 0, false, nil
 	}
@@ -127,33 +159,7 @@ func (r *Reader) aggStatsShortcut(st *scan.AggState, pos int64) (end int64, ok b
 	if err := st.FoldStats(rows, r.aggEntry); err != nil {
 		return 0, false, err
 	}
-	if r.stats != nil {
-		r.stats.AggGroupsShortcut++
-		r.stats.RowsAggregated += rows
-	}
+	r.task.AggGroupsShortcut++
+	m.stats.RowsAggregated += rows
 	return end, true, nil
-}
-
-// aggBatchFold advances the vectorized aggregate loop one step from
-// curPos+1: the batch a materializing scan would build (nextBatch), whose
-// selected rows fold from vectors without surfacing. With no predicate the
-// full batch folds (selection all-set, no filter counters).
-func (r *Reader) aggBatchFold(st *scan.AggState) error {
-	b, sel, err := r.nextBatch()
-	if b == nil {
-		return err
-	}
-	rows, err := st.FoldBatch(sel, b)
-	r.foldCursorStats()
-	scan.PutSelection(sel)
-	b.release()
-	r.curPos = b.end - 1
-	if err != nil {
-		return err
-	}
-	if r.stats != nil {
-		r.stats.AggBatches++
-		r.stats.RowsAggregated += rows
-	}
-	return nil
 }

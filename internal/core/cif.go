@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"colmr/internal/catalog"
@@ -16,14 +17,10 @@ import (
 )
 
 // SetColumns pushes a column projection into CIF for a job, the analogue of
-//
-//	ColumnInputFormat.setColumns(job, "url, metadata");
-//
-// from Section 4.2. Only the named columns' files will be opened.
-//
-// SetColumns is the compatibility wrapper over the typed scan spec: it
-// populates Spec.Columns and clears any lingering serialized prop. New code
-// should prefer the builder (ScanDataset).
+// Section 4.2's ColumnInputFormat.setColumns(job, "url, metadata"): only the
+// named columns' files will be opened. It is the compatibility wrapper over
+// Spec.Columns (clearing any lingering serialized prop); new code should
+// prefer the builder (ScanDataset).
 func SetColumns(conf *mapred.JobConf, columns ...string) {
 	conf.ScanSpec().Columns = append([]string(nil), columns...)
 	conf.Del(ColumnsProp)
@@ -40,10 +37,8 @@ func SetLazy(conf *mapred.JobConf, lazy bool) {
 // are authoritative, and leftover legacy string props fill only the fields
 // never touched through the typed API. Every wrapper deletes its own prop
 // when it writes the typed field, so a prop still present was set by a
-// string-side caller (colscan -where style) and keeps working even after
-// some other setting went typed — calling SetLazy must not silently drop a
-// predicate that arrived as a serialized prop. Downstream of here nothing
-// re-parses props.
+// string-side caller (colscan -where style) and keeps working after some
+// other setting went typed. Downstream of here nothing re-parses props.
 func resolveSpec(conf *mapred.JobConf) (scan.Spec, error) {
 	var spec scan.Spec
 	if conf.Scan != nil {
@@ -88,19 +83,16 @@ func resolveSpec(conf *mapred.JobConf) (scan.Spec, error) {
 type Split struct {
 	Dirs []string
 	// Dels holds each directory's delete-file path, parallel to Dirs (""
-	// or a short slice means no deletes — hand-built splits over
-	// bulk-loaded data leave it nil). Captured at planning time from one
-	// manifest snapshot, so the reader never re-reads the manifest.
+	// or a short slice means no deletes), captured from the planner's
+	// manifest snapshot so the reader never re-reads the manifest.
 	Dels []string
 	// Columns is the projection captured at split-generation time, used
 	// for locality ranking (only projected files matter).
 	Columns []string
-	// Judged records that the scheduler tier already tested every
-	// directory in this split against the job's predicate (elision was
-	// on). The reader then skips its own file pruning tier — the same
-	// planner over the same aggregates cannot reach a different verdict —
-	// so hand-built splits keep the reader-side defense while planned
-	// ones avoid re-reading stats sections that were just consulted.
+	// Judged records that the scheduler tier already tested every directory
+	// against the job's predicate, so the reader skips its file tier — the
+	// same planner over the same aggregates cannot reach another verdict —
+	// while hand-built splits keep it.
 	Judged bool
 }
 
@@ -136,11 +128,8 @@ func (s *Split) Hosts(fs *hdfs.FileSystem) []hdfs.NodeID {
 	for n := range local {
 		out = append(out, n)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if local[out[i]] != local[out[j]] {
-			return local[out[i]] > local[out[j]]
-		}
-		return out[i] < out[j]
+	slices.SortFunc(out, func(a, b hdfs.NodeID) int {
+		return cmp.Or(cmp.Compare(local[b], local[a]), cmp.Compare(a, b))
 	})
 	return out
 }
@@ -218,10 +207,7 @@ func (f *InputFormat) plannedSplits(fs *hdfs.FileSystem, conf *mapred.JobConf, a
 	for _, ds := range plan.datasets {
 		per := f.splitSize(cat, plan.dps, plan.pred, plan.bloom, ds.kept)
 		for i := 0; i < len(ds.kept); i += per {
-			j := i + per
-			if j > len(ds.kept) {
-				j = len(ds.kept)
-			}
+			j := min(i+per, len(ds.kept))
 			out = append(out, &Split{Dirs: ds.kept[i:j], Dels: ds.keptDels[i:j], Columns: plan.columns, Judged: plan.elide})
 		}
 	}
@@ -264,25 +250,11 @@ func (f *InputFormat) planDirs(fs *hdfs.FileSystem, cat *catalog.Catalog, conf *
 	if err != nil {
 		return plan, err
 	}
-	columns := spec.Columns
 	pred := spec.Predicate
 	planner := scan.NewPlanner(pred)
 	planner.SetBloom(spec.Bloom())
-	// Locality ranks by the files a map task will actually open: the
-	// projection plus any filter-only predicate columns (Columns dedups
-	// against the slice it extends). An aggregation narrows an empty
-	// projection to its own columns and widens a set one with them — the
-	// reader opens exactly that set.
-	if spec.Agg != nil && len(columns) == 0 {
-		columns = spec.Agg.Columns(nil)
-	} else if spec.Agg != nil {
-		columns = spec.Agg.Columns(append([]string(nil), columns...))
-	}
-	if pred != nil && len(columns) > 0 {
-		columns = pred.Columns(append([]string(nil), columns...))
-	}
 	plan.pred = pred
-	plan.columns = columns
+	plan.columns = taskColumns(spec)
 	plan.bloom = spec.Bloom()
 	plan.dps = f.dirsPerSplit(spec)
 	plan.report = scan.PruneReport{
@@ -313,6 +285,23 @@ func (f *InputFormat) planDirs(fs *hdfs.FileSystem, cat *catalog.Catalog, conf *
 		plan.datasets = append(plan.datasets, datasetDirs{path: dataset, all: dirs, allDels: dels, kept: kept, keptDels: keptDels})
 	}
 	return plan, nil
+}
+
+// taskColumns returns the column files a map task of spec opens (nil: every
+// column): the projection plus any filter-only predicate columns (Columns
+// dedups against the slice it extends). An aggregation narrows an empty
+// projection to its own columns and widens a set one with them.
+func taskColumns(spec scan.Spec) []string {
+	cols := spec.Columns
+	if spec.Agg != nil && len(cols) == 0 {
+		cols = spec.Agg.Columns(nil)
+	} else if spec.Agg != nil {
+		cols = spec.Agg.Columns(append([]string(nil), cols...))
+	}
+	if spec.Predicate != nil && len(cols) > 0 {
+		cols = spec.Predicate.Columns(append([]string(nil), cols...))
+	}
+	return cols
 }
 
 // dirsPerSplit resolves the directories-per-split setting for one job: the
@@ -346,29 +335,25 @@ func autoDirsPerSplit(cat *catalog.Catalog, pred scan.Predicate, bloom bool, dir
 	if pred == nil || len(dirs) < 2 {
 		return 1
 	}
-	var rows, matches float64
-	for _, dir := range dirs {
-		r, est, ok := estimateDirMatches(cat, dir, pred, bloom)
-		if !ok {
-			return 1
-		}
-		rows += r
-		matches += est
-	}
-	if rows <= 0 {
+	rows, matches, ok := runMatches(cat, dirs, pred, bloom)
+	if !ok || rows <= 0 {
 		return 1
 	}
-	if matches < 1 {
-		matches = 1
+	return min(max(int(rows/max(matches, 1)), 1), len(dirs))
+}
+
+// runMatches sums estimateDirMatches over a run of split-directories, false
+// when any directory cannot be estimated.
+func runMatches(cat *catalog.Catalog, dirs []string, pred scan.Predicate, bloom bool) (rows, est float64, ok bool) {
+	for _, dir := range dirs {
+		r, e, ok := estimateDirMatches(cat, dir, pred, bloom)
+		if !ok {
+			return 0, 0, false
+		}
+		rows += r
+		est += e
 	}
-	per := int(rows / matches)
-	if per < 1 {
-		per = 1
-	}
-	if per > len(dirs) {
-		per = len(dirs)
-	}
-	return per
+	return rows, est, true
 }
 
 // estimateDirMatches estimates one split-directory's row count and
@@ -426,13 +411,8 @@ func pruneSplitDir(cat *catalog.Catalog, dir string, planner *scan.Planner, repo
 
 // propColumns parses a specless conf's legacy projection prop.
 func propColumns(conf *mapred.JobConf) []string {
-	raw := strings.TrimSpace(conf.Get(ColumnsProp))
-	if raw == "" {
-		return nil
-	}
-	parts := strings.Split(raw, ",")
-	out := make([]string, 0, len(parts))
-	for _, p := range parts {
+	var out []string
+	for _, p := range strings.Split(conf.Get(ColumnsProp), ",") {
 		if p = strings.TrimSpace(p); p != "" {
 			out = append(out, p)
 		}
@@ -440,121 +420,103 @@ func propColumns(conf *mapred.JobConf) []string {
 	return out
 }
 
-// Open implements mapred.InputFormat.
+// Open implements mapred.InputFormat: a one-member scan of the split.
 func (f *InputFormat) Open(fs *hdfs.FileSystem, conf *mapred.JobConf, split mapred.Split, node hdfs.NodeID, stats *sim.TaskStats) (mapred.RecordReader, error) {
-	csplit, ok := split.(*Split)
-	if !ok {
-		return nil, fmt.Errorf("core: unexpected split type %T", split)
-	}
-	if len(csplit.Dirs) == 0 {
-		return nil, fmt.Errorf("core: empty split")
-	}
-	spec, err := resolveSpec(conf)
+	r, err := openReader(fs, []*mapred.JobConf{conf}, []int{0}, split, node, []*sim.TaskStats{stats}, stats)
 	if err != nil {
 		return nil, err
 	}
-	columns := spec.Columns
-	if len(columns) == 0 && spec.Agg == nil {
-		columns = csplit.Columns
-	}
-	// The reader's file tier runs only for splits the scheduler has not
-	// already judged (and not at all when elision is disabled).
-	fileTier := spec.Elide() && !csplit.Judged
-	return newReader(fs, catalogOf(fs, conf), csplit.Dirs, csplit.Dels, columns, &spec, fileTier, conf.Cache, conf.VecCache, node, stats)
+	return r, nil
 }
 
-// Reader iterates the records of a CIF split. It is also usable directly
-// (outside MapReduce) for scans. With a predicate set it returns only
-// qualifying records (see scanexec.go).
+// Reader scans a CIF split for one or more member jobs through one cursor
+// set and one batch loop (vecexec.go). InputFormat.Open returns a
+// one-member Reader; OpenShared an N-member one, behind SharedReader. It is
+// also usable directly (outside MapReduce) for scans. With a predicate set
+// it returns only qualifying records (see scanexec.go).
 type Reader struct {
-	fs *hdfs.FileSystem
-	// cat is the job's metadata catalog: split-directory schemas and the
-	// file tier's whole-file statistics come through it.
-	cat   *catalog.Catalog
-	node  hdfs.NodeID
-	stats *sim.TaskStats
-	lazy  bool
-	// elide enables the file pruning tier: on unless scan.SetElision
-	// disabled it or the scheduler already judged this split's
-	// directories. The group and value tiers run whenever a predicate is
-	// set.
+	fs   *hdfs.FileSystem
+	cat  *catalog.Catalog // the job's metadata catalog: schemas, file-tier stats
+	node hdfs.NodeID
+	// task receives the scan's physical work — I/O, decode, vector and
+	// sharing counters, and the union tier's verdicts. A one-member scan's
+	// member stats are usually the same TaskStats; OpenShared keeps the
+	// members' logical counters apart from it.
+	task    *sim.TaskStats
+	members []*member
+	eager   int // members taking eager records
+	// elide enables the file pruning tier: a one-member scan's, on unless
+	// scan.SetElision disabled it or the scheduler already judged the split.
 	elide bool
-	// noBloom mirrors scan.Spec.NoBloom into the column readers, whose
-	// DCSL key prober consults group Bloom filters on its own (the
-	// planner's tiers carry the setting themselves).
+	// noBloom is set when any member disabled Bloom consultation: the union
+	// tier must not out-prune that member's own replay, and the DCSL key
+	// prober's physical charges must be that member's solo ones.
 	noBloom bool
-	// planner drives the conservative pruning tiers (file and group) and
-	// owns the predicate; it shares one implementation with the split
-	// scheduler (internal/scan).
+	// planner drives the union predicate (the OR of the members'; a single
+	// member's own) through the file and group tiers. zones is groupStats
+	// bound once: a method value handed to it per consultation would allocate.
 	planner *scan.Planner
-	// cache is the session's cross-batch scan cache (nil outside a caching
-	// Session); attached to every column-file stream this reader opens.
-	cache *hdfs.ScanCache
-	// vectorize selects batch-at-a-time execution (vecexec.go): set when the
-	// spec enables it and the scan has something to do a batch at a time —
-	// evaluate a predicate, fold an aggregate, or assemble eager records.
-	// vecOK narrows it per open directory to cursor sets whose batch-decoded
-	// columns all can be; anything else runs the scalar loop below.
+	zones   scan.GroupStatsFunc
+	// groupPred holds one residual predicate per eval group: members with
+	// identical predicates share one verdict per batch.
+	groupPred []scan.Predicate
+	cache     *hdfs.ScanCache // session scan cache, attached to every stream
+	vecCache  *vec.Cache
+	// vectorize selects batch-at-a-time evaluation and eager assembly; unset
+	// when any member set Spec.NoVec, which runs the loop a row at a time.
 	vectorize bool
-	vecOK     bool
-	// vecCache is the session's decoded-vector cache (nil disables).
-	vecCache *vec.Cache
-	// probeOnly marks filter columns safe for batch key probing: read
-	// through exactly one exists() test and not projected, so consuming
-	// their stream without producing values is safe.
+	// probeOnly marks filter columns safe for batch key probing, idOnly those
+	// safe for dictionary-id evaluation: read by the residuals alone, never
+	// projected (nor, for ids, aggregated), so consuming their stream without
+	// producing values cannot starve a later value access.
 	probeOnly map[string]bool
-	// idOnly marks filter columns safe for dictionary-id evaluation: every
-	// use is an equality/inequality or null test, and the column is neither
-	// projected nor aggregated, so decoding its id vector (which consumes
-	// the stream without producing values) cannot starve a later value
-	// access.
-	idOnly map[string]bool
-	// ready holds the records assembled from an eager scan's last batch that
-	// Next has yet to hand out.
-	ready []serde.GenericRecord
+	idOnly    map[string]bool
+	// countCachedGets makes a lazy Get count its record materialized even
+	// when the cursor cache already held the value: an OpenShared member's
+	// value may have been decoded for another member's residual.
+	countCachedGets bool
 
-	// agg, when set, turns the scan into an aggregation: DrainAggregate
-	// folds qualifying rows into aggState and Next is never used. aggCols
-	// are the aggregate's input columns (function arguments + group-by);
-	// aggEntries, parallel to it, holds the stats entries of the region the
-	// stats shortcut is considering, which aggEntry looks up by column.
-	agg        *scan.Aggregate
-	aggState   *scan.AggState
-	aggCols    []string
+	schema  *serde.Schema // full dataset schema
+	allCols []string      // cursor set: projected, then filter, then aggregate columns
+	needers []int         // members needing each cursor's column (N > 1)
+
+	dirs     []string
+	delFiles []string // each directory's delete file, parallel to dirs (nil: none)
+	dirIdx   int
+	// dels is the open directory's delete set (nil when it has none):
+	// superseded rows are skipped before evaluation and counted nowhere.
+	dels    *delSet
+	cursors []*cursor
+	byName  map[string]*cursor
+	total   int64 // records in the open split-directory
+	curPos  int64 // the record most recently surfaced
+	// batch is the active batch rows are drawn from (nil between batches);
+	// surfaced counts the rows surfaced so far, for lazy runs' streaks.
+	batch    *colBatch
+	surfaced int64
+	done     bool
+	// pruneValidTo bounds the records covered by the last union zone-map
+	// verdict; pruning re-runs only once a batch starts past it.
+	pruneValidTo int64
+	// matCounted is the record most recently counted as materialized (once
+	// per record, however many members or Gets consumed it).
+	matCounted int64
+	// aggEntries, parallel to the sole member's aggregate columns, holds the
+	// stats entries of the region the stats shortcut is considering.
 	aggEntries []*scan.ColStats
 	aggEntry   scan.StatsFunc
 
-	schema  *serde.Schema // full dataset schema
-	proj    *serde.Schema // projected record schema
-	columns []string      // projected columns (cursor prefix)
-	allCols []string      // projected plus filter-only predicate columns
-
-	dirs []string
-	// delFiles is each directory's delete-file path, parallel to dirs (nil
-	// for bulk-loaded data).
-	delFiles []string
-	dirIdx   int
-	// scanPos is the scan's position in the open directory (lazy.go).
-	scanPos
-	// cursors holds the projected columns' cursors first, in projection
-	// order, then the filter- and aggregate-only ones; byName finds any of
-	// them for the per-batch and per-group paths.
-	cursors []*cursor
-	byName  map[string]*cursor
-	done    bool
-	// eval is the column accessor predicate evaluation uses, built once
-	// per reader (Eval runs per record; the scan loop is hot).
-	eval evalCtx
-	// pruneValidTo bounds the records covered by the last MayMatch
-	// zone-map verdict; pruning re-runs only once curPos crosses it.
-	pruneValidTo int64
-
-	lrec *LazyRecord
-	// lastCounted/lastCountedDir track the most recent record counted as
-	// materialized in lazy mode (first Get per record increments the
-	// counter once).
-	lastCounted    int64
-	lastCountedDir int
+	// sels are the active batch's selections, pooled when it retires.
+	sels    []*scan.Selection
+	verdict []*scan.Selection
+	boxSrc  []boxSource
+	// outVals and outIdx are a shared scan's per-row delivery, reused across
+	// SharedReader.Next calls; a one-member scan's fits in val1 and idx1, so
+	// it allocates nothing the solo scan does not.
+	outVals []any
+	outIdx  []int
+	val1    [1]any
+	idx1    [1]int
 }
 
 // cursor is one column's file reader plus the per-record value cache that
@@ -566,7 +528,7 @@ type cursor struct {
 	r         colfile.Reader
 	cached    any
 	cachedPos int64
-	// Lazy runs (scanPos.startRun): run holds the values of records
+	// Lazy runs (Reader.startRun): run holds the values of records
 	// [runStart, runEnd), decoded and boxed ahead of the Gets that will ask
 	// for them; streak counts the consecutive surfaced rows the cursor has
 	// been read on, the last of them being the servedAt-th the scan surfaced.
@@ -574,9 +536,9 @@ type cursor struct {
 	runStart, runEnd int64
 	streak           int
 	servedAt         int64
-	// phys is the cursor's physical accounting bucket, used while
-	// vectorizing so parallel per-column decodes never share a counter;
-	// Reader.foldCursorStats folds it behind the fan-out barriers.
+	// phys is the cursor's physical accounting bucket: its stream's I/O and
+	// cache hits, and its batch decodes, which prefetch fans out across
+	// goroutines. closeCursors folds it into the task's stats.
 	phys sim.TaskStats
 }
 
@@ -587,127 +549,71 @@ func (c *cursor) close() {
 	c.hr.Close()
 }
 
-func newReader(fs *hdfs.FileSystem, cat *catalog.Catalog, dirs, dels []string, columns []string, spec *scan.Spec, fileTier bool, cache *hdfs.ScanCache, vcache *vec.Cache, node hdfs.NodeID, stats *sim.TaskStats) (*Reader, error) {
-	schema, err := readSplitSchema(cat, dirs[0])
+// openReader opens a scan of split for the member jobs confs[members[k]],
+// member k charging its logical counters to memberStats[k] (nil only for a
+// one-member scan that keeps no stats) and the cursor set's physical work to
+// task.
+func openReader(fs *hdfs.FileSystem, confs []*mapred.JobConf, members []int, split mapred.Split, node hdfs.NodeID, memberStats []*sim.TaskStats, task *sim.TaskStats) (*Reader, error) {
+	csplit, ok := split.(*Split)
+	if !ok {
+		return nil, fmt.Errorf("core: unexpected split type %T", split)
+	}
+	if len(csplit.Dirs) == 0 {
+		return nil, fmt.Errorf("core: empty split")
+	}
+	if len(members) == 0 || len(members) != len(memberStats) {
+		return nil, fmt.Errorf("core: %d members with %d stats sinks", len(members), len(memberStats))
+	}
+	cat := catalogOf(fs, confs...)
+	schema, err := readSplitSchema(cat, csplit.Dirs[0])
 	if err != nil {
 		return nil, err
 	}
-	pred, agg := spec.Predicate, spec.Agg
-	// proxyOnly marks a projection invented for a pure COUNT: the column
-	// exists to pace the cursor and count rows, its values are never read,
-	// so it must not disqualify dictionary-id evaluation below.
-	proxyOnly := false
-	if agg != nil && len(columns) == 0 {
-		// An aggregation with no explicit projection reads only its own
-		// columns; a pure COUNT reads none, so any one column (the
-		// narrowest proxy for the record count) stands in.
-		if columns = agg.Columns(nil); len(columns) == 0 {
-			proxyOnly = true
-			if fc := scan.NewPlanner(pred).FilterColumns(); len(fc) > 0 {
-				columns = fc[:1]
-			} else if len(schema.Fields) > 0 {
-				columns = []string{schema.Fields[0].Name}
-			}
-		}
-	}
-	proj := schema
-	if len(columns) > 0 {
-		if proj, err = schema.Project(columns...); err != nil {
-			return nil, err
-		}
-	} else {
-		columns = schema.FieldNames()
-	}
-	// Filter and aggregate columns the projection does not cover are opened
-	// as extra cursors after the projected ones; they feed predicate
-	// evaluation and aggregate folding but never appear in a returned
-	// record. Columns dedups against the slice it extends.
-	allCols := append([]string(nil), columns...)
-	if pred != nil {
-		for _, col := range pred.Columns(nil) {
-			if schema.Field(col) == nil {
-				return nil, fmt.Errorf("core: predicate references unknown column %q", col)
-			}
-		}
-		allCols = pred.Columns(allCols)
-	}
-	if agg != nil {
-		for _, col := range agg.Columns(nil) {
-			if schema.Field(col) == nil {
-				return nil, fmt.Errorf("core: aggregate references unknown column %q", col)
-			}
-		}
-		allCols = agg.Columns(allCols)
+	if task == nil {
+		task = &sim.TaskStats{}
 	}
 	r := &Reader{
-		fs:             fs,
-		cat:            cat,
-		node:           node,
-		stats:          stats,
-		lazy:           spec.Lazy,
-		elide:          fileTier,
-		noBloom:        !spec.Bloom(),
-		planner:        scan.NewPlanner(pred),
-		cache:          cache,
-		vectorize:      spec.Vectorize() && (pred != nil || agg != nil || !spec.Lazy),
-		vecCache:       vcache,
-		schema:         schema,
-		proj:           proj,
-		columns:        columns,
-		allCols:        allCols,
-		agg:            agg,
-		dirs:           dirs,
-		delFiles:       dels,
-		dirIdx:         -1,
-		lastCounted:    -1,
-		lastCountedDir: -1,
+		fs:         fs,
+		cat:        cat,
+		node:       node,
+		task:       task,
+		vectorize:  true,
+		schema:     schema,
+		dirs:       csplit.Dirs,
+		delFiles:   csplit.Dels,
+		dirIdx:     -1,
+		matCounted: -1,
 	}
-	r.everyRow = pred == nil && spec.Vectorize()
-	if stats != nil {
-		r.cpu = &stats.CPU
+	r.outVals, r.outIdx = r.val1[:0], r.idx1[:0]
+	// The file tier is a one-member scan's: a directory the union predicate
+	// proved empty would skip the member replay that accounts it per job.
+	r.elide = len(members) == 1 && !csplit.Judged
+	for k, mi := range members {
+		conf := confs[mi]
+		spec, err := resolveSpec(conf)
+		if err != nil {
+			return nil, err
+		}
+		columns := spec.Columns
+		if len(columns) == 0 && spec.Agg == nil {
+			columns = csplit.Columns
+		}
+		if err := r.addMember(&spec, columns, cmp.Or(memberStats[k], task)); err != nil {
+			return nil, err
+		}
+		r.elide = r.elide && spec.Elide()
+		r.noBloom = r.noBloom || !spec.Bloom()
+		// One scalar member makes the whole cursor set scalar: the switch is
+		// an A/B lever, and mixing modes inside one batch would blur what it
+		// measures.
+		r.vectorize = r.vectorize && spec.Vectorize()
+		// All members of a session batch carry the same caches; taking the
+		// first present keeps hand-mixed batches working.
+		r.cache = cmp.Or(r.cache, conf.Cache)
+		r.vecCache = cmp.Or(r.vecCache, conf.VecCache)
 	}
-	r.planner.SetBloom(spec.Bloom())
-	if agg != nil {
-		r.aggState = scan.NewAggState(agg)
-		r.aggCols = agg.Columns(nil)
-		r.aggEntries = make([]*scan.ColStats, len(r.aggCols))
-		r.aggEntry = func(col string) *scan.ColStats {
-			for i, c := range r.aggCols {
-				if c == col {
-					return r.aggEntries[i]
-				}
-			}
-			return nil
-		}
-	}
-	if r.vectorize && pred != nil {
-		r.probeOnly = make(map[string]bool)
-		for _, col := range scan.ProbeOnlyColumns(pred) {
-			r.probeOnly[col] = true
-		}
-		if !proxyOnly {
-			for _, col := range columns {
-				delete(r.probeOnly, col)
-			}
-		}
-		// Dictionary-id evaluation: answerable columns nothing else reads
-		// by value. Projected and aggregated columns decode value vectors,
-		// so they are excluded.
-		r.idOnly = make(map[string]bool)
-		for _, col := range scan.IDOnlyColumns(pred) {
-			r.idOnly[col] = true
-		}
-		if !proxyOnly {
-			for _, col := range columns {
-				delete(r.idOnly, col)
-			}
-		}
-		for _, col := range r.aggCols {
-			delete(r.idOnly, col)
-		}
-	}
-	r.lrec = &LazyRecord{reader: r}
-	r.eval = evalCtx{r}
+	r.planCursors()
+	r.zones = r.groupStats
 	if err := r.nextDir(); err != nil {
 		r.Close()
 		return nil, err
@@ -716,20 +622,13 @@ func newReader(fs *hdfs.FileSystem, cat *catalog.Catalog, dirs, dels []string, c
 }
 
 // nextDir closes the current split-directory's cursors and opens the next
-// one the planner's file tier cannot disprove. Directories whose
-// filter-column aggregates prove NoMatch are crossed without building any
-// group index or reading any data byte — only footers and stats sections
-// (uncharged metadata) are touched.
+// one the file tier cannot disprove: a directory proved empty is crossed
+// touching only footers and stats sections (uncharged metadata).
 func (r *Reader) nextDir() error {
+	r.finishDir()
 	for {
 		r.releaseBatch()
-		r.foldCursorStats()
-		for _, c := range r.cursors {
-			c.close()
-		}
-		r.cursors = nil
-		r.byName = nil
-		r.vecOK = false
+		r.closeCursors()
 		r.dirIdx++
 		if r.dirIdx >= len(r.dirs) {
 			r.done = true
@@ -756,12 +655,15 @@ func (r *Reader) nextDir() error {
 		if r.dels, err = loadDelSet(r.fs, delFileAt(r.delFiles, r.dirIdx)); err != nil {
 			return err
 		}
-		if r.stats != nil && isFreshPartition(dir) {
-			r.stats.FreshPartitionsScanned++
+		if isFreshPartition(dir) {
+			r.task.FreshPartitionsScanned++
 		}
 		r.curPos = -1
 		r.pruneValidTo = 0
-		r.vecOK = r.vecEligible()
+		r.matCounted = -1
+		for _, m := range r.members {
+			m.acctPos, m.validTo = 0, 0
+		}
 		return nil
 	}
 }
@@ -774,18 +676,14 @@ func (r *Reader) openDir(dir string) (pruned bool, err error) {
 	ropts, collide := dirCursorOptions(r.fs, len(r.allCols), selective)
 	ropts.NoBloom = r.noBloom
 	files := make([]*hdfs.FileReader, 0, len(r.allCols))
-	// closeAll undoes a partly opened directory: the cursors already built
-	// hold pooled stream windows and are closed as cursors, so the windows go
-	// back to the pool now and not whenever the collector finds them; the
-	// files past them have no reader yet.
+	// closeAll undoes a partly opened directory: built cursors return their
+	// pooled stream windows now; the files past them have no reader yet.
 	closeAll := func() {
-		for _, c := range r.cursors {
-			c.close()
-		}
-		for _, hr := range files[len(r.cursors):] {
+		built := len(r.cursors)
+		r.closeCursors()
+		for _, hr := range files[built:] {
 			hr.Close()
 		}
-		r.cursors, r.byName = nil, nil
 	}
 	for _, col := range r.allCols {
 		hr, err := r.fs.Open(dir+"/"+col, r.node)
@@ -795,32 +693,19 @@ func (r *Reader) openDir(dir string) (pruned bool, err error) {
 		}
 		files = append(files, hr)
 	}
-	// File tier: consult the filter columns' whole-file aggregates before
-	// any reader parses a header or charges a byte. Disabled together with
-	// scheduler elision (scan.SetElision), which restores the
-	// group-tier-only baseline for comparison.
+	// File tier: judge the filter columns' whole-file aggregates before any
+	// reader parses a header or charges a byte (off with scan.SetElision).
 	if selective && r.elide && r.pruneDirFiles(dir) {
 		closeAll()
 		return true, nil
 	}
+	r.byName = make(map[string]*cursor, len(r.allCols))
 	for i, col := range r.allCols {
 		hr := files[i]
 		c := &cursor{name: col, schema: r.schema.Field(col), hr: hr, cachedPos: -1}
-		if r.vectorize && r.stats != nil {
-			// Per-cursor physical buckets: batch decodes fan per-column
-			// work across goroutines, so each stream charges its own
-			// counters (foldCursorStats folds them behind the barriers).
-			hr.SetStats(&c.phys.IO)
-			if r.cache != nil {
-				hr.SetCache(r.cache, &c.phys)
-			}
-		} else {
-			if r.stats != nil {
-				hr.SetStats(&r.stats.IO)
-			}
-			if r.cache != nil {
-				hr.SetCache(r.cache, r.stats)
-			}
+		hr.SetStats(&c.phys.IO)
+		if r.cache != nil {
+			hr.SetCache(r.cache, &c.phys)
 		}
 		opts := ropts
 		if collide > 0 {
@@ -828,17 +713,12 @@ func (r *Reader) openDir(dir string) (pruned bool, err error) {
 				hr.ChargeInterleaved(int64(float64(n)*collide*float64(sim.ReadaheadBytes)/float64(cur) + 0.5))
 			}
 		}
-		cr, err := colfile.NewReaderOpts(hr, r.schema.Field(col), opts, r.cpu)
-		if err != nil {
+		if c.r, err = colfile.NewReaderOpts(hr, c.schema, opts, &r.task.CPU); err != nil {
 			closeAll()
 			return false, fmt.Errorf("core: column %q: %w", col, err)
 		}
-		c.r = cr
 		r.cursors = append(r.cursors, c)
-	}
-	r.byName = make(map[string]*cursor, len(r.cursors))
-	for _, c := range r.cursors {
-		r.byName[c.name] = c
+		r.byName[col] = c
 	}
 	r.total = r.cursors[0].r.Total()
 	for _, c := range r.cursors {
@@ -851,24 +731,38 @@ func (r *Reader) openDir(dir string) (pruned bool, err error) {
 	return false, nil
 }
 
-// pruneDirFiles decides the file tier for dir before any of its (already
-// opened) column files is parsed: the filter columns' whole-file aggregates
-// come from the catalog — the planner's own parse when this split was
-// planned moments ago — and go to the planner. On a NoMatch proof the pruned
-// records and skipped files are counted; the split scheduler usually elides
-// such directories first, but the reader tier still fires when elision is
-// off, when DirsPerSplit groups directories, and for direct Reader use.
+// pruneDirFiles decides the file tier for dir from the filter columns'
+// whole-file aggregates, read through the catalog, and counts a NoMatch
+// proof's records and skipped files. The scheduler usually elides such
+// directories first; this tier fires for unjudged splits (elision off,
+// hand-built splits) and when DirsPerSplit groups directories.
 func (r *Reader) pruneDirFiles(dir string) bool {
 	ds := dirStats{cat: r.cat, dir: dir, schema: r.schema}
 	pruned, rows := r.planner.PruneFileRows(ds.stats, ds.recordCount)
-	if !pruned {
-		return false
+	if pruned {
+		r.task.FilesPruned += int64(len(r.allCols))
+		r.unionPruned(false, rows, false)
 	}
-	if r.stats != nil {
-		r.stats.FilesPruned += int64(len(r.allCols))
-		r.stats.RecordsPruned += rows
+	return pruned
+}
+
+// closeCursors closes the open directory's streams and folds their physical
+// accounting into the task's stats — including the sharing savings: a
+// stream that served k members replaced k-1 solo cursors and their bytes.
+func (r *Reader) closeCursors() {
+	for i, c := range r.cursors {
+		c.close()
+		r.task.Add(c.phys)
+		if r.needers == nil {
+			continue
+		}
+		if extra := int64(r.needers[i] - 1); extra > 0 {
+			r.task.SharedReads += extra
+			r.task.BytesSaved += extra * c.phys.IO.TotalChargedBytes()
+		}
 	}
-	return true
+	r.cursors = nil
+	r.byName = nil
 }
 
 // Next implements mapred.RecordReader. In lazy mode the returned Record is
@@ -877,110 +771,39 @@ func (r *Reader) pruneDirFiles(dir string) bool {
 // next call, past Close — but the records of one batch share their backing
 // storage (see serde.GenericRecord), so keeping one keeps at most its batch
 // reachable.
-//
-// With a predicate set, non-qualifying records are crossed inside this
-// loop: whole groups by zone-map pruning, then — vectorized — whole batches
-// evaluated at once with only the selected rows surfacing here, or —
-// scalar — single records after evaluating only the filter columns. Eager
-// records are assembled a batch at a time (assemble), a scan with no
-// predicate counting as a full selection; only Spec.NoVec, or a layout that
-// cannot batch-decode, builds them one by one below.
 func (r *Reader) Next() (any, any, bool, error) {
-	for {
-		if r.done {
-			return nil, nil, false, nil
-		}
-		if len(r.ready) > 0 {
-			rec := &r.ready[0]
-			r.ready = r.ready[1:]
-			return nil, rec, true, nil
-		}
-		if b := r.batch; b != nil {
-			// Drain the evaluated batch: each selected row surfaces as one
-			// lazy record; exhaustion advances past the batch and re-enters
-			// the planning loop below.
-			idx := b.sel.Next(b.next)
-			if idx < 0 {
-				r.curPos = b.end - 1
-				r.releaseBatch()
-				continue
-			}
-			b.next = idx + 1
-			r.curPos = b.start + int64(idx)
-			r.surfaced++
-			return nil, r.lrec, true, nil
-		}
-		if r.curPos+1 >= r.total {
-			if err := r.nextDir(); err != nil {
-				return nil, nil, false, err
-			}
-			continue
-		}
-		if r.vecOK {
-			if err := r.vecAdvance(); err != nil {
-				return nil, nil, false, err
-			}
-			continue
-		}
-		r.curPos++
-		if r.dels.has(r.curPos) {
-			continue
-		}
-		if r.planner.Predicate() == nil {
-			break
-		}
-		ok, err := r.qualifies()
-		if err != nil {
-			return nil, nil, false, err
-		}
-		if ok {
-			break
-		}
+	if ok, err := r.advance(); !ok {
+		return nil, nil, false, err
 	}
-	r.surfaced++
-	if r.lazy {
-		return nil, r.lrec, true, nil
+	// A lone member takes every row the batch surfaces. Its lazy record is
+	// returned here, not through deliver: this is the per-row path of the
+	// paper's Section 5 job, where a call per row shows.
+	m := r.members[0]
+	if m.lrec != nil {
+		return nil, m.lrec, true, nil
 	}
-	// Late materialization: cursors jump straight to the qualifying
-	// record, so columns of filtered records are skipped, never decoded.
-	rec := serde.NewRecord(r.proj)
-	for i := range r.columns {
-		v, err := r.valueAt(r.cursors[i])
-		if err != nil {
-			return nil, nil, false, err
-		}
-		rec.SetAt(i, v)
-	}
-	if r.stats != nil {
-		r.stats.CPU.RecordsMaterialized++
-	}
-	return nil, rec, true, nil
+	v, err := r.deliver(m)
+	return nil, v, err == nil, err
 }
 
 // Close implements mapred.RecordReader.
 func (r *Reader) Close() error {
 	r.releaseBatch()
-	r.ready = nil
-	r.foldCursorStats()
-	for _, c := range r.cursors {
-		c.close()
-	}
-	r.cursors = nil
-	r.byName = nil
+	r.closeCursors()
 	r.done = true
 	return nil
 }
 
-// Schema returns the projected record schema.
-func (r *Reader) Schema() *serde.Schema { return r.proj }
+// Schema returns the (first member's) projected record schema.
+func (r *Reader) Schema() *serde.Schema { return r.members[0].proj }
 
 // readerMemoryBudget caps the total buffer memory of one CIF reader; wide
 // projections divide it among their column streams.
 const readerMemoryBudget = 32 << 20
 
-// dirCursorOptions computes the shared physical model of one cursor set
-// over a split-directory — the same for a solo Reader and a shared scan,
-// so co-scheduling never changes how a byte is priced.
+// dirCursorOptions computes the physical model of one cursor set over a
+// split-directory — one model whatever the member count, so co-scheduling
+// never changes how a byte is priced.
 //
 // Column streams refill at readahead granularity: large enough to amortize
 // the inter-file arm movement of a multi-column scan (the paper's ~25%

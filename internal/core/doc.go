@@ -12,50 +12,34 @@
 // Projection is pushed into CIF with the ScanDataset builder (or the
 // legacy SetColumns wrapper), after which unprojected column files are
 // never opened — the I/O elimination that drives the paper's
-// order-of-magnitude speedups. Record materialization is either eager
-// (every projected column deserialized per record) or lazy (Section 5): a
-// LazyRecord tracks the split-level curPos and per-column lastPos,
-// deserializing a column only when the map function calls Get, with
-// skip-list column layouts making the intervening skips cheap. A column
-// Get is called on row after row is decoded a short run at a time instead
-// (lazy.go), at the same modeled cost.
+// order-of-magnitude speedups.
+//
+// There is one reader, and one batch loop. InputFormat.Open returns a
+// one-member Reader; OpenShared hands the same Reader the N jobs of a
+// co-scheduled batch (shared.go). Each step of the loop (vecexec.go) plans a
+// batch with the union zone-map tier, decodes its columns on demand into
+// scan.Vectors (or serves them from a session's vec.Cache), runs each
+// residual once through VecEval, and hands every member its matches through
+// its sink: eager records assembled column by column out of per-batch slabs,
+// lazy records (Section 5, lazy.go) whose Get decodes a value only when the
+// map function asks — skipping ahead with the skip lists, or a run at a time
+// for a column read row after row — or an aggregate fold (aggexec.go) that
+// builds no record at all, answering MatchAll regions from zone statistics
+// with zero bytes decoded. Spec.NoVec runs the same loop a row at a time as
+// the test oracle; batch boundaries never cross a zone-map consultation, so
+// the logical counters are identical either way. See docs/VECTORIZED.md.
 //
 // Role in the scheduler→file→group→value pipeline: this package *hosts*
 // three of the four tiers, driving the shared scan.Planner at each.
 // InputFormat.PlannedSplits runs the scheduler tier (split-directories
-// elided from whole-file footer statistics before any task exists);
-// Reader.openDir runs the file tier (an opened directory skipped from the
-// same aggregates before any header parse); Reader.qualifies runs the
-// group tier (zone-map and Bloom proofs jump curPos past whole groups)
-// and the value tier (exact evaluation over filter columns only, with
-// DCSL map-key tests routed to the column reader's prober). SharedReader
-// replays the same consultation sequence per member job of a co-scheduled
-// batch so every member's logical accounting matches its solo run.
-//
-// The value tier executes batch-at-a-time by default (vecexec.go): a
-// may-match extent is decoded per filter column into scan.Vectors (fanned
-// across a bounded goroutine pool, or served whole from a session's
-// vec.Cache), the predicate runs once per batch via VecEval, and only
-// selected rows are materialized into the usual Next record shape. Batch
-// boundaries never cross a zone-map consultation boundary, so the pruning
-// trajectory and logical counters are bit-for-bit the scalar loop's. The
-// solo Reader assembles its eager records a batch at a time too — a scan
-// with no predicate is a full selection — column by column out of per-batch
-// slabs and arenas, charging exactly what the record-at-a-time loop charges.
-// Any shape the batch path cannot take (Spec.NoVec, a lazy scan with no
-// predicate, a layout without VectorDecoder, a shared set with a scalar
-// member) falls back to the record-at-a-time loop per directory. See
-// docs/VECTORIZED.md.
-//
-// Jobs that only fold an aggregate skip records entirely (aggexec.go,
-// docs/AGGREGATION.md): with scan.Spec.Agg set, Reader.DrainAggregate
-// answers whole MatchAll regions from zone statistics with zero bytes
-// decoded, folds batch survivors straight from selection bitmaps and
-// vectors, and falls back to per-record folding where batching cannot
-// run — same pruning trajectory, RecordsProcessed zero. Equality
-// predicates on DCSL string/bytes columns evaluate over window-local
-// dictionary ids (colfile.DecodeIDVector) when no consumer needs the
-// strings themselves, turning string decode into integer compares.
+// elided from footer statistics before any task exists); Reader.openDir the
+// file tier (a directory skipped from the same aggregates before any header
+// parse); Reader.step the group tier (zone-map and Bloom proofs jump whole
+// groups) and the value tier (exact evaluation over filter columns only,
+// with DCSL map-key tests routed to the column's prober and string equality
+// over window dictionary ids). With N > 1 members each member's own planner
+// replays its solo consultation sequence, so its logical accounting matches
+// its solo run.
 //
 // Invariants the property tests defend (with internal/scan's and
 // internal/mapred's property suites, which drive this package):

@@ -177,5 +177,53 @@ func TestEagerRecordLifetime(t *testing.T) {
 				}
 			}
 		}
+		checkSharedEagerLifetime(t, name, fs, schema, splits[0], n, gen)
+	}
+}
+
+// checkSharedEagerLifetime is TestEagerRecordLifetime's shared case: two
+// eager members of one scan — every column, and a reordered projection —
+// take their records from the same batches' slabs. Every record of both is
+// kept past Next and Close, the scratch pool is churned, and each value must
+// still be the writer's input.
+func checkSharedEagerLifetime(t *testing.T, name string, fs *hdfs.FileSystem, schema *serde.Schema, split mapred.Split, n int64, gen *workload.Crawl) {
+	t.Helper()
+	names := schema.FieldNames()
+	proj := []string{names[len(names)-1], names[0]}
+	confs := []*mapred.JobConf{{InputPaths: []string{"/c"}}, {InputPaths: []string{"/c"}}}
+	SetColumns(confs[1], proj...)
+	stats := []*sim.TaskStats{{}, {}}
+	sr, err := (&InputFormat{}).OpenShared(fs, confs, split, []int{0, 1}, hdfs.AnyNode, stats, &sim.TaskStats{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := [2][]*serde.GenericRecord{}
+	for {
+		_, vals, idx, ok, err := sr.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		for k, i := range idx {
+			kept[i] = append(kept[i], vals[k].(*serde.GenericRecord))
+		}
+	}
+	sr.Close()
+	drainEager(t, fs, "/c", nil)
+	for m, recs := range kept {
+		if int64(len(recs)) != n {
+			t.Fatalf("%s shared: member %d kept %d records, want %d", name, m, len(recs), n)
+		}
+		for i, rec := range recs {
+			want := gen.Record(int64(i))
+			for j, f := range rec.Schema().Fields {
+				w, _ := want.Get(f.Name)
+				if !serde.ValuesEqual(f.Type, rec.GetAt(j), w) {
+					t.Fatalf("%s shared: member %d kept record %d field %s is %v, wrote %v", name, m, i, f.Name, rec.GetAt(j), w)
+				}
+			}
+		}
 	}
 }

@@ -80,18 +80,8 @@ func (f *InputFormat) Explain(fs *hdfs.FileSystem, conf *mapred.JobConf, model s
 		p.Predicate = pred.String()
 	}
 
-	// The columns a map task will open: the projection (or, for
-	// aggregations, the aggregate's inputs), plus the filter columns —
-	// mirroring planDirs. nil means every column of the split schema.
-	cols := spec.Columns
-	if spec.Agg != nil && len(cols) == 0 {
-		cols = spec.Agg.Columns(nil)
-	} else if spec.Agg != nil {
-		cols = spec.Agg.Columns(append([]string(nil), cols...))
-	}
-	if pred != nil && len(cols) > 0 {
-		cols = pred.Columns(append([]string(nil), cols...))
-	}
+	// The columns a map task will open, as planDirs ranks locality by.
+	cols := taskColumns(spec)
 	filter := make(map[string]bool, len(p.FilterCols))
 	for _, c := range p.FilterCols {
 		filter[c] = true

@@ -6,7 +6,6 @@ import (
 	"colmr/internal/colfile"
 	"colmr/internal/scan"
 	"colmr/internal/serde"
-	"colmr/internal/sim"
 )
 
 // LazyRecord implements the paper's lazy record construction (Section 5.1).
@@ -25,49 +24,51 @@ import (
 // then. A column it has read on every one of the last several records is
 // served differently — the skip between two reads is empty there, and what is
 // left is per-value plumbing — by decoding a short run of the next values at
-// once (scanPos.startRun). A run never reaches past rows the scan is known to
+// once (Reader.startRun). A run never reaches past rows the scan is known to
 // surface, and never further ahead than the column has just been read behind.
 type LazyRecord struct {
-	reader *Reader
+	r *Reader
+	m *member
 }
 
 // Schema implements serde.Record.
-func (l *LazyRecord) Schema() *serde.Schema { return l.reader.proj }
+func (l *LazyRecord) Schema() *serde.Schema { return l.m.proj }
 
 // Get implements serde.Record: it materializes the named column's value
 // for the record curPos currently points at. The per-cursor cache is
-// shared with predicate evaluation, so a filter column a pushdown
-// predicate already read is free here.
+// shared with predicate evaluation and with the other members of a shared
+// scan, so a column already read for the record is free here.
 func (l *LazyRecord) Get(name string) (any, error) {
-	r := l.reader
-	// The projected columns' cursors are the prefix of r.cursors, in the
-	// projection's order: one lookup resolves the name. Filter-only predicate
-	// columns have open cursors past that prefix but are not part of the
-	// record: they are rejected here so lazy and eager records expose the
-	// same (projected) schema.
-	i := r.proj.FieldIndex(name)
-	if i < 0 || i >= len(r.cursors) {
-		return nil, fmt.Errorf("core: column %q is not in the projection %v", name, r.columns)
+	r, m := l.r, l.m
+	// One lookup: the member's projection index names its cursor. Filter-only
+	// predicate columns have open cursors too but are not part of the record:
+	// they are rejected here so lazy and eager records expose the same
+	// (projected) schema.
+	i := m.proj.FieldIndex(name)
+	if i < 0 || len(r.cursors) == 0 {
+		return nil, fmt.Errorf("core: column %q is not in the projection %v", name, m.columns)
 	}
-	c := r.cursors[i]
-	counted := c.cachedPos == r.curPos
+	c := r.cursors[m.colCursor[i]]
+	cached := c.cachedPos == r.curPos
 	v, err := r.valueAt(c)
 	if err != nil {
 		return nil, err
 	}
-	if r.stats != nil && !counted && !l.countedCurrent() {
-		r.stats.CPU.RecordsMaterialized++
-		r.lastCounted = r.curPos
-		r.lastCountedDir = r.dirIdx
+	if !cached || r.countCachedGets {
+		r.countMaterialized()
 	}
 	return v, nil
 }
 
-// countedCurrent reports whether the current record was already counted as
-// materialized (first Get on a record wins).
-func (l *LazyRecord) countedCurrent() bool {
-	r := l.reader
-	return r.lastCountedDir == r.dirIdx && r.lastCounted == r.curPos && r.lastCounted >= 0
+// countMaterialized counts record-object construction once per record,
+// however many members and Gets consumed it — the object churn is shared
+// through the cursor cache, so charging it per member would overstate CPU
+// work.
+func (r *Reader) countMaterialized() {
+	if r.matCounted != r.curPos {
+		r.task.CPU.RecordsMaterialized++
+		r.matCounted = r.curPos
+	}
 }
 
 const (
@@ -79,48 +80,23 @@ const (
 	lazyRunRows = 256
 )
 
-// scanPos is the part of a reader's state its cursors materialize values
-// against: the open split-directory's extent and delete set, the row most
-// recently surfaced, and the evaluated batch that row was drawn from, if any.
-// Reader and SharedReader embed it, so valueAt is one function for both.
-type scanPos struct {
-	// dels is the open directory's loaded delete set (nil when it has none).
-	// Deleted ordinals are superseded recrawl rows: they are skipped before
-	// predicate evaluation and counted nowhere.
-	dels   *delSet
-	total  int64 // records in the open split-directory
-	curPos int64 // index of the record most recently returned by Next
-	// batch is the active evaluated batch lazy records are drawn from (nil
-	// between batches, and throughout the scalar loop).
-	batch *colBatch
-	// surfaced counts the rows Next has returned: a cursor read at row n and
-	// again at row n+1 was read on consecutive surfaced rows.
-	surfaced int64
-	// cpu is charged for what valueAt decodes and boxes (nil disables): the
-	// sink the cursors' own Value calls charge.
-	cpu *sim.CPUStats
-	// everyRow marks a scan that surfaces every undeleted row (no predicate,
-	// and not Spec.NoVec): outside a batch, a run may only decode ahead there.
-	everyRow bool
-}
-
 // valueAt materializes cursor c's value for the record curPos points at,
 // through the per-record cache shared by lazy records, predicate
 // evaluation, and record-at-a-time eager materialization: each column of
 // each record is deserialized at most once, however many consumers ask.
-func (s *scanPos) valueAt(c *cursor) (any, error) {
-	pos := s.curPos
+func (r *Reader) valueAt(c *cursor) (any, error) {
+	pos := r.curPos
 	if c.cachedPos == pos {
 		return c.cached, nil
 	}
-	if c.servedAt+1 == s.surfaced {
+	if c.servedAt+1 == r.surfaced {
 		c.streak++
 	} else {
 		c.streak = 1
 	}
-	c.servedAt = s.surfaced
+	c.servedAt = r.surfaced
 	if behind := c.streak - 1; behind >= lazyRunStreak && pos >= c.runEnd {
-		if err := s.startRun(c, min(behind, lazyRunRows)); err != nil {
+		if err := r.startRun(c, min(behind, lazyRunRows)); err != nil {
 			return nil, err
 		}
 	}
@@ -129,16 +105,16 @@ func (s *scanPos) valueAt(c *cursor) (any, error) {
 		// The cursor sits at the run's end: the run is the only source for the
 		// rows inside it, read on every one of them or not.
 		val = c.run[pos-c.runStart]
-	} else if v := s.batchVec(c); v != nil {
+	} else if v := r.batchVec(c); v != nil {
 		// A lazy record inside an evaluated batch: a column already decoded
 		// for the batch serves from its vector — the cursor was advanced to
 		// the batch end by the decode, so the vector is also the only correct
 		// source for rows inside the batch. (Eager records never come this
 		// way; assemble boxes whole columns at once.)
-		val = v.Value(int(pos - s.batch.start))
-		if s.cpu != nil && v.Kind != scan.VecAny {
+		val = v.Value(int(pos - r.batch.start))
+		if v.Kind != scan.VecAny {
 			// Boxing on serve; VecAny rows were charged at decode.
-			s.cpu.ValuesMaterialized++
+			r.task.CPU.ValuesMaterialized++
 		}
 	} else {
 		// lastPos -> curPos: cross the records nothing asked for. Skip-list
@@ -158,8 +134,8 @@ func (s *scanPos) valueAt(c *cursor) (any, error) {
 
 // batchVec returns c's vector in the active batch when curPos lies inside it
 // and the batch decoded the column.
-func (s *scanPos) batchVec(c *cursor) *scan.Vector {
-	if b := s.batch; b != nil && b.contains(s.curPos) {
+func (r *Reader) batchVec(c *cursor) *scan.Vector {
+	if b := r.batch; b != nil && b.contains(r.curPos) {
 		return b.vecAt(c.name)
 	}
 	return nil
@@ -167,47 +143,34 @@ func (s *scanPos) batchVec(c *cursor) *scan.Vector {
 
 // startRun decodes and boxes c's values for up to n rows from curPos on, all
 // at once, so the Gets that follow are slice reads. A run covers adjacent rows
-// the scan is known to surface next and stops at the first it is not: outside
-// a batch (a scan with no predicate) before a deleted ordinal or at the
-// directory's end, inside one before an unselected row or at the batch's end.
-// The scalar predicate loop does not know its next row, and complex kinds gain
-// nothing from a vector: both keep decoding one value per Get, as does a run
-// that would cover this row alone.
+// the scan is known to surface next — its batch's selection — and stops at the
+// first it is not, or at the batch's end. The record-at-a-time loop's one-row
+// batches know no next row, and complex kinds gain nothing from a vector: both
+// keep decoding one value per Get, as does a run that would cover this row
+// alone.
 //
 // The values come from the batch's own vector when it decoded the column, else
-// from the cursor through DecodeVector into a scratch vector marked Boxed —
-// which charges what Value charges, value for value — and Vector.Box carves
-// them out of one arena per run. What a run charges it charges when it is
-// built: read to its end it has cost what the value-at-a-time loop costs, and
-// a map function that drops the column mid-run has paid for the rest.
-func (s *scanPos) startRun(c *cursor, n int) error {
-	kind := colfile.VecKindOf(c.schema)
-	dec, ok := c.r.(colfile.VectorDecoder)
-	if !ok || kind == scan.VecAny {
+// from the cursor (colBatch.decodeBoxed, which charges what Value charges),
+// and Vector.Box carves them out of one arena per run. What a run charges it
+// charges when it is built: read to its end it has cost what the
+// value-at-a-time loop costs, and a map function that drops the column
+// mid-run has paid for the rest.
+func (r *Reader) startRun(c *cursor, n int) error {
+	if colfile.VecKindOf(c.schema) == scan.VecAny {
 		return nil
 	}
-	pos := s.curPos
+	pos := r.curPos
 	end := pos + int64(n)
-	b := s.batch
-	switch {
-	case b != nil && b.contains(pos):
-		end = min(end, b.end)
-		for e := pos + 1; e < end; e++ {
-			if !b.sel.Test(int(e - b.start)) {
-				end = e
-				break
-			}
-		}
-	case s.everyRow:
-		end = min(end, s.total)
-		for e := pos + 1; e < end; e++ {
-			if s.dels.has(e) {
-				end = e
-				break
-			}
-		}
-	default:
+	b := r.batch
+	if b == nil || !b.contains(pos) {
 		return nil
+	}
+	end = min(end, b.end)
+	for e := pos + 1; e < end; e++ {
+		if !b.sel.Test(int(e - b.start)) {
+			end = e
+			break
+		}
 	}
 	if n = int(end - pos); n < 2 {
 		return nil
@@ -220,23 +183,17 @@ func (s *scanPos) startRun(c *cursor, n int) error {
 		clear(c.run[n:])
 	}
 	c.run = c.run[:n]
-	if v := s.batchVec(c); v != nil {
-		lo := int(pos - b.start)
+	lo := int(pos - b.start)
+	if v := r.batchVec(c); v != nil {
 		v.BoxRange(lo, lo+n, c.run)
-		if s.cpu != nil {
-			s.cpu.ValuesMaterialized += int64(n)
-		}
+		r.task.CPU.ValuesMaterialized += int64(n)
 	} else {
-		v := vecScratch.Get(kind, n)
-		v.Boxed = true
-		err := dec.DecodeVector(pos, end, v, s.cpu)
-		if err == nil {
-			v.Box(nil, c.run, 1)
-		}
-		vecScratch.Put(v)
+		v, err := b.decodeBoxed(c, b.sel, lo, lo+n, n)
 		if err != nil {
-			return fmt.Errorf("core: column %q run decode [%d,%d): %w", c.name, pos, end, err)
+			return err
 		}
+		v.Box(nil, c.run, 1)
+		vecScratch.Put(v)
 	}
 	c.runStart, c.runEnd = pos, end
 	return nil

@@ -17,7 +17,7 @@ import (
 	"colmr/internal/workload"
 )
 
-// Lazy runs (scanPos.startRun): a column the map function reads on
+// Lazy runs (Reader.startRun): a column the map function reads on
 // consecutive surfaced rows is decoded a run at a time. The property below
 // holds the runs to the value-at-a-time loop (Spec.NoVec) — every value, in
 // order, and the counters — whatever the map function's access pattern.

@@ -2,61 +2,55 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"colmr/internal/catalog"
-	"colmr/internal/colfile"
 	"colmr/internal/hdfs"
 	"colmr/internal/mapred"
 	"colmr/internal/scan"
 	"colmr/internal/serde"
 	"colmr/internal/sim"
-	"colmr/internal/vec"
 )
 
-// Shared scans (the batch engine's storage side). A SharedReader drives one
-// cursor set over a split's directories for N co-scheduled member jobs:
+// Shared scans: the batch engine's storage side. There is one reader. A solo
+// scan is a one-member scan; OpenShared hands the same Reader N co-scheduled
+// member jobs, and the batch loop (vecexec.go) serves them all:
 //
-//   - the cursors cover the union of the members' projected and filter
-//     columns, and the pushdown predicate is the union (OR) of the members'
-//     predicates, so group pruning jumps only the regions *no* member can
-//     match and the scan runs at the union's selectivity;
-//   - each record surfacing from the union scan is demultiplexed by the
-//     members' residual predicates (identical residuals share one verdict
-//     per record via scan.Union's eval groups), and qualifying members
-//     receive the record under their own projection and materialization
-//     mode;
-//   - each member keeps solo-exact logical accounting. The member's own
-//     planner replays the solo reader's group-tier consultation sequence —
-//     the same positions, the same verdicts, the same extents — so per-job
-//     GroupsPruned / RecordsPruned / RecordsFiltered match a solo run
-//     exactly and "pruned + filtered + returned == dataset size" holds per
-//     job. This works because a position inside any member's established
-//     may-match region can never be skipped by the union tier: the union
-//     OR prunes only where every member's subtree proves NoMatch over the
-//     same statistics.
+//   - the cursors cover the union of the members' projected, filter and
+//     aggregate columns, and the union tier prunes with the OR of their
+//     predicates, so the scan runs at the union's selectivity;
+//   - each batch reaches each member as wants ∧ verdict — its wants are the
+//     rows its own planner does not prune, its verdict its eval group's
+//     residual (identical residuals are evaluated once) — through its sink;
+//   - with N > 1 each member's own planner replays the solo reader's
+//     group-tier consultations (advanceMember, wantRows): the same
+//     positions, verdicts and extents, so GroupsPruned / RecordsPruned /
+//     RecordsFiltered match a solo run and "pruned + filtered + returned ==
+//     dataset size" holds per job. The union OR prunes only where every
+//     member proves NoMatch over the same statistics, so it never skips a
+//     position inside any member's may-match region. A lone member's planner
+//     *is* the union planner, and replays nothing.
 //
-// Physical work is attributed once: every column stream charges a per-column
-// I/O bucket which Close folds into the shared TaskStats, along with
-// SharedReads (cursor opens avoided) and BytesSaved (charged bytes times the
-// additional members each stream served). Member TaskStats carry logical
-// counters only.
+// Physical work is attributed once: each stream charges a per-cursor bucket
+// that closeCursors folds into the task's (for OpenShared, the batch's
+// shared) TaskStats, with SharedReads (cursor opens avoided) and BytesSaved
+// (charged bytes times the extra members each stream served). Member
+// TaskStats carry logical counters only.
 
 // SharedSplits implements mapred.SharedInputFormat: per-job split planning
-// (scheduler-tier elision with each job's own predicate) followed by
-// co-scheduling. Directories surviving for the same member set are merged
-// into shared splits in global directory order, so each member's record
-// order across the batch equals its solo split order. Each run then passes
-// cost-based admission (admitRun): members whose union predicate would
-// destroy a selective member's pruning are split into separate shared
-// groups, with the declined pairings counted in each member's PruneReport.
+// (scheduler-tier elision with each job's own predicate), then
+// co-scheduling. Directories surviving for the same member set merge into
+// shared splits in global directory order, so each member's record order
+// equals its solo split order. Cost-based admission (admitRun) splits off
+// members whose union predicate would destroy a selective member's pruning,
+// counting the declined pairings in each member's PruneReport.
 func (f *InputFormat) SharedSplits(fs *hdfs.FileSystem, confs []*mapred.JobConf) ([]mapred.SharedSplit, []scan.PruneReport, error) {
 	reports := make([]scan.PruneReport, len(confs))
 	plans := make([]dirPlan, len(confs))
 	// One layout snapshot per dataset for the whole batch: a manifest commit
 	// landing mid-planning must not hand members different generations of
-	// one cursor set. Layouts are the one planning input that is mutable;
-	// the schemas and footer statistics below them are not, and come through
-	// the batch's catalog, parsed once however many members consult them.
+	// one cursor set. Schemas and footer statistics are immutable and come
+	// through the batch's catalog, parsed once however many members ask.
 	layouts := make(map[string]dsLayout)
 	cat := catalogOf(fs, confs...)
 	for i, conf := range confs {
@@ -96,18 +90,14 @@ func (f *InputFormat) SharedSplits(fs *hdfs.FileSystem, confs []*mapred.JobConf)
 				i++
 				continue
 			}
-			// A run of consecutive directories with an identical member set
-			// is one co-scheduling unit; the member-set boundary is also a
-			// task boundary so per-member accounting stays per-plan.
+			// A run of consecutive directories with one member set is a
+			// co-scheduling unit, and its boundary a task boundary.
 			j := i + 1
-			for j < len(dirs) && sameMembers(membersOf[dirs[j]], ms) {
+			for j < len(dirs) && slices.Equal(membersOf[dirs[j]], ms) {
 				j++
 			}
 			run := dirs[i:j]
-			// Cost-based admission: split the member set into clusters whose
-			// union predicates keep each member's pruning intact. Declined
-			// pairings are reported per member (a member in a cluster of c
-			// lost len(ms)-c potential co-scan partners).
+			// A member in a cluster of c declined len(ms)-c co-scan partners.
 			for _, cl := range f.admitRun(cat, plans, ms, run) {
 				if declined := len(ms) - len(cl); declined > 0 {
 					for _, m := range cl {
@@ -119,17 +109,12 @@ func (f *InputFormat) SharedSplits(fs *hdfs.FileSystem, confs []*mapred.JobConf)
 					runPreds[k] = plans[m].pred
 				}
 				union := scan.NewUnion(runPreds)
-				// The cluster's task sizing follows its first member's
-				// resolved directories-per-split (and its bloom setting,
-				// which only sharpens the estimate); the batch scheduler only
-				// groups jobs whose sizing agrees.
+				// Task sizing follows the first member's directories-per-split
+				// (the batch scheduler groups only jobs whose sizing agrees).
 				per := f.splitSize(cat, plans[cl[0]].dps, union.Shared, plans[cl[0]].bloom, run)
 				cols := unionColumns(plans, cl)
 				for a := 0; a < len(run); a += per {
-					b := a + per
-					if b > len(run) {
-						b = len(run)
-					}
+					b := min(a+per, len(run))
 					dels := make([]string, b-a)
 					for di, dir := range run[a:b] {
 						dels[di] = delOf[dir]
@@ -147,14 +132,11 @@ func (f *InputFormat) SharedSplits(fs *hdfs.FileSystem, confs []*mapred.JobConf)
 }
 
 // admitRun partitions a run's member set into co-admission clusters:
-// greedily, in member order, a member joins the first cluster whose
-// widened union predicate stays scan.AdmissionCompatible with the
-// cluster's most selective member, else opens its own. Splitting the set
-// never changes any member's output or logical counters (each member's
-// replay accounting is solo-exact regardless of co-members) — only which
-// cursor sets are shared — so admission is purely a cost decision. When
-// selectivity estimation fails for any member, the whole set stays one
-// cluster, which is the pre-cost-model behavior.
+// greedily, in member order, a member joins the first cluster whose widened
+// union predicate stays scan.AdmissionCompatible with the cluster's most
+// selective member, else opens its own. Clustering changes no member's
+// output or logical counters, only which cursor sets are shared. When any
+// member's selectivity cannot be estimated the set stays one cluster.
 func (f *InputFormat) admitRun(cat *catalog.Catalog, plans []dirPlan, ms []int, run []string) [][]int {
 	if len(ms) < 2 {
 		return [][]int{ms}
@@ -209,33 +191,8 @@ func (f *InputFormat) admitRun(cat *catalog.Catalog, plans []dirPlan, ms []int, 
 // split-directories from footer statistics, false when any directory
 // cannot be estimated.
 func runFraction(cat *catalog.Catalog, dirs []string, pred scan.Predicate, bloom bool) (float64, bool) {
-	var rows, est float64
-	for _, dir := range dirs {
-		r, e, ok := estimateDirMatches(cat, dir, pred, bloom)
-		if !ok {
-			return 0, false
-		}
-		rows += r
-		est += e
-	}
-	if rows == 0 {
-		return 0, false
-	}
-	return est / rows, true
-}
-
-// sameMembers reports whether two (sorted, append-ordered) member lists are
-// identical.
-func sameMembers(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	rows, est, ok := runMatches(cat, dirs, pred, bloom)
+	return est / rows, ok && rows > 0
 }
 
 // unionColumns merges the members' locality columns; nil (all columns) wins.
@@ -253,764 +210,300 @@ func unionColumns(plans []dirPlan, ms []int) []string {
 }
 
 func appendColumnName(dst []string, col string) []string {
-	for _, c := range dst {
-		if c == col {
-			return dst
-		}
+	if slices.Contains(dst, col) {
+		return dst
 	}
 	return append(dst, col)
 }
 
-// OpenShared implements mapred.SharedInputFormat.
+// OpenShared implements mapred.SharedInputFormat: an N-member scan of the
+// split (see Reader).
 func (f *InputFormat) OpenShared(fs *hdfs.FileSystem, confs []*mapred.JobConf, split mapred.Split, members []int, node hdfs.NodeID, memberStats []*sim.TaskStats, shared *sim.TaskStats) (mapred.SharedRecordReader, error) {
-	csplit, ok := split.(*Split)
-	if !ok {
-		return nil, fmt.Errorf("core: unexpected split type %T", split)
-	}
-	if len(csplit.Dirs) == 0 {
-		return nil, fmt.Errorf("core: empty split")
-	}
-	if len(members) == 0 || len(members) != len(memberStats) {
-		return nil, fmt.Errorf("core: %d members with %d stats sinks", len(members), len(memberStats))
-	}
-	cat := catalogOf(fs, confs...)
-	schema, err := readSplitSchema(cat, csplit.Dirs[0])
+	r, err := openReader(fs, confs, members, split, node, memberStats, shared)
 	if err != nil {
 		return nil, err
 	}
-	sr := &SharedReader{
-		fs:       fs,
-		cat:      cat,
-		node:     node,
-		shared:   shared,
-		schema:   schema,
-		dirs:     csplit.Dirs,
-		delFiles: csplit.Dels,
-		dirIdx:   -1,
-	}
-	sr.cpu = &shared.CPU
-	preds := make([]scan.Predicate, len(members))
-	anyNoBloom := false
-	allVec := true
-	for k, mi := range members {
-		conf := confs[mi]
-		spec, err := resolveSpec(conf)
-		if err != nil {
-			return nil, err
-		}
-		if spec.NoBloom {
-			anyNoBloom = true
-		}
-		if spec.NoVec {
-			// One scalar member makes the whole cursor set scalar: the
-			// switch is an A/B lever, and mixing modes inside one batch
-			// would blur what it measures.
-			allVec = false
-		}
-		if sr.cache == nil {
-			// All members of a session batch carry the same cache; take the
-			// first one present so hand-mixed batches still behave.
-			sr.cache = conf.Cache
-		}
-		if sr.vecCache == nil {
-			sr.vecCache = conf.VecCache
-		}
-		cols := spec.Columns
-		proxyOnly := false
-		if spec.Agg != nil && len(cols) == 0 {
-			// An aggregating member materializes nothing; its cursor needs
-			// are the aggregate's inputs (or any one column, for pure COUNT,
-			// to pace the scan).
-			if cols = spec.Agg.Columns(nil); len(cols) == 0 {
-				proxyOnly = true
-				if fc := scan.NewPlanner(spec.Predicate).FilterColumns(); len(fc) > 0 {
-					cols = fc[:1]
-				} else if len(schema.Fields) > 0 {
-					cols = []string{schema.Fields[0].Name}
-				}
-			}
-		}
-		proj := schema
-		if len(cols) > 0 {
-			if proj, err = schema.Project(cols...); err != nil {
-				return nil, err
-			}
-		} else {
-			cols = schema.FieldNames()
-		}
-		pred := spec.Predicate
-		need := make(map[string]bool, len(cols))
-		for _, c := range cols {
-			need[c] = true
-		}
-		if pred != nil {
-			for _, col := range pred.Columns(nil) {
-				if schema.Field(col) == nil {
-					return nil, fmt.Errorf("core: predicate references unknown column %q", col)
-				}
-				need[col] = true
-			}
-		}
-		preds[k] = pred
-		m := &sharedMember{
-			proj:      proj,
-			columns:   cols,
-			need:      need,
-			lazy:      spec.Lazy,
-			planner:   scan.NewPlanner(pred),
-			stats:     memberStats[k],
-			proxyOnly: proxyOnly,
-		}
-		if spec.Agg != nil {
-			m.aggCols = spec.Agg.Columns(nil)
-			for _, col := range m.aggCols {
-				if schema.Field(col) == nil {
-					return nil, fmt.Errorf("core: aggregate references unknown column %q", col)
-				}
-				need[col] = true
-			}
-			m.aggState = scan.NewAggState(spec.Agg)
-		}
-		// The member's replay planner carries the member's own bloom
-		// setting, so its counters match a solo run exactly.
-		m.planner.SetBloom(spec.Bloom())
-		m.lrec = &sharedLazyRecord{sr: sr, m: m}
-		sr.members = append(sr.members, m)
-	}
-	union := scan.NewUnion(preds)
-	sr.planner = scan.NewPlanner(union.Shared)
-	// The union tier may prune a region only where every member's own
-	// replay also proves it empty (the region-consistency argument above).
-	// A member that disabled bloom consultation prunes less, so the union
-	// must not out-prune it: one dissenter disables the union's blooms
-	// (and the cursor set's DCSL prober, whose physical charges would
-	// otherwise differ from that member's solo run).
-	sr.noBloom = anyNoBloom
-	sr.planner.SetBloom(!anyNoBloom)
-	sr.evalPos = make([]int64, union.NumGroups)
-	sr.evalOK = make([]bool, union.NumGroups)
-	for k, m := range sr.members {
-		m.evalGroup = union.EvalGroups[k]
-	}
-	// Vectorized demux state: one residual predicate per evaluation group
-	// (identical residuals share one batch verdict, like the scalar
-	// evalPos/evalOK dedup). Vectorization needs every member filtered —
-	// union.Shared nil means some member takes every record, and the batch
-	// path has nothing to evaluate.
-	sr.vectorize = allVec && union.Shared != nil
-	// With no union predicate the scalar loop below surfaces every undeleted
-	// row if some member takes every record as a record (an aggregating
-	// member folds its rows and surfaces none).
-	for _, m := range sr.members {
-		if allVec && m.planner.Predicate() == nil && m.aggState == nil {
-			sr.everyRow = true
-		}
-	}
-	sr.groupPred = make([]scan.Predicate, union.NumGroups)
-	for k, m := range sr.members {
-		if g := m.evalGroup; g >= 0 && sr.groupPred[g] == nil {
-			sr.groupPred[g] = preds[k]
-		}
-	}
-	sr.memberSel = make([]*scan.Selection, len(sr.members))
-	if sr.vectorize {
-		sr.probeOnly = make(map[string]bool)
-		for _, col := range scan.ProbeOnlyColumns(sr.groupPred...) {
-			sr.probeOnly[col] = true
-		}
-		// Dictionary-id eligibility is judged across every member's residual
-		// and needs at once: any member materializing or aggregating a
-		// column needs its values, so the shared cursor must not spend its
-		// stream on ids.
-		sr.idOnly = make(map[string]bool)
-		for _, col := range scan.IDOnlyColumns(sr.groupPred...) {
-			sr.idOnly[col] = true
-		}
-		for _, m := range sr.members {
-			if !m.proxyOnly {
-				for _, col := range m.columns {
-					delete(sr.probeOnly, col)
-					delete(sr.idOnly, col)
-				}
-			}
-			for _, col := range m.aggCols {
-				delete(sr.idOnly, col)
-			}
-		}
-	}
-	// The cursor set covers the union of the members' needs: projected
-	// columns first (member order), then filter-only and aggregate-only
-	// columns.
-	for _, m := range sr.members {
-		for _, c := range m.columns {
-			sr.allCols = appendColumnName(sr.allCols, c)
-		}
-		for _, c := range m.aggCols {
-			sr.allCols = appendColumnName(sr.allCols, c)
-		}
-	}
-	for _, c := range union.Columns {
-		sr.allCols = appendColumnName(sr.allCols, c)
-	}
-	sr.needers = make([]int, len(sr.allCols))
-	for ci, col := range sr.allCols {
-		for _, m := range sr.members {
-			if m.need[col] {
-				sr.needers[ci]++
-			}
-		}
-	}
-	for _, m := range sr.members {
-		m.colCursor = make([]int, len(m.columns))
-		for i, col := range m.columns {
-			for ci, c := range sr.allCols {
-				if c == col {
-					m.colCursor[i] = ci
-					break
-				}
-			}
-		}
-	}
-	if err := sr.nextDir(); err != nil {
-		sr.Close()
-		return nil, err
-	}
-	return sr, nil
+	r.countCachedGets = true
+	return (*SharedReader)(r), nil
 }
 
-// SharedReader iterates a shared split for several member jobs at once,
-// implementing mapred.SharedRecordReader.
-type SharedReader struct {
-	fs      *hdfs.FileSystem
-	cat     *catalog.Catalog // the batch's metadata catalog (directory schemas)
-	node    hdfs.NodeID
-	shared  *sim.TaskStats
-	cache   *hdfs.ScanCache
-	schema  *serde.Schema
-	members []*sharedMember
-	planner *scan.Planner // union predicate
-	noBloom bool          // true when any member disabled bloom consultation
-	allCols []string
-	needers []int // members needing each column
-
-	dirs []string
-	// delFiles / scanPos.dels: superseded-row masking, as in the solo Reader.
-	// Deleted rows never surface or fold; unlike the solo path, a deleted
-	// row inside a member's may-match region lands in that member's
-	// defensive RecordsFiltered count (advanceMember crosses it), an
-	// accepted counter divergence on ingest datasets.
-	delFiles []string
-	dirIdx   int
-	// scanPos is the scan's position in the open directory (lazy.go); its
-	// batch is the evaluated batch of the vectorized demux below.
-	scanPos
-	cursors      []*cursor
-	colIO        []sim.IOStats // per-cursor physical I/O for the open dir
-	byName       map[string]*cursor
-	pruneValidTo int64
-	done         bool
-
-	// Residual-evaluation dedup: one verdict per eval group per record.
-	evalPos []int64
-	evalOK  []bool
-	// matCounted is the record most recently counted as materialized
-	// (once per record, however many members consumed it).
-	matCounted int64
-
-	// Vectorized demux (vecexec.go): groupPred holds one residual per eval
-	// group; per batch, memberSel[i] is member i's match bitmap. vecOK
-	// narrows vectorize per directory.
-	vectorize bool
-	vecOK     bool
-	vecCache  *vec.Cache
-	probeOnly map[string]bool
-	idOnly    map[string]bool
-	groupPred []scan.Predicate
-	memberSel []*scan.Selection
-
-	outVals []any
-	outIdx  []int
-}
-
-// sharedMember is one job's sink within a shared scan.
-type sharedMember struct {
-	proj      *serde.Schema
-	columns   []string // projected columns, record field order
-	colCursor []int    // cursor index of each projected column
-	need      map[string]bool
-	lazy      bool
-	planner   *scan.Planner // the member's own predicate
-	stats     *sim.TaskStats
-	evalGroup int
-	lrec      *sharedLazyRecord
-
-	// Aggregating members fold matches instead of receiving records; their
-	// records never surface from Next. Shared folds take no zone-stats
-	// shortcut (the union cursor must visit the region for the other
-	// members anyway), so a shared member's AggGroupsShortcut stays zero —
-	// an accepted physical difference from its solo run; the folded values
-	// and logical pruning counters still match exactly.
-	aggState *scan.AggState
-	aggCols  []string
-	// proxyOnly marks a projection invented for a pure COUNT: the column
-	// paces the scan but its values are never read, so it does not
-	// disqualify probe-only or dictionary-id evaluation.
-	proxyOnly bool
-
-	// Solo-replay accounting state, reset per directory: acctPos is the
-	// next unaccounted record, validTo bounds the current may-match region.
-	acctPos int64
-	validTo int64
-}
-
-// nextDir folds the finished directory's physical accounting and opens the
-// next one. Unlike the solo reader there is no file pruning tier here: the
-// member set already encodes each job's scheduler-tier verdict for every
-// directory of the split.
-func (sr *SharedReader) nextDir() error {
-	sr.releaseBatch()
-	sr.vecOK = false
-	sr.closeCursors()
-	sr.dirIdx++
-	if sr.dirIdx >= len(sr.dirs) {
-		sr.done = true
-		return nil
-	}
-	dir := sr.dirs[sr.dirIdx]
-	if sr.dirIdx > 0 {
-		s, err := readSplitSchema(sr.cat, dir)
-		if err != nil {
-			return err
-		}
-		if !s.Equal(sr.schema) {
-			return fmt.Errorf("core: split-directory %s schema differs from %s", dir, sr.dirs[0])
-		}
-	}
-	if err := sr.openDir(dir); err != nil {
-		return err
-	}
-	var err error
-	if sr.dels, err = loadDelSet(sr.fs, delFileAt(sr.delFiles, sr.dirIdx)); err != nil {
-		return err
-	}
-	if isFreshPartition(dir) {
-		sr.shared.FreshPartitionsScanned++
-	}
-	sr.curPos = -1
-	sr.pruneValidTo = 0
-	sr.matCounted = -1
-	for i := range sr.evalPos {
-		sr.evalPos[i] = -1
-	}
-	for _, m := range sr.members {
-		m.acctPos, m.validTo = 0, 0
-	}
-	sr.vecOK = sr.vecEligible()
-	return nil
-}
-
-// openDir opens the union cursor set over dir, each stream charging its own
-// I/O bucket so Close can attribute sharing savings per column.
-func (sr *SharedReader) openDir(dir string) error {
-	selective := sr.planner.Predicate() != nil
-	ropts, collide := dirCursorOptions(sr.fs, len(sr.allCols), selective)
-	ropts.NoBloom = sr.noBloom
-	sr.colIO = make([]sim.IOStats, len(sr.allCols))
-	closeAll := func() {
-		for _, c := range sr.cursors {
-			c.close()
-		}
-		sr.cursors = nil
-		sr.colIO = nil
-	}
-	for i, col := range sr.allCols {
-		hr, err := sr.fs.Open(dir+"/"+col, sr.node)
-		if err != nil {
-			closeAll()
-			return fmt.Errorf("core: opening column %q: %w", col, err)
-		}
-		hr.SetStats(&sr.colIO[i])
-		if sr.cache != nil {
-			// Hits are physical accounting, credited once to the shared
-			// stats like every other byte of the cursor set.
-			hr.SetCache(sr.cache, sr.shared)
-		}
-		opts := ropts
-		if collide > 0 {
-			hr := hr
-			opts.OnRefill = func(n, cur int) {
-				hr.ChargeInterleaved(int64(float64(n)*collide*float64(sim.ReadaheadBytes)/float64(cur) + 0.5))
-			}
-		}
-		cr, err := colfile.NewReaderOpts(hr, sr.schema.Field(col), opts, &sr.shared.CPU)
-		if err != nil {
-			hr.Close()
-			closeAll()
-			return fmt.Errorf("core: column %q: %w", col, err)
-		}
-		sr.cursors = append(sr.cursors, &cursor{name: col, schema: sr.schema.Field(col), hr: hr, r: cr, cachedPos: -1})
-	}
-	sr.byName = make(map[string]*cursor, len(sr.cursors))
-	for _, c := range sr.cursors {
-		sr.byName[c.name] = c
-	}
-	sr.total = sr.cursors[0].r.Total()
-	for _, c := range sr.cursors {
-		if c.r.Total() != sr.total {
-			return fmt.Errorf("core: column %q has %d records, %q has %d", c.name, c.r.Total(), sr.cursors[0].name, sr.total)
-		}
-	}
-	return nil
-}
-
-// closeCursors closes the open directory's streams and folds their physical
-// accounting into the shared stats — including the sharing savings: a
-// stream that served k members replaced k-1 solo cursors and their bytes.
-func (sr *SharedReader) closeCursors() {
-	for i, c := range sr.cursors {
-		c.close()
-		io := sr.colIO[i]
-		sr.shared.IO.Add(io)
-		if extra := sr.needers[i] - 1; extra > 0 {
-			sr.shared.SharedReads += int64(extra)
-			sr.shared.BytesSaved += int64(extra) * io.TotalChargedBytes()
-		}
-	}
-	sr.cursors = nil
-	sr.byName = nil
-	sr.colIO = nil
-}
+// SharedReader is a Reader seen through mapred.SharedRecordReader.
+type SharedReader Reader
 
 // Next implements mapred.SharedRecordReader. The returned slices are reused
 // across calls; lazy member records are valid until the next call, like the
 // solo reader's.
-func (sr *SharedReader) Next() (any, []any, []int, bool, error) {
-	for {
-		if sr.done {
-			return nil, nil, nil, false, nil
-		}
-		// Pop the next match of the active batch; demux it by the members'
-		// match bitmaps computed at batch evaluation.
-		if b := sr.batch; b != nil {
-			idx := b.sel.Next(b.next)
-			if idx < 0 {
-				sr.curPos = b.end - 1
-				sr.releaseBatch()
-				continue
-			}
-			b.next = idx + 1
-			sr.curPos = b.start + int64(idx)
-			sr.outVals = sr.outVals[:0]
-			sr.outIdx = sr.outIdx[:0]
-			for mi, m := range sr.members {
-				if sr.memberSel[mi] == nil || !sr.memberSel[mi].Test(idx) {
-					continue
-				}
-				v, err := sr.deliver(m)
-				if err != nil {
-					return nil, nil, nil, false, err
-				}
-				sr.outVals = append(sr.outVals, v)
-				sr.outIdx = append(sr.outIdx, mi)
-			}
-			// The union selection is the OR of the member bitmaps, so at
-			// least one member took the record.
-			sr.surfaced++
-			return nil, sr.outVals, sr.outIdx, true, nil
-		}
-		if sr.curPos+1 >= sr.total {
-			sr.finishDir()
-			if err := sr.nextDir(); err != nil {
-				return nil, nil, nil, false, err
-			}
-			continue
-		}
-		if sr.vecOK {
-			if err := sr.vecAdvance(); err != nil {
-				return nil, nil, nil, false, err
-			}
-			continue
-		}
-		sr.curPos++
-		pos := sr.curPos
-		// Superseded rows are stepped over before any zone map is consulted,
-		// as in the solo loop: no verdict is asked for, or counted from, one.
-		if sr.dels.has(pos) {
-			continue
-		}
-		// Union group tier: skip regions no member can match. The union
-		// extent is the narrowest group consulted across every member's
-		// filter columns, so each member's own accounting re-proves (and
-		// counts) the skip at its own granularity below.
-		if sr.planner.Predicate() != nil && pos >= sr.pruneValidTo {
-			tri, end, byBloom := sr.planner.PruneGroup(pos, sr.total, sr.groupStats)
-			if tri == scan.NoMatch {
-				sr.shared.GroupsPruned++
-				sr.shared.RecordsPruned += end - pos
-				if byBloom {
-					sr.shared.BloomPruned++
-				}
-				sr.curPos = end - 1
-				continue
-			}
-			sr.pruneValidTo = end
-		}
-		sr.outVals = sr.outVals[:0]
-		sr.outIdx = sr.outIdx[:0]
-		for mi, m := range sr.members {
-			if !sr.memberWants(m, pos) {
-				continue
-			}
-			match, err := sr.memberMatch(m, pos)
-			if err != nil {
-				return nil, nil, nil, false, err
-			}
-			m.acctPos = pos + 1
-			if !match {
-				m.stats.RecordsFiltered++
-				continue
-			}
-			if m.aggState != nil {
-				if err := m.aggState.FoldRecord(sharedEval{sr}); err != nil {
-					return nil, nil, nil, false, err
-				}
-				m.stats.RowsAggregated++
-				continue
-			}
-			v, err := sr.deliver(m)
-			if err != nil {
-				return nil, nil, nil, false, err
-			}
-			sr.outVals = append(sr.outVals, v)
-			sr.outIdx = append(sr.outIdx, mi)
-		}
-		if len(sr.outIdx) > 0 {
-			sr.surfaced++
-			return nil, sr.outVals, sr.outIdx, true, nil
-		}
+func (s *SharedReader) Next() (any, []any, []int, bool, error) {
+	r := (*Reader)(s)
+	if ok, err := r.advance(); !ok {
+		return nil, nil, nil, false, err
 	}
-}
-
-// advanceMember replays m's solo group-tier consultation sequence until
-// every record below limit is accounted: consult at the next unaccounted
-// position, count and jump NoMatch extents (which may legitimately
-// overshoot limit — the proof covers the whole extent), extend may-match
-// regions. May-match records below limit were crossed by the union cursor
-// without evaluation — unreachable by the region-consistency argument in
-// the package comment — and are counted filtered defensively so the
-// per-job sum invariant cannot silently break.
-func (sr *SharedReader) advanceMember(m *sharedMember, limit int64) {
-	for m.acctPos < limit {
-		// Superseded rows are invisible to the solo reader: it steps over
-		// them before it consults a zone map, and counts them nowhere.
-		if sr.dels.has(m.acctPos) {
-			m.acctPos++
-			continue
-		}
-		if m.acctPos < m.validTo {
-			m.stats.RecordsFiltered++
-			m.acctPos++
-			continue
-		}
-		tri, end, byBloom := m.planner.PruneGroup(m.acctPos, sr.total, sr.groupStats)
-		if tri == scan.NoMatch {
-			m.stats.GroupsPruned++
-			m.stats.RecordsPruned += end - m.acctPos
-			if byBloom {
-				m.stats.BloomPruned++
-			}
-			m.acctPos = end
-			continue
-		}
-		if end <= m.acctPos {
-			end = m.acctPos + 1
-		}
-		m.validTo = end
+	if err := r.demux(); err != nil {
+		return nil, nil, nil, false, err
 	}
-}
-
-// memberWants advances m's solo-replay accounting to pos and reports
-// whether the member must evaluate the record exactly — so per-member
-// counters are independent of the union cursor's path.
-func (sr *SharedReader) memberWants(m *sharedMember, pos int64) bool {
-	sr.advanceMember(m, pos)
-	if m.acctPos > pos {
-		return false // the member's own tier pruned past pos
-	}
-	if m.acctPos >= m.validTo {
-		tri, end, byBloom := m.planner.PruneGroup(pos, sr.total, sr.groupStats)
-		if tri == scan.NoMatch {
-			m.stats.GroupsPruned++
-			m.stats.RecordsPruned += end - pos
-			if byBloom {
-				m.stats.BloomPruned++
-			}
-			m.acctPos = end
-			return false
-		}
-		if end <= pos {
-			end = pos + 1
-		}
-		m.validTo = end
-	}
-	return true
-}
-
-// memberMatch decides m's residual predicate for the current record,
-// sharing verdicts between members with identical residuals.
-func (sr *SharedReader) memberMatch(m *sharedMember, pos int64) (bool, error) {
-	p := m.planner.Predicate()
-	if p == nil {
-		return true, nil
-	}
-	g := m.evalGroup
-	if g >= 0 && sr.evalPos[g] == pos {
-		return sr.evalOK[g], nil
-	}
-	ok, err := p.Eval(sharedEval{sr})
-	if err != nil {
-		return false, err
-	}
-	if g >= 0 {
-		sr.evalPos[g] = pos
-		sr.evalOK[g] = ok
-	}
-	return ok, nil
-}
-
-// deliver materializes the current record for one member, under the
-// member's own projection and materialization mode. Values flow through the
-// shared per-cursor cache, so a column consumed by several members (or by a
-// residual and a projection) is deserialized once.
-func (sr *SharedReader) deliver(m *sharedMember) (any, error) {
-	if m.lazy {
-		return m.lrec, nil
-	}
-	rec := serde.NewRecord(m.proj)
-	for i, ci := range m.colCursor {
-		v, err := sr.valueAt(sr.cursors[ci])
-		if err != nil {
-			return nil, err
-		}
-		rec.SetAt(i, v)
-	}
-	sr.countMaterialized()
-	return rec, nil
-}
-
-// countMaterialized counts record-object construction once per record,
-// however many members consumed it — the object churn is shared through
-// the cursor cache, so charging it per member would overstate CPU work.
-func (sr *SharedReader) countMaterialized() {
-	if sr.matCounted != sr.curPos {
-		sr.shared.CPU.RecordsMaterialized++
-		sr.matCounted = sr.curPos
-	}
-}
-
-// finishDir flushes every member's accounting to the end of the open
-// directory: trailing regions the union tier skipped are counted with each
-// member's own group-tier verdicts, exactly as the solo reader would have.
-func (sr *SharedReader) finishDir() {
-	if sr.cursors == nil {
-		return
-	}
-	for _, m := range sr.members {
-		sr.advanceMember(m, sr.total)
-	}
-}
-
-// AggStates implements mapred.AggSharedRecordReader: the folded state of
-// each aggregating member (nil entries for members that surface records),
-// indexed like the members slice. Valid after the reader is exhausted.
-func (sr *SharedReader) AggStates() []*scan.AggState {
-	out := make([]*scan.AggState, len(sr.members))
-	for i, m := range sr.members {
-		out[i] = m.aggState
-	}
-	return out
+	return nil, r.outVals, r.outIdx, true, nil
 }
 
 // Close implements mapred.SharedRecordReader.
-func (sr *SharedReader) Close() error {
-	sr.releaseBatch()
-	sr.closeCursors()
-	sr.done = true
+func (s *SharedReader) Close() error { return (*Reader)(s).Close() }
+
+// member is one job's share of a scan: its projection, its own planner, its
+// logical accounting and its sink — aggregate fold, lazy records, or eager
+// records.
+type member struct {
+	proj      *serde.Schema
+	columns   []string      // projected columns, record field order
+	colCursor []int         // cursor index of each projected column
+	planner   *scan.Planner // the member's own predicate
+	stats     *sim.TaskStats
+	evalGroup int
+	lrec      *LazyRecord // set for a lazy member
+	// An aggregating member folds its matches into fold and surfaces no
+	// record. Members with the same aggregate in one eval group share the
+	// state, and the first of them, the folder, folds for all.
+	agg     *scan.Aggregate
+	aggCols []string
+	fold    *scan.AggState
+	folder  bool
+	// proxyOnly marks a projection invented for a pure COUNT: the column
+	// paces the scan but its values are never read, so it does not
+	// disqualify probe-only or dictionary-id evaluation.
+	proxyOnly bool
+	// Replay accounting state, reset per directory: acctPos is the next
+	// unaccounted record, validTo bounds the current may-match region.
+	acctPos int64
+	validTo int64
+	// sel picks the rows of the active batch the member takes; ready holds
+	// an eager member's records of them not yet handed out.
+	sel   *scan.Selection
+	ready []serde.GenericRecord
+}
+
+// eager reports whether the member takes eager records.
+func (m *member) eager() bool { return m.fold == nil && m.lrec == nil }
+
+// addMember resolves one job's projection and columns against the dataset
+// schema and appends it to the scan.
+func (r *Reader) addMember(spec *scan.Spec, columns []string, stats *sim.TaskStats) error {
+	schema := r.schema
+	m := &member{planner: scan.NewPlanner(spec.Predicate), stats: stats, agg: spec.Agg}
+	if spec.Lazy && spec.Agg == nil {
+		m.lrec = &LazyRecord{r: r, m: m}
+	}
+	// The member's planner carries its own bloom setting, so its replayed
+	// counters match a solo run exactly.
+	m.planner.SetBloom(spec.Bloom())
+	if spec.Agg != nil && len(columns) == 0 {
+		// An aggregation with no explicit projection reads only its own
+		// columns; a pure COUNT reads none, so any one column (the
+		// narrowest proxy for the record count) stands in.
+		if columns = spec.Agg.Columns(nil); len(columns) == 0 {
+			m.proxyOnly = true
+			if fc := m.planner.FilterColumns(); len(fc) > 0 {
+				columns = fc[:1]
+			} else if len(schema.Fields) > 0 {
+				columns = []string{schema.Fields[0].Name}
+			}
+		}
+	}
+	m.proj = schema
+	if len(columns) > 0 {
+		var err error
+		if m.proj, err = schema.Project(columns...); err != nil {
+			return err
+		}
+	} else {
+		columns = schema.FieldNames()
+	}
+	m.columns = columns
+	for _, col := range m.planner.FilterColumns() {
+		if schema.Field(col) == nil {
+			return fmt.Errorf("core: predicate references unknown column %q", col)
+		}
+	}
+	m.aggCols = spec.Agg.Columns(nil)
+	for _, col := range m.aggCols {
+		if schema.Field(col) == nil {
+			return fmt.Errorf("core: aggregate references unknown column %q", col)
+		}
+	}
+	r.members = append(r.members, m)
 	return nil
 }
 
-// groupStats resolves one column's zone maps for the union and member
-// planners.
-func (sr *SharedReader) groupStats(col string, rec int64) (*scan.ColStats, int64) {
-	c, ok := sr.byName[col]
-	if !ok {
-		return nil, 0
+// planCursors joins the members into one scan: the union planner and the
+// eval groups, the cursor set, each member's sink, and which filter columns
+// a batch may answer by key probe or dictionary id.
+func (r *Reader) planCursors() {
+	// A lone member's planner is the union's — the same predicate, the same
+	// Bloom setting. N members plan the OR of theirs, with one eval group
+	// per distinct residual.
+	m0 := r.members[0]
+	r.planner, m0.evalGroup = m0.planner, -1
+	if p := m0.planner.Predicate(); p != nil {
+		r.groupPred, m0.evalGroup = []scan.Predicate{p}, 0
 	}
-	src, ok := c.r.(colfile.StatsSource)
-	if !ok {
-		return nil, 0
+	if len(r.members) > 1 {
+		preds := make([]scan.Predicate, len(r.members))
+		for k, m := range r.members {
+			preds[k] = m.planner.Predicate()
+		}
+		union := scan.NewUnion(preds)
+		r.planner = scan.NewPlanner(union.Shared)
+		r.planner.SetBloom(!r.noBloom)
+		r.groupPred = make([]scan.Predicate, union.NumGroups)
+		for k, m := range r.members {
+			if m.evalGroup = union.EvalGroups[k]; m.evalGroup >= 0 && r.groupPred[m.evalGroup] == nil {
+				r.groupPred[m.evalGroup] = preds[k]
+			}
+		}
 	}
-	return src.GroupStats(rec)
+	r.verdict = make([]*scan.Selection, len(r.groupPred))
+	// Projected columns first, in member order — a lone member's cursors
+	// then start with its projection, in order — then filter and aggregate
+	// columns, which feed evaluation and folding but never appear in a
+	// returned record.
+	for _, m := range r.members {
+		for _, c := range m.columns {
+			r.allCols = appendColumnName(r.allCols, c)
+		}
+	}
+	for _, m := range r.members {
+		for _, c := range m.planner.FilterColumns() {
+			r.allCols = appendColumnName(r.allCols, c)
+		}
+	}
+	for _, m := range r.members {
+		for _, c := range m.aggCols {
+			r.allCols = appendColumnName(r.allCols, c)
+		}
+	}
+	// Probe and id eligibility is judged across every residual and every
+	// member's needs at once: a column any member materializes or
+	// aggregates needs its values, so the shared cursor must not spend its
+	// stream on a probe or on ids.
+	if len(r.groupPred) > 0 {
+		r.probeOnly, r.idOnly = make(map[string]bool), make(map[string]bool)
+		for _, col := range scan.ProbeOnlyColumns(r.groupPred...) {
+			r.probeOnly[col] = true
+		}
+		for _, col := range scan.IDOnlyColumns(r.groupPred...) {
+			r.idOnly[col] = true
+		}
+	}
+	for _, m := range r.members {
+		m.colCursor = make([]int, len(m.columns))
+		for i, col := range m.columns {
+			m.colCursor[i] = slices.Index(r.allCols, col)
+			if !m.proxyOnly {
+				delete(r.probeOnly, col)
+				delete(r.idOnly, col)
+			}
+		}
+		for _, col := range m.aggCols {
+			delete(r.idOnly, col)
+		}
+		if m.agg != nil {
+			r.addFold(m)
+		} else if m.lrec == nil {
+			r.eager++
+		}
+	}
+	if len(r.members) > 1 {
+		r.needers = make([]int, len(r.allCols))
+		for ci, col := range r.allCols {
+			for _, m := range r.members {
+				if slices.Contains(m.columns, col) || slices.Contains(m.planner.FilterColumns(), col) || slices.Contains(m.aggCols, col) {
+					r.needers[ci]++
+				}
+			}
+		}
+	}
 }
 
-// sharedEval adapts the SharedReader to scan.Evaluator for residual
-// evaluation (cf. evalCtx in scanexec.go).
-type sharedEval struct {
-	sr *SharedReader
+// unionPruned counts a union-tier proof over rows records: a group's, or a
+// whole directory's (group false) from the file tier. A sole member's
+// planner is the union's, so the count is that member's too — once, when its
+// stats are the task's.
+func (r *Reader) unionPruned(group bool, rows int64, byBloom bool) {
+	countPruned(r.task, group, rows, byBloom)
+	if m := r.members[0]; len(r.members) == 1 && m.stats != r.task {
+		countPruned(m.stats, group, rows, byBloom)
+	}
 }
 
-// Value implements scan.Evaluator.
-func (e sharedEval) Value(col string) (any, error) {
-	c, ok := e.sr.byName[col]
-	if !ok {
-		return nil, fmt.Errorf("core: column %q is not in the shared cursor set %v", col, e.sr.allCols)
+func countPruned(st *sim.TaskStats, group bool, rows int64, byBloom bool) {
+	st.RecordsPruned += rows
+	if group {
+		st.GroupsPruned++
 	}
-	return e.sr.valueAt(c)
+	if byBloom {
+		st.BloomPruned++
+	}
 }
 
-// HasKey implements scan.Evaluator: map-key tests on probing layouts are
-// decided without materializing the map value.
-func (e sharedEval) HasKey(col, key string) (bool, bool, error) {
-	sr := e.sr
-	c, ok := sr.byName[col]
-	if !ok {
-		return false, false, fmt.Errorf("core: column %q is not in the shared cursor set %v", col, sr.allCols)
+// consult asks m's own planner for its group-tier verdict at pos, as its solo
+// scan would: a NoMatch extent is counted and jumped (acctPos moves past
+// it, possibly beyond the caller's limit — the proof covers the whole
+// extent), a may-match one bounds the member's region. It reports whether
+// pos may match.
+func (r *Reader) consult(m *member, pos int64) bool {
+	tri, end, byBloom := m.planner.PruneGroup(pos, r.total, r.zones)
+	if tri == scan.NoMatch {
+		countPruned(m.stats, true, end-pos, byBloom)
+		m.acctPos = end
+		return false
 	}
-	if c.cachedPos == sr.curPos {
-		return false, false, nil
-	}
-	kp, ok := c.r.(colfile.KeyProber)
-	if !ok {
-		return false, false, nil
-	}
-	if err := c.r.SkipTo(sr.curPos); err != nil {
-		return false, false, fmt.Errorf("core: column %q skip to %d: %w", c.name, sr.curPos, err)
-	}
-	return kp.HasKey(key)
+	m.validTo = max(end, pos+1)
+	return true
 }
 
-// sharedLazyRecord is one member's lazy view over the shared cursor set —
-// the shared-scan analogue of LazyRecord, scoped to the member's projection.
-type sharedLazyRecord struct {
-	sr *SharedReader
-	m  *sharedMember
+// advanceMember replays m's solo consultation sequence until every record
+// below limit is accounted. Superseded rows are invisible to the solo reader
+// — it steps over them before it consults a zone map — and count nowhere.
+// May-match records below limit were crossed by the union cursor without
+// evaluation — unreachable by the region-consistency argument above — and
+// are counted filtered defensively so the per-job sum invariant cannot
+// silently break.
+func (r *Reader) advanceMember(m *member, limit int64) {
+	for m.acctPos < limit {
+		switch {
+		case r.dels.has(m.acctPos):
+			m.acctPos++
+		case m.acctPos < m.validTo:
+			m.stats.RecordsFiltered++
+			m.acctPos++
+		default:
+			r.consult(m, m.acctPos)
+		}
+	}
 }
 
-// Schema implements serde.Record.
-func (l *sharedLazyRecord) Schema() *serde.Schema { return l.m.proj }
+// wantRows replays m's consultations across the batch [start, end) and marks
+// in w the live rows the member must evaluate exactly.
+func (r *Reader) wantRows(m *member, start, end int64, w *scan.Selection) {
+	r.advanceMember(m, start)
+	for pos := m.acctPos; pos < end; pos++ {
+		if r.dels.has(pos) {
+			continue
+		}
+		if pos >= m.validTo && !r.consult(m, pos) {
+			pos = m.acctPos - 1 // the member's own tier pruned past pos
+			continue
+		}
+		w.Set(int(pos - start))
+		m.acctPos = pos + 1
+	}
+}
 
-// Get implements serde.Record.
-func (l *sharedLazyRecord) Get(name string) (any, error) {
-	sr, m := l.sr, l.m
-	// One lookup: the member's projection index names its cursor (colCursor).
-	i := m.proj.FieldIndex(name)
-	if i < 0 || len(sr.cursors) == 0 {
-		return nil, fmt.Errorf("core: column %q is not in the projection %v", name, m.columns)
+// finishDir flushes every member's replay to the end of the open directory:
+// trailing regions the union tier skipped are counted with each member's own
+// group-tier verdicts, exactly as its solo reader would have.
+func (r *Reader) finishDir() {
+	if r.cursors == nil || len(r.members) == 1 {
+		return
 	}
-	v, err := sr.valueAt(sr.cursors[m.colCursor[i]])
-	if err != nil {
-		return nil, err
+	for _, m := range r.members {
+		r.advanceMember(m, r.total)
 	}
-	sr.countMaterialized()
-	return v, nil
 }

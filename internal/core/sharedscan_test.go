@@ -298,6 +298,94 @@ func TestSharedScanDeletesMatchSolo(t *testing.T) {
 			if whole != solo {
 				t.Fatalf("%s: task stats differ:\nshared %+v\nsolo   %+v", ctx, whole, solo)
 			}
+			checkTwoMemberDeletes(t, ctx, fs, split, vect, agg)
+		}
+	}
+}
+
+// checkTwoMemberDeletes is TestSharedScanDeletesMatchSolo's two-member case:
+// members x <= 60 and x <= 260 over the same delete vector. The union tier
+// runs the wider predicate, so rows 100..110 — deleted, and inside the
+// union's may-match region but past the first member's — are crossed by a
+// batch the first member's replay must step over exactly as its solo reader
+// does. Each member's rows, aggregate and logical counters must be its solo
+// run's, field for field, and nothing physical may land in a member's stats.
+func checkTwoMemberDeletes(t *testing.T, ctx string, fs *hdfs.FileSystem, split *Split, vect bool, agg *scan.Aggregate) {
+	t.Helper()
+	in := &InputFormat{}
+	var confs []*mapred.JobConf
+	var want []sim.TaskStats
+	var wantRows []int
+	var wantAgg []*scan.AggState
+	for _, k := range []int64{60, 260} {
+		conf := predConf(nil, false, scan.Le("x", k))
+		conf.InputPaths = []string{"/d"}
+		scan.SetVectorize(conf, vect)
+		scan.SetAggregate(conf, agg)
+		var solo sim.TaskStats
+		rr, err := in.Open(fs, conf, split, hdfs.AnyNode, &solo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := 0
+		var st *scan.AggState
+		if agg != nil {
+			if st, err = rr.(mapred.AggRecordReader).DrainAggregate(); err != nil {
+				t.Fatalf("%s x<=%d: %v", ctx, k, err)
+			}
+		} else {
+			for ; ; rows++ {
+				if _, _, ok, err := rr.Next(); err != nil {
+					t.Fatalf("%s x<=%d: %v", ctx, k, err)
+				} else if !ok {
+					break
+				}
+			}
+		}
+		rr.Close()
+		confs = append(confs, conf)
+		want = append(want, sim.TaskStats{
+			GroupsPruned:    solo.GroupsPruned,
+			RecordsPruned:   solo.RecordsPruned,
+			BloomPruned:     solo.BloomPruned,
+			RecordsFiltered: solo.RecordsFiltered,
+			RowsAggregated:  solo.RowsAggregated,
+		})
+		wantRows = append(wantRows, rows)
+		wantAgg = append(wantAgg, st)
+	}
+
+	members := make([]sim.TaskStats, 2)
+	var shared sim.TaskStats
+	sr, err := in.OpenShared(fs, confs, split, []int{0, 1}, hdfs.AnyNode, []*sim.TaskStats{&members[0], &members[1]}, &shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]int, 2)
+	for {
+		_, _, idx, ok, err := sr.Next()
+		if err != nil {
+			t.Fatalf("%s two members: %v", ctx, err)
+		}
+		if !ok {
+			break
+		}
+		for _, i := range idx {
+			rows[i]++
+		}
+	}
+	if agg != nil {
+		for i, st := range sr.(mapred.AggSharedRecordReader).AggStates() {
+			checkAggRows(t, fmt.Sprintf("%s two members, member %d", ctx, i), st.Rows(), wantAgg[i].Rows())
+		}
+	}
+	sr.Close()
+	for i := range members {
+		if rows[i] != wantRows[i] {
+			t.Fatalf("%s two members: member %d surfaced %d rows, solo %d", ctx, i, rows[i], wantRows[i])
+		}
+		if members[i] != want[i] {
+			t.Fatalf("%s two members: member %d logical counters differ from its solo run:\nmember %+v\nsolo   %+v", ctx, i, members[i], want[i])
 		}
 	}
 }

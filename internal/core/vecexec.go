@@ -2,93 +2,64 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"colmr/internal/colfile"
 	"colmr/internal/scan"
 	"colmr/internal/serde"
-	"colmr/internal/sim"
 	"colmr/internal/vec"
 )
 
-// Vectorized batch execution. With a predicate set (and scan.Spec.NoVec
-// unset) the readers stop deciding one record at a time: record groups are
-// decoded per column into typed vectors and the predicate runs
-// batch-at-a-time over selection bitmaps (scan.VecEval). Only selected rows
-// are then materialized into the same record shape Next has always
-// returned, so everything downstream of the reader is untouched.
+// The batch loop. Every scan — solo or shared, eager, lazy or aggregating —
+// runs one loop (Reader.step): plan the batch at the scan position (the union
+// zone-map tier; a batch never crosses the verdict's validity, pruneValidTo),
+// decode it per column into typed vectors on demand, evaluate each eval
+// group's residual once over the rows its members want (scan.VecEval over
+// selection bitmaps), and hand each member its matches through its sink:
 //
-// The solo Reader's eager records are assembled a batch at a time as well
-// (Reader.assemble): a scan with no predicate is a full selection, and the
-// selected rows of either kind of batch become records column by column out
-// of a handful of allocations per batch instead of several per value.
+//   - aggregate fold (aggexec.go): FoldBatch straight from the selection and
+//     the vectors, once per distinct aggregate and eval group;
+//   - eager records (Reader.assemble): built column by column out of a
+//     handful of allocations per batch instead of several per value;
+//   - lazy records (lazy.go): the batch selection is the scan's position
+//     set, and a Get decodes its value then — from the batch's vector when
+//     the predicate decoded the column, else from the cursor — so a scan
+//     with no predicate decodes nothing ahead of Get;
+//   - the per-member demux (Reader.demux): each row the batch surfaces goes
+//     to the members whose matches hold it.
 //
-// The batch boundaries follow the exact zone-map consultation trajectory of
-// the scalar loop — a batch never crosses pruneValidTo — so the logical
-// counters (GroupsPruned, RecordsPruned, RecordsFiltered) are identical
-// vectorized or not; the property tests' vectorize dimension asserts it
-// along with byte-identical outputs. What changes is the decode accounting:
-// primitive values land in flat vector storage at CostModel.VecRate instead
-// of the boxed per-object rates, per-column decodes fan across a bounded
-// goroutine pool, and a session's vec.Cache can serve a whole batch without
-// decoding (or reading) anything at all.
-//
-// One evaluation error semantics difference is accepted: the scalar loop
-// surfaces a mid-group type error only after delivering the group's earlier
-// matches, while a batch surfaces it before delivering any of the batch's
-// rows. The verdict — which rows match, and whether the scan errors — is
-// identical; only the delivery/error interleaving differs, and only on
-// scans that fail.
+// Batch boundaries follow the record-at-a-time loop's zone-map consultation
+// trajectory, so the logical counters (GroupsPruned, RecordsPruned,
+// RecordsFiltered) are identical vectorized or not. What changes is decode
+// accounting: primitive values land in flat vectors at CostModel.VecRate,
+// per-column decodes fan across a bounded goroutine pool, and a session's
+// vec.Cache can serve a whole batch without reading anything. Spec.NoVec
+// keeps the record-at-a-time loop as the test oracle: the same loop over
+// one-row batches, evaluated, folded and materialized value by value through
+// the cursor cache. One difference is accepted: the scalar loop surfaces a
+// mid-group type error after delivering the group's earlier matches, a batch
+// before delivering any of its rows — the verdicts are identical.
 
 // vecBatchRows bounds one batch. Group extents are typically smaller (the
 // batch is clipped to the zone-map verdict's validity), so this matters
 // only for very large groups and predicate-dense regions.
 const vecBatchRows = 4096
 
-// eagerBatchRows bounds one batch of a scan with no predicate, whose every
-// live row becomes a record. Measured on the all-columns scan of the
-// 13-column synthetic schema, 128-256 rows ran about a tenth faster than
-// 1024 or more (the batch's value slab, 52 KB at 256 rows, stays cache
-// resident while the columns are strided into it) and 64 no faster; small
-// also bounds what a retained record keeps reachable (see Reader.Next).
+// eagerBatchRows bounds one batch of eager records with no predicate. On the
+// all-columns scan of the 13-column synthetic schema 128-256 rows ran about
+// a tenth faster than 1024 or more (the 52 KB value slab of 256 rows stays
+// cache resident) and 64 no faster; small also bounds what a retained
+// record keeps reachable (see Reader.Next).
 const eagerBatchRows = 256
 
-// vecDecodeParallel bounds the per-batch decode fan-out of the solo reader.
+// vecDecodeParallel bounds the per-batch decode fan-out.
 const vecDecodeParallel = 4
 
 // vecScratch recycles batch scratch vectors for every reader in the
 // process: splits are short (an ingest partition is a single batch), so a
 // pool per reader would start cold for each and re-grow every vector.
 var vecScratch vec.Pool
-
-// batchHost is what a colBatch needs from the reader driving it. Both the
-// solo Reader and the SharedReader implement it; the interface carries the
-// few points where their accounting differs.
-type batchHost interface {
-	// batchCursor resolves an open column cursor by name.
-	batchCursor(col string) (*cursor, error)
-	// batchSinks returns the CPU sink for a cursor's batch decode and the
-	// TaskStats credited with its vector-cache hits. The sinks must be safe
-	// for the host's decode concurrency: the solo reader hands out
-	// per-cursor buckets (folded behind its fan-out barrier), the shared
-	// reader decodes serially into its shared stats.
-	batchSinks(c *cursor) (*sim.CPUStats, *sim.TaskStats)
-	// batchVecCache returns the session vector cache (nil disables).
-	batchVecCache() *vec.Cache
-	// batchProbeOnly reports whether col may be answered by a batch key
-	// probe, which consumes the column's stream for the batch without
-	// producing values — only safe for columns nothing else will read.
-	batchProbeOnly(col string) bool
-	// batchIDOnly reports whether col may be served as a dictionary-id
-	// vector instead of decoded values. Decoding ids consumes the column's
-	// value stream for the batch without materializing strings, so it is
-	// only safe for columns every consumer compares by id — never
-	// materialized, never range-compared.
-	batchIDOnly(col string) bool
-	// batchDictCompares credits n integer dictionary-id comparisons that
-	// replaced string comparisons (sim.TaskStats.DictIdCompares).
-	batchDictCompares(n int64)
-}
 
 // colVecEntry memoizes one column's decode outcome for a batch.
 type colVecEntry struct {
@@ -110,75 +81,75 @@ type idVecEntry struct {
 }
 
 // colBatch is one contiguous batch of records [start, end) of the open
-// split-directory, implementing scan.VecSource over the host's cursor set.
-// Columns decode lazily on first use, so the predicate's short-circuit
-// structure decides which columns are ever decoded for a batch.
+// split-directory, implementing scan.VecSource over the reader's cursor set.
+// Columns decode on first use, so the predicate's short-circuit structure
+// decides which are ever decoded. Decodes charge the cursor's own bucket
+// (cursor.phys): the prefetch fan-out never shares a counter.
 type colBatch struct {
-	host  batchHost
-	dir   string
+	r     *Reader
 	start int64
 	end   int64
 	n     int
 
-	sel  *scan.Selection // rows matching the predicate (set after VecEval)
+	sel  *scan.Selection // rows surfacing from the batch (set by step)
 	next int             // pop cursor for match iteration
 
 	mu     sync.Mutex
-	vecs   map[string]*colVecEntry
+	vecs   map[string]*colVecEntry // allocated on a batch's first decode
 	idvecs map[string]*idVecEntry
 }
 
-func newColBatch(host batchHost, dir string, start, end int64) *colBatch {
-	return &colBatch{
-		host:   host,
-		dir:    dir,
-		start:  start,
-		end:    end,
-		n:      int(end - start),
-		vecs:   make(map[string]*colVecEntry),
-		idvecs: make(map[string]*idVecEntry),
-	}
+// key names col's vectors for this batch in the session vector cache.
+func (b *colBatch) key(c *cursor) vec.Key {
+	return vec.Key{Path: b.r.dirs[b.r.dirIdx] + "/" + c.name, Gen: c.hr.Generation(), Start: b.start}
 }
 
 // ColVec implements scan.VecSource: the column's vector for the batch,
 // decoded on first use (or served from the session vector cache).
 func (b *colBatch) ColVec(col string) (*scan.Vector, error) {
-	b.mu.Lock()
-	e := b.vecs[col]
-	b.mu.Unlock()
+	e := b.vecs[col] // evaluation and the sinks run after the prefetch barrier
 	if e == nil {
-		e = b.decode(col)
-		b.mu.Lock()
-		b.vecs[col] = e
-		b.mu.Unlock()
+		e = b.store(col, b.decode(col))
 	}
 	return e.v, e.err
 }
 
+// store memoizes col's decode outcome unless the column already has one, and
+// returns the one kept.
+func (b *colBatch) store(col string, e *colVecEntry) *colVecEntry {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.vecs == nil {
+		b.vecs = make(map[string]*colVecEntry)
+	}
+	if old := b.vecs[col]; old != nil {
+		return old
+	}
+	b.vecs[col] = e
+	return e
+}
+
 // decode produces col's vector for the batch. The caller guarantees one
-// decode per column per batch (prefetch fans out distinct columns; after
-// its barrier, evaluation is serial).
+// decode per column per batch (prefetch fans out distinct undecoded
+// columns; after its barrier, evaluation is serial).
 func (b *colBatch) decode(col string) *colVecEntry {
-	c, err := b.host.batchCursor(col)
+	c, err := b.r.cursorFor(col)
 	if err != nil {
 		return &colVecEntry{err: err}
 	}
-	cpu, ts := b.host.batchSinks(c)
-	cache := b.host.batchVecCache()
-	key := vec.Key{Path: b.dir + "/" + col, Gen: c.hr.Generation(), Start: b.start}
+	cache := b.r.vecCache
+	key := b.key(c)
 	if v := cache.Get(key, b.end); v != nil {
 		// The whole batch serves from memory: no read, no decode. The
 		// cursor is left where it was — a later miss skips forward from
 		// there, and an all-hit round never touches the stream at all.
-		if ts != nil {
-			ts.VecCacheHits++
-			ts.DecodeSavedValues += int64(v.Len())
-		}
+		c.phys.VecCacheHits++
+		c.phys.DecodeSavedValues += int64(v.Len())
 		return &colVecEntry{v: v, cached: true}
 	}
 	dec, ok := c.r.(colfile.VectorDecoder)
 	if !ok {
-		// Unreachable under vecEligible; kept as a real error so a future
+		// Every layout decodes vectors; kept as a real error so a future
 		// layout missing VectorDecoder fails loudly, not wrongly.
 		return &colVecEntry{err: fmt.Errorf("core: column %q layout cannot batch-decode", col)}
 	}
@@ -190,43 +161,36 @@ func (b *colBatch) decode(col string) *colVecEntry {
 	} else {
 		v = vecScratch.Get(kind, b.n)
 	}
-	if err := dec.DecodeVector(b.start, b.end, v, cpu); err != nil {
+	if err := dec.DecodeVector(b.start, b.end, v, &c.phys.CPU); err != nil {
 		if cache == nil {
 			vecScratch.Put(v)
 		}
 		return &colVecEntry{err: fmt.Errorf("core: column %q batch decode [%d,%d): %w", col, b.start, b.end, err)}
 	}
-	e := &colVecEntry{v: v}
-	if cache.Add(key, b.end, v) {
-		e.cached = true
-	}
-	return e
+	return &colVecEntry{v: v, cached: cache.Add(key, b.end, v)}
 }
 
-// IDVec implements scan.IDSource: the column's dictionary-id vector for
-// the batch, decoded on first use (or served from the session vector
-// cache). Returns (nil, nil) — predicate falls back to value comparison —
-// unless the host cleared the column for id-only access and its stream is
-// still unconsumed: decoding ids advances the same value stream a vector
-// decode would, so the two paths are mutually exclusive per batch.
+// IDVec implements scan.IDSource: the column's dictionary-id vector for the
+// batch, decoded on first use (or served from the session vector cache), or
+// (nil, nil) — compare values instead — unless the column is cleared for
+// id-only access (Reader.idOnly) and its stream is unconsumed: ids and
+// values advance the same stream, so one batch takes one or the other.
 func (b *colBatch) IDVec(col string) (*scan.IDVector, error) {
-	if !b.host.batchIDOnly(col) {
+	if !b.r.idOnly[col] {
 		return nil, nil
 	}
-	b.mu.Lock()
-	e := b.idvecs[col]
-	_, decoded := b.vecs[col]
-	b.mu.Unlock()
+	e := b.idvecs[col] // evaluation is serial: no prefetch decodes ids
 	if e == nil {
-		if decoded {
+		if b.decoded(col) {
 			// The value vector already consumed the stream (e.g. a cache hit
 			// from an earlier round decoded values): answer from values.
 			return nil, nil
 		}
 		e = b.decodeIDs(col)
-		b.mu.Lock()
+		if b.idvecs == nil {
+			b.idvecs = make(map[string]*idVecEntry)
+		}
 		b.idvecs[col] = e
-		b.mu.Unlock()
 	}
 	return e.iv, e.err
 }
@@ -234,18 +198,15 @@ func (b *colBatch) IDVec(col string) (*scan.IDVector, error) {
 // decodeIDs produces col's dictionary-id vector for the batch, or an empty
 // entry when the column's layout declines (not a non-map DCSL column).
 func (b *colBatch) decodeIDs(col string) *idVecEntry {
-	c, err := b.host.batchCursor(col)
+	c, err := b.r.cursorFor(col)
 	if err != nil {
 		return &idVecEntry{err: err}
 	}
-	cpu, ts := b.host.batchSinks(c)
-	cache := b.host.batchVecCache()
-	key := vec.Key{Path: b.dir + "/" + col, Gen: c.hr.Generation(), Start: b.start}
+	cache := b.r.vecCache
+	key := b.key(c)
 	if iv := cache.GetID(key, b.end); iv != nil {
-		if ts != nil {
-			ts.VecCacheHits++
-			ts.DecodeSavedValues += int64(iv.Len())
-		}
+		c.phys.VecCacheHits++
+		c.phys.DecodeSavedValues += int64(iv.Len())
 		return &idVecEntry{iv: iv}
 	}
 	dec, ok := c.r.(colfile.IDVectorDecoder)
@@ -253,7 +214,7 @@ func (b *colBatch) decodeIDs(col string) *idVecEntry {
 		return &idVecEntry{}
 	}
 	iv := scan.NewIDVector(b.n)
-	answered, err := dec.DecodeIDVector(b.start, b.end, iv, cpu)
+	answered, err := dec.DecodeIDVector(b.start, b.end, iv, &c.phys.CPU)
 	if err != nil {
 		return &idVecEntry{err: fmt.Errorf("core: column %q id decode [%d,%d): %w", col, b.start, b.end, err)}
 	}
@@ -264,26 +225,23 @@ func (b *colBatch) decodeIDs(col string) *idVecEntry {
 	return &idVecEntry{iv: iv}
 }
 
-// CountDictIDCompares implements scan.DictCompareCounter.
-func (b *colBatch) CountDictIDCompares(n int64) { b.host.batchDictCompares(n) }
+// CountDictIDCompares implements scan.DictCompareCounter: n integer
+// dictionary-id comparisons that replaced string comparisons.
+func (b *colBatch) CountDictIDCompares(n int64) { b.r.task.DictIdCompares += n }
 
 // KeyVec implements scan.VecSource: map-key existence for the batch,
 // answered by the storage layer (the DCSL prober) when the column is safe to
-// probe — read only through this one existence test, so consuming its
-// stream without producing values cannot corrupt a later value access.
+// probe (Reader.probeOnly).
 func (b *colBatch) KeyVec(col, key string, sel *scan.Selection) (*scan.Selection, bool, error) {
-	if !b.host.batchProbeOnly(col) {
+	if !b.r.probeOnly[col] {
 		return nil, false, nil
 	}
-	b.mu.Lock()
-	_, decoded := b.vecs[col]
-	b.mu.Unlock()
-	if decoded {
+	if b.decoded(col) {
 		// Already decoded (e.g. a cache hit from an earlier batch shape):
 		// answer from the vector instead.
 		return nil, false, nil
 	}
-	c, err := b.host.batchCursor(col)
+	c, err := b.r.cursorFor(col)
 	if err != nil {
 		return nil, false, err
 	}
@@ -291,9 +249,8 @@ func (b *colBatch) KeyVec(col, key string, sel *scan.Selection) (*scan.Selection
 	if !ok {
 		return nil, false, nil
 	}
-	cpu, _ := b.host.batchSinks(c)
 	res := sel.Clone()
-	answered, err := kp.ProbeKeys(key, b.start, b.end, res, cpu)
+	answered, err := kp.ProbeKeys(key, b.start, b.end, res, &c.phys.CPU)
 	if err != nil {
 		return nil, false, fmt.Errorf("core: column %q key probe [%d,%d): %w", col, b.start, b.end, err)
 	}
@@ -303,11 +260,17 @@ func (b *colBatch) KeyVec(col, key string, sel *scan.Selection) (*scan.Selection
 	return res, true, nil
 }
 
-// vecAt returns col's decoded vector when the batch holds one, for the
-// readers' materialization fast path.
-func (b *colBatch) vecAt(col string) *scan.Vector {
+// decoded reports whether the batch holds col's decode outcome.
+func (b *colBatch) decoded(col string) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	return b.vecs[col] != nil
+}
+
+// vecAt returns col's decoded vector when the batch holds one, for the
+// sinks' materialization fast paths. Sinks run after the prefetch barrier,
+// so no decode is in flight to lock out.
+func (b *colBatch) vecAt(col string) *scan.Vector {
 	if e := b.vecs[col]; e != nil && e.err == nil {
 		return e.v
 	}
@@ -319,33 +282,18 @@ func (b *colBatch) contains(pos int64) bool {
 	return pos >= b.start && pos < b.end
 }
 
-// release returns the batch's scratch vectors to the pool. Vectors shared
-// with the session cache are left alone — they are read-only and live on.
-func (b *colBatch) release() {
-	for _, e := range b.vecs {
-		if e.v != nil && !e.cached {
-			vecScratch.Put(e.v)
-		}
-	}
-	b.vecs = nil
-}
-
-// prefetch decodes the predicate's certain columns (scan.EagerColumns)
-// before evaluation, fanning them across a bounded goroutine pool when the
-// host's sinks allow concurrency. Decode errors are memoized, not returned:
-// evaluation surfaces them in its own deterministic order, and an error in
-// a column the short-circuit order never reaches is swallowed exactly like
-// the scalar path never reaching it.
-func (b *colBatch) prefetch(cols []string, parallel bool) {
+// prefetch decodes a residual's certain columns (scan.EagerColumns) not yet
+// decoded for the batch, fanning them across a bounded goroutine pool.
+// Decode errors are memoized, not returned: evaluation surfaces them in its
+// own deterministic order, and an error in a column the short-circuit order
+// never reaches is swallowed exactly like the scalar path never reaching it.
+func (b *colBatch) prefetch(cols []string) {
 	warm := func(col string) {
-		e := b.decode(col)
-		b.mu.Lock()
-		if _, ok := b.vecs[col]; !ok {
-			b.vecs[col] = e
+		if !b.decoded(col) {
+			b.store(col, b.decode(col))
 		}
-		b.mu.Unlock()
 	}
-	if !parallel || len(cols) < 2 {
+	if len(cols) < 2 {
 		for _, col := range cols {
 			warm(col)
 		}
@@ -365,228 +313,384 @@ func (b *colBatch) prefetch(cols []string, parallel bool) {
 	wg.Wait()
 }
 
-// --- solo Reader host + batch loop ---
-
-// batchCursor implements batchHost.
-func (r *Reader) batchCursor(col string) (*cursor, error) { return r.cursorFor(col) }
-
-// batchSinks implements batchHost: per-cursor buckets, folded after the
-// prefetch barrier (and at directory close), so parallel column decodes
-// never write one counter concurrently.
-func (r *Reader) batchSinks(c *cursor) (*sim.CPUStats, *sim.TaskStats) {
-	return &c.phys.CPU, &c.phys
-}
-
-// batchVecCache implements batchHost.
-func (r *Reader) batchVecCache() *vec.Cache { return r.vecCache }
-
-// batchProbeOnly implements batchHost.
-func (r *Reader) batchProbeOnly(col string) bool { return r.probeOnly[col] }
-
-// batchIDOnly implements batchHost.
-func (r *Reader) batchIDOnly(col string) bool { return r.idOnly[col] }
-
-// batchDictCompares implements batchHost. VecEval runs serially after the
-// prefetch barrier, so the write is unsynchronized like every other
-// evaluation-phase counter.
-func (r *Reader) batchDictCompares(n int64) {
-	if r.stats != nil {
-		r.stats.DictIdCompares += n
-	}
-}
-
-// vecEligible decides, per directory, whether the batch path runs: the spec
-// enables vectorization for this scan's shape (Reader.vectorize) and every
-// column a batch would decode — filter and aggregate columns, and for eager
-// records the projected ones — has a layout that can batch-decode. Anything
-// else falls back to the scalar loop — identical results, record-at-a-time
-// control flow.
-func (r *Reader) vecEligible() bool {
-	if !r.vectorize {
-		return false
-	}
-	sets := [][]string{r.planner.FilterColumns(), r.aggCols}
-	if !r.lazy && r.agg == nil {
-		sets = append(sets, r.columns)
-	}
-	for _, cols := range sets {
-		for _, col := range cols {
-			c, ok := r.byName[col]
-			if !ok {
-				return false
+// advance moves the scan to the next row some member takes (r.batch holds
+// it, at curPos); false at the end of the split or on an error.
+func (r *Reader) advance() (bool, error) {
+	for {
+		if b := r.batch; b != nil {
+			// A dense run tests its next row inline; Next scans for the rest.
+			idx := b.next
+			if idx >= b.n || !b.sel.Test(idx) {
+				idx = b.sel.Next(idx)
 			}
-			if _, ok := c.r.(colfile.VectorDecoder); !ok {
-				return false
+			if idx >= 0 {
+				b.next = idx + 1
+				r.curPos = b.start + int64(idx)
+				r.surfaced++
+				return true, nil
 			}
+			r.curPos = b.end - 1
+			r.releaseBatch()
+		}
+		if r.done {
+			return false, nil
+		}
+		if err := r.step(); err != nil {
+			return false, err
 		}
 	}
-	return true
 }
 
-// eagerCols filters the predicate's certain columns down to those the
-// prefetch fan-out may decode as value vectors: an id-only column must not
-// be prefetched, or its consumed stream would block the id path VecEval is
-// about to take.
-func (r *Reader) eagerCols() []string {
-	cols := scan.EagerColumns(r.planner.Predicate())
-	if len(r.idOnly) == 0 {
-		return cols
-	}
-	out := cols[:0:0]
-	for _, col := range cols {
-		if !r.idOnly[col] {
-			out = append(out, col)
-		}
-	}
-	return out
-}
-
-// nextBatch plans and evaluates the batch at curPos+1, for record delivery
-// and aggregate folding alike: with a predicate, group-tier pruning first
-// (advancing curPos exactly as the scalar loop would — b is then nil and the
-// caller's loop re-checks bounds), a batch clipped to the zone-map verdict's
-// validity, and VecEval over its live rows; with none, the next run of rows,
-// all of its live ones selected. The selection is the caller's to return
-// (scan.PutSelection).
-func (r *Reader) nextBatch() (b *colBatch, sel *scan.Selection, err error) {
-	pos := r.curPos + 1
-	pred := r.planner.Predicate()
-	end, limit := r.total, int64(vecBatchRows)
-	if pred != nil {
-		// The scalar loop steps over deleted rows before it consults a zone
-		// map, so a verdict is never asked for — or counted from — one.
-		for r.dels.has(pos) {
-			pos++
-		}
-		if pos >= r.total {
-			r.curPos = r.total - 1
-			return nil, nil, nil
-		}
-		if pos >= r.pruneValidTo {
-			tri, gEnd, byBloom := r.planner.PruneGroup(pos, r.total, r.groupStats)
-			if tri == scan.NoMatch {
-				if r.stats != nil {
-					r.stats.GroupsPruned++
-					r.stats.RecordsPruned += gEnd - pos
-					if byBloom {
-						r.stats.BloomPruned++
-					}
-				}
-				r.curPos = gEnd - 1
-				return nil, nil, nil
-			}
-			r.pruneValidTo = gEnd
-		}
-		if r.pruneValidTo < end {
-			end = r.pruneValidTo
-		}
-	} else if r.agg == nil {
-		limit = eagerBatchRows
-	}
-	if m := pos + limit; m < end {
-		end = m
-	}
-	b = newColBatch(r, r.dirs[r.dirIdx], pos, end)
-	// Deleted (superseded) rows are masked out of the input selection, so
-	// they are neither evaluated nor counted — the exact rows the scalar
-	// loop skips before its predicate check.
-	sel = scan.GetFullSelection(b.n)
-	del := r.dels.mask(sel, pos, end)
-	if pred == nil {
-		return b, sel, nil
-	}
-	b.prefetch(r.eagerCols(), true)
-	out, err := pred.VecEval(b, sel)
-	scan.PutSelection(sel)
-	r.foldCursorStats()
-	if err != nil {
-		b.release()
-		return nil, nil, err
-	}
-	if r.stats != nil {
-		r.stats.VecBatches++
-		r.stats.RowsVectorized += int64(b.n)
-		r.stats.RecordsFiltered += int64(b.n) - del - int64(out.Count())
-	}
-	return b, out, nil
-}
-
-// vecAdvance drives the batch loop one step from curPos+1. On return either
-// records are waiting — assembled in r.ready for an eager scan, or as
-// r.batch with a non-empty selection for lazy ones to draw on — or curPos
-// advanced past a pruned or empty region; the caller's scan loop re-checks
-// bounds either way.
-func (r *Reader) vecAdvance() error {
-	b, sel, err := r.nextBatch()
-	if b == nil {
-		return err
-	}
-	if r.lazy && !sel.Empty() {
-		b.sel = sel
-		r.batch = b
-		return nil
-	}
-	if !sel.Empty() {
-		r.ready, err = r.assemble(b, sel)
-	}
-	scan.PutSelection(sel)
-	b.release()
-	r.curPos = b.end - 1
-	return err
-}
-
-// assemble builds the eager records of the batch rows sel picks, column by
-// column into one slab of records and one of values (serde.NewRecords). A
-// column the predicate already decoded is boxed from its vector, as serving
-// it row by row would (one ValuesMaterialized per primitive value — the
-// decode was charged at the vector rate). Every other projected column is
-// decoded here for the selected rows only — late materialization, run by
-// run, so the cursor crosses unselected and deleted rows with the skips the
-// scalar loop's SkipTo would use — into a scratch vector marked Boxed, which
-// makes the storage layer charge what Reader.Value charges. A full drain
-// therefore reads the same bytes and charges the same counters as the
-// record-at-a-time loop (Spec.NoVec); the counters land per batch, at
-// decode, not per record at delivery.
-func (r *Reader) assemble(b *colBatch, sel *scan.Selection) ([]serde.GenericRecord, error) {
-	n := sel.Count()
-	recs, vals := serde.NewRecords(r.proj, n)
-	width := len(r.columns)
-	var served int64
-	for j, c := range r.cursors[:width] {
-		if v := b.vecAt(c.name); v != nil {
-			if k := v.Box(sel, vals[j:], width); v.Kind != scan.VecAny {
-				served += int64(k)
-			}
+// demux hands the current row to the members whose matches hold it, each
+// under its own projection and materialization mode. The batch's selection
+// is the union of those matches, so at least one member takes the row.
+func (r *Reader) demux() error {
+	b := r.batch
+	idx := int(r.curPos - b.start)
+	r.outVals, r.outIdx = r.outVals[:0], r.outIdx[:0]
+	for i, m := range r.members {
+		if m.fold != nil || m.sel == nil || (m.sel != b.sel && !m.sel.Test(idx)) {
 			continue
 		}
-		v, err := b.decodeBoxed(c, sel, n)
+		v, err := r.deliver(m)
+		if err != nil {
+			return err
+		}
+		r.outVals = append(r.outVals, v)
+		r.outIdx = append(r.outIdx, i)
+	}
+	return nil
+}
+
+// deliver returns a member's view of the current row: its lazy record, the
+// next eager record assemble built for the batch, or — record at a time —
+// one built here through the cursor cache, so a column several members (or
+// a residual and a projection) consume is deserialized once. Late
+// materialization either way: columns of filtered rows are never decoded.
+func (r *Reader) deliver(m *member) (any, error) {
+	switch {
+	case m.lrec != nil:
+		return m.lrec, nil
+	case r.vectorize:
+		rec := &m.ready[0]
+		m.ready = m.ready[1:]
+		return rec, nil
+	}
+	rec := serde.NewRecord(m.proj)
+	for i, ci := range m.colCursor {
+		v, err := r.valueAt(r.cursors[ci])
 		if err != nil {
 			return nil, err
 		}
-		v.Box(nil, vals[j:], width)
-		vecScratch.Put(v)
+		rec.SetAt(i, v)
 	}
-	r.foldCursorStats()
-	if r.stats != nil {
-		r.stats.CPU.ValuesMaterialized += served
-		r.stats.CPU.RecordsMaterialized += int64(n)
-	}
-	return recs, nil
+	r.countMaterialized()
+	return rec, nil
 }
 
-// decodeBoxed decodes the n batch rows sel picks from c into a scratch
-// vector bound for boxing, one DecodeVector call per run of adjacent rows.
-func (b *colBatch) decodeBoxed(c *cursor, sel *scan.Selection, n int) (*scan.Vector, error) {
-	dec := c.r.(colfile.VectorDecoder) // vecEligible checked the projection
-	cpu, _ := b.host.batchSinks(c)
+// step plans, evaluates and sinks the batch at curPos+1 — one row under
+// Spec.NoVec. Its live rows (superseded ones are masked out: never
+// evaluated, folded or counted) are each member's wants — with N > 1, the
+// subset the member's own replay does not prune; each eval group's
+// residual then decides the rows its members want, once; a member's
+// matches are its wants ∧ its group's verdict, and the rest of its wants
+// count as filtered. On return either r.batch holds rows to surface, or
+// curPos moved past a pruned or empty region, or — at the end of the
+// directory — the scan moved to the next one.
+func (r *Reader) step() error {
+	pos := r.curPos + 1
+	if pos >= r.total {
+		return r.nextDir()
+	}
+	if end, ok, err := r.aggStatsShortcut(pos); err != nil {
+		return err
+	} else if ok {
+		r.curPos = end - 1
+		return nil
+	}
+	// A zone map is never consulted at — nor an extent counted from — a
+	// superseded row.
+	for r.dels.has(pos) {
+		pos++
+	}
+	if pos >= r.total {
+		r.curPos = r.total - 1
+		return nil
+	}
+	end, limit := r.total, int64(vecBatchRows)
+	if r.planner.Predicate() != nil {
+		// The union tier's verdict is scoped to the narrowest group
+		// consulted: on NoMatch the scan steps past it; on MayMatch batches
+		// run without re-consulting zone maps until one starts past it.
+		// byBloom splits out the proofs only a Bloom filter could make.
+		if pos >= r.pruneValidTo {
+			tri, gEnd, byBloom := r.planner.PruneGroup(pos, r.total, r.zones)
+			if tri == scan.NoMatch {
+				r.unionPruned(true, gEnd-pos, byBloom)
+				r.curPos = gEnd - 1
+				return nil
+			}
+			r.pruneValidTo = gEnd
+		}
+		end = min(end, r.pruneValidTo)
+	} else if r.eager > 0 {
+		limit = eagerBatchRows
+	}
+	if !r.vectorize {
+		limit = 1
+	}
+	end = min(end, pos+limit)
+	b := &colBatch{r: r, start: pos, end: end, n: int(end - pos)}
+	r.batch = b
+	if !r.vectorize {
+		r.curPos = pos // the scalar evaluator reads the cursors at curPos
+	}
+	live := r.selection(b.n, true)
+	r.dels.mask(live, pos, end)
+	for _, m := range r.members {
+		m.sel = live
+		if len(r.members) > 1 {
+			m.sel = r.selection(b.n, false)
+			r.wantRows(m, pos, end, m.sel)
+		}
+	}
+	if err := r.evaluate(b); err != nil {
+		r.releaseBatch()
+		return err
+	}
+	if err := r.foldBatch(b); err != nil {
+		r.releaseBatch()
+		return err
+	}
+	if r.vectorize && r.eager > 0 {
+		if err := r.assemble(b); err != nil {
+			r.releaseBatch()
+			return err
+		}
+	}
+	// The rows to surface: every record-taking member's matches.
+	b.sel = r.unionOf(b.n, func(m *member) bool { return m.fold == nil })
+	if b.sel == nil || b.sel.Empty() {
+		r.curPos = end - 1
+		r.releaseBatch()
+	}
+	return nil
+}
+
+// evaluate decides each eval group's residual over the rows its members want
+// — rows no member wants are never evaluated, as the record-at-a-time loop
+// never reaches them — and narrows each member's wants to its matches.
+func (r *Reader) evaluate(b *colBatch) error {
+	evaluated := false
+	for g, p := range r.groupPred {
+		in := r.unionOf(b.n, func(m *member) bool { return m.evalGroup == g })
+		r.verdict[g] = in
+		if in.Empty() {
+			continue
+		}
+		evaluated = true
+		if !r.vectorize {
+			ok, err := p.Eval(evalCtx{r})
+			if err != nil {
+				return err
+			}
+			if r.verdict[g] = r.selection(1, false); ok {
+				r.verdict[g].Set(0)
+			}
+			continue
+		}
+		b.prefetch(r.eagerCols(p))
+		out, err := p.VecEval(b, in)
+		if err != nil {
+			return err
+		}
+		r.sels = append(r.sels, out)
+		r.verdict[g] = out
+	}
+	if evaluated && r.vectorize {
+		r.task.VecBatches++
+		r.task.RowsVectorized += int64(b.n)
+	}
+	for _, m := range r.members {
+		g := m.evalGroup
+		if g < 0 {
+			continue
+		}
+		wants := m.sel
+		m.sel = r.verdict[g] // a lone member's verdict is its matches
+		if len(r.members) > 1 {
+			m.sel = r.selection(b.n, false)
+			m.sel.Or(wants)
+			m.sel.And(r.verdict[g])
+		}
+		m.stats.RecordsFiltered += int64(wants.Count() - m.sel.Count())
+	}
+	return nil
+}
+
+// eagerCols filters a residual's certain columns down to those the prefetch
+// fan-out may decode as value vectors: an id-only column must not be
+// prefetched, or its consumed stream would block the id path VecEval is
+// about to take.
+func (r *Reader) eagerCols(p scan.Predicate) []string {
+	cols := scan.EagerColumns(p)
+	if len(r.idOnly) == 0 {
+		return cols
+	}
+	return slices.DeleteFunc(slices.Clone(cols), func(col string) bool { return r.idOnly[col] })
+}
+
+// selection returns a pooled selection of n rows (every one selected when
+// full) that lives as long as the active batch.
+func (r *Reader) selection(n int, full bool) *scan.Selection {
+	get := scan.GetEmptySelection
+	if full {
+		get = scan.GetFullSelection
+	}
+	s := get(n)
+	r.sels = append(r.sels, s)
+	return s
+}
+
+// unionOf returns the rows of the active batch (n rows) that any member pick
+// accepts takes: a lone accepted member's own selection, a pooled OR of
+// several, nil when pick accepts none.
+func (r *Reader) unionOf(n int, pick func(*member) bool) *scan.Selection {
+	var u *scan.Selection
+	own := false
+	for _, m := range r.members {
+		switch {
+		case !pick(m):
+		case u == nil:
+			u = m.sel
+		case !own:
+			first := u
+			u, own = r.selection(n, false), true
+			u.Or(first)
+			fallthrough
+		default:
+			u.Or(m.sel)
+		}
+	}
+	return u
+}
+
+// boxSource is one column's source for assemble: a vector of the batch's
+// rows, or one decodeBoxed compacted to the rows the eager members take.
+type boxSource struct {
+	v       *scan.Vector
+	compact bool
+}
+
+// assemble is the eager sink: it builds each eager member's records of its
+// matches, column by column into one slab of records and one of values
+// (serde.NewRecords). A column the batch already decoded — for a residual or
+// a fold — is boxed from its vector, as serving it row by row would (one
+// ValuesMaterialized per primitive value: the decode was charged at the
+// vector rate); so is one a lazy member also reads, decoded whole here so
+// its Gets can follow. Every other column is decoded (decodeBoxed) once for
+// the rows any eager member takes — late materialization, run by run, so the
+// cursor crosses the others with the skips the scalar loop's SkipTo would
+// use. A full drain therefore reads the same bytes and charges the same
+// counters as the record-at-a-time loop (Spec.NoVec); the counters land per
+// batch, at decode, not per record at delivery.
+func (r *Reader) assemble(b *colBatch) error {
+	rows := r.unionOf(b.n, (*member).eager) // the rows some eager member takes
+	n := rows.Count()
+	if n == 0 {
+		return nil
+	}
+	if cap(r.boxSrc) < len(r.cursors) {
+		r.boxSrc = make([]boxSource, len(r.cursors))
+	}
+	srcs := r.boxSrc[:len(r.cursors)]
+	defer func() {
+		for i, s := range srcs {
+			if s.compact {
+				vecScratch.Put(s.v)
+			}
+			srcs[i] = boxSource{}
+		}
+	}()
+	var served int64
+	for _, m := range r.members {
+		if !m.eager() || m.sel.Empty() {
+			continue
+		}
+		recs, vals := serde.NewRecords(m.proj, m.sel.Count())
+		m.ready = recs
+		var rank *scan.Selection // m's rows among rows, for compacted vectors
+		if m.sel != rows {
+			rank = r.selection(n, false)
+			k := 0
+			for i := rows.Next(0); i >= 0; i = rows.Next(i + 1) {
+				if m.sel.Test(i) {
+					rank.Set(k)
+				}
+				k++
+			}
+		}
+		width := len(m.columns)
+		for j, ci := range m.colCursor {
+			s := &srcs[ci]
+			if s.v == nil {
+				c := r.cursors[ci]
+				s.v = b.vecAt(c.name)
+				if s.v == nil && r.readLazily(ci) {
+					var err error
+					if s.v, err = b.ColVec(c.name); err != nil {
+						return err
+					}
+				}
+				if s.v == nil {
+					var err error
+					if s.v, err = b.decodeBoxed(c, rows, 0, b.n, n); err != nil {
+						return err
+					}
+					s.compact = true
+				} else if s.v.Kind != scan.VecAny {
+					served += int64(n)
+				}
+			}
+			if s.compact {
+				s.v.Box(rank, vals[j:], width)
+			} else {
+				s.v.Box(m.sel, vals[j:], width)
+			}
+		}
+	}
+	r.task.CPU.ValuesMaterialized += served
+	r.task.CPU.RecordsMaterialized += int64(n)
+	return nil
+}
+
+// readLazily reports whether a lazy member projects cursor ci: its Gets may
+// follow the batch, so assemble decodes the column whole for them.
+func (r *Reader) readLazily(ci int) bool {
+	for _, m := range r.members {
+		if m.lrec != nil && slices.Contains(m.colCursor, ci) {
+			return true
+		}
+	}
+	return false
+}
+
+// decodeBoxed decodes the n batch rows in [from, to) that sel picks from c
+// into a scratch vector marked Boxed, which makes the storage layer charge
+// what Value charges, one DecodeVector call per run of adjacent rows.
+func (b *colBatch) decodeBoxed(c *cursor, sel *scan.Selection, from, to, n int) (*scan.Vector, error) {
+	dec, ok := c.r.(colfile.VectorDecoder)
+	if !ok {
+		return nil, fmt.Errorf("core: column %q layout cannot batch-decode", c.name)
+	}
 	v := vecScratch.Get(colfile.VecKindOf(c.schema), n)
 	v.Boxed = true
-	for lo := sel.Next(0); lo >= 0; {
+	for lo := sel.Next(from); lo >= 0 && lo < to; {
 		hi := lo + 1
-		for hi < b.n && sel.Test(hi) {
+		for hi < to && sel.Test(hi) {
 			hi++
 		}
-		if err := dec.DecodeVector(b.start+int64(lo), b.start+int64(hi), v, cpu); err != nil {
+		if err := dec.DecodeVector(b.start+int64(lo), b.start+int64(hi), v, &c.phys.CPU); err != nil {
 			vecScratch.Put(v)
 			return nil, fmt.Errorf("core: column %q batch decode [%d,%d): %w", c.name, b.start+int64(lo), b.start+int64(hi), err)
 		}
@@ -595,206 +699,24 @@ func (b *colBatch) decodeBoxed(c *cursor, sel *scan.Selection, n int) (*scan.Vec
 	return v, nil
 }
 
-// releaseBatch retires the active batch, if any.
+// releaseBatch retires the active batch, if any: its scratch vectors (those
+// shared with the session cache are read-only and live on), its selections,
+// and the members' matches and unclaimed records with them.
 func (r *Reader) releaseBatch() {
 	if b := r.batch; b != nil {
 		r.batch = nil
-		b.release()
-	}
-}
-
-// foldCursorStats folds the per-cursor physical buckets into the task
-// stats. Called only behind barriers (after a batch's prefetch fan-out has
-// joined, at directory close, at Close), where no decode goroutine is live.
-func (r *Reader) foldCursorStats() {
-	if r.stats == nil || !r.vectorize {
-		return
-	}
-	for _, c := range r.cursors {
-		r.stats.Add(c.phys)
-		c.phys = sim.TaskStats{}
-	}
-}
-
-// --- SharedReader host + batch loop ---
-
-// batchCursor implements batchHost.
-func (sr *SharedReader) batchCursor(col string) (*cursor, error) {
-	c, ok := sr.byName[col]
-	if !ok {
-		return nil, fmt.Errorf("core: column %q is not in the shared cursor set %v", col, sr.allCols)
-	}
-	return c, nil
-}
-
-// batchSinks implements batchHost: the shared reader decodes serially (no
-// prefetch fan-out), so batch decodes charge the shared stats directly, like
-// every other physical cost of the cursor set.
-func (sr *SharedReader) batchSinks(*cursor) (*sim.CPUStats, *sim.TaskStats) {
-	return &sr.shared.CPU, sr.shared
-}
-
-// batchVecCache implements batchHost.
-func (sr *SharedReader) batchVecCache() *vec.Cache { return sr.vecCache }
-
-// batchProbeOnly implements batchHost.
-func (sr *SharedReader) batchProbeOnly(col string) bool { return sr.probeOnly[col] }
-
-// batchIDOnly implements batchHost.
-func (sr *SharedReader) batchIDOnly(col string) bool { return sr.idOnly[col] }
-
-// batchDictCompares implements batchHost: shared evaluation is serial, so
-// the compare count lands in the shared physical stats directly.
-func (sr *SharedReader) batchDictCompares(n int64) { sr.shared.DictIdCompares += n }
-
-// vecEligible is the shared-scan analogue of Reader.vecEligible, judged over
-// the union predicate's filter columns.
-func (sr *SharedReader) vecEligible() bool {
-	if !sr.vectorize || sr.planner.Predicate() == nil {
-		return false
-	}
-	for _, col := range sr.planner.FilterColumns() {
-		c, ok := sr.byName[col]
-		if !ok {
-			return false
-		}
-		if _, ok := c.r.(colfile.VectorDecoder); !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// vecAdvance drives the shared batch loop one step from curPos+1: union
-// group-tier pruning exactly as the scalar loop, then batch evaluation of the
-// next may-match extent.
-func (sr *SharedReader) vecAdvance() error {
-	pos := sr.curPos + 1
-	// As in Reader.nextBatch: a zone map is never consulted at — or an
-	// extent counted from — a deleted row.
-	for sr.dels.has(pos) {
-		pos++
-	}
-	if pos >= sr.total {
-		sr.curPos = sr.total - 1
-		return nil
-	}
-	if pos >= sr.pruneValidTo {
-		tri, end, byBloom := sr.planner.PruneGroup(pos, sr.total, sr.groupStats)
-		if tri == scan.NoMatch {
-			sr.shared.GroupsPruned++
-			sr.shared.RecordsPruned += end - pos
-			if byBloom {
-				sr.shared.BloomPruned++
-			}
-			sr.curPos = end - 1
-			return nil
-		}
-		sr.pruneValidTo = end
-	}
-	end := sr.pruneValidTo
-	if end > sr.total {
-		end = sr.total
-	}
-	if m := pos + vecBatchRows; m < end {
-		end = m
-	}
-	return sr.buildBatch(pos, end)
-}
-
-// buildBatch evaluates [start, end) for every member. Each member's solo
-// replay marks the rows it must evaluate (its want bitmap — the same
-// consultation positions, verdicts, and counter updates as the scalar demux
-// loop); each distinct residual then runs one VecEval over the union of its
-// members' wants; a member's matches are its wants intersected with its eval
-// group's verdict. The batch is kept when any member matched.
-func (sr *SharedReader) buildBatch(start, end int64) error {
-	b := newColBatch(sr, sr.dirs[sr.dirIdx], start, end)
-	wants := make([]*scan.Selection, len(sr.members))
-	for mi, m := range sr.members {
-		w := scan.NewEmptySelection(b.n)
-		for pos := start; pos < end; pos++ {
-			// Superseded rows are invisible: never wanted, never evaluated,
-			// never folded — as in the scalar demux loop's skip.
-			if sr.dels.has(pos) {
-				continue
-			}
-			if sr.memberWants(m, pos) {
-				w.Set(int(pos - start))
-				m.acctPos = pos + 1
+		for _, e := range b.vecs {
+			if e.v != nil && !e.cached {
+				vecScratch.Put(e.v)
 			}
 		}
-		wants[mi] = w
 	}
-	// One VecEval per distinct residual, restricted to the rows some member
-	// of the group wants — rows nothing wants are never evaluated, matching
-	// the scalar path's work (and its immunity to their errors).
-	groupSel := make([]*scan.Selection, len(sr.groupPred))
-	for g, p := range sr.groupPred {
-		if p == nil {
-			continue
-		}
-		in := scan.NewEmptySelection(b.n)
-		for mi, m := range sr.members {
-			if m.evalGroup == g {
-				in.Or(wants[mi])
-			}
-		}
-		if in.Empty() {
-			groupSel[g] = in
-			continue
-		}
-		out, err := p.VecEval(b, in)
-		if err != nil {
-			b.release()
-			return err
-		}
-		groupSel[g] = out
+	for i, s := range r.sels {
+		scan.PutSelection(s)
+		r.sels[i] = nil
 	}
-	sr.shared.VecBatches++
-	sr.shared.RowsVectorized += int64(b.n)
-	union := scan.NewEmptySelection(b.n)
-	for mi, m := range sr.members {
-		match := wants[mi]
-		if g := m.evalGroup; g >= 0 && groupSel[g] != nil {
-			match = wants[mi].Clone()
-			match.And(groupSel[g])
-		}
-		m.stats.RecordsFiltered += int64(wants[mi].Count() - match.Count())
-		if m.aggState != nil {
-			// Aggregating members fold their matches here and take no part
-			// in the surfaced union — their records never materialize.
-			rows, err := m.aggState.FoldBatch(match, b)
-			if err != nil {
-				b.release()
-				return err
-			}
-			m.stats.AggBatches++
-			m.stats.RowsAggregated += rows
-			sr.memberSel[mi] = nil
-			continue
-		}
-		sr.memberSel[mi] = match
-		union.Or(match)
-	}
-	if union.Empty() {
-		sr.curPos = end - 1
-		b.release()
-		return nil
-	}
-	b.sel = union
-	sr.batch = b
-	return nil
-}
-
-// releaseBatch retires the active batch, if any, and the members' match
-// bitmaps with it.
-func (sr *SharedReader) releaseBatch() {
-	if b := sr.batch; b != nil {
-		sr.batch = nil
-		b.release()
-	}
-	for i := range sr.memberSel {
-		sr.memberSel[i] = nil
+	r.sels = r.sels[:0]
+	for _, m := range r.members {
+		m.sel, m.ready = nil, nil
 	}
 }
