@@ -234,9 +234,8 @@ func BenchmarkCrawlJobCIFLazy(b *testing.B) {
 	if err := w.Close(); err != nil {
 		b.Fatal(err)
 	}
-	conf := JobConf{InputPaths: []string{"/bench/crawl"}, NumReducers: 4}
-	SetColumns(&conf, "url", "metadata")
-	SetLazy(&conf, true)
+	conf := ScanDataset("/bench/crawl").Columns("url", "metadata").Lazy(true).Conf()
+	conf.NumReducers = 4
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		job := &Job{

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"sync"
 	"text/tabwriter"
 
 	"colmr/internal/core"
@@ -218,22 +219,10 @@ func main() {
 	}
 
 	runScan("SEQ", &seq.InputFormat{}, &mapred.JobConf{InputPaths: []string{"/s/data.seq"}}, false)
-	rconf := &mapred.JobConf{InputPaths: []string{"/s/data.rc"}}
-	if filterProj != nil {
-		rcfile.SetColumns(rconf, filterProj...)
-	}
+	rconf := &mapred.JobConf{InputPaths: []string{"/s/data.rc"}, Scan: &scan.Spec{Columns: filterProj}}
 	runScan("RCFile", &rcfile.InputFormat{}, rconf, false)
-	cconf := &mapred.JobConf{InputPaths: []string{"/s/cif"}}
-	if proj != nil {
-		core.SetColumns(cconf, proj...)
-	}
-	core.SetLazy(cconf, *lazy)
-	if pred != nil {
-		scan.SetPredicate(cconf, pred)
-	}
-	scan.SetElision(cconf, *elide)
-	scan.SetVectorize(cconf, *vect)
-	runScan("CIF", &core.InputFormat{}, cconf, true)
+	cconf := core.ScanDataset("/s/cif").Columns(proj...).Where(pred).Lazy(*lazy).Elide(*elide).Vectorize(*vect).Conf()
+	runScan("CIF", &core.InputFormat{}, &cconf, true)
 
 	// The per-format table compares one predicate; additional clauses run
 	// only in the shared batch section below.
@@ -296,12 +285,16 @@ func aggScan(fs *hdfs.FileSystem, model sim.CostModel, dataset, aggSrc string, p
 	check(err)
 
 	// The materializing baseline: same projection and predicate, records
-	// surfaced to a map function that folds the same state by hand.
+	// surfaced to a map function that folds the same state by hand. Map
+	// tasks run concurrently, so the fold is serialized.
 	base := scan.NewAggState(a)
+	var mu sync.Mutex
 	baseRes, err := mapred.Run(fs, core.ScanDataset(dataset).
 		Columns(a.Columns(nil)...).Where(pred).Elide(elide).Vectorize(vect).
 		Job(mapred.MapperFunc(func(_, v any, _ mapred.Emit) error {
 			rec := v.(serde.Record)
+			mu.Lock()
+			defer mu.Unlock()
 			return base.FoldRecord(scan.Getter(func(col string) (any, error) { return rec.Get(col) }))
 		})))
 	check(err)

@@ -144,8 +144,9 @@ func RunJob(fs *FileSystem, job *Job) (*JobResult, error) { return mapred.Run(fs
 
 // The typed query API. A ScanSpec carries a job's whole scan contract —
 // projection, predicate, materialization mode, elision, task sizing — as
-// one first-class value on JobConf.Scan; the planner and readers consume it
-// directly. ScanDataset starts the fluent builder:
+// one first-class value on JobConf.Scan, the only place a scan is
+// configured; the planner and readers consume it directly. ScanDataset
+// starts the fluent builder:
 //
 //	job := colmr.ScanDataset("/data/visits").
 //		Columns("url", "fetchTime").
@@ -153,8 +154,9 @@ func RunJob(fs *FileSystem, job *Job) (*JobResult, error) { return mapred.Run(fs
 //		Lazy(true).
 //		Job(mapper)
 //
-// The SetColumns/SetPredicate/SetLazy/SetElision/SetBloom free functions
-// below are compatibility wrappers that populate the same spec.
+// The builder's Columns is the paper's ColumnInputFormat.setColumns, Where
+// pushes a selection, and Lazy, Elide, Bloom and Vectorize flip the scan's
+// switches.
 type (
 	// ScanSpec is the typed scan specification (scan.Spec).
 	ScanSpec = scan.Spec
@@ -251,15 +253,6 @@ func NewColumnWriter(fs *FileSystem, dataset string, schema *Schema, opts LoadOp
 	return core.NewWriter(fs, dataset, schema, opts, stats)
 }
 
-// SetColumns pushes a column projection into CIF for a job — the paper's
-// ColumnInputFormat.setColumns. Compatibility wrapper over
-// ScanSpec.Columns; prefer ScanDataset(...).Columns(...).
-func SetColumns(conf *JobConf, columns ...string) { core.SetColumns(conf, columns...) }
-
-// SetLazy selects lazy record construction for a CIF job. Compatibility
-// wrapper over ScanSpec.Lazy; prefer ScanDataset(...).Lazy(...).
-func SetLazy(conf *JobConf, lazy bool) { core.SetLazy(conf, lazy) }
-
 // Selection pushdown — the scan subsystem (internal/scan). A Predicate
 // travels into CIF alongside the projection: zone-map statistics prune
 // whole record groups without touching their bytes, filter columns decide
@@ -271,31 +264,10 @@ func SetLazy(conf *JobConf, lazy bool) { core.SetLazy(conf, lazy) }
 // internal/colfile.StatsSource and docs/FORMAT.md.
 type Predicate = scan.Predicate
 
-// SetPredicate pushes a selection predicate into CIF for a job — the
-// selection analogue of SetColumns. Compatibility wrapper over
-// ScanSpec.Predicate; prefer ScanDataset(...).Where(...).
-func SetPredicate(conf *JobConf, p Predicate) { scan.SetPredicate(conf, p) }
-
 // PruneReport summarizes the scheduler tier's split-elision decisions for
 // a job: split-directories dropped from column-file footer statistics
 // before any map task existed. JobResult.Plan carries it.
 type PruneReport = scan.PruneReport
-
-// SetElision enables or disables scheduler-tier split elision for a job
-// (default on). Elision never changes which records qualify — only how
-// many splits are scheduled; disabling it restores reader-side
-// group pruning alone, which is useful for comparisons and debugging.
-// Compatibility wrapper over ScanSpec.NoElide; prefer
-// ScanDataset(...).Elide(...).
-func SetElision(conf *JobConf, on bool) { scan.SetElision(conf, on) }
-
-// SetBloom enables or disables Bloom-filter consultation at every pruning
-// tier (default on). Filters answer string/bytes equality and map-key
-// existence where zone maps cannot (unsorted high-cardinality data); a
-// negative probe is a proof, so toggling never changes which records
-// qualify. Compatibility wrapper over ScanSpec.NoBloom; prefer
-// ScanDataset(...).Bloom(...). See docs/PRUNING.md.
-func SetBloom(conf *JobConf, on bool) { scan.SetBloom(conf, on) }
 
 // ParsePredicate reads a predicate from the scan expression language,
 // e.g. `prefix(url, "http://www.ibm.com") && fetchTime > 1293840000000`.

@@ -31,9 +31,7 @@ func Example() {
 		log.Fatal(err)
 	}
 
-	conf := colmr.JobConf{InputPaths: []string{"/pages"}}
-	colmr.SetColumns(&conf, "url") // the meta column is never read
-	colmr.SetLazy(&conf, true)
+	conf := colmr.ScanDataset("/pages").Columns("url").Lazy(true).Conf() // the meta column is never read
 
 	count := 0
 	job := &colmr.Job{

@@ -44,13 +44,9 @@ func main() {
 	// The job of Figure 1, verbatim in Go: project url + metadata, lazy
 	// records, filter on url, emit metadata["content-type"], reduce to
 	// distinct values.
-	conf := colmr.JobConf{
-		InputPaths:  []string{"/data/crawl"},
-		OutputPath:  "/out/content-types",
-		NumReducers: 4,
-	}
-	colmr.SetColumns(&conf, "url", "metadata")
-	colmr.SetLazy(&conf, true)
+	conf := colmr.ScanDataset("/data/crawl").Columns("url", "metadata").Lazy(true).Conf()
+	conf.OutputPath = "/out/content-types"
+	conf.NumReducers = 4
 
 	job := &colmr.Job{
 		Conf:  conf,

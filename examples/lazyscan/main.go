@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"log"
+	"sync"
 
 	"colmr"
 )
@@ -46,9 +47,9 @@ func main() {
 	}
 
 	run := func(lazy bool) colmr.TaskStats {
-		conf := colmr.JobConf{InputPaths: []string{"/data/syn"}}
-		colmr.SetColumns(&conf, "str0", "map0")
-		colmr.SetLazy(&conf, lazy)
+		conf := colmr.ScanDataset("/data/syn").Columns("str0", "map0").Lazy(lazy).Conf()
+		// Map tasks run concurrently; the mutex guards the shared sum.
+		var mu sync.Mutex
 		var sum int64
 		job := &colmr.Job{
 			Conf:  conf,
@@ -66,6 +67,8 @@ func main() {
 				if err != nil {
 					return err
 				}
+				mu.Lock()
+				defer mu.Unlock()
 				for _, v := range m.(map[string]any) {
 					sum += int64(v.(int32))
 				}

@@ -72,12 +72,13 @@ func main() {
 	})
 	job.Output = colmr.TextOutput{}
 
-	// The pre-builder spelling still works and produces the identical
-	// typed ScanSpec on the conf:
+	// The builder only fills in the typed ScanSpec on the conf; a literal
+	// spells the same scan:
 	//
-	//	conf := colmr.JobConf{InputPaths: []string{"/data/visits"}}
-	//	colmr.SetColumns(&conf, "url", "status")
-	//	colmr.SetPredicate(&conf, colmr.Eq("status", int32(404)))
+	//	conf := colmr.JobConf{InputPaths: []string{"/data/visits"}, Scan: &colmr.ScanSpec{
+	//		Columns:   []string{"url", "status"},
+	//		Predicate: colmr.Eq("status", int32(404)),
+	//	}}
 
 	// For a steady stream of queries, run jobs through a long-lived
 	// Session instead of RunJob: an LRU-bounded cache keeps hot column

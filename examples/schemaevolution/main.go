@@ -63,8 +63,8 @@ func main() {
 		float64(after-before)/(1<<20), float64(after)/(1<<20))
 
 	// The new column queries like any other.
-	conf := colmr.JobConf{InputPaths: []string{"/data/crawl"}, NumReducers: 1, OutputPath: "/out/hosts"}
-	colmr.SetColumns(&conf, "host")
+	conf := colmr.ScanDataset("/data/crawl").Columns("host").Conf()
+	conf.NumReducers, conf.OutputPath = 1, "/out/hosts"
 	job := &colmr.Job{
 		Conf:  conf,
 		Input: &colmr.ColumnInputFormat{},

@@ -2,7 +2,7 @@
 // zone-map statistics. The same selective aggregation runs twice over a
 // skip-list CIF dataset — once the classic way (project the filter column,
 // test it in the map function) and once with the predicate pushed into the
-// storage layer (colmr.SetPredicate) — and the work counters show where
+// storage layer (ScanDataset(...).Where) — and the work counters show where
 // the order of magnitude goes: whole record groups pruned from min/max
 // zone maps alone, filter columns deciding the rest, and the expensive
 // map column materialized only for qualifying records.
@@ -11,6 +11,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sync"
 
 	"colmr"
 )
@@ -44,6 +45,8 @@ func main() {
 	// builders here; `colmr.ParsePredicate("int0 <= 50")` is equivalent.
 	pred := colmr.Le("int0", 50)
 
+	// Map tasks run concurrently; mu guards each run's shared counters.
+	var mu sync.Mutex
 	sumMap := func(rec colmr.Record, sum *int64) error {
 		m, err := rec.Get("map0")
 		if err != nil {
@@ -58,9 +61,7 @@ func main() {
 	// Classic scan-then-filter: int0 joins the projection and every record
 	// reaches the map function.
 	scanFilter := func() (int64, int64, colmr.TaskStats) {
-		conf := colmr.JobConf{InputPaths: []string{"/data/syn"}}
-		colmr.SetColumns(&conf, "int0", "map0")
-		colmr.SetLazy(&conf, true)
+		conf := colmr.ScanDataset("/data/syn").Columns("int0", "map0").Lazy(true).Conf()
 		var sum, matches int64
 		job := &colmr.Job{
 			Conf:  conf,
@@ -74,6 +75,8 @@ func main() {
 				if v.(int32) > 50 {
 					return nil
 				}
+				mu.Lock()
+				defer mu.Unlock()
 				matches++
 				return sumMap(rec, &sum)
 			}),
@@ -89,15 +92,14 @@ func main() {
 	// Pushdown: the predicate travels below record construction; the map
 	// function sees only qualifying records and never mentions int0.
 	pushdown := func() (int64, int64, colmr.TaskStats) {
-		conf := colmr.JobConf{InputPaths: []string{"/data/syn"}}
-		colmr.SetColumns(&conf, "map0")
-		colmr.SetLazy(&conf, true)
-		colmr.SetPredicate(&conf, pred)
+		conf := colmr.ScanDataset("/data/syn").Columns("map0").Lazy(true).Where(pred).Conf()
 		var sum, matches int64
 		job := &colmr.Job{
 			Conf:  conf,
 			Input: &colmr.ColumnInputFormat{},
 			Mapper: colmr.MapperFunc(func(_, value any, emit colmr.Emit) error {
+				mu.Lock()
+				defer mu.Unlock()
 				matches++
 				return sumMap(value.(colmr.Record), &sum)
 			}),

@@ -167,13 +167,10 @@ func TestFormatEquivalenceMatrix(t *testing.T) {
 	txtAns := distinctContentTypes(t, fs, &txt.InputFormat{Schema: gen.Schema()}, mapred.JobConf{InputPaths: []string{"/m/data.txt"}})
 	seqAns := distinctContentTypes(t, fs, &seq.InputFormat{}, mapred.JobConf{InputPaths: []string{"/m/data.seq"}})
 
-	rcConf := mapred.JobConf{InputPaths: []string{"/m/data.rc"}}
-	rcfile.SetColumns(&rcConf, "url", "metadata")
+	rcConf := core.ScanDataset("/m/data.rc").Columns("url", "metadata").Conf()
 	rcAns := distinctContentTypes(t, fs, &rcfile.InputFormat{}, rcConf)
 
-	cifConf := mapred.JobConf{InputPaths: []string{"/m/cif"}}
-	core.SetColumns(&cifConf, "url", "metadata")
-	core.SetLazy(&cifConf, true)
+	cifConf := core.ScanDataset("/m/cif").Columns("url", "metadata").Lazy(true).Conf()
 	cifAns := distinctContentTypes(t, fs, &core.InputFormat{}, cifConf)
 
 	want := strings.Join(txtAns, "|")
@@ -205,8 +202,7 @@ func TestJobSurvivesNodeFailure(t *testing.T) {
 	}
 	w.Close()
 
-	conf := mapred.JobConf{InputPaths: []string{"/f/cif"}}
-	core.SetColumns(&conf, "url", "metadata")
+	conf := core.ScanDataset("/f/cif").Columns("url", "metadata").Conf()
 	before := distinctContentTypes(t, fs, &core.InputFormat{}, conf)
 
 	fs.KillNode(0)
@@ -305,8 +301,8 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatalf("ReadDatasetSchema = %v, %v", s, err)
 	}
 
-	conf := colmr.JobConf{InputPaths: []string{"/api/events"}, NumReducers: 1, OutputPath: "/api/out"}
-	colmr.SetColumns(&conf, "kind")
+	conf := colmr.ScanDataset("/api/events").Columns("kind").Conf()
+	conf.NumReducers, conf.OutputPath = 1, "/api/out"
 	job := &colmr.Job{
 		Conf:  conf,
 		Input: &colmr.ColumnInputFormat{},

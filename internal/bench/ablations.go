@@ -74,10 +74,8 @@ func AblationSkipLevels(cfg Config) (*SkipLevelsResult, error) {
 		}
 
 		// 5%-selective scan: predicate on str0, aggregate map0.
-		conf := &mapred.JobConf{InputPaths: []string{"/a/cif"}}
-		core.SetColumns(conf, "str0", "map0")
-		core.SetLazy(conf, true)
-		scan, _, err := scanSplits(fs, &core.InputFormat{}, conf, 0, func(rec serde.Record) error {
+		conf := core.ScanDataset("/a/cif").Columns("str0", "map0").Lazy(true).Conf()
+		scan, _, err := scanSplits(fs, &core.InputFormat{}, &conf, 0, func(rec serde.Record) error {
 			s, err := rec.Get("str0")
 			if err != nil {
 				return err
@@ -239,8 +237,7 @@ func AblationBlockSize(cfg Config) (*BlockSizeResult, error) {
 		if scale == 0 {
 			scale = float64(Table1Target) / float64(size)
 		}
-		conf := mapred.JobConf{InputPaths: []string{"/b/cif"}}
-		core.SetColumns(&conf, "url", "metadata")
+		conf := core.ScanDataset("/b/cif").Columns("url", "metadata").Conf()
 		jr, err := mapred.Run(fs, crawlJob(&core.InputFormat{}, conf))
 		if err != nil {
 			return nil, err
@@ -295,8 +292,7 @@ func AblationRecovery(cfg Config) (*RecoveryResult, error) {
 	k := float64(Table1Target) / float64(size)
 
 	run := func() (float64, float64, error) {
-		conf := mapred.JobConf{InputPaths: []string{"/rec/cif"}}
-		core.SetColumns(&conf, "url", "metadata")
+		conf := core.ScanDataset("/rec/cif").Columns("url", "metadata").Conf()
 		jr, err := mapred.Run(fs, crawlJob(&core.InputFormat{}, conf))
 		if err != nil {
 			return 0, 0, err

@@ -7,7 +7,6 @@ import (
 
 	"colmr/internal/colfile"
 	"colmr/internal/core"
-	"colmr/internal/mapred"
 	"colmr/internal/scan"
 	"colmr/internal/sim"
 	"colmr/internal/workload"
@@ -18,7 +17,7 @@ import (
 // high-cardinality — the regime where zone maps are useless, because every
 // record group's [Min, Max] spans essentially the whole domain. Each arm
 // compares the full pruning pipeline with Bloom filters consulted against
-// the zone-maps-only baseline (scan.SetBloom(conf, false)):
+// the zone-maps-only baseline (ScanDataset(...).Bloom(false)):
 //
 //	bloom     file-aggregate filters elide whole split-directories at the
 //	          scheduler tier, and per-group filters prune record groups
@@ -125,12 +124,9 @@ func Bloom(cfg Config) (*BloomResult, error) {
 	}
 
 	run := func(pred scan.Predicate, dataset string, bloom bool) (sim.TaskStats, scan.PruneReport, int64, error) {
-		conf := &mapred.JobConf{InputPaths: []string{dataset}}
-		core.SetColumns(conf, "str0", "map0")
-		scan.SetPredicate(conf, pred)
-		scan.SetBloom(conf, bloom)
+		conf := core.ScanDataset(dataset).Columns("str0", "map0").Where(pred).Bloom(bloom).Conf()
 		in := &core.InputFormat{}
-		splits, report, err := in.PlannedSplits(fs, conf)
+		splits, report, err := in.PlannedSplits(fs, &conf)
 		if err != nil {
 			return sim.TaskStats{}, report, 0, err
 		}
@@ -140,7 +136,7 @@ func Bloom(cfg Config) (*BloomResult, error) {
 		var matches int64
 		for _, sp := range splits {
 			var st sim.TaskStats
-			rr, err := in.Open(fs, conf, sp, 0, &st)
+			rr, err := in.Open(fs, &conf, sp, 0, &st)
 			if err != nil {
 				return total, report, 0, err
 			}

@@ -39,8 +39,7 @@ func Colocation(cfg Config) (*ColocationResult, error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		conf := mapred.JobConf{InputPaths: []string{"/c/cif"}}
-		core.SetColumns(&conf, "url", "metadata")
+		conf := core.ScanDataset("/c/cif").Columns("url", "metadata").Conf()
 		jr, err := mapred.Run(fs, crawlJob(&core.InputFormat{}, conf))
 		if err != nil {
 			return 0, 0, err

@@ -6,7 +6,6 @@ import (
 
 	"colmr/internal/colfile"
 	"colmr/internal/core"
-	"colmr/internal/mapred"
 	"colmr/internal/scan"
 	"colmr/internal/serde"
 	"colmr/internal/sim"
@@ -22,7 +21,7 @@ import (
 //	          column-file footer statistics before map tasks exist
 //	          (core.InputFormat.PlannedSplits), and the reader's file
 //	          tier catches whatever the scheduler was not asked about;
-//	baseline  scan.SetElision(conf, false): every split-directory becomes
+//	baseline  ScanDataset(...).Elide(false): every split-directory becomes
 //	          a task whose reader opens cursors and prunes groups with
 //	          zone maps — the PR 1 shape this refactor lifts out of the
 //	          reader.
@@ -122,12 +121,9 @@ func Elision(cfg Config) (*ElisionResult, error) {
 		pred := scan.Le("int0", cut)
 
 		run := func(elide bool) (sim.TaskStats, scan.PruneReport, int64, error) {
-			conf := &mapred.JobConf{InputPaths: []string{dir}}
-			core.SetColumns(conf, "str0", "map0")
-			scan.SetPredicate(conf, pred)
-			scan.SetElision(conf, elide)
+			conf := core.ScanDataset(dir).Columns("str0", "map0").Where(pred).Elide(elide).Conf()
 			in := &core.InputFormat{}
-			splits, report, err := in.PlannedSplits(fs, conf)
+			splits, report, err := in.PlannedSplits(fs, &conf)
 			if err != nil {
 				return sim.TaskStats{}, report, 0, err
 			}
@@ -137,7 +133,7 @@ func Elision(cfg Config) (*ElisionResult, error) {
 			var matches int64
 			for _, sp := range splits {
 				var st sim.TaskStats
-				rr, err := in.Open(fs, conf, sp, 0, &st)
+				rr, err := in.Open(fs, &conf, sp, 0, &st)
 				if err != nil {
 					return total, report, 0, err
 				}

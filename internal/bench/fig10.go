@@ -7,7 +7,6 @@ import (
 
 	"colmr/internal/colfile"
 	"colmr/internal/core"
-	"colmr/internal/mapred"
 	"colmr/internal/serde"
 	"colmr/internal/sim"
 	"colmr/internal/workload"
@@ -86,11 +85,9 @@ func Figure10(cfg Config) (*Figure10Result, error) {
 
 		for _, sel := range Fig10Selectivities {
 			sel := sel
-			conf := &mapred.JobConf{InputPaths: []string{"/f10/cif"}}
-			core.SetColumns(conf, "str0", "map0")
-			core.SetLazy(conf, arm.lazy)
+			conf := core.ScanDataset("/f10/cif").Columns("str0", "map0").Lazy(arm.lazy).Conf()
 			var sum int64
-			total, _, err := scanSplits(fs, &core.InputFormat{}, conf, 0, func(rec serde.Record) error {
+			total, _, err := scanSplits(fs, &core.InputFormat{}, &conf, 0, func(rec serde.Record) error {
 				s, err := rec.Get("str0")
 				if err != nil {
 					return err

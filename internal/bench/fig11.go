@@ -110,21 +110,15 @@ func Figure11(cfg Config) (*Figure11Result, error) {
 			if proj.cols != nil {
 				nProj = len(proj.cols)
 			}
-			conf := &mapred.JobConf{InputPaths: []string{"/f11/cif"}}
-			if proj.cols != nil {
-				core.SetColumns(conf, proj.cols...)
-			}
-			st, _, err := scanSplits(fs, &core.InputFormat{}, conf, 0, nil)
+			conf := core.ScanDataset("/f11/cif").Columns(proj.cols...).Conf()
+			st, _, err := scanSplits(fs, &core.InputFormat{}, &conf, 0, nil)
 			if err != nil {
 				return nil, err
 			}
 			record("CIF_"+proj.label, st, nProj)
 
-			rconf := &mapred.JobConf{InputPaths: []string{"/f11/data.rc"}}
-			if proj.cols != nil {
-				rcfile.SetColumns(rconf, proj.cols...)
-			}
-			st, _, err = scanSplits(fs, &rcfile.InputFormat{}, rconf, 0, nil)
+			rconf := core.ScanDataset("/f11/data.rc").Columns(proj.cols...).Conf()
+			st, _, err = scanSplits(fs, &rcfile.InputFormat{}, &rconf, 0, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -112,11 +112,8 @@ func Figure7(cfg Config) (*Figure7Result, error) {
 	}
 
 	for _, proj := range Fig7Projections {
-		conf := &mapred.JobConf{InputPaths: []string{"/f7/cif"}}
-		if proj.Columns != nil {
-			core.SetColumns(conf, proj.Columns...)
-		}
-		if err := scan("CIF", &core.InputFormat{}, conf, proj.Name); err != nil {
+		conf := core.ScanDataset("/f7/cif").Columns(proj.Columns...).Conf()
+		if err := scan("CIF", &core.InputFormat{}, &conf, proj.Name); err != nil {
 			return nil, err
 		}
 
@@ -124,11 +121,8 @@ func Figure7(cfg Config) (*Figure7Result, error) {
 			{"RCFile", "/f7/data.rc"},
 			{"RCFile-comp", "/f7/datac.rc"},
 		} {
-			conf := &mapred.JobConf{InputPaths: []string{rc.path}}
-			if proj.Columns != nil {
-				rcfile.SetColumns(conf, proj.Columns...)
-			}
-			if err := scan(rc.name, &rcfile.InputFormat{}, conf, proj.Name); err != nil {
+			conf := core.ScanDataset(rc.path).Columns(proj.Columns...).Conf()
+			if err := scan(rc.name, &rcfile.InputFormat{}, &conf, proj.Name); err != nil {
 				return nil, err
 			}
 		}

@@ -6,7 +6,6 @@ import (
 
 	"colmr/internal/core"
 	"colmr/internal/formats/rcfile"
-	"colmr/internal/mapred"
 	"colmr/internal/sim"
 	"colmr/internal/workload"
 )
@@ -67,11 +66,8 @@ func Figure9(cfg Config) (*Figure9Result, error) {
 	}
 
 	for _, proj := range Fig7Projections {
-		conf := &mapred.JobConf{InputPaths: []string{"/f9/cif"}}
-		if proj.Columns != nil {
-			core.SetColumns(conf, proj.Columns...)
-		}
-		st, _, err := scanSplits(fs, &core.InputFormat{}, conf, 0, nil)
+		conf := core.ScanDataset("/f9/cif").Columns(proj.Columns...).Conf()
+		st, _, err := scanSplits(fs, &core.InputFormat{}, &conf, 0, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -83,11 +79,8 @@ func Figure9(cfg Config) (*Figure9Result, error) {
 
 		for _, rg := range Fig9RowGroups {
 			name := fmt.Sprintf("%dM RCFile", rg>>20)
-			conf := &mapred.JobConf{InputPaths: []string{fmt.Sprintf("/f9/rc%dm.rc", rg>>20)}}
-			if proj.Columns != nil {
-				rcfile.SetColumns(conf, proj.Columns...)
-			}
-			st, _, err := scanSplits(fs, &rcfile.InputFormat{}, conf, 0, nil)
+			conf := core.ScanDataset(fmt.Sprintf("/f9/rc%dm.rc", rg>>20)).Columns(proj.Columns...).Conf()
+			st, _, err := scanSplits(fs, &rcfile.InputFormat{}, &conf, 0, nil)
 			if err != nil {
 				return nil, err
 			}

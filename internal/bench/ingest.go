@@ -7,7 +7,6 @@ import (
 	"colmr/internal/colfile"
 	"colmr/internal/core"
 	"colmr/internal/ingest"
-	"colmr/internal/mapred"
 	"colmr/internal/scan"
 	"colmr/internal/serde"
 	"colmr/internal/sim"
@@ -257,10 +256,8 @@ func ingestCell(cfg Config, cluster sim.ClusterConfig, model sim.CostModel, n in
 	cutoff := firstMs + (lastMs-firstMs)*9/10
 	pred := scan.Gt("fetchTime", cutoff)
 	urlScan := func(dir string) (sim.TaskStats, int64, error) {
-		conf := &mapred.JobConf{InputPaths: []string{dir}}
-		core.SetColumns(conf, "url")
-		scan.SetPredicate(conf, pred)
-		return scanSplits(fs, &core.InputFormat{}, conf, 0, nil)
+		conf := core.ScanDataset(dir).Columns("url").Where(pred).Conf()
+		return scanSplits(fs, &core.InputFormat{}, &conf, 0, nil)
 	}
 	sSt, sMatches, err := urlScan(streamed)
 	if err != nil {
@@ -291,20 +288,17 @@ func ingestCell(cfg Config, cluster sim.ClusterConfig, model sim.CostModel, n in
 	// The content arm: same predicate projecting the multi-KB content
 	// column (pushdown + adaptive readahead) vs the dense control that
 	// streams content for every row and filters in the visit function.
-	selConf := &mapred.JobConf{InputPaths: []string{streamed}}
-	core.SetColumns(selConf, "content")
-	scan.SetPredicate(selConf, pred)
-	selSt, selMatches, err := scanSplits(fs, &core.InputFormat{}, selConf, 0, nil)
+	selConf := core.ScanDataset(streamed).Columns("content").Where(pred).Conf()
+	selSt, selMatches, err := scanSplits(fs, &core.InputFormat{}, &selConf, 0, nil)
 	if err != nil {
 		return nil, err
 	}
 	if selMatches != sMatches {
 		return nil, fmt.Errorf("content scan matched %d records, url scan %d", selMatches, sMatches)
 	}
-	denseConf := &mapred.JobConf{InputPaths: []string{streamed}}
-	core.SetColumns(denseConf, "content", "fetchTime")
+	denseConf := core.ScanDataset(streamed).Columns("content", "fetchTime").Conf()
 	var denseMatches int64
-	denseSt, _, err := scanSplits(fs, &core.InputFormat{}, denseConf, 0, func(rec serde.Record) error {
+	denseSt, _, err := scanSplits(fs, &core.InputFormat{}, &denseConf, 0, func(rec serde.Record) error {
 		v, err := rec.Get("fetchTime")
 		if err != nil {
 			return err

@@ -6,7 +6,6 @@ import (
 
 	"colmr/internal/colfile"
 	"colmr/internal/core"
-	"colmr/internal/mapred"
 	"colmr/internal/scan"
 	"colmr/internal/serde"
 	"colmr/internal/sim"
@@ -17,7 +16,7 @@ import (
 // synthetic dataset and compares, per column layout, two ways of running
 // the same selective query:
 //
-//	pushdown   the predicate travels into CIF (scan.SetPredicate): zone
+//	pushdown   the predicate travels into CIF (the builder's Where): zone
 //	           maps prune record groups, the filter column decides the
 //	           rest, and projected columns materialize only for matches;
 //	scan+filter the classic shape: project the filter column too, read
@@ -154,20 +153,17 @@ func Selectivity(cfg Config) (*SelectivityResult, error) {
 			pred := scan.Le("int0", cut)
 
 			// Pushdown: predicate below materialization.
-			pconf := &mapred.JobConf{InputPaths: []string{dir}}
-			core.SetColumns(pconf, "str0", "map0")
-			scan.SetPredicate(pconf, pred)
-			pushSt, pushMatches, err := scanSplits(fs, &core.InputFormat{}, pconf, 0, nil)
+			pconf := core.ScanDataset(dir).Columns("str0", "map0").Where(pred).Conf()
+			pushSt, pushMatches, err := scanSplits(fs, &core.InputFormat{}, &pconf, 0, nil)
 			if err != nil {
 				return nil, fmt.Errorf("%s pushdown: %w", layout, err)
 			}
 
 			// Scan-then-filter: project the filter column too and test in
 			// the visit function, as a map function would.
-			fconf := &mapred.JobConf{InputPaths: []string{dir}}
-			core.SetColumns(fconf, "str0", "map0", "int0")
+			fconf := core.ScanDataset(dir).Columns("str0", "map0", "int0").Conf()
 			var filterMatches int64
-			fullSt, _, err := scanSplits(fs, &core.InputFormat{}, fconf, 0, func(rec serde.Record) error {
+			fullSt, _, err := scanSplits(fs, &core.InputFormat{}, &fconf, 0, func(rec serde.Record) error {
 				ok, err := pred.Eval(scan.Getter(func(col string) (any, error) { return rec.Get(col) }))
 				if err != nil {
 					return err

@@ -93,9 +93,7 @@ func servePred(j int, overlap bool) scan.Predicate {
 
 // serveJob builds one streamed query: map-only, projecting str0.
 func serveJob(dataset string, pred scan.Predicate) *mapred.Job {
-	conf := mapred.JobConf{InputPaths: []string{dataset}}
-	core.SetColumns(&conf, "str0")
-	scan.SetPredicate(&conf, pred)
+	conf := core.ScanDataset(dataset).Columns("str0").Where(pred).Conf()
 	return &mapred.Job{
 		Conf:  conf,
 		Input: &core.InputFormat{},

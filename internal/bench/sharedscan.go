@@ -86,9 +86,7 @@ func sharedScanPred(j, k int, overlap bool) scan.Predicate {
 // sharedScanJob builds one measurement job: map-only, projecting str0 and
 // touching it per record like a map function would.
 func sharedScanJob(dataset string, pred scan.Predicate) *mapred.Job {
-	conf := mapred.JobConf{InputPaths: []string{dataset}}
-	core.SetColumns(&conf, "str0")
-	scan.SetPredicate(&conf, pred)
+	conf := core.ScanDataset(dataset).Columns("str0").Where(pred).Conf()
 	return &mapred.Job{
 		Conf:  conf,
 		Input: &core.InputFormat{},

@@ -148,9 +148,7 @@ func Table1(cfg Config) (*Table1Result, error) {
 		v := v
 		if err := runVariant(v.name, func(fs *hdfs.FileSystem) (mapred.InputFormat, mapred.JobConf, int64, error) {
 			size, err := writeRC(fs, "/t1/data.rc", gen, n, v.opts, nil)
-			conf := mapred.JobConf{InputPaths: []string{"/t1/data.rc"}}
-			rcfile.SetColumns(&conf, "url", "metadata")
-			return &rcfile.InputFormat{}, conf, size, err
+			return &rcfile.InputFormat{}, core.ScanDataset("/t1/data.rc").Columns("url", "metadata").Conf(), size, err
 		}); err != nil {
 			return nil, err
 		}
@@ -166,10 +164,7 @@ func Table1(cfg Config) (*Table1Result, error) {
 				PerColumn:    map[string]colfile.Options{"metadata": v.layout},
 			}
 			size, err := writeCIF(fs, "/t1/cif", gen, n, opts, nil)
-			conf := mapred.JobConf{InputPaths: []string{"/t1/cif"}}
-			core.SetColumns(&conf, "url", "metadata")
-			core.SetLazy(&conf, v.lazy)
-			return &core.InputFormat{}, conf, size, err
+			return &core.InputFormat{}, core.ScanDataset("/t1/cif").Columns("url", "metadata").Lazy(v.lazy).Conf(), size, err
 		}); err != nil {
 			return nil, err
 		}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"colmr/internal/scan"
 	"colmr/internal/serde"
 )
 
@@ -112,8 +113,7 @@ func TestBloomRoundTripMapKeys(t *testing.T) {
 }
 
 // TestBloomDisabledAbsent: Options.NoBloom writes a section without
-// filters, and pre-bloom sections (CFS2, CFST) parse to filter-less stats
-// — absent filters must behave exactly like today.
+// filters, which parses to filter-less group and file statistics.
 func TestBloomDisabledAbsent(t *testing.T) {
 	schema := serde.String()
 	const n = 100
@@ -140,43 +140,6 @@ func TestBloomDisabledAbsent(t *testing.T) {
 	}
 	if agg.Bloom != nil {
 		t.Fatal("NoBloom aggregate carries a filter")
-	}
-
-	// Legacy encoders round-trip without filters (and reject them).
-	zm := newStatsCollector(schema, 25, 0)
-	for i := 0; i < n; i++ {
-		zm.observe(fmt.Sprintf("v%d", i))
-	}
-	zm.cut()
-	for _, enc := range []func() ([]byte, error){
-		func() ([]byte, error) { return appendStatsSection(nil, schema, zm.entries) },
-		func() ([]byte, error) {
-			agg := mergeEntries(zm.entries)
-			return appendStatsSectionV2(nil, schema, agg, zm.entries)
-		},
-	} {
-		blob, err := enc()
-		if err != nil {
-			t.Fatal(err)
-		}
-		entries, _, err := parseStatsSection(blob, schema)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(entries) != len(zm.entries) {
-			t.Fatalf("legacy section decoded %d entries, want %d", len(entries), len(zm.entries))
-		}
-		for i := range entries {
-			if entries[i].st.Bloom != nil {
-				t.Fatal("legacy section decoded a bloom filter")
-			}
-		}
-	}
-	bloomed := newStatsCollector(schema, 0, 1<<12)
-	bloomed.observe("x")
-	bloomed.cut()
-	if _, err := appendStatsSectionV2(nil, schema, &bloomed.entries[0].st, bloomed.entries); err == nil {
-		t.Fatal("CFS2 encoder accepted a bloom-bearing entry")
 	}
 }
 
@@ -228,7 +191,10 @@ func TestBloomSaturatedAggregate(t *testing.T) {
 		}
 		entries = append(entries, e)
 	}
-	agg := mergeEntries(entries)
+	agg := &scan.ColStats{}
+	for i := range entries {
+		agg.Merge(&entries[i].st)
+	}
 	if agg.Bloom != nil {
 		t.Fatal("aggregate of 12 overfull one-block filters did not saturate to nil")
 	}

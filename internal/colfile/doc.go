@@ -24,10 +24,11 @@
 // self-describing. Between the data region and the footer sits the stats
 // section — per-record-group zone maps, key universes, and Bloom filters,
 // led by a whole-file aggregate — written by all four layouts and read
-// back footer-first without touching data. The byte-level specification of
-// every layout and the stats lineage ("CFST" → "CFS2" → "CFS3") lives in
-// docs/FORMAT.md; the format-spec CI check keeps that document covering
-// every magic in this package.
+// back footer-first without touching data. The section has one generation,
+// "CFS4": any other magic, or an entry flag bit it does not define, reads
+// as "no statistics". The byte-level specification of every layout and the
+// versioning rule live in docs/FORMAT.md; the format-spec CI check keeps
+// that document covering every magic this package reads and writes.
 //
 // Role in the scheduler→file→group→value pipeline: this package is the
 // statistics *storage* side. FileStats serves the scheduler tier (split
@@ -42,9 +43,10 @@
 //   - Round trip (stats_test.go, bloomstats_test.go): every layout writes
 //     a section whose decoded groups tile the record space exactly, whose
 //     bounds contain every value they cover, and whose Bloom filters
-//     may-contain every written value — with legacy CFST/CFS2 sections
-//     (and Options.NoBloom files) still parsing to filter-less statistics
-//     that behave exactly as before filters existed.
+//     may-contain every written value — with Options.NoBloom files parsing
+//     to filter-less statistics.
+//   - Foreign sections degrade (stats_test.go): a file whose section bears
+//     another magic opens, returns every value, and serves no statistics.
 //   - Parser totality (stats_fuzz_test.go): the stats parser never panics
 //     on arbitrary bytes, and whatever parses re-encodes and re-parses to
 //     the same geometry.

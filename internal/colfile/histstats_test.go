@@ -50,65 +50,56 @@ func TestHistogramRoundTripAllLayouts(t *testing.T) {
 	}
 }
 
-// TestHistogramLegacySectionsAbsent: CFST, CFS2, and CFS3 sections parse to
-// histogram-less (and fill-less) statistics — absent histograms must behave
-// exactly like today — and the legacy encoders reject entries carrying the
-// CFS4-only features, mirroring the CFS2/bloom contract.
-func TestHistogramLegacySectionsAbsent(t *testing.T) {
+// TestHistogramAbsentInGroups: only the whole-file aggregate samples a
+// histogram. Written group entries carry none, and an entry without one —
+// or without a recorded bloom fill — round-trips as absent, which the
+// estimator reads as "fall back to the uniform model".
+func TestHistogramAbsentInGroups(t *testing.T) {
 	schema := serde.Int()
 	const n = 100
+	f, _ := writeColumn(t, schema, Options{Layout: Plain, StatsEvery: 25}, n, func(i int) any { return int32(i) })
+	r, err := NewReader(f.reader(), schema, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := statsSource(t, r, "plain")
+	for rec := int64(0); rec < n; {
+		st, end := src.GroupStats(rec)
+		if st == nil {
+			t.Fatalf("no stats at %d", rec)
+		}
+		if st.Hist != nil {
+			t.Fatalf("group at %d carries a histogram", rec)
+		}
+		rec = end
+	}
+	if agg, err := FileStats(f.reader(), schema); err != nil || agg == nil || agg.Hist == nil {
+		t.Fatalf("file aggregate %+v (%v) carries no histogram", agg, err)
+	}
+
 	zm := newStatsCollector(schema, 25, 0)
 	for i := 0; i < n; i++ {
 		zm.observe(int32(i))
 	}
 	zm.cut()
-	encoders := []struct {
-		name string
-		enc  func() ([]byte, error)
-	}{
-		{"CFST", func() ([]byte, error) { return appendStatsSection(nil, schema, zm.entries) }},
-		{"CFS2", func() ([]byte, error) {
-			return appendStatsSectionV2(nil, schema, mergeEntries(zm.entries), zm.entries)
-		}},
-		{"CFS3", func() ([]byte, error) {
-			return appendStatsSectionV3(nil, schema, mergeEntries(zm.entries), zm.entries)
-		}},
+	blob, err := appendStatsSectionV4(nil, schema, &zm.entries[0].st, zm.entries)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, e := range encoders {
-		blob, err := e.enc()
-		if err != nil {
-			t.Fatalf("%s: %v", e.name, err)
-		}
-		entries, agg, err := parseStatsSection(blob, schema)
-		if err != nil {
-			t.Fatalf("%s: %v", e.name, err)
-		}
-		if len(entries) != len(zm.entries) {
-			t.Fatalf("%s: decoded %d entries, want %d", e.name, len(entries), len(zm.entries))
-		}
-		for i := range entries {
-			if entries[i].st.Hist != nil || entries[i].st.BloomFill != 0 {
-				t.Fatalf("%s: entry %d decoded CFS4 features", e.name, i)
-			}
-		}
-		if agg != nil && (agg.Hist != nil || agg.BloomFill != 0) {
-			t.Fatalf("%s: aggregate decoded CFS4 features", e.name)
+	entries, agg, err := parseStatsSection(blob, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(zm.entries) {
+		t.Fatalf("decoded %d entries, want %d", len(entries), len(zm.entries))
+	}
+	for i := range entries {
+		if entries[i].st.Hist != nil || entries[i].st.BloomFill != 0 {
+			t.Fatalf("entry %d decoded features it was written without", i)
 		}
 	}
-
-	// A collector with sampling on yields a histogram-bearing aggregate the
-	// CFS3 encoder must refuse: older sections cannot carry the feature.
-	full := newStatsCollector(schema, 0, 0)
-	full.histMax = 64
-	for i := 0; i < n; i++ {
-		full.observe(int32(i))
-	}
-	full.cut()
-	if full.entries[0].st.Hist == nil {
-		t.Fatal("sampling collector built no histogram")
-	}
-	if _, err := appendStatsSectionV3(nil, schema, &full.entries[0].st, stripNewerFeatures(full.entries)); err == nil {
-		t.Fatal("CFS3 encoder accepted a histogram-bearing aggregate")
+	if agg.Hist != nil || agg.BloomFill != 0 {
+		t.Fatal("aggregate decoded features it was written without")
 	}
 }
 

@@ -1,7 +1,8 @@
 package colfile
 
 import (
-	"fmt"
+	"bytes"
+	"math/rand"
 	"testing"
 
 	"colmr/internal/serde"
@@ -9,86 +10,63 @@ import (
 
 // The stats-section parser is exposed to on-disk bytes (and, through
 // FileStats, to bytes no reader has validated) and must never panic. The
-// seed corpus covers the full footer lineage — legacy CFST, aggregate-first
-// CFS2, bloom-bearing CFS3, histogram-bearing CFS4 — plus bloom and
-// histogram present/absent/degenerate/saturated entries and truncations of
-// each. Runs under plain `go test`; explores further under
-// `go test -fuzz FuzzStatsSection`.
+// seed corpus is what the writer emits: the CFS4 section of every pinned
+// column kind in every layout it is legal in (pinned_test.go; layouts that
+// cut groups alike write identical sections, seeded once), each whole,
+// truncated mid-entry and cut after its magic, each parsed under its own
+// schema — plus hand-built entries for the edges a writer never reaches
+// (saturated and absurd Bloom geometry, degenerate and implausible
+// histograms, an undefined flag bit) and foreign magics. Runs under plain
+// `go test`; explores further under `go test -fuzz FuzzStatsSection`.
 
-// stripNewerFeatures clones entries without the CFS4-only fields so legacy
-// encoders accept real collector output.
-func stripNewerFeatures(entries []statsEntry) []statsEntry {
-	out := append([]statsEntry(nil), entries...)
-	for i := range out {
-		out[i].st.BloomFill = 0
-		out[i].st.Hist = nil
-	}
-	return out
-}
-
-// fuzzSeedSections builds one valid section per format generation for the
-// given schema, from real collector output.
-func fuzzSeedSections(schema *serde.Schema, gen func(i int) any) ([][]byte, error) {
-	bloomed := newStatsCollector(schema, 20, 1<<10)
-	plain := newStatsCollector(schema, 20, 0)
-	// A whole-file-style collector with histogram sampling on: its single
-	// entry carries the CFS4 features (histogram, recorded fill).
-	full := newStatsCollector(schema, 0, 1<<10)
-	full.histMax = 64
-	for i := 0; i < 100; i++ {
-		bloomed.observe(gen(i))
-		plain.observe(gen(i))
-		full.observe(gen(i))
-	}
-	bloomed.cut()
-	plain.cut()
-	full.cut()
-	var out [][]byte
-	legacy, err := appendStatsSection(nil, schema, plain.entries)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, legacy)
-	v2, err := appendStatsSectionV2(nil, schema, mergeEntries(plain.entries), plain.entries)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, v2)
-	v3entries := stripNewerFeatures(bloomed.entries)
-	v3, err := appendStatsSectionV3(nil, schema, mergeEntries(stripNewerFeatures(plain.entries)), v3entries)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, v3)
-	v4, err := appendStatsSectionV4(nil, schema, &full.entries[0].st, bloomed.entries)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, v4)
-	return out, nil
-}
+// fuzzSectionRows keeps the seed sections a few groups long: enough to
+// carry every entry feature, short enough to mutate quickly.
+const fuzzSectionRows = 300
 
 func FuzzStatsSection(f *testing.F) {
-	strSchema := serde.String()
-	mapSchema := serde.MapOf(serde.Int())
-	strSeeds, err := fuzzSeedSections(strSchema, func(i int) any { return fmt.Sprintf("value-%d", i) })
-	if err != nil {
-		f.Fatal(err)
+	cols := pinnedColumns()
+	schemas := make([]*serde.Schema, len(cols))
+	seen := map[string]bool{}
+	for ci, col := range cols {
+		schemas[ci] = col.schema
+		for _, opts := range pinnedLayouts() {
+			if opts.Layout == DCSL && !col.dcsl || col.name == "nullstring" && opts.Layout != DCSL {
+				continue
+			}
+			opts.StatsEvery = 64
+			file := &memFile{}
+			w, err := NewWriter(file, col.schema, opts, nil)
+			if err != nil {
+				f.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(2011))
+			for i := 0; i < fuzzSectionRows; i++ {
+				if err := w.Append(col.gen(rng, i)); err != nil {
+					f.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				f.Fatal(err)
+			}
+			s := statsSectionOf(f, file.Bytes())
+			if seen[string(s)] {
+				continue
+			}
+			seen[string(s)] = true
+			kind := uint8(ci)
+			f.Add(s, kind)
+			f.Add(s[:len(s)/2], kind) // truncated mid-entry
+			f.Add(s[:5], kind)        // magic plus one byte
+		}
 	}
-	mapSeeds, err := fuzzSeedSections(mapSchema, func(i int) any {
-		return map[string]any{fmt.Sprintf("k%d", i%7): int32(i)}
-	})
-	if err != nil {
-		f.Fatal(err)
+
+	str := uint8(3) // pinnedColumns()[3] is the string column
+	if cols[str].schema.Kind != serde.KindString {
+		f.Fatalf("pinned column %d is %s, not a string", str, cols[str].name)
 	}
-	for _, s := range append(strSeeds, mapSeeds...) {
-		f.Add(s)
-		f.Add(s[:len(s)/2]) // truncated mid-entry
-		f.Add(s[:5])        // magic plus one byte
-	}
-	// A CFS3 aggregate whose filter is all ones (saturated on disk: a
-	// parser must take it as-is, saturation is a write-side policy).
-	sat := []byte(statsMagicV3)
+	// An aggregate whose filter is all ones (saturated on disk: a parser
+	// must take it as-is, saturation is a write-side policy).
+	sat := []byte(statsMagicV4)
 	sat = append(sat, 1, 0, 1) // rows=1 nulls=0 distinct=1
 	sat = append(sat, 1<<4)    // flags: bloom only
 	sat = append(sat, 7, 8)    // k=7, 8 words (one block)
@@ -96,12 +74,12 @@ func FuzzStatsSection(f *testing.F) {
 		sat = append(sat, 0xFF)
 	}
 	sat = append(sat, 0) // zero groups
-	f.Add(sat)
+	f.Add(sat, str)
 	// Absurd bloom geometry: word count far past the file cap.
-	huge := []byte(statsMagicV3)
+	huge := []byte(statsMagicV4)
 	huge = append(huge, 1, 0, 1, 1<<4, 7, 0xFF, 0xFF, 0xFF, 0x7F)
-	f.Add(huge)
-	// A degenerate CFS4 aggregate: one-bucket histogram whose single bucket
+	f.Add(huge, str)
+	// A degenerate aggregate: one-bucket histogram whose single bucket
 	// covers one value — the smallest histogram a writer can emit.
 	deg := []byte(statsMagicV4)
 	deg = append(deg, 5, 0, 1) // rows=5 nulls=0 distinct=1
@@ -109,7 +87,7 @@ func FuzzStatsSection(f *testing.F) {
 	lit := func(dst []byte) []byte {
 		// A length-prefixed serde bound, the same spelling appendStatsEntry
 		// uses for min/max and histogram bucket bounds.
-		enc, err := serde.AppendValue(nil, strSchema, "a")
+		enc, err := serde.AppendValue(nil, serde.String(), "a")
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -123,50 +101,52 @@ func FuzzStatsSection(f *testing.F) {
 	deg = lit(deg)       // bucket lo
 	deg = lit(deg)       // bucket hi
 	deg = append(deg, 0) // zero groups
-	f.Add(deg)
+	f.Add(deg, str)
 	// Same aggregate with an implausible bucket count (0): must be rejected
 	// or tolerated without panic, never trusted.
 	badHist := []byte(statsMagicV4)
 	badHist = append(badHist, 5, 0, 1, 1<<5, 0xFF, 0xFF, 0x7F)
-	f.Add(badHist)
-	f.Add([]byte("CFS9junk"))
-	f.Add([]byte{})
+	f.Add(badHist, str)
+	// Flag bit 7 is undefined: a newer writer's payload follows it.
+	f.Add(append([]byte(statsMagicV4), 1, 0, 1, 0x80, 0), str)
+	// A well-formed frame under an older generation's magic.
+	f.Add(append([]byte("CFS3"), deg[len(statsMagicV4):]...), str)
+	f.Add([]byte("CFS9junk"), str)
+	f.Add([]byte{}, str)
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, schema := range []*serde.Schema{strSchema, mapSchema} {
-			entries, agg, err := parseStatsSection(data, schema)
-			if err != nil {
-				continue
+	f.Fuzz(func(t *testing.T, data []byte, kind uint8) {
+		schema := schemas[int(kind)%len(schemas)]
+		entries, agg, err := parseStatsSection(data, schema)
+		if err != nil {
+			return
+		}
+		// Whatever parses re-encodes, re-parses to the same geometry, and
+		// from then on round-trips byte for byte — the round trip the writer
+		// depends on.
+		blob, err := appendStatsSectionV4(nil, schema, agg, entries)
+		if err != nil {
+			t.Fatalf("parsed section does not re-encode: %v", err)
+		}
+		again, againAgg, err := parseStatsSection(blob, schema)
+		if err != nil {
+			t.Fatalf("re-encoded section does not parse: %v", err)
+		}
+		if len(again) != len(entries) {
+			t.Fatalf("round trip changed entry count: %d -> %d", len(entries), len(again))
+		}
+		for i := range again {
+			if again[i].st.Rows != entries[i].st.Rows ||
+				(again[i].st.Bloom == nil) != (entries[i].st.Bloom == nil) ||
+				(again[i].st.Hist == nil) != (entries[i].st.Hist == nil) {
+				t.Fatalf("round trip changed entry %d", i)
 			}
-			// Whatever parses must re-encode and re-parse to the same
-			// number of entries with the same geometry — the round trip
-			// the writer depends on.
-			var blob []byte
-			if agg != nil {
-				blob, err = appendStatsSectionV4(nil, schema, agg, entries)
-			} else {
-				blob, err = appendStatsSection(nil, schema, entries)
-			}
-			if err != nil {
-				// Decoded values of another schema's kind can fail to
-				// re-encode under this one; that is a caller-side type
-				// error, not corruption.
-				continue
-			}
-			again, _, err := parseStatsSection(blob, schema)
-			if err != nil {
-				t.Fatalf("re-encoded section does not parse: %v", err)
-			}
-			if len(again) != len(entries) {
-				t.Fatalf("round trip changed entry count: %d -> %d", len(entries), len(again))
-			}
-			for i := range again {
-				if again[i].st.Rows != entries[i].st.Rows ||
-					(again[i].st.Bloom == nil) != (entries[i].st.Bloom == nil) ||
-					(again[i].st.Hist == nil) != (entries[i].st.Hist == nil) {
-					t.Fatalf("round trip changed entry %d", i)
-				}
-			}
+		}
+		blob2, err := appendStatsSectionV4(nil, schema, againAgg, again)
+		if err != nil {
+			t.Fatalf("re-parsed section does not re-encode: %v", err)
+		}
+		if !bytes.Equal(blob, blob2) {
+			t.Fatal("second round trip changed the bytes")
 		}
 	})
 }

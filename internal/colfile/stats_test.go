@@ -1,6 +1,7 @@
 package colfile
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"colmr/internal/scan"
@@ -294,57 +295,121 @@ func TestFileStatsAggregateKeys(t *testing.T) {
 	}
 }
 
-// TestFileStatsBackwardCompat assembles a file whose stats section predates
-// the aggregate trailer (per-group entries only) and checks that it still
-// opens, serves group stats, and derives a whole-file aggregate by merging
-// groups.
-func TestFileStatsBackwardCompat(t *testing.T) {
+// statsSectionOf returns the stats section of a column file's bytes, as a
+// window into them: writing it patches the file.
+func statsSectionOf(t testing.TB, file []byte) []byte {
+	t.Helper()
+	if len(file) < footerSize {
+		t.Fatalf("%d-byte file has no footer", len(file))
+	}
+	n := int(binary.LittleEndian.Uint32(file[len(file)-footerSize+8:]))
+	end := len(file) - footerSize
+	if n == 0 || n > end {
+		t.Fatalf("file has no stats section (length %d)", n)
+	}
+	return file[end-n : end]
+}
+
+// TestForeignStatsSectionDegrades: a column file whose stats section bears
+// a magic this package does not read — an older generation's "CFS3" or a
+// newer "CFS9" — still opens and returns every value, and serves no
+// statistics at all: no group stats, no file stats, and FileStats answers
+// (nil, nil), which the planner reads as "nothing to prune with".
+func TestForeignStatsSectionDegrades(t *testing.T) {
 	schema := serde.Int()
 	const n = 100
-	// Hand-assemble a Plain file the way the pre-trailer writer did.
-	zm := newStatsCollector(schema, 40, 0)
-	var data []byte
-	data = appendHeader(data, header{layout: Plain})
-	for i := 0; i < n; i++ {
-		enc, err := serde.AppendValue(nil, schema, int32(i))
-		if err != nil {
-			t.Fatal(err)
+	for _, magic := range []string{"CFS3", "CFS9"} {
+		for _, opts := range allLayouts() {
+			if opts.Layout == DCSL {
+				continue // map-only layout
+			}
+			opts.StatsEvery = 40
+			name := magic + "/" + opts.Layout.String() + "/" + opts.Codec
+			f, vals := writeColumn(t, schema, opts, n, func(i int) any { return int32(i) })
+			section := statsSectionOf(t, f.Bytes())
+			if string(section[:4]) != statsMagicV4 {
+				t.Fatalf("%s: section starts %q", name, section[:4])
+			}
+			copy(section, magic)
+
+			r, err := NewReader(f.reader(), schema, nil)
+			if err != nil {
+				t.Fatalf("%s: file with a foreign stats section does not open: %v", name, err)
+			}
+			if st, _ := statsSource(t, r, name).GroupStats(0); st != nil {
+				t.Fatalf("%s: foreign section served group stats %+v", name, st)
+			}
+			if st := fileStatsSource(t, r, name).FileStats(); st != nil {
+				t.Fatalf("%s: foreign section served file stats %+v", name, st)
+			}
+			for i := 0; i < n; i++ {
+				v, err := r.Value()
+				if err != nil {
+					t.Fatalf("%s: record %d: %v", name, i, err)
+				}
+				if v != vals[i] {
+					t.Fatalf("%s: record %d = %v, want %v", name, i, v, vals[i])
+				}
+			}
+			if st, err := FileStats(f.reader(), schema); st != nil || err != nil {
+				t.Fatalf("%s: FileStats = %+v, %v; want nil, nil", name, st, err)
+			}
 		}
-		data = append(data, enc...)
-		zm.observe(int32(i))
 	}
-	zm.cut()
-	section, err := appendStatsSection(nil, schema, zm.entries)
+}
+
+// TestStatsEntryUndefinedFlag: an entry setting a flag bit past the defined
+// seven is rejected, whether it stands alone or beside defined bits — the
+// bit announces a payload this parser cannot skip — and a file carrying it
+// serves no statistics.
+func TestStatsEntryUndefinedFlag(t *testing.T) {
+	for _, flags := range []byte{0x80, 0x81} {
+		blob := []byte(statsMagicV4)
+		blob = append(blob, 1, 0, 1, flags) // rows=1 nulls=0 distinct=1
+		if _, _, err := parseStatsSection(append(blob, 0), serde.Int()); err == nil {
+			t.Fatalf("aggregate with flags %#x accepted", flags)
+		}
+	}
+
+	// The same bit on a group entry of a real section.
+	schema := serde.Int()
+	f, _ := writeColumn(t, schema, Options{Layout: Plain, StatsEvery: 40}, 100, func(i int) any { return int32(i) })
+	section := statsSectionOf(t, f.Bytes())
+	entries, agg, err := parseStatsSection(section, schema)
+	if err != nil || len(entries) == 0 {
+		t.Fatalf("written section parses to %d entries: %v", len(entries), err)
+	}
+	head, err := appendStatsSectionV4(nil, schema, agg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data = append(data, section...)
-	data = appendFooter(data, n, len(section))
-	f := &memFile{}
-	f.Write(data)
-
-	r, err := NewReader(f.reader(), schema, nil)
-	if err != nil {
-		t.Fatalf("pre-aggregate file does not open: %v", err)
+	// head ends with its group count (0); the first group entry follows the
+	// aggregate and the real count, and its flags byte follows three
+	// uvarints.
+	c := &statsCursor{buf: section, pos: len(head) - 1}
+	if _, err := c.uvarint("entry count"); err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < n; i++ {
-		v, err := r.Value()
-		if err != nil {
+	for _, what := range []string{"rows", "nulls", "distinct"} {
+		if _, err := c.uvarint(what); err != nil {
 			t.Fatal(err)
 		}
-		if v != int32(i) {
-			t.Fatalf("record %d = %v", i, v)
-		}
 	}
-	if st, _ := statsSource(t, r, "plain").GroupStats(0); st == nil {
-		t.Fatal("pre-aggregate file serves no group stats")
+	section[c.pos] |= 0x80
+	if _, _, err := parseStatsSection(section, schema); err == nil {
+		t.Fatal("group entry with flag bit 7 accepted")
 	}
-	st := fileStatsSource(t, r, "plain").FileStats()
-	if st == nil {
-		t.Fatal("no aggregate derived from per-group entries")
+	r, err := NewReader(f.reader(), schema, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st.Rows != n || st.Min != int32(0) || st.Max != int32(n-1) {
-		t.Errorf("merged aggregate = rows %d min %v max %v, want %d 0 %d", st.Rows, st.Min, st.Max, n, n-1)
+	if st, _ := statsSource(t, r, "plain").GroupStats(0); st != nil {
+		t.Fatal("section with an undefined flag served group stats")
+	}
+	if st, err := FileStats(f.reader(), schema); st == nil || err != nil {
+		// The aggregate leads the section and is intact: FileStats reads
+		// only it, so the file tier keeps its statistics.
+		t.Fatalf("FileStats = %+v, %v; want the intact aggregate", st, err)
 	}
 }
 

@@ -16,67 +16,14 @@ import (
 	"colmr/internal/vec"
 )
 
-// SetColumns pushes a column projection into CIF for a job, the analogue of
-// Section 4.2's ColumnInputFormat.setColumns(job, "url, metadata"): only the
-// named columns' files will be opened. It is the compatibility wrapper over
-// Spec.Columns (clearing any lingering serialized prop); new code should
-// prefer the builder (ScanDataset).
-func SetColumns(conf *mapred.JobConf, columns ...string) {
-	conf.ScanSpec().Columns = append([]string(nil), columns...)
-	conf.Del(ColumnsProp)
-}
-
-// SetLazy selects lazy record construction for a job (Section 5) — the
-// compatibility wrapper over Spec.Lazy.
-func SetLazy(conf *mapred.JobConf, lazy bool) {
-	conf.ScanSpec().Lazy = lazy
-	conf.Del(LazyProp)
-}
-
-// resolveSpec returns a job's effective scan spec: the typed spec's fields
-// are authoritative, and leftover legacy string props fill only the fields
-// never touched through the typed API. Every wrapper deletes its own prop
-// when it writes the typed field, so a prop still present was set by a
-// string-side caller (colscan -where style) and keeps working after some
-// other setting went typed. Downstream of here nothing re-parses props.
+// resolveSpec returns a job's effective scan spec: a copy of conf.Scan (the
+// zero spec when the conf carries none), with its aggregation validated.
 func resolveSpec(conf *mapred.JobConf) (scan.Spec, error) {
 	var spec scan.Spec
 	if conf.Scan != nil {
 		spec = *conf.Scan
 	}
-	if len(spec.Columns) == 0 {
-		spec.Columns = propColumns(conf)
-	}
-	if spec.Predicate == nil {
-		pred, err := scan.FromConf(conf)
-		if err != nil {
-			return spec, err
-		}
-		spec.Predicate = pred
-	}
-	if !spec.Lazy {
-		spec.Lazy = conf.Get(LazyProp) == "true"
-	}
-	if !spec.NoElide {
-		spec.NoElide = !scan.ElisionFromConf(conf)
-	}
-	if !spec.NoBloom {
-		spec.NoBloom = !scan.BloomFromConf(conf)
-	}
-	if !spec.NoVec {
-		spec.NoVec = !scan.VectorizeFromConf(conf)
-	}
-	if spec.Agg == nil {
-		agg, err := scan.AggFromConf(conf)
-		if err != nil {
-			return spec, err
-		}
-		spec.Agg = agg
-	}
-	if err := spec.Agg.Validate(); err != nil {
-		return spec, err
-	}
-	return spec, nil
+	return spec, spec.Agg.Validate()
 }
 
 // Split is a CIF split: one or more whole split-directories.
@@ -187,7 +134,7 @@ func (f *InputFormat) Splits(fs *hdfs.FileSystem, conf *mapred.JobConf) ([]mapre
 
 // PlannedSplits implements mapred.PlannedInputFormat: split-directory
 // listing plus the scan planner's scheduler tier. When the job carries a
-// predicate (and scan.SetElision has not disabled it), each
+// predicate (and its spec has not disabled elision), each
 // split-directory's filter-column files are judged by their whole-file
 // aggregate statistics — read from footers, never data — and directories
 // proven irrelevant are dropped before a map task exists for them. This is
@@ -409,17 +356,6 @@ func pruneSplitDir(cat *catalog.Catalog, dir string, planner *scan.Planner, repo
 	return pruned
 }
 
-// propColumns parses a specless conf's legacy projection prop.
-func propColumns(conf *mapred.JobConf) []string {
-	var out []string
-	for _, p := range strings.Split(conf.Get(ColumnsProp), ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // Open implements mapred.InputFormat: a one-member scan of the split.
 func (f *InputFormat) Open(fs *hdfs.FileSystem, conf *mapred.JobConf, split mapred.Split, node hdfs.NodeID, stats *sim.TaskStats) (mapred.RecordReader, error) {
 	r, err := openReader(fs, []*mapred.JobConf{conf}, []int{0}, split, node, []*sim.TaskStats{stats}, stats)
@@ -446,7 +382,7 @@ type Reader struct {
 	members []*member
 	eager   int // members taking eager records
 	// elide enables the file pruning tier: a one-member scan's, on unless
-	// scan.SetElision disabled it or the scheduler already judged the split.
+	// the spec disabled elision or the scheduler already judged the split.
 	elide bool
 	// noBloom is set when any member disabled Bloom consultation: the union
 	// tier must not out-prune that member's own replay, and the DCSL key
@@ -694,7 +630,7 @@ func (r *Reader) openDir(dir string) (pruned bool, err error) {
 		files = append(files, hr)
 	}
 	// File tier: judge the filter columns' whole-file aggregates before any
-	// reader parses a header or charges a byte (off with scan.SetElision).
+	// reader parses a header or charges a byte (off with Spec.NoElide).
 	if selective && r.elide && r.pruneDirFiles(dir) {
 		closeAll()
 		return true, nil

@@ -257,13 +257,10 @@ func AddColumn(fs *hdfs.FileSystem, dataset, name string, colSchema *serde.Schem
 		return err
 	}
 	in := &InputFormat{}
-	conf := &mapred.JobConf{InputPaths: []string{dataset}}
-	if len(inputCols) > 0 {
-		SetColumns(conf, inputCols...)
-	}
+	conf := ScanDataset(dataset).Columns(inputCols...).Conf()
 	for _, dir := range dirs {
 		split := &Split{Dirs: []string{dir}, Columns: inputCols}
-		rr, err := in.Open(fs, conf, split, hdfs.AnyNode, stats)
+		rr, err := in.Open(fs, &conf, split, hdfs.AnyNode, stats)
 		if err != nil {
 			return err
 		}

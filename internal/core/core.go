@@ -18,16 +18,6 @@ import (
 // underscore keeps it disjoint from column names, which are identifiers.
 const SchemaFile = "_schema"
 
-// Legacy job configuration properties interpreted by CIF — the
-// serialization format for string-typed inputs, consulted only when the
-// conf carries no typed scan.Spec (see resolveSpec in cif.go).
-const (
-	// ColumnsProp holds the comma-separated column projection.
-	ColumnsProp = "cif.columns"
-	// LazyProp selects lazy record construction ("true"/"false").
-	LazyProp = "cif.lazy"
-)
-
 // splitDirName formats the paper's split-directory naming convention,
 // which hdfs.ColumnPlacementPolicy keys on.
 func splitDirName(i int) string { return "s" + strconv.Itoa(i) }

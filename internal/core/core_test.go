@@ -9,6 +9,7 @@ import (
 	"colmr/internal/colfile"
 	"colmr/internal/hdfs"
 	"colmr/internal/mapred"
+	"colmr/internal/scan"
 	"colmr/internal/serde"
 	"colmr/internal/sim"
 )
@@ -188,8 +189,7 @@ func TestProjectionEliminatesIO(t *testing.T) {
 	full := &mapred.JobConf{}
 	_, fullStats := scanAll(t, fs, "/data/crawl", full)
 
-	proj := &mapred.JobConf{}
-	SetColumns(proj, "fetchTime")
+	proj := &mapred.JobConf{Scan: &scan.Spec{Columns: []string{"fetchTime"}}}
 	rows, projStats := scanAll(t, fs, "/data/crawl", proj)
 	if len(rows) != 400 {
 		t.Fatalf("projected scan returned %d rows", len(rows))
@@ -213,14 +213,10 @@ func TestLazyEagerEquivalence(t *testing.T) {
 		fs := testFS(t, 8)
 		loadDataset(t, fs, "/d", LoadOptions{SplitRecords: 64, Default: layout}, 250)
 
-		eager := &mapred.JobConf{}
-		SetColumns(eager, "url", "metadata")
-		SetLazy(eager, false)
+		eager := &mapred.JobConf{Scan: &scan.Spec{Columns: []string{"url", "metadata"}}}
 		eagerRows, _ := scanAll(t, fs, "/d", eager)
 
-		lazy := &mapred.JobConf{}
-		SetColumns(lazy, "url", "metadata")
-		SetLazy(lazy, true)
+		lazy := &mapred.JobConf{Scan: &scan.Spec{Columns: []string{"url", "metadata"}, Lazy: true}}
 		lazyRows, _ := scanAll(t, fs, "/d", lazy)
 
 		if len(eagerRows) != len(lazyRows) {
@@ -245,9 +241,7 @@ func TestLazySkipsDeserialization(t *testing.T) {
 	}, 1024)
 
 	run := func(lazy bool) (int64, sim.TaskStats) {
-		conf := &mapred.JobConf{}
-		SetColumns(conf, "url", "metadata")
-		SetLazy(conf, lazy)
+		conf := &mapred.JobConf{Scan: &scan.Spec{Columns: []string{"url", "metadata"}, Lazy: lazy}}
 		conf.InputPaths = []string{"/d"}
 		in := &InputFormat{}
 		splits, err := in.Splits(fs, conf)
@@ -315,9 +309,7 @@ func TestLazySkipsDeserialization(t *testing.T) {
 func TestLazyGetIsCached(t *testing.T) {
 	fs := testFS(t, 8)
 	loadDataset(t, fs, "/d", LoadOptions{SplitRecords: 50}, 50)
-	conf := &mapred.JobConf{}
-	SetColumns(conf, "url")
-	SetLazy(conf, true)
+	conf := &mapred.JobConf{Scan: &scan.Spec{Columns: []string{"url"}, Lazy: true}}
 	conf.InputPaths = []string{"/d"}
 	in := &InputFormat{}
 	splits, _ := in.Splits(fs, conf)
@@ -362,9 +354,10 @@ func TestCIFWithMapReduceAndCPP(t *testing.T) {
 
 	loadDataset(t, fs, "/data/crawl", LoadOptions{SplitRecords: 128}, 1024)
 
-	conf := mapred.JobConf{InputPaths: []string{"/data/crawl"}, OutputPath: "/out", NumReducers: 2}
-	SetColumns(&conf, "url", "metadata")
-	SetLazy(&conf, true)
+	conf := mapred.JobConf{
+		InputPaths: []string{"/data/crawl"}, OutputPath: "/out", NumReducers: 2,
+		Scan: &scan.Spec{Columns: []string{"url", "metadata"}, Lazy: true},
+	}
 	job := &mapred.Job{
 		Conf:  conf,
 		Input: &InputFormat{},
@@ -410,8 +403,7 @@ func TestDefaultPlacementCausesRemoteReads(t *testing.T) {
 	cfg.BlockSize = 1 << 16
 	fs := hdfs.New(cfg, 5) // default placement policy
 	loadDataset(t, fs, "/d", LoadOptions{SplitRecords: 128}, 1024)
-	conf := mapred.JobConf{InputPaths: []string{"/d"}}
-	SetColumns(&conf, "url", "metadata", "content")
+	conf := mapred.JobConf{InputPaths: []string{"/d"}, Scan: &scan.Spec{Columns: []string{"url", "metadata", "content"}}}
 	job := &mapred.Job{
 		Conf:   conf,
 		Input:  &InputFormat{},
@@ -452,8 +444,7 @@ func TestAddColumn(t *testing.T) {
 	if s.FieldIndex("domain") != len(crawlSchema.Fields) {
 		t.Fatalf("domain not appended to schema: %v", s.FieldNames())
 	}
-	conf := &mapred.JobConf{}
-	SetColumns(conf, "url", "domain")
+	conf := &mapred.JobConf{Scan: &scan.Spec{Columns: []string{"url", "domain"}}}
 	rows, _ := scanAll(t, fs, "/d", conf)
 	if len(rows) != 150 {
 		t.Fatalf("scanned %d rows after AddColumn", len(rows))
@@ -538,8 +529,7 @@ func TestValidationErrors(t *testing.T) {
 		t.Error("dataset without split dirs accepted")
 	}
 	loadDataset(t, fs, "/d", LoadOptions{SplitRecords: 10}, 10)
-	conf := &mapred.JobConf{InputPaths: []string{"/d"}}
-	SetColumns(conf, "nope")
+	conf := &mapred.JobConf{InputPaths: []string{"/d"}, Scan: &scan.Spec{Columns: []string{"nope"}}}
 	splits, err := (&InputFormat{}).Splits(fs, conf)
 	if err != nil {
 		t.Fatal(err)

@@ -9,10 +9,11 @@
 // split-directory on the same replica set, so map tasks read all columns
 // locally (Section 4.2, Figure 3b).
 //
-// Projection is pushed into CIF with the ScanDataset builder (or the
-// legacy SetColumns wrapper), after which unprojected column files are
-// never opened — the I/O elimination that drives the paper's
-// order-of-magnitude speedups.
+// Projection is pushed into CIF with the ScanDataset builder — its Columns
+// is the paper's ColumnInputFormat.setColumns — after which unprojected
+// column files are never opened, the I/O elimination that drives the
+// paper's order-of-magnitude speedups. The builder fills in the job's
+// scan.Spec (JobConf.Scan), the only configuration CIF reads.
 //
 // There is one reader, and one batch loop. InputFormat.Open returns a
 // one-member Reader; OpenShared hands the same Reader the N jobs of a
@@ -50,9 +51,9 @@
 //   - Per-record cursor caching: each column of each record is
 //     deserialized at most once, however many consumers ask (lazy Get,
 //     predicate evaluation, eager materialization, shared members).
-//   - Wrapper/builder parity (query_test.go): the legacy Set* wrappers
-//     and the ScanDataset builder produce identical scan.Specs, and a
-//     typed field always beats its leftover string prop.
+//   - Builder/spec parity (query_test.go): the ScanDataset builder
+//     produces exactly the scan.Spec a literal spells, and a conf without
+//     one resolves to the zero spec.
 //   - Accounting: "records pruned at any tier + records filtered +
 //     records returned == dataset size" per job, in solo, elided,
 //     bloom-on/off, and shared-scan modes alike.

@@ -5,6 +5,7 @@ import (
 
 	"colmr/internal/hdfs"
 	"colmr/internal/mapred"
+	"colmr/internal/scan"
 	"colmr/internal/serde"
 	"colmr/internal/sim"
 	"colmr/internal/workload"
@@ -190,8 +191,7 @@ func checkSharedEagerLifetime(t *testing.T, name string, fs *hdfs.FileSystem, sc
 	t.Helper()
 	names := schema.FieldNames()
 	proj := []string{names[len(names)-1], names[0]}
-	confs := []*mapred.JobConf{{InputPaths: []string{"/c"}}, {InputPaths: []string{"/c"}}}
-	SetColumns(confs[1], proj...)
+	confs := []*mapred.JobConf{{InputPaths: []string{"/c"}}, {InputPaths: []string{"/c"}, Scan: &scan.Spec{Columns: proj}}}
 	stats := []*sim.TaskStats{{}, {}}
 	sr, err := (&InputFormat{}).OpenShared(fs, confs, split, []int{0, 1}, hdfs.AnyNode, stats, &sim.TaskStats{})
 	if err != nil {

@@ -176,7 +176,10 @@ func dirColumnBytes(fs *hdfs.FileSystem, cat *catalog.Catalog, dir string, cols 
 // Apply installs the plan's choices into the job's spec. Pinned settings
 // are untouched: Apply upgrades defaults, it never overrides the caller.
 func (p *QueryPlan) Apply(conf *mapred.JobConf) {
-	spec := conf.ScanSpec()
+	if conf.Scan == nil {
+		conf.Scan = &scan.Spec{}
+	}
+	spec := conf.Scan
 	if !p.LazyPinned {
 		spec.Lazy = p.Lazy
 	}

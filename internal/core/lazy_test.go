@@ -104,7 +104,7 @@ type lazyMember struct {
 func (m *lazyMember) conf(vect bool) *mapred.JobConf {
 	conf := predConf(m.columns, true, m.pred)
 	conf.InputPaths = []string{"/p"}
-	scan.SetVectorize(conf, vect)
+	conf.Scan.NoVec = !vect
 	return conf
 }
 

@@ -6,7 +6,7 @@ import (
 )
 
 // ScanBuilder fluently assembles a typed CIF scan — the front door of the
-// query API. It produces a scan.Spec (the single source of truth the
+// query API. It produces a scan.Spec (the only scan configuration the
 // planner and readers consume), a ready JobConf, or a whole map job:
 //
 //	job := core.ScanDataset("/data/visits").
@@ -23,12 +23,15 @@ type ScanBuilder struct {
 }
 
 // ScanDataset starts a builder over one or more CIF dataset directories.
+// Its Conf serves other input formats too, which read what they support of
+// the spec: RCFile takes the projection.
 func ScanDataset(paths ...string) *ScanBuilder {
 	return &ScanBuilder{paths: append([]string(nil), paths...)}
 }
 
 // Columns sets the projection — only the named columns' files are opened
-// and materialized. Unset means every column.
+// and materialized; the paper's ColumnInputFormat.setColumns. Unset means
+// every column.
 func (b *ScanBuilder) Columns(cols ...string) *ScanBuilder {
 	b.spec.Columns = append([]string(nil), cols...)
 	return b

@@ -9,11 +9,13 @@ import (
 	"colmr/internal/serde"
 )
 
-// TestWrappersMatchBuilder: the deprecated Set* wrappers must produce a
-// ScanSpec identical to the fluent builder's — they are the same API with
-// different spelling.
+// TestWrappersMatchBuilder: the builder and a scan.Spec literal on
+// JobConf.Scan are the two spellings of one setting — what the builder
+// assembles must equal the literal, and an untouched builder is the zero
+// spec.
 func TestWrappersMatchBuilder(t *testing.T) {
 	pred := scan.And(scan.HasPrefix("url", "http://www.ibm.com"), scan.Gt("fetchTime", int64(42)))
+	agg := &scan.Aggregate{Funcs: []scan.AggFunc{{Kind: scan.AggCount}}}
 
 	built := ScanDataset("/data/crawl").
 		Columns("url", "fetchTime").
@@ -21,22 +23,25 @@ func TestWrappersMatchBuilder(t *testing.T) {
 		Lazy(true).
 		Elide(false).
 		Bloom(false).
+		Vectorize(false).
+		Aggregate(agg).
 		DirsPerSplit(AutoDirsPerSplit).
 		Conf()
-
-	wrapped := mapred.JobConf{InputPaths: []string{"/data/crawl"}}
-	SetColumns(&wrapped, "url", "fetchTime")
-	SetLazy(&wrapped, true)
-	scan.SetPredicate(&wrapped, pred)
-	scan.SetElision(&wrapped, false)
-	scan.SetBloom(&wrapped, false)
-	wrapped.ScanSpec().DirsPerSplit = AutoDirsPerSplit
-
-	if !wrapped.Scan.Equal(built.Scan) {
-		t.Errorf("wrapper spec %+v != builder spec %+v", wrapped.Scan, built.Scan)
+	want := &scan.Spec{
+		Columns:      []string{"url", "fetchTime"},
+		Predicate:    pred,
+		Lazy:         true,
+		NoElide:      true,
+		NoBloom:      true,
+		NoVec:        true,
+		DirsPerSplit: AutoDirsPerSplit,
+		Agg:          agg,
 	}
-	if len(wrapped.Props) != 0 {
-		t.Errorf("wrappers left props behind: %v", wrapped.Props)
+	if !built.Scan.Equal(want) {
+		t.Errorf("builder spec %+v != literal %+v", built.Scan, want)
+	}
+	if len(built.InputPaths) != 1 || built.InputPaths[0] != "/data/crawl" {
+		t.Errorf("builder input paths %v", built.InputPaths)
 	}
 
 	// Defaults agree too.
@@ -45,97 +50,38 @@ func TestWrappersMatchBuilder(t *testing.T) {
 	}
 }
 
-// TestWrappersClearProps: clearing a setting must delete its legacy prop
-// rather than leaving an empty-string value to confuse conf diffing — and
-// the typed spec must agree.
-func TestWrappersClearProps(t *testing.T) {
-	conf := mapred.JobConf{}
-	// Simulate a conf that came in with serialized props.
-	conf.Set(scan.PredicateProp, "x <= 5")
-	conf.Set(scan.ElideProp, "false")
-	conf.Set(ColumnsProp, "a,b")
-	conf.Set(LazyProp, "true")
-
-	scan.SetPredicate(&conf, nil)
-	scan.SetElision(&conf, true)
-	SetColumns(&conf)
-	SetLazy(&conf, false)
-
-	if len(conf.Props) != 0 {
-		t.Errorf("cleared settings left props behind: %v", conf.Props)
-	}
-	if !conf.Scan.Equal(&scan.Spec{}) {
-		t.Errorf("cleared conf's spec is not the zero spec: %+v", conf.Scan)
-	}
-}
-
-// TestLegacyPropsResolve: a specless conf carrying only serialized props —
-// the colscan -where style of input — must resolve to the same spec the
-// wrappers build.
+// TestLegacyPropsResolve: conf.Scan is the only thing resolveSpec reads.
+// A conf built the colscan -where way — a parsed predicate on a hand-written
+// spec — resolves to exactly that spec, a builder conf to its own spec, a
+// specless conf to the zero spec, and an invalid aggregation is refused.
 func TestLegacyPropsResolve(t *testing.T) {
-	props := mapred.JobConf{InputPaths: []string{"/d"}}
-	props.Set(ColumnsProp, "url, fetchTime")
-	props.Set(LazyProp, "true")
-	props.Set(scan.PredicateProp, `prefix(url, "http://a") && fetchTime > 42`)
-	props.Set(scan.ElideProp, "false")
-
-	got, err := resolveSpec(&props)
-	if err != nil {
-		t.Fatal(err)
-	}
 	pred, err := scan.Parse(`prefix(url, "http://a") && fetchTime > 42`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := scan.Spec{Columns: []string{"url", "fetchTime"}, Predicate: pred, Lazy: true, NoElide: true}
-	if !got.Equal(&want) {
-		t.Errorf("legacy props resolved to %+v, want %+v", got, want)
-	}
-
-	// A typed field beats its prop; fields the typed API set through the
-	// wrappers also clear their props, so nothing lingers to disagree.
-	SetColumns(&props, "url")
-	scan.SetPredicate(&props, nil)
-	SetLazy(&props, false)
-	scan.SetElision(&props, true)
-	got, err = resolveSpec(&props)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Lazy || got.NoElide || len(got.Columns) != 1 || got.Predicate != nil {
-		t.Errorf("wrapper-set fields did not win over props: %+v", got)
-	}
-}
-
-// TestWrapperKeepsOtherProps: touching one setting through the typed API
-// must not discard settings that arrived as serialized props — the
-// conf-string predicate survives a SetLazy call.
-func TestWrapperKeepsOtherProps(t *testing.T) {
-	conf := mapred.JobConf{InputPaths: []string{"/d"}}
-	conf.Set(scan.PredicateProp, "x <= 5")
-	SetLazy(&conf, true)
-
+	literal := want
+	conf := mapred.JobConf{InputPaths: []string{"/d"}, Scan: &literal}
 	got, err := resolveSpec(&conf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Predicate == nil || got.Predicate.String() != "x <= 5" {
-		t.Fatalf("prop predicate dropped after SetLazy: %+v", got)
-	}
-	if !got.Lazy {
-		t.Fatal("typed Lazy lost")
+	if !got.Equal(&want) {
+		t.Errorf("literal spec resolved to %+v, want %+v", got, want)
 	}
 
-	// And the other way round: a typed predicate survives prop-side lazy.
-	conf2 := mapred.JobConf{InputPaths: []string{"/d"}}
-	scan.SetPredicate(&conf2, scan.Le("x", 5))
-	conf2.Set(LazyProp, "true")
-	got, err = resolveSpec(&conf2)
-	if err != nil {
-		t.Fatal(err)
+	built := ScanDataset("/d").Columns("url", "fetchTime").Where(pred).Lazy(true).Elide(false).Conf()
+	if got, err := resolveSpec(&built); err != nil || !got.Equal(&want) {
+		t.Errorf("builder conf resolved to %+v, %v; want %+v", got, err, want)
 	}
-	if got.Predicate == nil || !got.Lazy {
-		t.Fatalf("typed predicate + prop lazy did not merge: %+v", got)
+
+	if got, err := resolveSpec(&mapred.JobConf{}); err != nil || !got.Equal(&scan.Spec{}) {
+		t.Errorf("a specless conf resolves to %+v, %v; want the zero spec", got, err)
+	}
+
+	bad := mapred.JobConf{Scan: &scan.Spec{Agg: &scan.Aggregate{Funcs: []scan.AggFunc{{Kind: scan.AggSum}}}}}
+	if _, err := resolveSpec(&bad); err == nil {
+		t.Error("a sum without a column resolved without error")
 	}
 }
 

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"encoding/binary"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"colmr/internal/colfile"
+	"colmr/internal/hdfs"
 	"colmr/internal/mapred"
 	"colmr/internal/scan"
 	"colmr/internal/serde"
@@ -13,15 +16,7 @@ import (
 
 // predConf builds a job conf with projection, laziness, and predicate.
 func predConf(columns []string, lazy bool, pred scan.Predicate) *mapred.JobConf {
-	conf := &mapred.JobConf{}
-	if columns != nil {
-		SetColumns(conf, columns...)
-	}
-	SetLazy(conf, lazy)
-	if pred != nil {
-		scan.SetPredicate(conf, pred)
-	}
-	return conf
+	return &mapred.JobConf{Scan: &scan.Spec{Columns: columns, Lazy: lazy, Predicate: pred}}
 }
 
 // wantMatches filters the loaded records by predicate, by brute force.
@@ -249,10 +244,7 @@ func TestPredicateViaJob(t *testing.T) {
 	pred := scan.HasPrefix("url", "http://ibm.com/jp")
 	want := wantMatches(t, recs, pred)
 
-	conf := mapred.JobConf{InputPaths: []string{"/data/crawl"}}
-	SetColumns(&conf, "url")
-	SetLazy(&conf, true)
-	scan.SetPredicate(&conf, pred)
+	conf := mapred.JobConf{InputPaths: []string{"/data/crawl"}, Scan: &scan.Spec{Columns: []string{"url"}, Lazy: true, Predicate: pred}}
 	var seen atomic.Int64 // map tasks run in parallel
 	job := &mapred.Job{
 		Conf:   conf,
@@ -323,7 +315,7 @@ func TestElisionInJobStats(t *testing.T) {
 	run := func(elide bool) *mapred.Result {
 		conf := predConf([]string{"url"}, false, pred)
 		conf.InputPaths = []string{"/data/crawl"}
-		scan.SetElision(conf, elide)
+		conf.Scan.NoElide = !elide
 		res, err := mapred.Run(fs, &mapred.Job{
 			Conf:   *conf,
 			Output: mapred.NullOutput{},
@@ -416,5 +408,81 @@ func TestReaderFileTierPrunesHandBuiltSplit(t *testing.T) {
 	}
 	if st.RecordsPruned+st.RecordsFiltered+int64(rows) != 400 {
 		t.Errorf("pruned %d + filtered %d + returned %d != 400", st.RecordsPruned, st.RecordsFiltered, rows)
+	}
+}
+
+// TestForeignStatsSectionScans: a dataset whose column files carry a stats
+// section under a magic colfile does not read — an older generation's or a
+// newer one's — scans as if it carried no statistics: exactly the rows of
+// the same data written without any, and nothing pruned at any tier.
+func TestForeignStatsSectionScans(t *testing.T) {
+	pred := scan.Le("fetchTime", int64(1293840000000+40)) // the first 41 rows
+	load := func(every int) *hdfs.FileSystem {
+		fs := testFS(t, 4)
+		loadDataset(t, fs, "/d", LoadOptions{
+			SplitRecords: 64,
+			Default:      colfile.Options{Layout: colfile.SkipList, StatsEvery: every},
+		}, 300)
+		return fs
+	}
+	scanD := func(fs *hdfs.FileSystem) ([]map[string]any, sim.TaskStats) {
+		return scanAll(t, fs, "/d", predConf([]string{"url", "content"}, false, pred))
+	}
+	pruned := func(st sim.TaskStats) int64 { return st.SplitsPruned + st.GroupsPruned + st.RecordsPruned }
+
+	bare, bareSt := scanD(load(-1))
+	if len(bare) != 41 || pruned(bareSt) != 0 {
+		t.Fatalf("stats-less scan: %d rows, %d pruned; want 41, 0", len(bare), pruned(bareSt))
+	}
+	if _, st := scanD(load(16)); pruned(st) == 0 {
+		t.Fatal("the CFS4 dataset prunes nothing: a foreign section could not be told apart")
+	}
+	for _, magic := range []string{"CFS3", "CFS9"} {
+		fs := load(16)
+		dirs, err := fs.List("/d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, dir := range dirs {
+			files, err := fs.List(dir.Path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, fi := range files {
+				if strings.HasPrefix(fi.Name(), "_") {
+					continue
+				}
+				b, err := fs.ReadFile(fi.Path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The footer is record count (8), section length (4), magic
+				// (4); the section sits right before it.
+				start := len(b) - 16 - int(binary.LittleEndian.Uint32(b[len(b)-8:]))
+				if string(b[start:start+4]) != "CFS4" {
+					t.Fatalf("%s: stats section starts %q", fi.Path, b[start:start+4])
+				}
+				copy(b[start:], magic)
+				if err := fs.Remove(fi.Path); err != nil {
+					t.Fatal(err)
+				}
+				if err := fs.WriteFile(fi.Path, b, hdfs.AnyNode); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		rows, st := scanD(fs)
+		if pruned(st) != 0 {
+			t.Errorf("%s: pruned %d splits, %d groups, %d records without statistics", magic, st.SplitsPruned, st.GroupsPruned, st.RecordsPruned)
+		}
+		if len(rows) != len(bare) {
+			t.Fatalf("%s: %d rows, want the stats-less %d", magic, len(rows), len(bare))
+		}
+		for i := range rows {
+			if !serde.ValuesEqual(serde.String(), rows[i]["url"], bare[i]["url"]) ||
+				!serde.ValuesEqual(serde.Bytes(), rows[i]["content"], bare[i]["content"]) {
+				t.Fatalf("%s: row %d differs from the stats-less scan", magic, i)
+			}
+		}
 	}
 }

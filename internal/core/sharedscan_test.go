@@ -52,13 +52,8 @@ func TestSharedScanAutoDirsPerSplit(t *testing.T) {
 	in := &InputFormat{DirsPerSplit: AutoDirsPerSplit}
 
 	plan := func(pred scan.Predicate, elide bool) ([]mapred.Split, scan.PruneReport) {
-		conf := &mapred.JobConf{InputPaths: []string{"/a"}}
-		SetColumns(conf, "s")
-		if pred != nil {
-			scan.SetPredicate(conf, pred)
-		}
-		scan.SetElision(conf, elide)
-		splits, report, err := in.PlannedSplits(fs, conf)
+		conf := ScanDataset("/a").Columns("s").Where(pred).Elide(elide).Conf()
+		splits, report, err := in.PlannedSplits(fs, &conf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,10 +90,7 @@ func TestSharedScanAutoDirsPerSplit(t *testing.T) {
 	// Output equivalence: merging directories into one task never changes
 	// the records returned.
 	countRecords := func(in *InputFormat, elide bool) int64 {
-		conf := &mapred.JobConf{InputPaths: []string{"/a"}}
-		SetColumns(conf, "s")
-		scan.SetPredicate(conf, scan.Le("x", 250))
-		scan.SetElision(conf, elide)
+		conf := &mapred.JobConf{InputPaths: []string{"/a"}, Scan: &scan.Spec{Columns: []string{"s"}, Predicate: scan.Le("x", 250), NoElide: !elide}}
 		splits, _, err := in.PlannedSplits(fs, conf)
 		if err != nil {
 			t.Fatal(err)
@@ -139,10 +131,7 @@ func TestSharedSplitsMemberSets(t *testing.T) {
 	in := &InputFormat{}
 
 	conf := func(pred scan.Predicate) *mapred.JobConf {
-		c := &mapred.JobConf{InputPaths: []string{"/m"}}
-		SetColumns(c, "s")
-		scan.SetPredicate(c, pred)
-		return c
+		return &mapred.JobConf{InputPaths: []string{"/m"}, Scan: &scan.Spec{Columns: []string{"s"}, Predicate: pred}}
 	}
 	confs := []*mapred.JobConf{
 		conf(scan.Le("x", 500)), // first half of the directories
@@ -234,8 +223,7 @@ func TestSharedScanDeletesMatchSolo(t *testing.T) {
 			ctx := fmt.Sprintf("vectorize=%v agg=%v", vect, agg)
 			conf := predConf(nil, false, scan.Le("x", int64(60)))
 			conf.InputPaths = []string{"/d"}
-			scan.SetVectorize(conf, vect)
-			scan.SetAggregate(conf, agg)
+			conf.Scan.NoVec, conf.Scan.Agg = !vect, agg
 			in := &InputFormat{}
 
 			var solo sim.TaskStats
@@ -320,8 +308,7 @@ func checkTwoMemberDeletes(t *testing.T, ctx string, fs *hdfs.FileSystem, split 
 	for _, k := range []int64{60, 260} {
 		conf := predConf(nil, false, scan.Le("x", k))
 		conf.InputPaths = []string{"/d"}
-		scan.SetVectorize(conf, vect)
-		scan.SetAggregate(conf, agg)
+		conf.Scan.NoVec, conf.Scan.Agg = !vect, agg
 		var solo sim.TaskStats
 		rr, err := in.Open(fs, conf, split, hdfs.AnyNode, &solo)
 		if err != nil {

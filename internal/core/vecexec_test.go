@@ -103,7 +103,7 @@ func TestVectorizedScanEquivalence(t *testing.T) {
 				ctx := fmt.Sprintf("%s pred=%v lazy=%v", name, pred, lazy)
 				vrows := checkVecEquivalence(t, ctx, proj, pred, 300, func(vect bool) ([]map[string]any, sim.TaskStats) {
 					conf := predConf([]string{"url", "content"}, lazy, pred)
-					scan.SetVectorize(conf, vect)
+					conf.Scan.NoVec = !vect
 					rows, st := scanAll(t, fs, "/data/crawl", conf)
 					if vect {
 						vst = st
@@ -151,7 +151,7 @@ func eqPropSchema(rng *rand.Rand) *serde.Schema {
 	for i, k := range picks {
 		fields = append(fields, serde.Field{Name: fmt.Sprintf("c%d", i), Type: kinds[k]()})
 	}
-	return serde.RecordOf("EqProp", fields...)
+	return serde.RecordOf("EqProperty", fields...)
 }
 
 // eqPropLayouts are the four layouts over schema; the DCSL variant puts
@@ -270,7 +270,7 @@ func TestEagerBatchEquivalence(t *testing.T) {
 					rows := checkVecEquivalence(t, ctx, schema, pred, n-int64(len(deleted)), func(vect bool) ([]map[string]any, sim.TaskStats) {
 						conf := predConf(nil, lazy, pred)
 						conf.InputPaths = []string{"/p"}
-						scan.SetVectorize(conf, vect)
+						conf.Scan.NoVec = !vect
 						return drainSplits(t, fs, conf, []mapred.Split{split})
 					})
 					if len(rows) != len(want) {

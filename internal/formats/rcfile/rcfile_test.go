@@ -6,6 +6,7 @@ import (
 
 	"colmr/internal/hdfs"
 	"colmr/internal/mapred"
+	"colmr/internal/scan"
 	"colmr/internal/serde"
 	"colmr/internal/sim"
 )
@@ -68,11 +69,14 @@ func writeRC(t *testing.T, fs *hdfs.FileSystem, path string, opts Options, n int
 
 func readAll(t *testing.T, fs *hdfs.FileSystem, path string, splitSize int64, columns []string) ([]*serde.GenericRecord, sim.TaskStats) {
 	t.Helper()
+	return readSpec(t, fs, path, splitSize, &scan.Spec{Columns: columns})
+}
+
+// readSpec reads every split of an RCFile under the given scan spec.
+func readSpec(t *testing.T, fs *hdfs.FileSystem, path string, splitSize int64, spec *scan.Spec) ([]*serde.GenericRecord, sim.TaskStats) {
+	t.Helper()
 	in := &InputFormat{SplitSize: splitSize}
-	conf := &mapred.JobConf{InputPaths: []string{path}}
-	if columns != nil {
-		SetColumns(conf, columns...)
-	}
+	conf := &mapred.JobConf{InputPaths: []string{path}, Scan: spec}
 	splits, err := in.Splits(fs, conf)
 	if err != nil {
 		t.Fatal(err)
@@ -135,6 +139,36 @@ func TestProjection(t *testing.T) {
 		}
 		if _, err := got[i].Get("content"); err == nil {
 			t.Fatal("projected record exposes unprojected column")
+		}
+	}
+}
+
+// TestSpecProjection: RCFile takes its projection from the job's scan spec
+// and nothing else from it — it has no predicate pushdown, so a spec
+// predicate leaves every row in the output, for the map function to filter.
+func TestSpecProjection(t *testing.T) {
+	fs := testFS(t)
+	want := writeRC(t, fs, "/f.rc", Options{RowGroupBytes: 16 << 10}, 200)
+	spec := &scan.Spec{Columns: []string{"url", "n"}, Predicate: scan.Lt("n", int32(0))}
+	got, _ := readSpec(t, fs, "/f.rc", 1<<62, spec)
+	if len(got) != len(want) {
+		t.Fatalf("read %d rows under a match-nothing predicate, want all %d", len(got), len(want))
+	}
+	for i := range want {
+		if names := got[i].Schema().FieldNames(); len(names) != 2 || names[0] != "url" || names[1] != "n" {
+			t.Fatalf("record %d has fields %v, want [url n]", i, names)
+		}
+		for _, col := range []string{"url", "n"} {
+			wv, _ := want[i].Get(col)
+			gv, err := got[i].Get(col)
+			if err != nil || gv != wv {
+				t.Fatalf("record %d: %s = %v (%v), want %v", i, col, gv, err, wv)
+			}
+		}
+		for _, col := range []string{"meta", "content"} {
+			if _, err := got[i].Get(col); err == nil {
+				t.Fatalf("record %d: unprojected %s readable", i, col)
+			}
 		}
 	}
 }
@@ -239,8 +273,7 @@ func TestProjectionUnknownColumn(t *testing.T) {
 	fs := testFS(t)
 	writeRC(t, fs, "/f.rc", Options{}, 10)
 	in := &InputFormat{}
-	conf := &mapred.JobConf{InputPaths: []string{"/f.rc"}}
-	SetColumns(conf, "nope")
+	conf := &mapred.JobConf{InputPaths: []string{"/f.rc"}, Scan: &scan.Spec{Columns: []string{"nope"}}}
 	splits, _ := in.Splits(fs, conf)
 	if _, err := in.Open(fs, conf, splits[0], hdfs.AnyNode, nil); err == nil {
 		t.Error("unknown projected column accepted")

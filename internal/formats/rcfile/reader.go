@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"strings"
 
 	"colmr/internal/compress"
 	"colmr/internal/hdfs"
@@ -14,16 +13,10 @@ import (
 	"colmr/internal/sim"
 )
 
-// ColumnsProp is the JobConf property holding the comma-separated column
-// projection, the analogue of RCFile's column pruning configuration.
-const ColumnsProp = "rcfile.columns"
-
-// SetColumns configures projection pushdown for a job reading RCFiles.
-func SetColumns(conf *mapred.JobConf, columns ...string) {
-	conf.Set(ColumnsProp, strings.Join(columns, ","))
-}
-
-// InputFormat reads RCFiles with optional projection pushdown.
+// InputFormat reads RCFiles with optional projection pushdown, taken from
+// the job's scan.Spec Columns (the analogue of RCFile's column pruning
+// configuration). RCFile has no predicate pushdown: the rest of the spec
+// is not consulted.
 type InputFormat struct {
 	// SplitSize overrides the target split size (default: one HDFS block).
 	SplitSize int64
@@ -51,8 +44,8 @@ func (f *InputFormat) Open(fs *hdfs.FileSystem, conf *mapred.JobConf, split mapr
 	if err := rd.readHeader(); err != nil {
 		return nil, err
 	}
-	if cols := strings.TrimSpace(conf.Get(ColumnsProp)); cols != "" {
-		if err := rd.setProjection(strings.Split(cols, ",")); err != nil {
+	if conf.Scan != nil {
+		if err := rd.setProjection(conf.Scan.Columns); err != nil {
 			return nil, err
 		}
 	}

@@ -153,21 +153,16 @@ type ReducerFunc func(key any, values []any, emit Emit) error
 func (f ReducerFunc) Reduce(key any, values []any, emit Emit) error { return f(key, values, emit) }
 
 // JobConf carries job configuration, mirroring Hadoop's JobConf: input
-// paths, output path, reducer count, the typed scan specification, and
-// free-form properties that InputFormats interpret.
+// paths, output path, reducer count, and the typed scan specification.
 type JobConf struct {
 	InputPaths  []string
 	OutputPath  string
 	NumReducers int
-	Props       map[string]string
 	// Scan is the typed scan specification — projection, predicate,
-	// materialization mode, elision, task sizing — consumed directly by
-	// CIF, never re-parsed from prop strings. The builder
-	// (core.ScanDataset) and the compatibility Set* wrappers populate it.
-	// The legacy props (cif.columns, scan.predicate, ...) remain as the
-	// serialization format for string-typed inputs; a prop still present
-	// fills its field only when the typed spec never set it (each wrapper
-	// deletes its own prop when writing the typed field).
+	// materialization mode, elision, task sizing, aggregation — and the
+	// only way to configure a scan. The builder (core.ScanDataset) fills it
+	// in; CIF consumes it directly, and RCFile takes its projection from
+	// Scan.Columns.
 	Scan *scan.Spec
 	// Cache is the cross-batch scan cache of the Session that runs the
 	// job, attached by Session.Submit/Run; nil disables caching. It is
@@ -190,37 +185,6 @@ type JobConf struct {
 	Catalog *catalog.Catalog
 }
 
-// Get returns a free-form property.
-func (c *JobConf) Get(key string) string {
-	if c.Props == nil {
-		return ""
-	}
-	return c.Props[key]
-}
-
-// Set assigns a free-form property.
-func (c *JobConf) Set(key, value string) {
-	if c.Props == nil {
-		c.Props = make(map[string]string)
-	}
-	c.Props[key] = value
-}
-
-// Del removes a free-form property (scan.Conf).
-func (c *JobConf) Del(key string) {
-	delete(c.Props, key)
-}
-
-// ScanSpec returns the conf's mutable typed scan spec, allocating it on
-// first use (scan.Conf). Configuration-time only: job execution reads the
-// possibly-nil Scan field and must not allocate through this.
-func (c *JobConf) ScanSpec() *scan.Spec {
-	if c.Scan == nil {
-		c.Scan = &scan.Spec{}
-	}
-	return c.Scan
-}
-
 // Job is a configured MapReduce job.
 type Job struct {
 	Conf    JobConf
@@ -234,14 +198,13 @@ type Job struct {
 	Combiner Reducer
 }
 
-// jobAggregate resolves a job's pushed-down aggregation: the typed spec
-// wins; the legacy prop (scan.AggProp) fills in for string-typed inputs.
-// Returns nil when the job is a plain map/reduce job.
-func jobAggregate(conf *JobConf) (*scan.Aggregate, error) {
-	if conf.Scan != nil && conf.Scan.Agg != nil {
-		return conf.Scan.Agg, nil
+// jobAggregate returns a job's pushed-down aggregation, nil when the job is
+// a plain map/reduce job.
+func jobAggregate(conf *JobConf) *scan.Aggregate {
+	if conf.Scan == nil {
+		return nil
 	}
-	return scan.AggFromConf(conf)
+	return conf.Scan.Agg
 }
 
 // Validate checks the job is runnable.
@@ -249,11 +212,7 @@ func (j *Job) Validate() error {
 	if j.Input == nil {
 		return fmt.Errorf("mapred: job has no InputFormat")
 	}
-	agg, err := jobAggregate(&j.Conf)
-	if err != nil {
-		return err
-	}
-	if agg != nil {
+	if agg := jobAggregate(&j.Conf); agg != nil {
 		// An aggregation job is answered inside the scan: no record reaches
 		// a map function and no pairs are shuffled, so user functions have
 		// nothing to run on — carrying them is a configuration bug, not a

@@ -328,11 +328,7 @@ func runGroup(fs *hdfs.FileSystem, jobs []*Job, idx []int, sif SharedInputFormat
 		// so their pruning is credited to the job's aggregate directly.
 		res.Total.SplitsPruned += int64(reports[k].SplitsPruned)
 		res.Total.RecordsPruned += reports[k].RecordsPruned
-		agg, err := jobAggregate(confs[k])
-		if err != nil {
-			return fmt.Errorf("mapred: batch job %d: %w", i, err)
-		}
-		if agg != nil {
+		if agg := jobAggregate(confs[k]); agg != nil {
 			merged := scan.NewAggState(agg)
 			for _, out := range outs {
 				if out.agg == nil {

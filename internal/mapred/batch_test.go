@@ -45,13 +45,8 @@ func loadBatchDataset(t *testing.T, fs *hdfs.FileSystem, dataset string, records
 }
 
 func countJob(dataset string, pred scan.Predicate) *mapred.Job {
-	conf := mapred.JobConf{InputPaths: []string{dataset}}
-	core.SetColumns(&conf, "s")
-	if pred != nil {
-		scan.SetPredicate(&conf, pred)
-	}
 	return &mapred.Job{
-		Conf:  conf,
+		Conf:  core.ScanDataset(dataset).Columns("s").Where(pred).Conf(),
 		Input: &core.InputFormat{},
 		Mapper: mapred.MapperFunc(func(_, v any, emit mapred.Emit) error {
 			if _, err := v.(serde.Record).Get("s"); err != nil {

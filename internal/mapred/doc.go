@@ -14,9 +14,10 @@
 // exists (Result.Plan records the scan.PruneReport); the reader-hosted
 // tiers then run inside the map tasks this engine schedules. JobConf.Scan
 // carries the typed scan.Spec — projection, predicate, laziness, elision
-// and Bloom switches, task sizing — as the job's single source of truth;
-// string props survive only as the serialization for string-typed inputs
-// such as `colscan -where`.
+// and Bloom switches, task sizing, aggregation — as the only way to
+// configure a scan; the builder (core.ScanDataset) fills it in, and
+// string-typed inputs such as `colscan -where` reach it through
+// scan.Parse.
 //
 // Beyond solo Run, the package batches and persists:
 //

@@ -130,9 +130,7 @@ func Run(fs *hdfs.FileSystem, job *Job) (*Result, error) {
 	res.Total.SplitsPruned += int64(plan.SplitsPruned)
 	res.Total.RecordsPruned += plan.RecordsPruned
 
-	if agg, err := jobAggregate(&job.Conf); err != nil {
-		return nil, err
-	} else if agg != nil {
+	if agg := jobAggregate(&job.Conf); agg != nil {
 		// Aggregation jobs have no shuffle or reduce: merge the tasks'
 		// partial states into the job's answer.
 		merged := scan.NewAggState(agg)
@@ -218,9 +216,7 @@ func runMapTask(fs *hdfs.FileSystem, job *Job, split Split, node hdfs.NodeID, nu
 	}
 	defer reader.Close()
 
-	if agg, err := jobAggregate(&job.Conf); err != nil {
-		return nil, err
-	} else if agg != nil {
+	if agg := jobAggregate(&job.Conf); agg != nil {
 		// The aggregation is answered inside the scan when the reader can
 		// (CIF: zone stats and vectors); other formats fold record by
 		// record here. Either way no record reaches a map function, so

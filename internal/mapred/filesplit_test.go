@@ -82,14 +82,3 @@ func TestTextOutputRequiresPath(t *testing.T) {
 		t.Error("TextOutput without output path accepted")
 	}
 }
-
-func TestJobConfProps(t *testing.T) {
-	var conf JobConf
-	if conf.Get("missing") != "" {
-		t.Error("Get on empty conf should return empty")
-	}
-	conf.Set("k", "v")
-	if conf.Get("k") != "v" {
-		t.Error("Set/Get round trip failed")
-	}
-}

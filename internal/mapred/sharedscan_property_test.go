@@ -162,26 +162,19 @@ func bpJob(rng *rand.Rand, schema *serde.Schema, dataset, out string) *mapred.Jo
 	rng.Shuffle(len(names), func(i, j int) { names[i], names[j] = names[j], names[i] })
 	proj := append([]string(nil), names[:1+rng.Intn(len(names))]...)
 
-	conf := mapred.JobConf{InputPaths: []string{dataset}, OutputPath: out}
-	core.SetColumns(&conf, proj...)
-	core.SetLazy(&conf, rng.Intn(2) == 0)
+	spec := &scan.Spec{Columns: proj, Lazy: rng.Intn(2) == 0}
 	if rng.Intn(5) > 0 { // one in five jobs scans unfiltered
-		scan.SetPredicate(&conf, bpPredicate(rng, schema, 2))
+		spec.Predicate = bpPredicate(rng, schema, 2)
 	}
-	if rng.Intn(4) == 0 {
-		scan.SetElision(&conf, false)
-	}
-	if rng.Intn(4) == 0 {
-		// The bloom dimension: batches mix bloom-on and bloom-off members,
-		// forcing the union tier to stay conservative for the dissenter.
-		scan.SetBloom(&conf, false)
-	}
-	if rng.Intn(3) == 0 {
-		// The vectorize dimension: scalar members in otherwise-vectorized
-		// batches force the whole cursor set scalar, and a solo run in the
-		// other mode must still produce identical outputs and counters.
-		scan.SetVectorize(&conf, false)
-	}
+	spec.NoElide = rng.Intn(4) == 0
+	// The bloom dimension: batches mix bloom-on and bloom-off members,
+	// forcing the union tier to stay conservative for the dissenter.
+	spec.NoBloom = rng.Intn(4) == 0
+	// The vectorize dimension: scalar members in otherwise-vectorized
+	// batches force the whole cursor set scalar, and a solo run in the
+	// other mode must still produce identical outputs and counters.
+	spec.NoVec = rng.Intn(3) == 0
+	conf := mapred.JobConf{InputPaths: []string{dataset}, OutputPath: out, Scan: spec}
 
 	job := &mapred.Job{
 		Conf:  conf,

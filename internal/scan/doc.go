@@ -31,13 +31,14 @@
 // columns). Zone maps decide range shapes; the filter decides equality on
 // unsorted high-cardinality data, where [Min, Max] spans everything and
 // proves nothing. A bloom-negative probe is a proof of absence, so it
-// slots into Prune beside the bounds; Spec.NoBloom (scan.SetBloom)
-// disables consultation for a job without touching written files.
+// slots into Prune beside the bounds; Spec.NoBloom (the builder's
+// Bloom(false)) disables consultation for a job without touching written
+// files.
 //
-// Predicates serialize to a small expression language (String/Parse round
-// trip), which is how they travel through mapred.JobConf props and the
-// colscan -where flag; the typed Spec on mapred.JobConf.Scan is the
-// first-class form (see conf.go).
+// Predicates print to a small expression language (String/Parse round
+// trip), which is how the colscan -where flag and the scan server's
+// POST /query spell them; the typed Spec on mapred.JobConf.Scan is the only
+// form a job carries (see conf.go).
 //
 // Aggregate carries the other pushdown (agg.go, docs/AGGREGATION.md): a
 // parsed function list (count/count(col)/min/max/sum, optional GROUP BY)
@@ -75,7 +76,7 @@
 //     records filtered + records returned == dataset size" holds in every
 //     mode; BloomPruned stays within GroupsPruned and is zero when
 //     consultation is off.
-//   - Serialization round trip: every random predicate travels through
-//     String/Parse unchanged (the pushdown property test routes
-//     predicates through the conf prop).
+//   - Parser totality (parse_fuzz_test.go): Parse and ParseAggregate
+//     never panic, and whatever they accept prints to a form that parses
+//     back to the same print.
 package scan

@@ -129,13 +129,8 @@ func TestElisionEquivalenceProperty(t *testing.T) {
 			}
 
 			conf := func(elide, bloom bool) *mapred.JobConf {
-				conf := &mapred.JobConf{InputPaths: []string{"/e"}}
-				core.SetColumns(conf, proj...)
-				core.SetLazy(conf, lazy)
-				scan.SetPredicate(conf, pred)
-				scan.SetElision(conf, elide)
-				scan.SetBloom(conf, bloom)
-				return conf
+				conf := core.ScanDataset("/e").Columns(proj...).Lazy(lazy).Where(pred).Elide(elide).Bloom(bloom).Conf()
+				return &conf
 			}
 			ctx := fmt.Sprintf("round %d %s: pred %s (bloom %v)", round, variantName(vi), pred, bloom)
 			on, onSt, report := elisionScan(t, fs, conf(true, bloom), proj)

@@ -158,8 +158,8 @@ func estimateCmp(q *cmpPred, stats StatsFunc) float64 {
 // in a degenerate bucket or outside every bucket; otherwise the uniform
 // 1/Distinct model applies, capped by the containing bucket's mass (a value
 // that is not a heavy hitter cannot exceed its bucket). The divide is
-// guarded: Distinct can legitimately be 0 or unset (all-null groups, legacy
-// footers, synthetic statistics carrying only a Bloom filter), and 0/0 NaN
+// guarded: Distinct can legitimately be 0 or unset (all-null groups,
+// synthetic statistics carrying only a Bloom filter), and 0/0 NaN
 // here would poison every cost decision downstream.
 func eqFraction(st *ColStats, lit any) float64 {
 	if h := st.Hist; h != nil {

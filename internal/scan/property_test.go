@@ -3,9 +3,7 @@ package scan_test
 // Property test for the scan subsystem: for random schemas, datasets, and
 // predicates, a pushdown scan must return exactly the records a full scan
 // plus an in-memory filter returns — across all four column layouts, both
-// record-construction modes, and arbitrary projections. Because
-// scan.SetPredicate serializes through the expression language, every
-// random predicate also round-trips the parser.
+// record-construction modes, and arbitrary projections.
 
 import (
 	"fmt"
@@ -15,7 +13,6 @@ import (
 	"colmr/internal/colfile"
 	"colmr/internal/core"
 	"colmr/internal/hdfs"
-	"colmr/internal/mapred"
 	"colmr/internal/scan"
 	"colmr/internal/serde"
 	"colmr/internal/sim"
@@ -231,13 +228,10 @@ func TestPushdownEquivalenceProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			conf := &mapred.JobConf{InputPaths: []string{"/p"}}
-			core.SetColumns(conf, proj...)
-			core.SetLazy(conf, lazy)
-			scan.SetPredicate(conf, pred) // serializes through Parse
 			// The vectorize dimension: batch and record-at-a-time execution
 			// must return identical records in identical order.
-			scan.SetVectorize(conf, rng.Intn(2) == 0)
+			c := core.ScanDataset("/p").Columns(proj...).Lazy(lazy).Where(pred).Vectorize(rng.Intn(2) == 0).Conf()
+			conf := &c
 			in := &core.InputFormat{}
 			splits, err := in.Splits(fs, conf)
 			if err != nil {

@@ -177,8 +177,10 @@ func TestPruneKeys(t *testing.T) {
 	}
 }
 
-func TestParseRoundTrip(t *testing.T) {
-	preds := []Predicate{
+// roundTripPreds spans every predicate form String can print; each must
+// parse back to its own String. FuzzParse seeds from them too.
+func roundTripPreds() []Predicate {
+	return []Predicate{
 		Eq("int0", 42),
 		Ne("str0", "abc"),
 		Lt("d", -1.5),
@@ -197,7 +199,10 @@ func TestParseRoundTrip(t *testing.T) {
 		Le("d", math.Inf(-1)),
 		Ne("d", math.NaN()),
 	}
-	for _, p := range preds {
+}
+
+func TestParseRoundTrip(t *testing.T) {
+	for _, p := range roundTripPreds() {
 		src := p.String()
 		back, err := Parse(src)
 		if err != nil {
@@ -210,8 +215,9 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParseExpressions(t *testing.T) {
-	good := []string{
+// parseGood and parseBad are expressions Parse must accept and reject.
+var (
+	parseGood = []string{
 		"int0 <= 100",
 		"a == 1 && b == 2 || c == 3",
 		"!(a == 1) && prefix(url, \"http://\")",
@@ -220,12 +226,7 @@ func TestParseExpressions(t *testing.T) {
 		"notnull(a) && a > 1e3",
 		" a  ==  1 ",
 	}
-	for _, src := range good {
-		if _, err := Parse(src); err != nil {
-			t.Errorf("Parse(%q): %v", src, err)
-		}
-	}
-	bad := []string{
+	parseBad = []string{
 		"",
 		"a ==",
 		"a = 1",
@@ -236,7 +237,15 @@ func TestParseExpressions(t *testing.T) {
 		"a == 1 extra",
 		"between(x, 1)",
 	}
-	for _, src := range bad {
+)
+
+func TestParseExpressions(t *testing.T) {
+	for _, src := range parseGood {
+		if _, err := Parse(src); err != nil {
+			t.Errorf("Parse(%q): %v", src, err)
+		}
+	}
+	for _, src := range parseBad {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q) should fail", src)
 		}

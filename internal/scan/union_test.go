@@ -99,11 +99,12 @@ func TestEstimateFraction(t *testing.T) {
 	}
 }
 
-// TestEstimateEqZeroDistinct: legacy aggregates (CFST, minimal CFS2) carry
-// no distinct count, so the 1/Distinct uniform guess must be guarded — the
-// estimate falls back to defaultEqFraction and never divides by zero,
-// including on the bloom-positive path where the guess is then weighted by
-// filter confidence.
+// TestEstimateEqZeroDistinct: an all-null group, or statistics built by
+// hand with only a Bloom filter, carry no distinct count, so the 1/Distinct
+// uniform guess must be guarded — the estimate falls back to
+// defaultEqFraction and never divides by zero, including on the
+// bloom-positive path where the guess is then weighted by filter
+// confidence.
 func TestEstimateEqZeroDistinct(t *testing.T) {
 	b := NewBloomSized(10, 1<<12)
 	for i := 0; i < 10; i++ {

@@ -134,21 +134,14 @@ func spJob(rng *rand.Rand, schema *serde.Schema, dataset, out string) *mapred.Jo
 	rng.Shuffle(len(names), func(i, j int) { names[i], names[j] = names[j], names[i] })
 	proj := append([]string(nil), names[:1+rng.Intn(len(names))]...)
 
-	conf := mapred.JobConf{InputPaths: []string{dataset}, OutputPath: out}
-	core.SetColumns(&conf, proj...)
-	core.SetLazy(&conf, rng.Intn(2) == 0)
+	spec := &scan.Spec{Columns: proj, Lazy: rng.Intn(2) == 0}
 	if rng.Intn(5) > 0 {
-		scan.SetPredicate(&conf, spPredicate(rng, schema, 2))
+		spec.Predicate = spPredicate(rng, schema, 2)
 	}
-	if rng.Intn(4) == 0 {
-		scan.SetElision(&conf, false)
-	}
-	if rng.Intn(4) == 0 {
-		scan.SetBloom(&conf, false)
-	}
-	if rng.Intn(3) == 0 {
-		scan.SetVectorize(&conf, false)
-	}
+	spec.NoElide = rng.Intn(4) == 0
+	spec.NoBloom = rng.Intn(4) == 0
+	spec.NoVec = rng.Intn(3) == 0
+	conf := mapred.JobConf{InputPaths: []string{dataset}, OutputPath: out, Scan: spec}
 
 	job := &mapred.Job{
 		Conf:  conf,
