@@ -290,7 +290,6 @@ func (s *Server) loop() {
 		runQ     []*batch
 		running  int
 		now      float64
-		sealSeq  int
 		queued   int
 		draining bool
 		acks     []chan struct{}
@@ -306,8 +305,6 @@ func (s *Server) loop() {
 			at = b.deadline // lazily observed deadlines seal at the deadline
 		}
 		b.sealAt = at
-		b.seq = sealSeq
-		sealSeq++
 		s.recordSeal(b)
 		runQ = append(runQ, b)
 	}

@@ -108,16 +108,14 @@ type memberSample struct {
 
 // recordSeal logs a sealed batch so the timeline knows it exists even
 // before it completes (the latency prefix stops at the first unfinished
-// seal).
+// seal), and gives the batch its place in seal order.
 func (s *Server) recordSeal(b *batch) {
 	rec := &batchRecord{sealAt: b.sealAt, members: make([]memberSample, len(b.members))}
 	for i, q := range b.members {
 		rec.members[i] = memberSample{tenant: q.tenant, arriveAt: q.arriveAt}
 	}
 	s.mu.Lock()
-	if b.seq != len(s.records) {
-		panic("serve: seal order out of step")
-	}
+	b.seq = len(s.records)
 	s.records = append(s.records, rec)
 	s.mu.Unlock()
 }
