@@ -3,6 +3,7 @@ package mapred
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 
@@ -11,40 +12,28 @@ import (
 	"colmr/internal/sim"
 )
 
-// Shared scans: co-scheduling concurrent jobs behind one cursor set.
-//
-// Run charges every job a full pass over the column files it touches, so N
-// concurrent jobs over the same dataset multiply I/O N-fold even when their
-// surviving split sets overlap almost entirely. RunBatch lifts the job
-// boundary out of the scan: co-submitted jobs whose inputs support shared
-// scanning (SharedInputFormat) and name the same datasets are planned
-// together, one map task runs per shared split-directory group, and a
-// single cursor set drives every member job's map function — the shared
-// scan pattern of interactive-scale columnar engines (Hall et al.,
-// "Processing a Trillion Cells per Mouse Click").
-//
-// Sharing is an optimization, never a semantics change: each member job
-// receives exactly the records, in the order, with the per-job accounting a
-// solo Run would have produced (the sharedscan property test enforces
-// byte-identical outputs). Physical work is charged once, to
-// BatchResult.Shared; the per-job Results carry only logical counters for
-// tasks that were shared.
+// The engine. A batch's jobs fall into groups, and every group runs the same
+// steps: plan, schedule for locality, one worker pool, one task loop over a
+// SharedRecordReader (runTask), then each member's Result and its aggregate
+// merge or shuffle and reduce. Jobs sharing scans over the same datasets form
+// a co-scheduled group — one cursor set per task drives every member, the
+// shared-scan pattern of Hall et al., "Processing a Trillion Cells per Mouse
+// Click" — whose physical work is charged once, to BatchResult.Shared. Any
+// other job is a group of one, read through its own format (soloInput).
 
 // BatchResult is the outcome of a batch run.
 type BatchResult struct {
-	// Results holds each job's result in submission order. Jobs served by
-	// shared map tasks carry their logical accounting (records processed /
-	// pruned / filtered, output, plan) but no physical I/O of their own;
-	// jobs that ran solo (input not shareable, or sole user of its
-	// datasets) carry complete solo accounting.
+	// Results holds each job's result in submission order. A job run in a
+	// group of one carries all of its work, physical included; a job served
+	// by co-scheduled tasks carries its logical accounting (records
+	// processed / pruned / filtered, output, plan) and no physical I/O.
 	Results []*Result
-	// Shared aggregates the physical work of all shared cursor sets —
-	// I/O, decode CPU, SharedReads and BytesSaved — charged exactly once
-	// however many jobs each cursor served.
+	// Shared aggregates the physical work of the co-scheduled groups' cursor
+	// sets — I/O, decode CPU, SharedReads and BytesSaved — charged exactly
+	// once however many jobs each cursor served. Groups of one add nothing.
 	Shared sim.TaskStats
-	// Tasks is the number of co-scheduled map tasks the batch ran (solo
-	// fallback tasks not included); SharedTasks of them served more than
-	// one job.
+	// Tasks is the number of co-scheduled map tasks the batch ran (groups of
+	// one not included); SharedTasks of them served more than one job.
 	Tasks       int
 	SharedTasks int
 	// Groups is the number of co-scheduled job groups.
@@ -57,14 +46,11 @@ type BatchResult struct {
 }
 
 // ChargedBytes is the batch's total charged traffic: shared cursors once,
-// plus whatever the per-job results charged on their own (solo tasks,
+// plus whatever the per-job results charged on their own (groups of one,
 // reduce-side writes).
 func (b *BatchResult) ChargedBytes() int64 {
 	total := b.Shared.IO.TotalChargedBytes()
 	for _, r := range b.Results {
-		if r == nil {
-			continue
-		}
 		total += r.Total.IO.TotalChargedBytes() + r.ReduceStats.IO.TotalChargedBytes()
 	}
 	return total
@@ -73,7 +59,7 @@ func (b *BatchResult) ChargedBytes() int64 {
 // RunBatch executes the jobs as one batch, co-scheduling shared scans where
 // the inputs allow it. Results are in job order.
 func RunBatch(fs *hdfs.FileSystem, jobs ...*Job) (*BatchResult, error) {
-	return runBatch(fs, jobs)
+	return runBatch(fs, jobs, batchJobErr)
 }
 
 // Engine is a session-style front end to the batch scheduler: Submit
@@ -155,7 +141,7 @@ func (e *Engine) Wait() (*BatchResult, error) {
 	for i, p := range pend {
 		jobs[i] = p.job
 	}
-	br, err := runBatch(e.fs, jobs)
+	br, err := runBatch(e.fs, jobs, batchJobErr)
 	for i, p := range pend {
 		if err != nil {
 			p.err = err
@@ -169,36 +155,52 @@ func (e *Engine) Wait() (*BatchResult, error) {
 
 // RunBatch is Engine's one-shot form over its filesystem.
 func (e *Engine) RunBatch(jobs ...*Job) (*BatchResult, error) {
-	return runBatch(e.fs, jobs)
+	return runBatch(e.fs, jobs, batchJobErr)
 }
 
-func runBatch(fs *hdfs.FileSystem, jobs []*Job) (*BatchResult, error) {
+// runBatch runs the jobs' groups in turn. jobErr attributes an error to job
+// i: RunBatch names the job, Run does not.
+func runBatch(fs *hdfs.FileSystem, jobs []*Job, jobErr func(i int, err error) error) (*BatchResult, error) {
 	for i, job := range jobs {
 		if err := job.Validate(); err != nil {
-			return nil, fmt.Errorf("mapred: batch job %d: %w", i, err)
+			return nil, jobErr(i, err)
 		}
 	}
 	jobs = withCatalog(fs, jobs)
 	br := &BatchResult{Results: make([]*Result, len(jobs))}
-
-	// Group co-schedulable jobs: same shared-capable input format type over
-	// the same datasets. Whether their split sets actually intersect is
-	// decided per split-directory by SharedSplits — disjoint predicates
-	// simply yield single-member tasks.
-	type group struct {
-		sif SharedInputFormat
-		idx []int
+	for _, g := range groupJobs(jobs) {
+		if err := runGroup(fs, jobs, g, br, jobErr); err != nil {
+			return nil, err
+		}
 	}
-	var groups []*group
-	byKey := make(map[string]*group)
-	var solo []int
+	return br, nil
+}
+
+func batchJobErr(i int, err error) error { return fmt.Errorf("mapred: batch job %d: %w", i, err) }
+
+// group is jobs run together; in plans and opens their tasks.
+type group struct {
+	in  groupInput
+	idx []int
+}
+
+// groupJobs groups the jobs in the order the groups run. Jobs whose format
+// shares scans over the same datasets form one group (SharedSplits decides
+// per split-directory which of them share each task). Any other job is a
+// group of one: its format cannot share, it lists a dataset twice (shared
+// planning cannot represent multiplicity), or no job shares with it. Groups
+// of one run first — those that cannot share, then the partnerless, each in
+// job order — then co-scheduled groups; a session's cache state depends on it.
+func groupJobs(jobs []*Job) []group {
+	if len(jobs) == 1 { // Run: a group of one, with no key to build
+		return []group{{in: soloInput{jobs[0]}, idx: []int{0}}}
+	}
+	var order, shared []group
+	byKey := make(map[string]int)
 	for i, job := range jobs {
 		sif, ok := job.Input.(SharedInputFormat)
 		if !ok || hasDuplicatePaths(job.Conf.InputPaths) {
-			// A dataset listed twice means the job scans it twice; shared
-			// planning keys member sets by directory and cannot represent
-			// multiplicity, so such jobs keep the solo path.
-			solo = append(solo, i)
+			order = append(order, group{in: soloInput{job}, idx: []int{i}})
 			continue
 		}
 		// The key includes the format's printed configuration and the
@@ -212,146 +214,133 @@ func runBatch(fs *hdfs.FileSystem, jobs []*Job) (*BatchResult, error) {
 		key := fmt.Sprintf("%T|%#v|%d|%s", job.Input, job.Input, dps, strings.Join(job.Conf.InputPaths, "\x00"))
 		g, ok := byKey[key]
 		if !ok {
-			g = &group{sif: sif}
+			g = len(shared)
 			byKey[key] = g
-			groups = append(groups, g)
+			shared = append(shared, group{in: sif})
 		}
-		g.idx = append(g.idx, i)
+		shared[g].idx = append(shared[g].idx, i)
 	}
-
-	// Singleton groups gain nothing from the shared machinery; they run
-	// through the unchanged solo path, so a batch of one costs exactly Run.
-	for _, g := range groups {
-		if len(g.idx) == 1 {
-			solo = append(solo, g.idx[0])
-			g.idx = nil
+	var cosched []group
+	for _, g := range shared {
+		if len(g.idx) > 1 {
+			cosched = append(cosched, g)
+		} else {
+			order = append(order, group{in: soloInput{jobs[g.idx[0]]}, idx: g.idx})
 		}
 	}
-	for _, i := range solo {
-		res, err := Run(fs, jobs[i])
-		if err != nil {
-			return nil, fmt.Errorf("mapred: batch job %d: %w", i, err)
-		}
-		br.Results[i] = res
-	}
-	for _, g := range groups {
-		if len(g.idx) == 0 {
-			continue
-		}
-		if err := runGroup(fs, jobs, g.idx, g.sif, br); err != nil {
-			return nil, err
-		}
-		br.Groups++
-	}
-	return br, nil
+	return append(order, cosched...)
 }
 
-// runGroup executes one co-scheduled job group: plan shared splits, run one
-// map task per shared split with a worker pool, then shuffle and reduce
-// each member job independently on its own map outputs.
-func runGroup(fs *hdfs.FileSystem, jobs []*Job, idx []int, sif SharedInputFormat, br *BatchResult) error {
-	confs := make([]*JobConf, len(idx))
-	members := make([]*Job, len(idx))
-	numParts := make([]int, len(idx))
-	for k, i := range idx {
+// runGroup runs one group and assembles its members' Results. A group of one
+// books everything on its job's Result, and its errors are its job's; a
+// co-scheduled group books its cursor sets' physical work to br.Shared.
+func runGroup(fs *hdfs.FileSystem, jobs []*Job, g group, br *BatchResult, jobErr func(int, error) error) error {
+	solo := len(g.idx) == 1
+	groupErr, kind := func(err error) error { return err }, "shared task"
+	if solo {
+		groupErr, kind = func(err error) error { return jobErr(g.idx[0], err) }, "map task"
+	}
+	confs := make([]*JobConf, len(g.idx))
+	for k, i := range g.idx {
 		confs[k] = &jobs[i].Conf
-		members[k] = jobs[i]
-		numParts[k] = jobs[i].Conf.NumReducers
-		if jobs[i].Reducer == nil || numParts[k] < 1 {
-			numParts[k] = 1
+	}
+	tasks, reports, err := g.in.SharedSplits(fs, confs)
+	if err != nil {
+		return groupErr(err)
+	}
+	nodes := scheduleSplits(fs, tasks)
+	var sharedStats []sim.TaskStats
+	if !solo {
+		sharedStats = make([]sim.TaskStats, len(tasks))
+	}
+	done := runTasks(fs, g, jobs, confs, tasks, nodes, sharedStats)
+	for t, d := range done {
+		if d.err != nil {
+			return groupErr(fmt.Errorf("mapred: %s %d (%s): %w", kind, t, tasks[t].Split, d.err))
 		}
 	}
-	shSplits, reports, err := sif.SharedSplits(fs, confs)
-	if err != nil {
-		return err
-	}
-	splits := make([]Split, len(shSplits))
-	for i, sp := range shSplits {
-		splits[i] = sp.Split
-	}
-	nodes := scheduleSplits(fs, splits)
 
-	taskOuts := make([][]*taskOutput, len(shSplits))
-	sharedStats := make([]sim.TaskStats, len(shSplits))
-	var firstErr error
-	var errOnce sync.Once
-	fail := func(err error) { errOnce.Do(func() { firstErr = err }) }
-
-	workers := runtime.NumCPU()
-	if workers > 8 {
-		workers = 8
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	taskCh := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for t := range taskCh {
-				outs, shared, err := runSharedTask(fs, sif, members, confs, numParts, shSplits[t], nodes[t])
-				if err != nil {
-					fail(fmt.Errorf("mapred: shared task %d (%s): %w", t, shSplits[t].Split, err))
-					continue
-				}
-				taskOuts[t] = outs
-				sharedStats[t] = shared
-			}
-		}()
-	}
-	for t := range shSplits {
-		taskCh <- t
-	}
-	close(taskCh)
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-
-	for k, i := range idx {
+	for k, i := range g.idx {
 		res := &Result{Plan: reports[k]}
 		br.Declined += reports[k].SharedDeclined
 		var outs []*taskOutput
-		for t, sp := range shSplits {
-			pos := memberPos(sp.Members, k)
-			if pos < 0 {
-				continue
-			}
-			out := taskOuts[t][pos]
-			res.MapTasks = append(res.MapTasks, TaskReport{Split: sp.Split.String(), Node: nodes[t], Stats: out.stats})
-			res.Total.Add(out.stats)
-			outs = append(outs, out)
+		if solo && len(tasks) > 0 { // every task serves the one member
+			res.MapTasks, outs = make([]TaskReport, 0, len(tasks)), make([]*taskOutput, 0, len(tasks))
 		}
-		// As in Run: splits the scheduler elided for this job ran no task,
-		// so their pruning is credited to the job's aggregate directly.
+		for t, sp := range tasks {
+			if pos := slices.Index(sp.Members, k); pos >= 0 {
+				out := &done[t].outs[pos]
+				res.MapTasks = append(res.MapTasks, TaskReport{Split: sp.Split.String(), Node: nodes[t], Stats: out.stats})
+				res.Total.Add(out.stats)
+				outs = append(outs, out)
+			}
+		}
+		// Elided splits ran no task, so the scheduler's pruning is credited
+		// to the job's aggregate counters directly; RecordsPruned then means
+		// "records proven irrelevant at any tier" regardless of where the
+		// proof fired.
 		res.Total.SplitsPruned += int64(reports[k].SplitsPruned)
 		res.Total.RecordsPruned += reports[k].RecordsPruned
 		if agg := jobAggregate(confs[k]); agg != nil {
-			merged := scan.NewAggState(agg)
+			// Aggregation jobs have no shuffle or reduce: merge the tasks'
+			// partial states into the job's answer.
+			res.Agg = scan.NewAggState(agg)
 			for _, out := range outs {
 				if out.agg == nil {
 					continue
 				}
-				if err := merged.Merge(out.agg); err != nil {
-					return fmt.Errorf("mapred: batch job %d: %w", i, err)
+				if err := res.Agg.Merge(out.agg); err != nil {
+					return jobErr(i, err)
 				}
 			}
-			res.Agg = merged
-		} else if err := reducePhase(fs, jobs[i], outs, numParts[k], res); err != nil {
-			return fmt.Errorf("mapred: batch job %d: %w", i, err)
+		} else if err := reducePhase(fs, jobs[i], outs, numParts(jobs[i]), res); err != nil {
+			return jobErr(i, err)
 		}
 		br.Results[i] = res
 	}
-	for t := range shSplits {
-		br.Shared.Add(sharedStats[t])
-		if len(shSplits[t].Members) > 1 {
-			br.SharedTasks++
+	if !solo {
+		for t := range tasks {
+			br.Shared.Add(sharedStats[t])
+			if len(tasks[t].Members) > 1 {
+				br.SharedTasks++
+			}
 		}
+		br.Tasks += len(tasks)
+		br.Groups++
 	}
-	br.Tasks += len(shSplits)
 	return nil
+}
+
+type taskResult struct {
+	*mapTask
+	err error
+}
+
+// runTasks runs a group's map tasks on one worker per CPU, at most eight,
+// charging task t's cursor set to shared[t] when shared is non-nil.
+func runTasks(fs *hdfs.FileSystem, g group, jobs []*Job, confs []*JobConf, tasks []SharedSplit, nodes []hdfs.NodeID, shared []sim.TaskStats) []taskResult {
+	done := make([]taskResult, len(tasks))
+	var wg sync.WaitGroup
+	next := make(chan int)
+	for w := min(max(runtime.NumCPU(), 1), 8); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for t := range next {
+				var sh *sim.TaskStats
+				if shared != nil {
+					sh = &shared[t]
+				}
+				done[t].mapTask, done[t].err = runTask(fs, g.in, jobs, g.idx, confs, tasks[t], nodes[t], sh)
+			}
+		}()
+	}
+	for t := range tasks {
+		next <- t
+	}
+	close(next)
+	wg.Wait()
+	return done
 }
 
 func hasDuplicatePaths(paths []string) bool {
@@ -363,71 +352,4 @@ func hasDuplicatePaths(paths []string) bool {
 		seen[p] = true
 	}
 	return false
-}
-
-func memberPos(members []int, k int) int {
-	for pos, m := range members {
-		if m == k {
-			return pos
-		}
-	}
-	return -1
-}
-
-// runSharedTask drives one shared split: a single SharedRecordReader fans
-// records out to the member jobs' map functions, each member accumulating
-// its own taskOutput exactly as a solo map task would.
-func runSharedTask(fs *hdfs.FileSystem, sif SharedInputFormat, members []*Job, confs []*JobConf, numParts []int, sp SharedSplit, node hdfs.NodeID) ([]*taskOutput, sim.TaskStats, error) {
-	outs := make([]*taskOutput, len(sp.Members))
-	memberStats := make([]*sim.TaskStats, len(sp.Members))
-	emits := make([]Emit, len(sp.Members))
-	for pos, k := range sp.Members {
-		out := &taskOutput{partitions: make([][]shufflePair, numParts[k])}
-		outs[pos] = out
-		memberStats[pos] = &out.stats
-		emits[pos] = emitInto(out, numParts[k])
-	}
-	var shared sim.TaskStats
-	rr, err := sif.OpenShared(fs, confs, sp.Split, sp.Members, node, memberStats, &shared)
-	if err != nil {
-		return nil, shared, err
-	}
-	for {
-		key, vals, ms, ok, err := rr.Next()
-		if err != nil {
-			rr.Close()
-			return nil, shared, err
-		}
-		if !ok {
-			break
-		}
-		for i, pos := range ms {
-			k := sp.Members[pos]
-			outs[pos].stats.RecordsProcessed++
-			if err := members[k].Mapper.Map(key, vals[i], emits[pos]); err != nil {
-				rr.Close()
-				return nil, shared, err
-			}
-		}
-	}
-	// Close before reading shared: the reader folds its cursor accounting
-	// (per-column I/O, SharedReads, BytesSaved) into shared on Close.
-	if err := rr.Close(); err != nil {
-		return nil, shared, err
-	}
-	if ar, ok := rr.(AggSharedRecordReader); ok {
-		// Aggregating members folded inside the scan; carry their partial
-		// states out with the task.
-		for pos, st := range ar.AggStates() {
-			outs[pos].agg = st
-		}
-	}
-	for pos, k := range sp.Members {
-		if members[k].Combiner != nil {
-			if err := combine(members[k], outs[pos]); err != nil {
-				return nil, shared, err
-			}
-		}
-	}
-	return outs, shared, nil
 }

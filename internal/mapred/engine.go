@@ -3,9 +3,7 @@ package mapred
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"slices"
-	"sync"
 
 	"colmr/internal/catalog"
 	"colmr/internal/hdfs"
@@ -50,106 +48,26 @@ type shufflePair struct {
 	valBytes   []byte // KeyBytes(value): the reduce-input tiebreaker
 }
 
+// taskOutput is one member's share of a map task. A one-partition job's
+// partition lives in part1 and costs no allocation, so a taskOutput must not
+// be copied once emitInto has readied it.
 type taskOutput struct {
 	stats      sim.TaskStats
 	partitions [][]shufflePair
-	agg        *scan.AggState // aggregation jobs: the task's partial fold
+	part1      [1][]shufflePair
+	mapper     Mapper
+	emit       Emit           // appends map output to partitions
+	agg        *scan.AggState // an aggregation job's partial fold
 }
 
-// Run executes the job: schedule splits for locality, run map tasks in
-// parallel, shuffle, sort, and reduce.
+// Run executes the job as a batch of one (see RunBatch) and returns its
+// result.
 func Run(fs *hdfs.FileSystem, job *Job) (*Result, error) {
-	if err := job.Validate(); err != nil {
-		return nil, err
-	}
-	job = withCatalog(fs, []*Job{job})[0]
-	var splits []Split
-	var plan scan.PruneReport
-	var err error
-	if pf, ok := job.Input.(PlannedInputFormat); ok {
-		splits, plan, err = pf.PlannedSplits(fs, &job.Conf)
-	} else {
-		splits, err = job.Input.Splits(fs, &job.Conf)
-	}
+	br, err := runBatch(fs, []*Job{job}, func(_ int, err error) error { return err })
 	if err != nil {
 		return nil, err
 	}
-	nodes := scheduleSplits(fs, splits)
-
-	numParts := job.Conf.NumReducers
-	if job.Reducer == nil || numParts < 1 {
-		numParts = 1
-	}
-
-	outputs := make([]*taskOutput, len(splits))
-	var firstErr error
-	var errOnce sync.Once
-	fail := func(err error) { errOnce.Do(func() { firstErr = err }) }
-
-	workers := runtime.NumCPU()
-	if workers > 8 {
-		workers = 8
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	taskCh := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range taskCh {
-				out, err := runMapTask(fs, job, splits[i], nodes[i], numParts)
-				if err != nil {
-					fail(fmt.Errorf("mapred: map task %d (%s): %w", i, splits[i], err))
-					continue
-				}
-				outputs[i] = out
-			}
-		}()
-	}
-	for i := range splits {
-		taskCh <- i
-	}
-	close(taskCh)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	res := &Result{Plan: plan}
-	for i, out := range outputs {
-		res.MapTasks = append(res.MapTasks, TaskReport{Split: splits[i].String(), Node: nodes[i], Stats: out.stats})
-		res.Total.Add(out.stats)
-	}
-	// Elided splits ran no task, so the scheduler's pruning is credited to
-	// the job's aggregate counters directly; RecordsPruned then means
-	// "records proven irrelevant at any tier" regardless of where the
-	// proof fired.
-	res.Total.SplitsPruned += int64(plan.SplitsPruned)
-	res.Total.RecordsPruned += plan.RecordsPruned
-
-	if agg := jobAggregate(&job.Conf); agg != nil {
-		// Aggregation jobs have no shuffle or reduce: merge the tasks'
-		// partial states into the job's answer.
-		merged := scan.NewAggState(agg)
-		for _, out := range outputs {
-			if out.agg == nil {
-				continue
-			}
-			if err := merged.Merge(out.agg); err != nil {
-				return nil, err
-			}
-		}
-		res.Agg = merged
-		return res, nil
-	}
-
-	if err := reducePhase(fs, job, outputs, numParts, res); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return br.Results[0], nil
 }
 
 // withCatalog returns the jobs with a metadata catalog attached to each. A
@@ -176,16 +94,16 @@ func withCatalog(fs *hdfs.FileSystem, jobs []*Job) []*Job {
 	return out
 }
 
-// scheduleSplits assigns each split to a node, preferring the split's
-// locality candidates and balancing assignment counts — a deterministic
-// stand-in for Hadoop's locality-aware task scheduler.
-func scheduleSplits(fs *hdfs.FileSystem, splits []Split) []hdfs.NodeID {
+// scheduleSplits assigns each task's split to a node, preferring the
+// split's locality candidates and balancing assignment counts — a
+// deterministic stand-in for Hadoop's locality-aware task scheduler.
+func scheduleSplits(fs *hdfs.FileSystem, tasks []SharedSplit) []hdfs.NodeID {
 	n := fs.Config().Nodes
 	load := make([]int, n)
-	nodes := make([]hdfs.NodeID, len(splits))
-	for i, sp := range splits {
+	nodes := make([]hdfs.NodeID, len(tasks))
+	for i, task := range tasks {
 		best := hdfs.NodeID(-1)
-		for _, c := range sp.Hosts(fs) {
+		for _, c := range task.Split.Hosts(fs) {
 			if int(c) < 0 || int(c) >= n {
 				continue
 			}
@@ -208,54 +126,159 @@ func scheduleSplits(fs *hdfs.FileSystem, splits []Split) []hdfs.NodeID {
 	return nodes
 }
 
-func runMapTask(fs *hdfs.FileSystem, job *Job, split Split, node hdfs.NodeID, numParts int) (*taskOutput, error) {
-	out := &taskOutput{partitions: make([][]shufflePair, numParts)}
-	reader, err := job.Input.Open(fs, &job.Conf, split, node, &out.stats)
+// numParts is the number of shuffle partitions a job's map output fills.
+func numParts(job *Job) int {
+	if job.Reducer == nil || job.Conf.NumReducers < 1 {
+		return 1
+	}
+	return job.Conf.NumReducers
+}
+
+// mapTask is one map task: its members' outputs and the stats sinks its
+// reader charges. A one-member task's live in out1 and stats1, so a group of
+// one allocates no slices per task.
+type mapTask struct {
+	outs   []taskOutput
+	stats  []*sim.TaskStats
+	out1   [1]taskOutput
+	stats1 [1]*sim.TaskStats
+}
+
+// runTask is the one task loop. The reader hands each record to the map
+// function of every member it qualifies for, each member filling its own
+// taskOutput as a task of its own would; aggregating members surface no
+// records and take their partial states from the reader; combiners run last.
+func runTask(fs *hdfs.FileSystem, in groupInput, jobs []*Job, idx []int, confs []*JobConf, sp SharedSplit, node hdfs.NodeID, shared *sim.TaskStats) (*mapTask, error) {
+	t := &mapTask{}
+	t.outs, t.stats = t.out1[:], t.stats1[:]
+	if n := len(sp.Members); n > 1 {
+		t.outs, t.stats = make([]taskOutput, n), make([]*sim.TaskStats, n)
+	}
+	for pos, k := range sp.Members {
+		t.stats[pos] = &t.outs[pos].stats
+		if job := jobs[idx[k]]; jobAggregate(confs[k]) == nil {
+			t.outs[pos].mapper, t.outs[pos].emit = job.Mapper, emitInto(&t.outs[pos], numParts(job))
+		}
+	}
+	rr, err := in.OpenShared(fs, confs, sp.Split, sp.Members, node, t.stats, shared)
 	if err != nil {
 		return nil, err
 	}
-	defer reader.Close()
-
-	if agg := jobAggregate(&job.Conf); agg != nil {
-		// The aggregation is answered inside the scan when the reader can
-		// (CIF: zone stats and vectors); other formats fold record by
-		// record here. Either way no record reaches a map function, so
-		// RecordsProcessed stays zero.
-		var st *scan.AggState
-		if ar, ok := reader.(AggRecordReader); ok {
-			st, err = ar.DrainAggregate()
-		} else {
-			st, err = drainAggRecords(reader, agg, &out.stats)
-		}
-		if err != nil {
-			return nil, err
-		}
-		out.agg = st
-		return out, nil
-	}
-
-	emit := emitInto(out, numParts)
-
 	for {
-		k, v, ok, err := reader.Next()
+		key, vals, ms, ok, err := rr.Next()
 		if err != nil {
+			rr.Close()
 			return nil, err
 		}
 		if !ok {
 			break
 		}
-		out.stats.RecordsProcessed++
-		if err := job.Mapper.Map(k, v, emit); err != nil {
-			return nil, err
+		for i, pos := range ms {
+			out := &t.outs[pos]
+			out.stats.RecordsProcessed++
+			if err := out.mapper.Map(key, vals[i], out.emit); err != nil {
+				rr.Close()
+				return nil, err
+			}
 		}
 	}
-	if job.Combiner != nil {
-		if err := combine(job, out); err != nil {
-			return nil, err
+	// Close before AggStates, and before the caller reads shared: a CIF
+	// reader folds its cursor accounting into the stats on Close.
+	if err := rr.Close(); err != nil {
+		return nil, err
+	}
+	if ar, ok := rr.(AggSharedRecordReader); ok {
+		for pos, st := range ar.AggStates() {
+			t.outs[pos].agg = st
 		}
 	}
-	return out, nil
+	for pos, k := range sp.Members {
+		if job := jobs[idx[k]]; job.Combiner != nil {
+			if err := combine(job, &t.outs[pos]); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return t, nil
 }
+
+// groupInput plans and opens a group's tasks: a co-scheduled group's
+// SharedInputFormat, or soloInput.
+type groupInput interface {
+	SharedSplits(fs *hdfs.FileSystem, confs []*JobConf) ([]SharedSplit, []scan.PruneReport, error)
+	OpenShared(fs *hdfs.FileSystem, confs []*JobConf, split Split, members []int, node hdfs.NodeID, memberStats []*sim.TaskStats, shared *sim.TaskStats) (SharedRecordReader, error)
+}
+
+// soloInput runs a group of one through its job's own InputFormat: planned
+// with PlannedSplits (Splits when the format does not plan), opened with
+// Open, and read as a one-member shared scan. Open books the task's physical
+// work on the member's stats beside its logical counters, so the group adds
+// nothing to BatchResult.Shared.
+type soloInput struct{ job *Job }
+
+// soloMembers is every task's member list in a group of one. Read only.
+var soloMembers = []int{0}
+
+func (s soloInput) SharedSplits(fs *hdfs.FileSystem, confs []*JobConf) ([]SharedSplit, []scan.PruneReport, error) {
+	var splits []Split
+	var plan scan.PruneReport
+	var err error
+	if pf, ok := s.job.Input.(PlannedInputFormat); ok {
+		splits, plan, err = pf.PlannedSplits(fs, confs[0])
+	} else {
+		splits, err = s.job.Input.Splits(fs, confs[0])
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	tasks := make([]SharedSplit, len(splits))
+	for i, sp := range splits {
+		tasks[i] = SharedSplit{Split: sp, Members: soloMembers}
+	}
+	return tasks, []scan.PruneReport{plan}, nil
+}
+
+func (s soloInput) OpenShared(fs *hdfs.FileSystem, confs []*JobConf, split Split, _ []int, node hdfs.NodeID, memberStats []*sim.TaskStats, _ *sim.TaskStats) (SharedRecordReader, error) {
+	rr, err := s.job.Input.Open(fs, confs[0], split, node, memberStats[0])
+	if err != nil {
+		return nil, err
+	}
+	return &soloReader{RecordReader: rr, agg: jobAggregate(confs[0]), stats: memberStats[0]}, nil
+}
+
+// soloReader is a RecordReader seen as a one-member SharedRecordReader. For
+// an aggregating member, Next drains the split into a partial state — inside
+// the scan when the reader can (AggRecordReader: CIF's zone stats and
+// vectors), else record by record — and reports the end; AggStates hands the
+// state over.
+type soloReader struct {
+	RecordReader
+	agg   *scan.Aggregate
+	stats *sim.TaskStats
+	val   [1]any
+	state [1]*scan.AggState
+}
+
+func (r *soloReader) Next() (any, []any, []int, bool, error) {
+	if r.agg != nil {
+		var err error
+		if ar, ok := r.RecordReader.(AggRecordReader); ok {
+			r.state[0], err = ar.DrainAggregate()
+		} else {
+			r.state[0], err = drainAggRecords(r.RecordReader, r.agg, r.stats)
+		}
+		return nil, nil, nil, false, err
+	}
+	key, v, ok, err := r.RecordReader.Next()
+	if !ok || err != nil {
+		return nil, nil, nil, false, err
+	}
+	r.val[0] = v
+	return key, r.val[:], soloMembers, true, nil
+}
+
+// AggStates implements AggSharedRecordReader.
+func (r *soloReader) AggStates() []*scan.AggState { return r.state[:] }
 
 // drainAggRecords is the capability-free aggregation path: the reader's
 // records fold one by one through their field accessors. Formats with an
@@ -294,11 +317,13 @@ func (e recordEval) Value(col string) (any, error) { return e.rec.Get(col) }
 // HasKey implements scan.Evaluator: never answered — the fold reads values.
 func (e recordEval) HasKey(string, string) (bool, bool, error) { return false, false, nil }
 
-// emitInto returns the Emit closure appending map-output pairs to out's
-// partitions with the standard shuffle accounting. Solo map tasks and each
-// member sink of a shared scan build their emits here, so per-job output
-// accounting is identical in both execution modes.
+// emitInto readies out's numParts shuffle partitions and returns the Emit
+// closure appending map-output pairs to them with the shuffle's accounting.
 func emitInto(out *taskOutput, numParts int) Emit {
+	out.partitions = out.part1[:]
+	if numParts > 1 {
+		out.partitions = make([][]shufflePair, numParts)
+	}
 	return func(key, value any) error {
 		// Hashed whatever numParts is: it is also what rejects a key of an
 		// unsupported type.
@@ -342,7 +367,7 @@ func combine(job *Job, out *taskOutput) error {
 			outBytes += SizeOf(key) + SizeOf(value)
 			return nil
 		}
-		if err := groupAndReduce(job.Combiner, pairs, emit); err != nil {
+		if err := groupAndReduce(job.Combiner, pairs, emit, nil); err != nil {
 			return err
 		}
 		out.partitions[p] = combined
@@ -364,54 +389,37 @@ func reducePhase(fs *hdfs.FileSystem, job *Job, outputs []*taskOutput, numParts 
 		for _, out := range outputs {
 			pairs = append(pairs, out.partitions[p]...)
 		}
-
-		var writer RecordWriter
-		var err error
-		if job.Output != nil {
-			writer, err = job.Output.Open(fs, &job.Conf, p, &res.ReduceStats)
-			if err != nil {
-				return err
-			}
+		writer, err := job.Output.Open(fs, &job.Conf, p, &res.ReduceStats)
+		if err != nil {
+			return err
 		}
 		write := func(k, v any) error {
 			res.OutputRecords++
-			if writer == nil {
-				return nil
-			}
 			return writer.Write(k, v)
 		}
-
-		if job.Reducer == nil {
+		if job.Reducer != nil {
+			err = groupAndReduce(job.Reducer, pairs, write, &res.ReduceGroups)
+		} else {
 			for _, pr := range pairs {
-				if err := write(pr.key, pr.value); err != nil {
-					return err
+				if err = write(pr.key, pr.value); err != nil {
+					break
 				}
 			}
-		} else {
-			if err := sortAndReduce(job, pairs, write, res); err != nil {
-				return err
-			}
 		}
-		if writer != nil {
-			if err := writer.Close(); err != nil {
-				return err
-			}
+		if err != nil {
+			return err
+		}
+		if err := writer.Close(); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-func sortAndReduce(job *Job, pairs []shufflePair, write func(k, v any) error, res *Result) error {
-	return groupAndReduceCounted(job.Reducer, pairs, Emit(write), &res.ReduceGroups)
-}
-
 // groupAndReduce sorts pairs by key (value bytes as tiebreaker, for fully
-// deterministic reduce input), groups equal keys, and applies the reducer.
-func groupAndReduce(r Reducer, pairs []shufflePair, emit Emit) error {
-	return groupAndReduceCounted(r, pairs, emit, nil)
-}
-
-func groupAndReduceCounted(r Reducer, pairs []shufflePair, emit Emit, groups *int64) error {
+// deterministic reduce input), groups equal keys, and applies the reducer,
+// counting the groups into groups when it is non-nil.
+func groupAndReduce(r Reducer, pairs []shufflePair, emit Emit, groups *int64) error {
 	// The sort permutes indexes, not pairs: the comparator is the one a stable
 	// sort of the pairs themselves would use, so the order is the same.
 	order := make([]int32, len(pairs))

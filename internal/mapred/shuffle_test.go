@@ -162,7 +162,7 @@ func TestShuffleReduceOrderUnchanged(t *testing.T) {
 		var want, got reduceTrace
 		sortedPairsReduce(t, &want, append([]shufflePair(nil), pairs...))
 		var groups int64
-		if err := groupAndReduceCounted(&got, pairs, nil, &groups); err != nil {
+		if err := groupAndReduce(&got, pairs, nil, &groups); err != nil {
 			t.Fatal(err)
 		}
 		if groups != int64(len(want)) {
@@ -176,7 +176,7 @@ func TestShuffleReduceOrderUnchanged(t *testing.T) {
 
 func TestShuffleSortReportsUnsupportedKey(t *testing.T) {
 	pairs := []shufflePair{{key: "a"}, {key: struct{}{}}, {key: "b"}}
-	if err := groupAndReduce(&reduceTrace{}, pairs, nil); err == nil {
+	if err := groupAndReduce(&reduceTrace{}, pairs, nil, nil); err == nil {
 		t.Error("a key Compare rejects sorted without an error")
 	}
 }
@@ -210,7 +210,7 @@ func BenchmarkShuffleReduce(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		copy(pairs, out.partitions[0])
 		var groups int64
-		if err := groupAndReduceCounted(sum, pairs, nil, &groups); err != nil || groups != nkeys {
+		if err := groupAndReduce(sum, pairs, nil, &groups); err != nil || groups != nkeys {
 			b.Fatalf("%d groups, %v", groups, err)
 		}
 	}
