@@ -401,18 +401,15 @@ func batchScan(fs *hdfs.FileSystem, model sim.CostModel, dataset string, proj []
 	}
 	tw.Flush()
 
-	batchStats := br.Shared
-	for _, res := range br.Results {
-		batchStats.Add(res.Total)
-	}
+	work := br.Work()
 	fmt.Printf("\nsolo:  charged %.2f MB, modeled %.3fs (sum of %d independent runs)\n",
 		float64(soloCharged)/(1<<20), soloSeconds, len(preds))
 	reduction := "nothing charged in either mode"
-	if charged := br.ChargedBytes(); charged > 0 {
+	if charged := work.IO.TotalChargedBytes(); charged > 0 {
 		reduction = fmt.Sprintf("%.1fx charged reduction", float64(soloCharged)/float64(charged))
 	}
 	fmt.Printf("batch: charged %.2f MB, modeled %.3fs — %d cursor opens avoided, %.2f MB saved (%s)\n",
-		float64(br.ChargedBytes())/(1<<20), model.ScanSeconds(batchStats),
+		float64(work.IO.TotalChargedBytes())/(1<<20), model.ScanSeconds(work),
 		br.Shared.SharedReads, float64(br.Shared.BytesSaved)/(1<<20), reduction)
 }
 
@@ -441,16 +438,15 @@ func sessionScan(fs *hdfs.FileSystem, model sim.CostModel, dataset string, proj 
 				i, warm.Total.RecordsProcessed, cold.Total.RecordsProcessed)
 			os.Exit(1)
 		}
-		hits, fromCache := mapred.CacheStats(br)
-		_, vecHits, decodeSaved := mapred.VecStats(br)
+		work := br.Work()
 		coldTotal += cold.Total.IO.TotalChargedBytes()
 		warmTotal += warm.Total.IO.TotalChargedBytes()
 		fmt.Fprintf(tw, "%d\t%s\t%d\t%.2f\t%.2f\t%d\t%.2f\t%d\t%d\t%.3fs\n",
 			i, p, warm.Total.RecordsProcessed,
 			float64(cold.Total.IO.TotalChargedBytes())/(1<<20),
 			float64(warm.Total.IO.TotalChargedBytes())/(1<<20),
-			hits, float64(fromCache)/(1<<20),
-			vecHits, decodeSaved,
+			work.CacheHits, float64(work.BytesFromCache)/(1<<20),
+			work.VecCacheHits, work.DecodeSavedValues,
 			model.ScanSeconds(warm.Total))
 	}
 	tw.Flush()

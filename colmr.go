@@ -323,34 +323,14 @@ func NewCrawl(opts CrawlOptions) *Crawl { return workload.NewCrawl(opts) }
 // NewSynthetic returns the synthetic-dataset generator.
 func NewSynthetic(seed int64) *Synthetic { return workload.NewSynthetic(seed) }
 
-// Experiments.
+// Experiments. colbench is the entry point for all of them; Figure 7 is
+// re-exported for examples/formatrace.
 type (
 	// ExperimentConfig controls experiment scale, seed, and output.
 	ExperimentConfig = bench.Config
-)
-
-// Experiment results, re-exported for programmatic use.
-type (
-	Figure7Result    = bench.Figure7Result
-	Table1Result     = bench.Table1Result
-	ColocationResult = bench.ColocationResult
-	Figure8Result    = bench.Figure8Result
-	Figure9Result    = bench.Figure9Result
-	Table2Result     = bench.Table2Result
-	Figure10Result   = bench.Figure10Result
-	Figure11Result   = bench.Figure11Result
-	// SelectivityResult is the pushdown-vs-scan-then-filter sweep (beyond
-	// the paper; see internal/bench/selectivity.go).
-	SelectivityResult = bench.SelectivityResult
-	// ElisionResult is the split-elision sweep: scheduler-tier pruning vs
-	// the group-tier-only baseline (internal/bench/elision.go).
-	ElisionResult = bench.ElisionResult
-	// SharedScanResult is the shared-scan sweep: co-scheduled batches vs
-	// independent runs (internal/bench/sharedscan.go).
-	SharedScanResult = bench.SharedScanResult
-	// CacheReuseResult is the cross-batch caching sweep: one session
-	// resubmitting a job vs cold runs (internal/bench/cachereuse.go).
-	CacheReuseResult = bench.CacheReuseResult
+	// Figure7Result is the Section 6.2 microbenchmark matrix: scan time per
+	// format and projection.
+	Figure7Result = bench.Figure7Result
 )
 
 // DefaultExperimentConfig returns the standard experiment configuration;
@@ -361,54 +341,5 @@ func DefaultExperimentConfig(out io.Writer) ExperimentConfig {
 	return cfg
 }
 
-// The experiment entry points regenerate the paper's tables and figures.
-func RunFigure7(cfg ExperimentConfig) (*Figure7Result, error)       { return bench.Figure7(cfg) }
-func RunTable1(cfg ExperimentConfig) (*Table1Result, error)         { return bench.Table1(cfg) }
-func RunColocation(cfg ExperimentConfig) (*ColocationResult, error) { return bench.Colocation(cfg) }
-func RunFigure8(cfg ExperimentConfig) (*Figure8Result, error)       { return bench.Figure8(cfg) }
-func RunFigure9(cfg ExperimentConfig) (*Figure9Result, error)       { return bench.Figure9(cfg) }
-func RunTable2(cfg ExperimentConfig) (*Table2Result, error)         { return bench.Table2(cfg) }
-func RunFigure10(cfg ExperimentConfig) (*Figure10Result, error)     { return bench.Figure10(cfg) }
-func RunFigure11(cfg ExperimentConfig) (*Figure11Result, error)     { return bench.Figure11(cfg) }
-
-// RunSelectivity sweeps predicate selectivity 0.01%-100% and compares
-// pushdown against scan-then-filter across the four column layouts.
-func RunSelectivity(cfg ExperimentConfig) (*SelectivityResult, error) { return bench.Selectivity(cfg) }
-
-// RunElision sweeps predicate selectivity over a many-split clustered
-// dataset and compares scheduler-tier split elision against the
-// group-tier-only baseline.
-func RunElision(cfg ExperimentConfig) (*ElisionResult, error) { return bench.Elision(cfg) }
-
-// RunSharedScan sweeps batch concurrency (1/2/4/8 jobs, overlapping vs
-// disjoint predicates) and compares co-scheduled shared scans against
-// independent runs.
-func RunSharedScan(cfg ExperimentConfig) (*SharedScanResult, error) { return bench.SharedScan(cfg) }
-
-// RunCacheReuse resubmits one job round after round to a long-lived Session
-// and compares its charged bytes against cold runs — the cross-batch scan
-// cache at work.
-func RunCacheReuse(cfg ExperimentConfig) (*CacheReuseResult, error) { return bench.CacheReuse(cfg) }
-
-// Ablation results for the design choices and for the paper's deferred
-// future work (re-replication after failures, split-granularity
-// parallelism).
-type (
-	SkipLevelsResult  = bench.SkipLevelsResult
-	ParallelismResult = bench.ParallelismResult
-	BlockSizeResult   = bench.BlockSizeResult
-	RecoveryResult    = bench.RecoveryResult
-)
-
-func RunAblationSkipLevels(cfg ExperimentConfig) (*SkipLevelsResult, error) {
-	return bench.AblationSkipLevels(cfg)
-}
-func RunAblationParallelism(cfg ExperimentConfig) (*ParallelismResult, error) {
-	return bench.AblationParallelism(cfg)
-}
-func RunAblationBlockSize(cfg ExperimentConfig) (*BlockSizeResult, error) {
-	return bench.AblationBlockSize(cfg)
-}
-func RunAblationRecovery(cfg ExperimentConfig) (*RecoveryResult, error) {
-	return bench.AblationRecovery(cfg)
-}
+// RunFigure7 regenerates the paper's Figure 7.
+func RunFigure7(cfg ExperimentConfig) (*Figure7Result, error) { return bench.Figure7(cfg) }

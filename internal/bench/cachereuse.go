@@ -150,14 +150,14 @@ func CacheReuse(cfg Config) (*CacheReuseResult, error) {
 				return nil, fmt.Errorf("%s round %d: warm matched %d records, cold %d",
 					arm.name, round, warm.Total.RecordsProcessed, cold.Total.RecordsProcessed)
 			}
-			hits, fromCache := mapred.CacheStats(br)
+			work := br.Work()
 			cell := CacheReuseCell{
 				Arm:            arm.name,
 				Round:          round,
 				Cold:           scanCost(cold.Total, model),
 				Warm:           scanCost(warm.Total, model),
-				CacheHits:      hits,
-				BytesFromCache: fromCache,
+				CacheHits:      work.CacheHits,
+				BytesFromCache: work.BytesFromCache,
 			}
 			cell.ChargedRatio = ratio(float64(cell.Cold.ChargedBytes), float64(cell.Warm.ChargedBytes))
 			coldCharged += cell.Cold.ChargedBytes

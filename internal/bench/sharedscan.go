@@ -147,16 +147,11 @@ func SharedScan(cfg Config) (*SharedScanResult, error) {
 				return nil, fmt.Errorf("batch %d/%v: %w", k, overlap, err)
 			}
 			// The batch profile: shared physical work once, plus every
-			// job's (logical) map-side counters.
-			batchStats := br.Shared
-			var batchMatches int64
-			for _, r := range br.Results {
-				batchStats.Add(r.Total)
-				batchMatches += r.Total.RecordsProcessed
-			}
-			if batchMatches != soloMatches {
+			// job's own counters.
+			work := br.Work()
+			if work.RecordsProcessed != soloMatches {
 				return nil, fmt.Errorf("at %d jobs (overlap=%v): batch matched %d records, solo %d",
-					k, overlap, batchMatches, soloMatches)
+					k, overlap, work.RecordsProcessed, soloMatches)
 			}
 
 			cell := SharedScanCell{
@@ -164,7 +159,7 @@ func SharedScan(cfg Config) (*SharedScanResult, error) {
 				Overlap:     overlap,
 				Matches:     soloMatches,
 				Solo:        scanCost(soloStats, model),
-				Batch:       scanCost(batchStats, model),
+				Batch:       scanCost(work, model),
 				SharedTasks: br.SharedTasks,
 				SharedReads: br.Shared.SharedReads,
 				BytesSaved:  br.Shared.BytesSaved,

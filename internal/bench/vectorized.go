@@ -235,12 +235,12 @@ func Vectorized(cfg Config) (*VectorizedResult, error) {
 					return nil, fmt.Errorf("%s %s: warm round %d matched %d records, scalar %d",
 						lay.name, arm.name, round, warm.Total.RecordsProcessed, cell.Matches)
 				}
-				_, hits, saved := mapred.VecStats(br)
+				work := br.Work()
 				cell.Warm = append(cell.Warm, VectorizedRound{
 					Cost:         scanCost(warm.Total, model),
 					CPU:          cpu(warm.Total),
-					VecCacheHits: hits,
-					DecodeSaved:  saved,
+					VecCacheHits: work.VecCacheHits,
+					DecodeSaved:  work.DecodeSavedValues,
 				})
 			}
 			res.Cells = append(res.Cells, cell)

@@ -310,7 +310,7 @@ func (r *Reader) addMember(spec *scan.Spec, columns []string, stats *sim.TaskSta
 	if len(columns) > 0 {
 		var err error
 		if m.proj, err = schema.Project(columns...); err != nil {
-			return err
+			return &scan.QueryError{Err: err}
 		}
 	} else {
 		columns = schema.FieldNames()
@@ -318,13 +318,13 @@ func (r *Reader) addMember(spec *scan.Spec, columns []string, stats *sim.TaskSta
 	m.columns = columns
 	for _, col := range m.planner.FilterColumns() {
 		if schema.Field(col) == nil {
-			return fmt.Errorf("core: predicate references unknown column %q", col)
+			return &scan.QueryError{Err: fmt.Errorf("core: predicate references unknown column %q", col)}
 		}
 	}
 	m.aggCols = spec.Agg.Columns(nil)
 	for _, col := range m.aggCols {
 		if schema.Field(col) == nil {
-			return fmt.Errorf("core: aggregate references unknown column %q", col)
+			return &scan.QueryError{Err: fmt.Errorf("core: aggregate references unknown column %q", col)}
 		}
 	}
 	r.members = append(r.members, m)

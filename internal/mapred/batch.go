@@ -45,15 +45,16 @@ type BatchResult struct {
 	Declined int
 }
 
-// ChargedBytes is the batch's total charged traffic: shared cursors once,
-// plus whatever the per-job results charged on their own (groups of one,
-// reduce-side writes).
-func (b *BatchResult) ChargedBytes() int64 {
-	total := b.Shared.IO.TotalChargedBytes()
+// Work is the batch's total work: the shared cursor sets once, plus every
+// job's own map- and reduce-side work (groups of one, logical counters,
+// output writes).
+func (b *BatchResult) Work() sim.TaskStats {
+	w := b.Shared
 	for _, r := range b.Results {
-		total += r.Total.IO.TotalChargedBytes() + r.ReduceStats.IO.TotalChargedBytes()
+		w.Add(r.Total)
+		w.Add(r.ReduceStats)
 	}
-	return total
+	return w
 }
 
 // RunBatch executes the jobs as one batch, co-scheduling shared scans where

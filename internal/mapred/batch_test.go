@@ -227,7 +227,7 @@ func TestBatchChargesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batchCharged := br.ChargedBytes()
+	batchCharged := br.Work().IO.TotalChargedBytes()
 	if batchCharged <= 0 || soloCharged <= 0 {
 		t.Fatalf("degenerate measurement: solo %d, batch %d", soloCharged, batchCharged)
 	}

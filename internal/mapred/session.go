@@ -114,41 +114,3 @@ func (s *Session) VecCacheUsage() (bytes int64, vectors int) {
 func (s *Session) CacheUsage() (bytes int64, regions int) {
 	return s.cache.Used(), s.cache.Regions()
 }
-
-// CacheStats sums a batch's cache counters: hits and bytes served from the
-// session cache across the jobs' tasks and the shared cursor sets.
-func CacheStats(br *BatchResult) (hits, bytes int64) {
-	if br == nil {
-		return 0, 0
-	}
-	hits, bytes = br.Shared.CacheHits, br.Shared.BytesFromCache
-	for _, r := range br.Results {
-		if r == nil {
-			continue
-		}
-		hits += r.Total.CacheHits
-		bytes += r.Total.BytesFromCache
-	}
-	return hits, bytes
-}
-
-// VecStats sums a batch's vectorized-execution counters: rows evaluated
-// batch-at-a-time, vector-cache hits, and decoded values those hits saved,
-// across the jobs' tasks and the shared cursor sets.
-func VecStats(br *BatchResult) (rows, hits, saved int64) {
-	if br == nil {
-		return 0, 0, 0
-	}
-	rows = br.Shared.RowsVectorized
-	hits = br.Shared.VecCacheHits
-	saved = br.Shared.DecodeSavedValues
-	for _, r := range br.Results {
-		if r == nil {
-			continue
-		}
-		rows += r.Total.RowsVectorized
-		hits += r.Total.VecCacheHits
-		saved += r.Total.DecodeSavedValues
-	}
-	return rows, hits, saved
-}

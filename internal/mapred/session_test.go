@@ -61,8 +61,8 @@ func TestSessionCacheOffIsEngine(t *testing.T) {
 	if !reflect.DeepEqual(engRes, sessRes) {
 		t.Errorf("CacheBytes 0 session diverged from engine:\nengine:  %+v\nsession: %+v", engRes, sessRes)
 	}
-	if hits, bytes := mapred.CacheStats(sessRes); hits != 0 || bytes != 0 {
-		t.Errorf("cache counters fired with caching disabled: %d hits, %d bytes", hits, bytes)
+	if w := sessRes.Work(); w.CacheHits != 0 || w.BytesFromCache != 0 {
+		t.Errorf("cache counters fired with caching disabled: %d hits, %d bytes", w.CacheHits, w.BytesFromCache)
 	}
 }
 
@@ -85,7 +85,8 @@ func TestSessionCacheReuseAcrossBatches(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		hits, fromCache := mapred.CacheStats(br)
+		w := br.Work()
+		hits, fromCache := w.CacheHits, w.BytesFromCache
 		if round == 0 {
 			if hits != 0 {
 				t.Errorf("round 0 hit an empty cache %d times", hits)
@@ -292,7 +293,7 @@ func TestSessionCacheReuseEquivalenceProperty(t *testing.T) {
 				if err != nil {
 					t.Fatalf("round %d batch %d mode %s: %v", round, b, mode.name, err)
 				}
-				hits, _ := mapred.CacheStats(br)
+				hits := br.Work().CacheHits
 				if mode.bytes == 0 && hits != 0 {
 					t.Fatalf("round %d batch %d: cache-off session reported %d hits", round, b, hits)
 				}

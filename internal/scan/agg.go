@@ -250,7 +250,7 @@ func groupKeyOf(v any) (gkey, error) {
 	case []byte:
 		return gkey{kind: 's', s: string(x)}, nil
 	}
-	return gkey{}, fmt.Errorf("scan: group by value of unsupported type %T", v)
+	return gkey{}, queryErrorf("scan: group by value of unsupported type %T", v)
 }
 
 // aggAcc accumulates one function over one group.
@@ -333,7 +333,7 @@ func (s *AggState) groupID(key gkey, val any) (int32, error) {
 // addGroup numbers a group whose key the index does not hold yet.
 func (s *AggState) addGroup(key gkey, val any) (int32, error) {
 	if len(s.keys) >= maxAggGroups {
-		return 0, fmt.Errorf("scan: group by %q exceeds %d groups", s.agg.GroupBy, maxAggGroups)
+		return 0, queryErrorf("scan: group by %q exceeds %d groups", s.agg.GroupBy, maxAggGroups)
 	}
 	id := int32(len(s.keys))
 	switch key.kind {
@@ -385,7 +385,7 @@ func (acc *aggAcc) foldValue(kind AggKind, col string, v any) error {
 		if acc.hasVal {
 			c, ok := CompareValues(v, acc.bound)
 			if !ok {
-				return fmt.Errorf("scan: cannot compare %s(%s) value %T with %T", kind, col, v, acc.bound)
+				return queryErrorf("scan: cannot compare %s(%s) value %T with %T", kind, col, v, acc.bound)
 			}
 			if !kind.improves(c) {
 				return nil
@@ -404,7 +404,7 @@ func (acc *aggAcc) foldValue(kind AggKind, col string, v any) error {
 			acc.sumF += x
 			acc.sumIsF = true
 		default:
-			return fmt.Errorf("scan: %s(%s) over non-numeric value %T", kind, col, v)
+			return queryErrorf("scan: %s(%s) over non-numeric value %T", kind, col, v)
 		}
 		if kind == AggAvg {
 			acc.count++

@@ -9,6 +9,18 @@ import (
 	"strings"
 )
 
+// QueryError is an error the query caused rather than the data: it names a
+// column the dataset lacks, or compares, folds or groups values as a type
+// they are not. The scan server answers it as a bad request.
+type QueryError struct{ Err error }
+
+func (e *QueryError) Error() string { return e.Err.Error() }
+func (e *QueryError) Unwrap() error { return e.Err }
+
+func queryErrorf(format string, args ...any) error {
+	return &QueryError{fmt.Errorf(format, args...)}
+}
+
 // Tri is the outcome of zone-map pruning.
 type Tri int
 
@@ -496,7 +508,7 @@ func (p *cmpPred) Eval(ev Evaluator) (bool, error) {
 	}
 	c, ok := CompareValues(v, p.lit)
 	if !ok {
-		return false, fmt.Errorf("scan: cannot compare column %q value %T with literal %T", p.col, v, p.lit)
+		return false, queryErrorf("scan: cannot compare column %q value %T with literal %T", p.col, v, p.lit)
 	}
 	return opHolds(p.op, c), nil
 }
@@ -623,7 +635,7 @@ func (p *rangePred) Eval(ev Evaluator) (bool, error) {
 	cLo, okLo := CompareValues(v, p.lo)
 	cHi, okHi := CompareValues(v, p.hi)
 	if !okLo || !okHi {
-		return false, fmt.Errorf("scan: cannot compare column %q value %T with range [%T, %T]", p.col, v, p.lo, p.hi)
+		return false, queryErrorf("scan: cannot compare column %q value %T with range [%T, %T]", p.col, v, p.lo, p.hi)
 	}
 	return cLo >= 0 && cHi <= 0, nil
 }
@@ -686,7 +698,7 @@ func (p *prefixPred) Eval(ev Evaluator) (bool, error) {
 	case []byte:
 		return bytes.HasPrefix(s, []byte(p.prefix)), nil
 	}
-	return false, fmt.Errorf("scan: prefix on non-string column %q (%T)", p.col, v)
+	return false, queryErrorf("scan: prefix on non-string column %q (%T)", p.col, v)
 }
 
 // prefixUpper returns the smallest string greater than every string with
@@ -815,7 +827,7 @@ func (p *keyPred) Eval(ev Evaluator) (bool, error) {
 	}
 	m, ok := v.(map[string]any)
 	if !ok {
-		return false, fmt.Errorf("scan: exists on non-map column %q (%T)", p.col, v)
+		return false, queryErrorf("scan: exists on non-map column %q (%T)", p.col, v)
 	}
 	_, has := m[p.key]
 	return has, nil

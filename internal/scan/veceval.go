@@ -2,7 +2,6 @@ package scan
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 )
 
@@ -159,7 +158,7 @@ func (p *cmpPred) VecEval(src VecSource, in *Selection) (*Selection, error) {
 		}
 		c, ok := CompareValues(val, p.lit)
 		if !ok {
-			return nil, fmt.Errorf("scan: cannot compare column %q value %T with literal %T", p.col, val, p.lit)
+			return nil, queryErrorf("scan: cannot compare column %q value %T with literal %T", p.col, val, p.lit)
 		}
 		if opHolds(p.op, c) {
 			out.Set(i)
@@ -196,7 +195,7 @@ func (p *rangePred) VecEval(src VecSource, in *Selection) (*Selection, error) {
 		cLo, okLo := CompareValues(val, p.lo)
 		cHi, okHi := CompareValues(val, p.hi)
 		if !okLo || !okHi {
-			return nil, fmt.Errorf("scan: cannot compare column %q value %T with range [%T, %T]", p.col, val, p.lo, p.hi)
+			return nil, queryErrorf("scan: cannot compare column %q value %T with range [%T, %T]", p.col, val, p.lo, p.hi)
 		}
 		if cLo >= 0 && cHi <= 0 {
 			out.Set(i)
@@ -242,7 +241,7 @@ func (p *prefixPred) VecEval(src VecSource, in *Selection) (*Selection, error) {
 				out.Set(i)
 			}
 		default:
-			return nil, fmt.Errorf("scan: prefix on non-string column %q (%T)", p.col, s)
+			return nil, queryErrorf("scan: prefix on non-string column %q (%T)", p.col, s)
 		}
 	}
 	return out, nil
@@ -325,7 +324,7 @@ func (p *keyPred) VecEval(src VecSource, in *Selection) (*Selection, error) {
 		}
 		m, ok := val.(map[string]any)
 		if !ok {
-			return nil, fmt.Errorf("scan: exists on non-map column %q (%T)", p.col, val)
+			return nil, queryErrorf("scan: exists on non-map column %q (%T)", p.col, val)
 		}
 		if _, has := m[p.key]; has {
 			out.Set(i)

@@ -323,7 +323,11 @@ func (h *httpHandler) query(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := ticket.Wait()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		status := http.StatusInternalServerError
+		if errors.As(err, new(*scan.QueryError)) {
+			status = http.StatusBadRequest
+		}
+		writeError(w, status, "%v", err)
 		return
 	}
 

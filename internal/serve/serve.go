@@ -71,12 +71,9 @@ type Server struct {
 }
 
 type totals struct {
-	completed, failed         int64
-	batches, sharedBatches    int64
-	chargedBytes, bytesSaved  int64
-	sharedReads               int64
-	cacheHits, bytesFromCache int64
-	matched                   int64
+	completed, failed      int64
+	batches, sharedBatches int64
+	Charges
 }
 
 // Ticket is the handle Enqueue returns: it resolves when the query's batch
@@ -455,28 +452,14 @@ func (s *Server) runBatch(b *batch) {
 		jobs[i] = q.job
 	}
 	b.br, b.err = s.session.RunBatch(jobs...)
+	// The batch's modeled service time prices its whole work as one
+	// single-node scan; linear pricing makes a batch of one cost exactly its
+	// solo run.
 	if b.err == nil {
-		b.runSeconds = s.batchSeconds(b.br)
+		b.runSeconds = s.model.ScanSeconds(b.br.Work())
 	}
 	select {
 	case s.events <- event{kind: evDone, at: s.clock.Now(), b: b}:
 	case <-s.stopped:
 	}
-}
-
-// batchSeconds prices a batch's modeled service time: the shared cursor
-// work (charged once) plus every member's own map- and reduce-side work,
-// run as one single-node scan. Linear pricing means a batch of one costs
-// exactly its solo run.
-func (s *Server) batchSeconds(br *mapred.BatchResult) float64 {
-	var st sim.TaskStats
-	st.Add(br.Shared)
-	for _, r := range br.Results {
-		if r == nil {
-			continue
-		}
-		st.Add(r.Total)
-		st.Add(r.ReduceStats)
-	}
-	return s.model.ScanSeconds(st)
 }

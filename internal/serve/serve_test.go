@@ -19,7 +19,7 @@ import (
 
 // svFixture writes a small clustered dataset at /d: "t" monotone 0..n-1 so
 // split-directories cover disjoint ranges, "s" a projectable payload.
-func svFixture(t *testing.T, seed int64) *hdfs.FileSystem {
+func svFixture(t testing.TB, seed int64) *hdfs.FileSystem {
 	t.Helper()
 	const records = 120
 	fs := hdfs.New(sim.SingleNode(), seed)

@@ -24,6 +24,13 @@ type Report struct {
 	ArriveAt   float64 `json:"arriveAt"`
 	SealAt     float64 `json:"sealAt"`
 	RunSeconds float64 `json:"runSeconds"`
+	Charges
+}
+
+// Charges is what a query is charged: the records it matched and the work
+// attributed to it. A served query's charges are computed once, in resolve,
+// and summed from there into its tenant's and the server's.
+type Charges struct {
 	// Matched is the records delivered to the query's map function.
 	Matched int64 `json:"matched"`
 	// ChargedBytes is the query's own physical traffic plus its share of
@@ -35,16 +42,44 @@ type Report struct {
 	BytesSaved     int64 `json:"bytesSaved"`
 }
 
+// chargesOf reads the chargeable counters of st.
+func chargesOf(st sim.TaskStats) Charges {
+	return Charges{Matched: st.RecordsProcessed, ChargedBytes: st.IO.TotalChargedBytes(),
+		CacheHits: st.CacheHits, BytesFromCache: st.BytesFromCache,
+		SharedReads: st.SharedReads, BytesSaved: st.BytesSaved}
+}
+
+func (c *Charges) counters() [6]*int64 {
+	return [...]*int64{&c.Matched, &c.ChargedBytes, &c.CacheHits, &c.BytesFromCache,
+		&c.SharedReads, &c.BytesSaved}
+}
+
+func (c *Charges) add(o Charges) {
+	dst, src := c.counters(), o.counters()
+	for i := range dst {
+		*dst[i] += *src[i]
+	}
+}
+
+// share is member i's even share of c among n members: each counter's
+// floor share, plus one unit of its remainder if i is early enough. The n
+// shares always sum exactly to c.
+func (c Charges) share(n, i int) Charges {
+	for _, p := range c.counters() {
+		rem := *p % int64(n)
+		*p /= int64(n)
+		if int64(i) < rem {
+			*p++
+		}
+	}
+	return c
+}
+
 // TenantStats aggregates one tenant's served queries.
 type TenantStats struct {
-	Queries        int64 `json:"queries"`
-	Failed         int64 `json:"failed"`
-	Matched        int64 `json:"matched"`
-	ChargedBytes   int64 `json:"chargedBytes"`
-	CacheHits      int64 `json:"cacheHits"`
-	BytesFromCache int64 `json:"bytesFromCache"`
-	SharedReads    int64 `json:"sharedReads"`
-	BytesSaved     int64 `json:"bytesSaved"`
+	Queries int64 `json:"queries"`
+	Failed  int64 `json:"failed"`
+	Charges
 	// Wait and Latency summarize the tenant's modeled admission-to-start
 	// and admission-to-finish times (completed batches whose predecessors
 	// have also completed; final after Drain).
@@ -120,27 +155,15 @@ func (s *Server) recordSeal(b *batch) {
 	s.mu.Unlock()
 }
 
-// evenShare splits total across n members: member i gets the floor share
-// plus one unit of the remainder if i is early enough. Shares always sum
-// exactly to total.
-func evenShare(total int64, n, i int) int64 {
-	share := total / int64(n)
-	if int64(i) < total%int64(n) {
-		share++
-	}
-	return share
-}
-
 // resolve publishes a completed batch: per-query reports and tickets,
 // tenant rollups, and server totals. Called from the dispatcher, so tenant
 // accounting needs no internal ordering decisions.
 func (s *Server) resolve(b *batch) {
 	n := len(b.members)
-	var shared sim.TaskStats
+	var shared Charges
 	if b.br != nil {
-		shared = b.br.Shared
+		shared = chargesOf(b.br.Shared)
 	}
-	sharedCharged := shared.IO.TotalChargedBytes()
 
 	s.mu.Lock()
 	rec := s.records[b.seq]
@@ -169,28 +192,13 @@ func (s *Server) resolve(b *batch) {
 			t.Failed++
 			s.totals.failed++
 		} else {
-			r := b.br.Results[i]
-			rep.Matched = r.Total.RecordsProcessed
-			rep.ChargedBytes = r.Total.IO.TotalChargedBytes() + r.ReduceStats.IO.TotalChargedBytes() +
-				evenShare(sharedCharged, n, i)
-			rep.CacheHits = r.Total.CacheHits + r.ReduceStats.CacheHits + evenShare(shared.CacheHits, n, i)
-			rep.BytesFromCache = r.Total.BytesFromCache + r.ReduceStats.BytesFromCache + evenShare(shared.BytesFromCache, n, i)
-			rep.SharedReads = evenShare(shared.SharedReads, n, i)
-			rep.BytesSaved = evenShare(shared.BytesSaved, n, i)
-
-			t.Matched += rep.Matched
-			t.ChargedBytes += rep.ChargedBytes
-			t.CacheHits += rep.CacheHits
-			t.BytesFromCache += rep.BytesFromCache
-			t.SharedReads += rep.SharedReads
-			t.BytesSaved += rep.BytesSaved
-
-			s.totals.matched += rep.Matched
-			s.totals.chargedBytes += rep.ChargedBytes
-			s.totals.cacheHits += rep.CacheHits
-			s.totals.bytesFromCache += rep.BytesFromCache
-			s.totals.sharedReads += rep.SharedReads
-			s.totals.bytesSaved += rep.BytesSaved
+			// The member's own work, plus its even share of the shared.
+			own := b.br.Results[i].Total
+			own.Add(b.br.Results[i].ReduceStats)
+			rep.Charges = chargesOf(own)
+			rep.Charges.add(shared.share(n, i))
+			t.Charges.add(rep.Charges)
+			s.totals.add(rep.Charges)
 		}
 		q.ticket.report = rep
 	}
@@ -227,12 +235,12 @@ func (s *Server) Stats() Stats {
 		WaitingBatches: s.gWaiting,
 		RunningBatches: s.gRunning,
 		Draining:       s.draining.Load(),
-		ChargedBytes:   s.totals.chargedBytes,
-		BytesSaved:     s.totals.bytesSaved,
-		SharedReads:    s.totals.sharedReads,
-		CacheHits:      s.totals.cacheHits,
-		BytesFromCache: s.totals.bytesFromCache,
-		RecordsMatched: s.totals.matched,
+		ChargedBytes:   s.totals.ChargedBytes,
+		BytesSaved:     s.totals.BytesSaved,
+		SharedReads:    s.totals.SharedReads,
+		CacheHits:      s.totals.CacheHits,
+		BytesFromCache: s.totals.BytesFromCache,
+		RecordsMatched: s.totals.Matched,
 		Tenants:        make(map[string]TenantStats, len(s.tenants)),
 	}
 

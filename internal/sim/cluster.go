@@ -9,6 +9,11 @@
 // calibrated against the paper's cluster (VLDB 2011, Section 6.1) and its
 // Figure 8 deserialization-rate measurements. Pricing is pure arithmetic, so
 // experiment output is identical on every host machine.
+//
+// IOStats, CPUStats and TaskStats each list their counters once, in a
+// counters method that Add and Scale range over. Adding a counter means
+// adding a field and its entry in that list; a test fails by name for any
+// int64 field the list leaves out.
 package sim
 
 // ClusterConfig describes the modeled Hadoop cluster. The defaults mirror

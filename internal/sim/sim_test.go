@@ -2,8 +2,12 @@ package sim
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"colmr/internal/race"
 )
 
 func TestDefaultClusterMatchesPaper(t *testing.T) {
@@ -206,5 +210,82 @@ func TestScaleIntRounds(t *testing.T) {
 	}
 	if got := scaleInt(0, 123); got != 0 {
 		t.Errorf("scaleInt(0, 123) = %d, want 0", got)
+	}
+}
+
+// counterSet is a stats struct whose Add and Scale range over its counter
+// list.
+type counterSet[T any] interface {
+	*T
+	Add(T)
+	Scale(float64)
+}
+
+// int64Fields returns the index path of every int64 field of t, nested
+// structs included.
+func int64Fields(t reflect.Type, prefix []int) [][]int {
+	var out [][]int
+	for i := 0; i < t.NumField(); i++ {
+		path := append(slices.Clone(prefix), i)
+		switch f := t.Field(i); f.Type.Kind() {
+		case reflect.Int64:
+			out = append(out, path)
+		case reflect.Struct:
+			out = append(out, int64Fields(f.Type, path)...)
+		}
+	}
+	return out
+}
+
+// checkCounterList sets each int64 field of a T alone and checks that Add
+// and Scale move exactly that field, so a counter missing from its list
+// fails here by name.
+func checkCounterList[T any, P counterSet[T]](t *testing.T) {
+	typ := reflect.TypeFor[T]()
+	with := func(path []int, v int64) T {
+		var s T
+		reflect.ValueOf(&s).Elem().FieldByIndex(path).SetInt(v)
+		return s
+	}
+	for _, path := range int64Fields(typ, nil) {
+		name, ft := typ.Name(), typ
+		for _, i := range path {
+			name, ft = name+"."+ft.Field(i).Name, ft.Field(i).Type
+		}
+		one := with(path, 3)
+		var sum T
+		P(&sum).Add(one)
+		P(&sum).Add(one)
+		if want := with(path, 6); !reflect.DeepEqual(sum, want) {
+			t.Errorf("%s: Add twice = %+v, want %+v", name, sum, want)
+		}
+		P(&one).Scale(2.5)
+		if want := with(path, 8); !reflect.DeepEqual(one, want) {
+			t.Errorf("%s: Scale(2.5) = %+v, want %+v", name, one, want)
+		}
+	}
+}
+
+func TestStatsCounterListsCoverEveryField(t *testing.T) {
+	checkCounterList[IOStats](t)
+	checkCounterList[CPUStats](t)
+	checkCounterList[TaskStats](t)
+}
+
+// Add and Scale run per task, per batch and per served query; they must not
+// allocate.
+func TestTaskStatsAllocCeiling(t *testing.T) {
+	var s TaskStats
+	o := TaskStats{IO: IOStats{LocalBytes: 1}, CPU: CPUStats{VecValues: 2}, RowsVectorized: 3}
+	race.AllocCeiling(t, "TaskStats.Add", testing.AllocsPerRun(100, func() { s.Add(o) }), 0)
+	race.AllocCeiling(t, "TaskStats.Scale", testing.AllocsPerRun(100, func() { s.Scale(1) }), 0)
+}
+
+func BenchmarkTaskStatsAdd(b *testing.B) {
+	var s TaskStats
+	o := TaskStats{IO: IOStats{LocalBytes: 1}, CPU: CPUStats{VecValues: 2}, RowsVectorized: 3}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s.Add(o)
 	}
 }

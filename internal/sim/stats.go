@@ -36,28 +36,27 @@ type IOStats struct {
 	BytesWritten int64
 }
 
+// counters lists every counter of s once: Add and Scale range over it.
+func (s *IOStats) counters() [7]*int64 {
+	return [...]*int64{&s.LocalBytes, &s.RemoteBytes, &s.LogicalBytes, &s.Seeks,
+		&s.InterleavedBytes, &s.Opens, &s.BytesWritten}
+}
+
 // Add accumulates o into s.
 func (s *IOStats) Add(o IOStats) {
-	s.LocalBytes += o.LocalBytes
-	s.RemoteBytes += o.RemoteBytes
-	s.LogicalBytes += o.LogicalBytes
-	s.Seeks += o.Seeks
-	s.InterleavedBytes += o.InterleavedBytes
-	s.Opens += o.Opens
-	s.BytesWritten += o.BytesWritten
+	dst, src := s.counters(), o.counters()
+	for i := range dst {
+		*dst[i] += *src[i]
+	}
 }
 
 // Scale multiplies every counter by k. Used to extrapolate a laptop-scale
 // measurement to the paper's dataset size; all counters are linear in
 // dataset size for a fixed layout geometry.
 func (s *IOStats) Scale(k float64) {
-	s.LocalBytes = scaleInt(s.LocalBytes, k)
-	s.RemoteBytes = scaleInt(s.RemoteBytes, k)
-	s.LogicalBytes = scaleInt(s.LogicalBytes, k)
-	s.Seeks = scaleInt(s.Seeks, k)
-	s.InterleavedBytes = scaleInt(s.InterleavedBytes, k)
-	s.Opens = scaleInt(s.Opens, k)
-	s.BytesWritten = scaleInt(s.BytesWritten, k)
+	for _, p := range s.counters() {
+		*p = scaleInt(*p, k)
+	}
 }
 
 // TotalChargedBytes is the total traffic charged to disks and network.
@@ -109,46 +108,27 @@ type CPUStats struct {
 	VecValues int64
 }
 
+// counters lists every counter of s once: Add and Scale range over it.
+func (s *CPUStats) counters() [17]*int64 {
+	return [...]*int64{&s.RawBytes, &s.IntBytes, &s.DoubleBytes, &s.StringBytes,
+		&s.MapBytes, &s.TextBytes, &s.SkippedBytes, &s.ZlibBytes, &s.LzoBytes,
+		&s.DictBytes, &s.ZlibCompBytes, &s.LzoCompBytes, &s.DictCompBytes,
+		&s.RecordsMaterialized, &s.ValuesMaterialized, &s.VecBytes, &s.VecValues}
+}
+
 // Add accumulates o into s.
 func (s *CPUStats) Add(o CPUStats) {
-	s.RawBytes += o.RawBytes
-	s.IntBytes += o.IntBytes
-	s.DoubleBytes += o.DoubleBytes
-	s.StringBytes += o.StringBytes
-	s.MapBytes += o.MapBytes
-	s.TextBytes += o.TextBytes
-	s.SkippedBytes += o.SkippedBytes
-	s.ZlibBytes += o.ZlibBytes
-	s.LzoBytes += o.LzoBytes
-	s.DictBytes += o.DictBytes
-	s.ZlibCompBytes += o.ZlibCompBytes
-	s.LzoCompBytes += o.LzoCompBytes
-	s.DictCompBytes += o.DictCompBytes
-	s.RecordsMaterialized += o.RecordsMaterialized
-	s.ValuesMaterialized += o.ValuesMaterialized
-	s.VecBytes += o.VecBytes
-	s.VecValues += o.VecValues
+	dst, src := s.counters(), o.counters()
+	for i := range dst {
+		*dst[i] += *src[i]
+	}
 }
 
 // Scale multiplies every counter by k.
 func (s *CPUStats) Scale(k float64) {
-	s.RawBytes = scaleInt(s.RawBytes, k)
-	s.IntBytes = scaleInt(s.IntBytes, k)
-	s.DoubleBytes = scaleInt(s.DoubleBytes, k)
-	s.StringBytes = scaleInt(s.StringBytes, k)
-	s.MapBytes = scaleInt(s.MapBytes, k)
-	s.TextBytes = scaleInt(s.TextBytes, k)
-	s.SkippedBytes = scaleInt(s.SkippedBytes, k)
-	s.ZlibBytes = scaleInt(s.ZlibBytes, k)
-	s.LzoBytes = scaleInt(s.LzoBytes, k)
-	s.DictBytes = scaleInt(s.DictBytes, k)
-	s.ZlibCompBytes = scaleInt(s.ZlibCompBytes, k)
-	s.LzoCompBytes = scaleInt(s.LzoCompBytes, k)
-	s.DictCompBytes = scaleInt(s.DictCompBytes, k)
-	s.RecordsMaterialized = scaleInt(s.RecordsMaterialized, k)
-	s.ValuesMaterialized = scaleInt(s.ValuesMaterialized, k)
-	s.VecBytes = scaleInt(s.VecBytes, k)
-	s.VecValues = scaleInt(s.VecValues, k)
+	for _, p := range s.counters() {
+		*p = scaleInt(*p, k)
+	}
 }
 
 // TaskStats is the complete work profile of one task (or one scan).
@@ -251,66 +231,35 @@ type TaskStats struct {
 	FreshPartitionsScanned int64
 }
 
+// counters lists every counter of s outside IO and CPU once: Add and Scale
+// range over it.
+func (s *TaskStats) counters() [25]*int64 {
+	return [...]*int64{&s.RecordsProcessed, &s.OutputBytes, &s.OutputRecords,
+		&s.GroupsPruned, &s.RecordsPruned, &s.BloomPruned, &s.RecordsFiltered,
+		&s.SplitsPruned, &s.FilesPruned, &s.SharedReads, &s.BytesSaved,
+		&s.CacheHits, &s.BytesFromCache, &s.VecBatches, &s.RowsVectorized,
+		&s.VecCacheHits, &s.DecodeSavedValues, &s.AggBatches, &s.RowsAggregated,
+		&s.AggGroupsShortcut, &s.DictIdCompares, &s.FlushedFiles,
+		&s.CompactionBytes, &s.UpsertsResolved, &s.FreshPartitionsScanned}
+}
+
 // Add accumulates o into s.
 func (s *TaskStats) Add(o TaskStats) {
 	s.IO.Add(o.IO)
 	s.CPU.Add(o.CPU)
-	s.RecordsProcessed += o.RecordsProcessed
-	s.OutputBytes += o.OutputBytes
-	s.OutputRecords += o.OutputRecords
-	s.GroupsPruned += o.GroupsPruned
-	s.RecordsPruned += o.RecordsPruned
-	s.BloomPruned += o.BloomPruned
-	s.RecordsFiltered += o.RecordsFiltered
-	s.SplitsPruned += o.SplitsPruned
-	s.FilesPruned += o.FilesPruned
-	s.SharedReads += o.SharedReads
-	s.BytesSaved += o.BytesSaved
-	s.CacheHits += o.CacheHits
-	s.BytesFromCache += o.BytesFromCache
-	s.VecBatches += o.VecBatches
-	s.RowsVectorized += o.RowsVectorized
-	s.VecCacheHits += o.VecCacheHits
-	s.DecodeSavedValues += o.DecodeSavedValues
-	s.AggBatches += o.AggBatches
-	s.RowsAggregated += o.RowsAggregated
-	s.AggGroupsShortcut += o.AggGroupsShortcut
-	s.DictIdCompares += o.DictIdCompares
-	s.FlushedFiles += o.FlushedFiles
-	s.CompactionBytes += o.CompactionBytes
-	s.UpsertsResolved += o.UpsertsResolved
-	s.FreshPartitionsScanned += o.FreshPartitionsScanned
+	dst, src := s.counters(), o.counters()
+	for i := range dst {
+		*dst[i] += *src[i]
+	}
 }
 
 // Scale multiplies every counter by k.
 func (s *TaskStats) Scale(k float64) {
 	s.IO.Scale(k)
 	s.CPU.Scale(k)
-	s.RecordsProcessed = scaleInt(s.RecordsProcessed, k)
-	s.OutputBytes = scaleInt(s.OutputBytes, k)
-	s.OutputRecords = scaleInt(s.OutputRecords, k)
-	s.GroupsPruned = scaleInt(s.GroupsPruned, k)
-	s.RecordsPruned = scaleInt(s.RecordsPruned, k)
-	s.BloomPruned = scaleInt(s.BloomPruned, k)
-	s.RecordsFiltered = scaleInt(s.RecordsFiltered, k)
-	s.SplitsPruned = scaleInt(s.SplitsPruned, k)
-	s.FilesPruned = scaleInt(s.FilesPruned, k)
-	s.SharedReads = scaleInt(s.SharedReads, k)
-	s.BytesSaved = scaleInt(s.BytesSaved, k)
-	s.CacheHits = scaleInt(s.CacheHits, k)
-	s.BytesFromCache = scaleInt(s.BytesFromCache, k)
-	s.VecBatches = scaleInt(s.VecBatches, k)
-	s.RowsVectorized = scaleInt(s.RowsVectorized, k)
-	s.VecCacheHits = scaleInt(s.VecCacheHits, k)
-	s.DecodeSavedValues = scaleInt(s.DecodeSavedValues, k)
-	s.AggBatches = scaleInt(s.AggBatches, k)
-	s.RowsAggregated = scaleInt(s.RowsAggregated, k)
-	s.AggGroupsShortcut = scaleInt(s.AggGroupsShortcut, k)
-	s.DictIdCompares = scaleInt(s.DictIdCompares, k)
-	s.FlushedFiles = scaleInt(s.FlushedFiles, k)
-	s.CompactionBytes = scaleInt(s.CompactionBytes, k)
-	s.UpsertsResolved = scaleInt(s.UpsertsResolved, k)
-	s.FreshPartitionsScanned = scaleInt(s.FreshPartitionsScanned, k)
+	for _, p := range s.counters() {
+		*p = scaleInt(*p, k)
+	}
 }
 
 func scaleInt(v int64, k float64) int64 {
