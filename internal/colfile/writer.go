@@ -34,7 +34,7 @@ type scratch struct {
 	out []byte
 	// boxed holds a DCSL window's values until its dictionary is complete.
 	boxed []any
-	// geom is the window geometry flush computes (entity starts, value
+	// geom is the geometry a window is laid out with (entity starts, value
 	// bases); keys a map value's keys, sorted.
 	geom []int64
 	keys []string
@@ -97,7 +97,7 @@ func NewWriter(w io.Writer, schema *serde.Schema, opts Options, stats *sim.CPUSt
 	every := opts.StatsEvery
 	if opts.Layout == Block && every > 0 {
 		// Block groups follow frame boundaries, so the statistics are cut
-		// externally on flush rather than on a record cadence.
+		// externally at each frame rather than on a record cadence.
 		every = 0
 	}
 	base := writerBase{w: w, schema: schema, stats: stats, sc: sc,
@@ -124,18 +124,22 @@ type writerBase struct {
 
 func (b *writerBase) Count() int64 { return b.count }
 
-// finish finalizes a writer: it emits the zone-map stats section (the
-// whole-file aggregate plus per-group entries) followed by the footer
-// recording the record count and stats length, and gives the scratch back.
-func (b *writerBase) finish() error {
+// finish finalizes a writer: after out — the layout's last window or frame,
+// staged in the scratch's out buffer — it emits the zone-map stats section
+// (the whole-file aggregate plus per-group entries) and the footer recording
+// the record count and stats length, all in one Write, and gives the scratch
+// back. One Write lets the file's last block grow once: a footer written
+// after a large window would make the block regrow and copy.
+func (b *writerBase) finish(out []byte) error {
 	sc, zm := b.sc, b.zm
 	b.sc, b.zm = nil, nil
 	defer sc.release()
-	blob, err := zm.finish(sc.out[:0])
+	start := len(out)
+	out, err := zm.finish(out)
 	if err != nil {
 		return err
 	}
-	sc.out = appendFooter(blob, b.count, len(blob))
+	sc.out = appendFooter(out, b.count, len(out)-start)
 	_, err = b.w.Write(sc.out)
 	return err
 }
@@ -172,7 +176,7 @@ func (p *plainWriter) Close() error {
 	if p.sc == nil {
 		return errClosed
 	}
-	return p.finish()
+	return p.finish(p.sc.out[:0])
 }
 
 // blockWriter accumulates encoded values and emits compressed frames.
@@ -198,39 +202,44 @@ func (b *blockWriter) Append(v any) error {
 	b.records++
 	b.count++
 	if len(buf) >= b.blockBytes {
-		return b.flush()
+		frame, err := b.frame()
+		if err != nil {
+			return err
+		}
+		_, err = b.w.Write(frame)
+		return err
 	}
 	return nil
 }
 
-func (b *blockWriter) flush() error {
+// frame compresses the staged values into the scratch's out buffer and
+// returns it (empty when nothing is staged).
+func (b *blockWriter) frame() ([]byte, error) {
 	if b.records == 0 {
-		return nil
+		return b.sc.out[:0], nil
 	}
 	frame, err := compress.AppendFrame(b.sc.out[:0], b.codec, b.records, b.sc.arena, b.stats)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	b.sc.out = frame
-	if _, err := b.w.Write(frame); err != nil {
-		return err
-	}
 	// One stats group per frame: pruning a group skips exactly one
 	// decompression.
 	b.zm.cut()
 	b.sc.arena = b.sc.arena[:0]
 	b.records = 0
-	return nil
+	return frame, nil
 }
 
 func (b *blockWriter) Close() error {
 	if b.sc == nil {
 		return errClosed
 	}
-	if err := b.flush(); err != nil {
+	frame, err := b.frame()
+	if err != nil {
 		return err
 	}
-	return b.finish()
+	return b.finish(frame)
 }
 
 // slWriter builds skip-list (and dictionary compressed skip-list) files.
@@ -240,7 +249,8 @@ func (b *blockWriter) Close() error {
 // double-buffering the paper describes in Appendix B.3, with the largest
 // skip bounded by memory. The window is staged encoded in the scratch
 // arena (SkipList) or still boxed (DCSL, whose encoding needs the window's
-// finished dictionary and lands in the same arena at flush).
+// finished dictionary and lands in the same arena when the window is laid
+// out).
 type slWriter struct {
 	writerBase
 	levels []int
@@ -286,7 +296,12 @@ func (s *slWriter) Append(v any) error {
 	s.zm.observe(v)
 	s.count++
 	if window == s.maxLevel() {
-		return s.flush()
+		out, err := s.window()
+		if err != nil {
+			return err
+		}
+		_, err = s.w.Write(out)
+		return err
 	}
 	return nil
 }
@@ -327,10 +342,11 @@ func (s *slWriter) Close() error {
 	if s.sc == nil {
 		return errClosed
 	}
-	if err := s.flush(); err != nil {
+	out, err := s.window()
+	if err != nil {
 		return err
 	}
-	return s.finish()
+	return s.finish(out)
 }
 
 // encodeDCSL builds the window dictionary and stages the boxed values with
@@ -372,20 +388,21 @@ func (s *slWriter) encodeDCSL() ([]byte, error) {
 	return append(binary.AppendUvarint(nil, uint64(len(body))), body...), nil
 }
 
-// flush emits the buffered window: skip groups, the window dictionary
-// (DCSL), and values.
-func (s *slWriter) flush() error {
+// window lays the buffered window out in the scratch's out buffer — skip
+// groups, the window dictionary (DCSL), and values — empties the window and
+// returns the bytes (none when the window is empty).
+func (s *slWriter) window() ([]byte, error) {
 	sc := s.sc
 	var dictBlob []byte
 	if s.dcsl && len(sc.boxed) > 0 {
 		var err error
 		if dictBlob, err = s.encodeDCSL(); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	w := len(sc.spans)
 	if w == 0 {
-		return nil
+		return sc.out[:0], nil
 	}
 	windowBase := s.count - int64(w)
 
@@ -431,7 +448,7 @@ func (s *slWriter) flush() error {
 				}
 				span := entityStart[end] - valueBase[i]
 				if span < 0 || span > 0xFFFFFFFF {
-					return fmt.Errorf("colfile: skip span %d out of range at record %d level %d", span, rec, l)
+					return nil, fmt.Errorf("colfile: skip span %d out of range at record %d level %d", span, rec, l)
 				}
 				out = binary.LittleEndian.AppendUint32(out, uint32(span))
 			}
@@ -443,14 +460,11 @@ func (s *slWriter) flush() error {
 	}
 	sc.out = out
 	if int64(len(out)) != cur {
-		return fmt.Errorf("colfile: window geometry mismatch: wrote %d, computed %d", len(out), cur)
-	}
-	if _, err := s.w.Write(out); err != nil {
-		return err
+		return nil, fmt.Errorf("colfile: window geometry mismatch: wrote %d, computed %d", len(out), cur)
 	}
 	clear(sc.boxed)
 	sc.arena, sc.spans, sc.boxed = sc.arena[:0], sc.spans[:0], sc.boxed[:0]
-	return nil
+	return out, nil
 }
 
 // appendDictMap encodes a map value with dictionary-compressed keys,

@@ -227,6 +227,51 @@ func TestWriterClosed(t *testing.T) {
 	}
 }
 
+// countingFile counts the Writes a column writer issues.
+type countingFile struct {
+	memFile
+	writes int
+}
+
+func (f *countingFile) Write(p []byte) (int, error) {
+	f.writes++
+	return f.memFile.Write(p)
+}
+
+// TestWriterOneWriteAtClose: a file whose values fit one window or frame
+// costs exactly two writes — the header, then the window or frame, the
+// statistics and the footer together — and reads back whole.
+func TestWriterOneWriteAtClose(t *testing.T) {
+	for _, layout := range writeLayouts[1:] {
+		for _, shape := range writeShapes()[1:] {
+			vals := writeValues(shape, 8) // under a window (10) and a frame
+			f := &countingFile{}
+			w, err := NewWriter(f, shape.schema, layout.opts, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range vals {
+				if err := w.Append(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if f.writes != 2 {
+				t.Errorf("%s/%s: a one-window file took %d writes, want 2 (header, close)", layout.name, shape.name, f.writes)
+			}
+			r, err := NewReader(f.reader(), shape.schema, nil)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", layout.name, shape.name, err)
+			}
+			if r.Total() != int64(len(vals)) {
+				t.Errorf("%s/%s: the file holds %d records, want %d", layout.name, shape.name, r.Total(), len(vals))
+			}
+		}
+	}
+}
+
 // TestWriterAllocCeilings: a writer that found its scratch in the pool
 // allocates, per value, only what its file must keep after the value is
 // gone — bounds and histogram samples. For a kilobyte []byte column on a

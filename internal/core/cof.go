@@ -10,102 +10,6 @@ import (
 	"colmr/internal/sim"
 )
 
-// SplitWriter writes one split-directory: the schema file, then one column
-// file per top-level field (Figure 4), each through the layout the load
-// options give its column. It is the single place a record is taken apart
-// into column appends — the bulk loader rotates through a sequence of them,
-// the streaming ingester flushes each fresh partition through one.
-type SplitWriter struct {
-	dir    string
-	schema *serde.Schema
-	files  []*hdfs.FileWriter
-	cols   []colfile.Writer
-	count  int64
-}
-
-// NewSplitWriter creates dir's schema file and opens its column files, in
-// schema order. opts supplies the layouts and the writer node; its split
-// bounds are the caller's business.
-func NewSplitWriter(fs *hdfs.FileSystem, dir string, schema *serde.Schema, opts LoadOptions, stats *sim.TaskStats) (*SplitWriter, error) {
-	var ioStats *sim.IOStats
-	var cpu *sim.CPUStats
-	if stats != nil {
-		ioStats, cpu = &stats.IO, &stats.CPU
-	}
-	schemaWriter, err := fs.Create(dir+"/"+SchemaFile, opts.WriterNode)
-	if err != nil {
-		return nil, err
-	}
-	schemaWriter.SetStats(ioStats)
-	if _, err := schemaWriter.Write([]byte(schema.String())); err != nil {
-		return nil, err
-	}
-	if err := schemaWriter.Close(); err != nil {
-		return nil, err
-	}
-	w := &SplitWriter{dir: dir, schema: schema,
-		files: make([]*hdfs.FileWriter, 0, len(schema.Fields)),
-		cols:  make([]colfile.Writer, 0, len(schema.Fields))}
-	for _, f := range schema.Fields {
-		fw, err := fs.Create(dir+"/"+f.Name, opts.WriterNode)
-		if err != nil {
-			return nil, err
-		}
-		fw.SetStats(ioStats)
-		cw, err := colfile.NewWriter(fw, f.Type, opts.layoutFor(f.Name), cpu)
-		if err != nil {
-			return nil, err
-		}
-		w.files = append(w.files, fw)
-		w.cols = append(w.cols, cw)
-	}
-	return w, nil
-}
-
-// Append writes one record of the split's schema (the caller has checked
-// that it is) as one value per column file.
-func (w *SplitWriter) Append(rec *serde.GenericRecord) error {
-	for i, cw := range w.cols {
-		v := rec.GetAt(i)
-		if v == nil {
-			return fmt.Errorf("core: field %q is unset", w.schema.Fields[i].Name)
-		}
-		if err := cw.Append(v); err != nil {
-			return fmt.Errorf("core: column %q: %w", w.schema.Fields[i].Name, err)
-		}
-	}
-	w.count++
-	return nil
-}
-
-// Dir returns the split-directory's path.
-func (w *SplitWriter) Dir() string { return w.dir }
-
-// Count returns the number of records appended.
-func (w *SplitWriter) Count() int64 { return w.count }
-
-// Bytes returns the bytes the column files hold so far.
-func (w *SplitWriter) Bytes() int64 {
-	var total int64
-	for _, f := range w.files {
-		total += f.Size()
-	}
-	return total
-}
-
-// Close finalizes every column file.
-func (w *SplitWriter) Close() error {
-	for i, cw := range w.cols {
-		if err := cw.Close(); err != nil {
-			return err
-		}
-		if err := w.files[i].Close(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Writer is the ColumnOutputFormat (COF) loader: it horizontally partitions
 // the record stream into split-directories, writing each through a
 // SplitWriter.
@@ -116,9 +20,17 @@ type Writer struct {
 	opts    LoadOptions
 	stats   *sim.TaskStats
 
-	splitIdx int
-	count    int64
-	split    *SplitWriter // nil between split-directories
+	count   int64
+	split   *SplitWriter // nil between split-directories
+	written []WrittenSplit
+	one     [1]*serde.GenericRecord // Append's round
+}
+
+// WrittenSplit is a split-directory a Writer has opened: its path and the
+// records appended to it.
+type WrittenSplit struct {
+	Dir     string
+	Records int64
 }
 
 // NewWriter starts a COF load into the dataset directory, which must not
@@ -131,45 +43,63 @@ func NewWriter(fs *hdfs.FileSystem, dataset string, schema *serde.Schema, opts L
 		opts.SplitBytes = int64(len(schema.Fields)) * fs.Config().BlockSize
 	}
 	fs.MkdirAll(dataset)
-	w := &Writer{fs: fs, dataset: dataset, schema: schema, opts: opts, stats: stats, splitIdx: -1}
+	w := &Writer{fs: fs, dataset: dataset, schema: schema, opts: opts, stats: stats}
 	return w, nil
 }
 
-// Append writes one record, rotating split-directories as bounds fill.
+// Append writes one record, rotating split-directories as bounds fill: a
+// round of one.
 func (w *Writer) Append(rec *serde.GenericRecord) error {
-	if w.split == nil {
-		w.splitIdx++
-		var err error
-		w.split, err = NewSplitWriter(w.fs, w.dataset+"/"+splitDirName(w.splitIdx), w.schema, w.opts, w.stats)
-		if err != nil {
-			return err
-		}
-	}
-	if !rec.Schema().Equal(w.schema) {
-		return fmt.Errorf("core: record schema does not match dataset schema")
-	}
-	if err := w.split.Append(rec); err != nil {
-		return err
-	}
-	w.count++
-	if w.splitFull() {
-		return w.Close()
-	}
-	return nil
+	w.one[0] = rec
+	err := w.AppendRecords(w.one[:])
+	w.one[0] = nil
+	return err
 }
 
-// Tell reports where the next Append will land: the split-directory path
-// and the record's ordinal within it. Callers that must address written
-// records later (e.g. ingest compaction rebuilding its key index) call
-// Tell before each Append.
-func (w *Writer) Tell() (string, int64) {
-	if w.split == nil {
-		// Rotation (or first write) pending: the next Append opens a fresh
-		// split-directory.
-		return w.dataset + "/" + splitDirName(w.splitIdx+1), 0
+// AppendRecords writes recs, cutting them into rounds (see SplitWriter) at
+// rotation points: a SplitRecords bound rotates after a known count, so a
+// round runs up to it; a SplitBytes bound is decided per record from the
+// bytes written, so every round is a record. A record of another schema or
+// with an unset field is refused before anything of the call is written —
+// no split-directory is opened for it — and the records after it with it;
+// those before it are written. The call keeps no reference to recs or their
+// records once it returns.
+func (w *Writer) AppendRecords(recs []*serde.GenericRecord) error {
+	n, err := checkRound(w.schema, recs, true)
+	for recs = recs[:n]; len(recs) > 0; {
+		if w.split == nil {
+			split, err := NewSplitWriter(w.fs, w.dataset+"/"+splitDirName(len(w.written)), w.schema, w.opts, w.stats)
+			if err != nil {
+				return err
+			}
+			w.split = split
+			w.written = append(w.written, WrittenSplit{Dir: split.Dir()})
+		}
+		k := len(recs)
+		if w.opts.SplitBytes > 0 {
+			k = 1
+		} else if room := w.opts.SplitRecords - w.split.Count(); room < int64(k) {
+			k = int(room)
+		}
+		if err := w.split.round(recs[:k]); err != nil {
+			return err
+		}
+		w.count += int64(k)
+		w.written[len(w.written)-1].Records += int64(k)
+		if w.splitFull() {
+			if err := w.Close(); err != nil {
+				return err
+			}
+		}
+		recs = recs[k:]
 	}
-	return w.split.Dir(), w.split.Count()
+	return err
 }
+
+// Written returns the split-directories the writer has opened, in order,
+// with the records each holds: record i of the load is record i - (the
+// records before its directory) of it.
+func (w *Writer) Written() []WrittenSplit { return w.written }
 
 func (w *Writer) splitFull() bool {
 	if w.opts.SplitRecords > 0 && w.split.Count() >= w.opts.SplitRecords {

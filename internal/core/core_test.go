@@ -44,7 +44,7 @@ func makeRecord(rng *rand.Rand, i int) *serde.GenericRecord {
 
 var contentTypes = []string{"text/html", "application/pdf", "text/plain"}
 
-func testFS(t *testing.T, nodes int) *hdfs.FileSystem {
+func testFS(t testing.TB, nodes int) *hdfs.FileSystem {
 	t.Helper()
 	cfg := sim.DefaultCluster()
 	cfg.Nodes = nodes

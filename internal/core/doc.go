@@ -42,6 +42,13 @@
 // replays its solo consultation sequence, so its logical accounting matches
 // its solo run.
 //
+// The write side is COF: Writer cuts a record stream into split-directories,
+// each written by a SplitWriter (splitwriter.go). A round of records fans
+// its columns out across GOMAXPROCS goroutines; each column logs its writes,
+// and the logs replay in the record-at-a-time order, so every file, block
+// placement and charge is that loop's (docs/INGEST.md, "Writing a
+// partition").
+//
 // Invariants the property tests defend (with internal/scan's and
 // internal/mapred's property suites, which drive this package):
 //
@@ -57,4 +64,7 @@
 //   - Accounting: "records pruned at any tier + records filtered +
 //     records returned == dataset size" per job, in solo, elided,
 //     bloom-on/off, and shared-scan modes alike.
+//   - Rounds never change what is written: a split-directory written in
+//     rounds of any length is the record-at-a-time loop's, byte for byte,
+//     block for block and charge for charge, and fails with its error.
 package core

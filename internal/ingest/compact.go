@@ -17,12 +17,12 @@ import (
 //
 // The merge is a MapReduce job over the engine itself: its input is the
 // ordinary merge-on-read scan of the fresh partitions (a hand-built CIF
-// split carrying their delete files), and its mapper appends every surfaced
-// record to a core.Writer. The scan masks superseded rows before they reach
-// the mapper, so the job needs no shuffle and no key resolution — records
-// never transit the shuffle (whose key encoding could not carry them
-// anyway); the job is map-only with a NullOutput, and the writer is the
-// side effect.
+// split carrying their delete files), and its mapper appends the surfaced
+// records to a core.Writer in rounds. The scan masks superseded rows before
+// they reach the mapper, so the job needs no shuffle and no key resolution —
+// records never transit the shuffle (whose key encoding could not carry
+// them anyway); the job is map-only with a NullOutput, and the writer is
+// the side effect. A compaction that fails removes what it wrote.
 //
 // Replaced directories are retired in the manifest, not removed: a scan
 // planned against an older generation finishes against intact files. GC
@@ -52,10 +52,33 @@ func (ing *Ingester) compactLocked() error {
 	// output after the kept partitions preserves scan order.
 	outDir := ing.opts.Dataset + "/c" + strconv.Itoa(ing.compact)
 	ing.compact++
+	if err := ing.compactInto(outDir, fresh, keep); err != nil {
+		// Nothing names the output: remove it, or no GC ever will. The
+		// compaction's error is the one to report.
+		_ = ing.fs.RemoveAll(outDir)
+		return err
+	}
+	if ing.opts.Session != nil {
+		// Budget release only: generations already make stale hits
+		// impossible, but the retired directories' cached regions and
+		// vectors will never be touched again.
+		for _, p := range fresh {
+			ing.opts.Session.Invalidate(p.dir)
+		}
+	}
+	return nil
+}
 
+// compactRound is how many surfaced records the compaction mapper collects
+// before writing them as one round (see core.SplitWriter).
+const compactRound = 1024
+
+// compactInto runs the compaction job over the fresh partitions, writing
+// outDir, and commits the layout that replaces them with it. On an error the
+// committed layout is the one before.
+func (ing *Ingester) compactInto(outDir string, fresh, keep []*part) error {
 	var cstats sim.TaskStats
-	load := ing.opts.Load
-	w, err := core.NewWriter(ing.fs, outDir, ing.opts.Schema, load, &cstats)
+	w, err := core.NewWriter(ing.fs, outDir, ing.opts.Schema, ing.opts.Load, &cstats)
 	if err != nil {
 		return err
 	}
@@ -67,25 +90,25 @@ func (ing *Ingester) compactLocked() error {
 			dels[i] = p.dir + "/" + p.delFile
 		}
 	}
-	// The output partitions, in the order the writer opens them, and where
-	// every surfaced key now lives.
-	var out []*part
-	newLoc := make(map[string]loc)
+	// Every surfaced key, in the order the writer writes its record; the
+	// scan's eager records are never reused, so a round may hold them.
+	var keys []string
+	round := make([]*serde.GenericRecord, 0, compactRound)
+	write := func() error {
+		err := w.AppendRecords(round)
+		clear(round)
+		round = round[:0]
+		return err
+	}
 	mapper := func(_, v any, _ mapred.Emit) error {
 		rec, ok := v.(*serde.GenericRecord)
 		if !ok {
 			return fmt.Errorf("ingest: compaction scan produced %T, want a record", v)
 		}
-		dir, ord := w.Tell()
-		if err := w.Append(rec); err != nil {
-			return err
+		keys = append(keys, rec.GetAt(ing.keyI).(string))
+		if round = append(round, rec); len(round) == compactRound {
+			return write()
 		}
-		if len(out) == 0 || out[len(out)-1].dir != dir {
-			out = append(out, &part{dir: dir})
-		}
-		p := out[len(out)-1]
-		p.records++
-		newLoc[rec.GetAt(ing.keyI).(string)] = loc{part: p, ord: ord}
 		return nil
 	}
 	job := &mapred.Job{
@@ -107,6 +130,9 @@ func (ing *Ingester) compactLocked() error {
 		return err
 	}
 	ing.opts.Stats.Add(res.Total)
+	if err := write(); err != nil {
+		return err
+	}
 	if err := w.Close(); err != nil {
 		return err
 	}
@@ -116,25 +142,27 @@ func (ing *Ingester) compactLocked() error {
 	// The new layout: kept partitions, then the compacted output's
 	// split-directories in order. The old fresh directories (and the delete
 	// files inside them — the masking is now physical) are retired.
-	ing.parts = append(keep, out...)
+	parts, retired := ing.parts, ing.retired
+	ing.parts = keep
+	for _, ws := range w.Written() {
+		ing.parts = append(ing.parts, &part{dir: ws.Dir, records: ws.Records})
+	}
 	prefix := ing.opts.Dataset + "/"
 	newRetired := make([]string, len(fresh))
 	for i, p := range fresh {
 		newRetired[i] = p.dir
 		ing.retired = append(ing.retired, p.dir[len(prefix):])
 	}
-	for k, l := range newLoc {
-		ing.keyLoc[k] = l
-	}
 	if err := ing.commitLocked(newRetired); err != nil {
+		ing.parts, ing.retired = parts, retired
 		return err
 	}
-	if ing.opts.Session != nil {
-		// Budget release only: generations already make stale hits
-		// impossible, but the retired directories' cached regions and
-		// vectors will never be touched again.
-		for _, dir := range newRetired {
-			ing.opts.Session.Invalidate(dir)
+	// Where every surfaced key now lives: the keys are in write order.
+	i := 0
+	for _, p := range ing.parts[len(keep):] {
+		for ord := range p.records {
+			ing.keyLoc[keys[i]] = loc{part: p, ord: ord}
+			i++
 		}
 	}
 	return nil

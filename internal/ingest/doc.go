@@ -31,9 +31,11 @@
 //     large statistics-rich split-directories (c<N>/s<k>) — and it is
 //     itself a MapReduce job over the engine: a map-only job whose input is
 //     the merge-on-read scan of the fresh partitions and whose mapper
-//     appends every surfaced record to a core.Writer. Because the scan
-//     already masks superseded rows, the mapper needs no key resolution;
-//     compaction is an identity pass that makes the masking physical.
+//     appends the surfaced records to a core.Writer a round at a time
+//     (core.SplitWriter writes a round's columns in parallel). Because the
+//     scan already masks superseded rows, the mapper needs no key
+//     resolution; compaction is an identity pass that makes the masking
+//     physical.
 //
 // Scans never see buffered records: the unit of visibility is the manifest
 // commit. Everything a scan can observe — partitions, delete files,

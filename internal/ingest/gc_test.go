@@ -5,10 +5,13 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
+	"colmr/internal/core"
 	"colmr/internal/hdfs"
 	"colmr/internal/ingest"
+	"colmr/internal/mapred"
 	"colmr/internal/serde"
 	"colmr/internal/workload"
 )
@@ -248,5 +251,76 @@ func TestGCStoredBytesFlat(t *testing.T) {
 	if diff := (long - short) / short; diff > 0.01 || diff < -0.01 {
 		t.Errorf("stored bytes per user byte: %.4f after %d slices, %.4f after %d — differ by %.2f%%, want < 1%%",
 			short, n, long, 3*n, 100*diff)
+	}
+}
+
+// TestCompactFailureLeavesNoOutput: a compaction whose job fails — here on a
+// fresh partition's corrupt column file — removes the directory it was
+// writing (nothing names it, so GC never would), commits nothing, and
+// leaves what a scan returns as it was.
+func TestCompactFailureLeavesNoOutput(t *testing.T) {
+	arr, crawl := arrivals(600, 0.3, 43)
+	fs := testFS(4)
+	ing, err := ingest.New(fs, ingestOptions("/live/crawl", crawl.Schema(), 128))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range arr {
+		if err := ing.Append(a.Rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ing.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	urls := func() []string {
+		var mu sync.Mutex
+		var rows []string
+		job := core.ScanDataset("/live/crawl").Columns("url", "fetchTime").DirsPerSplit(1 << 20).
+			Job(mapred.MapperFunc(func(_, v any, _ mapred.Emit) error {
+				rec := v.(*serde.GenericRecord)
+				mu.Lock()
+				defer mu.Unlock()
+				rows = append(rows, fmt.Sprint(rec.GetAt(0), rec.GetAt(1)))
+				return nil
+			}))
+		if _, err := mapred.Run(fs, job); err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
+	before, gen := urls(), ing.Generation()
+
+	var victim string
+	walkFiles(t, fs, "/live/crawl", func(fi hdfs.FileInfo) {
+		if victim == "" && strings.Contains(fi.Path, "/seq-") && fi.Name() == "content" {
+			victim = fi.Path
+		}
+	})
+	data, err := fs.ReadFile(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range data[:len(data)/2] {
+		data[i] = 0xff
+	}
+	if err := fs.Remove(victim); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile(victim, data, hdfs.AnyNode); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := ing.Compact(); err == nil {
+		t.Fatalf("Compact over a corrupt %s succeeded", victim)
+	}
+	if fs.Exists("/live/crawl/c0") {
+		t.Error("the failed compaction left /live/crawl/c0 behind")
+	}
+	if g := ing.Generation(); g != gen {
+		t.Errorf("the failed compaction moved the generation %d -> %d", gen, g)
+	}
+	if after := urls(); !reflect.DeepEqual(after, before) {
+		t.Errorf("after the failed compaction a scan returns %d rows, before it %d", len(after), len(before))
 	}
 }

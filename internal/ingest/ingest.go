@@ -114,8 +114,9 @@ type Ingester struct {
 	tmI  int
 
 	memtable []entry
-	buffered map[string]int // key -> index into memtable
-	arrivals int            // arrivals since last flush
+	buffered map[string]int         // key -> index into memtable
+	arrivals int                    // arrivals since last flush
+	round    []*serde.GenericRecord // a flushed partition's records, being written
 
 	parts   []*part
 	seq     int   // next fresh-partition number
@@ -210,13 +211,7 @@ func (ing *Ingester) Flush() error {
 }
 
 func (ing *Ingester) flushLocked() error {
-	live := 0
-	for i := range ing.memtable {
-		if ing.memtable[i].rec != nil {
-			live++
-		}
-	}
-	if live == 0 {
+	if !slices.ContainsFunc(ing.memtable, func(e entry) bool { return e.rec != nil }) {
 		ing.memtable = ing.memtable[:0]
 		ing.buffered = make(map[string]int)
 		ing.arrivals = 0
@@ -224,56 +219,21 @@ func (ing *Ingester) flushLocked() error {
 	}
 	// Write the survivors in arrival order, cutting a new partition at
 	// every bucket change so scan order (manifest order, then ordinal)
-	// remains arrival order.
-	var pw *core.SplitWriter
-	var cur *part
-	curBucket := int64(0)
-	closePart := func() error {
-		if pw == nil {
-			return nil
-		}
-		if err := pw.Close(); err != nil {
-			return err
-		}
-		ing.parts = append(ing.parts, cur)
-		pw = nil
-		return nil
-	}
-	for i := range ing.memtable {
-		e := &ing.memtable[i]
-		if e.rec == nil {
+	// remains arrival order. Each partition is one round of its writer.
+	mt := ing.memtable
+	for i := 0; i < len(mt); {
+		if mt[i].rec == nil {
+			i++
 			continue
 		}
-		if pw == nil || e.bucket != curBucket {
-			if err := closePart(); err != nil {
-				return err
-			}
-			dir := fmt.Sprintf("%s/dt=%d/seq-%d", ing.opts.Dataset, e.bucket*ing.opts.BucketMillis/1000, ing.seq)
-			ing.seq++
-			curBucket = e.bucket
-			var err error
-			if pw, err = core.NewSplitWriter(ing.fs, dir, ing.opts.Schema, ing.opts.Load, ing.opts.Stats); err != nil {
-				return err
-			}
-			ing.opts.Stats.FlushedFiles += int64(1 + len(ing.opts.Schema.Fields))
-			cur = &part{dir: dir}
+		j := i + 1
+		for j < len(mt) && (mt[j].rec == nil || mt[j].bucket == mt[i].bucket) {
+			j++
 		}
-		if err := pw.Append(e.rec); err != nil {
+		if err := ing.writePart(mt[i:j]); err != nil {
 			return err
 		}
-		if old, ok := ing.keyLoc[e.key]; ok {
-			// Recrawl of a flushed page: the old row is immutable, so it is
-			// superseded by position — masked out of every scan from the
-			// next commit on, removed physically at compaction.
-			old.part.deleted = append(old.part.deleted, old.ord)
-			old.part.dirty = true
-			ing.opts.Stats.UpsertsResolved++
-		}
-		ing.keyLoc[e.key] = loc{part: cur, ord: cur.records}
-		cur.records++
-	}
-	if err := closePart(); err != nil {
-		return err
+		i = j
 	}
 	ing.memtable = ing.memtable[:0]
 	ing.buffered = make(map[string]int)
@@ -284,6 +244,51 @@ func (ing *Ingester) flushLocked() error {
 	ing.flushes++
 	if ing.opts.CompactEvery > 0 && ing.flushes >= ing.opts.CompactEvery {
 		return ing.compactLocked()
+	}
+	return nil
+}
+
+// writePart writes the live arrivals among entries, all of the first one's
+// bucket, as a fresh partition in one round, and moves their keys'
+// locations to it.
+func (ing *Ingester) writePart(entries []entry) error {
+	dir := fmt.Sprintf("%s/dt=%d/seq-%d", ing.opts.Dataset, entries[0].bucket*ing.opts.BucketMillis/1000, ing.seq)
+	ing.seq++
+	pw, err := core.NewSplitWriter(ing.fs, dir, ing.opts.Schema, ing.opts.Load, ing.opts.Stats)
+	if err != nil {
+		return err
+	}
+	ing.opts.Stats.FlushedFiles += int64(1 + len(ing.opts.Schema.Fields))
+	for _, e := range entries {
+		if e.rec != nil {
+			ing.round = append(ing.round, e.rec)
+		}
+	}
+	err = pw.AppendRecords(ing.round)
+	clear(ing.round)
+	ing.round = ing.round[:0]
+	if err != nil {
+		return err
+	}
+	if err := pw.Close(); err != nil {
+		return err
+	}
+	p := &part{dir: dir}
+	ing.parts = append(ing.parts, p)
+	for _, e := range entries {
+		if e.rec == nil {
+			continue
+		}
+		if old, ok := ing.keyLoc[e.key]; ok {
+			// Recrawl of a flushed page: the old row is immutable, so it is
+			// superseded by position — masked out of every scan from the
+			// next commit on, removed physically at compaction.
+			old.part.deleted = append(old.part.deleted, old.ord)
+			old.part.dirty = true
+			ing.opts.Stats.UpsertsResolved++
+		}
+		ing.keyLoc[e.key] = loc{part: p, ord: p.records}
+		p.records++
 	}
 	return nil
 }
