@@ -30,18 +30,6 @@ import (
 // MatchAll), and any later consultation inside one returns the same verdict.
 // RecordsProcessed stays zero — no record reaches a map function.
 
-// addFold gives an aggregating member its fold: the state of an earlier
-// member with the same aggregate in the same eval group, or its own.
-func (r *Reader) addFold(m *member) {
-	for _, o := range r.members {
-		if o.folder && o.evalGroup == m.evalGroup && o.agg.Equal(m.agg) {
-			m.fold = o.fold
-			return
-		}
-	}
-	m.fold, m.folder = scan.NewAggState(m.agg), true
-}
-
 // DrainAggregate consumes the split and returns the folded aggregate state
 // (mapred.AggRecordReader). The reader must have been opened with
 // scan.Spec.Agg set; Next must not be mixed with DrainAggregate.
@@ -68,7 +56,7 @@ func (s *SharedReader) AggStates() []*scan.AggState {
 		case m.folder:
 			out[i] = m.fold
 		case m.fold != nil:
-			out[i] = scan.NewAggState(m.agg)
+			out[i] = scan.NewAggState(m.spec.Agg)
 			// Merging into an empty state of the same spec cannot fail: the
 			// copy holds exactly the groups the original admitted.
 			_ = out[i].Merge(m.fold)

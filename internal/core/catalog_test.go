@@ -161,6 +161,47 @@ func BenchmarkSharedSplits(b *testing.B) {
 	}
 }
 
+// BenchmarkOpenBatch plans the serve_burst-shaped batch once through a warm
+// catalog, then opens and closes every one of its tasks per iteration: what
+// a batch pays between planning and its first decoded byte.
+func BenchmarkOpenBatch(b *testing.B) {
+	fs := burstFS(b)
+	confs := burstConfs(b, catalog.New(fs))
+	open := openBatch(b, fs, confs)
+	open()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		open()
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/batch")
+}
+
+// openBatch plans confs once and returns a function that opens and closes
+// every task of the plan.
+func openBatch(tb testing.TB, fs *hdfs.FileSystem, confs []*mapred.JobConf) func() {
+	tb.Helper()
+	in := &InputFormat{}
+	tasks, _, err := in.SharedSplits(fs, confs)
+	if err != nil || len(tasks) == 0 {
+		tb.Fatalf("%d tasks, %v", len(tasks), err)
+	}
+	stats := make([]*sim.TaskStats, len(confs))
+	for i := range stats {
+		stats[i] = &sim.TaskStats{}
+	}
+	var shared sim.TaskStats
+	return func() {
+		for _, task := range tasks {
+			sr, err := in.OpenShared(fs, confs, task.Split, task.Members, hdfs.AnyNode, stats[:len(task.Members)], &shared)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			sr.Close()
+		}
+	}
+}
+
 // BenchmarkOpenDir opens and closes a reader over one split-directory — the
 // schema lookup, the file tier's footer consultation, three cursors — as the
 // first task of a cold session and as every task after it.
@@ -191,12 +232,16 @@ func BenchmarkOpenDir(b *testing.B) {
 	}
 }
 
-// TestPlanCatalogAllocGuard holds what the catalog bought the planner and the
-// task opener. Planning the 16 × 16 batch through a warm catalog allocates
-// what admission and split assembly allocate — per-member plans, estimates,
-// union predicates — and nothing per schema field or footer entry: cold, the
-// same plan parsed 16 schemas and 16 footers, and before the catalog 256 and
-// several hundred. Opening a directory warm allocates its cursors.
+// TestPlanCatalogAllocGuard holds what the catalog and the scan plan bought
+// the planner and the task opener. Planning the 16 × 16 batch through a warm
+// catalog allocates what admission and split assembly allocate — per-member
+// plans, estimates, union predicates, one scan plan per cluster — and
+// nothing per schema field or footer entry: cold, the same plan parsed 16
+// schemas and 16 footers, and before the catalog 256 and several hundred.
+// Opening every task of that plan allocates cursors and per-task state, and
+// nothing its plan already holds (1 291 objects before tasks opened against
+// a plan). Opening a hand-built split's directory warm plans it and
+// allocates its cursors.
 func TestPlanCatalogAllocGuard(t *testing.T) {
 	fs := burstFS(t)
 	in := &InputFormat{}
@@ -218,10 +263,12 @@ func TestPlanCatalogAllocGuard(t *testing.T) {
 		plan()
 	})
 	t.Logf("planning 16 members x 16 directories: %.0f allocations warm, %.0f cold", warm, cold)
-	race.AllocCeiling(t, "planning 16 members over 16 directories through a warm catalog", warm, 4500)
+	race.AllocCeiling(t, "planning 16 members over 16 directories through a warm catalog", warm, 3850)
 	if warm >= cold {
 		t.Errorf("a warm plan allocates %.0f objects, a cold one %.0f: the catalog saved nothing", warm, cold)
 	}
+
+	race.AllocCeiling(t, "opening every task of the 16 × 16 plan", testing.AllocsPerRun(5, openBatch(t, fs, confs)), 670)
 
 	conf := ScanDataset("/m").Where(scan.Le("x", int64(250))).Conf()
 	conf.Catalog = cat

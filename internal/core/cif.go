@@ -41,6 +41,9 @@ type Split struct {
 	// same planner over the same aggregates cannot reach another verdict —
 	// while hand-built splits keep it.
 	Judged bool
+	// plan is the scan plan the split's task opens (plan.go); nil for a
+	// hand-built split, which Open plans itself.
+	plan *scanPlan
 }
 
 // String implements mapred.Split.
@@ -151,11 +154,15 @@ func (f *InputFormat) plannedSplits(fs *hdfs.FileSystem, conf *mapred.JobConf, a
 		return nil, plan.report, err
 	}
 	var out []mapred.Split
+	ms, union := []memberSpec{plan.memberSpec}, scan.NewUnion([]scan.Predicate{plan.spec.Predicate})
+	var built []*scanPlan // the job's plans, one per directory schema
 	for _, ds := range plan.datasets {
-		per := f.splitSize(cat, plan.dps, plan.pred, plan.bloom, ds.kept)
+		per := f.splitSize(cat, plan.dps, plan.spec.Predicate, plan.spec.Bloom(), ds.kept)
 		for i := 0; i < len(ds.kept); i += per {
 			j := min(i+per, len(ds.kept))
-			out = append(out, &Split{Dirs: ds.kept[i:j], Dels: ds.keptDels[i:j], Columns: plan.columns, Judged: plan.elide})
+			s := &Split{Dirs: ds.kept[i:j], Dels: ds.keptDels[i:j], Columns: plan.columns, Judged: plan.elide}
+			s.plan = planFor(&built, cat, ms, union, s)
+			out = append(out, s)
 		}
 	}
 	return out, plan.report, nil
@@ -165,12 +172,11 @@ func (f *InputFormat) plannedSplits(fs *hdfs.FileSystem, conf *mapred.JobConf, a
 // that survived the scheduler tier, per dataset, plus what split assembly
 // and shared-scan co-scheduling need from the planning pass.
 type dirPlan struct {
+	memberSpec
 	datasets []datasetDirs
 	columns  []string // locality columns: projection plus filter columns
-	pred     scan.Predicate
 	elide    bool
-	bloom    bool // Bloom consultation (pruning and sizing) enabled
-	dps      int  // resolved directories-per-split (spec overrides format)
+	dps      int // resolved directories-per-split (spec overrides format)
 	report   scan.PruneReport
 }
 
@@ -193,16 +199,12 @@ type datasetDirs struct {
 // manifest commit cannot land between their planning passes.
 func (f *InputFormat) planDirs(fs *hdfs.FileSystem, cat *catalog.Catalog, conf *mapred.JobConf, allowElide bool, layouts map[string]dsLayout) (dirPlan, error) {
 	var plan dirPlan
-	spec, err := resolveSpec(conf)
-	if err != nil {
+	var err error
+	if plan.memberSpec, err = resolveMember(conf); err != nil {
 		return plan, err
 	}
-	pred := spec.Predicate
-	planner := scan.NewPlanner(pred)
-	planner.SetBloom(spec.Bloom())
-	plan.pred = pred
+	spec, pred, planner := plan.spec, plan.spec.Predicate, plan.planner
 	plan.columns = taskColumns(spec)
-	plan.bloom = spec.Bloom()
 	plan.dps = f.dirsPerSplit(spec)
 	plan.report = scan.PruneReport{
 		Columns:    planner.FilterColumns(),
@@ -371,8 +373,10 @@ func (f *InputFormat) Open(fs *hdfs.FileSystem, conf *mapred.JobConf, split mapr
 // also usable directly (outside MapReduce) for scans. With a predicate set
 // it returns only qualifying records (see scanexec.go).
 type Reader struct {
+	// The reader opens cursors against its plan, which it shares with every
+	// other task of its batch cluster and never writes.
+	*scanPlan
 	fs   *hdfs.FileSystem
-	cat  *catalog.Catalog // the job's metadata catalog: schemas, file-tier stats
 	node hdfs.NodeID
 	// task receives the scan's physical work — I/O, decode, vector and
 	// sharing counters, and the union tier's verdicts. A one-member scan's
@@ -380,41 +384,15 @@ type Reader struct {
 	// members' logical counters apart from it.
 	task    *sim.TaskStats
 	members []*member
-	eager   int // members taking eager records
-	// elide enables the file pruning tier: a one-member scan's, on unless
-	// the spec disabled elision or the scheduler already judged the split.
-	elide bool
-	// noBloom is set when any member disabled Bloom consultation: the union
-	// tier must not out-prune that member's own replay, and the DCSL key
-	// prober's physical charges must be that member's solo ones.
-	noBloom bool
-	// planner drives the union predicate (the OR of the members'; a single
-	// member's own) through the file and group tiers. zones is groupStats
-	// bound once: a method value handed to it per consultation would allocate.
-	planner *scan.Planner
-	zones   scan.GroupStatsFunc
-	// groupPred holds one residual predicate per eval group: members with
-	// identical predicates share one verdict per batch.
-	groupPred []scan.Predicate
-	cache     *hdfs.ScanCache // session scan cache, attached to every stream
-	vecCache  *vec.Cache
-	// vectorize selects batch-at-a-time evaluation and eager assembly; unset
-	// when any member set Spec.NoVec, which runs the loop a row at a time.
-	vectorize bool
-	// probeOnly marks filter columns safe for batch key probing, idOnly those
-	// safe for dictionary-id evaluation: read by the residuals alone, never
-	// projected (nor, for ids, aggregated), so consuming their stream without
-	// producing values cannot starve a later value access.
-	probeOnly map[string]bool
-	idOnly    map[string]bool
+	// zones is groupStats bound once: a method value handed to the planners
+	// per consultation would allocate.
+	zones    scan.GroupStatsFunc
+	cache    *hdfs.ScanCache // session scan cache, attached to every stream
+	vecCache *vec.Cache
 	// countCachedGets makes a lazy Get count its record materialized even
 	// when the cursor cache already held the value: an OpenShared member's
 	// value may have been decoded for another member's residual.
 	countCachedGets bool
-
-	schema  *serde.Schema // full dataset schema
-	allCols []string      // cursor set: projected, then filter, then aggregate columns
-	needers []int         // members needing each cursor's column (N > 1)
 
 	dirs     []string
 	delFiles []string // each directory's delete file, parallel to dirs (nil: none)
@@ -488,7 +466,8 @@ func (c *cursor) close() {
 // openReader opens a scan of split for the member jobs confs[members[k]],
 // member k charging its logical counters to memberStats[k] (nil only for a
 // one-member scan that keeps no stats) and the cursor set's physical work to
-// task.
+// task. The split's plan serves when it was planned for these jobs; else the
+// split is planned here. Everything the reader sets up is the task's own.
 func openReader(fs *hdfs.FileSystem, confs []*mapred.JobConf, members []int, split mapred.Split, node hdfs.NodeID, memberStats []*sim.TaskStats, task *sim.TaskStats) (*Reader, error) {
 	csplit, ok := split.(*Split)
 	if !ok {
@@ -500,55 +479,47 @@ func openReader(fs *hdfs.FileSystem, confs []*mapred.JobConf, members []int, spl
 	if len(members) == 0 || len(members) != len(memberStats) {
 		return nil, fmt.Errorf("core: %d members with %d stats sinks", len(members), len(memberStats))
 	}
-	cat := catalogOf(fs, confs...)
-	schema, err := readSplitSchema(cat, csplit.Dirs[0])
-	if err != nil {
-		return nil, err
+	p := csplit.plan
+	if !p.fits(confs, members) {
+		p = openPlan(fs, confs, members, csplit)
+	}
+	if p.err != nil {
+		return nil, p.err
 	}
 	if task == nil {
 		task = &sim.TaskStats{}
 	}
 	r := &Reader{
+		scanPlan:   p,
 		fs:         fs,
-		cat:        cat,
 		node:       node,
 		task:       task,
-		vectorize:  true,
-		schema:     schema,
 		dirs:       csplit.Dirs,
 		delFiles:   csplit.Dels,
 		dirIdx:     -1,
 		matCounted: -1,
+		members:    make([]*member, len(p.jobs)),
+		verdict:    make([]*scan.Selection, len(p.groupPred)),
 	}
 	r.outVals, r.outIdx = r.val1[:0], r.idx1[:0]
-	// The file tier is a one-member scan's: a directory the union predicate
-	// proved empty would skip the member replay that accounts it per job.
-	r.elide = len(members) == 1 && !csplit.Judged
-	for k, mi := range members {
-		conf := confs[mi]
-		spec, err := resolveSpec(conf)
-		if err != nil {
-			return nil, err
+	for k := range p.jobs {
+		mp := &p.jobs[k]
+		m := &member{memberPlan: mp, stats: cmp.Or(memberStats[k], task)}
+		switch {
+		case mp.folder:
+			m.fold = scan.NewAggState(mp.spec.Agg)
+		case mp.spec.Agg != nil:
+			m.fold = r.members[mp.foldOwner].fold
+		case mp.spec.Lazy:
+			m.lrec = &LazyRecord{r: r, m: m}
 		}
-		columns := spec.Columns
-		if len(columns) == 0 && spec.Agg == nil {
-			columns = csplit.Columns
-		}
-		if err := r.addMember(&spec, columns, cmp.Or(memberStats[k], task)); err != nil {
-			return nil, err
-		}
-		r.elide = r.elide && spec.Elide()
-		r.noBloom = r.noBloom || !spec.Bloom()
-		// One scalar member makes the whole cursor set scalar: the switch is
-		// an A/B lever, and mixing modes inside one batch would blur what it
-		// measures.
-		r.vectorize = r.vectorize && spec.Vectorize()
+		r.members[k] = m
 		// All members of a session batch carry the same caches; taking the
 		// first present keeps hand-mixed batches working.
+		conf := confs[members[k]]
 		r.cache = cmp.Or(r.cache, conf.Cache)
 		r.vecCache = cmp.Or(r.vecCache, conf.VecCache)
 	}
-	r.planCursors()
 	r.zones = r.groupStats
 	if err := r.nextDir(); err != nil {
 		r.Close()
@@ -571,16 +542,6 @@ func (r *Reader) nextDir() error {
 			return nil
 		}
 		dir := r.dirs[r.dirIdx]
-		if r.dirIdx > 0 {
-			// Subsequent directories must agree on the schema.
-			s, err := readSplitSchema(r.cat, dir)
-			if err != nil {
-				return err
-			}
-			if !s.Equal(r.schema) {
-				return fmt.Errorf("core: split-directory %s schema differs from %s", dir, r.dirs[0])
-			}
-		}
 		pruned, err := r.openDir(dir)
 		if err != nil {
 			return err
@@ -631,7 +592,7 @@ func (r *Reader) openDir(dir string) (pruned bool, err error) {
 	}
 	// File tier: judge the filter columns' whole-file aggregates before any
 	// reader parses a header or charges a byte (off with Spec.NoElide).
-	if selective && r.elide && r.pruneDirFiles(dir) {
+	if selective && r.fileTier != nil && r.pruneDirFiles(dir) {
 		closeAll()
 		return true, nil
 	}
@@ -673,7 +634,7 @@ func (r *Reader) openDir(dir string) (pruned bool, err error) {
 // directories first; this tier fires for unjudged splits (elision off,
 // hand-built splits) and when DirsPerSplit groups directories.
 func (r *Reader) pruneDirFiles(dir string) bool {
-	ds := dirStats{cat: r.cat, dir: dir, schema: r.schema}
+	ds := dirStats{cat: r.fileTier, dir: dir, schema: r.schema}
 	pruned, rows := r.planner.PruneFileRows(ds.stats, ds.recordCount)
 	if pruned {
 		r.task.FilesPruned += int64(len(r.allCols))

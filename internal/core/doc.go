@@ -17,7 +17,12 @@
 //
 // There is one reader, and one batch loop. InputFormat.Open returns a
 // one-member Reader; OpenShared hands the same Reader the N jobs of a
-// co-scheduled batch (shared.go). Each step of the loop (vecexec.go) plans a
+// co-scheduled batch (shared.go). Either opens cursors against its split's
+// scan plan (plan.go) — the members' projections and planners, the union
+// planner and eval groups, the cursor set — which SharedSplits builds once
+// per co-admission cluster and directory schema, Splits and PlannedSplits
+// once per schema, and Open itself for a hand-built split; the reader keeps
+// only the task's own state. Each step of the loop (vecexec.go) plans a
 // batch with the union zone-map tier, decodes its columns on demand into
 // scan.Vectors (or serves them from a session's vec.Cache), runs each
 // residual once through VecEval, and hands every member its matches through

@@ -63,13 +63,11 @@ type QueryPlan struct {
 // never data. Estimation failure is not an error: the plan degrades to
 // the defaults and says so.
 func (f *InputFormat) Explain(fs *hdfs.FileSystem, conf *mapred.JobConf, model sim.CostModel) (*QueryPlan, error) {
-	spec, err := resolveSpec(conf)
+	m, err := resolveMember(conf)
 	if err != nil {
 		return nil, err
 	}
-	pred := spec.Predicate
-	planner := scan.NewPlanner(pred)
-	planner.SetBloom(spec.Bloom())
+	spec, pred, planner := m.spec, m.spec.Predicate, m.planner
 	p := &QueryPlan{
 		FilterCols: planner.FilterColumns(),
 		LazyPinned: spec.Lazy,

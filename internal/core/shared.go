@@ -61,6 +61,13 @@ func (f *InputFormat) SharedSplits(fs *hdfs.FileSystem, confs []*mapred.JobConf)
 		plans[i] = plan
 		reports[i] = plan.report
 	}
+	// The batch's one union: it prints each member's predicate once, and
+	// every candidate and cluster union below reuses its eval groups.
+	preds := make([]scan.Predicate, len(plans))
+	for i := range plans {
+		preds[i] = plans[i].spec.Predicate
+	}
+	batch := scan.NewUnion(preds)
 	// Global directory order: datasets in first-appearance order across
 	// members, directories in scan order within each dataset.
 	var datasetOrder []string
@@ -98,31 +105,31 @@ func (f *InputFormat) SharedSplits(fs *hdfs.FileSystem, confs []*mapred.JobConf)
 			}
 			run := dirs[i:j]
 			// A member in a cluster of c declined len(ms)-c co-scan partners.
-			for _, cl := range f.admitRun(cat, plans, ms, run) {
+			for _, cl := range f.admitRun(cat, plans, batch, ms, run) {
 				if declined := len(ms) - len(cl); declined > 0 {
 					for _, m := range cl {
 						reports[m].SharedDeclined += declined
 					}
 				}
-				runPreds := make([]scan.Predicate, len(cl))
-				for k, m := range cl {
-					runPreds[k] = plans[m].pred
-				}
-				union := scan.NewUnion(runPreds)
+				union := batch.Sub(cl)
 				// Task sizing follows the first member's directories-per-split
 				// (the batch scheduler groups only jobs whose sizing agrees).
-				per := f.splitSize(cat, plans[cl[0]].dps, union.Shared, plans[cl[0]].bloom, run)
+				per := f.splitSize(cat, plans[cl[0]].dps, union.Shared, plans[cl[0]].spec.Bloom(), run)
 				cols := unionColumns(plans, cl)
+				specs := make([]memberSpec, len(cl))
+				for k, m := range cl {
+					specs[k] = plans[m].memberSpec
+				}
+				var built []*scanPlan // the cluster's plans, one per schema
 				for a := 0; a < len(run); a += per {
 					b := min(a+per, len(run))
 					dels := make([]string, b-a)
 					for di, dir := range run[a:b] {
 						dels[di] = delOf[dir]
 					}
-					out = append(out, mapred.SharedSplit{
-						Split:   &Split{Dirs: run[a:b], Dels: dels, Columns: cols, Judged: true},
-						Members: append([]int(nil), cl...),
-					})
+					s := &Split{Dirs: run[a:b], Dels: dels, Columns: cols, Judged: true}
+					s.plan = planFor(&built, cat, specs, union, s)
+					out = append(out, mapred.SharedSplit{Split: s, Members: append([]int(nil), cl...)})
 				}
 			}
 			i = j
@@ -137,16 +144,17 @@ func (f *InputFormat) SharedSplits(fs *hdfs.FileSystem, confs []*mapred.JobConf)
 // selective member, else opens its own. Clustering changes no member's
 // output or logical counters, only which cursor sets are shared. When any
 // member's selectivity cannot be estimated the set stays one cluster.
-func (f *InputFormat) admitRun(cat *catalog.Catalog, plans []dirPlan, ms []int, run []string) [][]int {
+// Candidate unions are taken from the batch's union (Sub).
+func (f *InputFormat) admitRun(cat *catalog.Catalog, plans []dirPlan, batch *scan.Union, ms []int, run []string) [][]int {
 	if len(ms) < 2 {
 		return [][]int{ms}
 	}
 	fracs := make(map[int]float64, len(ms))
 	for _, m := range ms {
 		fr := 1.0
-		if plans[m].pred != nil {
+		if pred := plans[m].spec.Predicate; pred != nil {
 			var ok bool
-			if fr, ok = runFraction(cat, run, plans[m].pred, plans[m].bloom); !ok {
+			if fr, ok = runFraction(cat, run, pred, plans[m].spec.Bloom()); !ok {
 				return [][]int{ms}
 			}
 		}
@@ -157,10 +165,8 @@ func (f *InputFormat) admitRun(cat *catalog.Catalog, plans []dirPlan, ms []int, 
 		placed := false
 		for ci, cl := range clusters {
 			cand := append(append([]int(nil), cl...), m)
-			preds := make([]scan.Predicate, len(cand))
 			minFrac := 1.0
-			for k, cm := range cand {
-				preds[k] = plans[cm].pred
+			for _, cm := range cand {
 				if fracs[cm] < minFrac {
 					minFrac = fracs[cm]
 				}
@@ -168,9 +174,9 @@ func (f *InputFormat) admitRun(cat *catalog.Catalog, plans []dirPlan, ms []int, 
 			// A nil union predicate means some candidate member takes every
 			// record: the shared cursors run unfiltered.
 			uf := 1.0
-			if u := scan.NewUnion(preds); u.Shared != nil {
+			if u := batch.Sub(cand); u.Shared != nil {
 				var ok bool
-				if uf, ok = runFraction(cat, run, u.Shared, plans[cand[0]].bloom); !ok {
+				if uf, ok = runFraction(cat, run, u.Shared, plans[cand[0]].spec.Bloom()); !ok {
 					uf = 1.0
 				}
 			}
@@ -247,28 +253,15 @@ func (s *SharedReader) Next() (any, []any, []int, bool, error) {
 // Close implements mapred.SharedRecordReader.
 func (s *SharedReader) Close() error { return (*Reader)(s).Close() }
 
-// member is one job's share of a scan: its projection, its own planner, its
-// logical accounting and its sink — aggregate fold, lazy records, or eager
-// records.
+// member is one job's share of a task's scan: its plan (projection,
+// planner, sink) and the task's own state for it — logical accounting, lazy
+// record, fold state, replay positions and batch matches.
 type member struct {
-	proj      *serde.Schema
-	columns   []string      // projected columns, record field order
-	colCursor []int         // cursor index of each projected column
-	planner   *scan.Planner // the member's own predicate
-	stats     *sim.TaskStats
-	evalGroup int
-	lrec      *LazyRecord // set for a lazy member
-	// An aggregating member folds its matches into fold and surfaces no
-	// record. Members with the same aggregate in one eval group share the
-	// state, and the first of them, the folder, folds for all.
-	agg     *scan.Aggregate
-	aggCols []string
-	fold    *scan.AggState
-	folder  bool
-	// proxyOnly marks a projection invented for a pure COUNT: the column
-	// paces the scan but its values are never read, so it does not
-	// disqualify probe-only or dictionary-id evaluation.
-	proxyOnly bool
+	*memberPlan
+	stats *sim.TaskStats
+	lrec  *LazyRecord // set for a lazy member
+	// fold is an aggregating member's state, its folder's when it shares one.
+	fold *scan.AggState
 	// Replay accounting state, reset per directory: acctPos is the next
 	// unaccounted record, validTo bounds the current may-match region.
 	acctPos int64
@@ -281,145 +274,6 @@ type member struct {
 
 // eager reports whether the member takes eager records.
 func (m *member) eager() bool { return m.fold == nil && m.lrec == nil }
-
-// addMember resolves one job's projection and columns against the dataset
-// schema and appends it to the scan.
-func (r *Reader) addMember(spec *scan.Spec, columns []string, stats *sim.TaskStats) error {
-	schema := r.schema
-	m := &member{planner: scan.NewPlanner(spec.Predicate), stats: stats, agg: spec.Agg}
-	if spec.Lazy && spec.Agg == nil {
-		m.lrec = &LazyRecord{r: r, m: m}
-	}
-	// The member's planner carries its own bloom setting, so its replayed
-	// counters match a solo run exactly.
-	m.planner.SetBloom(spec.Bloom())
-	if spec.Agg != nil && len(columns) == 0 {
-		// An aggregation with no explicit projection reads only its own
-		// columns; a pure COUNT reads none, so any one column (the
-		// narrowest proxy for the record count) stands in.
-		if columns = spec.Agg.Columns(nil); len(columns) == 0 {
-			m.proxyOnly = true
-			if fc := m.planner.FilterColumns(); len(fc) > 0 {
-				columns = fc[:1]
-			} else if len(schema.Fields) > 0 {
-				columns = []string{schema.Fields[0].Name}
-			}
-		}
-	}
-	m.proj = schema
-	if len(columns) > 0 {
-		var err error
-		if m.proj, err = schema.Project(columns...); err != nil {
-			return &scan.QueryError{Err: err}
-		}
-	} else {
-		columns = schema.FieldNames()
-	}
-	m.columns = columns
-	for _, col := range m.planner.FilterColumns() {
-		if schema.Field(col) == nil {
-			return &scan.QueryError{Err: fmt.Errorf("core: predicate references unknown column %q", col)}
-		}
-	}
-	m.aggCols = spec.Agg.Columns(nil)
-	for _, col := range m.aggCols {
-		if schema.Field(col) == nil {
-			return &scan.QueryError{Err: fmt.Errorf("core: aggregate references unknown column %q", col)}
-		}
-	}
-	r.members = append(r.members, m)
-	return nil
-}
-
-// planCursors joins the members into one scan: the union planner and the
-// eval groups, the cursor set, each member's sink, and which filter columns
-// a batch may answer by key probe or dictionary id.
-func (r *Reader) planCursors() {
-	// A lone member's planner is the union's — the same predicate, the same
-	// Bloom setting. N members plan the OR of theirs, with one eval group
-	// per distinct residual.
-	m0 := r.members[0]
-	r.planner, m0.evalGroup = m0.planner, -1
-	if p := m0.planner.Predicate(); p != nil {
-		r.groupPred, m0.evalGroup = []scan.Predicate{p}, 0
-	}
-	if len(r.members) > 1 {
-		preds := make([]scan.Predicate, len(r.members))
-		for k, m := range r.members {
-			preds[k] = m.planner.Predicate()
-		}
-		union := scan.NewUnion(preds)
-		r.planner = scan.NewPlanner(union.Shared)
-		r.planner.SetBloom(!r.noBloom)
-		r.groupPred = make([]scan.Predicate, union.NumGroups)
-		for k, m := range r.members {
-			if m.evalGroup = union.EvalGroups[k]; m.evalGroup >= 0 && r.groupPred[m.evalGroup] == nil {
-				r.groupPred[m.evalGroup] = preds[k]
-			}
-		}
-	}
-	r.verdict = make([]*scan.Selection, len(r.groupPred))
-	// Projected columns first, in member order — a lone member's cursors
-	// then start with its projection, in order — then filter and aggregate
-	// columns, which feed evaluation and folding but never appear in a
-	// returned record.
-	for _, m := range r.members {
-		for _, c := range m.columns {
-			r.allCols = appendColumnName(r.allCols, c)
-		}
-	}
-	for _, m := range r.members {
-		for _, c := range m.planner.FilterColumns() {
-			r.allCols = appendColumnName(r.allCols, c)
-		}
-	}
-	for _, m := range r.members {
-		for _, c := range m.aggCols {
-			r.allCols = appendColumnName(r.allCols, c)
-		}
-	}
-	// Probe and id eligibility is judged across every residual and every
-	// member's needs at once: a column any member materializes or
-	// aggregates needs its values, so the shared cursor must not spend its
-	// stream on a probe or on ids.
-	if len(r.groupPred) > 0 {
-		r.probeOnly, r.idOnly = make(map[string]bool), make(map[string]bool)
-		for _, col := range scan.ProbeOnlyColumns(r.groupPred...) {
-			r.probeOnly[col] = true
-		}
-		for _, col := range scan.IDOnlyColumns(r.groupPred...) {
-			r.idOnly[col] = true
-		}
-	}
-	for _, m := range r.members {
-		m.colCursor = make([]int, len(m.columns))
-		for i, col := range m.columns {
-			m.colCursor[i] = slices.Index(r.allCols, col)
-			if !m.proxyOnly {
-				delete(r.probeOnly, col)
-				delete(r.idOnly, col)
-			}
-		}
-		for _, col := range m.aggCols {
-			delete(r.idOnly, col)
-		}
-		if m.agg != nil {
-			r.addFold(m)
-		} else if m.lrec == nil {
-			r.eager++
-		}
-	}
-	if len(r.members) > 1 {
-		r.needers = make([]int, len(r.allCols))
-		for ci, col := range r.allCols {
-			for _, m := range r.members {
-				if slices.Contains(m.columns, col) || slices.Contains(m.planner.FilterColumns(), col) || slices.Contains(m.aggCols, col) {
-					r.needers[ci]++
-				}
-			}
-		}
-	}
-}
 
 // unionPruned counts a union-tier proof over rows records: a group's, or a
 // whole directory's (group false) from the file tier. A sole member's

@@ -1,5 +1,7 @@
 package scan
 
+import "slices"
+
 // Shared-scan predicate union. When several co-submitted jobs scan the same
 // split-directories, the engine drives one cursor set for all of them: the
 // shared cursors push down the OR of the jobs' predicates (so group and
@@ -14,50 +16,58 @@ type Union struct {
 	// the members' distinct predicates. It is nil when any member scans
 	// unfiltered — the shared scan must then surface every record.
 	Shared Predicate
-	// Residuals holds each member's demultiplexing predicate in member
-	// order (the member's original predicate). A nil residual accepts every
-	// record the shared scan surfaces.
-	Residuals []Predicate
-	// Columns is the union of the members' filter columns, in
-	// first-appearance order across members.
-	Columns []string
 	// EvalGroups maps each member to an evaluation-sharing group: members
 	// whose residuals render identically share one per-record verdict.
 	// -1 marks members with nil residuals.
 	EvalGroups []int
-	// NumGroups is the number of distinct evaluation groups.
-	NumGroups int
+	// Groups holds each evaluation group's residual, in first-appearance
+	// order across members.
+	Groups []Predicate
 }
 
 // NewUnion builds the union of per-member predicates (nil entries mean the
-// member scans unfiltered).
+// member scans unfiltered), printing each once to find the identical ones.
 func NewUnion(preds []Predicate) *Union {
-	u := &Union{
-		Residuals:  append([]Predicate(nil), preds...),
-		EvalGroups: make([]int, len(preds)),
-	}
-	unfiltered := false
-	var distinct []Predicate
-	groupOf := make(map[string]int)
+	keys := make([]string, len(preds))
 	for i, p := range preds {
-		if p == nil {
-			unfiltered = true
-			u.EvalGroups[i] = -1
-			continue
+		if p != nil && len(preds) > 1 { // a lone predicate needs no key
+			keys[i] = p.String()
 		}
-		u.Columns = p.Columns(u.Columns)
-		key := p.String()
+	}
+	return union(len(preds), func(i int) (string, Predicate) { return keys[i], preds[i] })
+}
+
+// Sub returns the union of members (indices into the predicates u was built
+// from) that NewUnion would build from their predicates, without printing
+// one: its eval groups come from u's.
+func (u *Union) Sub(members []int) *Union {
+	return union(len(members), func(i int) (int, Predicate) {
+		if g := u.EvalGroups[members[i]]; g >= 0 {
+			return g, u.Groups[g]
+		}
+		return -1, nil
+	})
+}
+
+// union groups n members' predicates by the identity key member(i) gives.
+func union[K comparable](n int, member func(i int) (K, Predicate)) *Union {
+	u := &Union{EvalGroups: make([]int, n)}
+	groupOf := make(map[K]int)
+	for i := range n {
+		key, p := member(i)
 		g, ok := groupOf[key]
-		if !ok {
-			g = len(distinct)
+		switch {
+		case p == nil:
+			g = -1
+		case !ok:
+			g = len(u.Groups)
 			groupOf[key] = g
-			distinct = append(distinct, p)
+			u.Groups = append(u.Groups, p)
 		}
 		u.EvalGroups[i] = g
 	}
-	u.NumGroups = len(distinct)
-	if !unfiltered && len(distinct) > 0 {
-		u.Shared = Or(distinct...)
+	if len(u.Groups) > 0 && !slices.Contains(u.EvalGroups, -1) {
+		u.Shared = Or(u.Groups...)
 	}
 	return u
 }

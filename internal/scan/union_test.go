@@ -17,23 +17,14 @@ func TestUnionSharedIsOrOfDistinct(t *testing.T) {
 	if got := u.Shared.String(); got != want {
 		t.Fatalf("shared = %s, want %s", got, want)
 	}
-	if u.NumGroups != 2 {
-		t.Fatalf("NumGroups = %d, want 2", u.NumGroups)
+	if len(u.Groups) != 2 {
+		t.Fatalf("%d eval groups, want 2", len(u.Groups))
 	}
 	if u.EvalGroups[0] != u.EvalGroups[2] {
 		t.Fatalf("identical predicates got distinct eval groups %v", u.EvalGroups)
 	}
 	if u.EvalGroups[0] == u.EvalGroups[1] {
 		t.Fatalf("distinct predicates share eval group %v", u.EvalGroups)
-	}
-	wantCols := []string{"int0", "str0"}
-	if len(u.Columns) != len(wantCols) {
-		t.Fatalf("Columns = %v, want %v", u.Columns, wantCols)
-	}
-	for i, c := range wantCols {
-		if u.Columns[i] != c {
-			t.Fatalf("Columns = %v, want %v", u.Columns, wantCols)
-		}
 	}
 }
 
@@ -43,7 +34,7 @@ func TestUnionSingleMemberKeepsPredicate(t *testing.T) {
 	if u.Shared != p {
 		t.Fatalf("single-member shared = %v, want the member's own predicate", u.Shared)
 	}
-	if u.Residuals[0] != p {
+	if u.Groups[0] != p {
 		t.Fatal("residual is not the member predicate")
 	}
 }
@@ -56,8 +47,26 @@ func TestUnionUnfilteredMemberDisablesPushdown(t *testing.T) {
 	if u.EvalGroups[1] != -1 {
 		t.Fatalf("unfiltered member eval group = %d, want -1", u.EvalGroups[1])
 	}
-	if u.Residuals[0] == nil {
+	if u.Groups[u.EvalGroups[0]] == nil {
 		t.Fatal("filtered member lost its residual")
+	}
+}
+
+// TestUnionSubMatchesNewUnion: the union of a subset of members, derived
+// from the whole set's eval groups, is the one NewUnion builds from the
+// subset's own predicates — same shared predicate, same groups.
+func TestUnionSubMatchesNewUnion(t *testing.T) {
+	preds := []Predicate{Le("int0", 100), nil, Gt("str0", "m"), Le("int0", 100), Between("int0", 1, 10)}
+	all := NewUnion(preds)
+	for _, members := range [][]int{{0}, {1}, {0, 3}, {2, 0, 3}, {0, 1, 2}, {4, 3, 2, 0}, {0, 1, 2, 3, 4}} {
+		sub := make([]Predicate, len(members))
+		for i, m := range members {
+			sub[i] = preds[m]
+		}
+		want, got := NewUnion(sub), all.Sub(members)
+		if fmt.Sprint(got.Shared) != fmt.Sprint(want.Shared) || fmt.Sprint(got.EvalGroups) != fmt.Sprint(want.EvalGroups) || fmt.Sprint(got.Groups) != fmt.Sprint(want.Groups) {
+			t.Errorf("members %v: Sub = %v %v %v, NewUnion = %v %v %v", members, got.Shared, got.EvalGroups, got.Groups, want.Shared, want.EvalGroups, want.Groups)
+		}
 	}
 }
 
