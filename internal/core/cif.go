@@ -29,10 +29,10 @@ func resolveSpec(conf *mapred.JobConf) (scan.Spec, error) {
 // Split is a CIF split: one or more whole split-directories.
 type Split struct {
 	Dirs []string
-	// Dels holds each directory's delete-file path, parallel to Dirs (""
-	// or a short slice means no deletes), captured from the planner's
-	// manifest snapshot so the reader never re-reads the manifest.
-	Dels []string
+	// Dels holds each directory's delete set, parallel to Dirs (nil or a
+	// short slice means no deletes), taken from the planner's layout
+	// snapshot so the reader never re-reads the manifest.
+	Dels []*DelSet
 	// Columns is the projection captured at split-generation time, used
 	// for locality ranking (only projected files matter).
 	Columns []string
@@ -100,7 +100,7 @@ func (s *Split) files(fs *hdfs.FileSystem, dir string) []string {
 	var out []string
 	for _, fi := range infos {
 		if !fi.IsDir && !strings.HasPrefix(fi.Name(), "_") {
-			// "_"-prefixed files are metadata (schema, deletes), not columns.
+			// "_"-prefixed files are metadata (the schema), not columns.
 			out = append(out, fi.Path)
 		}
 	}
@@ -181,14 +181,14 @@ type dirPlan struct {
 }
 
 // datasetDirs is one input dataset's directory listing: all
-// split-directories in scan order (with their delete files, parallel), and
+// split-directories in scan order (with their delete sets, parallel), and
 // the subset the scheduler kept.
 type datasetDirs struct {
 	path     string
 	all      []string
-	allDels  []string
+	allDels  []*DelSet
 	kept     []string
-	keptDels []string
+	keptDels []*DelSet
 }
 
 // planDirs runs split-directory listing and the scheduler pruning tier for
@@ -221,7 +221,7 @@ func (f *InputFormat) planDirs(fs *hdfs.FileSystem, cat *catalog.Catalog, conf *
 		kept, keptDels := dirs, dels
 		if plan.elide {
 			kept = make([]string, 0, len(dirs))
-			keptDels = make([]string, 0, len(dirs))
+			keptDels = make([]*DelSet, 0, len(dirs))
 			for i, dir := range dirs {
 				if pruneSplitDir(cat, dir, planner, &plan.report) {
 					plan.report.SplitsPruned++
@@ -394,12 +394,12 @@ type Reader struct {
 	// value may have been decoded for another member's residual.
 	countCachedGets bool
 
-	dirs     []string
-	delFiles []string // each directory's delete file, parallel to dirs (nil: none)
-	dirIdx   int
+	dirs    []string
+	delSets []*DelSet // each directory's delete set, parallel to dirs (nil: none)
+	dirIdx  int
 	// dels is the open directory's delete set (nil when it has none):
 	// superseded rows are skipped before evaluation and counted nowhere.
-	dels    *delSet
+	dels    *DelSet
 	cursors []*cursor
 	byName  map[string]*cursor
 	total   int64 // records in the open split-directory
@@ -495,7 +495,7 @@ func openReader(fs *hdfs.FileSystem, confs []*mapred.JobConf, members []int, spl
 		node:       node,
 		task:       task,
 		dirs:       csplit.Dirs,
-		delFiles:   csplit.Dels,
+		delSets:    csplit.Dels,
 		dirIdx:     -1,
 		matCounted: -1,
 		members:    make([]*member, len(p.jobs)),
@@ -549,9 +549,7 @@ func (r *Reader) nextDir() error {
 		if pruned {
 			continue
 		}
-		if r.dels, err = loadDelSet(r.fs, delFileAt(r.delFiles, r.dirIdx)); err != nil {
-			return err
-		}
+		r.dels = delSetAt(r.delSets, r.dirIdx)
 		if isFreshPartition(dir) {
 			r.task.FreshPartitionsScanned++
 		}

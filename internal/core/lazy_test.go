@@ -355,7 +355,7 @@ func TestLazyRunsMatchValueAtATime(t *testing.T) {
 			for d := int64(0); d*per < n; d++ {
 				dir := fmt.Sprintf("/p/s%d", d)
 				rows := min(per, n-d*per)
-				del := ""
+				var del *DelSet
 				if d != 1 {
 					ords := []int64{0, rows - 1}
 					for k := rows / 25; k > 0; k-- {
@@ -364,10 +364,7 @@ func TestLazyRunsMatchValueAtATime(t *testing.T) {
 					for o := rows / 3; o < rows/3+5 && o < rows; o++ {
 						ords = append(ords, o)
 					}
-					del = dir + "/_deletes.1"
-					if err := WriteDeletes(fs, del, ords); err != nil {
-						t.Fatal(err)
-					}
+					del = newDelSet(ords)
 					for _, o := range ords {
 						deleted[d*per+o] = true
 					}

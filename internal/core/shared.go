@@ -72,7 +72,7 @@ func (f *InputFormat) SharedSplits(fs *hdfs.FileSystem, confs []*mapred.JobConf)
 	// members, directories in scan order within each dataset.
 	var datasetOrder []string
 	allOf := make(map[string][]string)
-	delOf := make(map[string]string)
+	delOf := make(map[string]*DelSet)
 	membersOf := make(map[string][]int)
 	for i := range plans {
 		for _, ds := range plans[i].datasets {
@@ -123,7 +123,7 @@ func (f *InputFormat) SharedSplits(fs *hdfs.FileSystem, confs []*mapred.JobConf)
 				var built []*scanPlan // the cluster's plans, one per schema
 				for a := 0; a < len(run); a += per {
 					b := min(a+per, len(run))
-					dels := make([]string, b-a)
+					dels := make([]*DelSet, b-a)
 					for di, dir := range run[a:b] {
 						dels[di] = delOf[dir]
 					}

@@ -210,10 +210,7 @@ func TestSharedScanDeletesMatchSolo(t *testing.T) {
 			ords = append(ords, o)
 		}
 	}
-	if err := WriteDeletes(fs, "/d/s0/_deletes.1", ords); err != nil {
-		t.Fatal(err)
-	}
-	split := &Split{Dirs: []string{"/d/s0"}, Dels: []string{"/d/s0/_deletes.1"}}
+	split := &Split{Dirs: []string{"/d/s0"}, Dels: []*DelSet{newDelSet(ords)}}
 	agg, err := scan.ParseAggregate("count,sum(x) group by s")
 	if err != nil {
 		t.Fatal(err)

@@ -17,6 +17,7 @@
 package hdfs
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"path"
@@ -56,6 +57,40 @@ type FileSystem struct {
 	// fresh generation, which is what keys session scan caches (ScanCache)
 	// so they can never serve a rebuilt file's predecessor.
 	nextGen int64
+	// mutations counts mutating calls (see FailNth); the failAt-th fails.
+	mutations, failAt int
+}
+
+// ErrInjected is the error a call armed by FailNth fails with.
+var ErrInjected = errors.New("injected fault")
+
+// FailNth arms crash injection: the k-th mutating call from now on —
+// Create, FileWriter.Write, FileWriter.Close, WriteFile or Remove, counted
+// from 1 in call order — fails with an error wrapping ErrInjected, and every
+// other call runs as usual. A failed Write appends the first half of its
+// bytes before it fails, as a write torn by a crash would; any other failed
+// call changes nothing. WriteFile counts once itself and once for each of
+// the Create, Write and Close it makes. k <= 0 disarms the hook. The
+// returned function reports how many mutating calls have been made since.
+func (fs *FileSystem) FailNth(k int) (calls func() int) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fs.mutations, fs.failAt = 0, k
+	return func() int {
+		fs.mu.Lock()
+		defer fs.mu.Unlock()
+		return fs.mutations
+	}
+}
+
+// mutateLocked counts one mutating call and returns its injected fault, if
+// the call is the one FailNth armed.
+func (fs *FileSystem) mutateLocked(op, p string) error {
+	fs.mutations++
+	if fs.mutations != fs.failAt {
+		return nil
+	}
+	return fmt.Errorf("hdfs: %s %s: %w", op, p, ErrInjected)
 }
 
 type fileMeta struct {
@@ -145,6 +180,9 @@ func (fs *FileSystem) Create(p string, writer NodeID) (*FileWriter, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	p = clean(p)
+	if err := fs.mutateLocked("create", p); err != nil {
+		return nil, err
+	}
 	if _, ok := fs.files[p]; ok {
 		return nil, fmt.Errorf("hdfs: create %s: file exists", p)
 	}
@@ -235,6 +273,9 @@ func (fs *FileSystem) Remove(p string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	p = clean(p)
+	if err := fs.mutateLocked("remove", p); err != nil {
+		return err
+	}
 	if _, ok := fs.files[p]; !ok {
 		return fmt.Errorf("hdfs: remove %s: no such file", p)
 	}
@@ -408,6 +449,12 @@ func (fs *FileSystem) treeSizeLocked(p string) int64 {
 
 // WriteFile creates p and writes data in one call.
 func (fs *FileSystem) WriteFile(p string, data []byte, writer NodeID) error {
+	fs.mu.Lock()
+	err := fs.mutateLocked("writefile", clean(p))
+	fs.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	w, err := fs.Create(p, writer)
 	if err != nil {
 		return err
@@ -427,6 +474,9 @@ func (fs *FileSystem) ReadFile(p string) ([]byte, error) {
 		return nil, err
 	}
 	buf := make([]byte, r.Size())
+	if len(buf) == 0 {
+		return buf, nil
+	}
 	if _, err := r.ReadAt(buf, 0); err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package hdfs
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
 	"testing"
@@ -410,5 +411,67 @@ func TestReadFileRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFailNth: the armed call — and only it — fails with ErrInjected; a
+// failed Write keeps the first half of its bytes, every other failed call
+// changes nothing; WriteFile counts once for itself and once per call it
+// makes; disarming only counts.
+func TestFailNth(t *testing.T) {
+	fs := New(testCluster(), 1)
+	calls := fs.FailNth(0)
+	if err := fs.WriteFile("/d/a", []byte("abcd"), 0); err != nil {
+		t.Fatal(err)
+	}
+	if n := calls(); n != 4 {
+		t.Fatalf("WriteFile made %d mutating calls, want 4 (itself, Create, Write, Close)", n)
+	}
+	cases := []struct {
+		k          int
+		exists     bool
+		data       string
+		closedFile bool
+	}{
+		{1, false, "", false},    // WriteFile itself
+		{2, false, "", false},    // Create
+		{3, true, "ab", false},   // Write: torn
+		{4, true, "abcd", false}, // Close: the bytes are there, the file is not closed
+		{5, true, "abcd", true},  // past the calls made: nothing fails
+		{0, true, "abcd", true},  // disarmed
+		{-1, true, "abcd", true}, // disarmed
+	}
+	for _, c := range cases {
+		_ = fs.RemoveAll("/e")
+		fs.FailNth(c.k)
+		err := fs.WriteFile("/e/f", []byte("abcd"), 0)
+		fs.FailNth(0)
+		wantErr := c.k >= 1 && c.k <= 4
+		if (err != nil) != wantErr || (err != nil && !errors.Is(err, ErrInjected)) {
+			t.Errorf("k=%d: WriteFile returned %v", c.k, err)
+		}
+		if fs.Exists("/e/f") != c.exists {
+			t.Errorf("k=%d: file exists %v, want %v", c.k, fs.Exists("/e/f"), c.exists)
+			continue
+		}
+		if !c.exists {
+			continue
+		}
+		got, _ := fs.ReadFile("/e/f")
+		_, closed := fs.Generation("/e/f")
+		if string(got) != c.data || closed != c.closedFile {
+			t.Errorf("k=%d: file holds %q closed=%v, want %q closed=%v", c.k, got, closed, c.data, c.closedFile)
+		}
+	}
+
+	fs.FailNth(1)
+	if err := fs.Remove("/d/a"); !errors.Is(err, ErrInjected) || !fs.Exists("/d/a") {
+		t.Errorf("a failed Remove returned %v and left the file: %v", err, fs.Exists("/d/a"))
+	}
+	if err := fs.Remove("/d/a"); err != nil || fs.Exists("/d/a") {
+		t.Errorf("the Remove after the failed one returned %v", err)
+	}
+	if n := calls(); n != 2 {
+		t.Errorf("counted %d mutating calls since arming, want 2", n)
 	}
 }

@@ -29,6 +29,10 @@ func (w *FileWriter) Write(p []byte) (int, error) {
 	}
 	w.fs.mu.Lock()
 	defer w.fs.mu.Unlock()
+	fault := w.fs.mutateLocked("write", w.meta.path)
+	if fault != nil {
+		p = p[:len(p)/2]
+	}
 	written := 0
 	for len(p) > 0 {
 		blk := w.currentBlockLocked()
@@ -52,7 +56,7 @@ func (w *FileWriter) Write(p []byte) (int, error) {
 	if w.stats != nil {
 		w.stats.BytesWritten += int64(written)
 	}
-	return written, nil
+	return written, fault
 }
 
 func (w *FileWriter) currentBlockLocked() *block {
@@ -81,6 +85,9 @@ func (w *FileWriter) Size() int64 {
 func (w *FileWriter) Close() error {
 	w.fs.mu.Lock()
 	defer w.fs.mu.Unlock()
+	if err := w.fs.mutateLocked("close", w.meta.path); err != nil {
+		return err
+	}
 	w.meta.closed = true
 	w.closed = true
 	return nil

@@ -2,6 +2,8 @@ package ingest
 
 import (
 	"fmt"
+	"path"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -17,7 +19,7 @@ import (
 //
 // The merge is a MapReduce job over the engine itself: its input is the
 // ordinary merge-on-read scan of the fresh partitions (a hand-built CIF
-// split carrying their delete files), and its mapper appends the surfaced
+// split carrying their delete sets), and its mapper appends the surfaced
 // records to a core.Writer in rounds. The scan masks superseded rows before
 // they reach the mapper, so the job needs no shuffle and no key resolution —
 // records never transit the shuffle (whose key encoding could not carry
@@ -83,12 +85,10 @@ func (ing *Ingester) compactInto(outDir string, fresh, keep []*part) error {
 		return err
 	}
 	dirs := make([]string, len(fresh))
-	dels := make([]string, len(fresh))
+	dels := make([]*core.DelSet, len(fresh))
 	for i, p := range fresh {
 		dirs[i] = p.dir
-		if p.delFile != "" {
-			dels[i] = p.dir + "/" + p.delFile
-		}
+		dels[i] = p.dels.Union(slices.Clone(p.deleted))
 	}
 	// Every surfaced key, in the order the writer writes its record; the
 	// scan's eager records are never reused, so a round may hold them.
@@ -139,22 +139,26 @@ func (ing *Ingester) compactInto(outDir string, fresh, keep []*part) error {
 	ing.opts.Stats.Add(cstats)
 	ing.opts.Stats.CompactionBytes += cstats.IO.BytesWritten
 
-	// The new layout: kept partitions, then the compacted output's
-	// split-directories in order. The old fresh directories (and the delete
-	// files inside them — the masking is now physical) are retired.
+	// The new layout: kept partitions (they precede every fresh one, so
+	// they keep their indices), then the compacted output's
+	// split-directories in order. The old fresh directories are retired
+	// (their deletes are now physical); one no commit published is only
+	// dropped.
 	parts, retired := ing.parts, ing.retired
 	ing.parts = keep
 	for _, ws := range w.Written() {
-		ing.parts = append(ing.parts, &part{dir: ws.Dir, records: ws.Records})
+		ing.parts = append(ing.parts, &part{dir: ws.Dir, records: ws.Records, idx: len(ing.parts)})
 	}
-	prefix := ing.opts.Dataset + "/"
 	newRetired := make([]string, len(fresh))
 	for i, p := range fresh {
 		newRetired[i] = p.dir
-		ing.retired = append(ing.retired, p.dir[len(prefix):])
+		if p.idx < ing.layoutLen {
+			ing.retiring = append(ing.retiring, p.idx)
+			ing.retired = append(ing.retired, ing.rel(p.dir))
+		}
 	}
-	if err := ing.commitLocked(newRetired); err != nil {
-		ing.parts, ing.retired = parts, retired
+	if err := ing.commitLocked(newRetired, false); err != nil {
+		ing.parts, ing.retired, ing.retiring = parts, retired, ing.retiring[:0]
 		return err
 	}
 	// Where every surfaced key now lives: the keys are in write order.
@@ -168,51 +172,64 @@ func (ing *Ingester) compactInto(outDir string, fresh, keep []*part) error {
 	return nil
 }
 
-// GC collects what no committed layout names any more. If compaction has
-// retired directories it first commits a manifest with the retired list
-// cleared (an unchanged layout gets no new generation); then, new manifest
-// first and removals after, it removes the retired directories, every
-// manifest generation below the committed one, and every delete file a live
-// partition's manifest entry does not name. What the dataset stores
-// afterwards is its live partitions and one manifest, however many commits
-// came before. Call it only at a quiesce point: a scan still planning
-// against an older generation would find its files gone. (Scans already
-// running keep their open readers — removal does not affect them.)
+// GC collects what no committed layout names any more. Unless the head
+// record is already a checkpoint that retires nothing, it first commits a
+// checkpoint of the current layout with the retired list cleared; then, new
+// record first and removals after, it removes every other commit record and
+// every file and directory of the dataset that no live partition holds — the
+// retired directories, and whatever a failed flush or compaction left. What
+// the dataset stores afterwards is its live partitions and one record,
+// however many commits came before, and a second GC does nothing. Call it
+// only at a quiesce point: a scan still planning against an older
+// generation would find its files gone. (Scans already running keep their
+// open readers — removal does not affect them.)
 func (ing *Ingester) GC() error {
 	ing.mu.Lock()
 	defer ing.mu.Unlock()
-	retired := ing.retired
-	if len(retired) > 0 {
+	if ing.log.Generation() == 0 {
+		return nil
+	}
+	if retired := ing.retired; !ing.log.Settled() || len(retired) > 0 {
 		ing.retired = nil
-		if err := ing.commitLocked(nil); err != nil {
+		if err := ing.commitLocked(nil, true); err != nil {
+			ing.retired = retired
 			return err
 		}
 	}
-	for _, rel := range retired {
-		if err := ing.fs.RemoveAll(ing.opts.Dataset + "/" + rel); err != nil {
-			return err
-		}
-	}
-	current := core.ManifestPrefix + strconv.FormatInt(ing.gen, 10)
-	if err := ing.sweep(ing.opts.Dataset, core.ManifestPrefix, current); err != nil {
-		return err
-	}
+	// Every partition (true) and every directory above one (false).
+	live := make(map[string]bool, 2*len(ing.parts))
 	for _, p := range ing.parts {
-		if err := ing.sweep(p.dir, core.DeletesPrefix, p.delFile); err != nil {
-			return err
+		live[p.dir] = true
+		for dir := path.Dir(p.dir); len(dir) > len(ing.opts.Dataset); dir = path.Dir(dir) {
+			if _, ok := live[dir]; ok {
+				break
+			}
+			live[dir] = false
 		}
 	}
-	return nil
+	return ing.sweep(ing.opts.Dataset, live, core.ManifestPrefix+strconv.FormatInt(ing.log.Generation(), 10))
 }
 
-// sweep removes dir's files whose names begin with prefix, but for keep.
-func (ing *Ingester) sweep(dir, prefix, keep string) error {
+// sweep removes everything under dir but the live partitions and, in the
+// dataset directory, the commit record keep.
+func (ing *Ingester) sweep(dir string, live map[string]bool, keep string) error {
 	infos, err := ing.fs.List(dir)
 	if err != nil {
 		return err
 	}
 	for _, fi := range infos {
-		if name := fi.Name(); !fi.IsDir && name != keep && strings.HasPrefix(name, prefix) {
+		partition, ok := live[fi.Path]
+		switch {
+		case fi.IsDir && !ok:
+			if err := ing.fs.RemoveAll(fi.Path); err != nil {
+				return err
+			}
+		case fi.IsDir && !partition:
+			if err := ing.sweep(fi.Path, live, keep); err != nil {
+				return err
+			}
+		case fi.IsDir:
+		case fi.Name() != keep || dir != ing.opts.Dataset:
 			if err := ing.fs.Remove(fi.Path); err != nil {
 				return err
 			}

@@ -17,14 +17,15 @@
 //   - A full memtable flushes into small time-partitioned partitions
 //     (dt=<bucket>/seq-<N> split-directories) written through the ordinary
 //     colfile writers, so even the freshest partition carries the complete
-//     CFS3 statistics zone — Bloom filters and zone maps from birth.
+//     CFS4 statistics zone — Bloom filters and zone maps from birth.
 //   - A recrawl whose predecessor was already flushed cannot rewrite an
-//     immutable column file; the old row is marked in the partition's
-//     position delete vector (an immutable, versioned _deletes.<gen> file)
-//     and every scan masks it out — merge-on-read.
-//   - Each flush commits a new generation of the dataset manifest
-//     (core.Manifest): an immutable _manifest.<N> file listing the live
-//     partitions in arrival order with their current delete files. Scans
+//     immutable column file; the old row's ordinal joins the partition's
+//     position delete vector, carried by the next commit record, and every
+//     scan masks it out — merge-on-read.
+//   - Each flush commits a new generation of the dataset layout as one
+//     immutable _manifest.<N> record (core.ManifestLog): an edit — the
+//     partitions added, the ordinals deleted — over a checkpoint of the
+//     whole layout, written again once the edits would outweigh it. Scans
 //     plan against the highest complete generation, so a reader racing a
 //     commit sees the previous layout, never a torn one.
 //   - Background compaction merges the accumulated fresh partitions into
@@ -38,7 +39,7 @@
 //     physical.
 //
 // Scans never see buffered records: the unit of visibility is the manifest
-// commit. Everything a scan can observe — partitions, delete files,
-// manifests — is immutable once written, which is what makes concurrent
+// commit. Everything a scan can observe — partitions and commit records —
+// is immutable once written, which is what makes concurrent
 // serving safe without any reader-side locking.
 package ingest

@@ -106,41 +106,38 @@ func TestIngestPinnedStatsAndTree(t *testing.T) {
 	}
 }
 
-// datasetFiles returns the dataset's manifests and, per live partition of
-// the current manifest, its delete files.
-func datasetFiles(t *testing.T, fs *hdfs.FileSystem, dataset string) (manifests []string, deletes map[string][]string) {
+// datasetFiles returns the dataset's commit records and how many delete
+// files it holds — none since deletes moved into the commit records.
+func datasetFiles(t *testing.T, fs *hdfs.FileSystem, dataset string) (manifests []string, deleteFiles int) {
 	t.Helper()
-	deletes = map[string][]string{}
 	walkFiles(t, fs, dataset, func(fi hdfs.FileInfo) {
 		switch name := fi.Name(); {
 		case strings.HasPrefix(name, "_manifest."):
 			manifests = append(manifests, fi.Path)
 		case strings.HasPrefix(name, "_deletes."):
-			dir := strings.TrimSuffix(fi.Path, "/"+name)
-			deletes[dir] = append(deletes[dir], name)
+			deleteFiles++
 		}
 	})
-	return manifests, deletes
+	return manifests, deleteFiles
 }
 
-// checkCollected asserts the post-GC shape: one manifest, at most one delete
-// file per partition directory.
+// checkCollected asserts the post-GC shape: one commit record, and no
+// delete file.
 func checkCollected(t *testing.T, fs *hdfs.FileSystem, dataset string) {
 	t.Helper()
-	manifests, deletes := datasetFiles(t, fs, dataset)
+	manifests, deleteFiles := datasetFiles(t, fs, dataset)
 	if len(manifests) != 1 {
 		t.Errorf("after GC the dataset holds %d manifests %v, want exactly 1", len(manifests), manifests)
 	}
-	for dir, names := range deletes {
-		if len(names) > 1 {
-			t.Errorf("after GC partition %s holds %d delete files %v, want at most 1", dir, len(names), names)
-		}
+	if deleteFiles != 0 {
+		t.Errorf("the dataset holds %d delete files; deletes live in the commit records", deleteFiles)
 	}
 }
 
-// TestGCCollectsManifestsAndDeletes: GC leaves one manifest and one delete
-// file per partition, never changes what a scan returns, does nothing the
-// second time, and works on a dataset that only ever flushed.
+// TestGCCollectsManifestsAndDeletes: GC leaves one commit record (and the
+// ingester never writes a delete file), never changes what a scan returns,
+// commits at most one checkpoint, does nothing the second time, and works on
+// a dataset that only ever flushed.
 func TestGCCollectsManifestsAndDeletes(t *testing.T) {
 	for _, compactEvery := range []int{3, 0} {
 		arr, crawl := arrivals(900, 0.35, 7)
@@ -162,14 +159,13 @@ func TestGCCollectsManifestsAndDeletes(t *testing.T) {
 		if err := ing.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		manifests, deletes := datasetFiles(t, fs, "/live/crawl")
-		superseded := 0
-		for _, names := range deletes {
-			superseded += len(names) - 1
+		manifests, deleteFiles := datasetFiles(t, fs, "/live/crawl")
+		if len(manifests) < 2 || ing.Stats().UpsertsResolved == 0 {
+			t.Fatalf("CompactEvery %d: the stream left %d manifests and resolved %d upserts; the test needs garbage and deletes",
+				compactEvery, len(manifests), ing.Stats().UpsertsResolved)
 		}
-		if len(manifests) < 2 || superseded == 0 {
-			t.Fatalf("CompactEvery %d: the stream left %d manifests and %d superseded delete files; the test needs garbage",
-				compactEvery, len(manifests), superseded)
+		if deleteFiles != 0 {
+			t.Errorf("CompactEvery %d: the stream wrote %d delete files", compactEvery, deleteFiles)
 		}
 		before := scanRows(t, fs, "/live/crawl", nil, true)
 		gen := ing.Generation()
@@ -177,8 +173,8 @@ func TestGCCollectsManifestsAndDeletes(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkCollected(t, fs, "/live/crawl")
-		if compactEvery == 0 && ing.Generation() != gen {
-			t.Errorf("GC of an unchanged layout committed generation %d over %d", ing.Generation(), gen)
+		if g := ing.Generation(); g > gen+1 {
+			t.Errorf("GC committed generations %d..%d; one checkpoint at most", gen+1, g)
 		}
 		if after := scanRows(t, fs, "/live/crawl", nil, true); !reflect.DeepEqual(before, after) {
 			t.Errorf("CompactEvery %d: GC changed what a full scan returns (%d rows before, %d after)", compactEvery, len(before), len(after))

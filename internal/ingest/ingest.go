@@ -1,9 +1,10 @@
 package ingest
 
 import (
+	"cmp"
 	"fmt"
+	"path"
 	"slices"
-	"strconv"
 	"sync"
 
 	"colmr/internal/core"
@@ -54,6 +55,8 @@ func (o *Options) withDefaults() (Options, error) {
 	if opts.Dataset == "" {
 		return opts, fmt.Errorf("ingest: no dataset directory")
 	}
+	// The namenode's spelling, which GC compares listed paths with.
+	opts.Dataset = path.Clean("/" + opts.Dataset)
 	if err := opts.Load.Validate(opts.Schema); err != nil {
 		return opts, err
 	}
@@ -94,12 +97,16 @@ type entry struct {
 type part struct {
 	dir     string // absolute
 	records int64
-	delFile string // current delete-file name ("" when none)
-	// deleted is the partition's superseded ordinals, cumulative. A row is
-	// superseded at most once (its key's location moves on when it is), so
-	// the list holds no duplicates; a commit sorts what flushes appended.
-	deleted []int64
-	dirty   bool // deleted grew since delFile was written
+	idx     int // the partition's position in Ingester.parts
+	// dels is the partition's superseded ordinals as of the last
+	// checkpoint, deleted the ones superseded since. A row is superseded at
+	// most once (its key's location moves on when it is), so no ordinal is
+	// in both. The first committed of deleted are in the committed layout;
+	// a commit sorts the rest before it records them.
+	dels      *core.DelSet
+	deleted   []int64
+	committed int
+	touched   bool // listed in Ingester.touched
 }
 
 // Ingester is the streaming writer for one dataset. Its methods are safe
@@ -119,13 +126,26 @@ type Ingester struct {
 	round    []*serde.GenericRecord // a flushed partition's records, being written
 
 	parts   []*part
-	seq     int   // next fresh-partition number
-	compact int   // next compaction-output number
-	gen     int64 // committed manifest generation (0 = none yet)
-	flushes int   // flushes since last compaction
+	seq     int // next fresh-partition number
+	compact int // next compaction-output number
+	flushes int // flushes since last compaction
 
 	keyLoc  map[string]loc // live flushed record per key
 	retired []string       // dirs replaced by compaction, pending GC (relative)
+
+	// log writes the commit records. The committed layout is parts'
+	// first layoutLen partitions, less the ones at the indices retiring
+	// lists (a compaction's, until it commits); flushes only append past
+	// them. touched lists the partitions whose deletes grew since the last
+	// commit. So an edit costs what changed, however many partitions the
+	// dataset has.
+	log       *core.ManifestLog
+	layoutLen int
+	retiring  []int
+	touched   []*part
+	// edit and runs are commit scratch, reused across commits.
+	edit core.ManifestEdit
+	runs []core.DelRun
 
 	onCommit []func(gen int64, retired []string)
 }
@@ -146,6 +166,7 @@ func New(fs *hdfs.FileSystem, o Options) (*Ingester, error) {
 		tmI:      opts.Schema.FieldIndex(opts.TimeColumn),
 		buffered: make(map[string]int),
 		keyLoc:   make(map[string]loc),
+		log:      core.NewManifestLog(fs, opts.Dataset),
 	}, nil
 }
 
@@ -158,7 +179,7 @@ func (ing *Ingester) Stats() *sim.TaskStats { return ing.opts.Stats }
 func (ing *Ingester) Generation() int64 {
 	ing.mu.Lock()
 	defer ing.mu.Unlock()
-	return ing.gen
+	return ing.log.Generation()
 }
 
 // OnCommit registers a callback invoked after every manifest commit (flush
@@ -213,8 +234,12 @@ func (ing *Ingester) Flush() error {
 func (ing *Ingester) flushLocked() error {
 	if !slices.ContainsFunc(ing.memtable, func(e entry) bool { return e.rec != nil }) {
 		ing.memtable = ing.memtable[:0]
-		ing.buffered = make(map[string]int)
+		clear(ing.buffered)
 		ing.arrivals = 0
+		if ing.log.Failed() {
+			// A failed commit's partitions and deletes are still to publish.
+			return ing.commitLocked(nil, true)
+		}
 		return nil
 	}
 	// Write the survivors in arrival order, cutting a new partition at
@@ -231,14 +256,15 @@ func (ing *Ingester) flushLocked() error {
 			j++
 		}
 		if err := ing.writePart(mt[i:j]); err != nil {
+			ing.keepMemtable(i)
 			return err
 		}
 		i = j
 	}
 	ing.memtable = ing.memtable[:0]
-	ing.buffered = make(map[string]int)
+	clear(ing.buffered)
 	ing.arrivals = 0
-	if err := ing.commitLocked(nil); err != nil {
+	if err := ing.commitLocked(nil, false); err != nil {
 		return err
 	}
 	ing.flushes++
@@ -248,17 +274,61 @@ func (ing *Ingester) flushLocked() error {
 	return nil
 }
 
+// keepMemtable drops the memtable's first n entries, which a failed flush
+// has already written, so that the next flush writes only the rest.
+func (ing *Ingester) keepMemtable(n int) {
+	ing.memtable = ing.memtable[:copy(ing.memtable, ing.memtable[n:])]
+	clear(ing.buffered)
+	for i, e := range ing.memtable {
+		if e.rec != nil {
+			ing.buffered[e.key] = i
+		}
+	}
+	ing.arrivals = len(ing.memtable)
+}
+
 // writePart writes the live arrivals among entries, all of the first one's
 // bucket, as a fresh partition in one round, and moves their keys'
 // locations to it.
 func (ing *Ingester) writePart(entries []entry) error {
 	dir := fmt.Sprintf("%s/dt=%d/seq-%d", ing.opts.Dataset, entries[0].bucket*ing.opts.BucketMillis/1000, ing.seq)
 	ing.seq++
+	if err := ing.writeRound(dir, entries); err != nil {
+		// Nothing names the partial partition: remove it, or no GC ever
+		// will. The write's error is the one to report.
+		_ = ing.fs.RemoveAll(dir)
+		return err
+	}
+	ing.opts.Stats.FlushedFiles += int64(1 + len(ing.opts.Schema.Fields))
+	p := &part{dir: dir, idx: len(ing.parts)}
+	ing.parts = append(ing.parts, p)
+	for _, e := range entries {
+		if e.rec == nil {
+			continue
+		}
+		if old, ok := ing.keyLoc[e.key]; ok {
+			// Recrawl of a flushed page: the old row is immutable, so it is
+			// superseded by position — masked out of every scan from the
+			// next commit on, removed physically at compaction.
+			old.part.deleted = append(old.part.deleted, old.ord)
+			if !old.part.touched {
+				old.part.touched = true
+				ing.touched = append(ing.touched, old.part)
+			}
+			ing.opts.Stats.UpsertsResolved++
+		}
+		ing.keyLoc[e.key] = loc{part: p, ord: p.records}
+		p.records++
+	}
+	return nil
+}
+
+// writeRound writes the live arrivals among entries as the partition dir.
+func (ing *Ingester) writeRound(dir string, entries []entry) error {
 	pw, err := core.NewSplitWriter(ing.fs, dir, ing.opts.Schema, ing.opts.Load, ing.opts.Stats)
 	if err != nil {
 		return err
 	}
-	ing.opts.Stats.FlushedFiles += int64(1 + len(ing.opts.Schema.Fields))
 	for _, e := range entries {
 		if e.rec != nil {
 			ing.round = append(ing.round, e.rec)
@@ -270,58 +340,71 @@ func (ing *Ingester) writePart(entries []entry) error {
 	if err != nil {
 		return err
 	}
-	if err := pw.Close(); err != nil {
-		return err
-	}
-	p := &part{dir: dir}
-	ing.parts = append(ing.parts, p)
-	for _, e := range entries {
-		if e.rec == nil {
-			continue
-		}
-		if old, ok := ing.keyLoc[e.key]; ok {
-			// Recrawl of a flushed page: the old row is immutable, so it is
-			// superseded by position — masked out of every scan from the
-			// next commit on, removed physically at compaction.
-			old.part.deleted = append(old.part.deleted, old.ord)
-			old.part.dirty = true
-			ing.opts.Stats.UpsertsResolved++
-		}
-		ing.keyLoc[e.key] = loc{part: p, ord: p.records}
-		p.records++
-	}
-	return nil
+	return pw.Close()
 }
 
-// commitLocked publishes the current layout: rewrite the delete file of
-// every partition whose superseded set grew, then write the next manifest
-// generation in one atomic step.
-func (ing *Ingester) commitLocked(newRetired []string) error {
-	gen := ing.gen + 1
-	m := &core.Manifest{Generation: gen, Retired: ing.retired}
-	prefix := ing.opts.Dataset + "/"
-	for _, p := range ing.parts {
-		if p.dirty {
-			slices.Sort(p.deleted)
-			name := core.DeletesPrefix + strconv.FormatInt(gen, 10)
-			if err := core.WriteDeletes(ing.fs, p.dir+"/"+name, p.deleted); err != nil {
-				return err
-			}
-			p.delFile, p.dirty = name, false
-			ing.opts.Stats.FlushedFiles++
-		}
-		m.Partitions = append(m.Partitions, core.ManifestPartition{
-			Dir:     p.dir[len(prefix):],
-			Deletes: p.delFile,
-			Records: p.records,
-		})
+// commitLocked publishes the current layout as the next generation: one
+// commit record, an edit against the committed layout unless checkpoint
+// asks for a checkpoint or the log decides one is due.
+func (ing *Ingester) commitLocked(newRetired []string, checkpoint bool) error {
+	var e *core.ManifestEdit
+	if !checkpoint {
+		e = ing.nextEdit()
 	}
-	if err := core.WriteManifest(ing.fs, ing.opts.Dataset, m); err != nil {
+	if _, err := ing.log.Commit(e, ing.checkpoint); err != nil {
 		return err
 	}
-	ing.gen = gen
+	ing.layoutLen, ing.retiring = len(ing.parts), ing.retiring[:0]
+	for _, p := range ing.touched {
+		p.committed, p.touched = len(p.deleted), false
+	}
+	clear(ing.touched)
+	ing.touched = ing.touched[:0]
+	gen := ing.log.Generation()
 	for _, fn := range ing.onCommit {
 		fn(gen, newRetired)
 	}
 	return nil
 }
+
+// nextEdit returns the change from the committed layout to the current
+// one: the partitions retiring, those past the committed ones that remain,
+// and the ordinals superseded since.
+func (ing *Ingester) nextEdit() *core.ManifestEdit {
+	e := &ing.edit
+	e.Retire = append(e.Retire[:0], ing.retiring...)
+	e.Append = e.Append[:0]
+	for _, p := range ing.parts[ing.layoutLen-len(ing.retiring):] {
+		e.Append = append(e.Append, core.ManifestPartition{Dir: ing.rel(p.dir), Records: p.records})
+	}
+	slices.SortFunc(ing.touched, func(a, b *part) int { return cmp.Compare(a.idx, b.idx) })
+	e.Deletes = e.Deletes[:0]
+	runs := ing.runs[:0]
+	for _, p := range ing.touched {
+		if p.idx >= len(ing.parts) || ing.parts[p.idx] != p {
+			continue // compacted away: its deletes are physical now
+		}
+		added := p.deleted[p.committed:]
+		slices.Sort(added)
+		from := len(runs)
+		runs = core.AppendDelRuns(runs, added)
+		e.Deletes = append(e.Deletes, core.PartitionDeletes{Partition: p.idx, Runs: runs[from:len(runs):len(runs)]})
+	}
+	ing.runs = runs
+	return e
+}
+
+// checkpoint returns generation gen's whole layout, folding every
+// partition's deletes since the last checkpoint into its set. (Should the
+// checkpoint not commit, the next commit is a checkpoint again.)
+func (ing *Ingester) checkpoint(gen int64) *core.Manifest {
+	m := &core.Manifest{Generation: gen, Retired: ing.retired, Partitions: make([]core.ManifestPartition, len(ing.parts))}
+	for i, p := range ing.parts {
+		p.dels, p.deleted, p.committed = p.dels.Union(p.deleted), p.deleted[:0], 0
+		m.Partitions[i] = core.ManifestPartition{Dir: ing.rel(p.dir), Records: p.records, Deletes: p.dels}
+	}
+	return m
+}
+
+// rel returns dir relative to the dataset root.
+func (ing *Ingester) rel(dir string) string { return dir[len(ing.opts.Dataset)+1:] }

@@ -215,7 +215,8 @@ type TaskStats struct {
 	DictIdCompares int64
 	// FlushedFiles is the number of files the streaming ingest path wrote
 	// while flushing memtables into fresh time-partitioned split-directories
-	// (schema, column, and delete files all count: each is a real create).
+	// (schema and column files; commit records, which carry the deletes,
+	// are metadata and do not count).
 	FlushedFiles int64
 	// CompactionBytes is the bytes of column data a compaction job wrote
 	// while merging small fresh partitions into large statistics-rich ones.
