@@ -95,8 +95,8 @@ func TestIngestPinnedStatsAndTree(t *testing.T) {
 		st.FlushedFiles, st.CompactionBytes, st.UpsertsResolved, st.IO.TotalChargedBytes(), st.RecordsProcessed)
 	const (
 		wantTree  = "336 files 5e764d90984929ad56758b5d"
-		wantMeta  = "120 files f9dbe5574d740a45f12579ff placement 93dac9a55637a07429aec893"
-		wantStats = "gen=17 written=1752714 raw=1683694 dict=131209 flushed=256 compaction=864804 upserts=466 read=774095 processed=1280"
+		wantMeta  = "16 files c448ba29f8a7eb189919d1aa placement 58ec8a1bce1005c97d6a66e4"
+		wantStats = "gen=17 written=1752714 raw=1683694 dict=131209 flushed=152 compaction=864804 upserts=466 read=774095 processed=1280"
 	)
 	if tree != wantTree {
 		t.Errorf("the ingest's column and schema files moved:\n got %s\nwant %s", tree, wantTree)
