@@ -115,8 +115,8 @@ func manifestPath(dataset string, gen int64) string {
 	return dataset + "/" + ManifestPrefix + strconv.FormatInt(gen, 10)
 }
 
-// AppendCheckpoint appends m's checkpoint record to dst.
-func AppendCheckpoint(dst []byte, m *Manifest) []byte {
+// appendCheckpoint appends m's checkpoint record to dst.
+func appendCheckpoint(dst []byte, m *Manifest) []byte {
 	start := len(dst)
 	dst = append(dst, manifestMagic...)
 	dst = append(dst, kindCheckpoint)
@@ -134,16 +134,20 @@ func AppendCheckpoint(dst []byte, m *Manifest) []byte {
 	return sealRecord(dst, start)
 }
 
-// AppendEdit appends e's edit record to dst.
-func AppendEdit(dst []byte, e *ManifestEdit) []byte {
+// appendEdit appends e's edit record to dst.
+func appendEdit(dst []byte, e *ManifestEdit) []byte {
 	start := len(dst)
 	dst = append(dst, manifestMagic...)
 	dst = append(dst, kindEdit)
 	dst = binary.AppendUvarint(dst, uint64(e.Generation))
 	dst = binary.AppendUvarint(dst, uint64(e.Checkpoint))
+	// Partition indices ascend: each is coded as its gap from the one
+	// before (the first from -1), less one.
 	dst = binary.AppendUvarint(dst, uint64(len(e.Retire)))
-	for i, idx := range e.Retire {
-		dst = appendIndex(dst, e.Retire, i, idx)
+	prev := -1
+	for _, idx := range e.Retire {
+		dst = binary.AppendUvarint(dst, uint64(idx-prev-1))
+		prev = idx
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(e.Append)))
 	for _, p := range e.Append {
@@ -151,25 +155,13 @@ func AppendEdit(dst []byte, e *ManifestEdit) []byte {
 		dst = binary.AppendUvarint(dst, uint64(p.Records))
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(e.Deletes)))
-	for i, d := range e.Deletes {
-		prev := -1
-		if i > 0 {
-			prev = e.Deletes[i-1].Partition
-		}
+	prev = -1
+	for _, d := range e.Deletes {
 		dst = binary.AppendUvarint(dst, uint64(d.Partition-prev-1))
+		prev = d.Partition
 		dst = appendRuns(dst, d.Runs)
 	}
 	return sealRecord(dst, start)
-}
-
-// appendIndex appends entry i of an ascending index list as its gap from
-// the entry before (the first from -1), less one.
-func appendIndex(dst []byte, list []int, i, idx int) []byte {
-	prev := -1
-	if i > 0 {
-		prev = list[i-1]
-	}
-	return binary.AppendUvarint(dst, uint64(idx-prev-1))
 }
 
 func appendString(dst []byte, s string) []byte {
@@ -356,8 +348,10 @@ func (d *recordDecoder) edit(gen int64) *ManifestEdit {
 	if n := d.count(1); n > 0 {
 		e.Retire = make([]int, n)
 	}
+	prev := -1
 	for i := range e.Retire {
-		e.Retire[i] = d.index(e.Retire, i)
+		e.Retire[i] = d.index(prev)
+		prev = e.Retire[i]
 	}
 	if n := d.count(3); n > 0 {
 		e.Append = make([]ManifestPartition, n)
@@ -368,27 +362,17 @@ func (d *recordDecoder) edit(gen int64) *ManifestEdit {
 	if n := d.count(2); n > 0 {
 		e.Deletes = make([]PartitionDeletes, n)
 	}
+	prev = -1
 	for i := range e.Deletes {
-		prev := -1
-		if i > 0 {
-			prev = e.Deletes[i-1].Partition
-		}
-		e.Deletes[i].Partition = d.indexAfter(prev)
+		e.Deletes[i].Partition = d.index(prev)
 		e.Deletes[i].Runs = d.runs(math.MaxInt64)
+		prev = e.Deletes[i].Partition
 	}
 	return e
 }
 
-// index reads entry i of an ascending index list (see appendIndex).
-func (d *recordDecoder) index(list []int, i int) int {
-	prev := -1
-	if i > 0 {
-		prev = list[i-1]
-	}
-	return d.indexAfter(prev)
-}
-
-func (d *recordDecoder) indexAfter(prev int) int {
+// index reads the partition index that follows prev (see appendEdit).
+func (d *recordDecoder) index(prev int) int {
 	gap := d.uvarint()
 	if gap > math.MaxInt32 || int64(prev)+1+int64(gap) > math.MaxInt32 {
 		d.fail("partition index out of range")
@@ -514,14 +498,14 @@ func (l *ManifestLog) Commit(e *ManifestEdit, checkpoint func(gen int64) *Manife
 	rec := l.rec[:0]
 	if !ckpt {
 		e.Generation, e.Checkpoint = gen, l.ckpt
-		rec = AppendEdit(rec, e)
+		rec = appendEdit(rec, e)
 		ckpt = l.editBytes+len(rec) > l.ckptBytes
 	}
 	if ckpt {
-		rec = AppendCheckpoint(rec[:0], checkpoint(gen))
+		rec = appendCheckpoint(rec[:0], checkpoint(gen))
 	}
 	l.rec = rec
-	if err := WriteManifestRecord(l.fs, l.dataset, gen, rec); err != nil {
+	if err := writeManifestRecord(l.fs, l.dataset, gen, rec); err != nil {
 		l.failed = true
 		return ckpt, err
 	}
@@ -534,12 +518,12 @@ func (l *ManifestLog) Commit(e *ManifestEdit, checkpoint func(gen int64) *Manife
 	return ckpt, nil
 }
 
-// WriteManifestRecord publishes rec, an encoded commit record, as
+// writeManifestRecord publishes rec, an encoded commit record, as
 // generation gen of the dataset, in one WriteFile. The generation's file can
 // exist only as what a failed commit left behind, so it is removed first; a
 // write that fails removes what it wrote, so that no reader takes it for a
 // committed generation.
-func WriteManifestRecord(fs *hdfs.FileSystem, dataset string, gen int64, rec []byte) error {
+func writeManifestRecord(fs *hdfs.FileSystem, dataset string, gen int64, rec []byte) error {
 	p := manifestPath(dataset, gen)
 	if fs.Exists(p) {
 		if err := fs.Remove(p); err != nil {

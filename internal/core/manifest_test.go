@@ -146,7 +146,7 @@ func TestManifestLogReplaysLayouts(t *testing.T) {
 			if err != nil || !ok {
 				t.Fatalf("seed %d gen %d: ReadManifest: %v %v", seed, gen, ok, err)
 			}
-			if g, w := AppendCheckpoint(nil, got), AppendCheckpoint(nil, m.manifest(gen)); !bytes.Equal(g, w) {
+			if g, w := appendCheckpoint(nil, got), appendCheckpoint(nil, m.manifest(gen)); !bytes.Equal(g, w) {
 				t.Fatalf("seed %d gen %d: the replayed layout differs from the model\n got %+v\nwant %+v", seed, gen, got, m.manifest(gen))
 			}
 		}
@@ -168,9 +168,9 @@ func TestManifestRecordsReencode(t *testing.T) {
 		if gen%5 == 0 {
 			m.retireSome(rng, e)
 		}
-		recs := [][]byte{AppendCheckpoint(nil, m.manifest(gen))}
+		recs := [][]byte{appendCheckpoint(nil, m.manifest(gen))}
 		if gen > 1 {
-			recs = append(recs, AppendEdit(nil, e))
+			recs = append(recs, appendEdit(nil, e))
 		}
 		for _, rec := range recs {
 			ck, ed, err := decodeRecord(rec)
@@ -186,9 +186,9 @@ func TestManifestRecordsReencode(t *testing.T) {
 
 func reencode(m *Manifest, e *ManifestEdit) []byte {
 	if m != nil {
-		return AppendCheckpoint(nil, m)
+		return appendCheckpoint(nil, m)
 	}
-	return AppendEdit(nil, e)
+	return appendEdit(nil, e)
 }
 
 // TestManifestTornRecordFallsBack: an empty or short head record is a commit
@@ -213,7 +213,7 @@ func TestManifestTornRecordFallsBack(t *testing.T) {
 	}
 	e := &ManifestEdit{Generation: 4, Checkpoint: 1}
 	m.appendParts(rng, e, 1)
-	rec := AppendEdit(nil, e)
+	rec := appendEdit(nil, e)
 	head := manifestPath("/ds", 4)
 	for _, n := range []int{0, 1, len(rec) / 2, len(rec) - 1} {
 		_ = fs.Remove(head)
@@ -221,7 +221,7 @@ func TestManifestTornRecordFallsBack(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, _, err := ReadManifest(fs, "/ds")
-		if err != nil || got.Generation != 3 || !bytes.Equal(AppendCheckpoint(nil, got), AppendCheckpoint(nil, want)) {
+		if err != nil || got.Generation != 3 || !bytes.Equal(appendCheckpoint(nil, got), appendCheckpoint(nil, want)) {
 			t.Errorf("a %d-byte head record of %d: read generation %v, %v; want generation 3", n, len(rec), got, err)
 		}
 	}
@@ -285,7 +285,7 @@ func TestManifestLogAfterFailedCommit(t *testing.T) {
 		t.Fatalf("the commit after a crashed one: %v", err)
 	}
 	got, _, err := ReadManifest(fs, "/ds")
-	if err != nil || got.Generation != 3 || !bytes.Equal(AppendCheckpoint(nil, got), AppendCheckpoint(nil, m.manifest(3))) {
+	if err != nil || got.Generation != 3 || !bytes.Equal(appendCheckpoint(nil, got), appendCheckpoint(nil, m.manifest(3))) {
 		t.Fatalf("after the recovered commit ReadManifest gives %+v, %v", got, err)
 	}
 }

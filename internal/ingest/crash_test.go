@@ -101,6 +101,7 @@ func newCrashRun(t *testing.T) *crashRun {
 	arr, crawl := arrivals(crashSlice*(len(crashScript)+1), 0.35, 13)
 	r := &crashRun{fs: testFS(3), arr: arr}
 	opts := ingestOptions("/live/crawl", crawl.Schema(), 1<<20) // flushes are the script's
+	opts.BucketMillis = 200                                     // a flush writes two or three partitions
 	var err error
 	if r.ing, err = ingest.New(r.fs, opts); err != nil {
 		t.Fatal(err)
@@ -191,8 +192,9 @@ func (r *crashRun) unnamed(t *testing.T) []string {
 // checkpoint, a compaction and a GC. After each failure a fresh scan returns
 // exactly the rows of the generation before the step or of the one after
 // it; then more arrivals, a flush, a compaction and a GC succeed, the
-// dataset holds exactly the stream's final record set, and no file is left
-// that the committed layout does not name.
+// dataset holds exactly the stream's final record set, every superseded
+// arrival was resolved once, and no file is left that the committed layout
+// does not name.
 func TestFlushCommitCrashSweep(t *testing.T) {
 	// An unfailed replay: which record each step commits.
 	kinds := make([]byte, len(crashScript))
@@ -272,6 +274,9 @@ func TestFlushCommitCrashSweep(t *testing.T) {
 			}
 			if got, err := r.rows(); err != nil || !reflect.DeepEqual(got, want) {
 				t.Errorf("%s, call %d failed: the sealed dataset returns %d rows (%v), the stream's final set has %d", name, k, len(got), err, len(want))
+			}
+			if up := r.ing.Stats().UpsertsResolved; up != int64(r.next-len(want)) {
+				t.Errorf("%s, call %d failed: %d upserts resolved over %d arrivals of %d keys", name, k, up, r.next, len(want))
 			}
 			if left := r.unnamed(t); len(left) > 0 {
 				t.Errorf("%s, call %d failed: GC left %d files no layout names: %v", name, k, len(left), left[:min(len(left), 3)])

