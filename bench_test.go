@@ -112,10 +112,21 @@ func BenchmarkVectorized(b *testing.B) {
 // run's modeled decode CPU must not exceed the scalar run's (the two read
 // identical bytes, so a regression here is pure execution-loop cost). The
 // stronger >= 2x floor on the selective string-equality arm lives in the
-// bench package's shape test; this guard runs in -short too, so any tier-1
-// run catches a vectorized slowdown.
+// bench package's shape test. The test runs the sweep at scale 0.01; the
+// benchmark of the same name runs it at 0.05.
 func TestVectorizedCPUGuard(t *testing.T) {
-	res, err := bench.Vectorized(benchCfg())
+	t.Parallel()
+	checkVectorizedCPUGuard(t, 0.01)
+}
+
+func BenchmarkVectorizedCPUGuard(b *testing.B) {
+	for range b.N {
+		checkVectorizedCPUGuard(b, benchCfg().Scale)
+	}
+}
+
+func checkVectorizedCPUGuard(t testing.TB, scale float64) {
+	res, err := bench.Vectorized(bench.Config{Scale: scale, Seed: benchCfg().Seed})
 	if err != nil {
 		t.Fatal(err)
 	}

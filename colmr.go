@@ -25,9 +25,6 @@
 package colmr
 
 import (
-	"io"
-
-	"colmr/internal/bench"
 	"colmr/internal/colfile"
 	"colmr/internal/core"
 	"colmr/internal/hdfs"
@@ -322,24 +319,3 @@ func NewCrawl(opts CrawlOptions) *Crawl { return workload.NewCrawl(opts) }
 
 // NewSynthetic returns the synthetic-dataset generator.
 func NewSynthetic(seed int64) *Synthetic { return workload.NewSynthetic(seed) }
-
-// Experiments. colbench is the entry point for all of them; Figure 7 is
-// re-exported for examples/formatrace.
-type (
-	// ExperimentConfig controls experiment scale, seed, and output.
-	ExperimentConfig = bench.Config
-	// Figure7Result is the Section 6.2 microbenchmark matrix: scan time per
-	// format and projection.
-	Figure7Result = bench.Figure7Result
-)
-
-// DefaultExperimentConfig returns the standard experiment configuration;
-// set Out to receive formatted tables.
-func DefaultExperimentConfig(out io.Writer) ExperimentConfig {
-	cfg := bench.DefaultConfig()
-	cfg.Out = out
-	return cfg
-}
-
-// RunFigure7 regenerates the paper's Figure 7.
-func RunFigure7(cfg ExperimentConfig) (*Figure7Result, error) { return bench.Figure7(cfg) }

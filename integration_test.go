@@ -86,6 +86,7 @@ func distinctContentTypes(t *testing.T, fs *hdfs.FileSystem, in mapred.InputForm
 // TestFormatEquivalenceMatrix: one dataset, four storage formats, one job,
 // identical answers.
 func TestFormatEquivalenceMatrix(t *testing.T) {
+	t.Parallel()
 	gen := workload.NewCrawl(workload.CrawlOptions{Seed: 99, ContentBytes: 800})
 	const n = 600
 	fs := hdfs.New(smallCluster(8), 1)

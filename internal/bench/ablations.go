@@ -45,7 +45,7 @@ func (r *SkipLevelsResult) Get(name string) SkipLevelsRow {
 // double-buffering and file bytes, fewer levels make long skips walk.
 func AblationSkipLevels(cfg Config) (*SkipLevelsResult, error) {
 	n := cfg.records(60_000)
-	gen := workload.NewSynthetic(cfg.Seed)
+	gen := memo(workload.NewSynthetic(cfg.Seed), n)
 	cluster := sim.SingleNode()
 	model := sim.DefaultModelFor(cluster)
 
@@ -133,11 +133,12 @@ type ParallelismResult struct {
 func AblationParallelism(cfg Config) (*ParallelismResult, error) {
 	// Geometry experiment: shrink blocks (and row groups by the same
 	// factor, keeping the paper's r = 16 groups per block) so datasets
-	// stay laptop-sized; only split counts matter. A 10-node cluster
-	// keeps the m x c crossover inside the sweep.
+	// stay laptop-sized; only split counts matter, so Scale shrinks the
+	// block rather than the sweep. A 10-node cluster keeps the m x c
+	// crossover inside the sweep.
 	cluster := sim.DefaultCluster()
 	cluster.Nodes = 10
-	cluster.BlockSize = 32 << 10
+	cluster.BlockSize = int64(float64(32<<10) * cfg.Scale)
 	rowGroup := int(cluster.BlockSize) / 16
 	slots := cluster.MapSlots()
 	gen := workload.NewSynthetic(cfg.Seed)

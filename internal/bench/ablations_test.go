@@ -3,11 +3,17 @@ package bench
 import "testing"
 
 func TestAblationSkipLevels(t *testing.T) {
-	skipIfShort(t)
-	res, err := AblationSkipLevels(testCfg(0.2))
-	if err != nil {
-		t.Fatal(err)
+	t.Parallel()
+	shape(t, AblationSkipLevels, 0.02, checkSkipLevels)
+}
+
+func BenchmarkAblationSkipLevels(b *testing.B) {
+	for range b.N {
+		shape(b, AblationSkipLevels, 0.2, checkSkipLevels)
 	}
+}
+
+func checkSkipLevels(t testing.TB, res *SkipLevelsResult) {
 	plain := res.Get("plain (no skip list)")
 	paper := res.Get("levels 1000/100/10")
 	deep := res.Get("levels 10000/1000/100/10")
@@ -34,11 +40,17 @@ func TestAblationSkipLevels(t *testing.T) {
 }
 
 func TestAblationParallelism(t *testing.T) {
-	skipIfShort(t)
-	res, err := AblationParallelism(testCfg(1))
-	if err != nil {
-		t.Fatal(err)
+	t.Parallel()
+	shape(t, AblationParallelism, 0.01, checkParallelism)
+}
+
+func BenchmarkAblationParallelism(b *testing.B) {
+	for range b.N {
+		shape(b, AblationParallelism, 1, checkParallelism)
 	}
+}
+
+func checkParallelism(t testing.TB, res *ParallelismResult) {
 	if len(res.Rows) < 3 {
 		t.Fatal("too few rows")
 	}
@@ -63,11 +75,17 @@ func TestAblationParallelism(t *testing.T) {
 }
 
 func TestAblationBlockSize(t *testing.T) {
-	skipIfShort(t)
-	res, err := AblationBlockSize(testCfg(0.3))
-	if err != nil {
-		t.Fatal(err)
+	t.Parallel()
+	shape(t, AblationBlockSize, 0.01, checkBlockSize)
+}
+
+func BenchmarkAblationBlockSize(b *testing.B) {
+	for range b.N {
+		shape(b, AblationBlockSize, 0.3, checkBlockSize)
 	}
+}
+
+func checkBlockSize(t testing.TB, res *BlockSizeResult) {
 	if len(res.Rows) != 4 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -88,11 +106,17 @@ func TestAblationBlockSize(t *testing.T) {
 }
 
 func TestAblationRecovery(t *testing.T) {
-	skipIfShort(t)
-	res, err := AblationRecovery(testCfg(0.3))
-	if err != nil {
-		t.Fatal(err)
+	t.Parallel()
+	shape(t, AblationRecovery, 0.01, checkRecovery)
+}
+
+func BenchmarkAblationRecovery(b *testing.B) {
+	for range b.N {
+		shape(b, AblationRecovery, 0.3, checkRecovery)
 	}
+}
+
+func checkRecovery(t testing.TB, res *RecoveryResult) {
 	// Failures cost locality; re-replication restores it.
 	if res.RemoteDegraded == 0 {
 		t.Error("node failures produced no remote reads; experiment vacuous")

@@ -208,7 +208,7 @@ func Aggregation(cfg Config) (*AggResult, error) {
 	if strIdx < 0 || intIdx < 0 {
 		return nil, fmt.Errorf("bench: synthetic schema lacks str1/int5")
 	}
-	gen := aggGen{syn, strIdx, intIdx}
+	gen := memo(aggGen{syn, strIdx, intIdx}, n)
 	cluster := sim.SingleNode()
 	model := sim.DefaultModelFor(cluster)
 	fs := newFS(cluster, cfg.Seed, true)

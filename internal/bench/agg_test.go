@@ -12,14 +12,17 @@ import "testing"
 // cell produce identical aggregate rows and identical pruning trajectories
 // — reaching the assertions below means the answers already agreed.
 func TestAggregationShape(t *testing.T) {
-	scale := 0.1
-	if testing.Short() {
-		scale = 0.02
+	t.Parallel()
+	shape(t, Aggregation, 0.02, checkAggregation)
+}
+
+func BenchmarkAggregationShape(b *testing.B) {
+	for range b.N {
+		shape(b, Aggregation, 0.1, checkAggregation)
 	}
-	res, err := Aggregation(testCfg(scale))
-	if err != nil {
-		t.Fatal(err)
-	}
+}
+
+func checkAggregation(t testing.TB, res *AggResult) {
 	if len(res.Cells) != 10 {
 		t.Fatalf("got %d cells, want 10 (2 layouts x 5 arms)", len(res.Cells))
 	}

@@ -14,22 +14,31 @@ func testCfg(scale float64) Config {
 	return Config{Scale: scale, Seed: 2011}
 }
 
-// skipIfShort keeps the tier-1 loop fast: every experiment regenerates a
-// dataset and runs real scans (the package takes ~35s in full), so the
-// shape tests only run in full (non -short) mode.
-func skipIfShort(t *testing.T) {
-	t.Helper()
-	if testing.Short() {
-		t.Skip("experiment regeneration skipped in -short mode")
+// shape runs an experiment at scale and asserts its shape with check. Each
+// Test runs at the smallest scale at which every assertion still bites; the
+// Benchmark of the same name runs the same check at the larger scale the
+// suite used before, selected in CI with -bench.
+func shape[R any](tb testing.TB, experiment func(Config) (R, error), scale float64, check func(testing.TB, R)) {
+	tb.Helper()
+	res, err := experiment(testCfg(scale))
+	if err != nil {
+		tb.Fatal(err)
 	}
+	check(tb, res)
 }
 
 func TestFigure7Shape(t *testing.T) {
-	skipIfShort(t)
-	res, err := Figure7(testCfg(0.1))
-	if err != nil {
-		t.Fatal(err)
+	t.Parallel()
+	shape(t, Figure7, 0.025, checkFigure7)
+}
+
+func BenchmarkFigure7Shape(b *testing.B) {
+	for range b.N {
+		shape(b, Figure7, 0.1, checkFigure7)
 	}
+}
+
+func checkFigure7(t testing.TB, res *Figure7Result) {
 	txt := res.Get("TXT", "AllColumns").Seconds
 	seq := res.Get("SEQ", "AllColumns").Seconds
 
@@ -74,11 +83,17 @@ func TestFigure7Shape(t *testing.T) {
 }
 
 func TestTable1Shape(t *testing.T) {
-	skipIfShort(t)
-	res, err := Table1(testCfg(0.25))
-	if err != nil {
-		t.Fatal(err)
+	t.Parallel()
+	shape(t, Table1, 0.04, checkTable1)
+}
+
+func BenchmarkTable1Shape(b *testing.B) {
+	for range b.N {
+		shape(b, Table1, 0.25, checkTable1)
 	}
+}
+
+func checkTable1(t testing.TB, res *Table1Result) {
 	get := func(name string) Table1Row { return res.Get(name) }
 
 	// Ordering of the SEQ family: compressed variants beat uncompressed.
@@ -138,11 +153,17 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestColocationShape(t *testing.T) {
-	skipIfShort(t)
-	res, err := Colocation(testCfg(0.25))
-	if err != nil {
-		t.Fatal(err)
+	t.Parallel()
+	shape(t, Colocation, 0.01, checkColocation)
+}
+
+func BenchmarkColocationShape(b *testing.B) {
+	for range b.N {
+		shape(b, Colocation, 0.25, checkColocation)
 	}
+}
+
+func checkColocation(t testing.TB, res *ColocationResult) {
 	if res.RemoteFractionCPP != 0 {
 		t.Errorf("CPP remote fraction = %.2f, want 0", res.RemoteFractionCPP)
 	}
@@ -156,11 +177,17 @@ func TestColocationShape(t *testing.T) {
 }
 
 func TestFigure8Shape(t *testing.T) {
-	skipIfShort(t)
-	res, err := Figure8(testCfg(0.25))
-	if err != nil {
-		t.Fatal(err)
+	t.Parallel()
+	shape(t, Figure8, 0.01, checkFigure8)
+}
+
+func BenchmarkFigure8Shape(b *testing.B) {
+	for range b.N {
+		shape(b, Figure8, 0.25, checkFigure8)
 	}
+}
+
+func checkFigure8(t testing.TB, res *Figure8Result) {
 	for _, kind := range []workload.TypedKind{workload.TypedInts, workload.TypedDoubles, workload.TypedMaps} {
 		// Bandwidth decreases as the typed fraction grows.
 		prev := res.Get(kind, 0).BoxedMBps
@@ -188,11 +215,17 @@ func TestFigure8Shape(t *testing.T) {
 }
 
 func TestFigure9Shape(t *testing.T) {
-	skipIfShort(t)
-	res, err := Figure9(testCfg(0.1))
-	if err != nil {
-		t.Fatal(err)
+	t.Parallel()
+	shape(t, Figure9, 0.04, checkFigure9)
+}
+
+func BenchmarkFigure9Shape(b *testing.B) {
+	for range b.N {
+		shape(b, Figure9, 0.1, checkFigure9)
 	}
+}
+
+func checkFigure9(t testing.TB, res *Figure9Result) {
 	// Larger row groups eliminate more I/O on a 1-integer scan.
 	b1 := res.Get("1M RCFile", "1 Integer").ChargedGB
 	b4 := res.Get("4M RCFile", "1 Integer").ChargedGB
@@ -215,11 +248,17 @@ func TestFigure9Shape(t *testing.T) {
 }
 
 func TestTable2Shape(t *testing.T) {
-	skipIfShort(t)
-	res, err := Table2(testCfg(0.1))
-	if err != nil {
-		t.Fatal(err)
+	t.Parallel()
+	shape(t, Table2, 0.01, checkTable2)
+}
+
+func BenchmarkTable2Shape(b *testing.B) {
+	for range b.N {
+		shape(b, Table2, 0.1, checkTable2)
 	}
+}
+
+func checkTable2(t testing.TB, res *Table2Result) {
 	cif := res.Get("CIF").Minutes
 	cifSL := res.Get("CIF-SL").Minutes
 	rc := res.Get("RCFile").Minutes
@@ -237,11 +276,17 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestFigure10Shape(t *testing.T) {
-	skipIfShort(t)
-	res, err := Figure10(testCfg(0.15))
-	if err != nil {
-		t.Fatal(err)
+	t.Parallel()
+	shape(t, Figure10, 0.01, checkFigure10)
+}
+
+func BenchmarkFigure10Shape(b *testing.B) {
+	for range b.N {
+		shape(b, Figure10, 0.15, checkFigure10)
 	}
+}
+
+func checkFigure10(t testing.TB, res *Figure10Result) {
 	// At low selectivity CIF-SL wins.
 	if !(res.Get("CIF-SL", 0).Seconds < res.Get("CIF", 0).Seconds) {
 		t.Errorf("CIF-SL at 0%% (%.1f) not faster than CIF (%.1f)",
@@ -261,11 +306,17 @@ func TestFigure10Shape(t *testing.T) {
 }
 
 func TestFigure11Shape(t *testing.T) {
-	skipIfShort(t)
-	res, err := Figure11(testCfg(0.25))
-	if err != nil {
-		t.Fatal(err)
+	t.Parallel()
+	shape(t, Figure11, 0.01, checkFigure11)
+}
+
+func BenchmarkFigure11Shape(b *testing.B) {
+	for range b.N {
+		shape(b, Figure11, 0.25, checkFigure11)
 	}
+}
+
+func checkFigure11(t testing.TB, res *Figure11Result) {
 	// RCFile single-column bandwidth degrades as records widen; CIF's
 	// stays roughly stable.
 	rc20 := res.Get("RCFile_1", 20).MBps

@@ -10,14 +10,17 @@ import "testing"
 // equivalence between the runs is enforced inside Bloom, which fails on
 // mismatch.
 func TestBloomShape(t *testing.T) {
-	scale := 0.1
-	if testing.Short() {
-		scale = 0.05
+	t.Parallel()
+	shape(t, Bloom, 0.02, checkBloom)
+}
+
+func BenchmarkBloomShape(b *testing.B) {
+	for range b.N {
+		shape(b, Bloom, 0.1, checkBloom)
 	}
-	res, err := Bloom(testCfg(scale))
-	if err != nil {
-		t.Fatal(err)
-	}
+}
+
+func checkBloom(t testing.TB, res *BloomResult) {
 	if len(res.Cells) != 4 {
 		t.Fatalf("got %d cells, want 4", len(res.Cells))
 	}

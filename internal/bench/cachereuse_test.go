@@ -9,14 +9,17 @@ import "testing"
 // cache (CacheReuse itself fails if any round's match count diverges
 // between modes).
 func TestCacheReuseShape(t *testing.T) {
-	scale := 0.1
-	if testing.Short() {
-		scale = 0.02
+	t.Parallel()
+	shape(t, CacheReuse, 0.01, checkCacheReuse)
+}
+
+func BenchmarkCacheReuseShape(b *testing.B) {
+	for range b.N {
+		shape(b, CacheReuse, 0.1, checkCacheReuse)
 	}
-	res, err := CacheReuse(testCfg(scale))
-	if err != nil {
-		t.Fatal(err)
-	}
+}
+
+func checkCacheReuse(t testing.TB, res *CacheReuseResult) {
 	if len(res.Cells) != 2*CacheReuseRoundsPerArm {
 		t.Fatalf("got %d cells, want %d", len(res.Cells), 2*CacheReuseRoundsPerArm)
 	}

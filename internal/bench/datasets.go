@@ -17,6 +17,38 @@ type generator interface {
 	Record(i int64) *serde.GenericRecord
 }
 
+// memoMaxRecords bounds the records a memo keeps: enough for the reduced
+// scales the shape tests run at, few enough that a full-scale run
+// regenerates its records rather than holding the dataset in memory.
+const memoMaxRecords = 1 << 15
+
+// memoGen hands out each of its generator's first len(recs) records once
+// made, so an experiment that writes one dataset in several formats pays
+// the generator once. Writers only read the records they are handed.
+type memoGen struct {
+	generator
+	recs []*serde.GenericRecord
+}
+
+// memo returns gen, remembering its first n records when there are at most
+// memoMaxRecords of them.
+func memo(gen generator, n int64) generator {
+	if n > memoMaxRecords {
+		return gen
+	}
+	return &memoGen{generator: gen, recs: make([]*serde.GenericRecord, n)}
+}
+
+func (m *memoGen) Record(i int64) *serde.GenericRecord {
+	if i >= int64(len(m.recs)) {
+		return m.generator.Record(i)
+	}
+	if m.recs[i] == nil {
+		m.recs[i] = m.generator.Record(i)
+	}
+	return m.recs[i]
+}
+
 // writeSEQ materializes n generated records as a SequenceFile and returns
 // its size. Load-side stats may be nil.
 func writeSEQ(fs *hdfs.FileSystem, path string, gen generator, n int64, opts seq.Options, stats *sim.TaskStats) (int64, error) {

@@ -8,13 +8,17 @@ import "testing"
 // against the group-tier-only baseline, and the two runs return the same
 // records (enforced inside Elision, which fails on mismatch).
 func TestElisionShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("elision sweep loads a 16-split dataset; skipped in -short")
+	t.Parallel()
+	shape(t, Elision, 0.01, checkElision)
+}
+
+func BenchmarkElisionShape(b *testing.B) {
+	for range b.N {
+		shape(b, Elision, 0.1, checkElision)
 	}
-	res, err := Elision(testCfg(0.1))
-	if err != nil {
-		t.Fatal(err)
-	}
+}
+
+func checkElision(t testing.TB, res *ElisionResult) {
 	if len(res.Cells) != len(ElisionFractions) {
 		t.Fatalf("got %d cells, want %d", len(res.Cells), len(ElisionFractions))
 	}

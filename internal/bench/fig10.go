@@ -55,7 +55,7 @@ func selMatch(s string, sel float64) bool {
 // low selectivity and converges to CIF at 100%.
 func Figure10(cfg Config) (*Figure10Result, error) {
 	n := cfg.records(120_000)
-	gen := workload.NewSynthetic(cfg.Seed)
+	gen := memo(workload.NewSynthetic(cfg.Seed), n)
 	cluster := sim.SingleNode()
 	model := sim.DefaultModelFor(cluster)
 

@@ -61,7 +61,7 @@ func (r *Figure7Result) Get(format, projection string) Figure7Cell {
 // projections of the synthetic dataset.
 func Figure7(cfg Config) (*Figure7Result, error) {
 	n := cfg.records(400_000)
-	gen := workload.NewSynthetic(cfg.Seed)
+	gen := memo(workload.NewSynthetic(cfg.Seed), n)
 	cluster := sim.SingleNode()
 	model := sim.DefaultModelFor(cluster)
 	fs := newFS(cluster, cfg.Seed, true)

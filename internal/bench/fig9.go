@@ -43,7 +43,7 @@ func (r *Figure9Result) Get(format, projection string) Figure9Cell {
 // CIF (the paper: 16.5/8.5/4.5 GB read vs CIF's 415 MB for one integer).
 func Figure9(cfg Config) (*Figure9Result, error) {
 	n := cfg.records(400_000)
-	gen := workload.NewSynthetic(cfg.Seed)
+	gen := memo(workload.NewSynthetic(cfg.Seed), n)
 	cluster := sim.SingleNode()
 	model := sim.DefaultModelFor(cluster)
 	fs := newFS(cluster, cfg.Seed, true)

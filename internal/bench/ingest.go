@@ -98,7 +98,7 @@ func (r *IngestResult) Get(rate float64, cadence int, recrawl float64) IngestCel
 
 // ingestLoad is the shared load geometry: skip-listed scalars, DCSL on the
 // metadata map, splits and record groups small enough that benchmark-scale
-// datasets (including the -short test's) still have several groups to
+// datasets (including the shape test's) still have several groups to
 // prune.
 func ingestLoad() core.LoadOptions {
 	return core.LoadOptions{
@@ -152,7 +152,7 @@ func ingestCell(cfg Config, cluster sim.ClusterConfig, model sim.CostModel, n in
 	fs := newFS(cluster, cfg.Seed, true)
 	stream := workload.NewArrivalStream(workload.ArrivalOptions{
 		// Content must outsize the 1MB readahead window per split even at
-		// the -short test's scale, or the first refill swallows the whole
+		// the shape test's scale, or the first refill swallows the whole
 		// file and adaptive shrink has nothing left to save.
 		Crawl:           workload.CrawlOptions{Seed: cfg.Seed, ContentBytes: 6000, Inlinks: 2},
 		Seed:            cfg.Seed,

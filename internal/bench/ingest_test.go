@@ -10,14 +10,17 @@ import "testing"
 // cells exercise merge-on-read, and the content column's pushdown +
 // adaptive readahead saves real charged bytes against the dense control.
 func TestIngestSweepShape(t *testing.T) {
-	scale := 0.4
-	if testing.Short() {
-		scale = 0.15
+	t.Parallel()
+	shape(t, Ingest, 0.15, checkIngestSweep)
+}
+
+func BenchmarkIngestSweepShape(b *testing.B) {
+	for range b.N {
+		shape(b, Ingest, 0.4, checkIngestSweep)
 	}
-	res, err := Ingest(testCfg(scale))
-	if err != nil {
-		t.Fatal(err)
-	}
+}
+
+func checkIngestSweep(t testing.TB, res *IngestResult) {
 	wantCells := len(IngestRates) * len(IngestCadences) * len(IngestRecrawls)
 	if len(res.Cells) != wantCells {
 		t.Fatalf("got %d cells, want %d", len(res.Cells), wantCells)

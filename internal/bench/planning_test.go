@@ -21,13 +21,17 @@ import "testing"
 // zipf head — where the uniform 1/Distinct guess is off by 20x — the
 // degenerate bucket nails the heavy hitter.
 func TestPlanningShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("planning sweep loads three dataset copies; skipped in -short")
+	t.Parallel()
+	shape(t, Planning, 0.02, checkPlanning)
+}
+
+func BenchmarkPlanningShape(b *testing.B) {
+	for range b.N {
+		shape(b, Planning, 0.1, checkPlanning)
 	}
-	res, err := Planning(testCfg(0.1))
-	if err != nil {
-		t.Fatal(err)
-	}
+}
+
+func checkPlanning(t testing.TB, res *PlanningResult) {
 	wantCells := len(PlanningSkews) * 4
 	if len(res.Cells) != wantCells {
 		t.Fatalf("got %d cells, want %d", len(res.Cells), wantCells)

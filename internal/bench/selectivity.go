@@ -128,7 +128,7 @@ func selectivityLayout(name string) (core.LoadOptions, error) {
 // Selectivity runs the sweep.
 func Selectivity(cfg Config) (*SelectivityResult, error) {
 	n := cfg.records(100_000)
-	gen := workload.NewSynthetic(cfg.Seed)
+	gen := memo(workload.NewSynthetic(cfg.Seed), n)
 	cluster := sim.SingleNode()
 	model := sim.DefaultModelFor(cluster)
 	fs := newFS(cluster, cfg.Seed, true)
@@ -144,41 +144,44 @@ func Selectivity(cfg Config) (*SelectivityResult, error) {
 		if _, err := writeCIF(fs, dir, gen, n, opts, nil); err != nil {
 			return nil, fmt.Errorf("loading %s: %w", layout, err)
 		}
-		for _, frac := range SelectivityFractions {
+		// Scan-then-filter: project the filter column too and test in the
+		// visit function, as a map function would. It reads and decodes the
+		// same bytes whatever the predicate, so one scan tests every
+		// fraction's.
+		preds := make([]scan.Predicate, len(SelectivityFractions))
+		for i, frac := range SelectivityFractions {
 			// int0 is uniform over [1, 10000].
-			cut := int64(frac * 10000)
-			if cut < 1 {
-				cut = 1
-			}
-			pred := scan.Le("int0", cut)
-
-			// Pushdown: predicate below materialization.
-			pconf := core.ScanDataset(dir).Columns("str0", "map0").Where(pred).Conf()
-			pushSt, pushMatches, err := scanSplits(fs, &core.InputFormat{}, &pconf, 0, nil)
-			if err != nil {
-				return nil, fmt.Errorf("%s pushdown: %w", layout, err)
-			}
-
-			// Scan-then-filter: project the filter column too and test in
-			// the visit function, as a map function would.
-			fconf := core.ScanDataset(dir).Columns("str0", "map0", "int0").Conf()
-			var filterMatches int64
-			fullSt, _, err := scanSplits(fs, &core.InputFormat{}, &fconf, 0, func(rec serde.Record) error {
-				ok, err := pred.Eval(scan.Getter(func(col string) (any, error) { return rec.Get(col) }))
+			preds[i] = scan.Le("int0", max(int64(frac*10000), 1))
+		}
+		filterMatches := make([]int64, len(preds))
+		fconf := core.ScanDataset(dir).Columns("str0", "map0", "int0").Conf()
+		fullSt, _, err := scanSplits(fs, &core.InputFormat{}, &fconf, 0, func(rec serde.Record) error {
+			get := scan.Getter(func(col string) (any, error) { return rec.Get(col) })
+			for i, pred := range preds {
+				ok, err := pred.Eval(get)
 				if err != nil {
 					return err
 				}
 				if ok {
-					filterMatches++
+					filterMatches[i]++
 				}
-				return nil
-			})
-			if err != nil {
-				return nil, fmt.Errorf("%s scan+filter: %w", layout, err)
 			}
-			if pushMatches != filterMatches {
+			return nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("%s scan+filter: %w", layout, err)
+		}
+
+		for i, frac := range SelectivityFractions {
+			// Pushdown: predicate below materialization.
+			pconf := core.ScanDataset(dir).Columns("str0", "map0").Where(preds[i]).Conf()
+			pushSt, pushMatches, err := scanSplits(fs, &core.InputFormat{}, &pconf, 0, nil)
+			if err != nil {
+				return nil, fmt.Errorf("%s pushdown: %w", layout, err)
+			}
+			if pushMatches != filterMatches[i] {
 				return nil, fmt.Errorf("%s at %.4f: pushdown returned %d records, scan+filter %d",
-					layout, frac, pushMatches, filterMatches)
+					layout, frac, pushMatches, filterMatches[i])
 			}
 
 			cell := SelectivityCell{

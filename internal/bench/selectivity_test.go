@@ -7,13 +7,11 @@ import "testing"
 // fewer bytes than scan-then-filter (per sim.TaskStats), while returning
 // exactly as many records.
 func TestSelectivityShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("selectivity sweep loads four dataset copies; skipped in -short")
-	}
-	res, err := Selectivity(testCfg(0.1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	shape(t, Selectivity, 0.1, checkSelectivity)
+}
+
+func checkSelectivity(t testing.TB, res *SelectivityResult) {
 	if len(res.Cells) != len(SelectivityLayouts)*len(SelectivityFractions) {
 		t.Fatalf("got %d cells, want %d", len(res.Cells),
 			len(SelectivityLayouts)*len(SelectivityFractions))

@@ -9,14 +9,17 @@ import "testing"
 // otherwise). Waiting is the price: a wider window cannot shrink modeled
 // p99 wait.
 func TestServeSweepShape(t *testing.T) {
-	scale := 0.1
-	if testing.Short() {
-		scale = 0.02
+	t.Parallel()
+	shape(t, Serve, 0.01, checkServeSweep)
+}
+
+func BenchmarkServeSweepShape(b *testing.B) {
+	for range b.N {
+		shape(b, Serve, 0.1, checkServeSweep)
 	}
-	res, err := Serve(testCfg(scale))
-	if err != nil {
-		t.Fatal(err)
-	}
+}
+
+func checkServeSweep(t testing.TB, res *ServeResult) {
 	wantCells := len(ServeRates) * 2 * len(ServeWindows)
 	if len(res.Cells) != wantCells {
 		t.Fatalf("got %d cells, want %d", len(res.Cells), wantCells)

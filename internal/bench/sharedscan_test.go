@@ -8,14 +8,17 @@ import "testing"
 // never share tasks (SharedScan itself fails if any job's match count
 // diverges between modes).
 func TestSharedScanShape(t *testing.T) {
-	scale := 0.1
-	if testing.Short() {
-		scale = 0.02
+	t.Parallel()
+	shape(t, SharedScan, 0.02, checkSharedScan)
+}
+
+func BenchmarkSharedScanShape(b *testing.B) {
+	for range b.N {
+		shape(b, SharedScan, 0.1, checkSharedScan)
 	}
-	res, err := SharedScan(testCfg(scale))
-	if err != nil {
-		t.Fatal(err)
-	}
+}
+
+func checkSharedScan(t testing.TB, res *SharedScanResult) {
 	if len(res.Cells) != 2*len(SharedScanJobs) {
 		t.Fatalf("got %d cells, want %d", len(res.Cells), 2*len(SharedScanJobs))
 	}

@@ -84,7 +84,7 @@ func crawlJob(in mapred.InputFormat, conf mapred.JobConf) *mapred.Job {
 // variants on the modeled 40-node cluster.
 func Table1(cfg Config) (*Table1Result, error) {
 	n := cfg.records(8000)
-	gen := workload.NewCrawl(workload.CrawlOptions{Seed: cfg.Seed})
+	gen := memo(workload.NewCrawl(workload.CrawlOptions{Seed: cfg.Seed}), n)
 	cluster := sim.DefaultCluster()
 	model := sim.DefaultModelFor(cluster)
 

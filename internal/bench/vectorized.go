@@ -150,7 +150,7 @@ func Vectorized(cfg Config) (*VectorizedResult, error) {
 	if idx < 0 {
 		return nil, fmt.Errorf("bench: synthetic schema has no str1 column")
 	}
-	gen := cyclicTagGen{syn, idx}
+	gen := memo(cyclicTagGen{syn, idx}, n)
 	cluster := sim.SingleNode()
 	model := sim.DefaultModelFor(cluster)
 	fs := newFS(cluster, cfg.Seed, true)

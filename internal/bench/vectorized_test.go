@@ -9,14 +9,17 @@ import "testing"
 // rounds must skip the filter column's decode entirely — DecodeSaved equal to
 // the full record count, every round after the warm-up.
 func TestVectorizedShape(t *testing.T) {
-	scale := 0.1
-	if testing.Short() {
-		scale = 0.02
+	t.Parallel()
+	shape(t, Vectorized, 0.02, checkVectorized)
+}
+
+func BenchmarkVectorizedShape(b *testing.B) {
+	for range b.N {
+		shape(b, Vectorized, 0.1, checkVectorized)
 	}
-	res, err := Vectorized(testCfg(scale))
-	if err != nil {
-		t.Fatal(err)
-	}
+}
+
+func checkVectorized(t testing.TB, res *VectorizedResult) {
 	if len(res.Cells) != 12 {
 		t.Fatalf("got %d cells, want 12 (4 layouts x 3 arms)", len(res.Cells))
 	}

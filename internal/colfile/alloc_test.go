@@ -190,7 +190,7 @@ func TestCursorValuesSurviveLaterDecodes(t *testing.T) {
 // skipAllocs reports allocations per record skipped one at a time (refills,
 // frame loads and dictionary loads amortize to less than one per record and
 // AllocsPerRun rounds down).
-func skipAllocs(t *testing.T, f *memFile, schema *serde.Schema, n int) float64 {
+func skipAllocs(t testing.TB, f *memFile, schema *serde.Schema, n int) float64 {
 	t.Helper()
 	r, err := NewReader(f.reader(), schema, &sim.CPUStats{})
 	if err != nil {
@@ -207,9 +207,17 @@ func skipAllocs(t *testing.T, f *memFile, schema *serde.Schema, n int) float64 {
 
 // Skipping allocates nothing per record on any layout: LazyRecord.Get walks
 // the records between the ones a job touches, so a per-skip allocation is a
-// per-row tax on every selective scan.
-func TestSkipToAllocGuard(t *testing.T) {
-	const n = 4000
+// per-row tax on every selective scan. The test skips through 1 000-record
+// columns; the benchmark of the same name through 4 000-record ones.
+func TestSkipToAllocGuard(t *testing.T) { checkSkipToAllocGuard(t, 1000) }
+
+func BenchmarkSkipToAllocGuard(b *testing.B) {
+	for range b.N {
+		checkSkipToAllocGuard(b, 4000)
+	}
+}
+
+func checkSkipToAllocGuard(t testing.TB, n int) {
 	for _, tc := range cursorCases() {
 		rng := rand.New(rand.NewSource(5))
 		f, _ := writeColumn(t, tc.schema, tc.opts, n, func(i int) any { return tc.gen(rng, i) })

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"colmr/internal/compress"
 	"colmr/internal/serde"
 	"colmr/internal/sim"
 )
@@ -275,6 +276,19 @@ func TestBlockLazyDecompression(t *testing.T) {
 	if lazy.ZlibBytes*10 > full.ZlibBytes {
 		t.Errorf("lazy decompression %d bytes not ≪ full %d", lazy.ZlibBytes, full.ZlibBytes)
 	}
+
+	// Skipping to the end seeks past every payload and inflates none.
+	var skipped sim.CPUStats
+	r3, err := NewReader(f.reader(), schema, &skipped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r3.SkipTo(n); err != nil {
+		t.Fatal(err)
+	}
+	if skipped != (sim.CPUStats{}) {
+		t.Errorf("skipping every frame charged %+v, want nothing", skipped)
+	}
 }
 
 func TestDCSLRequiresMapSchema(t *testing.T) {
@@ -331,6 +345,23 @@ func TestCorruptFiles(t *testing.T) {
 	bad[4] = 99
 	if _, err := NewReader(bytes.NewReader(bad), schema, nil); err == nil {
 		t.Error("unknown layout accepted")
+	}
+	// Block data that ends inside a frame's payload or inside its header.
+	frame, err := compress.AppendFrame(nil, compress.LZO{}, 10, make([]byte, 40), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut, data := range map[string][]byte{"payload": frame[:len(frame)-5], "header": {0x80}} {
+		file := appendHeader(nil, header{layout: Block, codec: "lzo"})
+		file = appendFooter(append(file, data...), 10, 0)
+		r, err := NewReader(bytes.NewReader(file), serde.Int(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Value(); err == nil {
+			t.Errorf("block frame cut inside its %s read", cut)
+		}
+		r.Release()
 	}
 }
 

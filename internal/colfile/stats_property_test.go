@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"colmr/internal/race"
 	"colmr/internal/serde"
 )
 
@@ -21,17 +20,23 @@ type statsColumn struct {
 
 func statsColumns() []statsColumn {
 	rec := serde.RecordOf("R", serde.Field{Name: "a", Type: serde.Int()})
+	members := map[int][]byte{}
 	bytesOf := func(rng *rand.Rand, universe int) []byte {
 		// The universe member's bytes are a function of its number, so
-		// duplicates are exact; one member in ten is a kilobyte.
+		// duplicates are exact; one member in ten is a kilobyte. Each is
+		// made once and handed out as a copy, which the caller may reuse.
 		k := rng.Intn(universe)
-		n := k % 23
-		if k%10 == 9 {
-			n = 1000
+		b, ok := members[k]
+		if !ok {
+			n := k % 23
+			if k%10 == 9 {
+				n = 1000
+			}
+			b = make([]byte, n)
+			rand.New(rand.NewSource(int64(k))).Read(b)
+			members[k] = b
 		}
-		b := make([]byte, n)
-		rand.New(rand.NewSource(int64(k))).Read(b)
-		return b
+		return bytes.Clone(b)
 	}
 	return []statsColumn{
 		{"bool", serde.Bool(), func(rng *rand.Rand, _ int) any { return rng.Intn(2) == 0 }},
@@ -86,12 +91,21 @@ func statsColumns() []statsColumn {
 // histogram buffers small enough to halve, record cadences and external
 // cuts, and a caller that overwrites its []byte once Append returns — the
 // two must encode the same stats section, byte for byte. One statsWriter
-// serves every trial, reset in between as the pool would hand it on.
+// serves every trial, reset in between as the pool would hand it on. The
+// test runs four trials per column kind; the benchmark of the same name
+// runs 600.
 func TestStatsWriterMatchesOracle(t *testing.T) {
-	trials := 600
-	if testing.Short() || race.Enabled {
-		trials = 150
+	t.Parallel()
+	checkStatsWriterMatchesOracle(t, 44)
+}
+
+func BenchmarkStatsWriterMatchesOracle(b *testing.B) {
+	for range b.N {
+		checkStatsWriterMatchesOracle(b, 600)
 	}
+}
+
+func checkStatsWriterMatchesOracle(t testing.TB, trials int) {
 	cols := statsColumns()
 	sw := new(statsWriter)
 	for trial := 0; trial < trials; trial++ {

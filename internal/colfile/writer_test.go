@@ -147,8 +147,20 @@ func BenchmarkStatsObserve(b *testing.B) {
 // TestWriterPoolConcurrent: every writer in the process draws its scratch
 // from one pool, so writers on different goroutines trade scratch that other
 // layouts and other columns have used. Each must still write the bytes it
-// writes alone.
+// writes alone. The test's four goroutines each write every file once; the
+// benchmark of the same name has them write it three times.
 func TestWriterPoolConcurrent(t *testing.T) {
+	t.Parallel()
+	checkWriterPoolConcurrent(t, 1)
+}
+
+func BenchmarkWriterPoolConcurrent(b *testing.B) {
+	for range b.N {
+		checkWriterPoolConcurrent(b, 3)
+	}
+}
+
+func checkWriterPoolConcurrent(t testing.TB, rounds int) {
 	type job struct {
 		schema *serde.Schema
 		opts   Options
@@ -188,7 +200,7 @@ func TestWriterPoolConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for round := 0; round < 3; round++ {
+			for range rounds {
 				for i := range jobs {
 					j := jobs[(i+g*5)%len(jobs)]
 					if got := write(j); !bytes.Equal(got, j.want) {
@@ -277,9 +289,18 @@ func TestWriterOneWriteAtClose(t *testing.T) {
 // gone — bounds and histogram samples. For a kilobyte []byte column on a
 // skip list that is under one object a value once the file is long enough
 // for the sample to thin out; for strings and scalars, which need no copy,
-// it is a small fraction of one.
-func TestWriterAllocCeilings(t *testing.T) {
-	const rows = 16384
+// it is a small fraction of one. The test writes 8 192-row files, the
+// fewest rows at which the kilobyte column is under one object a value; the
+// benchmark of the same name writes 16 384.
+func TestWriterAllocCeilings(t *testing.T) { checkWriterAllocCeilings(t, 8192) }
+
+func BenchmarkWriterAllocCeilings(b *testing.B) {
+	for range b.N {
+		checkWriterAllocCeilings(b, 16384)
+	}
+}
+
+func checkWriterAllocCeilings(t testing.TB, rows int) {
 	for _, tc := range []struct {
 		layout, shape string
 		perValue      float64
@@ -302,8 +323,8 @@ func TestWriterAllocCeilings(t *testing.T) {
 			}
 			vals := writeValues(shape, rows)
 			allocs := testing.AllocsPerRun(3, func() { writeFile(t, shape.schema, opts, vals) })
-			what := fmt.Sprintf("a %d-row %s file of %s values (%.3f objects a value)", rows, tc.layout, tc.shape, allocs/rows)
-			race.AllocCeiling(t, what, allocs, tc.perValue*rows)
+			what := fmt.Sprintf("a %d-row %s file of %s values (%.3f objects a value)", rows, tc.layout, tc.shape, allocs/float64(rows))
+			race.AllocCeiling(t, what, allocs, tc.perValue*float64(rows))
 		}
 	}
 }

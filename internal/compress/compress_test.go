@@ -2,7 +2,6 @@ package compress
 
 import (
 	"bytes"
-	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -267,103 +266,6 @@ func TestParseDictionaryCorrupt(t *testing.T) {
 		if _, _, err := ParseDictionary(buf); err == nil {
 			t.Errorf("ParseDictionary(%v) succeeded, want error", buf)
 		}
-	}
-}
-
-func TestFrameRoundTrip(t *testing.T) {
-	var stats sim.CPUStats
-	codec := LZO{}
-	var stream []byte
-	payloads := [][]byte{
-		[]byte(strings.Repeat("hello world ", 50)),
-		[]byte("short"),
-		{},
-	}
-	var err error
-	for i, p := range payloads {
-		stream, err = AppendFrame(stream, codec, i+1, p, &stats)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if stats.LzoCompBytes == 0 {
-		t.Error("compression work not charged")
-	}
-
-	fr := NewFrameReader(bytes.NewReader(stream), codec, &stats)
-	for i, p := range payloads {
-		hdr, err := fr.ReadHeader()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hdr.Records != i+1 || hdr.RawLen != len(p) {
-			t.Errorf("frame %d header = %+v", i, hdr)
-		}
-		got, err := fr.Payload()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, p) {
-			t.Errorf("frame %d payload mismatch", i)
-		}
-	}
-	if _, err := fr.ReadHeader(); err != io.EOF {
-		t.Errorf("end of stream = %v, want io.EOF", err)
-	}
-	if stats.LzoBytes == 0 {
-		t.Error("decompression work not charged")
-	}
-}
-
-func TestFrameSkipPayload(t *testing.T) {
-	codec := None{}
-	var stream []byte
-	var err error
-	for i := 0; i < 3; i++ {
-		stream, err = AppendFrame(stream, codec, 10, bytes.Repeat([]byte{byte(i)}, 100), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	fr := NewFrameReader(bytes.NewReader(stream), codec, nil)
-	if _, err := fr.ReadHeader(); err != nil {
-		t.Fatal(err)
-	}
-	if err := fr.SkipPayload(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fr.ReadHeader(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := fr.Payload()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 1 {
-		t.Errorf("after skip, payload starts with %d, want 1", got[0])
-	}
-}
-
-func TestFrameMisuseAndTruncation(t *testing.T) {
-	fr := NewFrameReader(bytes.NewReader(nil), None{}, nil)
-	if _, err := fr.Payload(); err == nil {
-		t.Error("Payload before ReadHeader should fail")
-	}
-	if err := fr.SkipPayload(); err == nil {
-		t.Error("SkipPayload before ReadHeader should fail")
-	}
-	stream, _ := AppendFrame(nil, None{}, 1, []byte("0123456789"), nil)
-	fr = NewFrameReader(bytes.NewReader(stream[:len(stream)-5]), None{}, nil)
-	if _, err := fr.ReadHeader(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fr.Payload(); err == nil {
-		t.Error("truncated payload should fail")
-	}
-	// Header truncated mid-varint.
-	fr = NewFrameReader(bytes.NewReader([]byte{0x80}), None{}, nil)
-	if _, err := fr.ReadHeader(); err == nil || err == io.EOF {
-		t.Errorf("mid-varint truncation = %v, want non-EOF error", err)
 	}
 }
 

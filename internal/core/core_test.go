@@ -98,7 +98,7 @@ func scanAll(t *testing.T, fs *hdfs.FileSystem, dataset string, conf *mapred.Job
 // drainSplits scans splits (hand-built ones may carry delete vectors) to
 // completion, copying each record's fields out so lazy and eager runs
 // compare alike.
-func drainSplits(t *testing.T, fs *hdfs.FileSystem, conf *mapred.JobConf, splits []mapred.Split) ([]map[string]any, sim.TaskStats) {
+func drainSplits(t testing.TB, fs *hdfs.FileSystem, conf *mapred.JobConf, splits []mapred.Split) ([]map[string]any, sim.TaskStats) {
 	t.Helper()
 	in := &InputFormat{}
 	var rows []map[string]any

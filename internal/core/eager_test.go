@@ -87,8 +87,17 @@ func BenchmarkReaderEagerWide(b *testing.B) {
 // six string headers and about six int boxes, the map with its ten keys and
 // ten boxed values — some 35.7 together. The record, its value slice and the
 // six string payloads, ten more, come out of per-batch slabs and arenas.
-func TestEagerAllocGuard(t *testing.T) {
-	const n, ceiling = 4096, 37
+// The test drains 1 024 records; the benchmark of the same name 4 096.
+func TestEagerAllocGuard(t *testing.T) { checkEagerAllocGuard(t, 1024) }
+
+func BenchmarkEagerAllocGuard(b *testing.B) {
+	for range b.N {
+		checkEagerAllocGuard(b, 4096)
+	}
+}
+
+func checkEagerAllocGuard(t testing.TB, n int64) {
+	const ceiling = 37
 	fs := hdfs.New(sim.SingleNode(), 1)
 	loadSynthetic(t, fs, "/wide", n, n/2)
 	drainEager(t, fs, "/wide", nil) // warm the scratch-vector pool
@@ -97,7 +106,7 @@ func TestEagerAllocGuard(t *testing.T) {
 			t.Fatalf("drained %d rows, want %d", rows, n)
 		}
 	})
-	if perRecord := allocs / n; perRecord > ceiling {
+	if perRecord := allocs / float64(n); perRecord > ceiling {
 		t.Errorf("eager drain allocates %.1f objects per 13-column record, ceiling %d", perRecord, ceiling)
 	}
 }
@@ -109,10 +118,17 @@ func TestEagerAllocGuard(t *testing.T) {
 // share slabs and arenas, writing to one, by SetAt or into a byte slice in
 // place or by appending to it, never shows in its neighbours.
 func TestEagerRecordLifetime(t *testing.T) {
+	t.Parallel()
 	const n = 2*eagerBatchRows + 300
 	gen := workload.NewCrawl(workload.CrawlOptions{Seed: 3, ContentBytes: 250})
 	schema := gen.Schema()
 	content := schema.FieldIndex("content")
+	// Every layout writes the same records; what is read back is compared
+	// with a second generation of them, which no writer has seen.
+	written, wrote := make([]*serde.GenericRecord, n), make([]*serde.GenericRecord, n)
+	for i := range written {
+		written[i], wrote[i] = gen.Record(int64(i)), gen.Record(int64(i))
+	}
 	for name, opts := range eqPropLayouts(schema) {
 		opts.SplitRecords = n // one directory, three batches
 		fs := hdfs.New(sim.SingleNode(), 1)
@@ -120,8 +136,8 @@ func TestEagerRecordLifetime(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := int64(0); i < n; i++ {
-			if err := w.Append(gen.Record(i)); err != nil {
+		for _, rec := range written {
+			if err := w.Append(rec); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -168,7 +184,7 @@ func TestEagerRecordLifetime(t *testing.T) {
 		// Churn the pool the batches drew from before looking back.
 		drainEager(t, fs, "/c", nil)
 		for i, rec := range kept {
-			want := gen.Record(int64(i))
+			want := wrote[i]
 			for j, f := range schema.Fields {
 				if scribbled[i] && (j == 0 || j == content) {
 					continue
@@ -178,7 +194,7 @@ func TestEagerRecordLifetime(t *testing.T) {
 				}
 			}
 		}
-		checkSharedEagerLifetime(t, name, fs, schema, splits[0], n, gen)
+		checkSharedEagerLifetime(t, name, fs, schema, splits[0], wrote)
 	}
 }
 
@@ -187,7 +203,7 @@ func TestEagerRecordLifetime(t *testing.T) {
 // take their records from the same batches' slabs. Every record of both is
 // kept past Next and Close, the scratch pool is churned, and each value must
 // still be the writer's input.
-func checkSharedEagerLifetime(t *testing.T, name string, fs *hdfs.FileSystem, schema *serde.Schema, split mapred.Split, n int64, gen *workload.Crawl) {
+func checkSharedEagerLifetime(t *testing.T, name string, fs *hdfs.FileSystem, schema *serde.Schema, split mapred.Split, wrote []*serde.GenericRecord) {
 	t.Helper()
 	names := schema.FieldNames()
 	proj := []string{names[len(names)-1], names[0]}
@@ -213,11 +229,11 @@ func checkSharedEagerLifetime(t *testing.T, name string, fs *hdfs.FileSystem, sc
 	sr.Close()
 	drainEager(t, fs, "/c", nil)
 	for m, recs := range kept {
-		if int64(len(recs)) != n {
-			t.Fatalf("%s shared: member %d kept %d records, want %d", name, m, len(recs), n)
+		if len(recs) != len(wrote) {
+			t.Fatalf("%s shared: member %d kept %d records, want %d", name, m, len(recs), len(wrote))
 		}
 		for i, rec := range recs {
-			want := gen.Record(int64(i))
+			want := wrote[i]
 			for j, f := range rec.Schema().Fields {
 				w, _ := want.Get(f.Name)
 				if !serde.ValuesEqual(f.Type, rec.GetAt(j), w) {

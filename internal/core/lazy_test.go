@@ -110,7 +110,7 @@ func (m *lazyMember) conf(vect bool) *mapred.JobConf {
 
 // visit plays the member's map function on its k-th record, appending every
 // value it reads to seen. With gets false it reads nothing.
-func (m *lazyMember) visit(t *testing.T, ctx string, rec serde.Record, k int, gets bool, seen *[]any) {
+func (m *lazyMember) visit(t testing.TB, ctx string, rec serde.Record, k int, gets bool, seen *[]any) {
 	t.Helper()
 	if k >= len(m.rows) {
 		t.Fatalf("%s: surfaced more than the %d rows owed", ctx, len(m.rows))
@@ -131,7 +131,7 @@ func (m *lazyMember) visit(t *testing.T, ctx string, rec serde.Record, k int, ge
 
 // check compares everything the member's map function read — kept until
 // after the scan closed and the scratch pools churned — with what was loaded.
-func (m *lazyMember) check(t *testing.T, ctx string, schema *serde.Schema, recs []*serde.GenericRecord, seen []any) {
+func (m *lazyMember) check(t testing.TB, ctx string, schema *serde.Schema, recs []*serde.GenericRecord, seen []any) {
 	t.Helper()
 	at := 0
 	for k, row := range m.rows {
@@ -155,7 +155,7 @@ func (m *lazyMember) check(t *testing.T, ctx string, schema *serde.Schema, recs 
 }
 
 // soloLazyScan drains split for one member through the solo Reader.
-func soloLazyScan(t *testing.T, ctx string, fs *hdfs.FileSystem, split *Split, m *lazyMember, vect, gets bool) ([]any, sim.TaskStats) {
+func soloLazyScan(t testing.TB, ctx string, fs *hdfs.FileSystem, split *Split, m *lazyMember, vect, gets bool) ([]any, sim.TaskStats) {
 	t.Helper()
 	var st sim.TaskStats
 	rr, err := (&InputFormat{}).Open(fs, m.conf(vect), split, hdfs.AnyNode, &st)
@@ -183,7 +183,7 @@ func soloLazyScan(t *testing.T, ctx string, fs *hdfs.FileSystem, split *Split, m
 
 // sharedLazyScan drains split for members through one SharedReader, returning
 // what each member read and the members' and the cursor set's stats summed.
-func sharedLazyScan(t *testing.T, ctx string, fs *hdfs.FileSystem, split *Split, members []*lazyMember, vect, gets bool) ([][]any, sim.TaskStats) {
+func sharedLazyScan(t testing.TB, ctx string, fs *hdfs.FileSystem, split *Split, members []*lazyMember, vect, gets bool) ([][]any, sim.TaskStats) {
 	t.Helper()
 	confs := make([]*mapred.JobConf, len(members))
 	idx := make([]int, len(members))
@@ -272,7 +272,7 @@ func decodeBytes(c sim.CPUStats) int64 {
 // and the solo LazyRecord does not count a record materialized on a Get the
 // cursor cache answers, so rows read through their filter columns alone are
 // records only to the batch scan (fix.records).
-func checkLazyStats(t *testing.T, ctx string, members []*lazyMember, fix filterFix, got, gotIdle, oracle, oracleIdle sim.TaskStats) {
+func checkLazyStats(t testing.TB, ctx string, members []*lazyMember, fix filterFix, got, gotIdle, oracle, oracleIdle sim.TaskStats) {
 	t.Helper()
 	a, b := got, oracle
 	a.Add(oracleIdle)
@@ -307,11 +307,20 @@ func checkLazyStats(t *testing.T, ctx string, members []*lazyMember, fix filterF
 	}
 }
 
+// TestLazyRunsMatchValueAtATime runs two rounds; the benchmark of the same
+// name runs six.
 func TestLazyRunsMatchValueAtATime(t *testing.T) {
-	rounds := 6
-	if testing.Short() {
-		rounds = 2
+	t.Parallel()
+	checkLazyRunsMatchValueAtATime(t, 2)
+}
+
+func BenchmarkLazyRunsMatchValueAtATime(b *testing.B) {
+	for range b.N {
+		checkLazyRunsMatchValueAtATime(b, 6)
 	}
+}
+
+func checkLazyRunsMatchValueAtATime(t testing.TB, rounds int) {
 	dirRows := []int64{700, 150, 301, 97, 520, 64}
 	rng := rand.New(rand.NewSource(20110829))
 	for round := 0; round < rounds; round++ {
@@ -451,9 +460,16 @@ func TestLazyRunsMatchValueAtATime(t *testing.T) {
 // the same cursor (which reuse the run's slots and the pooled scratch vector),
 // and Close leave it as it was read, on every layout.
 func TestLazyRunValuesOutliveTheRun(t *testing.T) {
+	t.Parallel()
 	const n = 900
 	gen := workload.NewCrawl(workload.CrawlOptions{Seed: 3, ContentBytes: 120})
 	schema := gen.Schema()
+	// Every layout writes the same records; what is read back is compared
+	// with a second generation of them, which no writer has seen.
+	written, wrote := make([]*serde.GenericRecord, n), make([]*serde.GenericRecord, n)
+	for i := range written {
+		written[i], wrote[i] = gen.Record(int64(i)), gen.Record(int64(i))
+	}
 	for name, opts := range eqPropLayouts(schema) {
 		opts.SplitRecords = n
 		fs := hdfs.New(sim.SingleNode(), 1)
@@ -461,8 +477,8 @@ func TestLazyRunValuesOutliveTheRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := int64(0); i < n; i++ {
-			if err := w.Append(gen.Record(i)); err != nil {
+		for _, rec := range written {
+			if err := w.Append(rec); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -512,7 +528,7 @@ func TestLazyRunValuesOutliveTheRun(t *testing.T) {
 		}
 		drainEager(t, fs, "/c", nil) // churn the pools the runs drew from
 		for i, row := range kept {
-			want := gen.Record(int64(i))
+			want := wrote[i]
 			for j, col := range []string{"url", "content", "fetchTime"} {
 				if j == 1 && i%7 == 3 {
 					continue

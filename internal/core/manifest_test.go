@@ -95,9 +95,21 @@ func (m *layoutModel) retireSome(rng *rand.Rand, e *ManifestEdit) {
 // TestManifestLogReplaysLayouts drives random commits — flushes, compactions,
 // forced checkpoints — through a ManifestLog and reads every generation back:
 // the reader's layout is the model's, byte for byte once re-encoded, and the
-// edits a reader replays never outweigh their checkpoint.
+// edits a reader replays never outweigh their checkpoint. The test drives
+// two seeds' commits; the benchmark of the same name four.
 func TestManifestLogReplaysLayouts(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
+	t.Parallel()
+	checkManifestLogReplaysLayouts(t, 2)
+}
+
+func BenchmarkManifestLogReplaysLayouts(b *testing.B) {
+	for range b.N {
+		checkManifestLogReplaysLayouts(b, 4)
+	}
+}
+
+func checkManifestLogReplaysLayouts(t testing.TB, seeds int64) {
+	for seed := int64(1); seed <= seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		fs := hdfs.New(sim.SingleNode(), 1)
 		log := NewManifestLog(fs, "/ds")
@@ -504,11 +516,20 @@ func BenchmarkCommit(b *testing.B) {
 }
 
 // TestCommitAllocCeiling: a commit allocates the same ~35 objects at 10² and
-// 10⁴ partitions — its record's file, name and block, the runs of its
+// 10³ partitions — its record's file, name and block, the runs of its
 // deletes, its share of the checkpoints — where rewriting every dirty
-// partition's delete file and the whole manifest took hundreds.
-func TestCommitAllocCeiling(t *testing.T) {
-	for _, n := range []int{100, 10000} {
+// partition's delete file and the whole manifest took hundreds. The
+// benchmark of the same name holds 10² and 10⁴ partitions to the ceiling.
+func TestCommitAllocCeiling(t *testing.T) { checkCommitAllocCeiling(t, 100, 1000) }
+
+func BenchmarkCommitAllocCeiling(b *testing.B) {
+	for range b.N {
+		checkCommitAllocCeiling(b, 100, 10000)
+	}
+}
+
+func checkCommitAllocCeiling(t testing.TB, partitions ...int) {
+	for _, n := range partitions {
 		c := newCommitBench(n)
 		for range 2 * n {
 			c.commit(t)

@@ -13,7 +13,7 @@ import (
 
 // treeDigest hashes every file under dir — path, bytes and the datanodes of
 // every block — in listing order: what a load wrote and where it put it.
-func treeDigest(t *testing.T, fs *hdfs.FileSystem, dir string) (files int, digest string) {
+func treeDigest(t testing.TB, fs *hdfs.FileSystem, dir string) (files int, digest string) {
 	t.Helper()
 	h := sha256.New()
 	var walk func(dir string)

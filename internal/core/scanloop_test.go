@@ -21,9 +21,10 @@ import (
 
 const scanLoopRows = 8192
 
-func scanLoopData(tb testing.TB) *hdfs.FileSystem {
+// scanLoopData loads rows synthetic records in two split-directories.
+func scanLoopData(tb testing.TB, rows int64) *hdfs.FileSystem {
 	fs := hdfs.New(sim.SingleNode(), 1)
-	loadSynthetic(tb, fs, "/loop", scanLoopRows, scanLoopRows/2)
+	loadSynthetic(tb, fs, "/loop", rows, rows/2)
 	return fs
 }
 
@@ -116,7 +117,7 @@ func scanLoop(tb testing.TB, fs *hdfs.FileSystem, members int) func() int {
 
 // BenchmarkScanLoop reports ns and allocations per dataset row scanned.
 func BenchmarkScanLoop(b *testing.B) {
-	fs := scanLoopData(b)
+	fs := scanLoopData(b, scanLoopRows)
 	for _, bc := range []struct {
 		name    string
 		members int
@@ -141,15 +142,24 @@ func BenchmarkScanLoop(b *testing.B) {
 
 // TestScanLoopAllocGuard: a one-member shared scan is the solo scan, so it
 // allocates no more per row — the member replay, the demux and the shared
-// accounting cost nothing when there is nobody to share with.
-func TestScanLoopAllocGuard(t *testing.T) {
-	fs := scanLoopData(t)
+// accounting cost nothing when there is nobody to share with. The test scans
+// 2 048 rows; the benchmark of the same name scans the kernel's 8 192.
+func TestScanLoopAllocGuard(t *testing.T) { checkScanLoopAllocGuard(t, 2048) }
+
+func BenchmarkScanLoopAllocGuard(b *testing.B) {
+	for range b.N {
+		checkScanLoopAllocGuard(b, scanLoopRows)
+	}
+}
+
+func checkScanLoopAllocGuard(t testing.TB, rows int64) {
+	fs := scanLoopData(t, rows)
 	solo, shared1 := scanLoop(t, fs, 0), scanLoop(t, fs, 1)
 	if a, b := solo(), shared1(); a != b || a == 0 {
 		t.Fatalf("solo scan delivered %d records, one-member shared scan %d", a, b)
 	}
 	soloAllocs := testing.AllocsPerRun(5, func() { solo() })
 	sharedAllocs := testing.AllocsPerRun(5, func() { shared1() })
-	race.AllocCeiling(t, fmt.Sprintf("a one-member shared scan of %d rows (the solo scan: %.1f)", scanLoopRows, soloAllocs),
+	race.AllocCeiling(t, fmt.Sprintf("a one-member shared scan of %d rows (the solo scan: %.1f)", rows, soloAllocs),
 		sharedAllocs, soloAllocs)
 }

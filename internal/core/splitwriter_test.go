@@ -145,8 +145,21 @@ func misfit(s *serde.Schema) any {
 // block placement, and every CPU and I/O charge — under every layout, with
 // and without per-group statistics and Bloom filters, under both placement
 // policies; and a bad value fails the write with the error that loop gives.
+// The test writes 1 300 records; the benchmark of the same name writes 2 600.
 func TestSplitWriterRoundsMatchSequential(t *testing.T) {
-	const records = 2600
+	t.Parallel()
+	checkSplitWriterRoundsMatchSequential(t, 1300)
+}
+
+func BenchmarkSplitWriterRoundsMatchSequential(b *testing.B) {
+	for range b.N {
+		checkSplitWriterRoundsMatchSequential(b, 2600)
+	}
+}
+
+// checkSplitWriterRoundsMatchSequential writes records records, a multiple
+// of 26 past 1 000: the bad values land between 15/26 and 19/26 of them.
+func checkSplitWriterRoundsMatchSequential(t testing.TB, records int) {
 	rng := rand.New(rand.NewSource(30))
 	layouts := []colfile.Options{
 		{Layout: colfile.Plain},
@@ -170,39 +183,41 @@ func TestSplitWriterRoundsMatchSequential(t *testing.T) {
 				recs[r].SetAt(i, writeValue(rng, f.Type))
 			}
 		}
-		for _, n := range []int{1, 7, 999, 1000, 2500} {
-			for _, cpp := range []bool{false, true} {
-				name := fmt.Sprintf("%v/stats%d/nobloom=%v/round%d/cpp=%v", layout.Layout, layout.StatsEvery, layout.NoBloom, n, cpp)
-				newFS := func() *hdfs.FileSystem {
-					fs := testFS(t, 8)
-					if cpp {
-						fs.SetPlacementPolicy(hdfs.NewColumnPlacementPolicy())
-					}
-					return fs
+		for _, cpp := range []bool{false, true} {
+			// A file of another directory written first and last puts the
+			// filesystem's generator and node usage in play.
+			write := func(split func(fs *hdfs.FileSystem) error) (*hdfs.FileSystem, error) {
+				fs := testFS(t, 8)
+				if cpp {
+					fs.SetPlacementPolicy(hdfs.NewColumnPlacementPolicy())
 				}
-				wantFS, gotFS := newFS(), newFS()
-				var want, got sim.TaskStats
-				// A file of another directory written first and last puts
-				// the filesystem's generator and node usage in play.
-				for k, fs := range []*hdfs.FileSystem{wantFS, gotFS} {
-					if err := fs.WriteFile("/other/before", bytes.Repeat([]byte{1}, 100<<10), hdfs.AnyNode); err != nil {
-						t.Fatal(err)
-					}
-					write := func() error { return sequentialSplit(fs, "/d/s0", schema, opts, &want, recs) }
-					if k == 1 {
-						write = func() error { return roundsSplit(fs, "/d/s0", schema, opts, &got, recs, n) }
-					}
-					if err := write(); err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if err := fs.WriteFile("/other/after", bytes.Repeat([]byte{2}, 200<<10), hdfs.AnyNode); err != nil {
-						t.Fatal(err)
-					}
+				if err := fs.WriteFile("/other/before", bytes.Repeat([]byte{1}, 100<<10), hdfs.AnyNode); err != nil {
+					t.Fatal(err)
+				}
+				if err := split(fs); err != nil {
+					return nil, err
+				}
+				if err := fs.WriteFile("/other/after", bytes.Repeat([]byte{2}, 200<<10), hdfs.AnyNode); err != nil {
+					t.Fatal(err)
+				}
+				return fs, nil
+			}
+			var want sim.TaskStats
+			wantFS, err := write(func(fs *hdfs.FileSystem) error { return sequentialSplit(fs, "/d/s0", schema, opts, &want, recs) })
+			if err != nil {
+				t.Fatalf("%v/cpp=%v: the loop: %v", layout.Layout, cpp, err)
+			}
+			_, wantTree := treeDigest(t, wantFS, "/")
+			for _, n := range []int{1, 7, 999, 1000, 2500} {
+				name := fmt.Sprintf("%v/stats%d/nobloom=%v/round%d/cpp=%v", layout.Layout, layout.StatsEvery, layout.NoBloom, n, cpp)
+				var got sim.TaskStats
+				gotFS, err := write(func(fs *hdfs.FileSystem) error { return roundsSplit(fs, "/d/s0", schema, opts, &got, recs, n) })
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
 				}
 				if want != got {
 					t.Errorf("%s: rounds charged\n%+v\nthe loop charged\n%+v", name, got, want)
 				}
-				_, wantTree := treeDigest(t, wantFS, "/")
 				if files, gotTree := treeDigest(t, gotFS, "/"); gotTree != wantTree {
 					t.Errorf("%s: rounds wrote tree %s (%d files), the loop %s", name, gotTree, files, wantTree)
 				}
@@ -213,7 +228,7 @@ func TestSplitWriterRoundsMatchSequential(t *testing.T) {
 		// record: the loop meets (r, c) first, and so must every round.
 		bad := make([]*serde.GenericRecord, records)
 		copy(bad, recs)
-		r, c := 1500+rng.Intn(400), rng.Intn(len(schema.Fields))
+		r, c := records*15/26+rng.Intn(records*4/26), rng.Intn(len(schema.Fields))
 		for _, at := range [][2]int{{r + 3, 0}, {r, len(schema.Fields) - 1}, {r, c}} {
 			rec := serde.NewRecord(schema)
 			for i := range schema.Fields {

@@ -35,7 +35,7 @@ func vecLayouts() map[string]LoadOptions {
 // and — with no predicate, where the batch path only assembles records —
 // the same sim.TaskStats altogether: same bytes read, same boxed decode
 // charges, no vector counter touched.
-func checkVecEquivalence(t *testing.T, ctx string, schema *serde.Schema, pred scan.Predicate, live int64, run func(vect bool) ([]map[string]any, sim.TaskStats)) []map[string]any {
+func checkVecEquivalence(t testing.TB, ctx string, schema *serde.Schema, pred scan.Predicate, live int64, run func(vect bool) ([]map[string]any, sim.TaskStats)) []map[string]any {
 	t.Helper()
 	vrows, vst := run(true)
 	srows, sst := run(false)
@@ -177,12 +177,20 @@ func eqPropLayouts(schema *serde.Schema) map[string]LoadOptions {
 // ground: schemas of every column kind (strings and bytes on both sides of
 // the arena cut-off), all four layouts, delete vectors, and split-directory
 // sizes straddling the eager batch size, all directories read through one
-// split so batches meet directory boundaries too.
+// split so batches meet directory boundaries too. The test runs two rounds;
+// the benchmark of the same name runs five.
 func TestEagerBatchEquivalence(t *testing.T) {
-	rounds := 5
-	if testing.Short() {
-		rounds = 2
+	t.Parallel()
+	checkEagerBatchEquivalence(t, 2)
+}
+
+func BenchmarkEagerBatchEquivalence(b *testing.B) {
+	for range b.N {
+		checkEagerBatchEquivalence(b, 5)
 	}
+}
+
+func checkEagerBatchEquivalence(t testing.TB, rounds int) {
 	dirRows := []int64{eagerBatchRows - 1, eagerBatchRows, eagerBatchRows + 1, 2*eagerBatchRows + 7, 300}
 	rng := rand.New(rand.NewSource(20110829))
 	for round := 0; round < rounds; round++ {

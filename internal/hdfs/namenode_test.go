@@ -133,7 +133,16 @@ func errText(err error) string {
 // keep off it: the oracle's prefix test (p+"/" = "//") matches nothing, so
 // its RemoveAll("/") dropped the root's entry and nothing under it and its
 // TreeSize("/") was 0; the index treats the root as the directory it is.
-func TestNamenodeIndexMatchesScan(t *testing.T) {
+// The test runs ten trials; the benchmark of the same name runs 40.
+func TestNamenodeIndexMatchesScan(t *testing.T) { checkNamenodeIndexMatchesScan(t, 10) }
+
+func BenchmarkNamenodeIndexMatchesScan(b *testing.B) {
+	for range b.N {
+		checkNamenodeIndexMatchesScan(b, 40)
+	}
+}
+
+func checkNamenodeIndexMatchesScan(t testing.TB, trials int) {
 	var universe []string
 	for _, a := range []string{"a", "b", "s0"} {
 		universe = append(universe, "/"+a)
@@ -144,10 +153,7 @@ func TestNamenodeIndexMatchesScan(t *testing.T) {
 			}
 		}
 	}
-	trials, steps := 40, 150
-	if testing.Short() {
-		trials = 10
-	}
+	steps := 150
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		fs := New(testCluster(), int64(trial))

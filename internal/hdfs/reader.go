@@ -278,14 +278,6 @@ func (r *FileReader) UnchargedReadAt(p []byte, off int64) (int, error) {
 	return n, err
 }
 
-// ChargeSeek records one additional disk seek. Format readers use it for
-// discontiguities their own buffering hides from the per-stream accounting.
-func (r *FileReader) ChargeSeek() {
-	if r.stats != nil {
-		r.stats.Seeks++
-	}
-}
-
 // ChargeInterleaved marks n bytes as read while sibling column streams were
 // active: the cost model prices them as fractional arm movement per
 // readahead window (DESIGN.md, "Key design decisions"). CIF readers call

@@ -97,8 +97,14 @@ type crashRun struct {
 	next int // arrivals appended
 }
 
-func newCrashRun(t *testing.T) *crashRun {
-	arr, crawl := arrivals(crashSlice*(len(crashScript)+1), 0.35, 13)
+// crashArrivals are the arrivals every replay appends. Replays share them:
+// an ingester only reads the records it is handed.
+var crashArrivals = sync.OnceValues(func() ([]workload.Arrival, *workload.Crawl) {
+	return arrivals(crashSlice*(len(crashScript)+1), 0.35, 13)
+})
+
+func newCrashRun(t testing.TB) *crashRun {
+	arr, crawl := crashArrivals()
 	r := &crashRun{fs: testFS(3), arr: arr}
 	opts := ingestOptions("/live/crawl", crawl.Schema(), 1<<20) // flushes are the script's
 	opts.BucketMillis = 200                                     // a flush writes two or three partitions
@@ -110,7 +116,7 @@ func newCrashRun(t *testing.T) *crashRun {
 }
 
 // replay runs the script's first n steps.
-func (r *crashRun) replay(t *testing.T, n int) {
+func (r *crashRun) replay(t testing.TB, n int) {
 	for i := range n {
 		if err := r.step(i); err != nil {
 			t.Fatalf("script step %d: %v", i, err)
@@ -168,7 +174,7 @@ func (r *crashRun) headKind() byte {
 
 // unnamed returns the dataset's files that its committed layout does not
 // name: records but the committed one, files outside its partitions.
-func (r *crashRun) unnamed(t *testing.T) []string {
+func (r *crashRun) unnamed(t testing.TB) []string {
 	m, ok, err := core.ReadManifest(r.fs, "/live/crawl")
 	if err != nil || !ok {
 		t.Fatalf("reading the committed layout: %v %v", ok, err)
@@ -186,16 +192,30 @@ func (r *crashRun) unnamed(t *testing.T) []string {
 	return out
 }
 
-// TestFlushCommitCrashSweep fails every mutating filesystem call (under
-// -short, every fifth but the last dozen, which hold the commit), one run at
-// a time, across a flush committed as an edit, a flush committed as a
+// TestFlushCommitCrashSweep fails mutating filesystem calls, one run at a
+// time, across a flush committed as an edit, a flush committed as a
 // checkpoint, a compaction and a GC. After each failure a fresh scan returns
 // exactly the rows of the generation before the step or of the one after
 // it; then more arrivals, a flush, a compaction and a GC succeed, the
 // dataset holds exactly the stream's final record set, every superseded
 // arrival was resolved once, and no file is left that the committed layout
-// does not name.
+// does not name. The test fails every twentieth data write and every one of
+// the last dozen calls, which hold the commit; the benchmark of the same
+// name fails every call.
 func TestFlushCommitCrashSweep(t *testing.T) {
+	t.Parallel()
+	checkFlushCommitCrashSweep(t, 20)
+}
+
+func BenchmarkFlushCommitCrashSweep(b *testing.B) {
+	for range b.N {
+		checkFlushCommitCrashSweep(b, 1)
+	}
+}
+
+// checkFlushCommitCrashSweep fails call k of each step when k is a multiple
+// of every or one of the step's last twelve calls.
+func checkFlushCommitCrashSweep(t testing.TB, every int) {
 	// An unfailed replay: which record each step commits.
 	kinds := make([]byte, len(crashScript))
 	r := newCrashRun(t)
@@ -242,8 +262,8 @@ func TestFlushCommitCrashSweep(t *testing.T) {
 			t.Fatalf("%s made %d mutating calls", name, n)
 		}
 		for k := 1; k <= n; k++ {
-			if testing.Short() && k%5 != 0 && k <= n-12 {
-				continue // every fifth data write; every call of the commit itself
+			if k%every != 0 && k <= n-12 {
+				continue
 			}
 			r := newCrashRun(t)
 			r.replay(t, s)

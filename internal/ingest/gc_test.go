@@ -17,7 +17,7 @@ import (
 )
 
 // walkFiles visits every file under dir in listing order.
-func walkFiles(t *testing.T, fs *hdfs.FileSystem, dir string, visit func(fi hdfs.FileInfo)) {
+func walkFiles(t testing.TB, fs *hdfs.FileSystem, dir string, visit func(fi hdfs.FileInfo)) {
 	t.Helper()
 	infos, err := fs.List(dir)
 	if err != nil {
@@ -223,14 +223,21 @@ func TestGCCollectsManifestsAndDeletes(t *testing.T) {
 // of that curve; before GC collected manifests and delete files the same
 // two datasets stood at 1.42 and 1.78.
 func TestGCStoredBytesFlat(t *testing.T) {
+	t.Parallel()
 	const slice, n = 32, 100
+	stream := workload.NewArrivalStream(workload.ArrivalOptions{
+		Crawl:           workload.CrawlOptions{Seed: 5, ContentBytes: 200, Inlinks: 2},
+		Seed:            5,
+		RatePerSec:      50,
+		RecrawlFraction: 0.1,
+	})
+	// Both runs take their arrivals from one stream: the short one its first
+	// n slices.
+	arr := make([]workload.Arrival, 3*n*slice)
+	for i := range arr {
+		arr[i] = stream.Next()
+	}
 	ratio := func(slices int) float64 {
-		stream := workload.NewArrivalStream(workload.ArrivalOptions{
-			Crawl:           workload.CrawlOptions{Seed: 5, ContentBytes: 200, Inlinks: 2},
-			Seed:            5,
-			RatePerSec:      50,
-			RecrawlFraction: 0.1,
-		})
 		fs := testFS(3)
 		opts := ingestOptions("/live/crawl", stream.Crawl().Schema(), slice)
 		opts.CompactEvery = 4
@@ -241,8 +248,7 @@ func TestGCStoredBytesFlat(t *testing.T) {
 		}
 		latest := map[string]int64{}
 		var buf []byte
-		for i := 0; i < slices*slice; i++ {
-			a := stream.Next()
+		for _, a := range arr[:slices*slice] {
 			if err := ing.Append(a.Rec); err != nil {
 				t.Fatal(err)
 			}

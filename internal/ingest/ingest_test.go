@@ -86,7 +86,7 @@ func ingestOptions(dataset string, schema *serde.Schema, memtable int) ingest.Op
 	}
 }
 
-func bulkLoad(t *testing.T, fs *hdfs.FileSystem, dataset string, schema *serde.Schema, recs []*serde.GenericRecord) {
+func bulkLoad(t testing.TB, fs *hdfs.FileSystem, dataset string, schema *serde.Schema, recs []*serde.GenericRecord) {
 	t.Helper()
 	w, err := core.NewWriter(fs, dataset, schema, core.LoadOptions{
 		SplitRecords: 64,
@@ -124,7 +124,7 @@ func rowKey(rec *serde.GenericRecord) string {
 
 // scanRows runs a full-record scan as one map task (DirsPerSplit pinned
 // high so row order is the dataset's scan order).
-func scanRows(t *testing.T, fs *hdfs.FileSystem, dataset string, pred scan.Predicate, vectorize bool) []string {
+func scanRows(t testing.TB, fs *hdfs.FileSystem, dataset string, pred scan.Predicate, vectorize bool) []string {
 	t.Helper()
 	var mu sync.Mutex
 	var rows []string
@@ -144,7 +144,7 @@ func scanRows(t *testing.T, fs *hdfs.FileSystem, dataset string, pred scan.Predi
 	return rows
 }
 
-func aggRows(t *testing.T, fs *hdfs.FileSystem, dataset, spec string, pred scan.Predicate, vectorize bool) string {
+func aggRows(t testing.TB, fs *hdfs.FileSystem, dataset, spec string, pred scan.Predicate, vectorize bool) string {
 	t.Helper()
 	agg, err := scan.ParseAggregate(spec)
 	if err != nil {
@@ -162,90 +162,96 @@ func aggRows(t *testing.T, fs *hdfs.FileSystem, dataset, spec string, pred scan.
 // ingested-then-compacted dataset answers every query — scans and
 // aggregates, vectorized and scalar — identically to bulk-loading the same
 // final record set, across random arrival orders, recrawl overlaps, and
-// compaction points.
+// compaction points. The test runs five trials of 220 arrivals; the
+// benchmark of the same name runs them at 400.
 func TestIngestCompactEquivalence(t *testing.T) {
-	trials := 5
-	n := 400
-	if testing.Short() {
-		trials, n = 2, 220
+	t.Parallel()
+	for trial := range 5 {
+		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) { checkIngestCompactTrial(t, trial, 220) })
 	}
-	for trial := 0; trial < trials; trial++ {
-		trial := trial
-		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(900 + trial)))
-			recrawl := []float64{0, 0.2, 0.45}[trial%3]
-			arr, crawl := arrivals(n, recrawl, int64(7000+trial))
+}
 
-			fsI := testFS(3)
-			opts := ingestOptions("/live/crawl", crawl.Schema(), 32+rng.Intn(64))
-			ing, err := ingest.New(fsI, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Random mid-stream flush/compaction points.
-			flushAt := map[int]bool{}
-			compactAt := map[int]bool{}
-			for i := 0; i < 3; i++ {
-				flushAt[rng.Intn(len(arr))] = true
-				compactAt[rng.Intn(len(arr))] = true
-			}
-			for i, a := range arr {
-				if err := ing.Append(a.Rec); err != nil {
-					t.Fatal(err)
-				}
-				if flushAt[i] {
-					if err := ing.Flush(); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if compactAt[i] {
-					if err := ing.Compact(); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
+func BenchmarkIngestCompactEquivalence(b *testing.B) {
+	for range b.N {
+		for trial := range 5 {
+			checkIngestCompactTrial(b, trial, 400)
+		}
+	}
+}
+
+func checkIngestCompactTrial(t testing.TB, trial, n int) {
+	rng := rand.New(rand.NewSource(int64(900 + trial)))
+	recrawl := []float64{0, 0.2, 0.45}[trial%3]
+	arr, crawl := arrivals(n, recrawl, int64(7000+trial))
+
+	fsI := testFS(3)
+	opts := ingestOptions("/live/crawl", crawl.Schema(), 32+rng.Intn(64))
+	ing, err := ingest.New(fsI, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Random mid-stream flush/compaction points.
+	flushAt := map[int]bool{}
+	compactAt := map[int]bool{}
+	for i := 0; i < 3; i++ {
+		flushAt[rng.Intn(len(arr))] = true
+		compactAt[rng.Intn(len(arr))] = true
+	}
+	for i, a := range arr {
+		if err := ing.Append(a.Rec); err != nil {
+			t.Fatal(err)
+		}
+		if flushAt[i] {
 			if err := ing.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			if trial%2 == 0 {
-				if err := ing.Compact(); err != nil {
-					t.Fatal(err)
-				}
-				if err := ing.GC(); err != nil {
-					t.Fatal(err)
-				}
+		}
+		if compactAt[i] {
+			if err := ing.Compact(); err != nil {
+				t.Fatal(err)
 			}
+		}
+	}
+	if err := ing.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if trial%2 == 0 {
+		if err := ing.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		if err := ing.GC(); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-			final := finalSet(arr)
-			fsB := testFS(3)
-			bulkLoad(t, fsB, "/bulk/crawl", crawl.Schema(), final)
+	final := finalSet(arr)
+	fsB := testFS(3)
+	bulkLoad(t, fsB, "/bulk/crawl", crawl.Schema(), final)
 
-			if got := ing.Stats().UpsertsResolved; got != int64(len(arr)-len(final)) {
-				t.Errorf("UpsertsResolved = %d, want %d", got, len(arr)-len(final))
-			}
+	if got := ing.Stats().UpsertsResolved; got != int64(len(arr)-len(final)) {
+		t.Errorf("UpsertsResolved = %d, want %d", got, len(arr)-len(final))
+	}
 
-			mid := int64(1293840000000 + 2000)
-			preds := []scan.Predicate{
-				nil,
-				scan.HasPrefix("url", "http://www.ibm.com"),
-				scan.Gt("fetchTime", mid),
+	mid := int64(1293840000000 + 2000)
+	preds := []scan.Predicate{
+		nil,
+		scan.HasPrefix("url", "http://www.ibm.com"),
+		scan.Gt("fetchTime", mid),
+	}
+	for pi, pred := range preds {
+		for _, vec := range []bool{true, false} {
+			got := scanRows(t, fsI, "/live/crawl", pred, vec)
+			want := scanRows(t, fsB, "/bulk/crawl", pred, vec)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("pred %d vec=%v: ingest scan (%d rows) != bulk scan (%d rows)",
+					pi, vec, len(got), len(want))
 			}
-			for pi, pred := range preds {
-				for _, vec := range []bool{true, false} {
-					got := scanRows(t, fsI, "/live/crawl", pred, vec)
-					want := scanRows(t, fsB, "/bulk/crawl", pred, vec)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("pred %d vec=%v: ingest scan (%d rows) != bulk scan (%d rows)",
-							pi, vec, len(got), len(want))
-					}
-					ga := aggRows(t, fsI, "/live/crawl", "count,count(url),min(fetchTime),max(fetchTime),sum(fetchTime),avg(fetchTime)", pred, vec)
-					wa := aggRows(t, fsB, "/bulk/crawl", "count,count(url),min(fetchTime),max(fetchTime),sum(fetchTime),avg(fetchTime)", pred, vec)
-					if ga != wa {
-						t.Fatalf("pred %d vec=%v: ingest agg %s != bulk agg %s", pi, vec, ga, wa)
-					}
-				}
+			ga := aggRows(t, fsI, "/live/crawl", "count,count(url),min(fetchTime),max(fetchTime),sum(fetchTime),avg(fetchTime)", pred, vec)
+			wa := aggRows(t, fsB, "/bulk/crawl", "count,count(url),min(fetchTime),max(fetchTime),sum(fetchTime),avg(fetchTime)", pred, vec)
+			if ga != wa {
+				t.Fatalf("pred %d vec=%v: ingest agg %s != bulk agg %s", pi, vec, ga, wa)
 			}
-		})
+		}
 	}
 }
 
@@ -331,11 +337,7 @@ func TestIngestSharedScanEquivalence(t *testing.T) {
 // stale caches, no vanished files), and the live row count — distinct URLs
 // committed so far — must be nondecreasing across sequential queries.
 func TestIngestConcurrentServe(t *testing.T) {
-	n := 600
-	if testing.Short() {
-		n = 250
-	}
-	arr, crawl := arrivals(n, 0.3, 777)
+	arr, crawl := arrivals(600, 0.3, 777)
 	fs := testFS(3)
 	srv := serve.New(fs, serve.Options{CacheBytes: 1 << 20})
 	defer srv.Close()
@@ -425,12 +427,22 @@ func TestIngestConcurrentServe(t *testing.T) {
 // the files committed so far give: a bulk load of the same record set,
 // scanned without a session. Nothing is invalidated for correctness; what
 // ServeLive's hook does is drop the retired directories' entries, which the
-// test checks by finding nothing left to drop.
+// test checks by finding nothing left to drop. The test streams 288
+// arrivals; the benchmark of the same name streams 480.
 func TestIngestServeCatalogFollowsCommits(t *testing.T) {
-	n, chunk := 480, 96
-	if testing.Short() {
-		n = 288
+	checkIngestServeCatalogFollowsCommits(t, 288)
+}
+
+func BenchmarkIngestServeCatalogFollowsCommits(b *testing.B) {
+	for range b.N {
+		checkIngestServeCatalogFollowsCommits(b, 480)
 	}
+}
+
+// checkIngestServeCatalogFollowsCommits streams n arrivals, a multiple of
+// the 96-arrival flush chunk.
+func checkIngestServeCatalogFollowsCommits(t testing.TB, n int) {
+	const chunk = 96
 	arr, crawl := arrivals(n, 0.35, 4242)
 	fs := testFS(3)
 	srv := serve.New(fs, serve.Options{CacheBytes: 1 << 20})

@@ -63,7 +63,7 @@ type cpPlan struct {
 	Explained     []*core.QueryPlan
 }
 
-func cpPlanAll(t *testing.T, fs *hdfs.FileSystem, confs []*mapred.JobConf) cpPlan {
+func cpPlanAll(t testing.TB, fs *hdfs.FileSystem, confs []*mapred.JobConf) cpPlan {
 	t.Helper()
 	in := &core.InputFormat{}
 	var p cpPlan
@@ -96,7 +96,7 @@ type cpOutcome struct {
 	Out     [][]string
 }
 
-func cpOutcomeOf(t *testing.T, fs *hdfs.FileSystem, jobs []*mapred.Job, results []*mapred.Result, br *mapred.BatchResult) cpOutcome {
+func cpOutcomeOf(t testing.TB, fs *hdfs.FileSystem, jobs []*mapred.Job, results []*mapred.Result, br *mapred.BatchResult) cpOutcome {
 	t.Helper()
 	var o cpOutcome
 	if br != nil {
@@ -122,11 +122,18 @@ func cpOutcomeOf(t *testing.T, fs *hdfs.FileSystem, jobs []*mapred.Job, results 
 	return o
 }
 
-func TestCatalogPlanEquivalenceProperty(t *testing.T) {
-	rounds, records := 9, 240
-	if testing.Short() {
-		rounds = 3
+// TestCatalogPlanEquivalenceProperty runs three rounds; the benchmark of
+// the same name runs nine.
+func TestCatalogPlanEquivalenceProperty(t *testing.T) { checkCatalogPlanEquivalenceProperty(t, 3) }
+
+func BenchmarkCatalogPlanEquivalenceProperty(b *testing.B) {
+	for range b.N {
+		checkCatalogPlanEquivalenceProperty(b, 9)
 	}
+}
+
+func checkCatalogPlanEquivalenceProperty(t testing.TB, rounds int) {
+	records := 240
 	rng := rand.New(rand.NewSource(20111002))
 	pruned, checked := 0, 0
 	for round := 0; round < rounds; round++ {

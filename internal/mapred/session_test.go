@@ -202,13 +202,20 @@ func TestSessionGenerationInvalidation(t *testing.T) {
 // TestSessionCacheReuseEquivalenceProperty is the redesign's property test:
 // random schemas, predicates, and multi-round batch sequences must produce
 // byte-identical outputs and solo-equal logical counters whether the
-// session caches nothing, everything, or thrashes a starved cache.
+// session caches nothing, everything, or thrashes a starved cache. The
+// test runs three rounds; the benchmark of the same name runs eight.
 func TestSessionCacheReuseEquivalenceProperty(t *testing.T) {
-	rounds := 8
-	records := 240
-	if testing.Short() {
-		rounds = 3
+	checkSessionCacheReuseEquivalenceProperty(t, 3)
+}
+
+func BenchmarkSessionCacheReuseEquivalenceProperty(b *testing.B) {
+	for range b.N {
+		checkSessionCacheReuseEquivalenceProperty(b, 8)
 	}
+}
+
+func checkSessionCacheReuseEquivalenceProperty(t testing.TB, rounds int) {
+	records := 240
 	rng := rand.New(rand.NewSource(20120530))
 	var totalHits int64
 	for round := 0; round < rounds; round++ {

@@ -125,7 +125,7 @@ var bpLayouts = []core.LoadOptions{
 // bpLoad writes records rows of schema at dataset, "t" clustered in the load
 // order: split-directories cover disjoint ranges, the regime where per-job
 // elision diverges between members.
-func bpLoad(t *testing.T, rng *rand.Rand, fs *hdfs.FileSystem, dataset string, schema *serde.Schema, opts core.LoadOptions, records int) {
+func bpLoad(t testing.TB, rng *rand.Rand, fs *hdfs.FileSystem, dataset string, schema *serde.Schema, opts core.LoadOptions, records int) {
 	t.Helper()
 	w, err := core.NewWriter(fs, dataset, schema, opts, nil)
 	if err != nil {
@@ -220,7 +220,7 @@ func logicalStats(st sim.TaskStats) [8]int64 {
 	}
 }
 
-func readParts(t *testing.T, fs *hdfs.FileSystem, path string, parts int) []string {
+func readParts(t testing.TB, fs *hdfs.FileSystem, path string, parts int) []string {
 	t.Helper()
 	out := make([]string, parts)
 	for p := 0; p < parts; p++ {
@@ -241,12 +241,18 @@ func readParts(t *testing.T, fs *hdfs.FileSystem, path string, parts int) []stri
 	return out
 }
 
-func TestSharedScanEquivalenceProperty(t *testing.T) {
-	rounds := 12
-	records := 240
-	if testing.Short() {
-		rounds = 4
+// TestSharedScanEquivalenceProperty runs four rounds; the benchmark of the
+// same name runs twelve.
+func TestSharedScanEquivalenceProperty(t *testing.T) { checkSharedScanEquivalenceProperty(t, 4) }
+
+func BenchmarkSharedScanEquivalenceProperty(b *testing.B) {
+	for range b.N {
+		checkSharedScanEquivalenceProperty(b, 12)
 	}
+}
+
+func checkSharedScanEquivalenceProperty(t testing.TB, rounds int) {
+	records := 240
 	rng := rand.New(rand.NewSource(20110905))
 	var sharedTasks, sharedReads int64
 	for round := 0; round < rounds; round++ {

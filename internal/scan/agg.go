@@ -958,9 +958,6 @@ func (s *AggState) Rows() []AggRow {
 	return out
 }
 
-// NumGroups returns the number of groups folded so far.
-func (s *AggState) NumGroups() int { return len(s.keys) }
-
 func gkeyLess(a, b gkey) bool {
 	if a.kind != b.kind {
 		// One group-by column yields one value kind, so mixed kinds can

@@ -260,16 +260,21 @@ func sameAggRowsExact(a, b []scan.AggRow) bool {
 // sums to the bit — whether one state folds the rows in one batch, in two,
 // or two states fold a half each and merge. Where the record fold fails
 // (a sum over strings, incomparable boxed values), so does the batch fold.
-func TestFoldBatchMatchesFoldRecord(t *testing.T) {
+// The test runs 300 trials; the benchmark of the same name runs 1 500.
+func TestFoldBatchMatchesFoldRecord(t *testing.T) { checkFoldBatchMatchesFoldRecord(t, 300) }
+
+func BenchmarkFoldBatchMatchesFoldRecord(b *testing.B) {
+	for range b.N {
+		checkFoldBatchMatchesFoldRecord(b, 1500)
+	}
+}
+
+func checkFoldBatchMatchesFoldRecord(t testing.TB, trials int) {
 	kinds := []scan.VecKind{
 		scan.VecBool, scan.VecInt32, scan.VecInt64, scan.VecFloat64,
 		scan.VecString, scan.VecBytes, scan.VecAny,
 	}
 	funcs := []string{"count(%s)", "min(%s)", "max(%s)", "sum(%s)", "avg(%s)"}
-	trials := 1500
-	if testing.Short() {
-		trials = 300
-	}
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(4100 + trial)))
 		n := 1 + rng.Intn(200)

@@ -33,7 +33,7 @@ import (
 // elisionScan drains every split of a planned scan, returning the
 // projected rows, and the stats aggregate with the scheduler report folded
 // in (as mapred.Run does).
-func elisionScan(t *testing.T, fs *hdfs.FileSystem, conf *mapred.JobConf, proj []string) ([][]any, sim.TaskStats, scan.PruneReport) {
+func elisionScan(t testing.TB, fs *hdfs.FileSystem, conf *mapred.JobConf, proj []string) ([][]any, sim.TaskStats, scan.PruneReport) {
 	t.Helper()
 	in := &core.InputFormat{}
 	splits, report, err := in.PlannedSplits(fs, conf)
@@ -75,12 +75,18 @@ func elisionScan(t *testing.T, fs *hdfs.FileSystem, conf *mapred.JobConf, proj [
 	return rows, total, report
 }
 
-func TestElisionEquivalenceProperty(t *testing.T) {
-	rounds := 25
-	records := 240
-	if testing.Short() {
-		rounds = 8
+// TestElisionEquivalenceProperty runs 16 rounds, the fewest in which a group
+// is bloom-pruned; the benchmark of the same name runs 25.
+func TestElisionEquivalenceProperty(t *testing.T) { checkElisionEquivalenceProperty(t, 16) }
+
+func BenchmarkElisionEquivalenceProperty(b *testing.B) {
+	for range b.N {
+		checkElisionEquivalenceProperty(b, 25)
 	}
+}
+
+func checkElisionEquivalenceProperty(t testing.TB, rounds int) {
+	records := 240
 	rng := rand.New(rand.NewSource(20110711))
 	var elisions, bloomPrunes int64
 	for round := 0; round < rounds; round++ {
@@ -186,7 +192,7 @@ func TestElisionEquivalenceProperty(t *testing.T) {
 	if elisions == 0 {
 		t.Error("no split was ever elided across all rounds — the clustered column is not driving the scheduler tier")
 	}
-	if bloomPrunes == 0 && !testing.Short() {
+	if bloomPrunes == 0 {
 		t.Error("no group was ever bloom-pruned across all rounds — the bloom dimension is not driving the group tier")
 	}
 }

@@ -16,8 +16,6 @@ import (
 //     degenerate buckets);
 //   - in aggregate, histogram estimates are never worse than the uniform
 //     interpolation they replace.
-//
-// Runs in -short (fewer trials, same properties).
 
 // propDistributions generates n values under the named skew.
 func propDistribution(rng *rand.Rand, skew string, n int) []int64 {
@@ -62,10 +60,7 @@ func trueFraction(t *testing.T, p Predicate, vals []int64) float64 {
 
 func TestHistogramEstimationProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(20110829))
-	trials := 60
-	if testing.Short() {
-		trials = 18
-	}
+	const trials = 60
 	var histErr, uniErr float64
 	var cases int
 	for trial := 0; trial < trials; trial++ {

@@ -171,12 +171,18 @@ func variantName(i int) string {
 	return []string{"plain", "skiplist", "block", "dcsl"}[i]
 }
 
-func TestPushdownEquivalenceProperty(t *testing.T) {
-	rounds := 30
-	records := 250
-	if testing.Short() {
-		rounds = 8
+// TestPushdownEquivalenceProperty runs eight rounds; the benchmark of the
+// same name runs 30.
+func TestPushdownEquivalenceProperty(t *testing.T) { checkPushdownEquivalenceProperty(t, 8) }
+
+func BenchmarkPushdownEquivalenceProperty(b *testing.B) {
+	for range b.N {
+		checkPushdownEquivalenceProperty(b, 30)
 	}
+}
+
+func checkPushdownEquivalenceProperty(t testing.TB, rounds int) {
+	records := 250
 	rng := rand.New(rand.NewSource(20110407))
 	for round := 0; round < rounds; round++ {
 		schema := randSchema(rng)

@@ -410,10 +410,7 @@ func vecTestPredicate(rng *rand.Rand, cols []string, vecs map[string]*scan.Vecto
 }
 
 func TestVectorEvalProperty(t *testing.T) {
-	rounds := 400
-	if testing.Short() {
-		rounds = 80
-	}
+	const rounds = 400
 	rng := rand.New(rand.NewSource(20110408))
 	for round := 0; round < rounds; round++ {
 		n := rng.Intn(150)

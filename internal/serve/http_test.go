@@ -157,6 +157,7 @@ func TestHTTPServeAggQuery(t *testing.T) {
 }
 
 func TestHTTPServeErrors(t *testing.T) {
+	t.Parallel()
 	srv, ts := svHTTP(t)
 
 	resp, _ := svPost(t, ts, serve.QueryRequest{Where: `t <=`})

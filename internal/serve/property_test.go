@@ -208,11 +208,7 @@ func spReadParts(t *testing.T, fs *hdfs.FileSystem, path string, parts int) []st
 }
 
 func TestServeAdmissionInvarianceProperty(t *testing.T) {
-	rounds := 8
-	records := 200
-	if testing.Short() {
-		rounds = 3
-	}
+	const rounds, records = 8, 200
 	rng := rand.New(rand.NewSource(20110906))
 	windows := []float64{0, 0.05, 0.25}
 	var sharedBatches, sharedReads, sharedQueries int64

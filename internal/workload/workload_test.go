@@ -69,12 +69,18 @@ func TestCrawlSchemaIsFigure2(t *testing.T) {
 	}
 }
 
-func TestCrawlSelectivity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("generates 20k multi-KB records; skipped in -short mode")
+// TestCrawlSelectivity generates 500 records; the benchmark of the same name
+// generates 20 000.
+func TestCrawlSelectivity(t *testing.T) { checkCrawlSelectivity(t, 500) }
+
+func BenchmarkCrawlSelectivity(b *testing.B) {
+	for range b.N {
+		checkCrawlSelectivity(b, 20000)
 	}
+}
+
+func checkCrawlSelectivity(t testing.TB, n int64) {
 	c := NewCrawl(CrawlOptions{Seed: 3, Selectivity: 0.06})
-	const n = 20000
 	matches := 0
 	for i := int64(0); i < n; i++ {
 		rec := c.Record(i)
@@ -87,7 +93,7 @@ func TestCrawlSelectivity(t *testing.T) {
 			matches++
 		}
 	}
-	frac := float64(matches) / n
+	frac := float64(matches) / float64(n)
 	if math.Abs(frac-0.06) > 0.01 {
 		t.Errorf("selectivity = %.4f, want ~0.06", frac)
 	}
