@@ -124,7 +124,10 @@ func cpOutcomeOf(t testing.TB, fs *hdfs.FileSystem, jobs []*mapred.Job, results 
 
 // TestCatalogPlanEquivalenceProperty runs three rounds; the benchmark of
 // the same name runs nine.
-func TestCatalogPlanEquivalenceProperty(t *testing.T) { checkCatalogPlanEquivalenceProperty(t, 3) }
+func TestCatalogPlanEquivalenceProperty(t *testing.T) {
+	t.Parallel()
+	checkCatalogPlanEquivalenceProperty(t, 3)
+}
 
 func BenchmarkCatalogPlanEquivalenceProperty(b *testing.B) {
 	for range b.N {

@@ -205,6 +205,7 @@ func TestSessionGenerationInvalidation(t *testing.T) {
 // session caches nothing, everything, or thrashes a starved cache. The
 // test runs three rounds; the benchmark of the same name runs eight.
 func TestSessionCacheReuseEquivalenceProperty(t *testing.T) {
+	t.Parallel()
 	checkSessionCacheReuseEquivalenceProperty(t, 3)
 }
 

@@ -243,7 +243,10 @@ func readParts(t testing.TB, fs *hdfs.FileSystem, path string, parts int) []stri
 
 // TestSharedScanEquivalenceProperty runs four rounds; the benchmark of the
 // same name runs twelve.
-func TestSharedScanEquivalenceProperty(t *testing.T) { checkSharedScanEquivalenceProperty(t, 4) }
+func TestSharedScanEquivalenceProperty(t *testing.T) {
+	t.Parallel()
+	checkSharedScanEquivalenceProperty(t, 4)
+}
 
 func BenchmarkSharedScanEquivalenceProperty(b *testing.B) {
 	for range b.N {

@@ -77,7 +77,10 @@ func elisionScan(t testing.TB, fs *hdfs.FileSystem, conf *mapred.JobConf, proj [
 
 // TestElisionEquivalenceProperty runs 16 rounds, the fewest in which a group
 // is bloom-pruned; the benchmark of the same name runs 25.
-func TestElisionEquivalenceProperty(t *testing.T) { checkElisionEquivalenceProperty(t, 16) }
+func TestElisionEquivalenceProperty(t *testing.T) {
+	t.Parallel()
+	checkElisionEquivalenceProperty(t, 16)
+}
 
 func BenchmarkElisionEquivalenceProperty(b *testing.B) {
 	for range b.N {

@@ -173,7 +173,10 @@ func variantName(i int) string {
 
 // TestPushdownEquivalenceProperty runs eight rounds; the benchmark of the
 // same name runs 30.
-func TestPushdownEquivalenceProperty(t *testing.T) { checkPushdownEquivalenceProperty(t, 8) }
+func TestPushdownEquivalenceProperty(t *testing.T) {
+	t.Parallel()
+	checkPushdownEquivalenceProperty(t, 8)
+}
 
 func BenchmarkPushdownEquivalenceProperty(b *testing.B) {
 	for range b.N {
