@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"text/tabwriter"
 
 	"colmr/internal/colfile"
@@ -133,22 +134,30 @@ type ParallelismResult struct {
 func AblationParallelism(cfg Config) (*ParallelismResult, error) {
 	// Geometry experiment: shrink blocks (and row groups by the same
 	// factor, keeping the paper's r = 16 groups per block) so datasets
-	// stay laptop-sized; only split counts matter, so Scale shrinks the
-	// block rather than the sweep. A 10-node cluster keeps the m x c
-	// crossover inside the sweep.
+	// stay laptop-sized; only split counts matter. A 10-node cluster
+	// keeps the m x c crossover inside the sweep. Scale shrinks the
+	// cluster (to one node at least) and the sweep with it, so each row
+	// keeps its size relative to the crossover and the block geometry
+	// stays the same.
+	nodes := max(1, int64(math.Round(10*cfg.Scale)))
 	cluster := sim.DefaultCluster()
-	cluster.Nodes = 10
-	cluster.BlockSize = int64(float64(32<<10) * cfg.Scale)
+	cluster.Nodes = int(nodes)
+	cluster.BlockSize = 32 << 10
 	rowGroup := int(cluster.BlockSize) / 16
 	slots := cluster.MapSlots()
-	gen := workload.NewSynthetic(cfg.Seed)
+	// ~300 encoded bytes per synthetic record; each row writes a prefix
+	// of the largest row's records.
+	recordsFor := func(blocks int64) int64 { return blocks * cluster.BlockSize / 300 }
+	sweep := []int64{15, 120, 780, 1560}
+	for i, blocks := range sweep {
+		sweep[i] = (blocks*nodes + 9) / 10
+	}
+	gen := memo(workload.NewSynthetic(cfg.Seed), recordsFor(sweep[len(sweep)-1]))
 	cols := int64(len(gen.Schema().Fields))
 
 	res := &ParallelismResult{Slots: slots}
-	for _, blocks := range []int64{15, 120, 780, 1560} {
-		targetBytes := blocks * cluster.BlockSize
-		// ~300 encoded bytes per synthetic record.
-		n := targetBytes / 300
+	for _, blocks := range sweep {
+		n := recordsFor(blocks)
 		fs := newFS(cluster, cfg.Seed, true)
 
 		// CIF: split-directories sized at c blocks (one block per column),

@@ -1,6 +1,10 @@
 package bench
 
-import "testing"
+import (
+	"testing"
+
+	"colmr/internal/sim"
+)
 
 func TestAblationSkipLevels(t *testing.T) {
 	t.Parallel()
@@ -41,7 +45,14 @@ func checkSkipLevels(t testing.TB, res *SkipLevelsResult) {
 
 func TestAblationParallelism(t *testing.T) {
 	t.Parallel()
-	shape(t, AblationParallelism, 0.01, checkParallelism)
+	// Scale 0 runs the experiment's floor, a one-node cluster with the
+	// sweep shrunk to match; the block and row-group geometry is scale 1's.
+	shape(t, AblationParallelism, 0, func(t testing.TB, res *ParallelismResult) {
+		if res.Slots != sim.DefaultCluster().SlotsPerNode {
+			t.Errorf("scale 0 ran %d map slots, want one node's", res.Slots)
+		}
+		checkParallelism(t, res)
+	})
 }
 
 func BenchmarkAblationParallelism(b *testing.B) {

@@ -18,9 +18,12 @@ type generator interface {
 }
 
 // memoMaxRecords bounds the records a memo keeps: enough for the reduced
-// scales the shape tests run at, few enough that a full-scale run
-// regenerates its records rather than holding the dataset in memory.
-const memoMaxRecords = 1 << 15
+// scales the shape tests run at (17 039 records at most, AblationParallelism
+// on one node), few enough that a full-scale run regenerates its records
+// rather than holding the dataset in memory. At the bound a memo adds about
+// 50 MB to a run's peak RSS for synthetic records and 650 MB for crawl
+// pages (Table 1 at scale 2.5; 260 MB at scale 1).
+const memoMaxRecords = 20_000
 
 // memoGen hands out each of its generator's first len(recs) records once
 // made, so an experiment that writes one dataset in several formats pays

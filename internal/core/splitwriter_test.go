@@ -157,8 +157,10 @@ func BenchmarkSplitWriterRoundsMatchSequential(b *testing.B) {
 	}
 }
 
-// checkSplitWriterRoundsMatchSequential writes records records, a multiple
-// of 26 past 1 000: the bad values land between 15/26 and 19/26 of them.
+// checkSplitWriterRoundsMatchSequential writes records records, more than
+// 1 016. The bad values land between 5/16 and 9/16 of the way from record
+// 1 000 to the end, so rounds of 999 and 1 000 have written one round
+// before them; at 2 600 records that is records 1 500 to 1 899.
 func checkSplitWriterRoundsMatchSequential(t testing.TB, records int) {
 	rng := rand.New(rand.NewSource(30))
 	layouts := []colfile.Options{
@@ -228,7 +230,7 @@ func checkSplitWriterRoundsMatchSequential(t testing.TB, records int) {
 		// record: the loop meets (r, c) first, and so must every round.
 		bad := make([]*serde.GenericRecord, records)
 		copy(bad, recs)
-		r, c := records*15/26+rng.Intn(records*4/26), rng.Intn(len(schema.Fields))
+		r, c := 1000+(records-1000)*5/16+rng.Intn((records-1000)/4), rng.Intn(len(schema.Fields))
 		for _, at := range [][2]int{{r + 3, 0}, {r, len(schema.Fields) - 1}, {r, c}} {
 			rec := serde.NewRecord(schema)
 			for i := range schema.Fields {
