@@ -14,7 +14,7 @@
 // the cost of running each job solo.
 //
 // A -cache budget additionally runs the clauses through one long-lived
-// mapred.Session, one Submit/Wait round per clause: later rounds reuse the
+// mapred.Session, one RunBatch round per clause: later rounds reuse the
 // column regions earlier rounds charged, and the table reports
 // CacheHits/BytesFromCache per round next to the shared-read stats.
 //
@@ -413,7 +413,7 @@ func batchScan(fs *hdfs.FileSystem, model sim.CostModel, dataset string, proj []
 		br.Shared.SharedReads, float64(br.Shared.BytesSaved)/(1<<20), reduction)
 }
 
-// sessionScan runs each predicate as one Submit/Wait round of a long-lived
+// sessionScan runs each predicate as one RunBatch round of a long-lived
 // session with the given cache budget — cross-batch reuse, no co-submission
 // — printing per-round cache statistics next to the cost of a cold run.
 func sessionScan(fs *hdfs.FileSystem, model sim.CostModel, dataset string, proj []string, preds []scan.Predicate, lazy, elide, vect bool, cacheBytes int64) {
@@ -428,11 +428,9 @@ func sessionScan(fs *hdfs.FileSystem, model sim.CostModel, dataset string, proj 
 	for i, p := range preds {
 		cold, err := mapred.Run(fs, cifJob(dataset, proj, p, lazy, elide, vect))
 		check(err)
-		pend := session.Submit(cifJob(dataset, proj, p, lazy, elide, vect))
-		br, err := session.Wait()
+		br, err := session.RunBatch(cifJob(dataset, proj, p, lazy, elide, vect))
 		check(err)
-		warm, err := pend.Result()
-		check(err)
+		warm := br.Results[0]
 		if warm.Total.RecordsProcessed != cold.Total.RecordsProcessed {
 			fmt.Fprintf(os.Stderr, "colscan: round %d matched %d cached but %d cold\n",
 				i, warm.Total.RecordsProcessed, cold.Total.RecordsProcessed)

@@ -164,35 +164,25 @@ type (
 // ScanDataset starts a typed scan over one or more CIF datasets.
 func ScanDataset(paths ...string) *ScanBuilder { return core.ScanDataset(paths...) }
 
-// Shared scans — the batch engine. Co-submitted jobs over the same CIF
-// datasets are planned together: one map task runs per shared
+// Shared scans — the batch engine. Jobs run together in one RunBatch over
+// the same CIF datasets are planned together: one map task runs per shared
 // split-directory group, a single cursor set reads the union of the jobs'
 // columns at the union predicate's selectivity, and per-job residual
 // predicates demultiplex the stream. Each job receives exactly the records
 // and per-job accounting of a solo run; physical I/O is charged once, to
-// BatchResult.Shared.
-type (
-	// Engine is the session-style batch front end: Submit queues jobs,
-	// Wait co-schedules everything queued as one batch.
-	Engine = mapred.Engine
-	// PendingJob is a submitted job's handle; resolved by Engine.Wait.
-	PendingJob = mapred.PendingJob
-	// BatchResult is a batch run's outcome: per-job results plus the
-	// once-charged shared-scan accounting.
-	BatchResult = mapred.BatchResult
-)
-
-// NewEngine returns a batch engine over the filesystem.
-func NewEngine(fs *FileSystem) *Engine { return mapred.NewEngine(fs) }
+// BatchResult.Shared. A BatchResult is a batch run's outcome: per-job
+// results plus the once-charged shared-scan accounting.
+type BatchResult = mapred.BatchResult
 
 // Long-lived sessions — the engine plus cross-batch scan caching. A
 // Session retains an LRU-bounded cache of column-file regions keyed by
-// (file, generation, region) across Submit/Wait rounds, so a steady stream
-// of jobs over the same datasets reuses hot reads without co-submission;
-// TaskStats.CacheHits and BytesFromCache report the reuse. With CacheBytes
-// 0 a Session is byte-for-byte an Engine. Generations make stale hits
-// impossible: reloading a dataset orphans its old cache entries, and
-// AddColumn (new files beside untouched ones) invalidates nothing.
+// (file, generation, region) across its RunBatch rounds, so a steady
+// stream of jobs over the same datasets reuses hot reads without
+// co-submission; TaskStats.CacheHits and BytesFromCache report the reuse.
+// With CacheBytes 0 a Session's round is byte-for-byte a RunBatch.
+// Generations make stale hits impossible: reloading a dataset orphans its
+// old cache entries, and AddColumn (new files beside untouched ones)
+// invalidates nothing.
 type (
 	// Session is the long-lived query front end (mapred.Session).
 	Session = mapred.Session
@@ -209,9 +199,9 @@ func RunBatch(fs *FileSystem, jobs ...*Job) (*BatchResult, error) {
 	return mapred.RunBatch(fs, jobs...)
 }
 
-// AutoDirsPerSplit, assigned to ColumnInputFormat.DirsPerSplit, sizes map
-// tasks from estimated predicate selectivity: few surviving, sparsely
-// matching split-directories merge into fewer tasks.
+// AutoDirsPerSplit, passed to ScanBuilder.DirsPerSplit (ScanSpec's
+// DirsPerSplit), sizes map tasks from estimated predicate selectivity: few
+// surviving, sparsely matching split-directories merge into fewer tasks.
 const AutoDirsPerSplit = core.AutoDirsPerSplit
 
 // CIF / COF — the paper's contribution.

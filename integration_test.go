@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"colmr"
@@ -31,12 +32,17 @@ func smallCluster(nodes int) sim.ClusterConfig {
 	return cfg
 }
 
+// outputSeq names each distinctContentTypes run's output directory. (A
+// format's address would not do: a zero-size format such as CIF's has no
+// distinct one.)
+var outputSeq atomic.Int64
+
 // distinctContentTypes runs the paper's job over the given input format
 // and returns the sorted distinct content-types found.
 func distinctContentTypes(t *testing.T, fs *hdfs.FileSystem, in mapred.InputFormat, conf mapred.JobConf) []string {
 	t.Helper()
 	conf.NumReducers = 2
-	conf.OutputPath = "/out/" + fmt.Sprintf("%p", in)
+	conf.OutputPath = fmt.Sprintf("/out/%d", outputSeq.Add(1))
 	job := &mapred.Job{
 		Conf:  conf,
 		Input: in,

@@ -70,7 +70,7 @@ type aggGen struct {
 
 func (g aggGen) Record(i int64) *serde.GenericRecord {
 	rec := g.Synthetic.Record(i)
-	rec.SetAt(g.strIdx, vecTag(i%aggTagCycle))
+	rec.SetAt(g.strIdx, tagValue(i%aggTagCycle))
 	rec.SetAt(g.intIdx, int32(i))
 	return rec
 }
@@ -250,8 +250,8 @@ func Aggregation(cfg Config) (*AggResult, error) {
 		pred scan.Predicate
 	}{
 		{"count clustered", "count", clustered},
-		{"count cyclic", "count", scan.Eq("str1", vecTag(7))},
-		{"fold cyclic", "count,min(int0),max(int0),sum(int0)", scan.Ne("str1", vecTag(7))},
+		{"count cyclic", "count", scan.Eq("str1", tagValue(7))},
+		{"fold cyclic", "count,min(int0),max(int0),sum(int0)", scan.Ne("str1", tagValue(7))},
 		{"group by", "count group by str1", nil},
 		{"stats full scan", "count,count(int0),min(int0),max(int0)", nil},
 	}
@@ -317,9 +317,9 @@ func Aggregation(cfg Config) (*AggResult, error) {
 		name string
 		pred scan.Predicate
 	}{
-		{"eq present", scan.Eq("str1", vecTag(7))},
+		{"eq present", scan.Eq("str1", tagValue(7))},
 		{"eq absent", scan.Eq("str1", "tag-absent")},
-		{"ne present", scan.Ne("str1", vecTag(7))},
+		{"ne present", scan.Ne("str1", tagValue(7))},
 	}
 	for _, arm := range dictArms {
 		run := func(vect bool) (*mapred.Result, error) {

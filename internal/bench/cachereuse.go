@@ -8,15 +8,13 @@ import (
 	"colmr/internal/core"
 	"colmr/internal/mapred"
 	"colmr/internal/scan"
-	"colmr/internal/serde"
 	"colmr/internal/sim"
 	"colmr/internal/workload"
 )
 
 // CacheReuse measures cross-batch scan caching: the same job resubmitted
 // round after round to one long-lived mapred.Session, against the same
-// stream of rounds run cold (every round a fresh scan, today's Engine
-// model). Two arms:
+// stream of rounds run cold (every round a fresh mapred.Run). Two arms:
 //
 //	selective  a zone-map-friendly predicate over the clustered int0 domain
 //	           — the steady "same dashboard query again" case caching is
@@ -79,18 +77,6 @@ func (r *CacheReuseResult) Get(arm string, round int) CacheReuseCell {
 	return CacheReuseCell{}
 }
 
-// cacheReuseJob builds the repeated job through the typed builder — the
-// same spec every round, which is the whole point.
-func cacheReuseJob(dataset string, pred scan.Predicate) *mapred.Job {
-	return core.ScanDataset(dataset).
-		Columns("str0").
-		Where(pred).
-		Job(mapred.MapperFunc(func(_, v any, emit mapred.Emit) error {
-			_, err := v.(serde.Record).Get("str0")
-			return err
-		}))
-}
-
 // CacheReuse runs the sweep.
 func CacheReuse(cfg Config) (*CacheReuseResult, error) {
 	n := cfg.records(100_000)
@@ -133,19 +119,15 @@ func CacheReuse(cfg Config) (*CacheReuseResult, error) {
 	for _, arm := range arms {
 		var coldCharged, warmCharged int64
 		for round := 1; round <= CacheReuseRoundsPerArm; round++ {
-			cold, err := mapred.Run(fs, cacheReuseJob(dir, arm.pred))
+			cold, err := mapred.Run(fs, str0Job(dir, arm.pred))
 			if err != nil {
 				return nil, fmt.Errorf("cold %s round %d: %w", arm.name, round, err)
 			}
-			pending := session.Submit(cacheReuseJob(dir, arm.pred))
-			br, err := session.Wait()
+			br, err := session.RunBatch(str0Job(dir, arm.pred))
 			if err != nil {
 				return nil, fmt.Errorf("warm %s round %d: %w", arm.name, round, err)
 			}
-			warm, err := pending.Result()
-			if err != nil {
-				return nil, err
-			}
+			warm := br.Results[0]
 			if warm.Total.RecordsProcessed != cold.Total.RecordsProcessed {
 				return nil, fmt.Errorf("%s round %d: warm matched %d records, cold %d",
 					arm.name, round, warm.Total.RecordsProcessed, cold.Total.RecordsProcessed)

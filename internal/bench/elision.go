@@ -6,6 +6,7 @@ import (
 
 	"colmr/internal/colfile"
 	"colmr/internal/core"
+	"colmr/internal/mapred"
 	"colmr/internal/scan"
 	"colmr/internal/serde"
 	"colmr/internal/sim"
@@ -88,6 +89,19 @@ func (g clusteredGen) Record(i int64) *serde.GenericRecord {
 	rec := g.Synthetic.Record(i)
 	rec.SetAt(g.idx, int32(1+i*10000/g.n)) // int0's domain is [1, 10000]
 	return rec
+}
+
+// str0Job builds one measurement query over the clustered dataset:
+// map-only, projecting str0 and touching it per record like a map function
+// would.
+func str0Job(dataset string, pred scan.Predicate) *mapred.Job {
+	return core.ScanDataset(dataset).
+		Columns("str0").
+		Where(pred).
+		Job(mapred.MapperFunc(func(_, v any, emit mapred.Emit) error {
+			_, err := v.(serde.Record).Get("str0")
+			return err
+		}))
 }
 
 // Elision runs the sweep.

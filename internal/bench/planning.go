@@ -44,9 +44,6 @@ const planningSplits = 16
 // planningTags is the filter column's domain cardinality.
 const planningTags = 64
 
-// planTag renders tag v; zero-padding keeps lexicographic order numeric.
-func planTag(v int64) string { return fmt.Sprintf("tag-%020d", v) }
-
 // planningTagValues generates n tag indexes under the named skew.
 func planningTagValues(seed int64, skew string, n int64) []int64 {
 	rng := rand.New(rand.NewSource(seed))
@@ -79,7 +76,7 @@ type taggedGen struct {
 
 func (g taggedGen) Record(i int64) *serde.GenericRecord {
 	rec := g.Synthetic.Record(i)
-	rec.SetAt(g.idx, planTag(g.tags[i]))
+	rec.SetAt(g.idx, tagValue(g.tags[i]))
 	return rec
 }
 
@@ -148,10 +145,10 @@ func Planning(cfg Config) (*PlanningResult, error) {
 	}{
 		// The zipf head: ~1.6% of a uniform column but the dominant value
 		// of a skewed one — the arm 1/Distinct mis-sizes worst.
-		{"eq head", scan.Eq("str1", planTag(0))},
-		{"eq tail", scan.Eq("str1", planTag(planningTags-1))},
-		{"range 1/8", scan.Between("str1", planTag(0), planTag(planningTags/8-1))},
-		{"broad 3/4", scan.Gt("str1", planTag(planningTags/4-1))},
+		{"eq head", scan.Eq("str1", tagValue(0))},
+		{"eq tail", scan.Eq("str1", tagValue(planningTags-1))},
+		{"range 1/8", scan.Between("str1", tagValue(0), tagValue(planningTags/8-1))},
+		{"broad 3/4", scan.Gt("str1", tagValue(planningTags/4-1))},
 	}
 
 	res := &PlanningResult{Records: n}

@@ -8,7 +8,6 @@ import (
 	"colmr/internal/core"
 	"colmr/internal/mapred"
 	"colmr/internal/scan"
-	"colmr/internal/serde"
 	"colmr/internal/serve"
 	"colmr/internal/sim"
 	"colmr/internal/workload"
@@ -91,20 +90,6 @@ func servePred(j int, overlap bool) scan.Predicate {
 	return scan.And(scan.Gt("int0", lo), scan.Le("int0", lo+width))
 }
 
-// serveJob builds one streamed query: map-only, projecting str0.
-func serveJob(dataset string, pred scan.Predicate) *mapred.Job {
-	conf := core.ScanDataset(dataset).Columns("str0").Where(pred).Conf()
-	return &mapred.Job{
-		Conf:  conf,
-		Input: &core.InputFormat{},
-		Mapper: mapred.MapperFunc(func(_, v any, emit mapred.Emit) error {
-			_, err := v.(serde.Record).Get("str0")
-			return err
-		}),
-		Output: mapred.NullOutput{},
-	}
-}
-
 // Serve runs the sweep.
 func Serve(cfg Config) (*ServeResult, error) {
 	n := cfg.records(40_000)
@@ -132,7 +117,7 @@ func Serve(cfg Config) (*ServeResult, error) {
 	soloCharged := map[bool]int64{}
 	for _, overlap := range []bool{true, false} {
 		for j := 0; j < serveQueries; j++ {
-			r, err := mapred.Run(fs, serveJob(dir, servePred(j, overlap)))
+			r, err := mapred.Run(fs, str0Job(dir, servePred(j, overlap)))
 			if err != nil {
 				return nil, fmt.Errorf("solo overlap=%v query %d: %w", overlap, j, err)
 			}
@@ -158,7 +143,7 @@ func Serve(cfg Config) (*ServeResult, error) {
 				tickets := make([]*serve.Ticket, serveQueries)
 				for j := 0; j < serveQueries; j++ {
 					clock.Set(float64(j) / rate)
-					tk, err := srv.Enqueue(tenants[j%len(tenants)], serveJob(dir, servePred(j, overlap)))
+					tk, err := srv.Enqueue(tenants[j%len(tenants)], str0Job(dir, servePred(j, overlap)))
 					if err != nil {
 						return nil, fmt.Errorf("enqueue rate=%g overlap=%v window=%g query %d: %w",
 							rate, overlap, window, j, err)

@@ -8,7 +8,6 @@ import (
 	"colmr/internal/core"
 	"colmr/internal/mapred"
 	"colmr/internal/scan"
-	"colmr/internal/serde"
 	"colmr/internal/sim"
 	"colmr/internal/workload"
 )
@@ -83,21 +82,6 @@ func sharedScanPred(j, k int, overlap bool) scan.Predicate {
 	return scan.And(scan.Gt("int0", lo), scan.Le("int0", hi))
 }
 
-// sharedScanJob builds one measurement job: map-only, projecting str0 and
-// touching it per record like a map function would.
-func sharedScanJob(dataset string, pred scan.Predicate) *mapred.Job {
-	conf := core.ScanDataset(dataset).Columns("str0").Where(pred).Conf()
-	return &mapred.Job{
-		Conf:  conf,
-		Input: &core.InputFormat{},
-		Mapper: mapred.MapperFunc(func(_, v any, emit mapred.Emit) error {
-			_, err := v.(serde.Record).Get("str0")
-			return err
-		}),
-		Output: mapred.NullOutput{},
-	}
-}
-
 // SharedScan runs the sweep.
 func SharedScan(cfg Config) (*SharedScanResult, error) {
 	n := cfg.records(100_000)
@@ -126,7 +110,7 @@ func SharedScan(cfg Config) (*SharedScanResult, error) {
 			jobs := func() []*mapred.Job {
 				out := make([]*mapred.Job, k)
 				for j := 0; j < k; j++ {
-					out[j] = sharedScanJob(dir, sharedScanPred(j, k, overlap))
+					out[j] = str0Job(dir, sharedScanPred(j, k, overlap))
 				}
 				return out
 			}

@@ -58,9 +58,10 @@ const vectorizedSplits = 16
 // defeats window statistics of every kind.
 const vecTagCycle = 64
 
-// vecTag renders filter value v. Zero-padding keeps lexicographic order
-// numeric, so range predicates select exact fractions of the cycle.
-func vecTag(v int64) string { return fmt.Sprintf("tag-%020d", v) }
+// tagValue renders tag v of a string filter column. Zero-padding keeps
+// lexicographic order numeric, so range predicates select exact fractions
+// of the tag domain.
+func tagValue(v int64) string { return fmt.Sprintf("tag-%020d", v) }
 
 // cyclicTagGen wraps the synthetic generator, replacing str1 with the
 // cyclic tag.
@@ -71,7 +72,7 @@ type cyclicTagGen struct {
 
 func (g cyclicTagGen) Record(i int64) *serde.GenericRecord {
 	rec := g.Synthetic.Record(i)
-	rec.SetAt(g.idx, vecTag(i%vecTagCycle))
+	rec.SetAt(g.idx, tagValue(i%vecTagCycle))
 	return rec
 }
 
@@ -170,9 +171,9 @@ func Vectorized(cfg Config) (*VectorizedResult, error) {
 	}{
 		// The headline string-equality arm: 1 in vecTagCycle records match,
 		// and the needle's presence in every window keeps every byte read.
-		{"eq 1/64", scan.Eq("str1", vecTag(7))},
-		{"range 1/4", scan.Between("str1", vecTag(16), vecTag(31))},
-		{"most 63/64", scan.Not(scan.Eq("str1", vecTag(7)))},
+		{"eq 1/64", scan.Eq("str1", tagValue(7))},
+		{"range 1/4", scan.Between("str1", tagValue(16), tagValue(31))},
+		{"most 63/64", scan.Not(scan.Eq("str1", tagValue(7)))},
 	}
 
 	res := &VectorizedResult{
@@ -222,15 +223,11 @@ func Vectorized(cfg Config) (*VectorizedResult, error) {
 			// later rounds must serve the filter column entirely from it.
 			session := mapred.NewSession(fs, mapred.SessionOptions{VecCacheBytes: res.VecCacheBytes})
 			for round := 1; round <= VectorizedRounds; round++ {
-				pending := session.Submit(vectorizedJob(dir, arm.pred, true))
-				br, err := session.Wait()
+				br, err := session.RunBatch(vectorizedJob(dir, arm.pred, true))
 				if err != nil {
 					return nil, fmt.Errorf("%s %s (warm round %d): %w", lay.name, arm.name, round, err)
 				}
-				warm, err := pending.Result()
-				if err != nil {
-					return nil, err
-				}
+				warm := br.Results[0]
 				if warm.Total.RecordsProcessed != cell.Matches {
 					return nil, fmt.Errorf("%s %s: warm round %d matched %d records, scalar %d",
 						lay.name, arm.name, round, warm.Total.RecordsProcessed, cell.Matches)

@@ -107,7 +107,7 @@ func (s *Split) files(fs *hdfs.FileSystem, dir string) []string {
 	return out
 }
 
-// AutoDirsPerSplit, as InputFormat.DirsPerSplit, sizes splits from
+// AutoDirsPerSplit, as scan.Spec.DirsPerSplit, sizes splits from
 // estimated predicate selectivity instead of a fixed constant: the
 // scheduler tier already reads each surviving directory's whole-file
 // aggregates, so the expected qualifying rows are known before any task
@@ -116,14 +116,11 @@ func (s *Split) files(fs *hdfs.FileSystem, dir string) []string {
 // of records.
 const AutoDirsPerSplit = -1
 
-// InputFormat is CIF, the ColumnInputFormat.
-type InputFormat struct {
-	// DirsPerSplit assigns this many split-directories to one map task
-	// (Section 4.2: "CIF can actually assign one or more split-directories
-	// to a single split"). Default 1; AutoDirsPerSplit sizes tasks from
-	// estimated selectivity.
-	DirsPerSplit int
-}
+// InputFormat is CIF, the ColumnInputFormat. It has no configuration of
+// its own: the job's scan.Spec carries the projection, the predicate and
+// the task sizing (Spec.DirsPerSplit: Section 4.2's "CIF can actually
+// assign one or more split-directories to a single split").
+type InputFormat struct{}
 
 // Splits implements mapred.InputFormat. The report-free interface cannot
 // hand its caller the elided splits' accounting, so elision is reserved
@@ -157,7 +154,7 @@ func (f *InputFormat) plannedSplits(fs *hdfs.FileSystem, conf *mapred.JobConf, a
 	ms, union := []memberSpec{plan.memberSpec}, scan.NewUnion([]scan.Predicate{plan.spec.Predicate})
 	var built []*scanPlan // the job's plans, one per directory schema
 	for _, ds := range plan.datasets {
-		per := f.splitSize(cat, plan.dps, plan.spec.Predicate, plan.spec.Bloom(), ds.kept)
+		per := splitSize(cat, plan.spec.DirsPerSplit, plan.spec.Predicate, plan.spec.Bloom(), ds.kept)
 		for i := 0; i < len(ds.kept); i += per {
 			j := min(i+per, len(ds.kept))
 			s := &Split{Dirs: ds.kept[i:j], Dels: ds.keptDels[i:j], Columns: plan.columns, Judged: plan.elide}
@@ -176,7 +173,6 @@ type dirPlan struct {
 	datasets []datasetDirs
 	columns  []string // locality columns: projection plus filter columns
 	elide    bool
-	dps      int // resolved directories-per-split (spec overrides format)
 	report   scan.PruneReport
 }
 
@@ -205,7 +201,6 @@ func (f *InputFormat) planDirs(fs *hdfs.FileSystem, cat *catalog.Catalog, conf *
 	}
 	spec, pred, planner := plan.spec, plan.spec.Predicate, plan.planner
 	plan.columns = taskColumns(spec)
-	plan.dps = f.dirsPerSplit(spec)
 	plan.report = scan.PruneReport{
 		Columns:    planner.FilterColumns(),
 		Vectorized: pred != nil && spec.Vectorize(),
@@ -253,18 +248,9 @@ func taskColumns(spec scan.Spec) []string {
 	return cols
 }
 
-// dirsPerSplit resolves the directories-per-split setting for one job: the
-// spec's value when set, else the format's own field.
-func (f *InputFormat) dirsPerSplit(spec scan.Spec) int {
-	if spec.DirsPerSplit != 0 {
-		return spec.DirsPerSplit
-	}
-	return f.DirsPerSplit
-}
-
 // splitSize resolves the directories-per-split for one run of directories:
 // the configured constant, or the selectivity-estimated size in auto mode.
-func (f *InputFormat) splitSize(cat *catalog.Catalog, dps int, pred scan.Predicate, bloom bool, dirs []string) int {
+func splitSize(cat *catalog.Catalog, dps int, pred scan.Predicate, bloom bool, dirs []string) int {
 	if dps == AutoDirsPerSplit {
 		return autoDirsPerSplit(cat, pred, bloom, dirs)
 	}
@@ -550,7 +536,7 @@ func (r *Reader) nextDir() error {
 			continue
 		}
 		r.dels = delSetAt(r.delSets, r.dirIdx)
-		if isFreshPartition(dir) {
+		if IsFreshPartition(dir) {
 			r.task.FreshPartitionsScanned++
 		}
 		r.curPos = -1

@@ -542,46 +542,16 @@ func TestValidationErrors(t *testing.T) {
 func TestDirsPerSplit(t *testing.T) {
 	fs := testFS(t, 8)
 	loadDataset(t, fs, "/d", LoadOptions{SplitRecords: 25}, 100) // 4 dirs
-	conf := &mapred.JobConf{InputPaths: []string{"/d"}}
-	splits, err := (&InputFormat{DirsPerSplit: 2}).Splits(fs, conf)
+	conf := &mapred.JobConf{InputPaths: []string{"/d"}, Scan: &scan.Spec{DirsPerSplit: 2}}
+	splits, err := (&InputFormat{}).Splits(fs, conf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(splits) != 2 {
 		t.Fatalf("splits = %d, want 2", len(splits))
 	}
-	rows, _ := scanAllWith(t, fs, conf, &InputFormat{DirsPerSplit: 2})
-	if rows != 100 {
-		t.Fatalf("rows = %d, want 100", rows)
+	rows, _ := scanAll(t, fs, "/d", conf)
+	if len(rows) != 100 {
+		t.Fatalf("rows = %d, want 100", len(rows))
 	}
-}
-
-func scanAllWith(t *testing.T, fs *hdfs.FileSystem, conf *mapred.JobConf, in *InputFormat) (int, sim.TaskStats) {
-	t.Helper()
-	splits, err := in.Splits(fs, conf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := 0
-	var total sim.TaskStats
-	for _, sp := range splits {
-		var st sim.TaskStats
-		rr, err := in.Open(fs, conf, sp, hdfs.AnyNode, &st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for {
-			_, _, ok, err := rr.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-			count++
-		}
-		rr.Close()
-		total.Add(st)
-	}
-	return count, total
 }

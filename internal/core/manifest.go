@@ -718,9 +718,10 @@ func layoutCached(fs *hdfs.FileSystem, dataset string, cache map[string]dsLayout
 	return l, nil
 }
 
-// isFreshPartition reports whether dir is a not-yet-compacted ingest
-// partition (a seq-N split-directory), for the merge-on-read counter.
-func isFreshPartition(dir string) bool {
+// IsFreshPartition reports whether dir is a not-yet-compacted ingest
+// partition (a seq-N split-directory): the merge-on-read counter and the
+// compactor's choice of partitions both read it.
+func IsFreshPartition(dir string) bool {
 	base := dir
 	if i := strings.LastIndexByte(dir, '/'); i >= 0 {
 		base = dir[i+1:]

@@ -199,7 +199,8 @@ func TestPredicateAcrossSplitDirs(t *testing.T) {
 	want := wantMatches(t, recs, pred)
 	conf := predConf(nil, false, pred)
 	conf.InputPaths = []string{"/data/crawl"}
-	in := &InputFormat{DirsPerSplit: 4} // all 4 dirs in one split
+	conf.Scan.DirsPerSplit = 4 // all 4 dirs in one split
+	in := &InputFormat{}
 	splits, err := in.Splits(fs, conf)
 	if err != nil {
 		t.Fatal(err)

@@ -114,7 +114,7 @@ func (f *InputFormat) SharedSplits(fs *hdfs.FileSystem, confs []*mapred.JobConf)
 				union := batch.Sub(cl)
 				// Task sizing follows the first member's directories-per-split
 				// (the batch scheduler groups only jobs whose sizing agrees).
-				per := f.splitSize(cat, plans[cl[0]].dps, union.Shared, plans[cl[0]].spec.Bloom(), run)
+				per := splitSize(cat, plans[cl[0]].spec.DirsPerSplit, union.Shared, plans[cl[0]].spec.Bloom(), run)
 				cols := unionColumns(plans, cl)
 				specs := make([]memberSpec, len(cl))
 				for k, m := range cl {

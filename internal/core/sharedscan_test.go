@@ -49,10 +49,10 @@ func loadClustered(t testing.TB, fs *hdfs.FileSystem, dataset string, records, s
 func TestSharedScanAutoDirsPerSplit(t *testing.T) {
 	fs := hdfs.New(sim.SingleNode(), 1)
 	loadClustered(t, fs, "/a", 1600, 16)
-	in := &InputFormat{DirsPerSplit: AutoDirsPerSplit}
+	in := &InputFormat{}
 
 	plan := func(pred scan.Predicate, elide bool) ([]mapred.Split, scan.PruneReport) {
-		conf := ScanDataset("/a").Columns("s").Where(pred).Elide(elide).Conf()
+		conf := ScanDataset("/a").Columns("s").Where(pred).Elide(elide).DirsPerSplit(AutoDirsPerSplit).Conf()
 		splits, report, err := in.PlannedSplits(fs, &conf)
 		if err != nil {
 			t.Fatal(err)
@@ -89,8 +89,8 @@ func TestSharedScanAutoDirsPerSplit(t *testing.T) {
 
 	// Output equivalence: merging directories into one task never changes
 	// the records returned.
-	countRecords := func(in *InputFormat, elide bool) int64 {
-		conf := &mapred.JobConf{InputPaths: []string{"/a"}, Scan: &scan.Spec{Columns: []string{"s"}, Predicate: scan.Le("x", 250), NoElide: !elide}}
+	countRecords := func(dirsPerSplit int) int64 {
+		conf := &mapred.JobConf{InputPaths: []string{"/a"}, Scan: &scan.Spec{Columns: []string{"s"}, Predicate: scan.Le("x", 250), DirsPerSplit: dirsPerSplit}}
 		splits, _, err := in.PlannedSplits(fs, conf)
 		if err != nil {
 			t.Fatal(err)
@@ -115,8 +115,8 @@ func TestSharedScanAutoDirsPerSplit(t *testing.T) {
 		}
 		return n
 	}
-	auto := countRecords(in, true)
-	fixed := countRecords(&InputFormat{}, true)
+	auto := countRecords(AutoDirsPerSplit)
+	fixed := countRecords(0)
 	if auto != fixed {
 		t.Fatalf("auto sizing returned %d records, fixed sizing %d", auto, fixed)
 	}

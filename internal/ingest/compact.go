@@ -5,7 +5,6 @@ import (
 	"path"
 	"slices"
 	"strconv"
-	"strings"
 
 	"colmr/internal/core"
 	"colmr/internal/hdfs"
@@ -40,7 +39,7 @@ func (ing *Ingester) compactLocked() error {
 	var fresh []*part
 	var keep []*part
 	for _, p := range ing.parts {
-		if isFresh(p.dir) {
+		if core.IsFreshPartition(p.dir) {
 			fresh = append(fresh, p)
 		} else {
 			keep = append(keep, p)
@@ -236,16 +235,6 @@ func (ing *Ingester) sweep(dir string, live map[string]bool, keep string) error 
 		}
 	}
 	return nil
-}
-
-// isFresh mirrors the core reader's fresh-partition test: the directory
-// base is a seq-N name.
-func isFresh(dir string) bool {
-	base := dir
-	if i := strings.LastIndexByte(dir, '/'); i >= 0 {
-		base = dir[i+1:]
-	}
-	return strings.HasPrefix(base, "seq-")
 }
 
 // sealedInput is an InputFormat whose split set is fixed at construction:

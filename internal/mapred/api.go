@@ -86,7 +86,7 @@ type SharedSplit struct {
 // job receiving exactly the records (and the per-job accounting) a solo run
 // would have produced. CIF implements it by reading the union of the jobs'
 // columns at the union predicate's selectivity and demultiplexing with
-// per-job residual predicates (Engine.RunBatch, internal/core SharedReader).
+// per-job residual predicates (RunBatch, internal/core SharedReader).
 type SharedInputFormat interface {
 	PlannedInputFormat
 	// SharedSplits plans the jobs' splits together: per-job split planning
@@ -165,7 +165,7 @@ type JobConf struct {
 	// Scan.Columns.
 	Scan *scan.Spec
 	// Cache is the cross-batch scan cache of the Session that runs the
-	// job, attached by Session.Submit/Run; nil disables caching. It is
+	// job, attached by Session.RunBatch/Run; nil disables caching. It is
 	// runtime state, not configuration: CIF readers hand it to their
 	// column-file streams so regions hot from earlier batches charge no
 	// I/O.

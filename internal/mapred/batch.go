@@ -63,102 +63,6 @@ func RunBatch(fs *hdfs.FileSystem, jobs ...*Job) (*BatchResult, error) {
 	return runBatch(fs, jobs, batchJobErr)
 }
 
-// Engine is a session-style front end to the batch scheduler: Submit
-// queues jobs, Wait runs everything queued so far as one RunBatch and
-// resolves the pending handles.
-//
-// Submit and Wait are goroutine-safe: concurrent submitters interleave
-// into the pending queue (each lands in whichever Wait round swaps it out),
-// and a handle's resolution is published through its done channel, so
-// Result/WaitResult from any goroutine observe a fully written outcome.
-// The scan server (internal/serve) leans on exactly this: many tenants
-// enqueueing against one long-lived session.
-type Engine struct {
-	fs      *hdfs.FileSystem
-	mu      sync.Mutex
-	pending []*PendingJob
-}
-
-// NewEngine returns an engine over the filesystem.
-func NewEngine(fs *hdfs.FileSystem) *Engine { return &Engine{fs: fs} }
-
-// FS returns the filesystem the engine runs over, for callers (like the
-// scan server's EXPLAIN path) that plan against the same data the engine
-// will scan.
-func (e *Engine) FS() *hdfs.FileSystem { return e.fs }
-
-// PendingJob is a handle to a submitted job; its result becomes available
-// after the Engine.Wait that ran it.
-type PendingJob struct {
-	job  *Job
-	res  *Result
-	err  error
-	done chan struct{}
-}
-
-// Result returns the job's outcome. It errors until the batch has run;
-// WaitResult blocks instead.
-func (p *PendingJob) Result() (*Result, error) {
-	select {
-	case <-p.done:
-		return p.res, p.err
-	default:
-		return nil, fmt.Errorf("mapred: job not run yet — call Engine.Wait first")
-	}
-}
-
-// WaitResult blocks until some Engine.Wait has run the job's batch, then
-// returns its outcome.
-func (p *PendingJob) WaitResult() (*Result, error) {
-	<-p.done
-	return p.res, p.err
-}
-
-// Done returns a channel closed once the job's batch has run.
-func (p *PendingJob) Done() <-chan struct{} { return p.done }
-
-// Submit queues a job for the next Wait. Jobs queued together are
-// co-scheduling candidates: the batch barrier is what lets the engine see
-// overlapping scans before any of them starts. Safe for concurrent use.
-func (e *Engine) Submit(job *Job) *PendingJob {
-	p := &PendingJob{job: job, done: make(chan struct{})}
-	e.mu.Lock()
-	e.pending = append(e.pending, p)
-	e.mu.Unlock()
-	return p
-}
-
-// Wait runs every queued job as one batch, resolves their handles, and
-// returns the batch outcome. A batch error resolves every handle with it.
-func (e *Engine) Wait() (*BatchResult, error) {
-	e.mu.Lock()
-	pend := e.pending
-	e.pending = nil
-	e.mu.Unlock()
-	if len(pend) == 0 {
-		return &BatchResult{}, nil
-	}
-	jobs := make([]*Job, len(pend))
-	for i, p := range pend {
-		jobs[i] = p.job
-	}
-	br, err := runBatch(e.fs, jobs, batchJobErr)
-	for i, p := range pend {
-		if err != nil {
-			p.err = err
-		} else {
-			p.res = br.Results[i]
-		}
-		close(p.done)
-	}
-	return br, err
-}
-
-// RunBatch is Engine's one-shot form over its filesystem.
-func (e *Engine) RunBatch(jobs ...*Job) (*BatchResult, error) {
-	return runBatch(e.fs, jobs, batchJobErr)
-}
-
 // runBatch runs the jobs' groups in turn. jobErr attributes an error to job
 // i: RunBatch names the job, Run does not.
 func runBatch(fs *hdfs.FileSystem, jobs []*Job, jobErr func(i int, err error) error) (*BatchResult, error) {
@@ -204,10 +108,10 @@ func groupJobs(jobs []*Job) []group {
 			order = append(order, group{in: soloInput{job}, idx: []int{i}})
 			continue
 		}
-		// The key includes the format's printed configuration and the
-		// spec's task sizing: jobs whose instances (or typed specs) size
-		// tasks differently plan differently and must not be driven by one
-		// another's format.
+		// The key includes the format's printed configuration (CIF has
+		// none; another SharedInputFormat may) and the spec's task sizing:
+		// jobs that plan differently must not be driven by one another's
+		// format.
 		dps := 0
 		if job.Conf.Scan != nil {
 			dps = job.Conf.Scan.DirsPerSplit

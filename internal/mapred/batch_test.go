@@ -58,55 +58,6 @@ func countJob(dataset string, pred scan.Predicate) *mapred.Job {
 	}
 }
 
-func TestEngineSubmitWait(t *testing.T) {
-	fs := hdfs.New(sim.SingleNode(), 1)
-	loadBatchDataset(t, fs, "/d", 800, 8)
-
-	eng := mapred.NewEngine(fs)
-	p1 := eng.Submit(countJob("/d", scan.Le("x", 250)))
-	p2 := eng.Submit(countJob("/d", scan.Le("x", 300)))
-	if _, err := p1.Result(); err == nil {
-		t.Fatal("Result before Wait did not error")
-	}
-	br, err := eng.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := p1.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := p2.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1 != br.Results[0] || r2 != br.Results[1] {
-		t.Fatal("pending handles do not resolve to the batch results")
-	}
-	if br.SharedTasks == 0 {
-		t.Fatalf("overlapping jobs produced no shared tasks: %+v", br)
-	}
-	if br.Shared.SharedReads == 0 || br.Shared.BytesSaved <= 0 {
-		t.Fatalf("sharing counters not attributed: SharedReads=%d BytesSaved=%d",
-			br.Shared.SharedReads, br.Shared.BytesSaved)
-	}
-	// Per-job results carry logical counters; solo runs must agree.
-	for i, job := range []*mapred.Job{countJob("/d", scan.Le("x", 250)), countJob("/d", scan.Le("x", 300))} {
-		solo, err := mapred.Run(fs, job)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := br.Results[i]
-		if got.Total.RecordsProcessed != solo.Total.RecordsProcessed {
-			t.Fatalf("job %d: batch processed %d records, solo %d", i, got.Total.RecordsProcessed, solo.Total.RecordsProcessed)
-		}
-	}
-	// An empty Wait is a no-op.
-	if br2, err := eng.Wait(); err != nil || len(br2.Results) != 0 {
-		t.Fatalf("empty Wait: %v, %+v", err, br2)
-	}
-}
-
 // TestRunBatchDisjointDatasetsRunSolo checks grouping: jobs over different
 // datasets cannot share cursors and must fall back to the solo path with
 // full solo accounting (physical I/O on their own Results).
@@ -175,16 +126,16 @@ func TestRunBatchDuplicatePathsRunSolo(t *testing.T) {
 	}
 }
 
-// TestRunBatchDifferentFormatConfigsNotMerged checks that jobs whose input
-// format instances are configured differently (and so plan differently) are
-// not driven by one another's format.
+// TestRunBatchDifferentFormatConfigsNotMerged checks that jobs whose scans
+// size tasks differently (and so plan differently) are not driven by one
+// another's plan.
 func TestRunBatchDifferentFormatConfigsNotMerged(t *testing.T) {
 	fs := hdfs.New(sim.SingleNode(), 1)
 	loadBatchDataset(t, fs, "/d", 800, 8)
 
 	a := countJob("/d", scan.Le("x", 500))
 	b := countJob("/d", scan.Le("x", 500))
-	b.Input = &core.InputFormat{DirsPerSplit: 2}
+	b.Conf.Scan.DirsPerSplit = 2
 	br, err := mapred.RunBatch(fs, a, b)
 	if err != nil {
 		t.Fatal(err)

@@ -6,8 +6,9 @@
 // for real, in-process, each filling a sim.TaskStats that the benchmark
 // harnesses price with the cluster cost model.
 //
-// There is one engine (batch.go). RunBatch, Engine.Submit+Wait and Session
-// run batches, and Run is a batch of one. Jobs whose inputs share scans
+// There is one engine (batch.go) and four ways in: RunBatch and Run (a
+// batch of one) for one-shot runs, Session.RunBatch and Session.Run for a
+// long-lived session's rounds. Jobs whose inputs share scans
 // (SharedInputFormat) over the same datasets are co-scheduled behind one
 // cursor set per task; every other job is a group of one, planned and read
 // through its own format. A Session adds a cross-batch scan cache

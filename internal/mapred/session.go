@@ -6,20 +6,20 @@ import (
 	"colmr/internal/vec"
 )
 
-// Cross-batch scan caching: the Engine promoted to a long-lived Session.
+// Cross-batch scan caching: a long-lived Session over the engine.
 //
-// RunBatch shares cursors inside one co-submission barrier; a Session keeps
-// sharing across barriers. It owns an LRU-bounded hdfs.ScanCache of
-// column-file regions keyed by (file, generation, region), attached to
-// every job it runs, so a steady stream of Submit/Wait rounds — no
-// co-submission required — serves repeated reads of hot columns from the
-// session instead of the disks, the way PowerDrill keeps decoded column
-// chunks resident between a user's successive queries.
+// RunBatch shares cursors inside one batch; a Session keeps sharing across
+// batches. It owns an LRU-bounded hdfs.ScanCache of column-file regions
+// keyed by (file, generation, region), attached to every job it runs, so a
+// steady stream of RunBatch rounds — one job each, no co-submission
+// required — serves repeated reads of hot columns from the session instead
+// of the disks, the way PowerDrill keeps decoded column chunks resident
+// between a user's successive queries.
 //
 // Caching is an accounting optimization, never a semantics change: with
-// CacheBytes 0 a Session is byte-for-byte the Engine (the session property
-// test enforces it), and with a warm cache only the local/remote byte
-// charges shrink — hits are visible in sim.TaskStats.CacheHits and
+// CacheBytes 0 a Session is byte-for-byte mapred.RunBatch (the session
+// property test enforces it), and with a warm cache only the local/remote
+// byte charges shrink — hits are visible in sim.TaskStats.CacheHits and
 // BytesFromCache. Staleness is impossible by construction: cache keys carry
 // the file generation the namenode assigned at creation, so reloading a
 // dataset (new generations) orphans the old entries, and AddColumn — new
@@ -28,7 +28,7 @@ import (
 // SessionOptions configures a Session.
 type SessionOptions struct {
 	// CacheBytes bounds the cross-batch scan cache. 0 disables caching,
-	// making the Session behave exactly like an Engine.
+	// making the Session's rounds exactly mapred.RunBatch.
 	CacheBytes int64
 	// VecCacheBytes bounds the decoded-vector cache attached to the
 	// session's vectorized scans. 0 disables vector caching: batches are
@@ -38,11 +38,14 @@ type SessionOptions struct {
 	VecCacheBytes int64
 }
 
-// Session is the long-lived query front end: an Engine plus a cross-batch
-// scan cache. Submit queues jobs, Wait runs a round; successive rounds
-// reuse the regions earlier rounds charged.
+// Session is the long-lived query front end: the batch engine over one
+// filesystem plus a cross-batch scan cache. Each RunBatch is a round;
+// successive rounds reuse the regions earlier rounds charged. RunBatch and
+// Run are safe for concurrent use on one session (the scan server runs
+// several sealed batches at once): the caches and the catalog are
+// goroutine-safe, and attaching them touches only each job's own conf.
 type Session struct {
-	Engine
+	fs      *hdfs.FileSystem
 	cache   *hdfs.ScanCache
 	vcache  *vec.Cache
 	catalog *catalog.Catalog
@@ -51,7 +54,7 @@ type Session struct {
 // NewSession returns a session over the filesystem.
 func NewSession(fs *hdfs.FileSystem, opts SessionOptions) *Session {
 	return &Session{
-		Engine:  Engine{fs: fs},
+		fs:      fs,
 		cache:   hdfs.NewScanCache(opts.CacheBytes),
 		vcache:  vec.New(opts.VecCacheBytes),
 		catalog: catalog.New(fs),
@@ -65,26 +68,20 @@ func (s *Session) attach(job *Job) {
 	job.Conf.Catalog = s.catalog
 }
 
-// Submit queues a job for the next Wait, attaching the session caches.
-// Like Engine.Submit it is goroutine-safe: the cache attachment touches
-// only the submitted job's own conf, so concurrent submitters of distinct
-// jobs never share mutable state (one job must not be submitted twice
-// concurrently — it is owned by the engine once handed over).
-func (s *Session) Submit(job *Job) *PendingJob {
-	s.attach(job)
-	return s.Engine.Submit(job)
-}
+// FS returns the filesystem the session runs over, for callers (like the
+// scan server's EXPLAIN path) that plan against the same data it will scan.
+func (s *Session) FS() *hdfs.FileSystem { return s.fs }
 
 // RunBatch executes the jobs as one cache-attached batch.
 func (s *Session) RunBatch(jobs ...*Job) (*BatchResult, error) {
 	for _, job := range jobs {
 		s.attach(job)
 	}
-	return s.Engine.RunBatch(jobs...)
+	return runBatch(s.fs, jobs, batchJobErr)
 }
 
-// Run executes a single job through the session — one Submit/Wait round of
-// one, reusing (and warming) the cache like any other round.
+// Run executes a single job through the session — a round of one,
+// reusing (and warming) the cache like any other round.
 func (s *Session) Run(job *Job) (*Result, error) {
 	s.attach(job)
 	return Run(s.fs, job)

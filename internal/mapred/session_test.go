@@ -3,8 +3,8 @@ package mapred_test
 // Session tests: the long-lived engine with cross-batch scan caching.
 //
 // The contract under test is the one the API redesign promises: caching is
-// pure accounting. With CacheBytes 0 a Session is the Engine, byte for
-// byte; with any budget, outputs and logical counters are identical to
+// pure accounting. With CacheBytes 0 a Session round is mapred.RunBatch,
+// byte for byte; with any budget, outputs and logical counters are identical to
 // cache-off runs and only the local/remote byte charges move (into
 // CacheHits/BytesFromCache). The property test drives random schemas,
 // predicates, and multi-round batch sequences through three sessions —
@@ -28,10 +28,10 @@ import (
 )
 
 // TestSessionCacheOffIsEngine: with CacheBytes 0, a session round must be
-// deep-equal to the engine's batch — every counter of every task, not just
-// the headline bytes.
+// deep-equal to mapred.RunBatch — every counter of every task, not just the
+// headline bytes.
 func TestSessionCacheOffIsEngine(t *testing.T) {
-	build := func(out string) []*mapred.Job {
+	build := func() []*mapred.Job {
 		return []*mapred.Job{
 			countJob("/d", scan.Le("x", 250)),
 			countJob("/d", scan.Le("x", 300)),
@@ -40,33 +40,25 @@ func TestSessionCacheOffIsEngine(t *testing.T) {
 	fs := hdfs.New(sim.SingleNode(), 1)
 	loadBatchDataset(t, fs, "/d", 800, 8)
 
-	eng := mapred.NewEngine(fs)
-	for _, job := range build("e") {
-		eng.Submit(job)
-	}
-	engRes, err := eng.Wait()
+	engRes, err := mapred.RunBatch(fs, build()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	sess := mapred.NewSession(fs, mapred.SessionOptions{CacheBytes: 0})
-	for _, job := range build("s") {
-		sess.Submit(job)
-	}
-	sessRes, err := sess.Wait()
+	sessRes, err := sess.RunBatch(build()...)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	if !reflect.DeepEqual(engRes, sessRes) {
-		t.Errorf("CacheBytes 0 session diverged from engine:\nengine:  %+v\nsession: %+v", engRes, sessRes)
+		t.Errorf("CacheBytes 0 session diverged from RunBatch:\nRunBatch: %+v\nsession:  %+v", engRes, sessRes)
 	}
 	if w := sessRes.Work(); w.CacheHits != 0 || w.BytesFromCache != 0 {
 		t.Errorf("cache counters fired with caching disabled: %d hits, %d bytes", w.CacheHits, w.BytesFromCache)
 	}
 }
 
-// TestSessionCacheReuseAcrossBatches: the core Submit/Wait-round promise —
+// TestSessionCacheReuseAcrossBatches: the core round promise —
 // a second round over the same dataset reuses the first round's reads, with
 // identical results.
 func TestSessionCacheReuseAcrossBatches(t *testing.T) {
@@ -76,15 +68,11 @@ func TestSessionCacheReuseAcrossBatches(t *testing.T) {
 
 	var prev *mapred.Result
 	for round := 0; round < 3; round++ {
-		p := sess.Submit(countJob("/d", scan.Le("x", 250)))
-		br, err := sess.Wait()
+		br, err := sess.RunBatch(countJob("/d", scan.Le("x", 250)))
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		res, err := p.Result()
-		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
+		res := br.Results[0]
 		w := br.Work()
 		hits, fromCache := w.CacheHits, w.BytesFromCache
 		if round == 0 {
@@ -293,11 +281,7 @@ func checkSessionCacheReuseEquivalenceProperty(t testing.TB, rounds int) {
 				for j := range seeds {
 					jobs[j] = makeJob(seeds[j], fmt.Sprintf("/%s/%d/%d", mode.name, b, j))
 				}
-				pend := make([]*mapred.PendingJob, njobs)
-				for j, job := range jobs {
-					pend[j] = sessions[m].Submit(job)
-				}
-				br, err := sessions[m].Wait()
+				br, err := sessions[m].RunBatch(jobs...)
 				if err != nil {
 					t.Fatalf("round %d batch %d mode %s: %v", round, b, mode.name, err)
 				}
@@ -308,11 +292,7 @@ func checkSessionCacheReuseEquivalenceProperty(t testing.TB, rounds int) {
 				if mode.name == "ample" {
 					totalHits += hits
 				}
-				for j := range jobs {
-					res, err := pend[j].Result()
-					if err != nil {
-						t.Fatalf("round %d batch %d mode %s job %d: %v", round, b, mode.name, j, err)
-					}
+				for j, res := range br.Results {
 					ctx := fmt.Sprintf("round %d batch %d mode %s job %d", round, b, mode.name, j)
 					parts := jobs[j].Conf.NumReducers
 					if jobs[j].Reducer == nil || parts < 1 {
