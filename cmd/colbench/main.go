@@ -5,6 +5,7 @@
 // Usage:
 //
 //	colbench [-experiment all|<name>] [-scale F] [-seed N] [-list]
+//	         [-cpuprofile FILE] [-memprofile FILE]
 //
 // The -experiment help and -list enumerate the experiment table; names are
 // never repeated here, so adding an experiment cannot leave the usage text
@@ -13,6 +14,9 @@
 // Scale multiplies the laptop-scale record counts each experiment measures
 // before extrapolating to the paper's dataset sizes; 1.0 takes a few
 // seconds per experiment.
+//
+// -cpuprofile and -memprofile write a CPU profile of the experiments run and
+// a heap profile as they end, for `go tool pprof`.
 package main
 
 import (
@@ -24,6 +28,7 @@ import (
 	"time"
 
 	"colmr/internal/bench"
+	"colmr/internal/prof"
 )
 
 var experiments = []struct {
@@ -130,6 +135,7 @@ func main() {
 		seed       = flag.Int64("seed", 2011, "generator and placement seed")
 		list       = flag.Bool("list", false, "list experiments and exit")
 	)
+	profiles := prof.Register()
 	flag.Parse()
 
 	if *list {
@@ -139,6 +145,10 @@ func main() {
 		return
 	}
 
+	if err := profiles.Start(); err != nil {
+		fmt.Fprintf(os.Stderr, "colbench: %v\n", err)
+		os.Exit(1)
+	}
 	cfg := bench.Config{Scale: *scale, Seed: *seed, Out: os.Stdout}
 	want := strings.ToLower(*experiment)
 	ran := 0
@@ -153,6 +163,10 @@ func main() {
 		}
 		fmt.Printf("[%s completed in %.1fs wall time]\n\n", e.name, time.Since(start).Seconds())
 		ran++
+	}
+	if err := profiles.Stop(); err != nil {
+		fmt.Fprintf(os.Stderr, "colbench: %v\n", err)
+		os.Exit(1)
 	}
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "colbench: unknown experiment %q (use -list)\n", *experiment)

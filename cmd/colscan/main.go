@@ -22,7 +22,11 @@
 //
 //	colscan [-workload synthetic|crawl] [-records N] [-columns url,metadata]
 //	        [-where 'prefix(url, "http://ibm.com")' [-where ...]] [-lazy]
-//	        [-cache BYTES] [-seed N]
+//	        [-cache BYTES] [-seed N] [-cpuprofile FILE] [-memprofile FILE]
+//
+// -cpuprofile and -memprofile write a CPU profile of the run and a heap
+// profile as it ends, for `go tool pprof` (-sample_index=alloc_objects for
+// what the run allocated, object by object).
 package main
 
 import (
@@ -38,6 +42,7 @@ import (
 	"colmr/internal/formats/seq"
 	"colmr/internal/hdfs"
 	"colmr/internal/mapred"
+	"colmr/internal/prof"
 	"colmr/internal/scan"
 	"colmr/internal/serde"
 	"colmr/internal/sim"
@@ -78,7 +83,9 @@ func main() {
 		seed    = flag.Int64("seed", 2011, "generator seed")
 	)
 	flag.Var(&wheres, "where", `selection predicate, e.g. 'int0 <= 100 && prefix(str0, "ab")'; repeat to run a shared batch`)
+	profiles := prof.Register()
 	flag.Parse()
+	check(profiles.Start())
 
 	preds := make([]scan.Predicate, len(wheres))
 	for i, w := range wheres {
@@ -271,6 +278,7 @@ func main() {
 	if *agg != "" {
 		aggScan(fs, model, "/s/cif", *agg, pred, *elide, *vect)
 	}
+	check(profiles.Stop())
 }
 
 // aggScan runs the aggregation pushed into the scan, prints its rows, and

@@ -2,12 +2,15 @@ package colfile
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
 
+	"colmr/internal/compress"
+	"colmr/internal/race"
 	"colmr/internal/scan"
 	"colmr/internal/serde"
 	"colmr/internal/sim"
@@ -334,5 +337,72 @@ func BenchmarkDecodeVector(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
 		})
+	}
+}
+
+// eightEntryDictMap encodes a map<string> of eight entries as a DCSL window
+// stores it — the entry count, then each key's dictionary id and its encoded
+// value — and returns it with its dictionary and the map it holds.
+func eightEntryDictMap(tb testing.TB) (*serde.Schema, *compress.Dictionary, []byte, map[string]any) {
+	tb.Helper()
+	schema := serde.MapOf(serde.String())
+	dict := compress.NewDictionary()
+	want := map[string]any{}
+	keys := []string{"server", "content-type", "date", "etag", "last-modified", "expires", "cache-control", "via"}
+	buf := binary.AppendUvarint(nil, uint64(len(keys)))
+	for i, k := range keys {
+		v := fmt.Sprintf("%s-value-%d", k, 37*i)
+		want[k] = v
+		buf = binary.AppendUvarint(buf, uint64(dict.Add(k)))
+		var err error
+		if buf, err = serde.AppendValue(buf, schema.Elem, v); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return schema, dict, buf, want
+}
+
+var mapSink map[string]any
+
+// A DCSL map through one reused decoder allocates the Go map and, amortized,
+// less than one chunk: its keys are the dictionary's strings, its values'
+// boxes and bytes come out of the decoder's chunks.
+func TestParseDictMapAllocCeiling(t *testing.T) {
+	schema, dict, buf, want := eightEntryDictMap(t)
+	var d serde.Decoder
+	m, n, err := parseDictMap(&d, buf, schema, dict)
+	if err != nil || n != len(buf) || !serde.ValuesEqual(schema, m, want) {
+		t.Fatalf("parseDictMap = %v, %d, %v; want %v, %d", m, n, err, want, len(buf))
+	}
+	keys, vals := make([]string, 0, len(want)), make([]any, 0, len(want))
+	for k, v := range want {
+		keys, vals = append(keys, k), append(vals, v)
+	}
+	goMap := testing.AllocsPerRun(200, func() {
+		m := make(map[string]any, len(keys))
+		for i, k := range keys {
+			m[k] = vals[i]
+		}
+		mapSink = m
+	})
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, _, err := parseDictMap(&d, buf, schema, dict); err != nil {
+			t.Fatal(err)
+		}
+	})
+	race.AllocCeiling(t, fmt.Sprintf("parseDictMap of an 8-entry map<string> (the map alone: %.0f)", goMap), allocs, goMap+1)
+}
+
+// BenchmarkParseDictMap materializes the eight-entry map through one reused
+// decoder, as a DCSL column reader does.
+func BenchmarkParseDictMap(b *testing.B) {
+	schema, dict, buf, _ := eightEntryDictMap(b)
+	var d serde.Decoder
+	b.ReportAllocs()
+	b.SetBytes(int64(len(buf)))
+	for range b.N {
+		if _, _, err := parseDictMap(&d, buf, schema, dict); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

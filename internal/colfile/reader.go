@@ -626,10 +626,10 @@ func (r *slReader) dictMap(buf []byte) (map[string]any, error) {
 // parseDictMap materializes one dictionary-compressed map value from buf,
 // returning it with the bytes it took. All bytes are charged at the
 // dictionary-decode rate: key strings are shared interned objects, which is
-// why the paper's DCSL decompression "proved to be extremely fast". String
-// values are substrings of one copy of the blob — their payloads sit in it
-// whole — boxed from the decoder's chunks, so a map of strings costs one
-// string allocation and a share of a chunk, not two allocations per entry.
+// why the paper's DCSL decompression "proved to be extremely fast". Values
+// come from the decoder, whose chunks hold their boxes and their payloads, so
+// a map of short strings costs the map and a share of a chunk, not two
+// allocations per entry.
 func parseDictMap(d *serde.Decoder, buf []byte, schema *serde.Schema, dict *compress.Dictionary) (map[string]any, int, error) {
 	d.Init(buf, nil)
 	count, err := readCount(d)
@@ -637,11 +637,6 @@ func parseDictMap(d *serde.Decoder, buf []byte, schema *serde.Schema, dict *comp
 		return nil, 0, err
 	}
 	m := make(map[string]any, count)
-	strs := schema.Elem.Kind == serde.KindString
-	var arena string
-	if strs && count > 0 {
-		arena = string(buf)
-	}
 	for i := 0; i < count; i++ {
 		id, err := readCount(d)
 		if err != nil {
@@ -651,19 +646,9 @@ func parseDictMap(d *serde.Decoder, buf []byte, schema *serde.Schema, dict *comp
 		if err != nil {
 			return nil, 0, err
 		}
-		if !strs {
-			if m[key], err = d.Value(schema.Elem); err != nil {
-				return nil, 0, err
-			}
-			continue
-		}
-		// Skip validates the length prefix and payload it steps over.
-		at := d.Pos()
-		if err := d.Skip(schema.Elem); err != nil {
+		if m[key], err = d.Value(schema.Elem); err != nil {
 			return nil, 0, err
 		}
-		_, w := binary.Uvarint(buf[at:])
-		m[key] = d.Boxer().String(arena[at+w : d.Pos()])
 	}
 	return m, d.Pos(), nil
 }

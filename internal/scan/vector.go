@@ -254,12 +254,9 @@ func (v *Vector) Value(i int) any {
 	case VecFloat64:
 		return bx.Float64(v.Floats[i])
 	case VecString:
-		return bx.String(string(v.BytesAt(i)))
+		return bx.String(bx.CopyString(v.BytesAt(i)))
 	case VecBytes:
-		b := v.BytesAt(i)
-		out := make([]byte, len(b))
-		copy(out, b)
-		return bx.Bytes(out)
+		return bx.Bytes(bx.CopyBytes(v.BytesAt(i)))
 	default:
 		return v.Anys[i]
 	}

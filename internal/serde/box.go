@@ -16,14 +16,24 @@ import (
 // A value the runtime boxes without allocating — a small integer, zero, the
 // empty string — is left to it, and so is a string or []byte longer than
 // singleMax: its own allocation dwarfs its box, and kept, it must not keep its
-// chunk-mates' payloads too. The zero Boxer is ready; it is not safe for
-// concurrent use.
+// chunk-mates' payloads too.
+//
+// The bytes of decoded strings, map keys and byte slices are copied the same
+// way (CopyString, CopyBytes): into the payload chunk, a pointer-free []byte
+// that is only ever appended to. Its first chunk is exactly as long as the
+// first payload and later ones double up to 1 KiB, so a Boxer used once
+// allocates what one copy would have and one that lives copies a kilobyte a
+// malloc. A payload longer than singleMax gets an allocation of its own, so a
+// kept short payload pins at most 1 KiB of its chunk-mates. Byte slices come
+// back capped at their length: appending to one moves it, never onto the
+// bytes after it. The zero Boxer is ready; it is not safe for concurrent use.
 type Boxer struct {
 	i32 []int32 // unwritten slots of the current chunk, per type
 	i64 []int64
 	f64 []float64
 	str []string
 	raw [][]byte
+	pay []byte // the payload chunk: written up to its length, cut at its capacity
 	// want is how many more values are expected: what Expect promised, and
 	// once that is used up — or if nothing was — as many again as the last
 	// chunk held, so a short-lived Boxer allocates little and a long-lived
@@ -85,6 +95,29 @@ func (b *Boxer) Float64(v float64) any {
 		return v
 	}
 	return put(b, &b.f64, 128, typFloat64, v)
+}
+
+// CopyBytes returns a copy of p, capped at its length and never nil.
+func (b *Boxer) CopyBytes(p []byte) []byte {
+	n := len(p)
+	switch {
+	case n == 0:
+		return []byte{}
+	case n > singleMax:
+		q := make([]byte, n)
+		copy(q, p)
+		return q
+	case cap(b.pay)-len(b.pay) < n:
+		b.pay = make([]byte, 0, max(n, min(2*cap(b.pay), 1024)))
+	}
+	b.pay = append(b.pay, p...)
+	return b.pay[len(b.pay)-n : len(b.pay) : len(b.pay)]
+}
+
+// CopyString returns string(p).
+func (b *Boxer) CopyString(p []byte) string {
+	q := b.CopyBytes(p)
+	return unsafe.String(unsafe.SliceData(q), len(q))
 }
 
 // String returns any(v).

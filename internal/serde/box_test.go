@@ -31,11 +31,17 @@ func boxPair(rng *rand.Rand, bx *Boxer) (plain, boxed any) {
 		return x, bx.Float64(x)
 	case 3:
 		x := randString(rng, []int{0, 24, 24, 300}[rng.Intn(4)]) // empty and past singleMax too
+		if rng.Intn(2) == 0 {
+			return x, bx.String(bx.CopyString([]byte(x))) // its bytes from the payload chunk
+		}
 		return x, bx.String(x)
 	default:
 		x := []byte(randString(rng, []int{0, 24, 24, 300}[rng.Intn(4)]))
-		if rng.Intn(8) == 0 {
+		switch rng.Intn(8) {
+		case 0:
 			x = nil
+		case 1, 2, 3:
+			return x, bx.Bytes(bx.CopyBytes(x))
 		}
 		return x, bx.Bytes(x)
 	}
@@ -117,7 +123,7 @@ func TestBoxedValuesBehaveAsValues(t *testing.T) {
 
 // Chunks are ordinary garbage-collected memory, each kept alive by any one of
 // its values: one value a chunk survives everything else being dropped and
-// the heap being churned, strings' payloads included.
+// the heap being churned, strings' payloads and map keys included.
 func TestBoxedValuesSurviveGC(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(1))
 	rng := rand.New(rand.NewSource(7))
@@ -133,6 +139,15 @@ func TestBoxedValuesSurviveGC(t *testing.T) {
 		}
 		plain, boxed := boxPair(rng, &bx)
 		if i%37 == 0 { // at most one a chunk, and many chunks none
+			keep = append(keep, kept{boxed, fmt.Sprintf("%#v", plain)})
+		}
+		if i%1013 == 0 { // a map whose keys share the payload chunk with other values
+			plain, boxed := map[string]any{}, map[string]any{}
+			for range 3 {
+				k := randString(rng, 1+rng.Intn(8))
+				v, bv := boxPair(rng, &bx)
+				plain[k], boxed[bx.CopyString([]byte(k))] = v, bv
+			}
 			keep = append(keep, kept{boxed, fmt.Sprintf("%#v", plain)})
 		}
 	}
@@ -155,20 +170,27 @@ func TestBoxedValuesSurviveGC(t *testing.T) {
 // Chunk lengths: told how many values are coming a Boxer allocates exactly
 // their slots in chunks of at most 1 KiB (512 B of string headers); told
 // nothing it doubles from one slot, so a decoder used once costs what the
-// compiler's conversion cost and one that lives reaches full chunks.
+// compiler's conversion cost and one that lives reaches full chunks. Payloads
+// go the same way in bytes: the first chunk is the first payload, later ones
+// double to 1 KiB, and one past singleMax is an allocation of its own.
 func TestBoxerChunkLengths(t *testing.T) {
+	p8, p24, p300 := make([]byte, 8), make([]byte, 24), make([]byte, 300)
 	for _, tc := range []struct {
 		name    string
 		expect  int
 		box     func(*Boxer)
 		n       int
 		ceiling float64
+		payload int // the payload chunk's length after the run
 	}{
-		{"256 int32 expected", 256, func(b *Boxer) { b.Int32(1 << 20) }, 256, 1},
-		{"300 int32 expected", 300, func(b *Boxer) { b.Int32(1 << 20) }, 300, 2},
-		{"256 strings expected", 256, func(b *Boxer) { b.String("x") }, 256, 8},
-		{"1 int64 unannounced", 0, func(b *Boxer) { b.Int64(1 << 40) }, 1, 1},
-		{"1000 float64 unannounced", 0, func(b *Boxer) { b.Float64(1.5) }, 1000, 7 + 7}, // 1+2+…+64, then 128s
+		{"256 int32 expected", 256, func(b *Boxer) { b.Int32(1 << 20) }, 256, 1, 0},
+		{"300 int32 expected", 300, func(b *Boxer) { b.Int32(1 << 20) }, 300, 2, 0},
+		{"256 strings expected", 256, func(b *Boxer) { b.String("x") }, 256, 8, 0},
+		{"1 int64 unannounced", 0, func(b *Boxer) { b.Int64(1 << 40) }, 1, 1, 0},
+		{"1000 float64 unannounced", 0, func(b *Boxer) { b.Float64(1.5) }, 1000, 7 + 7, 0}, // 1+2+…+64, then 128s
+		{"1 payload of 24 B", 0, func(b *Boxer) { b.CopyBytes(p24) }, 1, 1, 24},
+		{"1000 payloads of 8 B", 0, func(b *Boxer) { b.CopyString(p8) }, 1000, 8 + 6, 1024}, // 8+16+…+1024 B, then 1 KiB
+		{"10 payloads of 300 B", 0, func(b *Boxer) { b.CopyBytes(p300) }, 10, 10, 0},
 	} {
 		bx := new(Boxer) // it escapes through tc.box: not an allocation of the run's
 		allocs := testing.AllocsPerRun(20, func() {
@@ -179,6 +201,32 @@ func TestBoxerChunkLengths(t *testing.T) {
 			}
 		})
 		race.AllocCeiling(t, tc.name, allocs, tc.ceiling)
+		if cap(bx.pay) != tc.payload {
+			t.Errorf("%s: payload chunk of %d B, want %d", tc.name, cap(bx.pay), tc.payload)
+		}
+	}
+}
+
+// A copied byte slice ends where it ends: appending to one moves it, and the
+// payloads carved from the same chunk before and after it read as they did.
+func TestBoxerCopiedBytesCapped(t *testing.T) {
+	var bx Boxer
+	before := bx.CopyString([]byte("before"))
+	b := bx.CopyBytes([]byte("middle"))
+	after := bx.CopyBytes([]byte("after"))
+	if len(b) != 6 || cap(b) != len(b) {
+		t.Fatalf("copied %q has len %d, cap %d", b, len(b), cap(b))
+	}
+	grown := append(b, "-and-more"...)
+	grown[0] = 'M'
+	if before != "before" || string(b) != "middle" || string(after) != "after" || string(grown) != "Middle-and-more" {
+		t.Fatalf("after an append to its chunk-mate: %q %q %q (grown %q)", before, b, after, grown)
+	}
+	for i := range b {
+		b[i] = 'x' // writing inside its own bytes is the caller's own business
+	}
+	if before != "before" || string(after) != "after" {
+		t.Fatalf("a write to one payload reached its chunk-mates: %q %q", before, after)
 	}
 }
 
@@ -199,8 +247,8 @@ func tenEntryMap(tb testing.TB) (*Schema, []byte) {
 	return schema, buf
 }
 
-// A map's values come out of the decoder's chunks: what is left to allocate
-// is the map and its ten key strings.
+// A map's values and its keys' bytes come out of the decoder's chunks: what
+// is left to allocate is the map itself.
 func TestDecodeMapValueAllocCeiling(t *testing.T) {
 	schema, buf := tenEntryMap(t)
 	var d Decoder
@@ -210,7 +258,7 @@ func TestDecodeMapValueAllocCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	race.AllocCeiling(t, "Decoder.Value of a 10-entry map<int>", allocs, 15)
+	race.AllocCeiling(t, "Decoder.Value of a 10-entry map<int>", allocs, 5)
 }
 
 // BenchmarkDecodeMapValue decodes the ten-entry map through one re-Inited

@@ -32,7 +32,8 @@ type Decoder struct {
 	depth int     // >0 while inside a map value
 	n     charges // charges of the top-level call in progress
 	// box boxes every primitive the decoder materializes, top-level or a map
-	// or array element. It outlives Init and Reset: its chunks belong to the
+	// or array element, and holds the bytes of its strings, map keys and
+	// byte slices. It outlives Init and Reset: its chunks belong to the
 	// values already handed out and to the ones still to come, never to a
 	// buffer, so pointing the decoder at new input touches no earlier result.
 	box Boxer
@@ -62,8 +63,8 @@ func (d *Decoder) Reset(buf []byte) {
 }
 
 // Boxer returns the decoder's boxer, for a layered format (dictionary-
-// compressed maps) to box the values it decodes itself as the decoder boxes
-// its own.
+// compressed strings) to box the values it decodes itself as the decoder
+// boxes its own.
 func (d *Decoder) Boxer() *Boxer { return &d.box }
 
 // Pos returns the current byte offset.
@@ -178,7 +179,7 @@ func (d *Decoder) value(s *Schema) (any, error) {
 		}
 		d.charge(s.Kind, n)
 		d.materialized()
-		return d.box.String(string(b)), nil
+		return d.box.String(d.box.CopyString(b)), nil
 	case KindBytes:
 		b, n, err := d.lengthPrefixed("bytes")
 		if err != nil {
@@ -186,9 +187,7 @@ func (d *Decoder) value(s *Schema) (any, error) {
 		}
 		d.charge(s.Kind, n)
 		d.materialized()
-		out := make([]byte, len(b))
-		copy(out, b)
-		return d.box.Bytes(out), nil
+		return d.box.Bytes(d.box.CopyBytes(b)), nil
 	case KindArray:
 		count, n, err := d.uvarint("array count")
 		if err != nil {
@@ -252,7 +251,7 @@ func (d *Decoder) mapValue(s *Schema) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		m[string(kb)] = v
+		m[d.box.CopyString(kb)] = v
 	}
 	d.materialized()
 	return m, nil

@@ -12,7 +12,7 @@ import (
 
 func FuzzDecodeRecord(f *testing.F) {
 	schema := MustParse(`
-T { string s, int i, double d, bytes b, string[] a, map<long> m, Inner { int x } n }`)
+T { string s, int i, double d, bytes b, string[] a, map<long> m, map<string> sm, Inner { int x } n }`)
 	good, _ := EncodeRecord(RandomRecord(rand.New(rand.NewSource(1)), schema))
 	f.Add(good)
 	f.Add([]byte{})

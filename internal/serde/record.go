@@ -41,8 +41,8 @@ type Record interface {
 // them keeps at most that one batch reachable. A record decoded by a Decoder
 // shares chunks of boxes with the values the same decoder produced just before
 // and after it: keeping it keeps at most a chunk (1 KiB or less) per primitive
-// kind reachable, and through a chunk of strings or bytes at most 31
-// neighbouring payloads of 256 bytes or less.
+// kind reachable, and through its strings, bytes and map keys the payload
+// chunks (1 KiB or less each) their bytes and their chunk-mates' sit in.
 type GenericRecord struct {
 	schema *Schema
 	values []any

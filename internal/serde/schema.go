@@ -10,11 +10,13 @@
 //
 // Every primitive a decoder or a column vector hands out as an `any` is boxed
 // by a Boxer: its backing word is a slot of a small write-once chunk instead
-// of an allocation of its own. The ownership rule: a boxed value is immutable,
-// is never backed by pooled, cached or otherwise reused storage, and kept
-// alive keeps at most one chunk of 1 KiB or less reachable plus — for a string
-// or []byte — the payloads its chunk-mates share with it (its batch's arena,
-// or up to 31 payloads of at most 256 bytes). docs/VECTORIZED.md, "Boxing".
+// of an allocation of its own, and the bytes a decoder copies out of its input
+// sit in an append-only payload chunk. The ownership rule: a boxed value is
+// immutable, is never backed by pooled, cached or otherwise reused storage,
+// and kept alive keeps at most one chunk of 1 KiB or less reachable plus — for
+// a string or []byte — the payloads its chunk-mates share with it (its batch's
+// arena, or the payload chunks of up to 32 payloads, 1 KiB or less each).
+// docs/VECTORIZED.md, "Boxing".
 package serde
 
 import (
