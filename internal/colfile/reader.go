@@ -3,6 +3,7 @@ package colfile
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 
 	"colmr/internal/compress"
@@ -63,15 +64,16 @@ func NewReaderOpts(r ReaderAtSize, schema *serde.Schema, opts ReaderOptions, sta
 	if err != nil {
 		return nil, err
 	}
+	base := readerBase{statsLoader: zm, s: s, schema: schema, stats: stats, total: total}
 	switch h.layout {
 	case Plain:
-		return &plainReader{statsLoader: zm, s: s, schema: schema, stats: stats, total: total}, nil
+		return &plainReader{readerBase: base}, nil
 	case Block:
 		codec, err := compress.ByName(h.codec)
 		if err != nil {
 			return nil, err
 		}
-		return &blockReader{statsLoader: zm, s: s, schema: schema, stats: stats, codec: codec, total: total}, nil
+		return &blockReader{readerBase: base, codec: codec}, nil
 	case SkipList, DCSL:
 		if len(h.levels) == 0 {
 			return nil, fmt.Errorf("colfile: %s file with no levels", h.layout)
@@ -81,23 +83,20 @@ func NewReaderOpts(r ReaderAtSize, schema *serde.Schema, opts ReaderOptions, sta
 			return nil, fmt.Errorf("colfile: DCSL file for non-dictionary schema %s", schema.Kind)
 		}
 		return &slReader{
-			statsLoader: zm,
-			s:           s,
-			schema:      schema,
-			stats:       stats,
-			levels:      h.levels,
-			dcsl:        h.layout == DCSL,
-			noBloom:     opts.NoBloom,
-			total:       total,
-			probeWin:    -1,
+			readerBase: base,
+			levels:     h.levels,
+			dcsl:       h.layout == DCSL,
+			noBloom:    opts.NoBloom,
+			probeWin:   -1,
 		}, nil
 	}
 	return nil, fmt.Errorf("colfile: unknown layout %v", h.layout)
 }
 
-// plainReader iterates concatenated values. Skipping walks every record's
-// encoding at full decode cost — the paper's "no savings" degradation.
-type plainReader struct {
+// readerBase is what the three layouts' readers share: the cursor over the
+// file's records, its end checks, and the entry every range call
+// (vecdecode.go) goes through.
+type readerBase struct {
 	*statsLoader
 	s      *stream
 	schema *serde.Schema
@@ -107,13 +106,33 @@ type plainReader struct {
 	total  int64
 }
 
-func (p *plainReader) Record() int64 { return p.rec }
-func (p *plainReader) Total() int64  { return p.total }
-func (p *plainReader) Release()      { p.s.release() }
+func (b *readerBase) Record() int64 { return b.rec }
+func (b *readerBase) Total() int64  { return b.total }
+func (b *readerBase) Release()      { b.s.release() }
+
+// checkValue refuses a Value call with no record left at the cursor.
+func (b *readerBase) checkValue() error {
+	if b.rec >= b.total {
+		return fmt.Errorf("colfile: read past end (record %d of %d)", b.rec, b.total)
+	}
+	return nil
+}
+
+// checkSkip refuses a SkipTo past the last record.
+func (b *readerBase) checkSkip(target int64) error {
+	if target > b.total {
+		return fmt.Errorf("colfile: skip to %d past end %d", target, b.total)
+	}
+	return nil
+}
+
+// plainReader iterates concatenated values. Skipping walks every record's
+// encoding at full decode cost — the paper's "no savings" degradation.
+type plainReader struct{ readerBase }
 
 func (p *plainReader) Value() (any, error) {
-	if p.rec >= p.total {
-		return nil, fmt.Errorf("colfile: read past end (record %d of %d)", p.rec, p.total)
+	if err := p.checkValue(); err != nil {
+		return nil, err
 	}
 	v, err := decodeValue(p.s, &p.dec, p.schema, p.stats)
 	if err != nil {
@@ -124,8 +143,8 @@ func (p *plainReader) Value() (any, error) {
 }
 
 func (p *plainReader) SkipTo(target int64) error {
-	if target > p.total {
-		return fmt.Errorf("colfile: skip to %d past end %d", target, p.total)
+	if err := p.checkSkip(target); err != nil {
+		return err
 	}
 	for p.rec < target {
 		if err := scanValue(p.s, &p.dec, p.schema, p.stats); err != nil {
@@ -141,14 +160,8 @@ func (p *plainReader) SkipTo(target int64) error {
 // touching any record in a frame decompresses the whole frame
 // (Section 5.3, "Compressed Blocks").
 type blockReader struct {
-	*statsLoader
-	s      *stream
-	schema *serde.Schema
-	stats  *sim.CPUStats
-	codec  compress.Codec
-	dec    serde.Decoder
-	rec    int64
-	total  int64
+	readerBase
+	codec compress.Codec
 
 	// frame is the decompressed current frame. Its buffer is reused from
 	// frame to frame, so nothing decoded may alias it: strings, byte slices
@@ -158,24 +171,14 @@ type blockReader struct {
 	frameLeft int // records remaining in current frame (incl. cursor's)
 }
 
-func (b *blockReader) Record() int64 { return b.rec }
-func (b *blockReader) Total() int64  { return b.total }
-func (b *blockReader) Release()      { b.s.release() }
-
 func (b *blockReader) readFrameHeader() (records, rawLen, compLen int, err error) {
-	r64, err := b.s.readUvarint()
-	if err != nil {
-		return 0, 0, 0, fmt.Errorf("colfile: frame header: %w", err)
+	var h [3]uint64
+	for i := range h {
+		if h[i], err = b.s.readUvarint(); err != nil {
+			return 0, 0, 0, fmt.Errorf("colfile: frame header: %w", err)
+		}
 	}
-	raw64, err := b.s.readUvarint()
-	if err != nil {
-		return 0, 0, 0, fmt.Errorf("colfile: frame header: %w", err)
-	}
-	comp64, err := b.s.readUvarint()
-	if err != nil {
-		return 0, 0, 0, fmt.Errorf("colfile: frame header: %w", err)
-	}
-	return int(r64), int(raw64), int(comp64), nil
+	return int(h[0]), int(h[1]), int(h[2]), nil
 }
 
 func (b *blockReader) loadFrame() error {
@@ -205,24 +208,14 @@ func (b *blockReader) inflateFrame(records, rawLen, compLen int) error {
 }
 
 func (b *blockReader) Value() (any, error) {
-	if b.rec >= b.total {
-		return nil, fmt.Errorf("colfile: read past end (record %d of %d)", b.rec, b.total)
+	if err := b.checkValue(); err != nil {
+		return nil, err
 	}
 	if b.frameLeft == 0 {
 		if err := b.loadFrame(); err != nil {
 			return nil, err
 		}
 	}
-	v, err := b.frameValue()
-	if err != nil {
-		return nil, err
-	}
-	b.rec++
-	return v, nil
-}
-
-// frameValue decodes the value at the frame cursor and steps past it.
-func (b *blockReader) frameValue() (any, error) {
 	b.dec.Init(b.frame[b.framePos:], b.stats)
 	v, err := b.dec.Value(b.schema)
 	if err != nil {
@@ -230,12 +223,13 @@ func (b *blockReader) frameValue() (any, error) {
 	}
 	b.framePos += b.dec.Pos()
 	b.frameLeft--
+	b.rec++
 	return v, nil
 }
 
 func (b *blockReader) SkipTo(target int64) error {
-	if target > b.total {
-		return fmt.Errorf("colfile: skip to %d past end %d", target, b.total)
+	if err := b.checkSkip(target); err != nil {
+		return err
 	}
 	for b.rec < target {
 		if b.frameLeft == 0 {
@@ -275,16 +269,10 @@ func (b *blockReader) SkipTo(target int64) error {
 // entity — its skip group if one exists (aligned == false), or its value
 // (aligned == true, group and window dictionary consumed).
 type slReader struct {
-	*statsLoader
-	s       *stream
-	schema  *serde.Schema
-	stats   *sim.CPUStats
-	dec     serde.Decoder
+	readerBase
 	levels  []int
 	dcsl    bool
 	noBloom bool
-	rec     int64
-	total   int64
 
 	aligned bool
 	dict    *compress.Dictionary
@@ -292,7 +280,7 @@ type slReader struct {
 	// out, boxed on first lookup (nil until then): a DCSL string column
 	// repeats few strings over many rows.
 	dictBoxed []any
-	ptrs      []byte // SkipTo's copy of the current group's skip pointers
+	ptrs      []byte // readGroup's copy of the current group's skip pointers
 
 	// KeyProber memoization: repeated probes for the same key reuse the
 	// group's Bloom verdict and the window's dictionary answer instead of
@@ -305,10 +293,6 @@ type slReader struct {
 	probeID       uint32
 	probeInWin    bool
 }
-
-func (r *slReader) Record() int64 { return r.rec }
-func (r *slReader) Total() int64  { return r.total }
-func (r *slReader) Release()      { r.s.release() }
 
 func (r *slReader) minLevel() int64 { return int64(r.levels[len(r.levels)-1]) }
 func (r *slReader) maxLevel() int64 { return int64(r.levels[0]) }
@@ -338,6 +322,31 @@ func (r *slReader) loadDict() error {
 	return nil
 }
 
+// readGroup consumes the skip group at the cursor, returning a copy of its
+// pointers (largest level first), and at a window start the DCSL window
+// dictionary after it: a DCSL block's dictionary is always read on entry —
+// it is the only part of a block a reader must touch — and spans are
+// measured from after it.
+func (r *slReader) readGroup() ([]byte, error) {
+	k := levelsAt(r.levels, r.rec)
+	ptrs, err := r.s.readFull(k * groupPtrSize)
+	if err != nil {
+		return nil, fmt.Errorf("colfile: skip group: %w", err)
+	}
+	// readFull's view aliases the window and a dictionary load can refill
+	// it, so the pointers are copied out first.
+	r.ptrs = append(r.ptrs[:0], ptrs...)
+	if r.stats != nil {
+		r.stats.SkippedBytes += int64(k * groupPtrSize)
+	}
+	if r.dcsl && r.rec%r.maxLevel() == 0 {
+		if err := r.loadDict(); err != nil {
+			return nil, err
+		}
+	}
+	return r.ptrs, nil
+}
+
 // align consumes the skip group (discarding pointers) and window
 // dictionary for the current record, leaving the cursor at its value.
 func (r *slReader) align() error {
@@ -345,17 +354,8 @@ func (r *slReader) align() error {
 		return nil
 	}
 	if r.atGroup() {
-		k := levelsAt(r.levels, r.rec)
-		if _, err := r.s.readFull(k * groupPtrSize); err != nil {
-			return fmt.Errorf("colfile: skip group: %w", err)
-		}
-		if r.stats != nil {
-			r.stats.SkippedBytes += int64(k * groupPtrSize)
-		}
-		if r.dcsl && r.rec%r.maxLevel() == 0 {
-			if err := r.loadDict(); err != nil {
-				return err
-			}
+		if _, err := r.readGroup(); err != nil {
+			return err
 		}
 	}
 	r.aligned = true
@@ -363,13 +363,37 @@ func (r *slReader) align() error {
 }
 
 func (r *slReader) Value() (any, error) {
-	if r.rec >= r.total {
-		return nil, fmt.Errorf("colfile: read past end (record %d of %d)", r.rec, r.total)
+	if err := r.checkValue(); err != nil {
+		return nil, err
 	}
 	if err := r.align(); err != nil {
 		return nil, err
 	}
-	// Skip-list values are length-prefixed (see writer.prefixed).
+	buf, err := r.readBlob()
+	if err != nil {
+		return nil, err
+	}
+	var v any
+	switch {
+	case !r.dcsl:
+		r.dec.Init(buf, r.stats)
+		v, err = r.dec.Value(r.schema)
+	case r.schema.Kind == serde.KindMap:
+		v, err = r.dictMap(buf)
+	default:
+		v, err = r.dictValue(buf)
+	}
+	if err != nil {
+		return nil, err
+	}
+	r.rec++
+	r.aligned = false
+	return v, nil
+}
+
+// readBlob reads the length-prefixed value at the aligned cursor (see
+// writer.prefixed), consuming it. The slice aliases the window.
+func (r *slReader) readBlob() ([]byte, error) {
 	n, err := r.s.readUvarint()
 	if err != nil {
 		return nil, fmt.Errorf("colfile: value length: %w", err)
@@ -378,72 +402,20 @@ func (r *slReader) Value() (any, error) {
 	if err != nil {
 		return nil, fmt.Errorf("colfile: value body: %w", err)
 	}
-	var v any
-	if r.dcsl {
-		if r.dict == nil {
-			return nil, fmt.Errorf("colfile: DCSL value before dictionary")
-		}
-		if r.schema.Kind != serde.KindMap {
-			// Dictionary-encoded string/bytes: an empty blob is null,
-			// otherwise the blob is the value's uvarint id.
-			val, err := r.dictValue(buf)
-			if err != nil {
-				return nil, err
-			}
-			if r.stats != nil {
-				compress.ChargeDecomp(r.stats, "dict", int64(len(buf)))
-				r.stats.ValuesMaterialized++
-			}
-			r.rec++
-			r.aligned = false
-			return val, nil
-		}
-		m, err := r.dictMap(buf)
-		if err != nil {
-			return nil, err
-		}
-		v = m
-	} else {
-		r.dec.Init(buf, r.stats)
-		val, err := r.dec.Value(r.schema)
-		if err != nil {
-			return nil, err
-		}
-		v = val
-	}
-	r.rec++
-	r.aligned = false
-	return v, nil
+	return buf, nil
 }
 
 func (r *slReader) SkipTo(target int64) error {
-	if target > r.total {
-		return fmt.Errorf("colfile: skip to %d past end %d", target, r.total)
+	if err := r.checkSkip(target); err != nil {
+		return err
 	}
 	for r.rec < target {
 		if !r.aligned && r.atGroup() {
-			k := levelsAt(r.levels, r.rec)
-			ptrs, err := r.s.readFull(k * groupPtrSize)
+			ptrs, err := r.readGroup()
 			if err != nil {
-				return fmt.Errorf("colfile: skip group: %w", err)
+				return err
 			}
-			// readFull's view aliases the window and a dictionary load can
-			// refill it, so copy the pointers out first.
-			r.ptrs = append(r.ptrs[:0], ptrs...)
-			ptrs = r.ptrs
-			if r.stats != nil {
-				r.stats.SkippedBytes += int64(k * groupPtrSize)
-			}
-			// A DCSL block's dictionary is always read on entry — it is
-			// the only part of a block a reader must touch. Spans are
-			// measured from after it.
-			if r.dcsl && r.rec%r.maxLevel() == 0 {
-				if err := r.loadDict(); err != nil {
-					return err
-				}
-			}
-			// Use the largest applicable pointer. Pointers are stored
-			// largest level first.
+			// Use the largest applicable pointer.
 			used := false
 			idx := 0
 			for _, l := range r.levels {
@@ -585,33 +557,59 @@ func (r *slReader) walkOne() error {
 	return nil
 }
 
-// dictValue materializes one dictionary-encoded string/bytes value from
-// its blob: empty means null, otherwise a uvarint id into the window
-// dictionary. Looked-up strings are shared interned objects, boxed once per
-// window; bytes columns copy them out since callers may mutate byte slices.
-func (r *slReader) dictValue(buf []byte) (any, error) {
+// dictID parses one DCSL string/bytes blob: empty is null, otherwise the
+// blob is the value's uvarint id into the window dictionary.
+func (r *slReader) dictID(buf []byte) (id uint32, null bool, err error) {
+	if r.dict == nil {
+		return 0, false, fmt.Errorf("colfile: DCSL value before dictionary")
+	}
 	if len(buf) == 0 {
-		return nil, nil
+		return 0, true, nil
 	}
-	id, n := binary.Uvarint(buf)
-	if n <= 0 || n != len(buf) {
-		return nil, fmt.Errorf("colfile: malformed dictionary id")
+	x, n := binary.Uvarint(buf)
+	if n <= 0 || n != len(buf) || x > math.MaxUint32 {
+		return 0, false, fmt.Errorf("colfile: malformed dictionary id")
 	}
-	s, err := r.dict.Lookup(uint32(id))
+	return uint32(x), false, nil
+}
+
+// dictValue materializes and charges one dictionary-encoded string/bytes
+// value from its blob. Looked-up strings are shared interned objects, boxed
+// once per window; bytes columns copy them out since callers may mutate byte
+// slices.
+func (r *slReader) dictValue(buf []byte) (any, error) {
+	id, null, err := r.dictID(buf)
 	if err != nil {
 		return nil, err
 	}
-	if r.schema.Kind == serde.KindBytes {
-		return r.dec.Boxer().Bytes([]byte(s)), nil
+	var v any
+	if !null {
+		s, err := r.dict.Lookup(id)
+		if err != nil {
+			return nil, err
+		}
+		if r.schema.Kind == serde.KindBytes {
+			v = r.dec.Boxer().Bytes([]byte(s))
+		} else {
+			box := &r.dictBoxed[id]
+			if *box == nil {
+				*box = r.dec.Boxer().String(s)
+			}
+			v = *box
+		}
 	}
-	if r.dictBoxed[id] == nil {
-		r.dictBoxed[id] = r.dec.Boxer().String(s)
+	if r.stats != nil {
+		compress.ChargeDecomp(r.stats, "dict", int64(len(buf)))
+		r.stats.ValuesMaterialized++
 	}
-	return r.dictBoxed[id], nil
+	return v, nil
 }
 
 // dictMap materializes and charges one DCSL map value from its blob.
 func (r *slReader) dictMap(buf []byte) (map[string]any, error) {
+	if r.dict == nil {
+		return nil, fmt.Errorf("colfile: DCSL value before dictionary")
+	}
 	m, n, err := parseDictMap(&r.dec, buf, r.schema, r.dict)
 	if err != nil {
 		return nil, err

@@ -17,15 +17,20 @@ import (
 // uses — identical bytes read, identical refill behaviour — but primitive
 // values land in flat typed storage charged to the vector-decode counters
 // (CPUStats.VecBytes/VecValues) instead of the boxed per-object rates.
-// Complex kinds (maps, arrays, nested records) still build boxed objects
-// and keep their scalar charges: vectorization wins control flow there, not
-// object churn, and the cost model says so honestly. So does a vector marked
-// scan.Vector.Boxed, whose rows exist only to be boxed into records: its
-// primitive values are charged exactly what Reader.Value charges for them.
+// Complex kinds (maps, arrays, nested records, DCSL maps) have one decode
+// path: a range of them is the layout's own Value results, appended one by
+// one, with Value's charges (readerBase.decodeVector) — vectorization wins
+// control flow there, not object churn, and the cost model says so honestly.
+// So does a vector marked scan.Vector.Boxed, whose rows exist only to be
+// boxed into records: its primitive values are charged exactly what
+// Reader.Value charges for them.
 //
-// The cpu argument is an explicit per-call sink: a caller fanning
-// per-column decodes across goroutines hands each call its own CPUStats and
-// folds them afterwards, so no shared counter is written concurrently.
+// Every range call — each layout's DecodeVector, DCSL's DecodeIDVector and
+// ProbeKeys — enters through readerBase.within: the behind-cursor and
+// past-end checks, the swap to the call's cpu sink, the skip to start. The
+// cpu argument is an explicit per-call sink: a caller fanning per-column
+// decodes across goroutines hands each call its own CPUStats and folds them
+// afterwards, so no shared counter is written concurrently.
 
 // VectorDecoder is implemented by column readers that can decode a record
 // range into a vector. All colfile layouts implement it.
@@ -163,29 +168,51 @@ func chargeAppended(cpu *sim.CPUStats, v *scan.Vector, n, values int) {
 	cpu.ValuesMaterialized += int64(values)
 }
 
-// DecodeVector implements VectorDecoder.
-func (p *plainReader) DecodeVector(start, end int64, v *scan.Vector, cpu *sim.CPUStats) error {
-	if start < p.rec {
-		return fmt.Errorf("colfile: vector decode from %d behind cursor %d", start, p.rec)
+// within runs body as one range call over records [start, end) of r, the
+// reader embedding b: it refuses a range behind the cursor or past the end,
+// charges the whole call — the skip to start included — to the call's own
+// cpu sink, and moves the cursor to start before body runs. what names the
+// call in its errors.
+func (b *readerBase) within(r Reader, what string, start, end int64, cpu *sim.CPUStats, body func() error) error {
+	if start < b.rec {
+		return fmt.Errorf("colfile: %s from %d behind cursor %d", what, start, b.rec)
 	}
-	if end > p.total {
-		return fmt.Errorf("colfile: vector decode to %d past end %d", end, p.total)
+	if end > b.total {
+		return fmt.Errorf("colfile: %s to %d past end %d", what, end, b.total)
 	}
-	saved := p.stats
-	p.stats = cpu
-	defer func() { p.stats = saved }()
-	if err := p.SkipTo(start); err != nil {
+	saved := b.stats
+	b.stats = cpu
+	defer func() { b.stats = saved }()
+	if err := r.SkipTo(start); err != nil {
 		return err
 	}
-	boxed := VecKindOf(p.schema) == scan.VecAny
-	for p.rec < end {
-		if boxed {
-			val, err := decodeValue(p.s, &p.dec, p.schema, p.stats)
+	return body()
+}
+
+// decodeVector is every layout's DecodeVector: a range of a VecAny column
+// (maps, arrays, records, DCSL maps) is r's own Value results appended one by
+// one — the one boxed decode path, charged exactly what Value charges — and
+// any other range goes to the layout's typed loop.
+func (b *readerBase) decodeVector(r Reader, start, end int64, v *scan.Vector, cpu *sim.CPUStats, typed func() error) error {
+	return b.within(r, "vector decode", start, end, cpu, func() error {
+		if VecKindOf(b.schema) != scan.VecAny {
+			return typed()
+		}
+		for b.rec < end {
+			val, err := r.Value()
 			if err != nil {
 				return err
 			}
 			v.AppendAny(val)
-		} else {
+		}
+		return nil
+	})
+}
+
+// DecodeVector implements VectorDecoder.
+func (p *plainReader) DecodeVector(start, end int64, v *scan.Vector, cpu *sim.CPUStats) error {
+	return p.decodeVector(p, start, end, v, cpu, func() error {
+		for p.rec < end {
 			err := p.s.decodeRetry(func(buf []byte) (int, error) {
 				n, err := vecAppendOne(buf, p.schema, v)
 				if err != nil {
@@ -197,42 +224,23 @@ func (p *plainReader) DecodeVector(start, end int64, v *scan.Vector, cpu *sim.CP
 			if err != nil {
 				return err
 			}
+			p.rec++
 		}
-		p.rec++
-	}
-	return nil
+		return nil
+	})
 }
 
 // DecodeVector implements VectorDecoder. Frames wholly behind start stay
 // compressed (the scalar SkipTo's lazy decompression); touched frames
 // decode in place from the decompressed buffer.
 func (b *blockReader) DecodeVector(start, end int64, v *scan.Vector, cpu *sim.CPUStats) error {
-	if start < b.rec {
-		return fmt.Errorf("colfile: vector decode from %d behind cursor %d", start, b.rec)
-	}
-	if end > b.total {
-		return fmt.Errorf("colfile: vector decode to %d past end %d", end, b.total)
-	}
-	saved := b.stats
-	b.stats = cpu
-	defer func() { b.stats = saved }()
-	if err := b.SkipTo(start); err != nil {
-		return err
-	}
-	boxed := VecKindOf(b.schema) == scan.VecAny
-	for b.rec < end {
-		if b.frameLeft == 0 {
-			if err := b.loadFrame(); err != nil {
-				return err
+	return b.decodeVector(b, start, end, v, cpu, func() error {
+		for b.rec < end {
+			if b.frameLeft == 0 {
+				if err := b.loadFrame(); err != nil {
+					return err
+				}
 			}
-		}
-		if boxed {
-			val, err := b.frameValue()
-			if err != nil {
-				return err
-			}
-			v.AppendAny(val)
-		} else {
 			n, err := vecAppendOne(b.frame[b.framePos:], b.schema, v)
 			if err != nil {
 				return err
@@ -240,120 +248,92 @@ func (b *blockReader) DecodeVector(start, end int64, v *scan.Vector, cpu *sim.CP
 			chargeAppended(b.stats, v, n, 1)
 			b.framePos += n
 			b.frameLeft--
+			b.rec++
 		}
-		b.rec++
-	}
-	return nil
+		return nil
+	})
 }
 
-// DecodeVector implements VectorDecoder. DCSL map values decode through the
-// window dictionary exactly like the scalar path (boxed maps at the
-// dictionary rate); primitive skip-list values land in typed storage.
+// DecodeVector implements VectorDecoder. Primitive skip-list values land in
+// typed storage, a run at a time; DCSL strings expand through the window
+// dictionary.
 func (r *slReader) DecodeVector(start, end int64, v *scan.Vector, cpu *sim.CPUStats) error {
-	if start < r.rec {
-		return fmt.Errorf("colfile: vector decode from %d behind cursor %d", start, r.rec)
-	}
-	if end > r.total {
-		return fmt.Errorf("colfile: vector decode to %d past end %d", end, r.total)
-	}
-	saved := r.stats
-	r.stats = cpu
-	defer func() { r.stats = saved }()
-	if err := r.SkipTo(start); err != nil {
-		return err
-	}
-	boxed := VecKindOf(r.schema) == scan.VecAny
-	for r.rec < end {
-		if err := r.align(); err != nil {
-			return err
-		}
-		if !r.dcsl && !boxed {
-			from := r.rec
-			if err := r.decodeRun(end, v); err != nil {
+	return r.decodeVector(r, start, end, v, cpu, func() error {
+		for r.rec < end {
+			if err := r.align(); err != nil {
 				return err
 			}
-			if r.rec > from {
-				continue
+			if !r.dcsl {
+				from := r.rec
+				if err := r.decodeRun(end, v); err != nil {
+					return err
+				}
+				if r.rec > from {
+					continue
+				}
+				// The value at the cursor runs past the buffered window, or
+				// is malformed: the step below refills for it, or words the
+				// error.
 			}
-			// The value at the cursor runs past the buffered window, or is
-			// malformed: the step below refills for it, or words the error.
-		}
-		n64, err := r.s.readUvarint()
-		if err != nil {
-			return fmt.Errorf("colfile: value length: %w", err)
-		}
-		buf, err := r.s.readFull(int(n64))
-		if err != nil {
-			return fmt.Errorf("colfile: value body: %w", err)
-		}
-		switch {
-		case r.dcsl && r.schema.Kind == serde.KindMap:
-			if r.dict == nil {
-				return fmt.Errorf("colfile: DCSL value before dictionary")
-			}
-			m, err := r.dictMap(buf)
+			buf, err := r.readBlob()
 			if err != nil {
 				return err
 			}
-			v.AppendAny(m)
-		case r.dcsl:
-			// Dictionary-encoded string/bytes: expand the id through the
-			// window dictionary. The expansion is what the dictionary-id
-			// path (DecodeIDVector) avoids — here the full string lands in
-			// the vector arena and is charged at the vector rate, or, bound
-			// for boxing, as the one materialized value (null or not) that
-			// Value counts.
-			if r.dict == nil {
-				return fmt.Errorf("colfile: DCSL value before dictionary")
-			}
-			if v.Boxed && r.stats != nil {
-				r.stats.ValuesMaterialized++
-			}
-			if len(buf) == 0 {
-				v.AppendNull()
-			} else {
-				id, n := binary.Uvarint(buf)
-				if n <= 0 || n != len(buf) {
-					return fmt.Errorf("colfile: malformed dictionary id")
+			if r.dcsl {
+				if err := r.appendDictString(buf, v); err != nil {
+					return err
 				}
-				s, err := r.dict.Lookup(uint32(id))
+			} else {
+				n, err := vecAppendOne(buf, r.schema, v)
 				if err != nil {
 					return err
 				}
-				switch {
-				case !v.Boxed || len(s) <= scan.BoxArenaMax:
-					v.AppendString(s)
-				case r.schema.Kind == serde.KindString:
-					v.AppendSingle(s) // the interned string itself, as Value hands it out
-				default:
-					v.AppendSingle([]byte(s))
+				if n != len(buf) {
+					return fmt.Errorf("colfile: vector decode: value used %d of %d bytes", n, len(buf))
 				}
-				if r.stats != nil {
-					compress.ChargeDecomp(r.stats, "dict", int64(len(buf)))
-				}
-				if !v.Boxed {
-					chargeVec(r.stats, len(s))
-				}
+				chargeAppended(r.stats, v, n, 1)
 			}
-		case boxed:
-			r.dec.Init(buf, r.stats)
-			val, err := r.dec.Value(r.schema)
-			if err != nil {
-				return err
-			}
-			v.AppendAny(val)
-		default:
-			n, err := vecAppendOne(buf, r.schema, v)
-			if err != nil {
-				return err
-			}
-			if n != len(buf) {
-				return fmt.Errorf("colfile: vector decode: value used %d of %d bytes", n, len(buf))
-			}
-			chargeAppended(r.stats, v, n, 1)
+			r.rec++
+			r.aligned = false
 		}
-		r.rec++
-		r.aligned = false
+		return nil
+	})
+}
+
+// appendDictString expands one DCSL string/bytes blob through the window
+// dictionary. The expansion is what the dictionary-id path (DecodeIDVector)
+// avoids — here the full string lands in the vector arena and is charged at
+// the vector rate, or, bound for boxing, as the one materialized value (null
+// or not) that Value counts.
+func (r *slReader) appendDictString(buf []byte, v *scan.Vector) error {
+	id, null, err := r.dictID(buf)
+	if err != nil {
+		return err
+	}
+	if v.Boxed && r.stats != nil {
+		r.stats.ValuesMaterialized++
+	}
+	if null {
+		v.AppendNull()
+		return nil
+	}
+	s, err := r.dict.Lookup(id)
+	if err != nil {
+		return err
+	}
+	switch {
+	case !v.Boxed || len(s) <= scan.BoxArenaMax:
+		v.AppendString(s)
+	case r.schema.Kind == serde.KindString:
+		v.AppendSingle(s) // the interned string itself, as Value hands it out
+	default:
+		v.AppendSingle([]byte(s))
+	}
+	if r.stats != nil {
+		compress.ChargeDecomp(r.stats, "dict", int64(len(buf)))
+	}
+	if !v.Boxed {
+		chargeVec(r.stats, len(s))
 	}
 	return nil
 }
@@ -440,62 +420,45 @@ func (r *slReader) DecodeIDVector(start, end int64, iv *scan.IDVector, cpu *sim.
 	if !r.dcsl || r.schema.Kind == serde.KindMap {
 		return false, nil
 	}
-	if start < r.rec {
-		return false, fmt.Errorf("colfile: id decode from %d behind cursor %d", start, r.rec)
-	}
-	if end > r.total {
-		return false, fmt.Errorf("colfile: id decode to %d past end %d", end, r.total)
-	}
-	saved := r.stats
-	r.stats = cpu
-	defer func() { r.stats = saved }()
-	if err := r.SkipTo(start); err != nil {
-		return false, err
-	}
-	var (
-		segDict  *compress.Dictionary
-		segStart = iv.Len()
-		curWin   = int64(-1)
-	)
-	for r.rec < end {
-		if err := r.align(); err != nil {
-			return false, err
-		}
-		if r.dict == nil {
-			return false, fmt.Errorf("colfile: DCSL value before dictionary")
-		}
-		win := r.rec - r.rec%r.maxLevel()
-		if win != curWin {
-			if curWin != -1 {
-				iv.CloseSegment(segStart, segDict)
-				segStart = iv.Len()
+	err := r.within(r, "id decode", start, end, cpu, func() error {
+		var (
+			segDict  *compress.Dictionary
+			segStart = iv.Len()
+			curWin   = int64(-1)
+		)
+		for r.rec < end {
+			if err := r.align(); err != nil {
+				return err
 			}
-			curWin = win
-			segDict = r.dict
-		}
-		n64, err := r.s.readUvarint()
-		if err != nil {
-			return false, fmt.Errorf("colfile: value length: %w", err)
-		}
-		buf, err := r.s.readFull(int(n64))
-		if err != nil {
-			return false, fmt.Errorf("colfile: value body: %w", err)
-		}
-		if len(buf) == 0 {
-			iv.AppendNull()
-		} else {
-			id, n := binary.Uvarint(buf)
-			if n <= 0 || n != len(buf) {
-				return false, fmt.Errorf("colfile: malformed dictionary id")
+			if win := r.rec - r.rec%r.maxLevel(); win != curWin {
+				if curWin != -1 {
+					iv.CloseSegment(segStart, segDict)
+					segStart = iv.Len()
+				}
+				curWin = win
+				segDict = r.dict
 			}
-			iv.AppendID(uint32(id))
-			chargeVec(r.stats, len(buf))
+			buf, err := r.readBlob()
+			if err != nil {
+				return err
+			}
+			id, null, err := r.dictID(buf)
+			if err != nil {
+				return err
+			}
+			if null {
+				iv.AppendNull()
+			} else {
+				iv.AppendID(id)
+				chargeVec(r.stats, len(buf))
+			}
+			r.rec++
+			r.aligned = false
 		}
-		r.rec++
-		r.aligned = false
-	}
-	iv.CloseSegment(segStart, segDict)
-	return true, nil
+		iv.CloseSegment(segStart, segDict)
+		return nil
+	})
+	return err == nil, err
 }
 
 // ProbeKeys implements KeyVecProber for DCSL files.
@@ -503,82 +466,67 @@ func (r *slReader) ProbeKeys(key string, start, end int64, sel *scan.Selection, 
 	if !r.dcsl {
 		return false, nil
 	}
-	if start < r.rec {
-		return false, fmt.Errorf("colfile: key probe from %d behind cursor %d", start, r.rec)
-	}
-	if end > r.total {
-		return false, fmt.Errorf("colfile: key probe to %d past end %d", end, r.total)
-	}
-	saved := r.stats
-	r.stats = cpu
-	defer func() { r.stats = saved }()
-	if err := r.SkipTo(start); err != nil {
-		return false, err
-	}
-	var (
-		id       uint32
-		inWindow bool
-		curWin   = int64(-1)
-	)
-	for r.rec < end {
-		// Group tier: one Bloom probe refutes the key for the whole group
-		// from already-loaded (uncharged) metadata; the skip pointers jump
-		// the cursor past it.
-		if !r.noBloom {
-			if st, gEnd := r.GroupStats(r.rec); st != nil && st.Bloom != nil && !st.Bloom.MayContainString(key) {
-				to := gEnd
-				if to > end {
-					to = end
-				}
-				for i := r.rec; i < to; i++ {
-					sel.Clear(int(i - start))
-				}
-				if err := r.SkipTo(to); err != nil {
-					return false, err
-				}
-				continue
-			}
-		}
-		if err := r.align(); err != nil {
-			return false, err
-		}
-		if r.dict == nil {
-			return false, fmt.Errorf("colfile: DCSL probe before dictionary")
-		}
-		win := r.rec - r.rec%r.maxLevel()
-		if win != curWin {
-			// Window tier: the dictionary is the union of every key in the
-			// window, so one lookup decides the id for the whole window —
-			// or refutes all of it.
-			id, inWindow = r.dict.ID(key)
-			curWin = win
-		}
-		if !inWindow {
-			to := win + r.maxLevel()
-			if to > end {
-				to = end
-			}
+	err := r.within(r, "key probe", start, end, cpu, func() error {
+		var (
+			id       uint32
+			inWindow bool
+			curWin   = int64(-1)
+		)
+		// refute clears the records from the cursor up to to (at most end)
+		// and jumps the cursor there with the skip pointers.
+		refute := func(to int64) error {
+			to = min(to, end)
 			for i := r.rec; i < to; i++ {
 				sel.Clear(int(i - start))
 			}
-			if err := r.SkipTo(to); err != nil {
-				return false, err
-			}
-			continue
+			return r.SkipTo(to)
 		}
-		if sel.Test(int(r.rec - start)) {
-			// Record tier: the id walk HasKey uses.
-			has, err := r.peekHasID(id)
-			if err != nil {
-				return false, err
+		for r.rec < end {
+			// Group tier: one Bloom probe refutes the key for the whole group
+			// from already-loaded (uncharged) metadata.
+			if !r.noBloom {
+				if st, gEnd := r.GroupStats(r.rec); st != nil && st.Bloom != nil && !st.Bloom.MayContainString(key) {
+					if err := refute(gEnd); err != nil {
+						return err
+					}
+					continue
+				}
 			}
-			if !has {
-				sel.Clear(int(r.rec - start))
+			if err := r.align(); err != nil {
+				return err
+			}
+			if r.dict == nil {
+				return fmt.Errorf("colfile: DCSL probe before dictionary")
+			}
+			win := r.rec - r.rec%r.maxLevel()
+			if win != curWin {
+				// Window tier: the dictionary is the union of every key in the
+				// window, so one lookup decides the id for the whole window —
+				// or refutes all of it.
+				id, inWindow = r.dict.ID(key)
+				curWin = win
+			}
+			if !inWindow {
+				if err := refute(win + r.maxLevel()); err != nil {
+					return err
+				}
+				continue
+			}
+			if sel.Test(int(r.rec - start)) {
+				// Record tier: the id walk HasKey uses.
+				has, err := r.peekHasID(id)
+				if err != nil {
+					return err
+				}
+				if !has {
+					sel.Clear(int(r.rec - start))
+				}
+			}
+			if err := r.walkOne(); err != nil {
+				return err
 			}
 		}
-		if err := r.walkOne(); err != nil {
-			return false, err
-		}
-	}
-	return true, nil
+		return nil
+	})
+	return err == nil, err
 }

@@ -319,3 +319,116 @@ func TestSkipListRunDecodeEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestBoxedDecodeChargesValue holds every layout's batch decode of a range
+// bound for boxing — a VecAny column, or a primitive vector marked Boxed —
+// to the scalar cursor's charges: over a random range, a fresh reader's
+// DecodeVector charges exactly the CPUStats that another fresh reader's
+// SkipTo and Value loop charge over the same range.
+func TestBoxedDecodeChargesValue(t *testing.T) {
+	const n = 437
+	rng := rand.New(rand.NewSource(39))
+	for name, tc := range vecDecodeSchemas() {
+		for _, opts := range allLayouts() {
+			if _, err := NewWriter(&memFile{}, tc.schema, opts, nil); err != nil {
+				continue // a layout this kind cannot be stored in
+			}
+			lname := name + "/" + opts.Layout.String() + "/" + opts.Codec
+			f, _ := writeColumn(t, tc.schema, opts, n, func(i int) any { return tc.gen(rng, i) })
+			for trial := 0; trial < 4; trial++ {
+				start := int64(rng.Intn(n))
+				end := start + 1 + int64(rng.Intn(n-int(start)))
+
+				var scalar sim.CPUStats
+				r, err := NewReader(f.reader(), tc.schema, &scalar)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := r.SkipTo(start); err != nil {
+					t.Fatalf("%s: skip to %d: %v", lname, start, err)
+				}
+				for r.Record() < end {
+					if _, err := r.Value(); err != nil {
+						t.Fatalf("%s: value %d: %v", lname, r.Record(), err)
+					}
+				}
+
+				var batch sim.CPUStats
+				r2, err := NewReader(f.reader(), tc.schema, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				v := scan.NewVector(VecKindOf(tc.schema), int(end-start))
+				v.Boxed = true
+				if err := r2.(VectorDecoder).DecodeVector(start, end, v, &batch); err != nil {
+					t.Fatalf("%s: decode [%d,%d): %v", lname, start, end, err)
+				}
+				if batch != scalar {
+					t.Errorf("%s [%d,%d): batch decode charged\n%+v\nValue charged\n%+v", lname, start, end, batch, scalar)
+				}
+				r.Release()
+				r2.Release()
+			}
+		}
+	}
+}
+
+// TestRangeEntryErrors gives every range entry point — each layout's
+// DecodeVector, DCSL's DecodeIDVector and ProbeKeys — a range behind the
+// cursor and one past the end: each is refused with its own words, the
+// cursor unmoved.
+func TestRangeEntryErrors(t *testing.T) {
+	const n = 50
+	str := func(i int) any { return fmt.Sprint("s", i%7) }
+	type call func(r Reader, start, end int64) error
+	decode := func(r Reader, start, end int64) error {
+		return r.(VectorDecoder).DecodeVector(start, end, scan.NewVector(VecKindOf(serde.String()), 1), nil)
+	}
+	for _, tc := range []struct {
+		name   string
+		schema *serde.Schema
+		opts   Options
+		gen    func(int) any
+		what   string
+		call   call
+	}{
+		{"plain DecodeVector", serde.String(), Options{Layout: Plain}, str, "vector decode", decode},
+		{"block DecodeVector", serde.String(), Options{Layout: Block, Codec: "lzo"}, str, "vector decode", decode},
+		{"skiplist DecodeVector", serde.String(), Options{Layout: SkipList, Levels: []int{20, 10}}, str, "vector decode", decode},
+		{"dcsl DecodeIDVector", serde.String(), Options{Layout: DCSL, Levels: []int{20, 10}}, str, "id decode",
+			func(r Reader, start, end int64) error {
+				_, err := r.(IDVectorDecoder).DecodeIDVector(start, end, scan.NewIDVector(1), nil)
+				return err
+			}},
+		{"dcsl ProbeKeys", mapSchema(), Options{Layout: DCSL, Levels: []int{20, 10}}, genMap, "key probe",
+			func(r Reader, start, end int64) error {
+				_, err := r.(KeyVecProber).ProbeKeys("server", start, end, scan.NewSelection(int(end-start)), nil)
+				return err
+			}},
+	} {
+		f, _ := writeColumn(t, tc.schema, tc.opts, n, tc.gen)
+		r, err := NewReader(f.reader(), tc.schema, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.SkipTo(5); err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range []struct {
+			start, end int64
+			want       string
+		}{
+			{4, 6, fmt.Sprintf("colfile: %s from 4 behind cursor 5", tc.what)},
+			{5, n + 1, fmt.Sprintf("colfile: %s to %d past end %d", tc.what, n+1, n)},
+		} {
+			err := tc.call(r, row.start, row.end)
+			if err == nil || err.Error() != row.want {
+				t.Errorf("%s [%d,%d): error %v, want %q", tc.name, row.start, row.end, err, row.want)
+			}
+			if r.Record() != 5 {
+				t.Errorf("%s [%d,%d): cursor moved to %d", tc.name, row.start, row.end, r.Record())
+			}
+		}
+		r.Release()
+	}
+}
