@@ -97,16 +97,26 @@ func (o Options) withDefaults() Options {
 }
 
 func (o Options) validate() error {
-	for i := 0; i+1 < len(o.Levels); i++ {
-		if o.Levels[i] <= o.Levels[i+1] || o.Levels[i]%o.Levels[i+1] != 0 {
-			return fmt.Errorf("colfile: levels %v must be descending with each a multiple of the next", o.Levels)
-		}
-	}
-	if len(o.Levels) == 0 || o.Levels[len(o.Levels)-1] < 2 {
-		return fmt.Errorf("colfile: smallest level must be >= 2")
+	if err := validLevels(o.Levels); err != nil {
+		return err
 	}
 	if o.BlockBytes < 1 {
 		return fmt.Errorf("colfile: block size must be positive")
+	}
+	return nil
+}
+
+// validLevels is the skip-level rule writers and readers share: descending,
+// each a multiple of the next, the smallest at least 2. A zero level fails it
+// without being divided by.
+func validLevels(levels []int) error {
+	for i := 0; i+1 < len(levels); i++ {
+		if l, next := levels[i], levels[i+1]; l <= next || next != 0 && l%next != 0 {
+			return fmt.Errorf("colfile: levels %v must be descending with each a multiple of the next", levels)
+		}
+	}
+	if len(levels) == 0 || levels[len(levels)-1] < 2 {
+		return fmt.Errorf("colfile: smallest level must be >= 2")
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package colfile
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -306,6 +307,9 @@ func TestWriterValidation(t *testing.T) {
 	if _, err := NewWriter(f, mapSchema(), Options{Layout: SkipList, Levels: []int{100, 30}}, nil); err == nil {
 		t.Error("non-divisible levels should fail")
 	}
+	if _, err := NewWriter(f, mapSchema(), Options{Layout: SkipList, Levels: []int{10, 0}}, nil); err == nil {
+		t.Error("a zero level should fail")
+	}
 	if _, err := NewWriter(f, mapSchema(), Options{Layout: Block, BlockBytes: -1}, nil); err == nil {
 		t.Error("negative block size should fail")
 	}
@@ -346,22 +350,56 @@ func TestCorruptFiles(t *testing.T) {
 	if _, err := NewReader(bytes.NewReader(bad), schema, nil); err == nil {
 		t.Error("unknown layout accepted")
 	}
-	// Block data that ends inside a frame's payload or inside its header.
+	// Hand-built data regions behind a valid header: each must open and then
+	// fail its first Value with an error — never a panic, never an
+	// allocation sized by a corrupt length.
 	frame, err := compress.AppendFrame(nil, compress.LZO{}, 10, make([]byte, 40), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for cut, data := range map[string][]byte{"payload": frame[:len(frame)-5], "header": {0x80}} {
-		file := appendHeader(nil, header{layout: Block, codec: "lzo"})
-		file = appendFooter(append(file, data...), 10, 0)
-		r, err := NewReader(bytes.NewReader(file), serde.Int(), nil)
+	zlibFrame := func(records int, rawLen uint64, raw []byte) []byte {
+		comp, err := compress.ZLIB{}.Compress(nil, raw)
 		if err != nil {
 			t.Fatal(err)
 		}
+		b := binary.AppendUvarint(nil, uint64(records))
+		b = binary.AppendUvarint(b, rawLen)
+		return append(binary.AppendUvarint(b, uint64(len(comp))), comp...)
+	}
+	for _, tc := range []struct {
+		name string
+		h    header
+		data []byte
+	}{
+		{"frame cut inside its payload", header{layout: Block, codec: "lzo"}, frame[:len(frame)-5]},
+		{"frame cut inside its header", header{layout: Block, codec: "lzo"}, []byte{0x80}},
+		// A length above MaxInt64 is a negative int to the stream.
+		{"frame length above MaxInt64", header{layout: Block, codec: "lzo"},
+			binary.AppendUvarint([]byte{10, 40}, 1<<63|5)},
+		// A frame declaring a 1 TiB raw length must not be allocated for.
+		{"frame raw length 1 TiB, zlib", header{layout: Block, codec: "zlib"}, zlibFrame(10, 1<<40, make([]byte, 40))},
+		{"frame raw length 1 TiB, lzo", header{layout: Block, codec: "lzo"},
+			append(binary.AppendUvarint([]byte{10}, 1<<40), frame[2:]...)},
+	} {
+		file := appendHeader(nil, tc.h)
+		file = appendFooter(append(file, tc.data...), 10, 0)
+		r, err := NewReader(bytes.NewReader(file), serde.Int(), nil)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
 		if _, err := r.Value(); err == nil {
-			t.Errorf("block frame cut inside its %s read", cut)
+			t.Errorf("%s: read", tc.name)
 		}
 		r.Release()
+	}
+	// A skip level of 0 would divide by zero on the first Value: the header
+	// is refused on open, by the writer's own rule.
+	for _, levels := range [][]int{{10, 0}, {0}, {10, 0, 5}, {7, 10}} {
+		file := appendHeader(nil, header{layout: SkipList, levels: levels})
+		file = appendFooter(append(file, make([]byte, 20)...), 10, 0)
+		if _, err := NewReader(bytes.NewReader(file), serde.Int(), nil); err == nil {
+			t.Errorf("skip levels %v accepted", levels)
+		}
 	}
 }
 

@@ -78,6 +78,9 @@ func NewReaderOpts(r ReaderAtSize, schema *serde.Schema, opts ReaderOptions, sta
 		if len(h.levels) == 0 {
 			return nil, fmt.Errorf("colfile: %s file with no levels", h.layout)
 		}
+		if err := validLevels(h.levels); err != nil {
+			return nil, err
+		}
 		if h.layout == DCSL && schema.Kind != serde.KindMap &&
 			schema.Kind != serde.KindString && schema.Kind != serde.KindBytes {
 			return nil, fmt.Errorf("colfile: DCSL file for non-dictionary schema %s", schema.Kind)

@@ -103,7 +103,7 @@ func (s *stream) skip(n int64) error {
 // underlying reader as needed. It fails with io.ErrUnexpectedEOF if fewer
 // than n bytes remain before dataEnd.
 func (s *stream) ensure(n int) error {
-	if s.off+n <= len(s.buf) {
+	if n <= len(s.buf)-s.off {
 		return nil
 	}
 	if int64(n) > s.remainingInFile() {
@@ -240,6 +240,9 @@ func (s *stream) consume(n int) { s.off += n }
 // readFull returns exactly n bytes at the cursor and consumes them. The
 // returned slice aliases the window and is valid until the next stream call.
 func (s *stream) readFull(n int) ([]byte, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("colfile: negative length %d", n)
+	}
 	if err := s.ensure(n); err != nil {
 		return nil, err
 	}
@@ -299,6 +302,9 @@ func (s *stream) peekUvarint() (uint64, int, error) {
 // nothing. The returned slice aliases the window and is valid until the
 // next stream call.
 func (s *stream) peekAt(skip, n int) ([]byte, error) {
+	if n < 0 || skip+n < 0 {
+		return nil, fmt.Errorf("colfile: negative length %d", n)
+	}
 	if err := s.ensure(skip + n); err != nil {
 		return nil, err
 	}

@@ -76,6 +76,20 @@ func ChargeComp(stats *sim.CPUStats, codec string, n int64) {
 	}
 }
 
+// deflateMaxRatio bounds DEFLATE's expansion: its densest code spends two
+// bits on a 258-byte match, 1032 output bytes per input byte.
+const deflateMaxRatio = 1032
+
+// checkRawLen refuses a declared decompressed length that src cannot expand
+// to — a codec expands each input byte to at most maxRatio output bytes — so
+// a corrupt block header never sizes an allocation.
+func checkRawLen(codec string, rawLen, srcLen, maxRatio int) error {
+	if rawLen < 0 || rawLen/maxRatio > srcLen {
+		return fmt.Errorf("compress: %s: raw length %d impossible from %d bytes", codec, rawLen, srcLen)
+	}
+	return nil
+}
+
 // None is the identity codec.
 type None struct{}
 
@@ -118,6 +132,9 @@ func (ZLIB) Compress(dst, src []byte) ([]byte, error) {
 
 // Decompress implements Codec.
 func (ZLIB) Decompress(dst, src []byte, rawLen int) ([]byte, error) {
+	if err := checkRawLen("zlib", rawLen, len(src), deflateMaxRatio); err != nil {
+		return dst, err
+	}
 	r := flate.NewReader(bytes.NewReader(src))
 	defer r.Close()
 	out := make([]byte, 0, rawLen)

@@ -204,6 +204,18 @@ func TestDecompressCorrupt(t *testing.T) {
 	if _, err := (LZO{}).Decompress(nil, []byte{0x0F, 0xFF, 0xFF}, 100); err == nil {
 		t.Error("lzo: garbage input accepted")
 	}
+	// A raw length no input of that size can expand to is refused before it
+	// sizes an allocation, and the densest real input still round-trips.
+	zeros := make([]byte, 1<<20)
+	for _, c := range codecs(t) {
+		comp, _ := c.Compress(nil, zeros)
+		if _, err := c.Decompress(nil, comp, 1<<40); err == nil {
+			t.Errorf("%s: a 1 TiB raw length accepted from %d bytes", c.Name(), len(comp))
+		}
+		if got, err := c.Decompress(nil, comp, len(zeros)); err != nil || !bytes.Equal(got, zeros) {
+			t.Errorf("%s: 1 MiB of zeros from %d bytes: %v", c.Name(), len(comp), err)
+		}
+	}
 }
 
 func TestDictionary(t *testing.T) {

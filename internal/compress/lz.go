@@ -24,6 +24,9 @@ type LZO struct{}
 func (LZO) Name() string { return "lzo" }
 
 const (
+	// lzMaxRatio bounds the block format's expansion: a 255 continuation
+	// byte adds 255 output bytes, and nothing else expands further.
+	lzMaxRatio  = 255
 	lzMinMatch  = 4
 	lzMaxOffset = 1 << 16
 	lzHashBits  = 14
@@ -115,6 +118,9 @@ func (LZO) Decompress(dst, src []byte, rawLen int) ([]byte, error) {
 	}
 	if rawLen < 0 {
 		return dst, fmt.Errorf("compress: lzo: negative raw length %d", rawLen)
+	}
+	if err := checkRawLen("lzo", rawLen, len(src), lzMaxRatio); err != nil {
+		return dst, err
 	}
 	base := len(dst)
 	end := base + rawLen
