@@ -190,48 +190,7 @@ func AddColumn(fs *hdfs.FileSystem, dataset, name string, colSchema *serde.Schem
 	conf := ScanDataset(dataset).Columns(inputCols...).Conf()
 	for _, dir := range dirs {
 		split := &Split{Dirs: []string{dir}, Columns: inputCols}
-		rr, err := in.Open(fs, &conf, split, hdfs.AnyNode, stats)
-		if err != nil {
-			return err
-		}
-		fw, err := fs.Create(dir+"/"+name, hdfs.AnyNode)
-		if err != nil {
-			return err
-		}
-		if stats != nil {
-			fw.SetStats(&stats.IO)
-		}
-		var cpu *sim.CPUStats
-		if stats != nil {
-			cpu = &stats.CPU
-		}
-		cw, err := colfile.NewWriter(fw, colSchema, layout, cpu)
-		if err != nil {
-			return err
-		}
-		for {
-			_, v, ok, err := rr.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			nv, err := compute(v.(serde.Record))
-			if err != nil {
-				return err
-			}
-			if err := cw.Append(nv); err != nil {
-				return err
-			}
-		}
-		if err := rr.Close(); err != nil {
-			return err
-		}
-		if err := cw.Close(); err != nil {
-			return err
-		}
-		if err := fw.Close(); err != nil {
+		if err := addColumnFile(fs, in, &conf, split, dir+"/"+name, colSchema, layout, compute, stats); err != nil {
 			return err
 		}
 		// Refresh the split's schema file.
@@ -243,4 +202,62 @@ func AddColumn(fs *hdfs.FileSystem, dataset, name string, colSchema *serde.Schem
 		}
 	}
 	return nil
+}
+
+// addColumnFile writes the new column's file for one split-directory. On
+// any error it closes the split's reader and the file's writer and removes
+// the partial file, so no stream window stays out and a retry can create
+// the file afresh.
+func addColumnFile(fs *hdfs.FileSystem, in *InputFormat, conf *mapred.JobConf, split *Split, path string, colSchema *serde.Schema, layout colfile.Options, compute func(rec serde.Record) (any, error), stats *sim.TaskStats) (err error) {
+	rr, err := in.Open(fs, conf, split, hdfs.AnyNode, stats)
+	if err != nil {
+		return err
+	}
+	fw, err := fs.Create(path, hdfs.AnyNode)
+	if err != nil {
+		rr.Close()
+		return err
+	}
+	// Deferred calls run last first: the reader is closed, and its error
+	// counted, before the file is judged partial.
+	defer func() {
+		if err != nil {
+			fw.Close()
+			fs.Remove(path)
+		}
+	}()
+	defer func() {
+		if cerr := rr.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	var cpu *sim.CPUStats
+	if stats != nil {
+		fw.SetStats(&stats.IO)
+		cpu = &stats.CPU
+	}
+	cw, err := colfile.NewWriter(fw, colSchema, layout, cpu)
+	if err != nil {
+		return err
+	}
+	for {
+		_, v, ok, err := rr.Next()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			break
+		}
+		nv, err := compute(v.(serde.Record))
+		if err != nil {
+			return err
+		}
+		if err := cw.Append(nv); err != nil {
+			return err
+		}
+	}
+	if err := cw.Close(); err != nil {
+		return err
+	}
+	return fw.Close()
 }

@@ -461,6 +461,47 @@ func TestAddColumn(t *testing.T) {
 	}
 }
 
+// TestAddColumnFailureLeavesNothing fails compute inside the first
+// split-directory: the split's reader and the column's writer are closed,
+// no partial column file is left, and a retry succeeds.
+func TestAddColumnFailureLeavesNothing(t *testing.T) {
+	fs := testFS(t, 8)
+	loadDataset(t, fs, "/d", LoadOptions{SplitRecords: 60}, 150)
+	dirs, err := listSplitDirs(fs, "/d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := colfile.WindowsInUse()
+	calls := 0
+	err = AddColumn(fs, "/d", "n", serde.Long(), colfile.Options{}, []string{"url"},
+		func(rec serde.Record) (any, error) {
+			if calls++; calls == 3 {
+				return nil, fmt.Errorf("compute failed")
+			}
+			return int64(calls), nil
+		}, nil)
+	if err == nil || err.Error() != "compute failed" {
+		t.Fatalf("AddColumn error %v, want the compute failure", err)
+	}
+	if got := colfile.WindowsInUse(); got != held {
+		t.Errorf("%d stream windows still out of the pool after the failed AddColumn", got-held)
+	}
+	for _, dir := range dirs {
+		if fs.Exists(dir + "/n") {
+			t.Errorf("partial column file %s/n left behind", dir)
+		}
+	}
+	err = AddColumn(fs, "/d", "n", serde.Long(), colfile.Options{}, []string{"url"},
+		func(rec serde.Record) (any, error) { return int64(1), nil }, nil)
+	if err != nil {
+		t.Fatalf("retry: %v", err)
+	}
+	rows, _ := scanAll(t, fs, "/d", &mapred.JobConf{Scan: &scan.Spec{Columns: []string{"n"}}})
+	if len(rows) != 150 {
+		t.Fatalf("scanned %d rows after the retry", len(rows))
+	}
+}
+
 func TestLoadFromSequenceFile(t *testing.T) {
 	// Round-trip through the loader path used by Table 2.
 	fs := testFS(t, 8)
