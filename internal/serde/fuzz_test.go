@@ -66,15 +66,6 @@ func FuzzParseSchema(f *testing.F) {
 	})
 }
 
-func FuzzParseJSONSchema(f *testing.F) {
-	f.Add(`{"type":"record","name":"X","fields":[{"name":"a","type":"int"}]}`)
-	f.Add(`"string"`)
-	f.Add(`{"type":"map","values":{"type":"array","items":"long"}}`)
-	f.Fuzz(func(t *testing.T, src string) {
-		_, _ = ParseJSON([]byte(src)) // must not panic
-	})
-}
-
 // TestDecodeRandomGarbage hammers the decoder with seeded random bytes —
 // a deterministic complement to the fuzz targets.
 func TestDecodeRandomGarbage(t *testing.T) {
