@@ -30,6 +30,13 @@
 // versioning rule live in docs/FORMAT.md; the format-spec CI check keeps
 // that document covering every magic this package reads and writes.
 //
+// The three layouts' readers share one readerBase (reader.go), as their
+// writers share one writerBase: the record cursor and its end checks, the
+// value decoder, and the one entry every range call goes through
+// (vecdecode.go). A batch decode of a complex column appends the layout's
+// own Value results, so each layout has one boxed decode path; only its
+// typed primitive loop is its own.
+//
 // Role in the scheduler→file→group→value pipeline: this package is the
 // statistics *storage* side. FileStats serves the scheduler tier (split
 // elision reads only footers), StatsSource/FileStatsSource serve the
@@ -56,4 +63,7 @@
 //   - Reader equivalence (colfile_test.go, stream_test.go): all layouts
 //     return identical values and honor SkipTo geometry, which is what
 //     lets the cost model compare them fairly.
+//   - Reader totality (reader_fuzz_test.go, colfile_test.go): on arbitrary
+//     file bytes every cursor and range call returns an error rather than
+//     panicking, and no corrupt length sizes an allocation.
 package colfile
