@@ -108,7 +108,7 @@ func TestBoxedDecodeChargesScalarCounters(t *testing.T) {
 				t.Errorf("%s chunk %d: boxed decode charged\n%+v\nscalar cursor\n%+v", tc.name, chunk, sink, want)
 			}
 			boxed := make([]any, hi-lo)
-			if k := v.Box(nil, boxed, 1); k != hi-lo {
+			if k := v.Box(new(serde.Boxer), nil, boxed, 1); k != hi-lo {
 				t.Fatalf("%s: boxed %d rows of %d", tc.name, k, hi-lo)
 			}
 			for i, x := range boxed {
@@ -148,8 +148,9 @@ func TestBlockFrameReuseKeepsValues(t *testing.T) {
 		if err := r.(VectorDecoder).DecodeVector(n/2, n, v, nil); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
+		var bx serde.Boxer
 		for i := 0; i < v.Len(); i++ {
-			got = append(got, v.Value(i))
+			got = append(got, v.Value(&bx, i))
 		}
 		for i, x := range got {
 			if !serde.ValuesEqual(tc.schema, x, vals[i]) {

@@ -99,9 +99,10 @@ func TestDCSLStringDecodeVector(t *testing.T) {
 	if err := vd.DecodeVector(0, n, v, &cpu); err != nil {
 		t.Fatal(err)
 	}
+	var bx serde.Boxer
 	for i := 0; i < n; i++ {
-		if !serde.ValuesEqual(schema, v.Value(i), vals[i]) {
-			t.Fatalf("record %d: vector %v vs scalar %v", i, v.Value(i), vals[i])
+		if got := v.Value(&bx, i); !serde.ValuesEqual(schema, got, vals[i]) {
+			t.Fatalf("record %d: vector %v vs scalar %v", i, got, vals[i])
 		}
 	}
 	if cpu.VecValues == 0 {

@@ -7,25 +7,42 @@ import (
 	"testing"
 
 	"colmr/internal/scan"
+	"colmr/internal/serde"
 )
 
 // The layout readers are exposed to on-disk bytes and must never panic: on
 // any file, under any schema, every cursor and range call either works or
 // returns an error. The seed corpus is what writeColumn emits — a short
 // column of every vecDecodeSchemas kind in every layout and codec the writer
-// accepts it in — each driven by one op sequence that touches every entry
-// point. Runs under plain `go test`; explores further under
+// accepts it in — and the start of every pinned-bytes column written as
+// TestWriterPinnedBytes' every=64/nobloom=false cases are, so that stats
+// sections with several groups, Bloom words and key universes are in it for
+// every layout; each file is driven by one op sequence that touches every
+// entry point. Runs under plain `go test`; explores further under
 // `go test -fuzz FuzzColumnReader`.
 
 // fuzzReaderRows spans two DCSL windows and several skip groups and frames,
 // and keeps the seed files short enough to mutate quickly.
 const fuzzReaderRows = 150
 
+// fuzzSchemas are the schemas a fuzz input's kind byte picks from: the
+// vecDecodeSchemas kinds and the pinned-bytes columns' ("pinned/<name>").
+func fuzzSchemas() map[string]*serde.Schema {
+	out := map[string]*serde.Schema{}
+	for name, tc := range vecDecodeSchemas() {
+		out[name] = tc.schema
+	}
+	for _, col := range pinnedColumns() {
+		out["pinned/"+col.name] = col.schema
+	}
+	return out
+}
+
 // fuzzSchemaNames fixes the order in which a fuzz input's kind byte picks
-// one of vecDecodeSchemas.
+// one of fuzzSchemas.
 func fuzzSchemaNames() []string {
 	var names []string
-	for name := range vecDecodeSchemas() {
+	for name := range fuzzSchemas() {
 		names = append(names, name)
 	}
 	slices.Sort(names)
@@ -33,24 +50,39 @@ func fuzzSchemaNames() []string {
 }
 
 func FuzzColumnReader(f *testing.F) {
-	schemas := vecDecodeSchemas()
+	schemas := fuzzSchemas()
 	names := fuzzSchemaNames()
 	// Two bytes an op: which call, and its argument.
 	ops := []byte{0, 0, 1, 15, 2, 20, 2, 33, 3, 10, 4, 7, 5, 1, 0, 0, 1, 39, 2, 49, 3, 60, 4, 90}
-	for i, name := range names {
-		tc := schemas[name]
-		for _, opts := range allLayouts() {
-			if _, err := NewWriter(&memFile{}, tc.schema, opts, nil); err != nil {
-				continue // a layout this kind cannot be stored in
+	seed := func(name string, opts Options, gen func(*rand.Rand, int) any) {
+		schema := schemas[name]
+		if _, err := NewWriter(&memFile{}, schema, opts, nil); err != nil {
+			return // a layout this kind cannot be stored in
+		}
+		rng := rand.New(rand.NewSource(2011))
+		file, _ := writeColumn(f, schema, opts, fuzzReaderRows, func(i int) any { return gen(rng, i) })
+		f.Add(file.Bytes(), uint8(slices.Index(names, name)), ops)
+	}
+	kinds := vecDecodeSchemas()
+	for _, name := range names {
+		if tc, ok := kinds[name]; ok {
+			for _, opts := range allLayouts() {
+				seed(name, opts, tc.gen)
 			}
-			rng := rand.New(rand.NewSource(2011))
-			file, _ := writeColumn(f, tc.schema, opts, fuzzReaderRows, func(i int) any { return tc.gen(rng, i) })
-			f.Add(file.Bytes(), uint8(i), ops)
 		}
 	}
-	keys := []string{"k", "absent", ""}
+	for _, col := range pinnedColumns() {
+		for _, opts := range pinnedLayouts() {
+			if col.name == "nullstring" && opts.Layout != DCSL {
+				continue // only DCSL spells a null
+			}
+			opts.StatsEvery = 64
+			seed("pinned/"+col.name, opts, col.gen)
+		}
+	}
+	keys := []string{"k", "absent", "", "key-03", "content-type"}
 	f.Fuzz(func(t *testing.T, file []byte, kind uint8, ops []byte) {
-		schema := schemas[names[int(kind)%len(names)]].schema
+		schema := schemas[names[int(kind)%len(names)]]
 		r, err := NewReader(bytes.NewReader(file), schema, nil)
 		if err != nil {
 			return
@@ -80,11 +112,11 @@ func FuzzColumnReader(f *testing.F) {
 				}
 			case 4:
 				if p, ok := r.(KeyVecProber); ok {
-					_, _ = p.ProbeKeys(keys[arg%3], start, end, scan.NewSelection(int(end-start)), nil)
+					_, _ = p.ProbeKeys(keys[arg%int64(len(keys))], start, end, scan.NewSelection(int(end-start)), nil)
 				}
 			case 5:
 				if p, ok := r.(KeyProber); ok {
-					_, _, _ = p.HasKey(keys[arg%3])
+					_, _, _ = p.HasKey(keys[arg%int64(len(keys))])
 				}
 			}
 		}

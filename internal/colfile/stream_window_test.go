@@ -161,7 +161,7 @@ func windowScript(t *testing.T, name string, f *memFile, schema *serde.Schema, c
 			t.Fatalf("%s chunk %d: decode [%d,%d): %v", name, chunk, lo, hi, err)
 		}
 		out := make([]any, hi-lo)
-		v.Box(nil, out, 1)
+		v.Box(new(serde.Boxer), nil, out, 1)
 		seen = append(seen, out...)
 	}
 	for i := 0; i < 25; i++ {
@@ -276,7 +276,7 @@ func TestStreamWindowPoisonedRelease(t *testing.T) {
 					t.Fatalf("%s file %d: %v", name, salt, err)
 				}
 				boxed := make([]any, v.Len())
-				v.Box(nil, boxed, 1)
+				v.Box(new(serde.Boxer), nil, boxed, 1)
 				got = append(got, boxed...)
 				r.Release()
 				r.Release() // a second release is a no-op

@@ -91,9 +91,10 @@ func TestVectorDecodeEquivalence(t *testing.T) {
 				if vec.Len() != int(end-pos) {
 					t.Fatalf("%s: decode [%d,%d) produced %d rows", lname, pos, end, vec.Len())
 				}
+				var bx serde.Boxer
 				for i := 0; i < vec.Len(); i++ {
-					if !serde.ValuesEqual(tc.schema, vec.Value(i), vals[pos+int64(i)]) {
-						t.Fatalf("%s: batch record %d: %v vs %v", lname, pos+int64(i), vec.Value(i), vals[pos+int64(i)])
+					if got := vec.Value(&bx, i); !serde.ValuesEqual(tc.schema, got, vals[pos+int64(i)]) {
+						t.Fatalf("%s: batch record %d: %v vs %v", lname, pos+int64(i), got, vals[pos+int64(i)])
 					}
 				}
 				pos = end
@@ -288,11 +289,12 @@ func TestSkipListRunDecodeEquivalence(t *testing.T) {
 							t.Fatalf("%s [%d,%d): batch decoded %d rows, scalar %d", ctx, start, end, v.Len(), len(want))
 						}
 						got := make([]any, v.Len())
+						var bx serde.Boxer
 						if boxed {
-							v.Box(nil, got, 1)
+							v.Box(&bx, nil, got, 1)
 						} else {
 							for i := range got {
-								got[i] = v.Value(i)
+								got[i] = v.Value(&bx, i)
 							}
 						}
 						for i := range want {

@@ -410,6 +410,12 @@ type Reader struct {
 	sels    []*scan.Selection
 	verdict []*scan.Selection
 	boxSrc  []boxSource
+	// box boxes what the reader serves from vectors — lazy runs, batch rows,
+	// a lazy Get inside an evaluated batch — for as long as the task runs, on
+	// the reader's own goroutine (prefetch decodes through the cursors'
+	// decoders, never through it). Its values outlive their run, their batch
+	// and Close.
+	box serde.Boxer
 	// outVals and outIdx are a shared scan's per-row delivery, reused across
 	// SharedReader.Next calls; a one-member scan's fits in val1 and idx1, so
 	// it allocates nothing the solo scan does not.

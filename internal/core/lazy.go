@@ -111,7 +111,7 @@ func (r *Reader) valueAt(c *cursor) (any, error) {
 		// the batch end by the decode, so the vector is also the only correct
 		// source for rows inside the batch. (Eager records never come this
 		// way; assemble boxes whole columns at once.)
-		val = v.Value(int(pos - r.batch.start))
+		val = v.Value(&r.box, int(pos-r.batch.start))
 		if v.Kind != scan.VecAny {
 			// Boxing on serve; VecAny rows were charged at decode.
 			r.task.CPU.ValuesMaterialized++
@@ -151,8 +151,9 @@ func (r *Reader) batchVec(c *cursor) *scan.Vector {
 //
 // The values come from the batch's own vector when it decoded the column, else
 // from the cursor (colBatch.decodeBoxed, which charges what Value charges),
-// and Vector.Box carves them out of one arena per run. What a run charges it
-// charges when it is built: read to its end it has cost what the
+// and are boxed from the reader's own Boxer: a short run costs no allocation
+// of its own, only its share of the chunks the task's runs fill. What a run
+// charges it charges when it is built: read to its end it has cost what the
 // value-at-a-time loop costs, and a map function that drops the column
 // mid-run has paid for the rest.
 func (r *Reader) startRun(c *cursor, n int) error {
@@ -185,14 +186,14 @@ func (r *Reader) startRun(c *cursor, n int) error {
 	c.run = c.run[:n]
 	lo := int(pos - b.start)
 	if v := r.batchVec(c); v != nil {
-		v.BoxRange(lo, lo+n, c.run)
+		v.BoxRange(&r.box, lo, lo+n, c.run)
 		r.task.CPU.ValuesMaterialized += int64(n)
 	} else {
 		v, err := b.decodeBoxed(c, b.sel, lo, lo+n, n)
 		if err != nil {
 			return err
 		}
-		v.Box(nil, c.run, 1)
+		v.Box(&r.box, nil, c.run, 1)
 		vecScratch.Put(v)
 	}
 	c.runStart, c.runEnd = pos, end

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -456,12 +457,16 @@ func checkLazyRunsMatchValueAtATime(t testing.TB, rounds int) {
 	}
 }
 
-// A value the map function keeps is its own: the next Next, later runs over
-// the same cursor (which reuse the run's slots and the pooled scratch vector),
-// and Close leave it as it was read, on every layout.
+// A value the map function keeps is its own: the next Next, later runs and
+// batches over the same cursor (which reuse the run's slots, the pooled
+// scratch vectors and the reader's Boxer), the split's next split-directory,
+// Close, a collection, and a second scan drawing on the same pools leave it as
+// it was read, on every layout. The scan runs with no predicate (runs decoded
+// from the cursors) and with a selective one, whose batches box the predicate
+// column's runs from its vector and serve its lone rows one value at a time.
 func TestLazyRunValuesOutliveTheRun(t *testing.T) {
 	t.Parallel()
-	const n = 900
+	const n, dirs = 900, 3
 	gen := workload.NewCrawl(workload.CrawlOptions{Seed: 3, ContentBytes: 120})
 	schema := gen.Schema()
 	// Every layout writes the same records; what is read back is compared
@@ -470,8 +475,10 @@ func TestLazyRunValuesOutliveTheRun(t *testing.T) {
 	for i := range written {
 		written[i], wrote[i] = gen.Record(int64(i)), gen.Record(int64(i))
 	}
+	fetchTime := schema.FieldIndex("fetchTime")
+	cols := []string{"url", "content", "fetchTime", "srcUrl"}
 	for name, opts := range eqPropLayouts(schema) {
-		opts.SplitRecords = n
+		opts.SplitRecords = n / dirs
 		fs := hdfs.New(sim.SingleNode(), 1)
 		w, err := NewWriter(fs, "/c", schema, opts, nil)
 		if err != nil {
@@ -485,57 +492,77 @@ func TestLazyRunValuesOutliveTheRun(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		conf := predConf([]string{"url", "content", "fetchTime"}, true, nil)
-		conf.InputPaths = []string{"/c"}
-		in := &InputFormat{}
-		splits, err := in.Splits(fs, conf)
-		if err != nil || len(splits) != 1 {
-			t.Fatalf("%s: %d splits, %v", name, len(splits), err)
-		}
-		rr, err := in.Open(fs, conf, splits[0], hdfs.AnyNode, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var kept [][3]any
-		for {
-			_, v, ok, err := rr.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-			var row [3]any
-			for j, col := range []string{"url", "content", "fetchTime"} {
-				if row[j], err = v.(serde.Record).Get(col); err != nil {
+		for _, pred := range []scan.Predicate{nil, scan.Ge("srcUrl", "http://hr")} {
+			ctx := fmt.Sprintf("%s where %v", name, pred)
+			conf := predConf(cols, true, pred)
+			conf.InputPaths = []string{"/c"}
+			conf.Scan.DirsPerSplit = dirs
+			scanAll := func(keep func(row []any)) {
+				in := &InputFormat{}
+				splits, err := in.Splits(fs, conf)
+				if err != nil || len(splits) != 1 {
+					t.Fatalf("%s: %d splits, %v", ctx, len(splits), err)
+				}
+				rr, err := in.Open(fs, conf, splits[0], hdfs.AnyNode, nil)
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			if i := len(kept); i%7 == 3 {
-				// Scribble over a kept byte slice mid-run: its neighbours in
-				// the run's arena must not see it.
-				raw := row[1].([]byte)
-				for j := range raw {
-					raw[j] = '#'
+				defer rr.Close()
+				for {
+					_, v, ok, err := rr.Next()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !ok {
+						return
+					}
+					row := make([]any, len(cols))
+					for j, col := range cols {
+						if row[j], err = v.(serde.Record).Get(col); err != nil {
+							t.Fatal(err)
+						}
+					}
+					keep(row)
 				}
-				_ = append(raw, "spill into whatever follows"...)
 			}
-			kept = append(kept, row)
-		}
-		rr.Close()
-		if len(kept) != n {
-			t.Fatalf("%s: %d rows, want %d", name, len(kept), n)
-		}
-		drainEager(t, fs, "/c", nil) // churn the pools the runs drew from
-		for i, row := range kept {
-			want := wrote[i]
-			for j, col := range []string{"url", "content", "fetchTime"} {
-				if j == 1 && i%7 == 3 {
-					continue
+			var kept [][]any
+			scanAll(func(row []any) {
+				if i := len(kept); i%7 == 3 {
+					// Scribble over a kept byte slice mid-run: its neighbours in
+					// the run's chunk or arena must not see it.
+					raw := row[1].([]byte)
+					for j := range raw {
+						raw[j] = '#'
+					}
+					_ = append(raw, "spill into whatever follows"...)
 				}
-				fi := schema.FieldIndex(col)
-				if !serde.ValuesEqual(schema.Fields[fi].Type, row[j], want.GetAt(fi)) {
-					t.Fatalf("%s: kept row %d column %s is %v, wrote %v", name, i, col, row[j], want.GetAt(fi))
+				kept = append(kept, row)
+			})
+			want := n
+			if pred != nil {
+				want = len(wantMatches(t, wrote, pred))
+			}
+			if len(kept) != want || want == 0 {
+				t.Fatalf("%s: %d rows, want %d", ctx, len(kept), want)
+			}
+			runtime.GC()
+			scanAll(func([]any) {}) // draw on the same pools again
+			drainEager(t, fs, "/c", nil)
+			runtime.GC()
+			for k, row := range kept {
+				i := (row[2].(int64) - wrote[0].GetAt(fetchTime).(int64)) / 1000
+				if i < 0 || i >= n {
+					t.Fatalf("%s: kept row %d has fetchTime %v", ctx, k, row[2])
+				}
+				want := wrote[i]
+				for j, col := range cols {
+					if j == 1 && k%7 == 3 {
+						continue
+					}
+					fi := schema.FieldIndex(col)
+					if !serde.ValuesEqual(schema.Fields[fi].Type, row[j], want.GetAt(fi)) {
+						t.Fatalf("%s: kept row %d (record %d) column %s is %v, wrote %v", ctx, k, i, col, row[j], want.GetAt(fi))
+					}
 				}
 			}
 		}
@@ -641,42 +668,57 @@ func lazyBenchData(tb testing.TB, n int64) (*hdfs.FileSystem, mapred.Split) {
 
 // lazyBenchCases are the access patterns the lazy path is sized on: the crawl
 // job's own two (url on every row, metadata on 6 % of them), a dense integer
-// column, and a dense column dropped a third of the way in.
-var lazyBenchCases = []struct {
-	name    string
-	columns []string
-	visit   func(i int, rec serde.Record) error
-}{
-	{"dense_string", []string{"url"}, func(_ int, rec serde.Record) error {
+// column, a dense column dropped a third of the way in, and a selective scan:
+// a predicate that passes three rows in four (6 of the 8 srcUrl hosts) leaves
+// runs of 1 to ~16 adjacent rows — the shape of a vectorized scan's
+// half-selective filter — and both columns are read on every row that passes,
+// the predicate's own from its batch vector and url from its cursor.
+var lazyBenchCases = []lazyBenchCase{
+	{"dense_string", []string{"url"}, nil, func(_ int, rec serde.Record) error {
 		_, err := rec.Get("url")
 		return err
 	}},
-	{"dense_int", []string{"fetchTime"}, func(_ int, rec serde.Record) error {
+	{"dense_int", []string{"fetchTime"}, nil, func(_ int, rec serde.Record) error {
 		_, err := rec.Get("fetchTime")
 		return err
 	}},
-	{"sparse_map_6pct", []string{"url", "metadata"}, func(i int, rec serde.Record) error {
+	{"sparse_map_6pct", []string{"url", "metadata"}, nil, func(i int, rec serde.Record) error {
 		if i%16 != 5 {
 			return nil
 		}
 		_, err := rec.Get("metadata")
 		return err
 	}},
-	{"dense_then_abandon", []string{"url"}, func(i int, rec serde.Record) error {
+	{"dense_then_abandon", []string{"url"}, nil, func(i int, rec serde.Record) error {
 		if i >= lazyBenchRows/3 {
 			return nil
 		}
 		_, err := rec.Get("url")
 		return err
 	}},
+	{"selective_runs", []string{"url", "srcUrl"}, scan.Ge("srcUrl", "http://hr"), func(_ int, rec serde.Record) error {
+		if _, err := rec.Get("srcUrl"); err != nil {
+			return err
+		}
+		_, err := rec.Get("url")
+		return err
+	}},
+}
+
+type lazyBenchCase struct {
+	name    string
+	columns []string
+	pred    scan.Predicate // nil: every row surfaces
+	visit   func(i int, rec serde.Record) error
 }
 
 const lazyBenchRows = 8192
 
-// lazyBenchScan drains the split lazily under one access pattern.
-func lazyBenchScan(tb testing.TB, fs *hdfs.FileSystem, split mapred.Split, columns []string, visit func(int, serde.Record) error, st *sim.TaskStats) {
+// lazyBenchScan drains the split lazily under bc's predicate and access
+// pattern, returning the rows it surfaced.
+func lazyBenchScan(tb testing.TB, fs *hdfs.FileSystem, split mapred.Split, bc lazyBenchCase, st *sim.TaskStats) int {
 	tb.Helper()
-	conf := predConf(columns, true, nil)
+	conf := predConf(bc.columns, true, bc.pred)
 	conf.InputPaths = []string{"/crawl"}
 	rr, err := (&InputFormat{}).Open(fs, conf, split, hdfs.AnyNode, st)
 	if err != nil {
@@ -689,12 +731,12 @@ func lazyBenchScan(tb testing.TB, fs *hdfs.FileSystem, split mapred.Split, colum
 			tb.Fatal(err)
 		}
 		if !ok {
-			if i != lazyBenchRows {
+			if bc.pred == nil && i != lazyBenchRows {
 				tb.Fatalf("surfaced %d rows, want %d", i, lazyBenchRows)
 			}
-			return
+			return i
 		}
-		if err := visit(i, v.(serde.Record)); err != nil {
+		if err := bc.visit(i, v.(serde.Record)); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -706,35 +748,63 @@ func BenchmarkLazyGet(b *testing.B) {
 	for _, bc := range lazyBenchCases {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
+			rows := 0
 			for i := 0; i < b.N; i++ {
-				lazyBenchScan(b, fs, split, bc.columns, bc.visit, nil)
+				rows += lazyBenchScan(b, fs, split, bc, nil)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lazyBenchRows), "ns/row")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows), "ns/row")
 		})
 	}
 }
 
-// TestLazyGetAllocGuard holds what the runs bought: a dense string column
-// costs a chunk of boxes every 32 rows plus a handful per run (the arena
-// string; 8192 rows are 36 runs), where reading it value by value cost two
-// allocations a row and a run of compiler-boxed values one; and a sparsely read
-// column is still read one value at a time — exactly the maps asked for are
-// decoded, not one more.
+// TestLazyGetAllocGuard holds what the runs bought, and what boxing them from
+// the reader's one Boxer bought, counting what reading costs on top of the
+// same scan reading nothing (its pruning, batches and vectors). A dense string
+// column costs a chunk of boxes every 32 rows plus two allocations a run (its
+// arena, once a run's payload passes a kilobyte; 8192 rows are ~40 runs),
+// where reading it value by value cost two allocations a row and a run of
+// compiler-boxed values one. A selective scan's runs are too short to pay for
+// anything of their own: two string columns read on every surfaced row cost
+// their chunks — one of boxes per 32 rows each, one of payload per kilobyte —
+// and a handful more, with no term per run (its ~1 500 runs cost a chunk and
+// an arena each before the reader kept a Boxer). And a sparsely read column
+// is still read one value at a time — exactly the maps asked for are decoded,
+// not one more.
 func TestLazyGetAllocGuard(t *testing.T) {
 	fs, split := lazyBenchData(t, lazyBenchRows)
-	dense, sparse := lazyBenchCases[0], lazyBenchCases[2]
-	lazyBenchScan(t, fs, split, dense.columns, dense.visit, nil) // warm the pools
-	allocs := testing.AllocsPerRun(3, func() {
-		lazyBenchScan(t, fs, split, dense.columns, dense.visit, nil)
-	})
-	const perRun, runs, perScan = 4, 40, 64
-	race.AllocCeiling(t, fmt.Sprintf("a dense lazy string column over %d rows (one in 32 rows, %d a run, %d a scan)", lazyBenchRows, perRun, perScan),
-		allocs, lazyBenchRows/32+perRun*runs+perScan)
+	dense, sparse, selective := lazyBenchCases[0], lazyBenchCases[2], lazyBenchCases[4]
+	// reads counts bc's allocations per scan beyond those of the same scan
+	// whose map function reads nothing.
+	reads := func(bc lazyBenchCase) float64 {
+		idle := bc
+		idle.visit = func(int, serde.Record) error { return nil }
+		lazyBenchScan(t, fs, split, bc, nil) // warm the pools
+		all := testing.AllocsPerRun(3, func() { lazyBenchScan(t, fs, split, bc, nil) })
+		return all - testing.AllocsPerRun(3, func() { lazyBenchScan(t, fs, split, idle, nil) })
+	}
+	const perRun, runs, handful = 2, 40, 64
+	race.AllocCeiling(t, fmt.Sprintf("a dense lazy string column over %d rows (one in 32 rows, %d a run)", lazyBenchRows, perRun),
+		reads(dense), lazyBenchRows/32+perRun*runs)
+
+	gen := lazyBenchGen()
+	src, url := gen.Schema().FieldIndex("srcUrl"), gen.Schema().FieldIndex("url")
+	rows, payload := 0, 0
+	for i := int64(0); i < lazyBenchRows; i++ {
+		rec := gen.Record(i)
+		if s := rec.GetAt(src).(string); s >= "http://hr" {
+			rows++
+			payload += len(s) + len(rec.GetAt(url).(string))
+		}
+	}
+	if got := lazyBenchScan(t, fs, split, selective, nil); got != rows {
+		t.Fatalf("selective scan surfaced %d rows, want %d", got, rows)
+	}
+	race.AllocCeiling(t, fmt.Sprintf("two lazy string columns on %d rows of %d in runs of 1–16 (two in 32 rows, one a KiB of payload)", rows, lazyBenchRows),
+		reads(selective), float64(2*rows/32+payload/1000+handful))
 
 	var st sim.TaskStats
-	lazyBenchScan(t, fs, split, sparse.columns, sparse.visit, &st)
+	lazyBenchScan(t, fs, split, sparse, &st)
 	// Each decoded map counts itself and its entries.
-	gen := lazyBenchGen()
 	meta := gen.Schema().FieldIndex("metadata")
 	var maps, values int64
 	for i := int64(5); i < lazyBenchRows; i += 16 {

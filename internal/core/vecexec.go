@@ -653,9 +653,9 @@ func (r *Reader) assemble(b *colBatch) error {
 				}
 			}
 			if s.compact {
-				s.v.Box(rank, vals[j:], width)
+				s.v.Box(&r.box, rank, vals[j:], width)
 			} else {
-				s.v.Box(m.sel, vals[j:], width)
+				s.v.Box(&r.box, m.sel, vals[j:], width)
 			}
 		}
 	}

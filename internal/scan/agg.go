@@ -6,6 +6,8 @@ import (
 	"math"
 	"sort"
 	"strings"
+
+	"colmr/internal/serde"
 )
 
 // Aggregation pushdown: a typed aggregate specification carried on
@@ -293,6 +295,9 @@ type AggState struct {
 	vecScratch  []*Vector
 	rows, valid []int32
 	gids        []int32
+	// bx boxes the rows a batch fold keeps — new groups' values, MIN/MAX
+	// bounds — from chunks the state holds for as long as it folds.
+	bx serde.Boxer
 }
 
 // NewAggState returns an empty fold state for the spec.
@@ -494,7 +499,7 @@ func (s *AggState) FoldBatch(sel *Selection, src VecSource) (int64, error) {
 		rows = sel.appendRows(s.rows[:0])
 		s.rows = rows
 	}
-	t := accSlot{nf: len(s.agg.Funcs)}
+	t := accSlot{nf: len(s.agg.Funcs), bx: &s.bx}
 	if groupVec != nil {
 		if t.gids, err = s.resolveGroups(groupVec, rows); err != nil {
 			return 0, err
@@ -541,7 +546,7 @@ func (s *AggState) resolveGroups(v *Vector, rows []int32) ([]int32, error) {
 			if b := v.BytesAt(int(i)); id < 0 || !bytes.Equal(b, prev) {
 				var ok bool
 				if id, ok = s.byStr[string(b)]; !ok { // the conversion in a map index does not allocate
-					if id, err = s.addGroup(gkey{kind: 's', s: string(b)}, v.Value(int(i))); err != nil {
+					if id, err = s.addGroup(gkey{kind: 's', s: string(b)}, v.Value(&s.bx, int(i))); err != nil {
 						return nil, err
 					}
 				}
@@ -572,7 +577,7 @@ func (s *AggState) resolveGroups(v *Vector, rows []int32) ([]int32, error) {
 			if id < 0 || x != prev {
 				var ok bool
 				if id, ok = index[x]; !ok {
-					if id, err = s.addGroup(gkey{kind: kind, i: x}, v.Value(int(i))); err != nil {
+					if id, err = s.addGroup(gkey{kind: kind, i: x}, v.Value(&s.bx, int(i))); err != nil {
 						return nil, err
 					}
 				}
@@ -582,7 +587,7 @@ func (s *AggState) resolveGroups(v *Vector, rows []int32) ([]int32, error) {
 		}
 	default: // boxed rows key themselves as records' values do
 		for _, i := range rows {
-			val := v.Value(int(i))
+			val := v.Value(&s.bx, int(i))
 			key, err := groupKeyOf(val)
 			if err != nil {
 				return nil, err
@@ -602,6 +607,7 @@ type accSlot struct {
 	accs   []aggAcc
 	nf, fi int
 	gids   []int32
+	bx     *serde.Boxer // the state's
 }
 
 func (t accSlot) at(i int32) *aggAcc {
@@ -672,7 +678,7 @@ func (s *AggState) foldColumn(t accSlot, f AggFunc, v *Vector, sel *Selection, r
 // record's value would be.
 func foldBoxed(t accSlot, f AggFunc, v *Vector, rows []int32) error {
 	for _, i := range rows {
-		if val := v.Value(int(i)); val != nil {
+		if val := v.Value(t.bx, int(i)); val != nil {
 			if err := t.at(i).foldValue(f.Kind, f.Col, val); err != nil {
 				return err
 			}
@@ -724,7 +730,7 @@ func (t accSlot) foldBounds(f AggFunc, v *Vector, rows []int32) error {
 		if acc.hasVal {
 			c, ok := v.compareBound(int(i), acc.bound)
 			if !ok {
-				if err := acc.foldValue(f.Kind, f.Col, v.Value(int(i))); err != nil {
+				if err := acc.foldValue(f.Kind, f.Col, v.Value(t.bx, int(i))); err != nil {
 					return err
 				}
 				continue
@@ -734,7 +740,7 @@ func (t accSlot) foldBounds(f AggFunc, v *Vector, rows []int32) error {
 			}
 		}
 		acc.hasVal = true
-		acc.bound = v.Value(int(i))
+		acc.bound = v.Value(t.bx, int(i))
 	}
 	return nil
 }

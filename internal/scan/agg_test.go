@@ -5,10 +5,12 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"colmr/internal/scan"
+	"colmr/internal/serde"
 )
 
 // Fold-site equivalence under nulls. FoldBatch (the vectorized site),
@@ -80,7 +82,7 @@ func rowEval(vecs map[string]*scan.Vector, i int) scan.Evaluator {
 		if v.IsNull(i) {
 			return nil, nil
 		}
-		return v.Value(i), nil
+		return v.Value(new(serde.Boxer), i), nil
 	})
 }
 
@@ -378,5 +380,59 @@ func TestFoldBatchGroupLimit(t *testing.T) {
 	_, err = scan.NewAggState(agg).FoldBatch(scan.NewSelection(n), src)
 	if err == nil || !strings.Contains(err.Error(), "exceeds 65536 groups") {
 		t.Fatalf("FoldBatch over %d distinct keys: error %v, want the group limit", n, err)
+	}
+}
+
+// An AggState boxes the group values and MIN/MAX bounds it keeps from a Boxer
+// of its own, across batches and states: they stay what they were folded as
+// while the batch vectors are reset and refilled underneath (a pooled
+// vector's fate), later batches fill the same chunks, and the heap is
+// collected.
+func TestAggBoxedValuesSurviveGC(t *testing.T) {
+	agg, err := scan.ParseAggregate("count, min(s), max(s), min(i), max(f) group by g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batches, n = 6, 300
+	rng := rand.New(rand.NewSource(7))
+	oracle, st := scan.NewAggState(agg), scan.NewAggState(agg)
+	vecs := map[string]*scan.Vector{
+		"g": scan.NewVector(scan.VecInt32, n), "s": scan.NewVector(scan.VecString, n),
+		"i": scan.NewVector(scan.VecInt32, n), "f": scan.NewVector(scan.VecFloat64, n),
+	}
+	fill := func(junk bool) {
+		for _, v := range vecs {
+			v.Reset(v.Kind, n)
+		}
+		for r := 0; r < n; r++ {
+			if junk {
+				vecs["g"].AppendInt(-1)
+				vecs["s"].AppendString("~~~~~~~~")
+				vecs["i"].AppendInt(-1)
+				vecs["f"].AppendFloat(-1)
+				continue
+			}
+			vecs["g"].AppendInt(int64(1000 + rng.Intn(600))) // past the runtime's free ints: new groups every batch
+			vecs["s"].AppendString(fmt.Sprint("v", rng.Intn(100000)))
+			vecs["i"].AppendInt(int64(rng.Int31()))
+			vecs["f"].AppendFloat(rng.NormFloat64())
+		}
+	}
+	for b := 0; b < batches; b++ {
+		fill(false)
+		for r := 0; r < n; r++ {
+			if err := oracle.FoldRecord(rowEval(vecs, r)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := st.FoldBatch(scan.NewSelection(n), &vecTestSource{vecs: vecs}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+	}
+	fill(true)
+	runtime.GC()
+	if got, want := st.Rows(), oracle.Rows(); !sameAggRowsExact(got, want) {
+		t.Fatalf("batch-folded groups after later batches and GC:\n%v\nrecord-folded:\n%v", got, want)
 	}
 }

@@ -3,6 +3,8 @@ package scan
 import (
 	"bytes"
 	"math"
+
+	"colmr/internal/serde"
 )
 
 // Vectorized predicate evaluation. VecEval narrows a Selection over a batch
@@ -142,6 +144,7 @@ func (p *cmpPred) VecEval(src VecSource, in *Selection) (*Selection, error) {
 		return nil, err
 	}
 	cmp := vecComparer(v, p.lit)
+	var bx serde.Boxer // rows boxed here are compared, never kept
 	for i := in.Next(0); i >= 0; i = in.Next(i + 1) {
 		if v.IsNull(i) {
 			continue
@@ -152,7 +155,7 @@ func (p *cmpPred) VecEval(src VecSource, in *Selection) (*Selection, error) {
 			}
 			continue
 		}
-		val := v.Value(i)
+		val := v.Value(&bx, i)
 		if val == nil {
 			continue
 		}
@@ -178,6 +181,7 @@ func (p *rangePred) VecEval(src VecSource, in *Selection) (*Selection, error) {
 		return nil, err
 	}
 	cmpLo, cmpHi := vecComparer(v, p.lo), vecComparer(v, p.hi)
+	var bx serde.Boxer // rows boxed here are compared, never kept
 	for i := in.Next(0); i >= 0; i = in.Next(i + 1) {
 		if v.IsNull(i) {
 			continue
@@ -188,7 +192,7 @@ func (p *rangePred) VecEval(src VecSource, in *Selection) (*Selection, error) {
 			}
 			continue
 		}
-		val := v.Value(i)
+		val := v.Value(&bx, i)
 		if val == nil {
 			continue
 		}
@@ -226,11 +230,12 @@ func (p *prefixPred) VecEval(src VecSource, in *Selection) (*Selection, error) {
 		}
 		return out, nil
 	}
+	var bx serde.Boxer // rows boxed here are compared, never kept
 	for i := in.Next(0); i >= 0; i = in.Next(i + 1) {
 		if v.IsNull(i) {
 			continue
 		}
-		switch s := v.Value(i).(type) {
+		switch s := v.Value(&bx, i).(type) {
 		case nil:
 		case string:
 			if bytes.HasPrefix([]byte(s), pb) {
@@ -314,11 +319,12 @@ func (p *keyPred) VecEval(src VecSource, in *Selection) (*Selection, error) {
 		return nil, err
 	}
 	out := GetEmptySelection(in.Len())
+	var bx serde.Boxer // rows boxed here are compared, never kept
 	for i := in.Next(0); i >= 0; i = in.Next(i + 1) {
 		if v.IsNull(i) {
 			continue
 		}
-		val := v.Value(i)
+		val := v.Value(&bx, i)
 		if val == nil {
 			continue
 		}

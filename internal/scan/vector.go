@@ -141,12 +141,12 @@ func (v *Vector) AppendFloat(x float64) {
 }
 
 // BoxArenaMax is the longest string/bytes payload the storage layer appends
-// to a Boxed vector's arena, for Box to carve out of one allocation per
-// column. A longer one it allocates singly, straight from the decode buffer
-// (AppendSingle): past a few hundred bytes a second copy costs more than
-// the allocation it saves, a page-sized row would pin its whole batch, and
-// an arena of such rows — unlike one of short strings — outgrows what a
-// recycled vector keeps warm.
+// to a Boxed vector's arena, for Box to copy into its boxer's payload chunk
+// or carve out of one arena per call. A longer one it allocates singly,
+// straight from the decode buffer (AppendSingle): past a few hundred bytes a
+// second copy costs more than the allocation it saves, a page-sized row
+// would pin its whole batch, and an arena of such rows — unlike one of short
+// strings — outgrows what a recycled vector keeps warm.
 const BoxArenaMax = 256
 
 // AppendSingle appends a string/bytes row to a Boxed vector as the finished
@@ -236,14 +236,13 @@ func (v *Vector) BytesAt(i int) []byte {
 // Value boxes row i into the serde dynamic representation the scalar path
 // produces: bool, int32, int64, float64, string, a copied []byte, or the
 // boxed complex value; nil for null rows. Byte-identical materialization
-// from vectors depends on this mapping matching serde.Decoder.Value. One row
-// is one allocation, as the compiler's conversion was; Box and BoxRange share
-// a chunk between rows.
-func (v *Vector) Value(i int) any {
+// from vectors depends on this mapping matching serde.Decoder.Value. The box
+// and the payload come from bx's chunks: a caller that keeps one Boxer for
+// as long as it runs pays an allocation per chunk, not per row.
+func (v *Vector) Value(bx *serde.Boxer, i int) any {
 	if v.IsNull(i) {
 		return nil
 	}
-	var bx serde.Boxer // one value: a chunk of one slot
 	switch v.Kind {
 	case VecBool:
 		return v.Ints[i] != 0
@@ -309,51 +308,56 @@ func (v *Vector) compareBound(i int, bound any) (c int, ok bool) {
 // Box boxes rows of v for a reader assembling records column by column: the
 // k-th boxed row lands in dst[k*stride], in row order, in the representation
 // Value produces. sel picks the rows (nil boxes every row); the count of
-// boxed rows is returned. Where Value allocates a payload per string or
-// bytes row, Box carves a column's rows out of one arena — substrings of one
-// string, capacity-clipped slices of one buffer — sized to exactly the boxed
-// rows and allocated once, and where Value allocates a box per row, Box draws
-// the rows' boxes from chunks cut to the boxed rows (serde.Boxer: 256 int32s
-// are one allocation, 256 strings eight). Arena and chunks are allocated here
-// for these values alone, so they never alias v's own storage and v can go
-// back to a pool.
-func (v *Vector) Box(sel *Selection, dst []any, stride int) int {
-	return v.box(sel, 0, v.n, dst, stride)
+// boxed rows is returned. The boxes come from bx's chunks, and so do the
+// payloads of string and bytes rows when they fit one payload chunk
+// (serde.PayloadChunk): a caller that keeps one Boxer across calls cuts a
+// chunk per 256 int32s or 32 strings, however few rows each call boxes. A
+// larger payload — a whole eager batch's column — is carved out of one arena
+// of its own, sized to exactly the boxed rows: substrings of one string,
+// capacity-clipped slices of one buffer. Chunks and arena never alias v's own
+// storage, so v can go back to a pool.
+func (v *Vector) Box(bx *serde.Boxer, sel *Selection, dst []any, stride int) int {
+	return v.box(bx, sel, 0, v.n, dst, stride)
 }
 
 // BoxRange is Box for the adjacent rows [lo, hi), every one of them, into
 // dst[0:hi-lo].
-func (v *Vector) BoxRange(lo, hi int, dst []any) {
-	v.box(nil, lo, hi, dst, 1)
+func (v *Vector) BoxRange(bx *serde.Boxer, lo, hi int, dst []any) {
+	v.box(bx, nil, lo, hi, dst, 1)
 }
 
 // box boxes the rows of [lo, hi) that sel picks (nil: all of them).
-func (v *Vector) box(sel *Selection, lo, hi int, dst []any, stride int) int {
+func (v *Vector) box(bx *serde.Boxer, sel *Selection, lo, hi int, dst []any, stride int) int {
 	nulls := v.HasNulls()
 	rows := hi - lo
 	if sel != nil {
 		rows = sel.Count() // only Box selects, and over the whole vector
 	}
-	var bx serde.Boxer
 	bx.Expect(rows)
-	k, off := 0, 0
+	// A payload too long for the boxer's chunk gets one arena: strs for
+	// strings, raw for bytes, cut at off.
+	arena, off := false, 0
 	var strs string
 	var raw []byte
-	switch v.Kind {
-	case VecString:
-		var sb strings.Builder
-		sb.Grow(v.payloadLen(sel, lo, hi))
-		if sel == nil {
-			sb.Write(v.Data[v.Offs[lo]:v.Offs[hi]])
-		} else {
-			for i := nextRow(sel, lo, hi); i >= 0; i = nextRow(sel, i+1, hi) {
-				sb.Write(v.BytesAt(i))
+	if v.Kind == VecString || v.Kind == VecBytes {
+		if size := v.payloadLen(sel, lo, hi); size > serde.PayloadChunk {
+			arena = true
+			switch {
+			case v.Kind == VecBytes:
+				raw = make([]byte, 0, size)
+			case sel == nil:
+				strs = string(v.Data[v.Offs[lo]:v.Offs[hi]])
+			default:
+				var sb strings.Builder
+				sb.Grow(size)
+				for i := nextRow(sel, lo, hi); i >= 0; i = nextRow(sel, i+1, hi) {
+					sb.Write(v.BytesAt(i))
+				}
+				strs = sb.String()
 			}
 		}
-		strs = sb.String()
-	case VecBytes:
-		raw = make([]byte, 0, v.payloadLen(sel, lo, hi))
 	}
+	k := 0
 	for i := nextRow(sel, lo, hi); i >= 0; i = nextRow(sel, i+1, hi) {
 		if nulls && v.IsNull(i) {
 			dst[k*stride] = nil
@@ -375,10 +379,18 @@ func (v *Vector) box(sel *Selection, lo, hi int, dst []any, stride int) int {
 			case VecFloat64:
 				x = bx.Float64(v.Floats[i])
 			case VecString:
+				if !arena {
+					x = bx.String(bx.CopyString(v.BytesAt(i)))
+					break
+				}
 				end := off + int(v.Offs[i+1]-v.Offs[i])
 				x = bx.String(strs[off:end])
 				off = end
 			case VecBytes:
+				if !arena {
+					x = bx.Bytes(bx.CopyBytes(v.BytesAt(i)))
+					break
+				}
 				raw = append(raw, v.BytesAt(i)...)
 				x = bx.Bytes(raw[off:len(raw):len(raw)])
 				off = len(raw)

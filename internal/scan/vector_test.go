@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"colmr/internal/scan"
+	"colmr/internal/serde"
 )
 
 func TestVectorSelectionOps(t *testing.T) {
@@ -73,36 +74,37 @@ func TestVectorSelectionOps(t *testing.T) {
 }
 
 func TestVectorValueBoxing(t *testing.T) {
+	bx := new(serde.Boxer)
 	v := scan.NewVector(scan.VecInt32, 4)
 	v.AppendInt(7)
 	v.AppendNull()
-	if got := v.Value(0); got != int32(7) {
+	if got := v.Value(bx, 0); got != int32(7) {
 		t.Fatalf("int32 boxing: %T %v", got, got)
 	}
-	if v.Value(1) != nil || !v.IsNull(1) || !v.HasNulls() {
+	if v.Value(bx, 1) != nil || !v.IsNull(1) || !v.HasNulls() {
 		t.Fatal("null row not null")
 	}
 
 	v = scan.NewVector(scan.VecBool, 2)
 	v.AppendInt(1)
 	v.AppendInt(0)
-	if v.Value(0) != true || v.Value(1) != false {
+	if v.Value(bx, 0) != true || v.Value(bx, 1) != false {
 		t.Fatal("bool boxing")
 	}
 
 	v = scan.NewVector(scan.VecString, 2)
 	v.AppendBytes([]byte("ab"))
 	v.AppendBytes(nil)
-	if got := v.Value(0); got != "ab" {
+	if got := v.Value(bx, 0); got != "ab" {
 		t.Fatalf("string boxing: %T %v", got, got)
 	}
-	if got := v.Value(1); got != "" {
+	if got := v.Value(bx, 1); got != "" {
 		t.Fatalf("empty string boxing: %T %v", got, got)
 	}
 
 	v = scan.NewVector(scan.VecBytes, 1)
 	v.AppendBytes([]byte("xy"))
-	b := v.Value(0).([]byte)
+	b := v.Value(bx, 0).([]byte)
 	b[0] = 'z' // Value copies bytes; the arena must not alias out
 	if string(v.BytesAt(0)) != "xy" {
 		t.Fatal("bytes boxing aliases the arena")
@@ -110,21 +112,21 @@ func TestVectorValueBoxing(t *testing.T) {
 
 	v = scan.NewVector(scan.VecFloat64, 1)
 	v.AppendFloat(1.5)
-	if v.Value(0) != 1.5 {
+	if v.Value(bx, 0) != 1.5 {
 		t.Fatal("float boxing")
 	}
 
 	v = scan.NewVector(scan.VecAny, 2)
 	v.AppendAny(map[string]any{"k": int32(1)})
 	v.AppendAny(nil)
-	if _, ok := v.Value(0).(map[string]any); !ok {
+	if _, ok := v.Value(bx, 0).(map[string]any); !ok {
 		t.Fatal("any boxing")
 	}
 
 	// Reset reuses storage and re-seeds the string arena sentinel.
 	v.Reset(scan.VecString, 8)
 	v.AppendBytes([]byte("q"))
-	if v.Len() != 1 || v.Value(0) != "q" {
+	if v.Len() != 1 || v.Value(bx, 0) != "q" {
 		t.Fatal("reset vector broken")
 	}
 }
@@ -133,6 +135,7 @@ func TestVectorValueBoxing(t *testing.T) {
 // to what Value boxes — and owning their bytes, so the vector can be reset
 // and refilled (as a pooled one is) without the boxed values noticing.
 func TestVectorBox(t *testing.T) {
+	bx := new(serde.Boxer)
 	rng := rand.New(rand.NewSource(14))
 	for round := 0; round < 200; round++ {
 		n := 1 + rng.Intn(150)
@@ -149,7 +152,7 @@ func TestVectorBox(t *testing.T) {
 		var want []any
 		for i := 0; i < n; i++ {
 			if sel == nil || sel.Test(i) {
-				want = append(want, v.Value(i))
+				want = append(want, v.Value(bx, i))
 			}
 		}
 		const stride, col = 3, 1
@@ -157,7 +160,7 @@ func TestVectorBox(t *testing.T) {
 		for i := range dst {
 			dst[i] = "untouched"
 		}
-		if k := v.Box(sel, dst[col:], stride); k != len(want) {
+		if k := v.Box(bx, sel, dst[col:], stride); k != len(want) {
 			t.Fatalf("round %d: boxed %d rows, want %d", round, k, len(want))
 		}
 		kind := v.Kind
@@ -193,7 +196,7 @@ func TestVectorBox(t *testing.T) {
 	v.AppendBytes([]byte("ab"))
 	v.AppendBytes([]byte("cd"))
 	dst := make([]any, 2)
-	v.Box(nil, dst, 1)
+	v.Box(bx, nil, dst, 1)
 	_ = append(dst[0].([]byte), 'X')
 	if got := string(dst[1].([]byte)); got != "cd" {
 		t.Fatalf("append to one boxed bytes row changed its neighbour to %q", got)
@@ -217,7 +220,7 @@ func TestVectorBox(t *testing.T) {
 		v.AppendSingle(single(long + "y"))
 		v.AppendString("tail")
 		dst := make([]any, 5)
-		v.Box(nil, dst, 1)
+		v.Box(bx, nil, dst, 1)
 		got := fmt.Sprintf("%s|%s|%v|%s|%s", dst[0], dst[1], dst[2], dst[3], dst[4])
 		if want := "short|" + long + "|<nil>|" + long + "y|tail"; got != want {
 			t.Fatalf("%v: boxed %.40q..., want %.40q...", kind, got, want)
@@ -272,6 +275,7 @@ func (s *vecTestSource) ColVec(col string) (*scan.Vector, error) {
 }
 
 func (s *vecTestSource) KeyVec(col, key string, sel *scan.Selection) (*scan.Selection, bool, error) {
+	bx := new(serde.Boxer)
 	v, ok := s.vecs[col]
 	if !s.probe || !ok {
 		return nil, false, nil
@@ -280,13 +284,13 @@ func (s *vecTestSource) KeyVec(col, key string, sel *scan.Selection) (*scan.Sele
 		if v.IsNull(i) {
 			continue
 		}
-		if _, isMap := v.Value(i).(map[string]any); !isMap && v.Value(i) != nil {
+		if _, isMap := v.Value(bx, i).(map[string]any); !isMap && v.Value(bx, i) != nil {
 			return nil, false, nil
 		}
 	}
 	out := scan.NewEmptySelection(sel.Len())
 	for i := sel.Next(0); i >= 0; i = sel.Next(i + 1) {
-		if m, ok := v.Value(i).(map[string]any); ok {
+		if m, ok := v.Value(bx, i).(map[string]any); ok {
 			if _, has := m[key]; has {
 				out.Set(i)
 			}
@@ -410,6 +414,7 @@ func vecTestPredicate(rng *rand.Rand, cols []string, vecs map[string]*scan.Vecto
 }
 
 func TestVectorEvalProperty(t *testing.T) {
+	bx := new(serde.Boxer)
 	const rounds = 400
 	rng := rand.New(rand.NewSource(20110408))
 	for round := 0; round < rounds; round++ {
@@ -444,7 +449,7 @@ func TestVectorEvalProperty(t *testing.T) {
 		for i := in.Next(0); i >= 0; i = in.Next(i + 1) {
 			row := i
 			ok, err := pred.Eval(scan.Getter(func(col string) (any, error) {
-				return vecs[col].Value(row), nil
+				return vecs[col].Value(bx, row), nil
 			}))
 			if err != nil {
 				wantErr = true

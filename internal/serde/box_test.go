@@ -167,12 +167,15 @@ func TestBoxedValuesSurviveGC(t *testing.T) {
 	}
 }
 
-// Chunk lengths: told how many values are coming a Boxer allocates exactly
-// their slots in chunks of at most 1 KiB (512 B of string headers); told
-// nothing it doubles from one slot, so a decoder used once costs what the
-// compiler's conversion cost and one that lives reaches full chunks. Payloads
-// go the same way in bytes: the first chunk is the first payload, later ones
-// double to 1 KiB, and one past singleMax is an allocation of its own.
+// Chunk lengths: told how many values are coming a Boxer cuts its first chunk
+// to their slots, in chunks of at most 1 KiB (512 B of string headers); told
+// nothing it starts from one slot; either way each type's chunks at least
+// double from one to the next, so a decoder used once costs what the
+// compiler's conversion cost and one that lives reaches full chunks and stays
+// there — Expect is a floor: a short call announced later, or chunks of
+// another type cut in between, never shrink the next chunk. Payloads go the
+// same way in bytes: the first chunk is the first payload, later ones double
+// to 1 KiB, and one past singleMax is an allocation of its own.
 func TestBoxerChunkLengths(t *testing.T) {
 	p8, p24, p300 := make([]byte, 8), make([]byte, 24), make([]byte, 300)
 	for _, tc := range []struct {
@@ -203,6 +206,45 @@ func TestBoxerChunkLengths(t *testing.T) {
 		race.AllocCeiling(t, tc.name, allocs, tc.ceiling)
 		if cap(bx.pay) != tc.payload {
 			t.Errorf("%s: payload chunk of %d B, want %d", tc.name, cap(bx.pay), tc.payload)
+		}
+	}
+
+	// The length of the int32 chunk a Boxer cuts next, after prime and an
+	// Expect(expect).
+	fill := func(b *Boxer, n int, box func(*Boxer)) {
+		b.Expect(n)
+		for i := 0; i < n; i++ {
+			box(b)
+		}
+	}
+	i32 := func(b *Boxer) { b.Int32(1 << 20) }
+	for _, tc := range []struct {
+		name   string
+		prime  func(*Boxer)
+		expect int
+		slots  int
+	}{
+		{"Expect(2) after a full chunk", func(b *Boxer) { fill(b, 256, i32) }, 2, 256},
+		{"Expect(1024) on a fresh Boxer", func(*Boxer) {}, 1024, 256},
+		{"Expect(2) on a fresh Boxer", func(*Boxer) {}, 2, 2},
+		{"Expect(2) after a 24-slot chunk", func(b *Boxer) { fill(b, 24, i32) }, 2, 48},
+		{"Expect(100) after a 24-slot chunk", func(b *Boxer) { fill(b, 24, i32) }, 100, 100},
+		{"Expect(2) after a full chunk and 16 string chunks", func(b *Boxer) {
+			fill(b, 256, i32)
+			for i := 0; i < 256; i++ {
+				fill(b, 2, func(b *Boxer) { b.String("x") })
+			}
+		}, 2, 256},
+	} {
+		bx := new(Boxer)
+		tc.prime(bx)
+		for len(bx.i32.free) > 0 { // use up the primed chunk
+			i32(bx)
+		}
+		bx.Expect(tc.expect)
+		i32(bx)
+		if got := 1 + len(bx.i32.free); got != tc.slots {
+			t.Errorf("%s: next int32 chunk of %d slots, want %d", tc.name, got, tc.slots)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"colmr/internal/scan"
+	"colmr/internal/serde"
 )
 
 func intVector(n int) *scan.Vector {
@@ -115,7 +116,7 @@ func TestVectorPoolReuse(t *testing.T) {
 		t.Fatal("pooled vector not reset")
 	}
 	w.AppendBytes([]byte("x"))
-	if w.Value(0) != "x" {
+	if w.Value(new(serde.Boxer), 0) != "x" {
 		t.Fatal("pooled vector arena broken")
 	}
 }
