@@ -1,6 +1,7 @@
 // Package catalog keeps the parsed metadata of immutable files resident
-// between the planner, the tasks it schedules, and — under a long-lived
-// session — the queries that follow.
+// for the life of the filesystem they live on: one catalog per
+// hdfs.FileSystem (Of), shared by every planner, every task it schedules,
+// every job and every query that follows.
 //
 // CIF keeps a schema file and self-describing column files in every
 // split-directory (paper Section 4.2, Appendix A) because a Hadoop job
@@ -18,9 +19,11 @@
 // namenode generation it was loaded from (the keying argument of
 // hdfs.ScanCache and vec.Cache), so a dataset rebuilt at the same paths is
 // re-read, never served stale; a file still being written has no generation
-// to key on and is read through. Dataset layouts — the manifest's directory
-// list — change with every commit and are never catalogued: they stay
-// per-plan snapshots.
+// to key on and is read through. That is what makes one catalog per
+// filesystem as safe as one per job: nothing it holds can go stale, and
+// MaxEntries bounds what it holds for as long as the filesystem lives.
+// Dataset layouts — the manifest's directory list — change with every
+// commit and are never catalogued: they stay per-plan snapshots.
 //
 // The catalog removes parsing, not accounting. Everything it reads is
 // planning metadata the readers never charged (schema files, footers, stats
@@ -42,13 +45,13 @@ import (
 )
 
 // MaxEntries bounds a catalog, in files: past it the least recently used
-// entry is dropped, so a server nobody invalidates cannot grow without
-// bound. An entry is a parsed schema or one column's aggregate — bounds, a
-// 16-bucket histogram and, for string and map columns, the file's Bloom
-// filter, which is the bulk of it: 12 bits per distinct key, a few KB for a
-// split-directory's worth, never more than the writer's 128 KB cap. A full
-// catalog is the schema and three filter columns of a thousand
-// split-directories, some tens of megabytes.
+// entry is dropped, so a catalog nobody invalidates, living as long as its
+// filesystem, cannot grow without bound. An entry is a parsed schema or one
+// column's aggregate — bounds, a 16-bucket histogram and, for string and map
+// columns, the file's Bloom filter, which is the bulk of it: 12 bits per
+// distinct key, a few KB for a split-directory's worth, never more than the
+// writer's 128 KB cap. A full catalog is the schema and three filter
+// columns of a thousand split-directories, some tens of megabytes.
 const MaxEntries = 1 << 12
 
 // Catalog is the metadata catalog of one filesystem, safe for concurrent
@@ -71,9 +74,11 @@ type entry struct {
 	records int64
 }
 
-// New returns an empty catalog over the filesystem.
-func New(fs *hdfs.FileSystem) *Catalog {
-	return &Catalog{fs: fs, ll: list.New(), entries: make(map[string]*list.Element)}
+// Of returns the filesystem's catalog, made empty on first use.
+func Of(fs *hdfs.FileSystem) *Catalog {
+	return fs.Meta(func() any {
+		return &Catalog{fs: fs, ll: list.New(), entries: make(map[string]*list.Element)}
+	}).(*Catalog)
 }
 
 // lookup returns path's current generation and, when one is resident for

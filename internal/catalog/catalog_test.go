@@ -42,7 +42,7 @@ func writeColumn(t testing.TB, fs *hdfs.FileSystem, path string, base, n int64) 
 // having invalidated anything.
 func TestCatalogGenerationKeyed(t *testing.T) {
 	fs := hdfs.New(sim.SingleNode(), 1)
-	cat := catalog.New(fs)
+	cat := catalog.Of(fs)
 	if err := fs.WriteFile("/d/s0/_schema", []byte(twoFields), hdfs.AnyNode); err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +92,39 @@ func TestCatalogGenerationKeyed(t *testing.T) {
 	}
 }
 
+// TestCatalogOneOfEachFileSystem: a filesystem has one catalog, made on
+// first use and returned by every call after, and no two filesystems share
+// one — concurrent first uses included.
+func TestCatalogOneOfEachFileSystem(t *testing.T) {
+	fs, other := hdfs.New(sim.SingleNode(), 1), hdfs.New(sim.SingleNode(), 1)
+	got := make([]*catalog.Catalog, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = catalog.Of(fs)
+		}()
+	}
+	wg.Wait()
+	for i, cat := range got {
+		if cat == nil || cat != got[0] {
+			t.Fatalf("call %d returned catalog %p, call 0 %p", i, cat, got[0])
+		}
+	}
+	if catalog.Of(other) == got[0] {
+		t.Fatal("two filesystems share a catalog")
+	}
+	if n := testing.AllocsPerRun(100, func() { catalog.Of(fs) }); n != 0 {
+		t.Errorf("looking up a filesystem's catalog allocates %.0f objects", n)
+	}
+}
+
 // TestCatalogUnclosedFileReadThrough: a file its writer has not closed has
 // no fixed contents to key on; it is read, and read again.
 func TestCatalogUnclosedFileReadThrough(t *testing.T) {
 	fs := hdfs.New(sim.SingleNode(), 1)
-	cat := catalog.New(fs)
+	cat := catalog.Of(fs)
 	w, err := fs.Create("/d/s0/_schema", hdfs.AnyNode)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +152,7 @@ func TestCatalogUnclosedFileReadThrough(t *testing.T) {
 // and a sibling whose name merely starts the same way stays.
 func TestCatalogInvalidatePrefix(t *testing.T) {
 	fs := hdfs.New(sim.SingleNode(), 1)
-	cat := catalog.New(fs)
+	cat := catalog.Of(fs)
 	for _, dir := range []string{"/d/s1", "/d/s10", "/d/s2", "/e/s1"} {
 		if err := fs.WriteFile(dir+"/_schema", []byte(twoFields), hdfs.AnyNode); err != nil {
 			t.Fatal(err)
@@ -157,7 +185,7 @@ func TestCatalogInvalidatePrefix(t *testing.T) {
 // — and what it holds is what it used last.
 func TestCatalogEntryCap(t *testing.T) {
 	fs := hdfs.New(sim.SingleNode(), 1)
-	cat := catalog.New(fs)
+	cat := catalog.Of(fs)
 	const dirs = 10_000
 	path := func(i int) string { return fmt.Sprintf("/big/s%d/_schema", i) }
 	for i := 0; i < dirs; i++ {
@@ -192,7 +220,7 @@ func TestCatalogEntryCap(t *testing.T) {
 // invalidates directories under the others. Run under -race.
 func TestCatalogConcurrentUse(t *testing.T) {
 	fs := hdfs.New(sim.SingleNode(), 1)
-	cat := catalog.New(fs)
+	cat := catalog.Of(fs)
 	const dirs = 8
 	for d := 0; d < dirs; d++ {
 		if err := fs.WriteFile(fmt.Sprintf("/c/s%d/_schema", d), []byte(twoFields), hdfs.AnyNode); err != nil {

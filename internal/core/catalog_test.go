@@ -86,12 +86,11 @@ func TestStreamWindowReleasedOnFailedOpen(t *testing.T) {
 // (serve_burst admits two clients' bursts into one window): per burst three
 // nested prefix scans, three narrow ranges and two aggregates over the
 // clustered column.
-func burstConfs(tb testing.TB, cat *catalog.Catalog) []*mapred.JobConf {
+func burstConfs(tb testing.TB) []*mapred.JobConf {
 	tb.Helper()
 	var confs []*mapred.JobConf
 	add := func(b *ScanBuilder) {
 		conf := b.Conf()
-		conf.Catalog = cat
 		confs = append(confs, &conf)
 	}
 	for burst := 0; burst < 2; burst++ {
@@ -134,17 +133,18 @@ func burstFS(tb testing.TB) *hdfs.FileSystem {
 }
 
 // BenchmarkSharedSplits plans one batch of the serve_burst shape — 16 members
-// over 16 split-directories — through a catalog that has seen nothing (what
-// every batch paid before there was one: a schema parse per member per
-// directory, a footer parse per consultation) and through a session's.
+// over 16 split-directories — through a catalog that has seen nothing of the
+// dataset (what every batch paid before there was one: a schema parse per
+// member per directory, a footer parse per consultation) and through one
+// earlier plans have warmed.
 func BenchmarkSharedSplits(b *testing.B) {
 	fs := burstFS(b)
 	in := &InputFormat{}
 	for _, state := range catalogStates {
 		warm := state.warm
 		b.Run(state.name, func(b *testing.B) {
-			cat := catalog.New(fs)
-			confs := burstConfs(b, cat)
+			cat := catalog.Of(fs)
+			confs := burstConfs(b)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -166,7 +166,7 @@ func BenchmarkSharedSplits(b *testing.B) {
 // a batch pays between planning and its first decoded byte.
 func BenchmarkOpenBatch(b *testing.B) {
 	fs := burstFS(b)
-	confs := burstConfs(b, catalog.New(fs))
+	confs := burstConfs(b)
 	open := openBatch(b, fs, confs)
 	open()
 	b.ReportAllocs()
@@ -204,7 +204,7 @@ func openBatch(tb testing.TB, fs *hdfs.FileSystem, confs []*mapred.JobConf) func
 
 // BenchmarkOpenDir opens and closes a reader over one split-directory — the
 // schema lookup, the file tier's footer consultation, three cursors — as the
-// first task of a cold session and as every task after it.
+// first task over a cold catalog and as every task after it.
 func BenchmarkOpenDir(b *testing.B) {
 	fs := burstFS(b)
 	in := &InputFormat{}
@@ -212,9 +212,8 @@ func BenchmarkOpenDir(b *testing.B) {
 	for _, state := range catalogStates {
 		warm := state.warm
 		b.Run(state.name, func(b *testing.B) {
-			cat := catalog.New(fs)
+			cat := catalog.Of(fs)
 			conf := ScanDataset("/m").Where(scan.Le("x", int64(250))).Conf()
-			conf.Catalog = cat
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -241,12 +240,13 @@ func BenchmarkOpenDir(b *testing.B) {
 // Opening every task of that plan allocates cursors and per-task state, and
 // nothing its plan already holds (1 291 objects before tasks opened against
 // a plan). Opening a hand-built split's directory warm plans it and
-// allocates its cursors.
+// allocates its cursors. The catalog is the filesystem's, so a batch of
+// fresh confs — no session, nothing attached — plans warm too.
 func TestPlanCatalogAllocGuard(t *testing.T) {
 	fs := burstFS(t)
 	in := &InputFormat{}
-	cat := catalog.New(fs)
-	confs := burstConfs(t, cat)
+	cat := catalog.Of(fs)
+	confs := burstConfs(t)
 	plan := func() {
 		if _, _, err := in.SharedSplits(fs, confs); err != nil {
 			t.Fatal(err)
@@ -267,11 +267,16 @@ func TestPlanCatalogAllocGuard(t *testing.T) {
 	if warm >= cold {
 		t.Errorf("a warm plan allocates %.0f objects, a cold one %.0f: the catalog saved nothing", warm, cold)
 	}
+	bare := burstConfs(t)
+	race.AllocCeiling(t, "planning a second batch of bare confs over the same filesystem", testing.AllocsPerRun(5, func() {
+		if _, _, err := in.SharedSplits(fs, bare); err != nil {
+			t.Fatal(err)
+		}
+	}), 3850)
 
 	race.AllocCeiling(t, "opening every task of the 16 × 16 plan", testing.AllocsPerRun(5, openBatch(t, fs, confs)), 670)
 
 	conf := ScanDataset("/m").Where(scan.Le("x", int64(250))).Conf()
-	conf.Catalog = cat
 	open := func() {
 		rr, err := in.Open(fs, &conf, &Split{Dirs: []string{"/m/s3"}}, hdfs.AnyNode, nil)
 		if err != nil {

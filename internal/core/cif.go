@@ -145,7 +145,7 @@ func (f *InputFormat) PlannedSplits(fs *hdfs.FileSystem, conf *mapred.JobConf) (
 }
 
 func (f *InputFormat) plannedSplits(fs *hdfs.FileSystem, conf *mapred.JobConf, allowElide bool) ([]mapred.Split, scan.PruneReport, error) {
-	cat := catalogOf(fs, conf)
+	cat := catalog.Of(fs)
 	plan, err := f.planDirs(fs, cat, conf, allowElide, nil)
 	if err != nil {
 		return nil, plan.report, err
@@ -582,7 +582,7 @@ func (r *Reader) openDir(dir string) (pruned bool, err error) {
 	}
 	// File tier: judge the filter columns' whole-file aggregates before any
 	// reader parses a header or charges a byte (off with Spec.NoElide).
-	if selective && r.fileTier != nil && r.pruneDirFiles(dir) {
+	if selective && r.fileTier && r.pruneDirFiles(dir) {
 		closeAll()
 		return true, nil
 	}
@@ -624,7 +624,7 @@ func (r *Reader) openDir(dir string) (pruned bool, err error) {
 // directories first; this tier fires for unjudged splits (elision off,
 // hand-built splits) and when DirsPerSplit groups directories.
 func (r *Reader) pruneDirFiles(dir string) bool {
-	ds := dirStats{cat: r.fileTier, dir: dir, schema: r.schema}
+	ds := dirStats{cat: catalog.Of(r.fs), dir: dir, schema: r.schema}
 	pruned, rows := r.planner.PruneFileRows(ds.stats, ds.recordCount)
 	if pruned {
 		r.task.FilesPruned += int64(len(r.allCols))

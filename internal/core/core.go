@@ -9,7 +9,6 @@ import (
 	"colmr/internal/catalog"
 	"colmr/internal/colfile"
 	"colmr/internal/hdfs"
-	"colmr/internal/mapred"
 	"colmr/internal/scan"
 	"colmr/internal/serde"
 )
@@ -65,28 +64,16 @@ func ReadSchema(fs *hdfs.FileSystem, dataset string) (*serde.Schema, error) {
 	if err != nil {
 		return nil, err
 	}
-	return readSplitSchema(catalog.New(fs), layout.dirs[0])
+	return readSplitSchema(catalog.Of(fs), layout.dirs[0])
 }
 
 // Everything CIF knows about a split-directory before it scans it — the
 // parsed schema, each column file's whole-file statistics and record count —
-// is a pure function of immutable files, and is read through the job's
-// metadata catalog (internal/catalog) by the planner and the readers alike:
-// readSplitSchema and dirStats below are the only two lookups, so a schema
-// or a footer is parsed once per plan-and-run (once per session, under one)
-// however many batch members, planning passes and tasks ask for it.
-
-// catalogOf returns the catalog a job's metadata is read through: the one
-// attached to it (by its Session, or by mapred.Run for the run in progress),
-// else — a direct Splits/Open/Explain call on a bare conf — a fresh one.
-func catalogOf(fs *hdfs.FileSystem, confs ...*mapred.JobConf) *catalog.Catalog {
-	for _, conf := range confs {
-		if conf.Catalog != nil {
-			return conf.Catalog
-		}
-	}
-	return catalog.New(fs)
-}
+// is a pure function of immutable files, and is read through the
+// filesystem's metadata catalog (catalog.Of) by the planner and the readers
+// alike: readSplitSchema and dirStats below are the only two lookups, so a
+// schema or a footer is parsed once per file generation however many jobs,
+// batch members, planning passes and tasks ask for it.
 
 // readSplitSchema returns a split-directory's schema. The schema is shared
 // with every other reader of the directory and must not be modified.

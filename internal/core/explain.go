@@ -85,7 +85,7 @@ func (f *InputFormat) Explain(fs *hdfs.FileSystem, conf *mapred.JobConf, model s
 		filter[c] = true
 	}
 
-	cat := catalogOf(fs, conf)
+	cat := catalog.Of(fs)
 	var filterBytes, otherBytes int64
 	for _, dataset := range conf.InputPaths {
 		layout, err := layoutCached(fs, dataset, nil)

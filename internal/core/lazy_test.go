@@ -769,7 +769,10 @@ func BenchmarkLazyGet(b *testing.B) {
 // and a handful more, with no term per run (its ~1 500 runs cost a chunk and
 // an arena each before the reader kept a Boxer). And a sparsely read column
 // is still read one value at a time — exactly the maps asked for are decoded,
-// not one more.
+// not one more. The selective scan reading nothing is itself held, whole: a
+// vectorized filter scan with no vector cache names no vector per batch and
+// column (a cache key built anyway cost its 32 batches 32 allocations), and
+// its open finds schema and footers resident in the filesystem's catalog.
 func TestLazyGetAllocGuard(t *testing.T) {
 	fs, split := lazyBenchData(t, lazyBenchRows)
 	dense, sparse, selective := lazyBenchCases[0], lazyBenchCases[2], lazyBenchCases[4]
@@ -799,6 +802,10 @@ func TestLazyGetAllocGuard(t *testing.T) {
 	if got := lazyBenchScan(t, fs, split, selective, nil); got != rows {
 		t.Fatalf("selective scan surfaced %d rows, want %d", got, rows)
 	}
+	idle := selective
+	idle.visit = func(int, serde.Record) error { return nil }
+	race.AllocCeiling(t, fmt.Sprintf("a vectorized filter scan over %d rows with no vector cache, reading nothing (625 on 2 CPUs)", lazyBenchRows),
+		testing.AllocsPerRun(3, func() { lazyBenchScan(t, fs, split, idle, nil) }), 640)
 	race.AllocCeiling(t, fmt.Sprintf("two lazy string columns on %d rows of %d in runs of 1–16 (two in 32 rows, one a KiB of payload)", rows, lazyBenchRows),
 		reads(selective), float64(2*rows/32+payload/1000+handful))
 

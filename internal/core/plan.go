@@ -71,12 +71,12 @@ type scanPlan struct {
 	// vectorize selects batch-at-a-time evaluation and eager assembly; unset
 	// when any member set Spec.NoVec, which runs the loop a row at a time.
 	vectorize bool
-	// fileTier, when set, is the planning catalog the file pruning tier reads
-	// footers through: for one filtering member that keeps elision, over
-	// splits the scheduler has not judged (over N, a directory the union
+	// fileTier turns on the file pruning tier, which reads footers through
+	// the filesystem's catalog: for one filtering member that keeps elision,
+	// over splits the scheduler has not judged (over N, a directory the union
 	// predicate proved empty would skip the member replay that accounts it
 	// per job).
-	fileTier *catalog.Catalog
+	fileTier bool
 }
 
 // memberPlan is one job's share of a plan: its projection, its planner and
@@ -112,20 +112,19 @@ func (p *scanPlan) fits(confs []*mapred.JobConf, members []int) bool {
 func planFor(built *[]*scanPlan, cat *catalog.Catalog, ms []memberSpec, u *scan.Union, s *Split) *scanPlan {
 	schema, err := splitSchema(cat, s.Dirs)
 	if err != nil {
-		return planScan(cat, ms, u, schema, err, s)
+		return planScan(ms, u, schema, err, s)
 	}
 	for _, p := range *built {
 		if p.schema.Equal(schema) {
 			return p
 		}
 	}
-	p := planScan(cat, ms, u, schema, nil, s)
+	p := planScan(ms, u, schema, nil, s)
 	*built = append(*built, p)
 	return p
 }
 
-// openPlan plans split s at Open through the jobs' catalog (a fresh one for
-// bare confs).
+// openPlan plans split s at Open through the filesystem's catalog.
 func openPlan(fs *hdfs.FileSystem, confs []*mapred.JobConf, members []int, s *Split) *scanPlan {
 	ms := make([]memberSpec, len(members))
 	preds := make([]scan.Predicate, len(members))
@@ -136,9 +135,8 @@ func openPlan(fs *hdfs.FileSystem, confs []*mapred.JobConf, members []int, s *Sp
 		}
 		preds[k] = ms[k].spec.Predicate
 	}
-	cat := catalogOf(fs, confs...)
-	schema, err := splitSchema(cat, s.Dirs)
-	return planScan(cat, ms, scan.NewUnion(preds), schema, err, s)
+	schema, err := splitSchema(catalog.Of(fs), s.Dirs)
+	return planScan(ms, scan.NewUnion(preds), schema, err, s)
 }
 
 // splitSchema returns the schema of a split's directories: the first one's,
@@ -159,11 +157,9 @@ func splitSchema(cat *catalog.Catalog, dirs []string) (*serde.Schema, error) {
 // columns, the union planner and the eval groups (from u, the members'
 // union), the cursor set, each member's sink, and which filter columns a
 // batch may answer by key probe or dictionary id.
-func planScan(cat *catalog.Catalog, ms []memberSpec, u *scan.Union, schema *serde.Schema, err error, split *Split) *scanPlan {
-	p := &scanPlan{schema: schema, jobs: make([]memberPlan, len(ms)), vectorize: true}
-	if len(ms) == 1 && ms[0].spec.Predicate != nil && ms[0].spec.Elide() && !split.Judged {
-		p.fileTier = cat
-	}
+func planScan(ms []memberSpec, u *scan.Union, schema *serde.Schema, err error, split *Split) *scanPlan {
+	p := &scanPlan{schema: schema, jobs: make([]memberPlan, len(ms)), vectorize: true,
+		fileTier: len(ms) == 1 && ms[0].spec.Predicate != nil && ms[0].spec.Elide() && !split.Judged}
 	for k := range ms {
 		s := &ms[k].spec
 		if p.jobs[k].memberSpec = ms[k]; err == nil {

@@ -52,7 +52,7 @@ func (f *InputFormat) SharedSplits(fs *hdfs.FileSystem, confs []*mapred.JobConf)
 	// one cursor set. Schemas and footer statistics are immutable and come
 	// through the batch's catalog, parsed once however many members ask.
 	layouts := make(map[string]dsLayout)
-	cat := catalogOf(fs, confs...)
+	cat := catalog.Of(fs)
 	for i, conf := range confs {
 		plan, err := f.planDirs(fs, cat, conf, true, layouts)
 		if err != nil {

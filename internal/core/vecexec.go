@@ -99,8 +99,12 @@ type colBatch struct {
 	idvecs map[string]*idVecEntry
 }
 
-// key names col's vectors for this batch in the session vector cache.
+// key names col's vectors for this batch in the session vector cache. With
+// no cache there is nothing to name, and no path is built.
 func (b *colBatch) key(c *cursor) vec.Key {
+	if b.r.vecCache == nil {
+		return vec.Key{}
+	}
 	return vec.Key{Path: b.r.dirs[b.r.dirIdx] + "/" + c.name, Gen: c.hr.Generation(), Start: b.start}
 }
 

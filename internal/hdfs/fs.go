@@ -59,6 +59,18 @@ type FileSystem struct {
 	nextGen int64
 	// mutations counts mutating calls (see FailNth); the failAt-th fails.
 	mutations, failAt int
+	// metaOnce fills meta, the filesystem's metadata catalog (see Meta).
+	metaOnce sync.Once
+	meta     any
+}
+
+// Meta returns the filesystem's metadata catalog, which mk makes on the
+// first call; every later call returns that one. The slot is opaque because
+// the catalog (internal/catalog) is built over a FileSystem and imports this
+// package; catalog.Of is its one filler and its typed accessor.
+func (fs *FileSystem) Meta(mk func() any) any {
+	fs.metaOnce.Do(func() { fs.meta = mk() })
+	return fs.meta
 }
 
 // ErrInjected is the error a call armed by FailNth fails with.

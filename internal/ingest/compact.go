@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strconv"
 
+	"colmr/internal/catalog"
 	"colmr/internal/core"
 	"colmr/internal/hdfs"
 	"colmr/internal/mapred"
@@ -59,12 +60,16 @@ func (ing *Ingester) compactLocked() error {
 		_ = ing.fs.RemoveAll(outDir)
 		return err
 	}
-	if ing.opts.Session != nil {
-		// Budget release only: generations already make stale hits
-		// impossible, but the retired directories' cached regions and
-		// vectors will never be touched again.
-		for _, p := range fresh {
-			ing.opts.Session.Invalidate(p.dir)
+	// Budget release only: generations already make stale hits impossible,
+	// but the retired directories' catalogued metadata — and, under a
+	// session, their cached regions and vectors — will never be touched
+	// again. The compaction's own scan put their entries in the
+	// filesystem's catalog, session or not.
+	for _, p := range fresh {
+		if ing.opts.Session != nil {
+			ing.opts.Session.Invalidate(p.dir) // the catalog's entries too
+		} else {
+			catalog.Of(ing.fs).Invalidate(p.dir)
 		}
 	}
 	return nil

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"colmr/internal/catalog"
 	"colmr/internal/colfile"
 	"colmr/internal/core"
 	"colmr/internal/hdfs"
@@ -447,7 +448,7 @@ func checkIngestServeCatalogFollowsCommits(t testing.TB, n int) {
 	fs := testFS(3)
 	srv := serve.New(fs, serve.Options{CacheBytes: 1 << 20})
 	defer srv.Close()
-	cat := srv.Session().Catalog()
+	cat := catalog.Of(fs)
 
 	opts := ingestOptions("/live/crawl", crawl.Schema(), 40)
 	opts.Session = srv.Session()
@@ -530,7 +531,7 @@ func checkIngestServeCatalogFollowsCommits(t testing.TB, n int) {
 	}
 	warm := cat.Len()
 	if warm == 0 {
-		t.Fatal("the server's catalog is empty after serving filtered queries")
+		t.Fatal("the filesystem's catalog is empty after serving filtered queries")
 	}
 	if err := ing.Compact(); err != nil {
 		t.Fatal(err)
@@ -559,6 +560,56 @@ func checkIngestServeCatalogFollowsCommits(t testing.TB, n int) {
 		t.Errorf("%d entries left after invalidating the dataset", cat.Len())
 	}
 	check("after Invalidate", n)
+}
+
+// TestCompactDropsRetiredCatalogEntries: an ingester with no session leaves
+// no catalogued metadata of the partitions it retires. Queries and the
+// compaction's own scan fill the filesystem's catalog; compaction drops the
+// retired directories' entries, so after GC none is left to find.
+func TestCompactDropsRetiredCatalogEntries(t *testing.T) {
+	const chunk = 96
+	arr, crawl := arrivals(2*chunk, 0.35, 4243)
+	fs := testFS(3)
+	ing, err := ingest.New(fs, ingestOptions("/live/crawl", crawl.Schema(), 40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var retired []string
+	ing.OnCommit(func(_ int64, dirs []string) { retired = append(retired, dirs...) })
+	pred := scan.Gt("fetchTime", int64(1293840000000+2000))
+	for at := 0; at < len(arr); at += chunk {
+		for _, a := range arr[at : at+chunk] {
+			if err := ing.Append(a.Rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ing.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		scanRows(t, fs, "/live/crawl", pred, true)
+	}
+	cat := catalog.Of(fs)
+	warm := cat.Len()
+	if err := ing.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ing.GC(); err != nil {
+		t.Fatal(err)
+	}
+	if len(retired) == 0 {
+		t.Fatal("compaction retired nothing")
+	}
+	scanRows(t, fs, "/live/crawl", pred, true)
+	left := cat.Len()
+	if warm == 0 || left == 0 {
+		t.Fatalf("%d entries before compaction, %d after: the scans catalogued nothing", warm, left)
+	}
+	for _, dir := range retired {
+		cat.Invalidate(dir)
+	}
+	if cat.Len() != left {
+		t.Errorf("%d entries of retired directories were still catalogued after compaction and GC", left-cat.Len())
+	}
 }
 
 // TestIngestFreshPartitionCounters checks the ingest-side accounting:

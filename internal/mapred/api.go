@@ -3,7 +3,6 @@ package mapred
 import (
 	"fmt"
 
-	"colmr/internal/catalog"
 	"colmr/internal/hdfs"
 	"colmr/internal/scan"
 	"colmr/internal/sim"
@@ -176,13 +175,6 @@ type JobConf struct {
 	// vectors resident (skipping the decode CPU too) — warm vectorized
 	// rounds serve batches straight from memory.
 	VecCache *vec.Cache
-	// Catalog is the metadata catalog the job plans and opens its splits
-	// through (parsed split-directory schemas, column-file aggregates):
-	// the Session's when one runs the job, else one Run/RunBatch makes for
-	// the plan-and-run in progress, so the planner's parse of a schema or
-	// footer is every task's. Runtime state like Cache; an input format
-	// handed a conf without one (a direct Splits/Open call) makes its own.
-	Catalog *catalog.Catalog
 }
 
 // Job is a configured MapReduce job.

@@ -71,7 +71,6 @@ func runBatch(fs *hdfs.FileSystem, jobs []*Job, jobErr func(i int, err error) er
 			return nil, jobErr(i, err)
 		}
 	}
-	jobs = withCatalog(fs, jobs)
 	br := &BatchResult{Results: make([]*Result, len(jobs))}
 	for _, g := range groupJobs(jobs) {
 		if err := runGroup(fs, jobs, g, br, jobErr); err != nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"colmr/internal/catalog"
 	"colmr/internal/hdfs"
 	"colmr/internal/scan"
 	"colmr/internal/serde"
@@ -68,30 +67,6 @@ func Run(fs *hdfs.FileSystem, job *Job) (*Result, error) {
 		return nil, err
 	}
 	return br.Results[0], nil
-}
-
-// withCatalog returns the jobs with a metadata catalog attached to each. A
-// job that carries one (its Session's) is returned as it is; the others
-// come back as shallow copies sharing one catalog made for the plan-and-run
-// in progress — planner and tasks, and every member of a batch, parse a
-// schema or footer once between them — and the caller's jobs are left as
-// they were handed in.
-func withCatalog(fs *hdfs.FileSystem, jobs []*Job) []*Job {
-	var cat *catalog.Catalog
-	out := jobs
-	for i, job := range jobs {
-		if job.Conf.Catalog != nil {
-			continue
-		}
-		if cat == nil {
-			cat = catalog.New(fs)
-			out = slices.Clone(jobs)
-		}
-		j := *job
-		j.Conf.Catalog = cat
-		out[i] = &j
-	}
-	return out
 }
 
 // scheduleSplits assigns each task's split to a node, preferring the

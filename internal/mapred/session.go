@@ -42,22 +42,22 @@ type SessionOptions struct {
 // filesystem plus a cross-batch scan cache. Each RunBatch is a round;
 // successive rounds reuse the regions earlier rounds charged. RunBatch and
 // Run are safe for concurrent use on one session (the scan server runs
-// several sealed batches at once): the caches and the catalog are
-// goroutine-safe, and attaching them touches only each job's own conf.
+// several sealed batches at once): the caches are goroutine-safe, and
+// attaching them touches only each job's own conf. Metadata is not the
+// session's: every job over the filesystem plans through its one catalog
+// (catalog.Of).
 type Session struct {
-	fs      *hdfs.FileSystem
-	cache   *hdfs.ScanCache
-	vcache  *vec.Cache
-	catalog *catalog.Catalog
+	fs     *hdfs.FileSystem
+	cache  *hdfs.ScanCache
+	vcache *vec.Cache
 }
 
 // NewSession returns a session over the filesystem.
 func NewSession(fs *hdfs.FileSystem, opts SessionOptions) *Session {
 	return &Session{
-		fs:      fs,
-		cache:   hdfs.NewScanCache(opts.CacheBytes),
-		vcache:  vec.New(opts.VecCacheBytes),
-		catalog: catalog.New(fs),
+		fs:     fs,
+		cache:  hdfs.NewScanCache(opts.CacheBytes),
+		vcache: vec.New(opts.VecCacheBytes),
 	}
 }
 
@@ -65,7 +65,6 @@ func NewSession(fs *hdfs.FileSystem, opts SessionOptions) *Session {
 func (s *Session) attach(job *Job) {
 	job.Conf.Cache = s.cache
 	job.Conf.VecCache = s.vcache
-	job.Conf.Catalog = s.catalog
 }
 
 // FS returns the filesystem the session runs over, for callers (like the
@@ -87,20 +86,15 @@ func (s *Session) Run(job *Job) (*Result, error) {
 	return Run(s.fs, job)
 }
 
-// Invalidate drops the cached regions, vectors and catalogued metadata of
-// the file or dataset at prefix. Generations already make stale hits
-// impossible; Invalidate releases the budgets eagerly when a dataset is
-// known dead (e.g. after RemoveAll).
+// Invalidate drops the cached regions, vectors and the filesystem's
+// catalogued metadata of the file or dataset at prefix. Generations already
+// make stale hits impossible; Invalidate releases the budgets eagerly when a
+// dataset is known dead (e.g. after RemoveAll).
 func (s *Session) Invalidate(prefix string) {
 	s.cache.Invalidate(prefix)
 	s.vcache.Invalidate(prefix)
-	s.catalog.Invalidate(prefix)
+	catalog.Of(s.fs).Invalidate(prefix)
 }
-
-// Catalog returns the session's metadata catalog, for callers that plan
-// outside a run against the data the session scans (the scan server's
-// EXPLAIN) and for inspection.
-func (s *Session) Catalog() *catalog.Catalog { return s.catalog }
 
 // VecCacheUsage reports the vector cache's resident bytes and vector count.
 func (s *Session) VecCacheUsage() (bytes int64, vectors int) {

@@ -298,9 +298,6 @@ func (h *httpHandler) query(w http.ResponseWriter, r *http.Request) {
 	var plan *core.QueryPlan
 	if req.Explain || h.opts.AlwaysExplain {
 		if cif, ok := job.Input.(*core.InputFormat); ok {
-			// Plan through the session's catalog: EXPLAIN reads the footers
-			// the batch planner is about to, or already has.
-			job.Conf.Catalog = h.srv.Session().Catalog()
 			var err error
 			if plan, err = cif.Explain(h.srv.FS(), &job.Conf, h.srv.Model()); err != nil {
 				writeError(w, http.StatusInternalServerError, "explain: %v", err)
