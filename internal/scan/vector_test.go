@@ -258,6 +258,48 @@ func TestVectorProbeOnlyColumns(t *testing.T) {
 	}
 }
 
+// TestColumnUses characterizes the two column-use capabilities the planner
+// asks of a predicate set: IDOnlyColumns (every use answerable from
+// dictionary ids) and ProbeOnlyColumns (exactly one key probe, no value
+// read). Uses are counted across every member; nil members are ignored.
+func TestColumnUses(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		ps        []scan.Predicate
+		id, probe string
+	}{
+		{"eq string", []scan.Predicate{scan.Eq("s", "x")}, "s", ""},
+		{"ne string", []scan.Predicate{scan.Ne("s", "x")}, "s", ""},
+		{"eq bytes", []scan.Predicate{scan.Eq("s", []byte("x"))}, "s", ""},
+		{"eq int", []scan.Predicate{scan.Eq("n", 5)}, "", ""},
+		{"ne int", []scan.Predicate{scan.Ne("n", 5)}, "", ""},
+		{"lt string", []scan.Predicate{scan.Lt("s", "x")}, "", ""},
+		{"range", []scan.Predicate{scan.Between("n", 1, 9)}, "", ""},
+		{"prefix", []scan.Predicate{scan.HasPrefix("s", "ab")}, "", ""},
+		{"isnull", []scan.Predicate{scan.IsNull("s")}, "s", ""},
+		{"notnull", []scan.Predicate{scan.NotNull("s")}, "s", ""},
+		{"exists", []scan.Predicate{scan.KeyExists("m", "k")}, "", "m"},
+		{"nested", []scan.Predicate{scan.And(
+			scan.Or(scan.Eq("s", "x"), scan.Not(scan.IsNull("t"))),
+			scan.Not(scan.And(scan.KeyExists("m", "k"), scan.Le("n", 3))),
+		)}, "s,t", "m"},
+		{"id and value use", []scan.Predicate{scan.And(scan.Eq("s", "x"), scan.HasPrefix("s", "a"))}, "", ""},
+		{"id uses across members", []scan.Predicate{scan.Eq("s", "x"), scan.Ne("s", "y"), scan.IsNull("s")}, "s", ""},
+		{"value use in another member", []scan.Predicate{scan.Eq("s", "x"), scan.Between("s", "a", "z")}, "", ""},
+		{"probe and id use", []scan.Predicate{scan.KeyExists("m", "k"), scan.IsNull("m")}, "", ""},
+		{"two probes", []scan.Predicate{scan.KeyExists("m", "k"), scan.KeyExists("m", "j")}, "", ""},
+		{"nil member", []scan.Predicate{nil, scan.Eq("s", "x"), nil, scan.KeyExists("m", "k")}, "s", "m"},
+		{"all nil", []scan.Predicate{nil}, "", ""},
+	} {
+		if got := strings.Join(scan.IDOnlyColumns(tc.ps...), ","); got != tc.id {
+			t.Errorf("%s: IDOnlyColumns = %q, want %q", tc.name, got, tc.id)
+		}
+		if got := strings.Join(scan.ProbeOnlyColumns(tc.ps...), ","); got != tc.probe {
+			t.Errorf("%s: ProbeOnlyColumns = %q, want %q", tc.name, got, tc.probe)
+		}
+	}
+}
+
 // vecTestSource serves scan.VecEval from in-memory vectors. Key probes are
 // answered only for columns whose rows are all maps (or null) — the shape a
 // real probing layout would have — and only when the test enables probing.
