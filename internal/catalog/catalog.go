@@ -21,7 +21,8 @@
 // re-read, never served stale; a file still being written has no generation
 // to key on and is read through. That is what makes one catalog per
 // filesystem as safe as one per job: nothing it holds can go stale, and
-// MaxEntries bounds what it holds for as long as the filesystem lives.
+// MaxEntries bounds what it holds for as long as the filesystem lives
+// (internal/lru's policy, shared with the scan and vector caches).
 // Dataset layouts — the manifest's directory list — change with every
 // commit and are never catalogued: they stay per-plan snapshots.
 //
@@ -33,13 +34,11 @@
 package catalog
 
 import (
-	"container/list"
 	"fmt"
-	"strings"
-	"sync"
 
 	"colmr/internal/colfile"
 	"colmr/internal/hdfs"
+	"colmr/internal/lru"
 	"colmr/internal/scan"
 	"colmr/internal/serde"
 )
@@ -58,16 +57,14 @@ const MaxEntries = 1 << 12
 // use. What it returns is shared between every caller and strictly
 // read-only.
 type Catalog struct {
-	fs      *hdfs.FileSystem
-	mu      sync.Mutex
-	ll      *list.List // front = most recently used
-	entries map[string]*list.Element
+	fs  *hdfs.FileSystem
+	lru *lru.Cache[string, entry] // keyed by path; each entry costs 1
 }
 
-// entry is one file's catalogued facts: schema for a schema file; stats
-// (nil for a file without statistics) and records for a column file.
+// entry is one file's catalogued facts for generation gen: schema for a
+// schema file; stats (nil for a file without statistics) and records for a
+// column file.
 type entry struct {
-	path    string
 	gen     int64
 	schema  *serde.Schema
 	stats   *scan.ColStats
@@ -77,52 +74,30 @@ type entry struct {
 // Of returns the filesystem's catalog, made empty on first use.
 func Of(fs *hdfs.FileSystem) *Catalog {
 	return fs.Meta(func() any {
-		return &Catalog{fs: fs, ll: list.New(), entries: make(map[string]*list.Element)}
+		return &Catalog{fs: fs, lru: lru.New[string, entry](MaxEntries, func(p string) string { return p })}
 	}).(*Catalog)
 }
 
-// lookup returns path's current generation and, when one is resident for
-// that generation, its entry. cacheable is false for a path with no
+// lookup returns path's resident entry when one answers for the path's
+// current generation (hit), and otherwise an empty entry of that generation
+// for the caller to fill and admit. cacheable is false for a path with no
 // generation to key on (missing, or not yet closed).
-func (c *Catalog) lookup(path string) (e *entry, gen int64, cacheable bool) {
+func (c *Catalog) lookup(path string) (e entry, hit, cacheable bool) {
 	gen, ok := c.fs.Generation(path)
 	if !ok {
-		return nil, 0, false
+		return entry{}, false, false
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[path]; ok {
-		if e := el.Value.(*entry); e.gen == gen {
-			c.ll.MoveToFront(el)
-			return e, gen, true
-		}
+	if e, ok := c.lru.Get(path); ok && e.gen == gen {
+		return e, true, true
 	}
-	return nil, gen, true
-}
-
-// admit makes e the resident entry of its path, replacing an older
-// generation's, and drops least-recently-used entries past MaxEntries.
-func (c *Catalog) admit(e *entry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[e.path]; ok {
-		el.Value = e
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.entries[e.path] = c.ll.PushFront(e)
-	for len(c.entries) > MaxEntries {
-		el := c.ll.Back()
-		c.ll.Remove(el)
-		delete(c.entries, el.Value.(*entry).path)
-	}
+	return entry{gen: gen}, false, true
 }
 
 // Schema returns the parsed schema file at path. The schema is immutable
 // (serde.RecordOf) and shared: the planner's parse is every task's parse.
 func (c *Catalog) Schema(path string) (*serde.Schema, error) {
-	e, gen, cacheable := c.lookup(path)
-	if e != nil && e.schema != nil {
+	e, hit, cacheable := c.lookup(path)
+	if hit && e.schema != nil {
 		return e.schema, nil
 	}
 	data, err := c.fs.ReadFile(path)
@@ -134,7 +109,7 @@ func (c *Catalog) Schema(path string) (*serde.Schema, error) {
 		return nil, fmt.Errorf("catalog: parsing schema %s: %w", path, err)
 	}
 	if cacheable {
-		c.admit(&entry{path: path, gen: gen, schema: s})
+		c.lru.Add(path, entry{gen: e.gen, schema: s}, 1)
 	}
 	return s, nil
 }
@@ -146,8 +121,8 @@ func (c *Catalog) Schema(path string) (*serde.Schema, error) {
 // unreadable) statistics answers nil stats: planning degrades, it does not
 // fail, and real I/O errors surface in the task that scans the file.
 func (c *Catalog) FileStats(path string, col *serde.Schema) (stats *scan.ColStats, records int64, ok bool) {
-	e, gen, cacheable := c.lookup(path)
-	if e != nil && e.schema == nil {
+	e, hit, cacheable := c.lookup(path)
+	if hit && e.schema == nil {
 		return e.stats, e.records, true
 	}
 	hr, err := c.fs.Open(path, hdfs.AnyNode)
@@ -159,7 +134,7 @@ func (c *Catalog) FileStats(path string, col *serde.Schema) (stats *scan.ColStat
 	stats, _ = colfile.FileStats(hr, col)
 	records, _ = colfile.RecordCount(hr)
 	if cacheable {
-		c.admit(&entry{path: path, gen: gen, stats: stats, records: records})
+		c.lru.Add(path, entry{gen: e.gen, stats: stats, records: records}, 1)
 	}
 	return stats, records, true
 }
@@ -168,20 +143,7 @@ func (c *Catalog) FileStats(path string, col *serde.Schema) (stats *scan.ColStat
 // Generations already make a stale answer impossible; this releases the
 // entries of a dataset known dead (retired by compaction, removed) ahead of
 // the LRU.
-func (c *Catalog) Invalidate(prefix string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for path, el := range c.entries {
-		if path == prefix || strings.HasPrefix(path, prefix+"/") {
-			c.ll.Remove(el)
-			delete(c.entries, path)
-		}
-	}
-}
+func (c *Catalog) Invalidate(prefix string) { c.lru.Invalidate(prefix) }
 
 // Len returns the number of resident entries.
-func (c *Catalog) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
+func (c *Catalog) Len() int { return c.lru.Len() }

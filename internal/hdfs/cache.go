@@ -1,10 +1,6 @@
 package hdfs
 
-import (
-	"container/list"
-	"strings"
-	"sync"
-)
+import "colmr/internal/lru"
 
 // ScanCache is an LRU-bounded cache of column-file byte regions, the storage
 // side of a long-lived mapred.Session: regions a scan charged once stay
@@ -30,14 +26,12 @@ import (
 // untouched: the conservative model charges cursor movement whether or not
 // the bytes came from cache.
 //
-// ScanCache is safe for concurrent use by the engine's map-task workers. A
-// nil *ScanCache is valid and disables caching everywhere it is consulted.
+// The policy — budget, eviction, prefix invalidation — is internal/lru's,
+// shared with vec.Cache and catalog.Catalog. ScanCache is safe for
+// concurrent use by the engine's map-task workers. A nil *ScanCache is
+// valid and disables caching everywhere it is consulted.
 type ScanCache struct {
-	mu      sync.Mutex
-	budget  int64
-	used    int64
-	ll      *list.List // front = most recently used
-	entries map[regionKey]*list.Element
+	lru *lru.Cache[regionKey, struct{}]
 }
 
 // regionKey identifies one cached transfer unit of one file generation.
@@ -47,24 +41,13 @@ type regionKey struct {
 	off  int64
 }
 
-// region is one LRU entry; size is the unit's actual byte count (the final
-// unit of a file may be short).
-type region struct {
-	key  regionKey
-	size int64
-}
-
 // NewScanCache returns a cache bounded to budget bytes. A budget <= 0
 // returns nil: caching disabled, the zero-cost path everywhere.
 func NewScanCache(budget int64) *ScanCache {
 	if budget <= 0 {
 		return nil
 	}
-	return &ScanCache{
-		budget:  budget,
-		ll:      list.New(),
-		entries: make(map[regionKey]*list.Element),
-	}
+	return &ScanCache{lru.New[regionKey, struct{}](budget, func(k regionKey) string { return k.path })}
 }
 
 // lookup reports whether the region is resident, marking it most recently
@@ -73,44 +56,17 @@ func (c *ScanCache) lookup(key regionKey) bool {
 	if c == nil {
 		return false
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return false
-	}
-	c.ll.MoveToFront(el)
-	return true
+	_, ok := c.lru.Get(key)
+	return ok
 }
 
-// admit inserts a region, evicting least-recently-used entries until the
-// budget holds. A region larger than the whole budget is not admitted.
+// admit inserts a region of size bytes (the final unit of a file may be
+// short), evicting least-recently-used regions until the budget holds. A
+// region larger than the whole budget is not admitted.
 func (c *ScanCache) admit(key regionKey, size int64) {
-	if c == nil || size <= 0 || size > c.budget {
-		return
+	if c != nil && size > 0 {
+		c.lru.Add(key, struct{}{}, size)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.ll.MoveToFront(el)
-		return
-	}
-	for c.used+size > c.budget {
-		c.evictOldestLocked()
-	}
-	c.entries[key] = c.ll.PushFront(region{key: key, size: size})
-	c.used += size
-}
-
-func (c *ScanCache) evictOldestLocked() {
-	el := c.ll.Back()
-	if el == nil {
-		return
-	}
-	r := el.Value.(region)
-	c.ll.Remove(el)
-	delete(c.entries, r.key)
-	c.used -= r.size
 }
 
 // Invalidate drops every cached region of the file or dataset at prefix
@@ -118,20 +74,8 @@ func (c *ScanCache) evictOldestLocked() {
 // against stale reads; Invalidate exists to release the budget eagerly when
 // a dataset is known dead.
 func (c *ScanCache) Invalidate(prefix string) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for el := c.ll.Front(); el != nil; {
-		next := el.Next()
-		r := el.Value.(region)
-		if r.key.path == prefix || strings.HasPrefix(r.key.path, prefix+"/") {
-			c.ll.Remove(el)
-			delete(c.entries, r.key)
-			c.used -= r.size
-		}
-		el = next
+	if c != nil {
+		c.lru.Invalidate(prefix)
 	}
 }
 
@@ -140,9 +84,7 @@ func (c *ScanCache) Used() int64 {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.used
+	return c.lru.Used()
 }
 
 // Regions returns the number of resident regions.
@@ -150,9 +92,7 @@ func (c *ScanCache) Regions() int {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
+	return c.lru.Len()
 }
 
 // Budget returns the configured bound in bytes.
@@ -160,5 +100,5 @@ func (c *ScanCache) Budget() int64 {
 	if c == nil {
 		return 0
 	}
-	return c.budget
+	return c.lru.Budget()
 }

@@ -10,14 +10,14 @@
 // sim.TaskStats.VecCacheHits / DecodeSavedValues. Entries are keyed by
 // (file path, file generation, batch start record): generations are
 // assigned at file creation, so a dataset rebuilt under the same paths can
-// never serve stale vectors (cf. hdfs.ScanCache's keying argument).
+// never serve stale vectors (cf. hdfs.ScanCache's keying argument). The
+// LRU policy is internal/lru's; the batch-end identity is this package's.
 package vec
 
 import (
-	"container/list"
-	"strings"
 	"sync"
 
+	"colmr/internal/lru"
 	"colmr/internal/scan"
 )
 
@@ -33,12 +33,12 @@ type Key struct {
 	ID bool
 }
 
+// entry is one resident vector — a value vector or an id vector — and the
+// batch end it was decoded for.
 type entry struct {
-	key  Key
-	end  int64
-	v    *scan.Vector
-	iv   *scan.IDVector
-	size int64
+	end int64
+	v   *scan.Vector
+	iv  *scan.IDVector
 }
 
 // Cache is an LRU-bounded vector cache, safe for concurrent use. Cached
@@ -46,11 +46,7 @@ type entry struct {
 // admitted to the cache must never be mutated or pooled again. A nil
 // *Cache is valid and disables caching everywhere it is consulted.
 type Cache struct {
-	mu      sync.Mutex
-	budget  int64
-	used    int64
-	ll      *list.List // front = most recently used
-	entries map[Key]*list.Element
+	lru *lru.Cache[Key, entry]
 }
 
 // New returns a cache bounded to budget bytes of vector storage
@@ -59,11 +55,7 @@ func New(budget int64) *Cache {
 	if budget <= 0 {
 		return nil
 	}
-	return &Cache{
-		budget:  budget,
-		ll:      list.New(),
-		entries: make(map[Key]*list.Element),
-	}
+	return &Cache{lru.New[Key, entry](budget, func(k Key) string { return k.Path })}
 }
 
 // Get returns the cached vector for key covering records [key.Start, end),
@@ -71,21 +63,7 @@ func New(budget int64) *Cache {
 // boundaries are part of the identity, so a query splitting groups
 // differently never sees a short or long vector.
 func (c *Cache) Get(key Key, end int64) *scan.Vector {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return nil
-	}
-	e := el.Value.(*entry)
-	if e.end != end {
-		return nil
-	}
-	c.ll.MoveToFront(el)
-	return e.v
+	return c.get(key, end).v
 }
 
 // Add admits a vector covering records [key.Start, end), evicting
@@ -96,29 +74,15 @@ func (c *Cache) Add(key Key, end int64, v *scan.Vector) bool {
 	if c == nil || v == nil {
 		return false
 	}
-	return c.admit(&entry{key: key, end: end, v: v, size: v.MemBytes()})
+	return c.add(key, entry{end: end, v: v}, v.MemBytes())
 }
 
 // GetID returns the cached dictionary-id vector for key covering records
 // [key.Start, end), or nil. Id vectors live under the same budget and LRU
 // order as value vectors, keyed apart by Key.ID.
 func (c *Cache) GetID(key Key, end int64) *scan.IDVector {
-	if c == nil {
-		return nil
-	}
 	key.ID = true
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return nil
-	}
-	e := el.Value.(*entry)
-	if e.end != end {
-		return nil
-	}
-	c.ll.MoveToFront(el)
-	return e.iv
+	return c.get(key, end).iv
 }
 
 // AddID admits a dictionary-id vector covering records [key.Start, end)
@@ -129,60 +93,32 @@ func (c *Cache) AddID(key Key, end int64, iv *scan.IDVector) bool {
 		return false
 	}
 	key.ID = true
-	return c.admit(&entry{key: key, end: end, iv: iv, size: iv.MemBytes()})
+	return c.add(key, entry{end: end, iv: iv}, iv.MemBytes())
 }
 
-// admit inserts an entry, evicting from the LRU tail until the budget
-// holds. An entry larger than the whole budget is not admitted.
-func (c *Cache) admit(e *entry) bool {
-	if e.size <= 0 {
-		e.size = 1
+// get returns key's resident entry if it was decoded for end, else none.
+func (c *Cache) get(key Key, end int64) entry {
+	if c == nil {
+		return entry{}
 	}
-	if e.size > c.budget {
-		return false
+	if e, ok := c.lru.Get(key); ok && e.end == end {
+		return e
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[e.key]; ok {
-		// Replace: a different batch boundary over the same start wins.
-		old := el.Value.(*entry)
-		c.used -= old.size
-		c.ll.Remove(el)
-		delete(c.entries, e.key)
-	}
-	for c.used+e.size > c.budget {
-		el := c.ll.Back()
-		if el == nil {
-			break
-		}
-		old := el.Value.(*entry)
-		c.ll.Remove(el)
-		delete(c.entries, old.key)
-		c.used -= old.size
-	}
-	c.entries[e.key] = c.ll.PushFront(e)
-	c.used += e.size
-	return true
+	return entry{}
+}
+
+// add admits e, replacing the entry of a different batch boundary over the
+// same start. An empty vector still costs a byte.
+func (c *Cache) add(key Key, e entry, size int64) bool {
+	return c.lru.Add(key, e, max(size, 1))
 }
 
 // Invalidate drops every cached vector of the file or dataset at prefix.
 // Generations already protect against stale reads; Invalidate releases the
 // budget eagerly when a dataset is known dead (cf. hdfs.ScanCache).
 func (c *Cache) Invalidate(prefix string) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for el := c.ll.Front(); el != nil; {
-		next := el.Next()
-		e := el.Value.(*entry)
-		if e.key.Path == prefix || strings.HasPrefix(e.key.Path, prefix+"/") {
-			c.ll.Remove(el)
-			delete(c.entries, e.key)
-			c.used -= e.size
-		}
-		el = next
+	if c != nil {
+		c.lru.Invalidate(prefix)
 	}
 }
 
@@ -191,9 +127,7 @@ func (c *Cache) Used() int64 {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.used
+	return c.lru.Used()
 }
 
 // Vectors returns the number of resident vectors.
@@ -201,9 +135,7 @@ func (c *Cache) Vectors() int {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
+	return c.lru.Len()
 }
 
 // Budget returns the configured bound in bytes.
@@ -211,7 +143,7 @@ func (c *Cache) Budget() int64 {
 	if c == nil {
 		return 0
 	}
-	return c.budget
+	return c.lru.Budget()
 }
 
 // Pool recycles batch scratch vectors so steady-state scans stop
