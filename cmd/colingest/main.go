@@ -67,7 +67,6 @@ func main() {
 		MemtableRecords: *memtable,
 		CompactEvery:    *compactEvery,
 		Load:            core.LoadOptions{SplitRecords: 4096},
-		Session:         srv.Session(),
 		Stats:           &stats,
 	})
 	check(err)

@@ -61,16 +61,12 @@ func (ing *Ingester) compactLocked() error {
 		return err
 	}
 	// Budget release only: generations already make stale hits impossible,
-	// but the retired directories' catalogued metadata — and, under a
-	// session, their cached regions and vectors — will never be touched
-	// again. The compaction's own scan put their entries in the
-	// filesystem's catalog, session or not.
+	// but the retired directories' catalogued metadata will never be
+	// touched again, and the compaction's own scan put it in the
+	// filesystem's catalog. A session's cached regions and vectors are its
+	// own to release (serve.Server.ServeLive).
 	for _, p := range fresh {
-		if ing.opts.Session != nil {
-			ing.opts.Session.Invalidate(p.dir) // the catalog's entries too
-		} else {
-			catalog.Of(ing.fs).Invalidate(p.dir)
-		}
+		catalog.Of(ing.fs).Invalidate(p.dir)
 	}
 	return nil
 }
@@ -124,12 +120,7 @@ func (ing *Ingester) compactInto(outDir string, fresh, keep []*part) error {
 		Output: mapred.NullOutput{},
 		Mapper: mapred.MapperFunc(mapper),
 	}
-	var res *mapred.Result
-	if ing.opts.Session != nil {
-		res, err = ing.opts.Session.Run(job)
-	} else {
-		res, err = mapred.Run(ing.fs, job)
-	}
+	res, err := mapred.Run(ing.fs, job)
 	if err != nil {
 		return err
 	}

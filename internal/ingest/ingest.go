@@ -9,7 +9,6 @@ import (
 
 	"colmr/internal/core"
 	"colmr/internal/hdfs"
-	"colmr/internal/mapred"
 	"colmr/internal/serde"
 	"colmr/internal/sim"
 )
@@ -41,10 +40,6 @@ type Options struct {
 	// compacted output (core.LoadOptions split bounds apply to compaction
 	// output; flush partitions are bounded by the memtable instead).
 	Load core.LoadOptions
-	// Session, when set, runs compaction jobs and receives cache
-	// invalidation for retired directories. Nil runs compaction through
-	// the plain engine.
-	Session *mapred.Session
 	// Stats receives the ingester's accounting; nil allocates one
 	// internally (see Ingester.Stats).
 	Stats *sim.TaskStats

@@ -345,7 +345,6 @@ func TestIngestConcurrentServe(t *testing.T) {
 
 	opts := ingestOptions("/live/crawl", crawl.Schema(), 40)
 	opts.CompactEvery = 3
-	opts.Session = srv.Session()
 	ing, err := ingest.New(fs, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -451,7 +450,6 @@ func checkIngestServeCatalogFollowsCommits(t testing.TB, n int) {
 	cat := catalog.Of(fs)
 
 	opts := ingestOptions("/live/crawl", crawl.Schema(), 40)
-	opts.Session = srv.Session()
 	ing, err := ingest.New(fs, opts)
 	if err != nil {
 		t.Fatal(err)
