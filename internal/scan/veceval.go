@@ -459,23 +459,7 @@ func eagerColumns(p Predicate, dst []string) []string {
 // here, and the caller must additionally exclude projected columns. Nil
 // predicates are ignored.
 func ProbeOnlyColumns(ps ...Predicate) []string {
-	key := map[string]int{}
-	val := map[string]int{}
-	var cols []string
-	for _, p := range ps {
-		if p == nil {
-			continue
-		}
-		cols = p.Columns(cols)
-		countColumnUses(p, key, val)
-	}
-	var out []string
-	for _, col := range cols {
-		if key[col] == 1 && val[col] == 0 {
-			out = append(out, col)
-		}
-	}
-	return out
+	return columnsWhere(ps, func(u colUses) bool { return u.key == 1 && u.id+u.val == 0 })
 }
 
 // IDOnlyColumns returns the columns whose every use across the given
@@ -489,77 +473,69 @@ func ProbeOnlyColumns(ps ...Predicate) []string {
 // additionally exclude projected and aggregated columns. Nil predicates
 // are ignored.
 func IDOnlyColumns(ps ...Predicate) []string {
-	idu := map[string]int{}
-	other := map[string]int{}
+	return columnsWhere(ps, func(u colUses) bool { return u.id >= 1 && u.key+u.val == 0 })
+}
+
+// colUses counts one column's uses across a predicate set: key probes,
+// reads answerable in dictionary-id space (== / != against a string-ish
+// literal, null tests), and every other value read.
+type colUses struct{ key, id, val int }
+
+// columnsWhere returns, in first-use order, the columns of the non-nil
+// predicates whose uses satisfy keep.
+func columnsWhere(ps []Predicate, keep func(colUses) bool) []string {
+	uses := map[string]colUses{}
 	var cols []string
 	for _, p := range ps {
 		if p == nil {
 			continue
 		}
 		cols = p.Columns(cols)
-		countIDUses(p, idu, other)
+		countUses(p, uses)
 	}
 	var out []string
 	for _, col := range cols {
-		if idu[col] >= 1 && other[col] == 0 {
+		if keep(uses[col]) {
 			out = append(out, col)
 		}
 	}
 	return out
 }
 
-func countIDUses(p Predicate, idu, other map[string]int) {
+func countUses(p Predicate, uses map[string]colUses) {
+	var col string
+	var u colUses
 	switch q := p.(type) {
 	case *cmpPred:
-		if q.op == OpEq || q.op == OpNe {
-			if _, ok := litAsString(q.lit); ok {
-				idu[q.col]++
-				return
-			}
+		if _, str := litAsString(q.lit); str && (q.op == OpEq || q.op == OpNe) {
+			col, u.id = q.col, 1
+		} else {
+			col, u.val = q.col, 1
 		}
-		other[q.col]++
 	case *rangePred:
-		other[q.col]++
+		col, u.val = q.col, 1
 	case *prefixPred:
-		other[q.col]++
+		col, u.val = q.col, 1
 	case *nullPred:
-		idu[q.col]++
+		col, u.id = q.col, 1
 	case *keyPred:
-		other[q.col]++
+		col, u.key = q.col, 1
 	case *andPred:
 		for _, k := range q.kids {
-			countIDUses(k, idu, other)
+			countUses(k, uses)
 		}
+		return
 	case *orPred:
 		for _, k := range q.kids {
-			countIDUses(k, idu, other)
+			countUses(k, uses)
 		}
+		return
 	case *notPred:
-		countIDUses(q.kid, idu, other)
+		countUses(q.kid, uses)
+		return
+	default:
+		return
 	}
-}
-
-func countColumnUses(p Predicate, key, val map[string]int) {
-	switch q := p.(type) {
-	case *cmpPred:
-		val[q.col]++
-	case *rangePred:
-		val[q.col]++
-	case *prefixPred:
-		val[q.col]++
-	case *nullPred:
-		val[q.col]++
-	case *keyPred:
-		key[q.col]++
-	case *andPred:
-		for _, k := range q.kids {
-			countColumnUses(k, key, val)
-		}
-	case *orPred:
-		for _, k := range q.kids {
-			countColumnUses(k, key, val)
-		}
-	case *notPred:
-		countColumnUses(q.kid, key, val)
-	}
+	c := uses[col]
+	uses[col] = colUses{c.key + u.key, c.id + u.id, c.val + u.val}
 }
