@@ -125,12 +125,12 @@ func BenchmarkRun(b *testing.B) {
 	}
 }
 
-// TestRunAllocCeiling holds Run to the allocations per map task it made
-// when it had an engine of its own. Each pool goroutine is one allocation
-// and there is one per CPU, up to eight, so the ceilings are those counts
-// with eight goroutines, rounded up.
+// TestRunAllocCeiling holds Run to the allocations per map task it makes
+// planning through the filesystem's one catalog. Each pool goroutine is one
+// allocation and there is one per CPU, up to eight, so the ceilings are
+// those counts with eight goroutines, rounded up.
 func TestRunAllocCeiling(t *testing.T) {
-	ceiling := map[string]float64{"cif_eager": 361, "cif_lazy": 332, "cif_agg": 188, "rcfile": 4316}
+	ceiling := map[string]float64{"cif_eager": 335, "cif_lazy": 253, "cif_agg": 156, "rcfile": 3307}
 	fs := runBenchData(t)
 	for _, tc := range runBenchCases(t) {
 		job := tc.job()
