@@ -36,9 +36,8 @@ type ScanCache struct {
 
 // regionKey identifies one cached transfer unit of one file generation.
 type regionKey struct {
-	path string
-	gen  int64
-	off  int64
+	path     string
+	gen, off int64
 }
 
 // NewScanCache returns a cache bounded to budget bytes. A budget <= 0
