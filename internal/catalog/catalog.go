@@ -14,17 +14,22 @@
 // (Hall et al., "Processing a Trillion Cells per Mouse Click").
 //
 // What is catalogued is exactly what is a pure function of one closed
-// file: a split-directory's parsed schema, and a column file's whole-file
-// aggregate statistics and record count. An entry answers only for the
-// namenode generation it was loaded from (the keying argument of
-// hdfs.ScanCache and vec.Cache), so a dataset rebuilt at the same paths is
-// re-read, never served stale; a file still being written has no generation
-// to key on and is read through. That is what makes one catalog per
-// filesystem as safe as one per job: nothing it holds can go stale, and
-// MaxEntries bounds what it holds for as long as the filesystem lives
-// (internal/lru's policy, shared with the scan and vector caches).
-// Dataset layouts — the manifest's directory list — change with every
-// commit and are never catalogued: they stay per-plan snapshots.
+// file: a split-directory's parsed schema, and a column file's whole stats
+// image (colfile.Zones: every group's zone maps and Bloom filters, the
+// whole-file aggregate, and the footer's record count). The planner's
+// file-tier look-ups (FileStats) and every map task's group-tier look-ups
+// (Zones, through colfile.ReaderOptions.Zones) answer from the same entry,
+// so a file's section is read and parsed once between them. An entry
+// answers only for the namenode generation it was loaded from (the keying
+// argument of hdfs.ScanCache and vec.Cache), so a dataset rebuilt at the
+// same paths is re-read, never served stale; a task keeps the generation it
+// opened even after the path is rewritten under it; and a file still being
+// written has no generation to key on and is read through. That is what
+// makes one catalog per filesystem as safe as one per job: nothing it holds
+// can go stale, and MaxBytes bounds what it holds for as long as the
+// filesystem lives (internal/lru's policy, shared with the scan and vector
+// caches). Dataset layouts — the manifest's directory list — change with
+// every commit and are never catalogued: they stay per-plan snapshots.
 //
 // The catalog removes parsing, not accounting. Everything it reads is
 // planning metadata the readers never charged (schema files, footers, stats
@@ -43,62 +48,60 @@ import (
 	"colmr/internal/serde"
 )
 
-// MaxEntries bounds a catalog, in files: past it the least recently used
-// entry is dropped, so a catalog nobody invalidates, living as long as its
-// filesystem, cannot grow without bound. An entry is a parsed schema or one
-// column's aggregate — bounds, a 16-bucket histogram and, for string and map
-// columns, the file's Bloom filter, which is the bulk of it: 12 bits per
-// distinct key, a few KB for a split-directory's worth, never more than the
-// writer's 128 KB cap. A full catalog is the schema and three filter
-// columns of a thousand split-directories, some tens of megabytes.
-const MaxEntries = 1 << 12
+// MaxBytes bounds a catalog by the bytes on disk its entries were parsed
+// from: a schema costs its file's length, a column file's image its stats
+// section and footer. Past it the least recently used entries are dropped,
+// so a catalog nobody invalidates, living as long as its filesystem, cannot
+// grow without bound; a section larger than the whole budget is read
+// through and never admitted. A section is about ten bytes of bounds per
+// record group, plus up to 4 KB of Bloom filter per group and 128 KB for
+// the whole file on string and map columns. Parsed, bounds take about
+// twelve times their bytes on disk and a filter about its own, so a full
+// catalog is some tens to two hundred megabytes of heap: the schemas and
+// filter columns of a few thousand split-directories.
+const MaxBytes = 16 << 20
 
 // Catalog is the metadata catalog of one filesystem, safe for concurrent
 // use. What it returns is shared between every caller and strictly
 // read-only.
 type Catalog struct {
 	fs  *hdfs.FileSystem
-	lru *lru.Cache[string, entry] // keyed by path; each entry costs 1
+	lru *lru.Cache[string, entry] // keyed by path
 }
 
 // entry is one file's catalogued facts for generation gen: schema for a
-// schema file; stats (nil for a file without statistics) and records for a
-// column file.
+// schema file, zones for a column file.
 type entry struct {
-	gen     int64
-	schema  *serde.Schema
-	stats   *scan.ColStats
-	records int64
+	gen    int64
+	schema *serde.Schema
+	zones  *colfile.Zones
 }
 
 // Of returns the filesystem's catalog, made empty on first use.
 func Of(fs *hdfs.FileSystem) *Catalog {
-	return fs.Meta(func() any {
-		return &Catalog{fs: fs, lru: lru.New[string, entry](MaxEntries, func(p string) string { return p })}
-	}).(*Catalog)
+	return fs.Meta(func() any { return newCatalog(fs, MaxBytes) }).(*Catalog)
 }
 
-// lookup returns path's resident entry when one answers for the path's
-// current generation (hit), and otherwise an empty entry of that generation
-// for the caller to fill and admit. cacheable is false for a path with no
-// generation to key on (missing, or not yet closed).
-func (c *Catalog) lookup(path string) (e entry, hit, cacheable bool) {
-	gen, ok := c.fs.Generation(path)
-	if !ok {
-		return entry{}, false, false
-	}
+func newCatalog(fs *hdfs.FileSystem, budget int64) *Catalog {
+	return &Catalog{fs: fs, lru: lru.New[string, entry](budget, func(p string) string { return p })}
+}
+
+// lookup returns path's resident entry when one answers for generation gen.
+func (c *Catalog) lookup(path string, gen int64) (entry, bool) {
 	if e, ok := c.lru.Get(path); ok && e.gen == gen {
-		return e, true, true
+		return e, true
 	}
-	return entry{gen: gen}, false, true
+	return entry{}, false
 }
 
 // Schema returns the parsed schema file at path. The schema is immutable
 // (serde.RecordOf) and shared: the planner's parse is every task's parse.
 func (c *Catalog) Schema(path string) (*serde.Schema, error) {
-	e, hit, cacheable := c.lookup(path)
-	if hit && e.schema != nil {
-		return e.schema, nil
+	gen, cacheable := c.fs.Generation(path)
+	if cacheable {
+		if e, hit := c.lookup(path, gen); hit && e.schema != nil {
+			return e.schema, nil
+		}
 	}
 	data, err := c.fs.ReadFile(path)
 	if err != nil {
@@ -109,34 +112,52 @@ func (c *Catalog) Schema(path string) (*serde.Schema, error) {
 		return nil, fmt.Errorf("catalog: parsing schema %s: %w", path, err)
 	}
 	if cacheable {
-		c.lru.Add(path, entry{gen: e.gen, schema: s}, 1)
+		c.lru.Add(path, entry{gen: gen, schema: s}, int64(len(data)))
 	}
 	return s, nil
 }
 
 // FileStats returns the whole-file aggregate statistics and the record
 // count of the column file at path, whose values have schema col — the
-// footer-only view of colfile.FileStats and colfile.RecordCount. ok is false
-// when the file cannot be opened; a file that opens but carries no (or
-// unreadable) statistics answers nil stats: planning degrades, it does not
-// fail, and real I/O errors surface in the task that scans the file.
+// planner's footer view, answered from the file's catalogued image. ok is
+// false when the file cannot be opened; a file that opens but carries no
+// (or unreadable) statistics answers nil stats: planning degrades, it does
+// not fail, and real I/O errors surface in the task that scans the file.
 func (c *Catalog) FileStats(path string, col *serde.Schema) (stats *scan.ColStats, records int64, ok bool) {
-	e, hit, cacheable := c.lookup(path)
-	if hit && e.schema == nil {
-		return e.stats, e.records, true
+	if gen, cacheable := c.fs.Generation(path); cacheable {
+		if e, hit := c.lookup(path, gen); hit && e.zones != nil {
+			return e.zones.Agg(), e.zones.Records(), true
+		}
 	}
 	hr, err := c.fs.Open(path, hdfs.AnyNode)
 	if err != nil {
 		return nil, 0, false
 	}
 	defer hr.Close()
-	// Both degrade to "nothing known" on a malformed file, as above.
-	stats, _ = colfile.FileStats(hr, col)
-	records, _ = colfile.RecordCount(hr)
-	if cacheable {
-		c.lru.Add(path, entry{gen: e.gen, stats: stats, records: records}, 1)
+	z := c.Zones(hr, col)
+	return z.Agg(), z.Records(), true
+}
+
+// Zones returns the parsed stats image of the column file hr has open,
+// whose values have schema col, for the generation hr opened — never a
+// newer file since written at the same path. It is nil when the footer or
+// the section cannot be read; a file without (or with unreadable)
+// statistics answers an image that knows none.
+func (c *Catalog) Zones(hr *hdfs.FileReader, col *serde.Schema) *colfile.Zones {
+	path, gen, closed := hr.Identity()
+	if closed {
+		if e, hit := c.lookup(path, gen); hit && e.zones != nil {
+			return e.zones
+		}
 	}
-	return stats, records, true
+	z, err := colfile.ReadZones(hr, col)
+	if err != nil {
+		return nil
+	}
+	if closed {
+		c.lru.Add(path, entry{gen: gen, zones: z}, z.Bytes())
+	}
+	return z
 }
 
 // Invalidate drops the entries of the file or directory tree at prefix.

@@ -180,13 +180,17 @@ func TestCatalogInvalidatePrefix(t *testing.T) {
 	}
 }
 
-// TestCatalogEntryCap: a server nobody invalidates, planning over ten
-// thousand distinct split-directories, holds MaxEntries entries and no more
-// — and what it holds is what it used last.
+// TestCatalogEntryCap: a server nobody invalidates, planning over a
+// thousand distinct split-directories, holds what its byte budget pays for
+// and no more — costed by the bytes on disk each entry was parsed from — and
+// what it holds is what it used last. A stats section larger than the whole
+// budget is read through and never admitted, and evicts nothing.
 func TestCatalogEntryCap(t *testing.T) {
 	fs := hdfs.New(sim.SingleNode(), 1)
-	cat := catalog.Of(fs)
-	const dirs = 10_000
+	const fit = 100 // schemas the budget holds
+	budget := int64(fit * len(twoFields))
+	cat := catalog.NewWithBudget(fs, budget)
+	const dirs = 1_000
 	path := func(i int) string { return fmt.Sprintf("/big/s%d/_schema", i) }
 	for i := 0; i < dirs; i++ {
 		if err := fs.WriteFile(path(i), []byte(twoFields), hdfs.AnyNode); err != nil {
@@ -195,12 +199,12 @@ func TestCatalogEntryCap(t *testing.T) {
 		if _, err := cat.Schema(path(i)); err != nil {
 			t.Fatal(err)
 		}
-		if n := cat.Len(); n > catalog.MaxEntries {
-			t.Fatalf("%d entries after %d directories, cap %d", n, i+1, catalog.MaxEntries)
+		if cat.Used() > budget {
+			t.Fatalf("%d bytes resident after %d directories, budget %d", cat.Used(), i+1, budget)
 		}
 	}
-	if n := cat.Len(); n != catalog.MaxEntries {
-		t.Fatalf("%d entries after %d directories, want a full catalog of %d", n, dirs, catalog.MaxEntries)
+	if cat.Len() != fit || cat.Used() != budget {
+		t.Fatalf("%d entries, %d bytes after %d directories; want a full catalog of %d schemas, %d bytes", cat.Len(), cat.Used(), dirs, fit, budget)
 	}
 	last, _ := cat.Schema(path(dirs - 1))
 	if again, _ := cat.Schema(path(dirs - 1)); again != last {
@@ -210,8 +214,66 @@ func TestCatalogEntryCap(t *testing.T) {
 	if again, _ := cat.Schema(path(0)); again != first {
 		t.Error("a re-read entry was not admitted")
 	}
-	if n := cat.Len(); n != catalog.MaxEntries {
-		t.Fatalf("%d entries after re-reading an evicted one, want %d", n, catalog.MaxEntries)
+
+	// A column file's image costs its stats section and footer.
+	writeColumn(t, fs, "/big/s0/x", 0, 40)
+	hr, err := fs.Open("/big/s0/x", hdfs.AnyNode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	z := cat.Zones(hr, serde.Long())
+	raw, err := colfile.ReadZones(hr, serde.Long())
+	if err != nil || z == nil || z.Bytes() != raw.Bytes() || z.Bytes() <= 20 || z.Bytes() > budget {
+		t.Fatalf("image of /big/s0/x: %d bytes (a fresh parse: %d, %v); want the section and footer's bytes", z.Bytes(), raw.Bytes(), err)
+	}
+	if cat.Used() > budget {
+		t.Fatalf("%d bytes resident with an image admitted, budget %d", cat.Used(), budget)
+	}
+	if again := cat.Zones(hr, serde.Long()); again != z {
+		t.Error("an admitted image was not resident")
+	}
+
+	// Oversize: many distinct strings make a section of Bloom filters larger
+	// than the whole budget.
+	writeStrings(t, fs, "/big/s1/str", 2_000)
+	before, used := cat.Len(), cat.Used()
+	st1, n, ok := cat.FileStats("/big/s1/str", serde.String())
+	st2, _, _ := cat.FileStats("/big/s1/str", serde.String())
+	if !ok || n != 2_000 || st1 == nil || st1.Bloom == nil {
+		t.Fatalf("oversize file stats = %+v, %d records, ok=%v; want its aggregate and filter over 2000", st1, n, ok)
+	}
+	big, err := fs.Open("/big/s1/str", hdfs.AnyNode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if z := cat.Zones(big, serde.String()); z.Bytes() <= budget {
+		t.Fatalf("the section is %d bytes, not over the %d-byte budget", z.Bytes(), budget)
+	}
+	if st2 == st1 || cat.Len() != before || cat.Used() != used {
+		t.Errorf("oversize section: second look-up shared the first's parse: %v; %d entries, %d bytes (were %d, %d); want read through, nothing admitted or evicted",
+			st2 == st1, cat.Len(), cat.Used(), before, used)
+	}
+}
+
+// writeStrings writes n distinct strings as a column file at path, its
+// groups and file carrying Bloom filters.
+func writeStrings(t testing.TB, fs *hdfs.FileSystem, path string, n int) {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := colfile.NewWriter(&buf, serde.String(), colfile.Options{Layout: colfile.SkipList, StatsEvery: 100}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := w.Append(fmt.Sprintf("value-%06d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile(path, buf.Bytes(), hdfs.AnyNode); err != nil {
+		t.Fatal(err)
 	}
 }
 

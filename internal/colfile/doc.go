@@ -38,12 +38,16 @@
 // typed primitive loop is its own.
 //
 // Role in the scheduler→file→group→value pipeline: this package is the
-// statistics *storage* side. FileStats serves the scheduler tier (split
-// elision reads only footers), StatsSource/FileStatsSource serve the
-// reader's file and group tiers, and the DCSL reader's KeyProber serves
-// the value tier (window-dictionary and group-Bloom key probes without
-// materializing maps). The pruning *decisions* live in internal/scan; the
-// readers here only expose statistics and never interpret predicates.
+// statistics *storage* side. ReadZones parses a file's stats section into
+// one read-only image (Zones) that the metadata catalog keeps per file and
+// generation: its Agg serves the scheduler and file tiers, and its
+// GroupStats — through a reader's StatsSource, which takes the image from
+// ReaderOptions.Zones — the group tier. FileStats is the head-only view
+// (the aggregate alone) for callers without a catalog, and the DCSL
+// reader's KeyProber serves the value tier (window-dictionary and
+// group-Bloom key probes without materializing maps). The pruning
+// *decisions* live in internal/scan; the readers here only expose
+// statistics and never interpret predicates.
 //
 // Invariants the tests defend:
 //

@@ -32,6 +32,10 @@ type ReaderOptions struct {
 	// the DCSL key prober's group-filter fast path. CIF sets it from
 	// scan.Spec.NoBloom so one job knob governs every tier.
 	NoBloom bool
+	// Zones, when set, supplies the file's stats image on the first
+	// GroupStats call — shared with every other reader of the file —
+	// instead of the reader parsing its own (ReadZones).
+	Zones ZoneSource
 }
 
 // NewReader opens a column file of the given value schema. The layout is
@@ -59,7 +63,7 @@ func NewReaderOpts(r ReaderAtSize, schema *serde.Schema, opts ReaderOptions, sta
 	s.onRefill = opts.OnRefill
 	// Zone maps load lazily on the first GroupStats call, so a reader that
 	// never prunes never touches the section.
-	zm := &statsLoader{src: r, schema: schema, off: s.dataEnd, size: statsLen}
+	zm := statsLoader{src: r, schema: schema, from: opts.Zones, size: statsLen}
 	h, err := parseHeader(s)
 	if err != nil {
 		return nil, err
@@ -100,7 +104,7 @@ func NewReaderOpts(r ReaderAtSize, schema *serde.Schema, opts ReaderOptions, sta
 // file's records, its end checks, and the entry every range call
 // (vecdecode.go) goes through.
 type readerBase struct {
-	*statsLoader
+	statsLoader
 	s      *stream
 	schema *serde.Schema
 	stats  *sim.CPUStats

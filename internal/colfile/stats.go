@@ -78,16 +78,6 @@ type StatsSource interface {
 	GroupStats(rec int64) (*scan.ColStats, int64)
 }
 
-// FileStatsSource is implemented by column readers whose file carries
-// whole-file aggregate statistics (or per-group statistics they can be
-// derived from). The scan planner's file tier uses it to skip an entire
-// column file without touching its data region.
-type FileStatsSource interface {
-	// FileStats returns aggregate statistics covering every record in the
-	// file, or nil when the file carries no statistics.
-	FileStats() *scan.ColStats
-}
-
 // minMaxKind reports whether values of this schema kind carry min/max
 // bounds in the stats section.
 func minMaxKind(k serde.Kind) bool {
@@ -930,38 +920,69 @@ func parseStatsEntry(c *statsCursor, schema *serde.Schema, st *scan.ColStats) er
 	return nil
 }
 
-// statsLoader lazily reads and indexes a file's stats section, serving
-// GroupStats and FileStats to all reader layouts. The section read is
-// uncharged metadata, like the footer.
-type statsLoader struct {
-	src    ReaderAtSize
-	schema *serde.Schema
-	off    int64
-	size   int64
-
+// Zones is the parsed stats section of one closed column file: its
+// per-group zone maps and its whole-file aggregate. A file never changes
+// once closed, so neither does its image: one Zones, read by ReadZones, can
+// serve every reader of that file for as long as the file lives — which is
+// what the metadata catalog does with it. Everything it returns is shared
+// and strictly read-only. A nil *Zones, like the image of a file without
+// (or with an unreadable or foreign) stats section, knows nothing.
+type Zones struct {
 	entries []statsEntry
 	agg     *scan.ColStats
-	loaded  bool
-	failed  bool
+	records int64
+	bytes   int64
 }
 
-// GroupStats implements StatsSource.
-func (l *statsLoader) GroupStats(rec int64) (*scan.ColStats, int64) {
-	if l == nil || l.size == 0 || l.failed {
+// ZoneSource hands a reader the stats image of the file it opened, read
+// elsewhere — typically resident and shared by every reader of that file
+// (ReaderOptions.Zones). A nil image means no statistics.
+type ZoneSource interface {
+	Zones() *Zones
+}
+
+// ReadZones reads and parses the stats section of the column file r, whose
+// values have schema schema: the footer, then the section, both through the
+// uncharged path (zone maps are metadata, like the footer). A section that
+// does not parse — foreign, truncated, corrupt — yields an image with no
+// statistics: pruning degrades, it does not fail. Only a footer or a read
+// that fails is an error.
+func ReadZones(r ReaderAtSize, schema *serde.Schema) (*Zones, error) {
+	count, statsLen, err := readFooter(r)
+	if err != nil {
+		return nil, err
+	}
+	z := &Zones{records: count, bytes: statsLen + footerSize}
+	if statsLen == 0 {
+		return z, nil
+	}
+	blob := make([]byte, statsLen)
+	readAt := r.ReadAt
+	if u, ok := r.(unchargedReaderAt); ok {
+		readAt = u.UnchargedReadAt
+	}
+	if _, err := readAt(blob, r.Size()-footerSize-statsLen); err != nil && err != io.EOF {
+		return nil, fmt.Errorf("colfile: reading stats section: %w", err)
+	}
+	if entries, agg, err := parseStatsSection(blob, schema); err == nil {
+		z.entries, z.agg = entries, agg
+	}
+	return z, nil
+}
+
+// GroupStats returns the statistics of the record group containing rec and
+// the index one past the group's last record, or (nil, 0) when no
+// statistics cover rec.
+func (z *Zones) GroupStats(rec int64) (*scan.ColStats, int64) {
+	if z == nil {
 		return nil, 0
 	}
-	if !l.loaded {
-		l.load()
-		if l.failed {
-			return nil, 0
-		}
-	}
 	// Find the last entry with start <= rec.
-	i := sort.Search(len(l.entries), func(i int) bool { return l.entries[i].start > rec }) - 1
+	i := sort.Search(len(z.entries), func(i int) bool { return z.entries[i].start > rec }) - 1
 	if i < 0 {
 		return nil, 0
 	}
-	e := &l.entries[i]
+	e := &z.entries[i]
 	end := e.start + e.st.Rows
 	if rec >= end {
 		return nil, 0
@@ -969,47 +990,69 @@ func (l *statsLoader) GroupStats(rec int64) (*scan.ColStats, int64) {
 	return &e.st, end
 }
 
-// FileStats implements FileStatsSource.
-func (l *statsLoader) FileStats() *scan.ColStats {
-	if l == nil || l.size == 0 || l.failed {
+// Agg returns the whole-file aggregate statistics, or nil when the file
+// carries none.
+func (z *Zones) Agg() *scan.ColStats {
+	if z == nil {
 		return nil
 	}
-	if !l.loaded {
-		l.load()
-		if l.failed {
-			return nil
-		}
-	}
-	return l.agg
+	return z.agg
 }
 
-func (l *statsLoader) load() {
-	l.loaded = true
-	blob := make([]byte, l.size)
-	readAt := l.src.ReadAt
-	if u, ok := l.src.(unchargedReaderAt); ok {
-		readAt = u.UnchargedReadAt
+// Records returns the file's record count, from its footer.
+func (z *Zones) Records() int64 {
+	if z == nil {
+		return 0
 	}
-	if _, err := readAt(blob, l.off); err != nil && err != io.EOF {
-		l.failed = true
-		return
+	return z.records
+}
+
+// Bytes returns what the image was parsed from on disk: the stats section
+// and the footer. A cache holding images costs them by it.
+func (z *Zones) Bytes() int64 {
+	if z == nil {
+		return 0
 	}
-	entries, agg, err := parseStatsSection(blob, l.schema)
-	if err != nil {
-		l.failed = true
-		return
+	return z.bytes
+}
+
+// statsLoader serves GroupStats to all reader layouts. It asks for the
+// file's image only on the first GroupStats call, so a reader that never
+// prunes never touches the section: from its ZoneSource when it was given
+// one, else through ReadZones.
+type statsLoader struct {
+	src    ReaderAtSize
+	schema *serde.Schema
+	from   ZoneSource
+	size   int64 // stats section length; 0 = the file has none
+
+	zones  *Zones
+	loaded bool
+}
+
+// GroupStats implements StatsSource.
+func (l *statsLoader) GroupStats(rec int64) (*scan.ColStats, int64) {
+	if l.size == 0 {
+		return nil, 0
 	}
-	l.entries = entries
-	l.agg = agg
+	if !l.loaded {
+		l.loaded = true
+		if l.from != nil {
+			l.zones = l.from.Zones()
+		} else {
+			l.zones, _ = ReadZones(l.src, l.schema)
+		}
+	}
+	return l.zones.GroupStats(rec)
 }
 
 // FileStats reads a column file's whole-file aggregate statistics using
 // only the footer and the adjacent stats section — never the data region,
 // and never the accounting sink. The section leads with the aggregate, so
-// the parse is O(1) in the number of record groups. This is the scheduler
-// tier's view: split elision decides a file's relevance from it before any
-// map task exists. It returns (nil, nil) for files without (or with
-// unreadable, or foreign) statistics — planning degrades, it does not fail.
+// the parse is O(1) in the number of record groups: the view of a caller
+// that holds no image (ReadZones) and wants nothing else of the section. It
+// returns (nil, nil) for files without (or with unreadable, or foreign)
+// statistics — planning degrades, it does not fail.
 func FileStats(r ReaderAtSize, schema *serde.Schema) (*scan.ColStats, error) {
 	_, statsLen, err := readFooter(r)
 	if err != nil {

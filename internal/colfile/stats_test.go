@@ -210,20 +210,9 @@ func TestStatsBytesColumn(t *testing.T) {
 	}
 }
 
-// fileStatsSource asserts a reader exposes whole-file aggregates and
-// returns it typed.
-func fileStatsSource(t *testing.T, r Reader, name string) FileStatsSource {
-	t.Helper()
-	src, ok := r.(FileStatsSource)
-	if !ok {
-		t.Fatalf("%s: reader %T does not implement FileStatsSource", name, r)
-	}
-	return src
-}
-
 // TestFileStatsAggregateRoundTrip writes a monotone int column in every
-// layout and checks the whole-file aggregate both through an opened reader
-// and through the footer-only package entry point.
+// layout and checks the whole-file aggregate both through the parsed stats
+// image (ReadZones) and through the footer-only package entry point.
 func TestFileStatsAggregateRoundTrip(t *testing.T) {
 	schema := serde.Int()
 	const n = 437
@@ -255,11 +244,14 @@ func TestFileStatsAggregateRoundTrip(t *testing.T) {
 		}
 		check(st, "FileStats")
 
-		r, err := NewReader(f.reader(), schema, nil)
+		z, err := ReadZones(f.reader(), schema)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: ReadZones: %v", name, err)
 		}
-		check(fileStatsSource(t, r, name).FileStats(), "reader")
+		check(z.Agg(), "ReadZones")
+		if z.Records() != n {
+			t.Errorf("%s: image records %d, want %d", name, z.Records(), n)
+		}
 	}
 }
 
@@ -339,8 +331,8 @@ func TestForeignStatsSectionDegrades(t *testing.T) {
 			if st, _ := statsSource(t, r, name).GroupStats(0); st != nil {
 				t.Fatalf("%s: foreign section served group stats %+v", name, st)
 			}
-			if st := fileStatsSource(t, r, name).FileStats(); st != nil {
-				t.Fatalf("%s: foreign section served file stats %+v", name, st)
+			if z, err := ReadZones(f.reader(), schema); err != nil || z.Agg() != nil {
+				t.Fatalf("%s: foreign section's image: %v, file stats %+v", name, err, z.Agg())
 			}
 			for i := 0; i < n; i++ {
 				v, err := r.Value()

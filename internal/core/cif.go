@@ -431,6 +431,7 @@ type cursor struct {
 	name      string
 	schema    *serde.Schema
 	hr        *hdfs.FileReader
+	cat       *catalog.Catalog
 	r         colfile.Reader
 	cached    any
 	cachedPos int64
@@ -447,6 +448,11 @@ type cursor struct {
 	// goroutines. closeCursors folds it into the task's stats.
 	phys sim.TaskStats
 }
+
+// Zones implements colfile.ZoneSource: the column reader's zone maps are
+// the filesystem catalog's image of the file the cursor opened, parsed once
+// for every task that reads it.
+func (c *cursor) Zones() *colfile.Zones { return c.cat.Zones(c.hr, c.schema) }
 
 // close releases the cursor's stream window for the next file and closes its
 // file. Values it handed out stay valid.
@@ -587,14 +593,16 @@ func (r *Reader) openDir(dir string) (pruned bool, err error) {
 		return true, nil
 	}
 	r.byName = make(map[string]*cursor, len(r.allCols))
+	cat := catalog.Of(r.fs)
 	for i, col := range r.allCols {
 		hr := files[i]
-		c := &cursor{name: col, schema: r.schema.Field(col), hr: hr, cachedPos: -1}
+		c := &cursor{name: col, schema: r.schema.Field(col), hr: hr, cat: cat, cachedPos: -1}
 		hr.SetStats(&c.phys.IO)
 		if r.cache != nil {
 			hr.SetCache(r.cache, &c.phys)
 		}
 		opts := ropts
+		opts.Zones = c
 		if collide > 0 {
 			opts.OnRefill = func(n, cur int) {
 				hr.ChargeInterleaved(int64(float64(n)*collide*float64(sim.ReadaheadBytes)/float64(cur) + 0.5))

@@ -56,6 +56,17 @@ func (r *FileReader) Generation() int64 {
 	return r.meta.gen
 }
 
+// Identity returns the path the reader opened, the file's generation and
+// whether its writer has closed it. Only a closed file's (path, generation)
+// names fixed contents a cache may key on (FileSystem.Generation); unlike
+// that look-up, this one answers for the file this reader holds, even once
+// the path has been rewritten.
+func (r *FileReader) Identity() (path string, gen int64, closed bool) {
+	r.fs.mu.Lock()
+	defer r.fs.mu.Unlock()
+	return r.meta.path, r.meta.gen, r.meta.closed
+}
+
 // Size returns the file's logical size.
 func (r *FileReader) Size() int64 {
 	r.fs.mu.Lock()

@@ -130,7 +130,7 @@ func BenchmarkRun(b *testing.B) {
 // allocation and there is one per CPU, up to eight, so the ceilings are
 // those counts with eight goroutines, rounded up.
 func TestRunAllocCeiling(t *testing.T) {
-	ceiling := map[string]float64{"cif_eager": 335, "cif_lazy": 253, "cif_agg": 156, "rcfile": 3307}
+	ceiling := map[string]float64{"cif_eager": 333, "cif_lazy": 216, "cif_agg": 94, "rcfile": 3307}
 	fs := runBenchData(t)
 	for _, tc := range runBenchCases(t) {
 		job := tc.job()

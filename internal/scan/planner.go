@@ -1,6 +1,9 @@
 package scan
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Hierarchical scan planning. A selective scan is pruned at four tiers,
 // each owned by the layer with the cheapest view of the data:
@@ -146,22 +149,16 @@ func (p *Planner) PruneGroup(rec, total int64, group GroupStatsFunc) (tri Tri, e
 	if p == nil || p.pred == nil {
 		return MayMatch, total, false
 	}
-	minEnd := total
-	fn := func(col string) *ColStats {
-		st, end := group(col, rec)
-		if st == nil {
-			return nil
+	v := getGroupView(group, rec, total, p.noBloom)
+	defer v.release()
+	if p.pred.Prune(v.fn) == NoMatch && v.minEnd > rec {
+		if !p.noBloom {
+			v.strip = true
+			byBloom = p.pred.Prune(v.fn) != NoMatch
 		}
-		if end < minEnd {
-			minEnd = end
-		}
-		return st
+		return NoMatch, v.minEnd, byBloom
 	}
-	if p.pred.Prune(p.statsView(fn)) == NoMatch && minEnd > rec {
-		byBloom := !p.noBloom && p.pred.Prune(StripBloom(fn)) != NoMatch
-		return NoMatch, minEnd, byBloom
-	}
-	return MayMatch, minEnd, false
+	return MayMatch, v.minEnd, false
 }
 
 // MatchAllGroup decides whether every record in [rec, end) satisfies the
@@ -175,21 +172,60 @@ func (p *Planner) MatchAllGroup(rec, total int64, group GroupStatsFunc) (all boo
 	if p == nil || p.pred == nil {
 		return true, total
 	}
-	minEnd := total
-	fn := func(col string) *ColStats {
-		st, end := group(col, rec)
-		if st == nil {
-			return nil
-		}
-		if end < minEnd {
-			minEnd = end
-		}
-		return st
+	v := getGroupView(group, rec, total, p.noBloom)
+	defer v.release()
+	if p.pred.MatchAll(v.fn) && v.minEnd > rec {
+		return true, v.minEnd
 	}
-	if p.pred.MatchAll(p.statsView(fn)) && minEnd > rec {
-		return true, minEnd
+	return false, v.minEnd
+}
+
+// groupView is one group-tier consultation's statistics source: the zone
+// maps at rec, narrowing minEnd to the smallest group extent consulted, and
+// with strip set hiding Bloom filters as StripBloom does. A plan's planners
+// serve parallel tasks, so a view belongs to one call, never to the
+// Planner: views are pooled, each with its method value bound once, which
+// keeps a consultation from allocating a closure and a captured bound.
+type groupView struct {
+	group  GroupStatsFunc
+	rec    int64
+	minEnd int64
+	strip  bool
+	fn     StatsFunc // stats, bound when the view was made
+}
+
+var groupViews = sync.Pool{New: func() any {
+	v := new(groupView)
+	v.fn = v.stats
+	return v
+}}
+
+func getGroupView(group GroupStatsFunc, rec, total int64, strip bool) *groupView {
+	v := groupViews.Get().(*groupView)
+	v.group, v.rec, v.minEnd, v.strip = group, rec, total, strip
+	return v
+}
+
+// release returns the view to the pool, holding on to no caller's source.
+func (v *groupView) release() {
+	v.group = nil
+	groupViews.Put(v)
+}
+
+func (v *groupView) stats(col string) *ColStats {
+	st, end := v.group(col, v.rec)
+	if st == nil {
+		return nil
 	}
-	return false, minEnd
+	if end < v.minEnd {
+		v.minEnd = end
+	}
+	if v.strip && st.Bloom != nil {
+		c := *st
+		c.Bloom = nil
+		return &c
+	}
+	return st
 }
 
 // PruneReport summarizes the scheduler tier's decisions for one job: how
