@@ -146,6 +146,38 @@ func TestCatalogUnclosedFileReadThrough(t *testing.T) {
 	if err != nil || s2 == s1 || cat.Len() != 1 {
 		t.Fatalf("closed file: schema %p (unclosed read %p), err %v, %d entries; want a fresh parse, catalogued", s2, s1, err, cat.Len())
 	}
+
+	// A column file's stats image likewise, by path and by open reader.
+	var buf bytes.Buffer
+	cw, err := colfile.NewWriter(&buf, serde.Long(), colfile.Options{Layout: colfile.SkipList, StatsEvery: 16}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 40; i++ {
+		if err := cw.Append(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fw, err := fs.Create("/d/s0/x", hdfs.AnyNode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fw.Write(buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	st1, n, ok := cat.FileStats("/d/s0/x", serde.Long())
+	st2, _, _ := cat.FileStats("/d/s0/x", serde.Long())
+	hr, err := fs.Open("/d/s0/x", hdfs.AnyNode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	z1, z2 := cat.Zones(hr, serde.Long()), cat.Zones(hr, serde.Long())
+	if !ok || n != 40 || st1 == nil || st1 == st2 || z1 == nil || z1 == z2 || cat.Len() != 1 {
+		t.Fatalf("unclosed column file: stats %p then %p over %d records (ok=%v), images %p then %p, %d entries; want each read through, none catalogued", st1, st2, n, ok, z1, z2, cat.Len())
+	}
 }
 
 // TestCatalogInvalidatePrefix: Invalidate drops a file or a directory tree,

@@ -62,15 +62,17 @@ func (p *Planner) statsView(stats StatsFunc) StatsFunc {
 // consumers (shallow copies; the underlying entries are never mutated).
 // Planner and the selectivity estimator use it to honor Spec.NoBloom.
 func StripBloom(stats StatsFunc) StatsFunc {
-	return func(col string) *ColStats {
-		st := stats(col)
-		if st == nil || st.Bloom == nil {
-			return st
-		}
-		c := *st
-		c.Bloom = nil
-		return &c
+	return func(col string) *ColStats { return withoutBloom(stats(col)) }
+}
+
+// withoutBloom returns st, or a shallow copy of it without its filter.
+func withoutBloom(st *ColStats) *ColStats {
+	if st == nil || st.Bloom == nil {
+		return st
 	}
+	c := *st
+	c.Bloom = nil
+	return &c
 }
 
 // Predicate returns the planned predicate (nil when none).
@@ -220,10 +222,8 @@ func (v *groupView) stats(col string) *ColStats {
 	if end < v.minEnd {
 		v.minEnd = end
 	}
-	if v.strip && st.Bloom != nil {
-		c := *st
-		c.Bloom = nil
-		return &c
+	if v.strip {
+		return withoutBloom(st)
 	}
 	return st
 }
