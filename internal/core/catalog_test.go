@@ -239,9 +239,12 @@ func BenchmarkOpenDir(b *testing.B) {
 // schemas and 16 footers, and before the catalog 256 and several hundred.
 // Opening every task of that plan allocates cursors and per-task state, and
 // nothing its plan already holds (1 291 objects before tasks opened against
-// a plan). Opening a hand-built split's directory warm plans it and
-// allocates its cursors. The catalog is the filesystem's, so a batch of
-// fresh confs — no session, nothing attached — plans warm too.
+// a plan), nor a name map per directory: a task's cursors are one slice,
+// addressed by the plan's cursor index (481 objects; 575 with a map per
+// directory and an allocation per cursor). Opening a hand-built split's
+// directory warm plans it and allocates its cursors (64; 70 with a map).
+// The catalog is the filesystem's, so a batch of fresh confs — no session,
+// nothing attached — plans warm too.
 func TestPlanCatalogAllocGuard(t *testing.T) {
 	fs := burstFS(t)
 	in := &InputFormat{}
@@ -274,7 +277,7 @@ func TestPlanCatalogAllocGuard(t *testing.T) {
 		}
 	}), 3850)
 
-	race.AllocCeiling(t, "opening every task of the 16 × 16 plan", testing.AllocsPerRun(5, openBatch(t, fs, confs)), 670)
+	race.AllocCeiling(t, "opening every task of the 16 × 16 plan", testing.AllocsPerRun(5, openBatch(t, fs, confs)), 490)
 
 	conf := ScanDataset("/m").Where(scan.Le("x", int64(250))).Conf()
 	open := func() {
@@ -285,5 +288,5 @@ func TestPlanCatalogAllocGuard(t *testing.T) {
 		rr.Close()
 	}
 	open()
-	race.AllocCeiling(t, "opening a three-column split-directory through a warm catalog", testing.AllocsPerRun(20, open), 120)
+	race.AllocCeiling(t, "opening a three-column split-directory through a warm catalog", testing.AllocsPerRun(20, open), 65)
 }

@@ -385,14 +385,16 @@ type Reader struct {
 	dirIdx  int
 	// dels is the open directory's delete set (nil when it has none):
 	// superseded rows are skipped before evaluation and counted nowhere.
-	dels    *DelSet
-	cursors []*cursor
-	byName  map[string]*cursor
+	dels *DelSet
+	// cursors, parallel to allCols, are made once for the task and refilled
+	// for each split-directory it opens.
+	cursors []cursor
 	total   int64 // records in the open split-directory
 	curPos  int64 // the record most recently surfaced
-	// batch is the active batch rows are drawn from (nil between batches);
-	// surfaced counts the rows surfaced so far, for lazy runs' streaks.
-	batch    *colBatch
+	// batch is the active batch rows are drawn from (empty between
+	// batches); surfaced counts the rows surfaced so far, for lazy runs'
+	// streaks.
+	batch    colBatch
 	surfaced int64
 	done     bool
 	// pruneValidTo bounds the records covered by the last union zone-map
@@ -426,12 +428,14 @@ type Reader struct {
 }
 
 // cursor is one column's file reader plus the per-record value cache that
-// makes repeated Get calls on the same record free.
+// makes repeated Get calls on the same record free, and the column's outcome
+// in the active batch. Its name, schema and catalog are the task's; the rest
+// is the open split-directory's (nil hr and r: none is open).
 type cursor struct {
 	name      string
 	schema    *serde.Schema
-	hr        *hdfs.FileReader
 	cat       *catalog.Catalog
+	hr        *hdfs.FileReader
 	r         colfile.Reader
 	cached    any
 	cachedPos int64
@@ -447,19 +451,18 @@ type cursor struct {
 	// cache hits, and its batch decodes, which prefetch fans out across
 	// goroutines. closeCursors folds it into the task's stats.
 	phys sim.TaskStats
+	// out is the column's outcome in the active batch (vecexec.go); a
+	// prefetch goroutine writes its own cursor's alone.
+	out colOut
+	// ids is the id vector the cursor decodes batch after batch when no
+	// vector cache keeps them.
+	ids *scan.IDVector
 }
 
 // Zones implements colfile.ZoneSource: the column reader's zone maps are
 // the filesystem catalog's image of the file the cursor opened, parsed once
 // for every task that reads it.
 func (c *cursor) Zones() *colfile.Zones { return c.cat.Zones(c.hr, c.schema) }
-
-// close releases the cursor's stream window for the next file and closes its
-// file. Values it handed out stay valid.
-func (c *cursor) close() {
-	c.r.Release()
-	c.hr.Close()
-}
 
 // openReader opens a scan of split for the member jobs confs[members[k]],
 // member k charging its logical counters to memberStats[k] (nil only for a
@@ -498,8 +501,14 @@ func openReader(fs *hdfs.FileSystem, confs []*mapred.JobConf, members []int, spl
 		matCounted: -1,
 		members:    make([]*member, len(p.jobs)),
 		verdict:    make([]*scan.Selection, len(p.groupPred)),
+		cursors:    make([]cursor, len(p.allCols)),
 	}
+	r.batch.r = r
 	r.outVals, r.outIdx = r.val1[:0], r.idx1[:0]
+	cat := catalog.Of(fs)
+	for i, col := range p.allCols {
+		r.cursors[i] = cursor{name: col, schema: p.schema.Field(col), cat: cat, cachedPos: -1}
+	}
 	for k := range p.jobs {
 		mp := &p.jobs[k]
 		m := &member{memberPlan: mp, stats: cmp.Or(memberStats[k], task)}
@@ -568,35 +577,23 @@ func (r *Reader) openDir(dir string) (pruned bool, err error) {
 	selective := r.planner.Predicate() != nil
 	ropts, collide := dirCursorOptions(r.fs, len(r.allCols), selective)
 	ropts.NoBloom = r.noBloom
-	files := make([]*hdfs.FileReader, 0, len(r.allCols))
-	// closeAll undoes a partly opened directory: built cursors return their
-	// pooled stream windows now; the files past them have no reader yet.
-	closeAll := func() {
-		built := len(r.cursors)
-		r.closeCursors()
-		for _, hr := range files[built:] {
-			hr.Close()
-		}
-	}
-	for _, col := range r.allCols {
+	for i, col := range r.allCols {
 		hr, err := r.fs.Open(dir+"/"+col, r.node)
 		if err != nil {
-			closeAll()
+			r.closeCursors()
 			return false, fmt.Errorf("core: opening column %q: %w", col, err)
 		}
-		files = append(files, hr)
+		r.cursors[i].hr = hr
 	}
 	// File tier: judge the filter columns' whole-file aggregates before any
 	// reader parses a header or charges a byte (off with Spec.NoElide).
 	if selective && r.fileTier && r.pruneDirFiles(dir) {
-		closeAll()
+		r.closeCursors()
 		return true, nil
 	}
-	r.byName = make(map[string]*cursor, len(r.allCols))
-	cat := catalog.Of(r.fs)
-	for i, col := range r.allCols {
-		hr := files[i]
-		c := &cursor{name: col, schema: r.schema.Field(col), hr: hr, cat: cat, cachedPos: -1}
+	for i := range r.cursors {
+		c := &r.cursors[i]
+		hr := c.hr
 		hr.SetStats(&c.phys.IO)
 		if r.cache != nil {
 			hr.SetCache(r.cache, &c.phys)
@@ -609,17 +606,15 @@ func (r *Reader) openDir(dir string) (pruned bool, err error) {
 			}
 		}
 		if c.r, err = colfile.NewReaderOpts(hr, c.schema, opts, &r.task.CPU); err != nil {
-			closeAll()
-			return false, fmt.Errorf("core: column %q: %w", col, err)
+			r.closeCursors()
+			return false, fmt.Errorf("core: column %q: %w", c.name, err)
 		}
-		r.cursors = append(r.cursors, c)
-		r.byName[col] = c
 	}
 	r.total = r.cursors[0].r.Total()
-	for _, c := range r.cursors {
-		if c.r.Total() != r.total {
+	for i := range r.cursors {
+		if c := &r.cursors[i]; c.r.Total() != r.total {
 			err := fmt.Errorf("core: column %q has %d records, %q has %d", c.name, c.r.Total(), r.cursors[0].name, r.total)
-			closeAll()
+			r.closeCursors()
 			return false, err
 		}
 	}
@@ -641,23 +636,27 @@ func (r *Reader) pruneDirFiles(dir string) bool {
 	return pruned
 }
 
-// closeCursors closes the open directory's streams and folds their physical
+// closeCursors closes the open directory's files, returns their readers'
+// stream windows for the next file, and folds those readers' physical
 // accounting into the task's stats — including the sharing savings: a
 // stream that served k members replaced k-1 solo cursors and their bytes.
+// The cursors keep only their columns. Values they handed out stay valid.
 func (r *Reader) closeCursors() {
-	for i, c := range r.cursors {
-		c.close()
-		r.task.Add(c.phys)
-		if r.needers == nil {
-			continue
+	for i := range r.cursors {
+		c := &r.cursors[i]
+		if c.r != nil {
+			c.r.Release()
+			r.task.Add(c.phys)
+			if extra := int64(r.roles[i].needers - 1); extra > 0 {
+				r.task.SharedReads += extra
+				r.task.BytesSaved += extra * c.phys.IO.TotalChargedBytes()
+			}
 		}
-		if extra := int64(r.needers[i] - 1); extra > 0 {
-			r.task.SharedReads += extra
-			r.task.BytesSaved += extra * c.phys.IO.TotalChargedBytes()
+		if c.hr != nil {
+			c.hr.Close()
 		}
+		*c = cursor{name: c.name, schema: c.schema, cat: c.cat, cachedPos: -1}
 	}
-	r.cursors = nil
-	r.byName = nil
 }
 
 // Next implements mapred.RecordReader. In lazy mode the returned Record is
@@ -756,11 +755,11 @@ func interleaveFactor(streams, disks int) float64 {
 	return 1 - p
 }
 
-// cursorFor returns the cursor of an open column (projected or
-// filter-only).
+// cursorFor returns the cursor of a column the scan reads (projected,
+// filter or aggregate).
 func (r *Reader) cursorFor(name string) (*cursor, error) {
-	if c, ok := r.byName[name]; ok {
-		return c, nil
+	if ci := r.cursorIndex(name); ci >= 0 {
+		return &r.cursors[ci], nil
 	}
 	return nil, fmt.Errorf("core: column %q is not in the projection %v", name, r.allCols)
 }

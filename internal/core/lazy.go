@@ -45,10 +45,10 @@ func (l *LazyRecord) Get(name string) (any, error) {
 	// they are rejected here so lazy and eager records expose the same
 	// (projected) schema.
 	i := m.proj.FieldIndex(name)
-	if i < 0 || len(r.cursors) == 0 {
+	if i < 0 || r.cursors[m.colCursor[i]].r == nil { // nil r: the scan is over
 		return nil, fmt.Errorf("core: column %q is not in the projection %v", name, m.columns)
 	}
-	c := r.cursors[m.colCursor[i]]
+	c := &r.cursors[m.colCursor[i]]
 	cached := c.cachedPos == r.curPos
 	v, err := r.valueAt(c)
 	if err != nil {
@@ -135,8 +135,8 @@ func (r *Reader) valueAt(c *cursor) (any, error) {
 // batchVec returns c's vector in the active batch when curPos lies inside it
 // and the batch decoded the column.
 func (r *Reader) batchVec(c *cursor) *scan.Vector {
-	if b := r.batch; b != nil && b.contains(r.curPos) {
-		return b.vecAt(c.name)
+	if r.batch.contains(r.curPos) {
+		return c.out.vec
 	}
 	return nil
 }
@@ -162,8 +162,8 @@ func (r *Reader) startRun(c *cursor, n int) error {
 	}
 	pos := r.curPos
 	end := pos + int64(n)
-	b := r.batch
-	if b == nil || !b.contains(pos) {
+	b := &r.batch
+	if !b.contains(pos) {
 		return nil
 	}
 	end = min(end, b.end)

@@ -55,15 +55,18 @@ type scanPlan struct {
 	// groupPred holds one residual predicate per eval group: members with
 	// identical predicates share one verdict per batch.
 	groupPred []scan.Predicate
-	allCols   []string // cursor set: projected, then filter, then aggregate columns
-	needers   []int    // members needing each cursor's column (N > 1)
-	// probeOnly marks filter columns safe for batch key probing, idOnly those
-	// safe for dictionary-id evaluation: read by the residuals alone, never
-	// projected (nor, for ids, aggregated), so consuming their stream without
-	// producing values cannot starve a later value access.
-	probeOnly map[string]bool
-	idOnly    map[string]bool
-	eager     int // members taking eager records
+	// allCols is the cursor set: projected, then filter, then aggregate
+	// columns. Inside a task a column is its index here, its cursor's, and
+	// the callbacks that name one (VecSource, Evaluator, the planners' zone
+	// maps) resolve it here (cursorIndex).
+	allCols []string
+	roles   []colRole // each cursor's part in the scan, parallel to allCols
+	// prefetch holds, per eval group, the cursors its residual is certain to
+	// decode (scan.EagerColumns) that the batch may decode ahead as value
+	// vectors: an id-only column is left out, or its consumed stream would
+	// block the id path VecEval is about to take.
+	prefetch [][]int
+	eager    int // members taking eager records
 	// noBloom is set when any member disabled Bloom consultation: the union
 	// tier must not out-prune that member's own replay, and the DCSL key
 	// prober's physical charges must be that member's solo ones.
@@ -78,6 +81,19 @@ type scanPlan struct {
 	// per job).
 	fileTier bool
 }
+
+// colRole is what one cursor's column is to a scan.
+type colRole struct {
+	// probeOnly marks a filter column safe for batch key probing, idOnly one
+	// safe for dictionary-id evaluation: read by the residuals alone, never
+	// projected (nor, for ids, aggregated), so consuming its stream without
+	// producing values cannot starve a later value access.
+	probeOnly, idOnly bool
+	needers           int // members needing the column
+}
+
+// cursorIndex returns col's cursor index, -1 when no cursor reads it.
+func (p *scanPlan) cursorIndex(col string) int { return slices.Index(p.allCols, col) }
 
 // memberPlan is one job's share of a plan: its projection, its planner and
 // its sink.
@@ -211,27 +227,30 @@ func planScan(ms []memberSpec, u *scan.Union, schema *serde.Schema, err error, s
 	// member's needs at once: a column any member materializes or
 	// aggregates needs its values, so the shared cursor must not spend its
 	// stream on a probe or on ids.
-	if len(p.groupPred) > 0 {
-		p.probeOnly, p.idOnly = make(map[string]bool), make(map[string]bool)
-		for _, col := range scan.ProbeOnlyColumns(p.groupPred...) {
-			p.probeOnly[col] = true
-		}
-		for _, col := range scan.IDOnlyColumns(p.groupPred...) {
-			p.idOnly[col] = true
-		}
+	p.roles = make([]colRole, len(p.allCols))
+	for _, col := range scan.ProbeOnlyColumns(p.groupPred...) {
+		p.roles[p.cursorIndex(col)].probeOnly = true
+	}
+	for _, col := range scan.IDOnlyColumns(p.groupPred...) {
+		p.roles[p.cursorIndex(col)].idOnly = true
 	}
 	for k := range p.jobs {
 		m := &p.jobs[k]
 		m.colCursor = make([]int, len(m.columns))
 		for i, col := range m.columns {
-			m.colCursor[i] = slices.Index(p.allCols, col)
+			ci := p.cursorIndex(col)
+			m.colCursor[i] = ci
 			if !m.proxyOnly {
-				delete(p.probeOnly, col)
-				delete(p.idOnly, col)
+				p.roles[ci].probeOnly, p.roles[ci].idOnly = false, false
 			}
 		}
 		for _, col := range m.aggCols {
-			delete(p.idOnly, col)
+			p.roles[p.cursorIndex(col)].idOnly = false
+		}
+		for ci, col := range p.allCols {
+			if slices.Contains(m.columns, col) || slices.Contains(m.planner.FilterColumns(), col) || slices.Contains(m.aggCols, col) {
+				p.roles[ci].needers++
+			}
 		}
 		switch {
 		case m.spec.Agg != nil:
@@ -246,13 +265,11 @@ func planScan(ms []memberSpec, u *scan.Union, schema *serde.Schema, err error, s
 			p.eager++
 		}
 	}
-	if len(p.jobs) > 1 {
-		p.needers = make([]int, len(p.allCols))
-		for ci, col := range p.allCols {
-			for _, m := range p.jobs {
-				if slices.Contains(m.columns, col) || slices.Contains(m.planner.FilterColumns(), col) || slices.Contains(m.aggCols, col) {
-					p.needers[ci]++
-				}
+	p.prefetch = make([][]int, len(p.groupPred))
+	for g, pred := range p.groupPred {
+		for _, col := range scan.EagerColumns(pred) {
+			if ci := p.cursorIndex(col); !p.roles[ci].idOnly {
+				p.prefetch[g] = append(p.prefetch[g], ci)
 			}
 		}
 	}

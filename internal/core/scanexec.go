@@ -33,11 +33,11 @@ import (
 // groupStats resolves one filter column's zone maps for the union and
 // member planners' group tier.
 func (r *Reader) groupStats(col string, rec int64) (*scan.ColStats, int64) {
-	c, err := r.cursorFor(col)
-	if err != nil {
+	ci := r.cursorIndex(col)
+	if ci < 0 {
 		return nil, 0
 	}
-	src, ok := c.r.(colfile.StatsSource)
+	src, ok := r.cursors[ci].r.(colfile.StatsSource)
 	if !ok {
 		return nil, 0
 	}

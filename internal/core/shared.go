@@ -354,7 +354,7 @@ func (r *Reader) wantRows(m *member, start, end int64, w *scan.Selection) {
 // trailing regions the union tier skipped are counted with each member's own
 // group-tier verdicts, exactly as its solo reader would have.
 func (r *Reader) finishDir() {
-	if r.cursors == nil || len(r.members) == 1 {
+	if len(r.members) == 1 || r.cursors[0].r == nil { // nil: no directory open
 		return
 	}
 	for _, m := range r.members {

@@ -14,9 +14,12 @@ import (
 // The batch loop. Every scan — solo or shared, eager, lazy or aggregating —
 // runs one loop (Reader.step): plan the batch at the scan position (the union
 // zone-map tier; a batch never crosses the verdict's validity, pruneValidTo),
-// decode it per column into typed vectors on demand, evaluate each eval
-// group's residual once over the rows its members want (scan.VecEval over
-// selection bitmaps), and hand each member its matches through its sink:
+// decode it per column into typed vectors on demand — each column's outcome
+// kept on its cursor, addressed by the plan's cursor index, the residual's
+// certain columns decoded ahead in parallel, each goroutine on its own
+// cursor — evaluate each eval group's residual once over the rows its members
+// want (scan.VecEval over selection bitmaps), and hand each member its
+// matches through its sink:
 //
 //   - aggregate fold (aggexec.go): FoldBatch straight from the selection and
 //     the vectors, once per distinct aggregate and eval group;
@@ -61,46 +64,43 @@ const vecDecodeParallel = 4
 // pool per reader would start cold for each and re-grow every vector.
 var vecScratch vec.Pool
 
-// colVecEntry memoizes one column's decode outcome for a batch.
-type colVecEntry struct {
-	v *scan.Vector
-	// cached marks vectors shared with the session vector cache (served
-	// from it, or admitted to it): they are read-only forever and must not
-	// be pooled when the batch retires.
+// colOut is one column's outcome in the active batch, held by its cursor
+// and cleared when the batch retires. A column takes its value vector or its
+// id vector in a batch, never both: the two advance the same stream.
+type colOut struct {
+	// decoded is set once the value decode is decided: vec, or err.
+	decoded bool
+	vec     *scan.Vector
+	// cached marks a vector shared with the session vector cache (served from
+	// it, or admitted to it): read-only forever, never pooled.
 	cached bool
 	err    error
-}
-
-// idVecEntry memoizes one column's dictionary-id decode outcome for a
-// batch. A nil iv with nil err means the column declined the id path for
-// this batch (not dictionary-encoded here, or its value vector was already
-// decoded); the predicate falls back to value comparison.
-type idVecEntry struct {
-	iv  *scan.IDVector
-	err error
+	// idTried is set once the id decode is decided: ids, idErr, or neither —
+	// the column declined the id path for this batch (not dictionary-encoded
+	// here), and the predicate compares values instead.
+	idTried bool
+	ids     *scan.IDVector
+	idErr   error
 }
 
 // colBatch is one contiguous batch of records [start, end) of the open
 // split-directory, implementing scan.VecSource over the reader's cursor set.
 // Columns decode on first use, so the predicate's short-circuit structure
-// decides which are ever decoded. Decodes charge the cursor's own bucket
-// (cursor.phys): the prefetch fan-out never shares a counter.
+// decides which are ever decoded. Each column's outcome lives on its cursor
+// (cursor.out), and its decodes charge the cursor's own bucket
+// (cursor.phys): the prefetch fan-out shares neither.
 type colBatch struct {
 	r     *Reader
 	start int64
 	end   int64
-	n     int
+	n     int // 0 between batches
 
 	sel  *scan.Selection // rows surfacing from the batch (set by step)
 	next int             // pop cursor for match iteration
-
-	mu     sync.Mutex
-	vecs   map[string]*colVecEntry // allocated on a batch's first decode
-	idvecs map[string]*idVecEntry
 }
 
-// key names col's vectors for this batch in the session vector cache. With
-// no cache there is nothing to name, and no path is built.
+// key names c's vectors for this batch in the session vector cache. With no
+// cache there is nothing to name, and no path is built.
 func (b *colBatch) key(c *cursor) vec.Key {
 	if b.r.vecCache == nil {
 		return vec.Key{}
@@ -111,36 +111,27 @@ func (b *colBatch) key(c *cursor) vec.Key {
 // ColVec implements scan.VecSource: the column's vector for the batch,
 // decoded on first use (or served from the session vector cache).
 func (b *colBatch) ColVec(col string) (*scan.Vector, error) {
-	e := b.vecs[col] // evaluation and the sinks run after the prefetch barrier
-	if e == nil {
-		e = b.store(col, b.decode(col))
-	}
-	return e.v, e.err
-}
-
-// store memoizes col's decode outcome unless the column already has one, and
-// returns the one kept.
-func (b *colBatch) store(col string, e *colVecEntry) *colVecEntry {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.vecs == nil {
-		b.vecs = make(map[string]*colVecEntry)
-	}
-	if old := b.vecs[col]; old != nil {
-		return old
-	}
-	b.vecs[col] = e
-	return e
-}
-
-// decode produces col's vector for the batch. The caller guarantees one
-// decode per column per batch (prefetch fans out distinct undecoded
-// columns; after its barrier, evaluation is serial).
-func (b *colBatch) decode(col string) *colVecEntry {
 	c, err := b.r.cursorFor(col)
 	if err != nil {
-		return &colVecEntry{err: err}
+		return nil, err
 	}
+	return b.vec(c)
+}
+
+// vec returns c's vector for the batch, decoding it on first use.
+func (b *colBatch) vec(c *cursor) (*scan.Vector, error) {
+	if !c.out.decoded {
+		b.decode(c)
+	}
+	return c.out.vec, c.out.err
+}
+
+// decode decides c's vector for the batch. Only c's own caller touches c:
+// prefetch fans out distinct cursors, and after its barrier evaluation is
+// serial.
+func (b *colBatch) decode(c *cursor) {
+	out := &c.out
+	out.decoded = true
 	cache := b.r.vecCache
 	key := b.key(c)
 	if v := cache.Get(key, b.end); v != nil {
@@ -149,13 +140,15 @@ func (b *colBatch) decode(col string) *colVecEntry {
 		// there, and an all-hit round never touches the stream at all.
 		c.phys.VecCacheHits++
 		c.phys.DecodeSavedValues += int64(v.Len())
-		return &colVecEntry{v: v, cached: true}
+		out.vec, out.cached = v, true
+		return
 	}
 	dec, ok := c.r.(colfile.VectorDecoder)
 	if !ok {
 		// Every layout decodes vectors; kept as a real error so a future
 		// layout missing VectorDecoder fails loudly, not wrongly.
-		return &colVecEntry{err: fmt.Errorf("core: column %q layout cannot batch-decode", col)}
+		out.err = fmt.Errorf("core: column %q layout cannot batch-decode", c.name)
+		return
 	}
 	kind := colfile.VecKindOf(c.schema)
 	var v *scan.Vector
@@ -169,64 +162,68 @@ func (b *colBatch) decode(col string) *colVecEntry {
 		if cache == nil {
 			vecScratch.Put(v)
 		}
-		return &colVecEntry{err: fmt.Errorf("core: column %q batch decode [%d,%d): %w", col, b.start, b.end, err)}
+		out.err = fmt.Errorf("core: column %q batch decode [%d,%d): %w", c.name, b.start, b.end, err)
+		return
 	}
-	return &colVecEntry{v: v, cached: cache.Add(key, b.end, v)}
+	out.vec, out.cached = v, cache.Add(key, b.end, v)
 }
 
 // IDVec implements scan.IDSource: the column's dictionary-id vector for the
 // batch, decoded on first use (or served from the session vector cache), or
 // (nil, nil) — compare values instead — unless the column is cleared for
-// id-only access (Reader.idOnly) and its stream is unconsumed: ids and
+// id-only access (colRole.idOnly) and its stream is unconsumed: ids and
 // values advance the same stream, so one batch takes one or the other.
 func (b *colBatch) IDVec(col string) (*scan.IDVector, error) {
-	if !b.r.idOnly[col] {
+	ci := b.r.cursorIndex(col)
+	if ci < 0 || !b.r.roles[ci].idOnly {
 		return nil, nil
 	}
-	e := b.idvecs[col] // evaluation is serial: no prefetch decodes ids
-	if e == nil {
-		if b.decoded(col) {
+	c := &b.r.cursors[ci]
+	if !c.out.idTried {
+		if c.out.decoded {
 			// The value vector already consumed the stream (e.g. a cache hit
 			// from an earlier round decoded values): answer from values.
 			return nil, nil
 		}
-		e = b.decodeIDs(col)
-		if b.idvecs == nil {
-			b.idvecs = make(map[string]*idVecEntry)
-		}
-		b.idvecs[col] = e
+		b.decodeIDs(c)
 	}
-	return e.iv, e.err
+	return c.out.ids, c.out.idErr
 }
 
-// decodeIDs produces col's dictionary-id vector for the batch, or an empty
-// entry when the column's layout declines (not a non-map DCSL column).
-func (b *colBatch) decodeIDs(col string) *idVecEntry {
-	c, err := b.r.cursorFor(col)
-	if err != nil {
-		return &idVecEntry{err: err}
-	}
+// decodeIDs decides c's dictionary-id vector for the batch; none when the
+// column's layout declines (not a non-map DCSL column). With no vector cache
+// the cursor decodes into the same vector batch after batch; one destined
+// for the cache is fresh, and read-only once there.
+func (b *colBatch) decodeIDs(c *cursor) {
+	out := &c.out
+	out.idTried = true
 	cache := b.r.vecCache
 	key := b.key(c)
 	if iv := cache.GetID(key, b.end); iv != nil {
 		c.phys.VecCacheHits++
 		c.phys.DecodeSavedValues += int64(iv.Len())
-		return &idVecEntry{iv: iv}
+		out.ids = iv
+		return
 	}
 	dec, ok := c.r.(colfile.IDVectorDecoder)
 	if !ok {
-		return &idVecEntry{}
+		return
 	}
-	iv := scan.NewIDVector(b.n)
+	if cache != nil || c.ids == nil {
+		c.ids = scan.NewIDVector(b.n) // one the cache keeps is never reset
+	} else {
+		c.ids.Reset()
+	}
+	iv := c.ids
 	answered, err := dec.DecodeIDVector(b.start, b.end, iv, &c.phys.CPU)
 	if err != nil {
-		return &idVecEntry{err: fmt.Errorf("core: column %q id decode [%d,%d): %w", col, b.start, b.end, err)}
+		out.idErr = fmt.Errorf("core: column %q id decode [%d,%d): %w", c.name, b.start, b.end, err)
+		return
 	}
-	if !answered {
-		return &idVecEntry{}
+	if answered {
+		cache.AddID(key, b.end, iv)
+		out.ids = iv
 	}
-	cache.AddID(key, b.end, iv)
-	return &idVecEntry{iv: iv}
 }
 
 // CountDictIDCompares implements scan.DictCompareCounter: n integer
@@ -235,19 +232,17 @@ func (b *colBatch) CountDictIDCompares(n int64) { b.r.task.DictIdCompares += n }
 
 // KeyVec implements scan.VecSource: map-key existence for the batch,
 // answered by the storage layer (the DCSL prober) when the column is safe to
-// probe (Reader.probeOnly).
+// probe (colRole.probeOnly).
 func (b *colBatch) KeyVec(col, key string, sel *scan.Selection) (*scan.Selection, bool, error) {
-	if !b.r.probeOnly[col] {
+	ci := b.r.cursorIndex(col)
+	if ci < 0 || !b.r.roles[ci].probeOnly {
 		return nil, false, nil
 	}
-	if b.decoded(col) {
+	c := &b.r.cursors[ci]
+	if c.out.decoded {
 		// Already decoded (e.g. a cache hit from an earlier batch shape):
 		// answer from the vector instead.
 		return nil, false, nil
-	}
-	c, err := b.r.cursorFor(col)
-	if err != nil {
-		return nil, false, err
 	}
 	kp, ok := c.r.(colfile.KeyVecProber)
 	if !ok {
@@ -264,55 +259,34 @@ func (b *colBatch) KeyVec(col, key string, sel *scan.Selection) (*scan.Selection
 	return res, true, nil
 }
 
-// decoded reports whether the batch holds col's decode outcome.
-func (b *colBatch) decoded(col string) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.vecs[col] != nil
-}
-
-// vecAt returns col's decoded vector when the batch holds one, for the
-// sinks' materialization fast paths. Sinks run after the prefetch barrier,
-// so no decode is in flight to lock out.
-func (b *colBatch) vecAt(col string) *scan.Vector {
-	if e := b.vecs[col]; e != nil && e.err == nil {
-		return e.v
-	}
-	return nil
-}
-
 // contains reports whether record pos lies in the batch.
 func (b *colBatch) contains(pos int64) bool {
 	return pos >= b.start && pos < b.end
 }
 
-// prefetch decodes a residual's certain columns (scan.EagerColumns) not yet
-// decoded for the batch, fanning them across a bounded goroutine pool.
-// Decode errors are memoized, not returned: evaluation surfaces them in its
-// own deterministic order, and an error in a column the short-circuit order
+// prefetch decodes the cursors cols not yet decoded for the batch — a
+// residual's certain columns (scanPlan.prefetch) — fanning them across a
+// bounded goroutine pool, each goroutine writing its own cursor alone.
+// Decode errors are kept, not returned: evaluation surfaces them in its own
+// deterministic order, and an error in a column the short-circuit order
 // never reaches is swallowed exactly like the scalar path never reaching it.
-func (b *colBatch) prefetch(cols []string) {
-	warm := func(col string) {
-		if !b.decoded(col) {
-			b.store(col, b.decode(col))
-		}
-	}
+func (b *colBatch) prefetch(cols []int) {
 	if len(cols) < 2 {
-		for _, col := range cols {
-			warm(col)
+		for _, ci := range cols {
+			b.vec(&b.r.cursors[ci])
 		}
 		return
 	}
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, vecDecodeParallel)
-	for _, col := range cols {
+	for _, ci := range cols {
 		wg.Add(1)
-		go func(col string) {
+		go func(c *cursor) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			warm(col)
-		}(col)
+			b.vec(c)
+		}(&b.r.cursors[ci])
 	}
 	wg.Wait()
 }
@@ -321,7 +295,7 @@ func (b *colBatch) prefetch(cols []string) {
 // it, at curPos); false at the end of the split or on an error.
 func (r *Reader) advance() (bool, error) {
 	for {
-		if b := r.batch; b != nil {
+		if b := &r.batch; b.n > 0 {
 			// A dense run tests its next row inline; Next scans for the rest.
 			idx := b.next
 			if idx >= b.n || !b.sel.Test(idx) {
@@ -382,7 +356,7 @@ func (r *Reader) deliver(m *member) (any, error) {
 	}
 	rec := serde.NewRecord(m.proj)
 	for i, ci := range m.colCursor {
-		v, err := r.valueAt(r.cursors[ci])
+		v, err := r.valueAt(&r.cursors[ci])
 		if err != nil {
 			return nil, err
 		}
@@ -444,8 +418,8 @@ func (r *Reader) step() error {
 		limit = 1
 	}
 	end = min(end, pos+limit)
-	b := &colBatch{r: r, start: pos, end: end, n: int(end - pos)}
-	r.batch = b
+	r.batch = colBatch{r: r, start: pos, end: end, n: int(end - pos)}
+	b := &r.batch
 	if !r.vectorize {
 		r.curPos = pos // the scalar evaluator reads the cursors at curPos
 	}
@@ -503,7 +477,7 @@ func (r *Reader) evaluate(b *colBatch) error {
 			}
 			continue
 		}
-		b.prefetch(r.eagerCols(p))
+		b.prefetch(r.prefetch[g])
 		out, err := p.VecEval(b, in)
 		if err != nil {
 			return err
@@ -530,18 +504,6 @@ func (r *Reader) evaluate(b *colBatch) error {
 		m.stats.RecordsFiltered += int64(wants.Count() - m.sel.Count())
 	}
 	return nil
-}
-
-// eagerCols filters a residual's certain columns down to those the prefetch
-// fan-out may decode as value vectors: an id-only column must not be
-// prefetched, or its consumed stream would block the id path VecEval is
-// about to take.
-func (r *Reader) eagerCols(p scan.Predicate) []string {
-	cols := scan.EagerColumns(p)
-	if len(r.idOnly) == 0 {
-		return cols
-	}
-	return slices.DeleteFunc(slices.Clone(cols), func(col string) bool { return r.idOnly[col] })
 }
 
 // selection returns a pooled selection of n rows (every one selected when
@@ -638,11 +600,11 @@ func (r *Reader) assemble(b *colBatch) error {
 		for j, ci := range m.colCursor {
 			s := &srcs[ci]
 			if s.v == nil {
-				c := r.cursors[ci]
-				s.v = b.vecAt(c.name)
+				c := &r.cursors[ci]
+				s.v = c.out.vec
 				if s.v == nil && r.readLazily(ci) {
 					var err error
-					if s.v, err = b.ColVec(c.name); err != nil {
+					if s.v, err = b.vec(c); err != nil {
 						return err
 					}
 				}
@@ -707,13 +669,13 @@ func (b *colBatch) decodeBoxed(c *cursor, sel *scan.Selection, from, to, n int) 
 // shared with the session cache are read-only and live on), its selections,
 // and the members' matches and unclaimed records with them.
 func (r *Reader) releaseBatch() {
-	if b := r.batch; b != nil {
-		r.batch = nil
-		for _, e := range b.vecs {
-			if e.v != nil && !e.cached {
-				vecScratch.Put(e.v)
-			}
+	r.batch = colBatch{r: r}
+	for i := range r.cursors {
+		c := &r.cursors[i]
+		if c.out.vec != nil && !c.out.cached {
+			vecScratch.Put(c.out.vec)
 		}
+		c.out = colOut{}
 	}
 	for i, s := range r.sels {
 		scan.PutSelection(s)

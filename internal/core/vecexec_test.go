@@ -12,6 +12,7 @@ import (
 	"colmr/internal/scan"
 	"colmr/internal/serde"
 	"colmr/internal/sim"
+	"colmr/internal/vec"
 )
 
 // Vectorized-vs-scalar equivalence at the reader level: identical rows in
@@ -89,6 +90,15 @@ func TestVectorizedScanEquivalence(t *testing.T) {
 		),
 		scan.KeyExists("metadata", "server"),
 		scan.Not(scan.HasPrefix("url", "http://site")),
+		// Every column in the prefetch fan-out at once: a disjunction decodes
+		// all four (metadata's key test keeps it off the id path).
+		scan.Or(
+			scan.HasPrefix("url", "http://ibm.com/jp"),
+			scan.Gt("fetchTime", int64(1293840000000+290)),
+			scan.IsNull("content"),
+			scan.IsNull("metadata"),
+			scan.KeyExists("metadata", "server"),
+		),
 	}
 	proj, err := crawlSchema.Project("url", "content")
 	if err != nil {
@@ -97,13 +107,21 @@ func TestVectorizedScanEquivalence(t *testing.T) {
 	for name, opts := range vecLayouts() {
 		fs := testFS(t, 4)
 		loadDataset(t, fs, "/data/crawl", opts, 300)
+		// The layout's runs share one vector cache: a later run's batch may
+		// be served from what an earlier one admitted.
+		cache := vec.New(16 << 20)
 		for _, pred := range preds {
-			for _, lazy := range []bool{false, true} {
+			for _, mode := range []struct {
+				lazy bool
+				vc   *vec.Cache
+			}{{false, nil}, {true, nil}, {false, cache}, {true, cache}} {
+				lazy := mode.lazy
 				var vst sim.TaskStats
-				ctx := fmt.Sprintf("%s pred=%v lazy=%v", name, pred, lazy)
+				ctx := fmt.Sprintf("%s pred=%v lazy=%v cached=%v", name, pred, lazy, mode.vc != nil)
 				vrows := checkVecEquivalence(t, ctx, proj, pred, 300, func(vect bool) ([]map[string]any, sim.TaskStats) {
 					conf := predConf([]string{"url", "content"}, lazy, pred)
 					conf.Scan.NoVec = !vect
+					conf.VecCache = mode.vc
 					rows, st := scanAll(t, fs, "/data/crawl", conf)
 					if vect {
 						vst = st

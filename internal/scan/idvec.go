@@ -40,6 +40,13 @@ func NewIDVector(n int) *IDVector {
 	return &IDVector{IDs: make([]uint32, 0, n)}
 }
 
+// Reset empties the vector for the next batch, keeping its storage. Only
+// the owner of a vector no cache holds may reset it.
+func (v *IDVector) Reset() {
+	clear(v.Segs) // the last batch's dictionaries
+	v.IDs, v.Segs, v.null, v.n = v.IDs[:0], v.Segs[:0], v.null[:0], 0
+}
+
 // Len returns the number of rows.
 func (v *IDVector) Len() int { return v.n }
 

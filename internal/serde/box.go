@@ -22,10 +22,12 @@ import (
 // The bytes of decoded strings, map keys and byte slices are copied the same
 // way (CopyString, CopyBytes): into the payload chunk, a pointer-free []byte
 // that is only ever appended to. Its first chunk is exactly as long as the
-// first payload and later ones double up to PayloadChunk bytes. A payload
-// longer than singleMax gets an allocation of its own, so a kept short payload
-// pins at most a chunk of its chunk-mates. Byte slices come back capped at
-// their length: appending to one moves it, never onto the bytes after it.
+// first payload and later ones double up to PayloadChunk bytes — unless
+// Expect announced n values: then every chunk holds at least n payloads of
+// the length that cut it, up to PayloadChunk. A payload longer than
+// singleMax gets an allocation of its own, so a kept short payload pins at
+// most a chunk of its chunk-mates. Byte slices come back capped at their
+// length: appending to one moves it, never onto the bytes after it.
 //
 // A Boxer is meant to live as long as its owner — a decoder, a reader's task,
 // an aggregation — and to box everything that owner boxes. Each type's chunks
@@ -123,7 +125,7 @@ func (b *Boxer) CopyBytes(p []byte) []byte {
 		copy(q, p)
 		return q
 	case cap(b.pay)-len(b.pay) < n:
-		b.pay = make([]byte, 0, max(n, min(2*cap(b.pay), PayloadChunk)))
+		b.pay = make([]byte, 0, max(n, min(max(2*cap(b.pay), b.want*n), PayloadChunk)))
 	}
 	b.pay = append(b.pay, p...)
 	return b.pay[len(b.pay)-n : len(b.pay) : len(b.pay)]

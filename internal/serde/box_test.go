@@ -174,10 +174,11 @@ func TestBoxedValuesSurviveGC(t *testing.T) {
 // compiler's conversion cost and one that lives reaches full chunks and stays
 // there — Expect is a floor: a short call announced later, or chunks of
 // another type cut in between, never shrink the next chunk. Payloads go the
-// same way in bytes: the first chunk is the first payload, later ones double
-// to 1 KiB, and one past singleMax is an allocation of its own.
+// same way in bytes: the first chunk is the first payload (times the values
+// announced, up to 1 KiB), later ones double to 1 KiB, and one past
+// singleMax is an allocation of its own.
 func TestBoxerChunkLengths(t *testing.T) {
-	p8, p24, p300 := make([]byte, 8), make([]byte, 24), make([]byte, 300)
+	p8, p24, p40, p300 := make([]byte, 8), make([]byte, 24), make([]byte, 40), make([]byte, 300)
 	for _, tc := range []struct {
 		name    string
 		expect  int
@@ -193,6 +194,7 @@ func TestBoxerChunkLengths(t *testing.T) {
 		{"1000 float64 unannounced", 0, func(b *Boxer) { b.Float64(1.5) }, 1000, 7 + 7, 0}, // 1+2+…+64, then 128s
 		{"1 payload of 24 B", 0, func(b *Boxer) { b.CopyBytes(p24) }, 1, 1, 24},
 		{"1000 payloads of 8 B", 0, func(b *Boxer) { b.CopyString(p8) }, 1000, 8 + 6, 1024}, // 8+16+…+1024 B, then 1 KiB
+		{"16 payloads of 40 B expected", 16, func(b *Boxer) { b.CopyBytes(p40) }, 16, 1, 640},
 		{"10 payloads of 300 B", 0, func(b *Boxer) { b.CopyBytes(p300) }, 10, 10, 0},
 	} {
 		bx := new(Boxer) // it escapes through tc.box: not an allocation of the run's
