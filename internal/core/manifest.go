@@ -4,13 +4,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"slices"
 	"strconv"
 	"strings"
 
 	"colmr/internal/hdfs"
+	"colmr/internal/seal"
 )
 
 // Generation-stamped dataset manifests (the streaming-ingest commit
@@ -30,10 +30,11 @@ import (
 //     writes a checkpoint once the edits since the last one would add up to
 //     more bytes than it, so a commit costs what it changed, amortized, and
 //     a reader replays at most twice a checkpoint's bytes;
-//   - a record ends in its length and a CRC-32C. Readers take the highest N:
-//     a short or empty record is torn — a racing or crashed commit — and the
-//     reader falls back to N-1; a full-length record whose checksum fails is
-//     corrupt, an error that names the file.
+//   - a record ends in its length and a CRC-32C, package seal's trailer.
+//     Readers take the highest N: a short or empty record is torn — a
+//     racing or crashed commit — and the reader falls back to N-1; a
+//     full-length record whose checksum fails is corrupt, an error that
+//     names the file.
 //
 // The byte layout is specified in docs/FORMAT.md. The session caches need
 // no commit hook for correctness: cache keys carry file generations, and
@@ -54,15 +55,9 @@ const (
 	kindEdit       = 'E'
 )
 
-// manifestTrailer is a record's closing total length and CRC-32C, both
-// little-endian uint32s; the checksum covers every byte before it.
-const manifestTrailer = 8
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// errTornRecord marks a record shorter than its trailer says: a commit that
-// was still being written, or crashed mid-write.
-var errTornRecord = errors.New("torn record")
+// manifestTrailer is a record's closing total length and CRC-32C
+// (seal.Append).
+const manifestTrailer = seal.Len
 
 // ManifestPartition is one partition of a manifest-published dataset.
 type ManifestPartition struct {
@@ -188,30 +183,25 @@ func appendRuns(dst []byte, runs []DelRun) []byte {
 }
 
 // sealRecord appends the trailer of the record that starts at dst[start].
-func sealRecord(dst []byte, start int) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(dst)-start+manifestTrailer))
-	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli))
-}
+func sealRecord(dst []byte, start int) []byte { return seal.Append(dst, start) }
 
 // decodeRecord parses one commit record into a checkpoint or an edit
-// (exactly one is non-nil). A record shorter than its trailer claims fails
-// with errTornRecord; any other failure is corruption.
+// (exactly one is non-nil). A record too short to hold a magic, a kind and
+// a trailer, or shorter than its trailer claims, fails with seal.ErrTorn;
+// any other failure is corruption.
 func decodeRecord(data []byte) (*Manifest, *ManifestEdit, error) {
 	if len(data) < len(manifestMagic)+1+manifestTrailer {
-		return nil, nil, errTornRecord
+		return nil, nil, seal.ErrTorn
 	}
-	n := len(data) - manifestTrailer
-	if int64(binary.LittleEndian.Uint32(data[n:])) != int64(len(data)) {
-		return nil, nil, errTornRecord
+	body, err := seal.Open(data)
+	if err != nil {
+		return nil, nil, err
 	}
-	if crc32.Checksum(data[:n+4], castagnoli) != binary.LittleEndian.Uint32(data[n+4:]) {
-		return nil, nil, errors.New("checksum mismatch")
+	if string(body[:len(manifestMagic)]) != manifestMagic {
+		return nil, nil, fmt.Errorf("bad magic %q", body[:len(manifestMagic)])
 	}
-	if string(data[:len(manifestMagic)]) != manifestMagic {
-		return nil, nil, fmt.Errorf("bad magic %q", data[:len(manifestMagic)])
-	}
-	d := recordDecoder{buf: data[len(manifestMagic)+1 : n]}
-	kind := data[len(manifestMagic)]
+	d := recordDecoder{buf: body[len(manifestMagic)+1:]}
+	kind := body[len(manifestMagic)]
 	gen := d.int64()
 	var m *Manifest
 	var e *ManifestEdit
@@ -582,7 +572,7 @@ func readManifest(fs *hdfs.FileSystem, dataset string) (*Manifest, bool, error) 
 	slices.Sort(gens)
 	for i := len(gens) - 1; i >= 0; i-- {
 		m, e, err := readRecord(fs, dataset, gens[i])
-		if errors.Is(err, errTornRecord) {
+		if errors.Is(err, seal.ErrTorn) {
 			continue // a racing or crashed commit: fall back to N-1
 		}
 		if err != nil {
@@ -628,7 +618,7 @@ func replayEdits(fs *hdfs.FileSystem, dataset string, head *ManifestEdit) (*Mani
 }
 
 // readRecord reads and decodes generation gen's record, checking that it is
-// the generation its name says. Only errTornRecord and errRecordGone come
+// the generation its name says. Only seal.ErrTorn and errRecordGone come
 // back unwrapped.
 func readRecord(fs *hdfs.FileSystem, dataset string, gen int64) (*Manifest, *ManifestEdit, error) {
 	p := manifestPath(dataset, gen)
@@ -640,7 +630,7 @@ func readRecord(fs *hdfs.FileSystem, dataset string, gen int64) (*Manifest, *Man
 		return nil, nil, fmt.Errorf("core: reading %s: %w", p, err)
 	}
 	m, e, err := decodeRecord(data)
-	if errors.Is(err, errTornRecord) {
+	if errors.Is(err, seal.ErrTorn) {
 		return nil, nil, err
 	}
 	if err == nil {
