@@ -343,8 +343,9 @@ func BenchmarkDecodeVector(b *testing.B) {
 
 // eightEntryDictMap encodes a map<string> of eight entries as a DCSL window
 // stores it — the entry count, then each key's dictionary id and its encoded
-// value — and returns it with its dictionary and the map it holds.
-func eightEntryDictMap(tb testing.TB) (*serde.Schema, *compress.Dictionary, []byte, map[string]any) {
+// value — and returns it with its window dictionary, as a reader loads it,
+// and the map it holds.
+func eightEntryDictMap(tb testing.TB) (*serde.Schema, *dictWindow, []byte, map[string]any) {
 	tb.Helper()
 	schema := serde.MapOf(serde.String())
 	dict := compress.NewDictionary()
@@ -360,7 +361,13 @@ func eightEntryDictMap(tb testing.TB) (*serde.Schema, *compress.Dictionary, []by
 			tb.Fatal(err)
 		}
 	}
-	return schema, dict, buf, want
+	view, _, err := compress.ParseDictionary(dict.Append(nil))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var w dictWindow
+	w.reset(view, schema.Kind)
+	return schema, &w, buf, want
 }
 
 var mapSink map[string]any

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"colmr/internal/compress"
 	"colmr/internal/scan"
 	"colmr/internal/serde"
 	"colmr/internal/sim"
@@ -265,5 +266,71 @@ func TestDCSLStringValueBoxesDictionaryEntryOnce(t *testing.T) {
 	read(3*window + 60) // every one of the window's twelve strings has come by
 	if allocs := testing.AllocsPerRun(1, func() { read(15) }); allocs != 0 {
 		t.Errorf("15 values of a warm window allocate %.0f objects, want 0", allocs)
+	}
+}
+
+// A DCSL id vector's segments keep their window dictionaries, and a view
+// owns its bytes: after the reader has refilled its stream window many
+// times, read to the end and released it — poisoned — every kept segment
+// still resolves each row's value to its id and looks the id up as that
+// value.
+func TestDCSLDictViewOutlivesWindow(t *testing.T) {
+	poisonReleased = true
+	defer func() { poisonReleased = false }()
+	schema := serde.String()
+	const n, batch = 700, 64 // seven dictionary windows of 100 rows
+	f, vals := writeColumn(t, schema, Options{Layout: DCSL, Levels: []int{100, 10}}, n, func(i int) any {
+		if i%9 == 4 {
+			return nil
+		}
+		return fmt.Sprintf("http://site%02d.example/%d", i%23, i/100)
+	})
+	held := WindowsInUse()
+	r, err := NewReaderOpts(f.reader(), schema, ReaderOptions{Chunk: 256}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []*scan.IDVector
+	for at := int64(0); at < n; at += batch {
+		iv := &scan.IDVector{}
+		if answered, err := r.(IDVectorDecoder).DecodeIDVector(at, min(at+batch, n), iv, nil); err != nil || !answered {
+			t.Fatalf("ids [%d, %d): answered %v, %v", at, at+batch, answered, err)
+		}
+		kept = append(kept, iv)
+	}
+	if r.Record() != n {
+		t.Fatalf("reader at %d after the last batch, want %d", r.Record(), n)
+	}
+	r.Release()
+	if got := WindowsInUse(); got != held {
+		t.Fatalf("%d stream windows out after the release", got-held)
+	}
+	segs := 0
+	for b, iv := range kept {
+		for _, seg := range iv.Segs {
+			segs++
+			dict := seg.Dict.(*compress.DictView)
+			if _, ok := dict.ResolveID("http://site99.example/0"); ok {
+				t.Errorf("batch %d: an absent value resolves", b)
+			}
+			for i := seg.Start; i < seg.End; i++ {
+				want := vals[b*batch+i]
+				if want == nil {
+					if !iv.IsNull(i) {
+						t.Fatalf("batch %d row %d: null lost", b, i)
+					}
+					continue
+				}
+				if id, ok := dict.ResolveID(want.(string)); !ok || id != iv.IDs[i] {
+					t.Fatalf("batch %d row %d: %q resolves to %d, %v; the row holds id %d", b, i, want, id, ok, iv.IDs[i])
+				}
+				if e, err := dict.Lookup(iv.IDs[i]); err != nil || string(e) != want {
+					t.Fatalf("batch %d row %d: id %d looks up %q, %v; wrote %q", b, i, iv.IDs[i], e, err, want)
+				}
+			}
+		}
+	}
+	if segs < 3+len(kept) {
+		t.Fatalf("%d segments over %d batches: the batches cross too few windows", segs, len(kept))
 	}
 }

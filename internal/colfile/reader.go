@@ -282,12 +282,8 @@ type slReader struct {
 	noBloom bool
 
 	aligned bool
-	dict    *compress.Dictionary
-	// dictBoxed[id] is the window dictionary's string id as Value hands it
-	// out, boxed on first lookup (nil until then): a DCSL string column
-	// repeats few strings over many rows.
-	dictBoxed []any
-	ptrs      []byte // readGroup's copy of the current group's skip pointers
+	win     dictWindow // DCSL: the current window's dictionary
+	ptrs    []byte     // readGroup's copy of the current group's skip pointers
 
 	// KeyProber memoization: repeated probes for the same key reuse the
 	// group's Bloom verdict and the window's dictionary answer instead of
@@ -321,12 +317,73 @@ func (r *slReader) loadDict() error {
 		return err
 	}
 	compress.ChargeDecomp(r.stats, "dict", int64(n))
-	r.dict = dict
-	if r.schema.Kind == serde.KindString {
-		clear(r.dictBoxed) // the last window's boxes; past its length all is nil
-		r.dictBoxed = slices.Grow(r.dictBoxed[:0], dict.Len())[:dict.Len()]
-	}
+	r.win.reset(dict, r.schema.Kind)
 	return nil
+}
+
+// dictWindow is a DCSL reader's window dictionary with its memos of the
+// entries handed out so far in the window. The view owns its bytes, so it
+// outlives the stream window it was read from: id vectors keep it. The
+// memos are the reader's, emptied at each window, and their strings are
+// carved from the reader's boxer's payload chunk on an entry's first use.
+type dictWindow struct {
+	dict *compress.DictView
+	// boxed[id] is a string column's entry id as Value hands it out (nil
+	// until first used): a DCSL string column repeats few strings over
+	// many rows.
+	boxed []any
+	// keys[id] is a map column's entry id as a map key ("" until first
+	// used; an empty key is carved again, which costs nothing).
+	keys []string
+}
+
+// reset makes dict the window's dictionary and empties the memo the
+// column's kind uses.
+func (w *dictWindow) reset(dict *compress.DictView, kind serde.Kind) {
+	w.dict = dict
+	switch kind {
+	case serde.KindString:
+		w.boxed = resetMemo(w.boxed, dict.Len())
+	case serde.KindMap:
+		w.keys = resetMemo(w.keys, dict.Len())
+	}
+}
+
+// resetMemo empties memo and sizes it to n entries, keeping its storage:
+// clearing the last window's entries leaves zero everything past them.
+func resetMemo[T any](memo []T, n int) []T {
+	clear(memo)
+	return slices.Grow(memo[:0], n)[:n]
+}
+
+// value returns a string column's entry id boxed, carving and boxing it on
+// its first use in the window.
+func (w *dictWindow) value(bx *serde.Boxer, id uint32) (any, error) {
+	if int(id) < len(w.boxed) && w.boxed[id] != nil {
+		return w.boxed[id], nil
+	}
+	e, err := w.dict.Lookup(id)
+	if err != nil {
+		return nil, err
+	}
+	v := bx.String(bx.CopyString(e))
+	w.boxed[id] = v
+	return v, nil
+}
+
+// key returns a map column's entry id as a map key, carving it on its
+// first use in the window.
+func (w *dictWindow) key(bx *serde.Boxer, id uint32) (string, error) {
+	if int(id) < len(w.keys) && w.keys[id] != "" {
+		return w.keys[id], nil
+	}
+	e, err := w.dict.Lookup(id)
+	if err != nil {
+		return "", err
+	}
+	k := bx.CopyString(e)
+	w.keys[id] = k
+	return k, nil
 }
 
 // readGroup consumes the skip group at the cursor, returning a copy of its
@@ -460,9 +517,10 @@ func (r *slReader) SkipTo(target int64) error {
 // reader even aligns on the record — cheaper than the dictionary walk and
 // able to skip the window dictionary load entirely. Past the filter, the
 // window dictionary is the union of every map key in the window, so a
-// failed lookup refutes the whole window with one map access; a hit walks
-// the current record's (id, value) pairs comparing ids, skipping element
-// bytes, building no objects. The walk is priced as raw byte movement.
+// failed lookup refutes the whole window with one dictionary search; a hit
+// walks the current record's (id, value) pairs comparing ids, skipping
+// element bytes, building no objects. The walk is priced as raw byte
+// movement.
 func (r *slReader) HasKey(key string) (bool, bool, error) {
 	if !r.dcsl || r.schema.Kind != serde.KindMap || r.rec >= r.total {
 		return false, false, nil
@@ -488,11 +546,11 @@ func (r *slReader) HasKey(key string) (bool, bool, error) {
 	if err := r.align(); err != nil {
 		return false, false, err
 	}
-	if r.dict == nil {
+	if r.win.dict == nil {
 		return false, false, nil
 	}
 	if win := r.rec - r.rec%r.maxLevel(); win != r.probeWin {
-		r.probeID, r.probeInWin = r.dict.ID(key)
+		r.probeID, r.probeInWin = r.win.dict.ResolveID(key)
 		r.probeWin = win
 	}
 	id, inWindow := r.probeID, r.probeInWin
@@ -567,7 +625,7 @@ func (r *slReader) walkOne() error {
 // dictID parses one DCSL string/bytes blob: empty is null, otherwise the
 // blob is the value's uvarint id into the window dictionary.
 func (r *slReader) dictID(buf []byte) (id uint32, null bool, err error) {
-	if r.dict == nil {
+	if r.win.dict == nil {
 		return 0, false, fmt.Errorf("colfile: DCSL value before dictionary")
 	}
 	if len(buf) == 0 {
@@ -581,9 +639,9 @@ func (r *slReader) dictID(buf []byte) (id uint32, null bool, err error) {
 }
 
 // dictValue materializes and charges one dictionary-encoded string/bytes
-// value from its blob. Looked-up strings are shared interned objects, boxed
-// once per window; bytes columns copy them out since callers may mutate byte
-// slices.
+// value from its blob. A string is carved and boxed once per window and
+// shared by every row that repeats it; bytes columns copy each value out
+// since callers may mutate byte slices.
 func (r *slReader) dictValue(buf []byte) (any, error) {
 	id, null, err := r.dictID(buf)
 	if err != nil {
@@ -591,18 +649,15 @@ func (r *slReader) dictValue(buf []byte) (any, error) {
 	}
 	var v any
 	if !null {
-		s, err := r.dict.Lookup(id)
-		if err != nil {
-			return nil, err
-		}
+		bx := r.dec.Boxer()
 		if r.schema.Kind == serde.KindBytes {
-			v = r.dec.Boxer().Bytes([]byte(s))
-		} else {
-			box := &r.dictBoxed[id]
-			if *box == nil {
-				*box = r.dec.Boxer().String(s)
+			e, err := r.win.dict.Lookup(id)
+			if err != nil {
+				return nil, err
 			}
-			v = *box
+			v = bx.Bytes(bx.CopyBytes(e))
+		} else if v, err = r.win.value(bx, id); err != nil {
+			return nil, err
 		}
 	}
 	if r.stats != nil {
@@ -614,10 +669,10 @@ func (r *slReader) dictValue(buf []byte) (any, error) {
 
 // dictMap materializes and charges one DCSL map value from its blob.
 func (r *slReader) dictMap(buf []byte) (map[string]any, error) {
-	if r.dict == nil {
+	if r.win.dict == nil {
 		return nil, fmt.Errorf("colfile: DCSL value before dictionary")
 	}
-	m, n, err := parseDictMap(&r.dec, buf, r.schema, r.dict)
+	m, n, err := parseDictMap(&r.dec, buf, r.schema, &r.win)
 	if err != nil {
 		return nil, err
 	}
@@ -630,12 +685,13 @@ func (r *slReader) dictMap(buf []byte) (map[string]any, error) {
 
 // parseDictMap materializes one dictionary-compressed map value from buf,
 // returning it with the bytes it took. All bytes are charged at the
-// dictionary-decode rate: key strings are shared interned objects, which is
-// why the paper's DCSL decompression "proved to be extremely fast". Values
-// come from the decoder, whose chunks hold their boxes and their payloads, so
-// a map of short strings costs the map and a share of a chunk, not two
-// allocations per entry.
-func parseDictMap(d *serde.Decoder, buf []byte, schema *serde.Schema, dict *compress.Dictionary) (map[string]any, int, error) {
+// dictionary-decode rate: a key is carved once per window and shared by
+// every map of the window that holds it, which is why the paper's DCSL
+// decompression "proved to be extremely fast". Keys and values come from
+// the decoder's boxer, whose chunks hold boxes and payloads, so a map of
+// short strings costs the map and a share of a chunk, not two allocations
+// per entry.
+func parseDictMap(d *serde.Decoder, buf []byte, schema *serde.Schema, w *dictWindow) (map[string]any, int, error) {
 	d.Init(buf, nil)
 	count, err := readCount(d)
 	if err != nil {
@@ -647,7 +703,7 @@ func parseDictMap(d *serde.Decoder, buf []byte, schema *serde.Schema, dict *comp
 		if err != nil {
 			return nil, 0, err
 		}
-		key, err := dict.Lookup(uint32(id))
+		key, err := w.key(d.Boxer(), uint32(id))
 		if err != nil {
 			return nil, 0, err
 		}

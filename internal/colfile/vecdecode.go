@@ -317,23 +317,27 @@ func (r *slReader) appendDictString(buf []byte, v *scan.Vector) error {
 		v.AppendNull()
 		return nil
 	}
-	s, err := r.dict.Lookup(id)
+	e, err := r.win.dict.Lookup(id)
 	if err != nil {
 		return err
 	}
 	switch {
-	case !v.Boxed || len(s) <= scan.BoxArenaMax:
-		v.AppendString(s)
+	case !v.Boxed || len(e) <= scan.BoxArenaMax:
+		v.AppendBytes(e)
 	case r.schema.Kind == serde.KindString:
-		v.AppendSingle(s) // the interned string itself, as Value hands it out
+		s, err := r.win.value(r.dec.Boxer(), id) // the string as Value hands it out
+		if err != nil {
+			return err
+		}
+		v.AppendSingle(s)
 	default:
-		v.AppendSingle([]byte(s))
+		v.AppendSingle(bytes.Clone(e))
 	}
 	if r.stats != nil {
 		compress.ChargeDecomp(r.stats, "dict", int64(len(buf)))
 	}
 	if !v.Boxed {
-		chargeVec(r.stats, len(s))
+		chargeVec(r.stats, len(e))
 	}
 	return nil
 }
@@ -422,7 +426,7 @@ func (r *slReader) DecodeIDVector(start, end int64, iv *scan.IDVector, cpu *sim.
 	}
 	err := r.within(r, "id decode", start, end, cpu, func() error {
 		var (
-			segDict  *compress.Dictionary
+			segDict  *compress.DictView
 			segStart = iv.Len()
 			curWin   = int64(-1)
 		)
@@ -436,7 +440,7 @@ func (r *slReader) DecodeIDVector(start, end int64, iv *scan.IDVector, cpu *sim.
 					segStart = iv.Len()
 				}
 				curWin = win
-				segDict = r.dict
+				segDict = r.win.dict
 			}
 			buf, err := r.readBlob()
 			if err != nil {
@@ -495,7 +499,7 @@ func (r *slReader) ProbeKeys(key string, start, end int64, sel *scan.Selection, 
 			if err := r.align(); err != nil {
 				return err
 			}
-			if r.dict == nil {
+			if r.win.dict == nil {
 				return fmt.Errorf("colfile: DCSL probe before dictionary")
 			}
 			win := r.rec - r.rec%r.maxLevel()
@@ -503,7 +507,7 @@ func (r *slReader) ProbeKeys(key string, start, end int64, sel *scan.Selection, 
 				// Window tier: the dictionary is the union of every key in the
 				// window, so one lookup decides the id for the whole window —
 				// or refutes all of it.
-				id, inWindow = r.dict.ID(key)
+				id, inWindow = r.win.dict.ResolveID(key)
 				curWin = win
 			}
 			if !inWindow {

@@ -228,11 +228,8 @@ func TestDictionary(t *testing.T) {
 	if d.Len() != 2 {
 		t.Errorf("Len = %d, want 2", d.Len())
 	}
-	if s, err := d.Lookup(b); err != nil || s != "server" {
-		t.Errorf("Lookup(%d) = %q, %v", b, s, err)
-	}
-	if _, err := d.Lookup(99); err == nil {
-		t.Error("Lookup out of range should fail")
+	if a != 0 || b != 1 {
+		t.Errorf("ids %d, %d; want 0, 1 in order of first Add", a, b)
 	}
 	if id, ok := d.ID("server"); !ok || id != b {
 		t.Errorf("ID(server) = %d, %v", id, ok)
@@ -243,8 +240,9 @@ func TestDictionary(t *testing.T) {
 }
 
 func TestDictionarySerializationRoundTrip(t *testing.T) {
+	entries := []string{"a", "bb", "", "content-type", "ccc"}
 	d := NewDictionary()
-	for _, s := range []string{"a", "bb", "", "content-type", "ccc"} {
+	for _, s := range entries {
 		d.Add(s)
 	}
 	buf := d.Append(nil)
@@ -259,12 +257,13 @@ func TestDictionarySerializationRoundTrip(t *testing.T) {
 	if got.Len() != d.Len() {
 		t.Fatalf("parsed %d entries, want %d", got.Len(), d.Len())
 	}
-	for i := 0; i < d.Len(); i++ {
-		a, _ := d.Lookup(uint32(i))
-		b, _ := got.Lookup(uint32(i))
-		if a != b {
-			t.Errorf("entry %d: %q != %q", i, a, b)
+	for i, want := range entries {
+		if e, err := got.Lookup(uint32(i)); err != nil || string(e) != want {
+			t.Errorf("entry %d: %q, %v; want %q", i, e, err, want)
 		}
+	}
+	if _, err := got.Lookup(uint32(len(entries))); err == nil {
+		t.Error("Lookup out of range should fail")
 	}
 }
 

@@ -47,7 +47,44 @@ func FuzzParseDictionary(f *testing.F) {
 	f.Add(d.Append(nil))
 	f.Add([]byte{255, 255, 255})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _, _ = ParseDictionary(data) // must not panic
+		v, n, err := ParseDictionary(data) // must not panic
+		if err != nil {
+			return
+		}
+		// What parses re-encodes through the writer to the bytes it came
+		// from, but for two spellings the writer never produces: a repeated
+		// entry (TestDictViewPositionalIDs pins those ids), and a count or
+		// length prefix longer than it needs to be — re-encoded, that one
+		// must still read back entry for entry.
+		w := NewDictionary()
+		for id := range v.Len() {
+			e, err := v.Lookup(uint32(id))
+			if err != nil {
+				t.Fatalf("entry %d of %d: %v", id, v.Len(), err)
+			}
+			w.Add(string(e))
+		}
+		if w.Len() < v.Len() {
+			return
+		}
+		again := w.Append(nil)
+		if len(again) == n {
+			if !bytes.Equal(again, data[:n]) {
+				t.Fatalf("re-encoded %x\nfrom %x", again, data[:n])
+			}
+			return
+		}
+		back, m, err := ParseDictionary(again)
+		if err != nil || m != len(again) || back.Len() != v.Len() {
+			t.Fatalf("re-encoded %x: %d bytes read, %v", again, m, err)
+		}
+		for id := range v.Len() {
+			a, _ := v.Lookup(uint32(id))
+			b, _ := back.Lookup(uint32(id))
+			if !bytes.Equal(a, b) {
+				t.Fatalf("entry %d: %q re-encodes as %q", id, a, b)
+			}
+		}
 	})
 }
 

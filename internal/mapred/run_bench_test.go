@@ -152,11 +152,18 @@ func BenchmarkRun(b *testing.B) {
 }
 
 // TestRunAllocCeiling holds Run to the allocations per map task it makes
-// planning through the filesystem's one catalog. Each pool goroutine is one
-// allocation and there is one per CPU, up to eight, so the ceilings are
-// those counts with eight goroutines, rounded up.
+// planning through the filesystem's one catalog. The counts are the same at
+// every -cpu: the pool's goroutines allocate nothing the count sees. What
+// moves them is the garbage collector, which empties the sync.Pools a run
+// draws scratch from, so a run after a collection makes some of it again:
+// with GOGC=off cif_lazy reads 128.75 every time, by default 128.75 or
+// 128.81, at GOGC=20 up to 128.94 (cif_eager 325.56). Each ceiling is its
+// count plus half an allocation per task, rounded up: 0.9 to 1.8 above the
+// count, room for those refills, and a regression of two allocations per
+// task fails every arm (one per batch fails cif_agg_ids thirteen times
+// over).
 func TestRunAllocCeiling(t *testing.T) {
-	ceiling := map[string]float64{"cif_eager": 326, "cif_lazy": 130, "cif_agg": 83, "cif_agg_ids": 102, "rcfile": 3307}
+	ceiling := map[string]float64{"cif_eager": 326, "cif_lazy": 130, "cif_agg": 83, "cif_agg_ids": 66, "rcfile": 3307}
 	fs := runBenchData(t)
 	for _, tc := range runBenchCases(t) {
 		job := tc.job()

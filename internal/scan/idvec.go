@@ -9,7 +9,9 @@ package scan
 // touching a single value byte.
 
 // IDResolver resolves a literal to its id within one dictionary window.
-// colfile's window dictionaries (compress.Dictionary) implement it.
+// colfile's window dictionaries, read as compress.DictView, implement it:
+// immutable views that own their bytes, so a segment may keep one for as
+// long as its vector lives.
 type IDResolver interface {
 	// ResolveID returns the needle's id and whether the window's
 	// dictionary contains it at all.
