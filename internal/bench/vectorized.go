@@ -6,6 +6,7 @@ import (
 
 	"colmr/internal/colfile"
 	"colmr/internal/core"
+	"colmr/internal/hdfs"
 	"colmr/internal/mapred"
 	"colmr/internal/scan"
 	"colmr/internal/serde"
@@ -19,11 +20,14 @@ import (
 // The sweep crosses predicate selectivity with the column layouts.
 //
 // The filter column is adversarial to the pruning stack on purpose: str1
-// cycles through vecTagCycle distinct values, so every stats window spans
-// the whole domain (zone maps never prune) and every window contains every
-// value (Bloom filters never prune, the needle is everywhere). Both modes
-// therefore decode the filter column in full over identical bytes — the
-// comparison isolates execution, with pruning and I/O held fixed:
+// cycles through vecTagCycle distinct values, so every stats window of as
+// many rows spans the whole domain (zone maps never prune) and contains every
+// value (Bloom filters never prune, the needle is everywhere). A full
+// split-directory that 256-row windows would end in one of fewer rows is one
+// window, and the sweep fails if an arm could still prune a window
+// (checkUnprunable). Both modes therefore decode the filter column in full
+// over identical bytes — the comparison isolates execution, with pruning and
+// I/O held fixed:
 //
 //	scalar     one boxed object per value through Predicate.Eval
 //	           (CostModel.StringRate + ValueCost per record);
@@ -143,6 +147,38 @@ func vectorizedJob(dataset string, pred scan.Predicate, vectorize bool) *mapred.
 		}))
 }
 
+// checkUnprunable checks the sweep's premise on the str1 files under dir
+// (values of schema col): pred prunes no stats group, by zone map or Bloom
+// filter. The error names the first group pred could prune.
+func checkUnprunable(fs *hdfs.FileSystem, dir string, col *serde.Schema, pred scan.Predicate) error {
+	sds, err := fs.List(dir)
+	if err != nil {
+		return err
+	}
+	for _, sd := range sds {
+		p := sd.Path + "/str1"
+		hr, err := fs.Open(p, hdfs.AnyNode)
+		if err != nil {
+			return err
+		}
+		z, err := colfile.ReadZones(hr, col)
+		if err != nil {
+			return fmt.Errorf("bench: %s: %w", p, err)
+		}
+		for rec, end := int64(0), int64(0); rec < z.Records(); rec = end {
+			var st *scan.ColStats
+			if st, end = z.GroupStats(rec); st == nil {
+				break // no statistics from here on: nothing to prune with
+			}
+			if pred.Prune(func(string) *scan.ColStats { return st }) == scan.NoMatch {
+				return fmt.Errorf("bench: %s stats group [%d,%d) holds %d rows, fewer than the %d tags, and %v prunes it",
+					p, rec, end, end-rec, vecTagCycle, pred)
+			}
+		}
+	}
+	return nil
+}
+
 // Vectorized runs the sweep.
 func Vectorized(cfg Config) (*VectorizedResult, error) {
 	n := cfg.records(100_000)
@@ -155,15 +191,21 @@ func Vectorized(cfg Config) (*VectorizedResult, error) {
 	cluster := sim.SingleNode()
 	model := sim.DefaultModelFor(cluster)
 	fs := newFS(cluster, cfg.Seed, true)
+	// 256-row stats windows, or one window per split-directory where a
+	// 256-row cut would leave a tail too short to hold every tag.
+	splitRecords, every := (n+vectorizedSplits-1)/vectorizedSplits, 256
+	if r := splitRecords % 256; r > 0 && r < vecTagCycle {
+		every = int(splitRecords)
+	}
 
 	layouts := []struct {
 		name string
 		opts colfile.Options
 	}{
-		{"plain", colfile.Options{Layout: colfile.Plain, StatsEvery: 256}},
-		{"skiplist", colfile.Options{Layout: colfile.SkipList, StatsEvery: 256}},
-		{"block-lzo", colfile.Options{Layout: colfile.Block, Codec: "lzo", StatsEvery: 256}},
-		{"block-zlib", colfile.Options{Layout: colfile.Block, Codec: "zlib", StatsEvery: 256}},
+		{"plain", colfile.Options{Layout: colfile.Plain, StatsEvery: every}},
+		{"skiplist", colfile.Options{Layout: colfile.SkipList, StatsEvery: every}},
+		{"block-lzo", colfile.Options{Layout: colfile.Block, Codec: "lzo", StatsEvery: every}},
+		{"block-zlib", colfile.Options{Layout: colfile.Block, Codec: "zlib", StatsEvery: every}},
 	}
 	arms := []struct {
 		name string
@@ -188,12 +230,15 @@ func Vectorized(cfg Config) (*VectorizedResult, error) {
 		dir := "/vectorized/" + lay.name
 		opts := core.LoadOptions{
 			Default:      lay.opts,
-			SplitRecords: (n + vectorizedSplits - 1) / vectorizedSplits,
+			SplitRecords: splitRecords,
 		}
 		if _, err := writeCIF(fs, dir, gen, n, opts, nil); err != nil {
 			return nil, fmt.Errorf("loading %s: %w", lay.name, err)
 		}
 		for _, arm := range arms {
+			if err := checkUnprunable(fs, dir, syn.Schema().Fields[idx].Type, arm.pred); err != nil {
+				return nil, err
+			}
 			scalar, err := mapred.Run(fs, vectorizedJob(dir, arm.pred, false))
 			if err != nil {
 				return nil, fmt.Errorf("%s %s (scalar): %w", lay.name, arm.name, err)

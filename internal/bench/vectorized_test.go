@@ -1,6 +1,15 @@
 package bench
 
-import "testing"
+import (
+	"strings"
+	"testing"
+
+	"colmr/internal/colfile"
+	"colmr/internal/core"
+	"colmr/internal/scan"
+	"colmr/internal/sim"
+	"colmr/internal/workload"
+)
 
 // TestVectorizedShape is the acceptance gate of batch execution: on the
 // selective string-equality arm the vectorized path must halve the modeled
@@ -91,4 +100,45 @@ func checkVectorized(t testing.TB, res *VectorizedResult) {
 	if c := res.Get("block-zlib", "eq 1/64"); c.CPURatio < 1.15 {
 		t.Errorf("block-zlib eq arm: CPU ratio %.2fx, want >= 1.15x", c.CPURatio)
 	}
+}
+
+// TestVectorizedUnprunable checks the sweep's premise check: over
+// vectorizedSplits split-directories of 256-row stats windows, the
+// string-equality arm must find its tag in every window. At 5 000 records
+// each split-directory holds 313 rows, and split 8's 57-row tail lacks the
+// tag: it is named. At 1 000 records every window holds 63 rows but still
+// every tag the arm needs. Vectorized itself cuts 313-row split-directories
+// into one window each, and keeps its shape at that scale.
+func TestVectorizedUnprunable(t *testing.T) {
+	t.Parallel()
+	syn := workload.NewSynthetic(2011)
+	idx := syn.Schema().FieldIndex("str1")
+	eq := scan.Eq("str1", tagValue(7))
+	for _, tc := range []struct {
+		records int64
+		want    string // "" when the premise holds
+	}{
+		{5000, "/w/s8/str1 stats group [256,313) holds 57 rows"},
+		{1000, ""},
+		{2000, ""},
+		{8192, ""},
+	} {
+		gen := memo(cyclicTagGen{syn, idx}, tc.records)
+		fs := newFS(sim.SingleNode(), 2011, true)
+		opts := core.LoadOptions{
+			Default:      colfile.Options{Layout: colfile.Plain, StatsEvery: 256},
+			SplitRecords: (tc.records + vectorizedSplits - 1) / vectorizedSplits,
+		}
+		if _, err := writeCIF(fs, "/w", gen, tc.records, opts, nil); err != nil {
+			t.Fatal(err)
+		}
+		err := checkUnprunable(fs, "/w", syn.Schema().Fields[idx].Type, eq)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%d records: %v", tc.records, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%d records: got %v, want an error naming %q", tc.records, err, tc.want)
+		}
+	}
+	shape(t, Vectorized, 0.05, checkVectorized)
 }

@@ -413,10 +413,8 @@ type Reader struct {
 	verdict []*scan.Selection
 	boxSrc  []boxSource
 	// box boxes what the reader serves from vectors — lazy runs, batch rows,
-	// a lazy Get inside an evaluated batch — for as long as the task runs, on
-	// the reader's own goroutine (prefetch decodes through the cursors'
-	// decoders, never through it). Its values outlive their run, their batch
-	// and Close.
+	// a lazy Get inside an evaluated batch — for as long as the task runs.
+	// Its values outlive their run, their batch and Close.
 	box serde.Boxer
 	// outVals and outIdx are a shared scan's per-row delivery, reused across
 	// SharedReader.Next calls; a one-member scan's fits in val1 and idx1, so
@@ -448,11 +446,10 @@ type cursor struct {
 	streak           int
 	servedAt         int64
 	// phys is the cursor's physical accounting bucket: its stream's I/O and
-	// cache hits, and its batch decodes, which prefetch fans out across
-	// goroutines. closeCursors folds it into the task's stats.
+	// cache hits, and its batch decodes. closeCursors folds it into the
+	// task's stats.
 	phys sim.TaskStats
-	// out is the column's outcome in the active batch (vecexec.go); a
-	// prefetch goroutine writes its own cursor's alone.
+	// out is the column's outcome in the active batch (vecexec.go).
 	out colOut
 	// ids is the id vector the cursor decodes batch after batch when no
 	// vector cache keeps them.

@@ -61,12 +61,7 @@ type scanPlan struct {
 	// maps) resolve it here (cursorIndex).
 	allCols []string
 	roles   []colRole // each cursor's part in the scan, parallel to allCols
-	// prefetch holds, per eval group, the cursors its residual is certain to
-	// decode (scan.EagerColumns) that the batch may decode ahead as value
-	// vectors: an id-only column is left out, or its consumed stream would
-	// block the id path VecEval is about to take.
-	prefetch [][]int
-	eager    int // members taking eager records
+	eager   int       // members taking eager records
 	// noBloom is set when any member disabled Bloom consultation: the union
 	// tier must not out-prune that member's own replay, and the DCSL key
 	// prober's physical charges must be that member's solo ones.
@@ -87,7 +82,8 @@ type colRole struct {
 	// probeOnly marks a filter column safe for batch key probing, idOnly one
 	// safe for dictionary-id evaluation: read by the residuals alone, never
 	// projected (nor, for ids, aggregated), so consuming its stream without
-	// producing values cannot starve a later value access.
+	// producing values cannot starve a later value access. A batch decodes
+	// nothing before evaluation asks for the probe or the ids.
 	probeOnly, idOnly bool
 	needers           int // members needing the column
 }
@@ -263,14 +259,6 @@ func planScan(ms []memberSpec, u *scan.Union, schema *serde.Schema, err error, s
 			}
 		case !m.spec.Lazy:
 			p.eager++
-		}
-	}
-	p.prefetch = make([][]int, len(p.groupPred))
-	for g, pred := range p.groupPred {
-		for _, col := range scan.EagerColumns(pred) {
-			if ci := p.cursorIndex(col); !p.roles[ci].idOnly {
-				p.prefetch[g] = append(p.prefetch[g], ci)
-			}
 		}
 	}
 	return p

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -37,7 +38,7 @@ func TestWrappersMatchBuilder(t *testing.T) {
 		DirsPerSplit: AutoDirsPerSplit,
 		Agg:          agg,
 	}
-	if !built.Scan.Equal(want) {
+	if !reflect.DeepEqual(built.Scan, want) {
 		t.Errorf("builder spec %+v != literal %+v", built.Scan, want)
 	}
 	if len(built.InputPaths) != 1 || built.InputPaths[0] != "/data/crawl" {
@@ -45,7 +46,7 @@ func TestWrappersMatchBuilder(t *testing.T) {
 	}
 
 	// Defaults agree too.
-	if !ScanDataset("/d").Conf().Scan.Equal(&scan.Spec{}) {
+	if !reflect.DeepEqual(ScanDataset("/d").Conf().Scan, &scan.Spec{}) {
 		t.Error("builder default spec is not the zero spec")
 	}
 }
@@ -66,16 +67,16 @@ func TestLegacyPropsResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(&want) {
+	if !reflect.DeepEqual(got, want) {
 		t.Errorf("literal spec resolved to %+v, want %+v", got, want)
 	}
 
 	built := ScanDataset("/d").Columns("url", "fetchTime").Where(pred).Lazy(true).Elide(false).Conf()
-	if got, err := resolveSpec(&built); err != nil || !got.Equal(&want) {
+	if got, err := resolveSpec(&built); err != nil || !reflect.DeepEqual(got, want) {
 		t.Errorf("builder conf resolved to %+v, %v; want %+v", got, err, want)
 	}
 
-	if got, err := resolveSpec(&mapred.JobConf{}); err != nil || !got.Equal(&scan.Spec{}) {
+	if got, err := resolveSpec(&mapred.JobConf{}); err != nil || !reflect.DeepEqual(got, scan.Spec{}) {
 		t.Errorf("a specless conf resolves to %+v, %v; want the zero spec", got, err)
 	}
 

@@ -15,9 +15,11 @@ import (
 
 // The scan loop's kernel: the serve_burst query shape — lazy records of str0
 // where int0 <= k, over the synthetic schema — run through the one batch loop
-// as a solo scan, a one-member shared scan and an eight-member one. Planning
-// happens once, outside the timed loop; what is timed is opening every split,
-// draining it and reading str0 from each record a member takes.
+// as a solo scan, a one-member shared scan and an eight-member one, and a
+// solo scan whose residual is a two-column disjunction both children of
+// which run on every batch. Planning happens once, outside the timed loop;
+// what is timed is opening every split, draining it and reading str0 from
+// each record a member takes.
 
 const scanLoopRows = 8192
 
@@ -39,44 +41,59 @@ func scanLoopConfs(n int) []*mapred.JobConf {
 	return confs
 }
 
+// scanLoopOr is the disjunction arm's conf: int0 <= 2500 accepts about a
+// quarter of each batch, so int1 <= 2500 runs over the rest.
+func scanLoopOr() *mapred.JobConf {
+	conf := ScanDataset("/loop").Columns("str0").
+		Where(scan.Or(scan.Le("int0", int32(2500)), scan.Le("int1", int32(2500)))).Lazy(true).Conf()
+	return &conf
+}
+
+// scanLoopSolo returns a function that scans the dataset once for conf, one
+// split after another on the caller's goroutine, and returns the records
+// delivered.
+func scanLoopSolo(tb testing.TB, fs *hdfs.FileSystem, conf *mapred.JobConf) func() int {
+	in := &InputFormat{}
+	// Planned like the shared splits: judged by the scheduler tier, so
+	// neither side repeats the file tier at open.
+	splits, _, err := in.PlannedSplits(fs, conf)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return func() int {
+		rows := 0
+		for _, sp := range splits {
+			rr, err := in.Open(fs, conf, sp, hdfs.AnyNode, nil)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			for {
+				_, v, ok, err := rr.Next()
+				if err != nil {
+					tb.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+				if _, err := v.(serde.Record).Get("str0"); err != nil {
+					tb.Fatal(err)
+				}
+				rows++
+			}
+			rr.Close()
+		}
+		return rows
+	}
+}
+
 // scanLoop returns a function that scans the dataset once — solo when
 // members is 0, else as one shared scan of that many members — and returns
 // the records delivered.
 func scanLoop(tb testing.TB, fs *hdfs.FileSystem, members int) func() int {
-	in := &InputFormat{}
 	if members == 0 {
-		conf := scanLoopConfs(1)[0]
-		// Planned like the shared splits: judged by the scheduler tier, so
-		// neither side repeats the file tier at open.
-		splits, _, err := in.PlannedSplits(fs, conf)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		return func() int {
-			rows := 0
-			for _, sp := range splits {
-				rr, err := in.Open(fs, conf, sp, hdfs.AnyNode, nil)
-				if err != nil {
-					tb.Fatal(err)
-				}
-				for {
-					_, v, ok, err := rr.Next()
-					if err != nil {
-						tb.Fatal(err)
-					}
-					if !ok {
-						break
-					}
-					if _, err := v.(serde.Record).Get("str0"); err != nil {
-						tb.Fatal(err)
-					}
-					rows++
-				}
-				rr.Close()
-			}
-			return rows
-		}
+		return scanLoopSolo(tb, fs, scanLoopConfs(1)[0])
 	}
+	in := &InputFormat{}
 	confs := scanLoopConfs(members)
 	splits, _, err := in.SharedSplits(fs, confs)
 	if err != nil {
@@ -119,11 +136,16 @@ func scanLoop(tb testing.TB, fs *hdfs.FileSystem, members int) func() int {
 func BenchmarkScanLoop(b *testing.B) {
 	fs := scanLoopData(b, scanLoopRows)
 	for _, bc := range []struct {
-		name    string
-		members int
-	}{{"solo", 0}, {"shared1", 1}, {"shared8", 8}} {
+		name string
+		open func(testing.TB) func() int
+	}{
+		{"solo", func(tb testing.TB) func() int { return scanLoop(tb, fs, 0) }},
+		{"shared1", func(tb testing.TB) func() int { return scanLoop(tb, fs, 1) }},
+		{"shared8", func(tb testing.TB) func() int { return scanLoop(tb, fs, 8) }},
+		{"or2", func(tb testing.TB) func() int { return scanLoopSolo(tb, fs, scanLoopOr()) }},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
-			run := scanLoop(b, fs, bc.members)
+			run := bc.open(b)
 			run() // warm the pools
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"colmr/internal/colfile"
 	"colmr/internal/scan"
@@ -14,12 +13,12 @@ import (
 // The batch loop. Every scan — solo or shared, eager, lazy or aggregating —
 // runs one loop (Reader.step): plan the batch at the scan position (the union
 // zone-map tier; a batch never crosses the verdict's validity, pruneValidTo),
-// decode it per column into typed vectors on demand — each column's outcome
-// kept on its cursor, addressed by the plan's cursor index, the residual's
-// certain columns decoded ahead in parallel, each goroutine on its own
-// cursor — evaluate each eval group's residual once over the rows its members
-// want (scan.VecEval over selection bitmaps), and hand each member its
-// matches through its sink:
+// decode each column into a typed vector where evaluation first asks for it,
+// on the task's own goroutine in the residual's short-circuit order (its
+// outcome kept on its cursor, addressed by the plan's cursor index),
+// evaluate each eval group's residual once over the rows its members want
+// (scan.VecEval over selection bitmaps), and hand each member its matches
+// through its sink:
 //
 //   - aggregate fold (aggexec.go): FoldBatch straight from the selection and
 //     the vectors, once per distinct aggregate and eval group;
@@ -35,14 +34,16 @@ import (
 // Batch boundaries follow the record-at-a-time loop's zone-map consultation
 // trajectory, so the logical counters (GroupsPruned, RecordsPruned,
 // RecordsFiltered) are identical vectorized or not. What changes is decode
-// accounting: primitive values land in flat vectors at CostModel.VecRate,
-// per-column decodes fan across a bounded goroutine pool, and a session's
-// vec.Cache can serve a whole batch without reading anything. Spec.NoVec
-// keeps the record-at-a-time loop as the test oracle: the same loop over
-// one-row batches, evaluated, folded and materialized value by value through
-// the cursor cache. One difference is accepted: the scalar loop surfaces a
-// mid-group type error after delivering the group's earlier matches, a batch
-// before delivering any of its rows — the verdicts are identical.
+// accounting: primitive values land in flat vectors at CostModel.VecRate, a
+// column the short-circuit never reaches is never decoded, and a session's
+// vec.Cache can serve a whole batch without reading anything. Parallelism is
+// across map tasks (mapred.runTasks), one per slot as in the paper, never
+// inside one. Spec.NoVec keeps the record-at-a-time loop as the test oracle:
+// the same loop over one-row batches, evaluated, folded and materialized
+// value by value through the cursor cache. One difference is accepted: the
+// scalar loop surfaces a mid-group type error after delivering the group's
+// earlier matches, a batch before delivering any of its rows — the verdicts
+// are identical.
 
 // vecBatchRows bounds one batch. Group extents are typically smaller (the
 // batch is clipped to the zone-map verdict's validity), so this matters
@@ -55,9 +56,6 @@ const vecBatchRows = 4096
 // cache resident) and 64 no faster; small also bounds what a retained
 // record keeps reachable (see Reader.Next).
 const eagerBatchRows = 256
-
-// vecDecodeParallel bounds the per-batch decode fan-out.
-const vecDecodeParallel = 4
 
 // vecScratch recycles batch scratch vectors for every reader in the
 // process: splits are short (an ingest partition is a single batch), so a
@@ -88,7 +86,7 @@ type colOut struct {
 // Columns decode on first use, so the predicate's short-circuit structure
 // decides which are ever decoded. Each column's outcome lives on its cursor
 // (cursor.out), and its decodes charge the cursor's own bucket
-// (cursor.phys): the prefetch fan-out shares neither.
+// (cursor.phys), which BytesSaved attribution reads per column.
 type colBatch struct {
 	r     *Reader
 	start int64
@@ -126,9 +124,9 @@ func (b *colBatch) vec(c *cursor) (*scan.Vector, error) {
 	return c.out.vec, c.out.err
 }
 
-// decode decides c's vector for the batch. Only c's own caller touches c:
-// prefetch fans out distinct cursors, and after its barrier evaluation is
-// serial.
+// decode decides c's vector for the batch, on the caller's goroutine. An
+// error is kept on the cursor with the outcome, so every later ask in the
+// batch returns it too.
 func (b *colBatch) decode(c *cursor) {
 	out := &c.out
 	out.decoded = true
@@ -262,33 +260,6 @@ func (b *colBatch) KeyVec(col, key string, sel *scan.Selection) (*scan.Selection
 // contains reports whether record pos lies in the batch.
 func (b *colBatch) contains(pos int64) bool {
 	return pos >= b.start && pos < b.end
-}
-
-// prefetch decodes the cursors cols not yet decoded for the batch — a
-// residual's certain columns (scanPlan.prefetch) — fanning them across a
-// bounded goroutine pool, each goroutine writing its own cursor alone.
-// Decode errors are kept, not returned: evaluation surfaces them in its own
-// deterministic order, and an error in a column the short-circuit order
-// never reaches is swallowed exactly like the scalar path never reaching it.
-func (b *colBatch) prefetch(cols []int) {
-	if len(cols) < 2 {
-		for _, ci := range cols {
-			b.vec(&b.r.cursors[ci])
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, vecDecodeParallel)
-	for _, ci := range cols {
-		wg.Add(1)
-		go func(c *cursor) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			b.vec(c)
-		}(&b.r.cursors[ci])
-	}
-	wg.Wait()
 }
 
 // advance moves the scan to the next row some member takes (r.batch holds
@@ -477,7 +448,6 @@ func (r *Reader) evaluate(b *colBatch) error {
 			}
 			continue
 		}
-		b.prefetch(r.prefetch[g])
 		out, err := p.VecEval(b, in)
 		if err != nil {
 			return err

@@ -90,8 +90,9 @@ func TestVectorizedScanEquivalence(t *testing.T) {
 		),
 		scan.KeyExists("metadata", "server"),
 		scan.Not(scan.HasPrefix("url", "http://site")),
-		// Every column in the prefetch fan-out at once: a disjunction decodes
-		// all four (metadata's key test keeps it off the id path).
+		// Four columns under one disjunction: each child runs on the rows
+		// every earlier child rejected and decodes its column only when some
+		// are left (metadata's key test keeps it off the id path).
 		scan.Or(
 			scan.HasPrefix("url", "http://ibm.com/jp"),
 			scan.Gt("fetchTime", int64(1293840000000+290)),
@@ -140,6 +141,27 @@ func TestVectorizedScanEquivalence(t *testing.T) {
 						ctx, vst.RecordsPruned, vst.RecordsFiltered, len(vrows))
 				}
 			}
+		}
+	}
+}
+
+// TestVectorizedOrDecodesOnDemand holds a disjunction to the short-circuit:
+// when its first child accepts every row, the later children's columns are
+// never decoded, so the batch decodes exactly what the first child alone
+// decodes.
+func TestVectorizedOrDecodesOnDemand(t *testing.T) {
+	first := scan.Gt("fetchTime", int64(0))
+	for name, opts := range vecLayouts() {
+		fs := testFS(t, 4)
+		loadDataset(t, fs, "/data/crawl", opts, 300)
+		_, alone := scanAll(t, fs, "/data/crawl", predConf([]string{"fetchTime"}, false, first))
+		_, or := scanAll(t, fs, "/data/crawl", predConf([]string{"fetchTime"}, false, scan.Or(first, scan.HasPrefix("url", "zzz"))))
+		if alone.CPU.VecValues == 0 {
+			t.Fatalf("%s: the first child decoded no vector", name)
+		}
+		if or.CPU.VecValues != alone.CPU.VecValues || or.CPU.VecBytes != alone.CPU.VecBytes {
+			t.Fatalf("%s: the disjunction decoded %d values / %d B, its first child alone %d / %d B",
+				name, or.CPU.VecValues, or.CPU.VecBytes, alone.CPU.VecValues, alone.CPU.VecBytes)
 		}
 	}
 }

@@ -63,31 +63,3 @@ func (s *Spec) Clone() *Spec {
 	out.Agg = s.Agg.Clone()
 	return &out
 }
-
-// Equal reports whether two specs describe the same scan. Predicates are
-// compared by their expression serialization (Predicate.String), which
-// Parse reads back to the same string.
-func (s *Spec) Equal(o *Spec) bool {
-	if s == nil || o == nil {
-		return s == o
-	}
-	if len(s.Columns) != len(o.Columns) {
-		return false
-	}
-	for i := range s.Columns {
-		if s.Columns[i] != o.Columns[i] {
-			return false
-		}
-	}
-	if (s.Predicate == nil) != (o.Predicate == nil) {
-		return false
-	}
-	if s.Predicate != nil && s.Predicate.String() != o.Predicate.String() {
-		return false
-	}
-	if !s.Agg.Equal(o.Agg) {
-		return false
-	}
-	return s.Lazy == o.Lazy && s.NoElide == o.NoElide && s.NoBloom == o.NoBloom &&
-		s.NoVec == o.NoVec && s.DirsPerSplit == o.DirsPerSplit
-}

@@ -6,7 +6,7 @@ import "testing"
 // (`colscan -where/-agg`, the scan server's POST /query), so they take
 // arbitrary input. Two properties: they never panic, and whatever they
 // accept prints (String) to a form that parses back to the same print —
-// Spec.Equal and NewUnion's member dedup compare predicates by that print.
+// NewUnion's member dedup compares predicates by that print.
 // Runs the seeds under plain `go test`; explores further under
 // `go test -fuzz FuzzParse` and `-fuzz FuzzParseAggregate`.
 

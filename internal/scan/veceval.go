@@ -405,50 +405,6 @@ func (p *notPred) VecEval(src VecSource, in *Selection) (*Selection, error) {
 	return out, nil
 }
 
-// EagerColumns returns the columns a vectorized evaluation of p is certain
-// to decode for any batch with a non-empty candidate selection — the set a
-// batch builder can prefetch in parallel without ever decoding a column the
-// short-circuit order would have skipped. Conjunctions contribute only
-// their first child (later children may be short-circuited away);
-// disjunctions contribute every child (each sees at least the rows all
-// earlier children rejected — only emptiness, unknowable up front, stops
-// them); exists() columns are excluded because probing layouts answer them
-// without decoding.
-func EagerColumns(p Predicate) []string {
-	if p == nil {
-		return nil
-	}
-	return eagerColumns(p, nil)
-}
-
-func eagerColumns(p Predicate, dst []string) []string {
-	switch q := p.(type) {
-	case *cmpPred:
-		return appendColumn(dst, q.col)
-	case *rangePred:
-		return appendColumn(dst, q.col)
-	case *prefixPred:
-		return appendColumn(dst, q.col)
-	case *nullPred:
-		return appendColumn(dst, q.col)
-	case *keyPred:
-		return dst
-	case *andPred:
-		if len(q.kids) > 0 {
-			return eagerColumns(q.kids[0], dst)
-		}
-		return dst
-	case *orPred:
-		for _, k := range q.kids {
-			dst = eagerColumns(k, dst)
-		}
-		return dst
-	case *notPred:
-		return eagerColumns(q.kid, dst)
-	}
-	return dst
-}
-
 // ProbeOnlyColumns returns the columns the given predicates read through
 // exactly one key-existence test and never by value — the candidates for
 // batch key probing (VecSource.KeyVec). A batch probe consumes the column's
