@@ -27,7 +27,7 @@ import (
 // str1 cycles through aggTagCycle values (unprunable by statistics — every
 // window contains every needle), and int5 is the record index (perfectly
 // clustered — zone maps prune non-matching windows wholesale and matching
-// windows are MatchAll, the stats shortcut's home turf). The arm set walks
+// windows are AllMatch, the stats shortcut's home turf). The arm set walks
 // the regimes between those poles:
 //
 //	count clustered   COUNT under a selective clustered range: pruning

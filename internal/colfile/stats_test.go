@@ -153,6 +153,49 @@ func TestStatsDisabled(t *testing.T) {
 	}
 }
 
+// TestStatsNoZeroRowGroup: a zero-row statistics entry, which would satisfy
+// a predicate's NoMatch and AllMatch proofs at once, never reaches the group
+// tier. The writer cuts no empty group — an empty file carries no stats
+// section, and a count that fills its last group exactly ends on no
+// trailing entry — and Zones.GroupStats serves no entry covering no record,
+// even from a section another writer produced.
+func TestStatsNoZeroRowGroup(t *testing.T) {
+	schema := serde.Int()
+	check := func(name string, z *Zones, n int64) {
+		t.Helper()
+		for rec := int64(0); rec <= n; rec++ {
+			if st, end := z.GroupStats(rec); st != nil && (st.Rows == 0 || end <= rec || rec == n) {
+				t.Errorf("%s: GroupStats(%d) = %d rows ending at %d", name, rec, st.Rows, end)
+			}
+		}
+	}
+	for _, opts := range allLayouts() {
+		if opts.Layout == DCSL {
+			continue
+		}
+		opts.StatsEvery = 20
+		name := opts.Layout.String() + "/" + opts.Codec
+		for _, n := range []int{0, 40} {
+			f, _ := writeColumn(t, schema, opts, n, func(i int) any { return int32(i) })
+			z, err := ReadZones(f.reader(), schema)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if n == 0 && z.Agg() != nil {
+				t.Errorf("%s: an empty file carries aggregate %+v", name, z.Agg())
+			}
+			check(name, z, int64(n))
+		}
+	}
+	foreign := &Zones{entries: []statsEntry{
+		{start: 0, st: scan.ColStats{Rows: 10}},
+		{start: 10},
+		{start: 10, st: scan.ColStats{Rows: 5}},
+		{start: 15},
+	}}
+	check("foreign section", foreign, 15)
+}
+
 // TestStatsPruneIntegration drives scan predicates against file-recovered
 // stats: the combination the CIF reader uses.
 func TestStatsPruneIntegration(t *testing.T) {
@@ -179,8 +222,12 @@ func TestStatsPruneIntegration(t *testing.T) {
 	if got := scan.HasPrefix("c", "zzz").Prune(statsAt(0)); got != scan.NoMatch {
 		t.Errorf("prefix zzz over aaa-group = %v, want NoMatch", got)
 	}
-	if got := scan.HasPrefix("c", "aaa").Prune(statsAt(0)); got != scan.MayMatch {
-		t.Errorf("prefix aaa over aaa-group = %v, want MayMatch", got)
+	// Min and Max both carry the prefix, so every value between them does.
+	if got := scan.HasPrefix("c", "aaa").Prune(statsAt(0)); got != scan.AllMatch {
+		t.Errorf("prefix aaa over aaa-group = %v, want AllMatch", got)
+	}
+	if got := scan.HasPrefix("c", "aaa-b").Prune(statsAt(0)); got != scan.MayMatch {
+		t.Errorf("prefix aaa-b over aaa-group = %v, want MayMatch", got)
 	}
 	if got := scan.HasPrefix("c", "aaa").Prune(statsAt(50)); got != scan.NoMatch {
 		t.Errorf("prefix aaa over zzz-group = %v, want NoMatch", got)

@@ -12,11 +12,11 @@ import (
 // cheapest site that can answer them, on the exact pruning trajectory of a
 // materializing scan:
 //
-//  1. Zone stats: a region the zone maps prove all-matching
-//     (Planner.MatchAllGroup), whose every aggregate is answerable from its
-//     ColStats (AggState.StatsAnswerable), folds with zero bytes decoded
-//     (AggGroupsShortcut) — in a one-member scan only: a shared cursor must
-//     visit the region for the other members anyway.
+//  1. Zone stats: a region the group tier's one consultation proves
+//     all-matching (PruneGroup answers AllMatch), whose every aggregate is
+//     answerable from its ColStats (AggState.StatsAnswerable), folds with
+//     zero bytes decoded (AggGroupsShortcut) — in a one-member scan only: a
+//     shared cursor must visit the region for the other members anyway.
 //  2. Vectors: other regions run the batch loop and fold straight from the
 //     selection bitmap and the decoded vectors (FoldBatch).
 //  3. Records: under Spec.NoVec each match folds through the cursor cache
@@ -26,8 +26,8 @@ import (
 // same rows, so they share one fold, and AggStates copies it out to each.
 //
 // The logical counters are a materializing scan's: the shortcut fires only
-// inside regions the group tier judges MayMatch (a NoMatch region cannot be
-// MatchAll), and any later consultation inside one returns the same verdict.
+// inside regions the group tier judges AllMatch, which a materializing scan
+// also reads, and the verdict holds for the whole region it was made for.
 // RecordsProcessed stays zero — no record reaches a map function.
 
 // DrainAggregate consumes the split and returns the folded aggregate state
@@ -96,22 +96,20 @@ func (r *Reader) foldBatch(b *colBatch) error {
 }
 
 // aggStatsShortcut tries the zero-decode tier at pos for a one-member
-// aggregating scan: a region the zone maps prove all-matching, whose every
-// aggregate input column has a stats entry covering exactly the region,
-// folds from those entries alone. ok reports whether the fold happened (end
-// is then one past the folded region); a false return costs only zone-map
-// lookups, never a byte.
+// aggregating scan: inside a region the union verdict proves all-matching
+// (pruneTri, up to pruneValidTo), a stretch whose every aggregate input
+// column has a stats entry covering exactly it folds from those entries
+// alone. ok reports whether the fold happened (end is then one past the
+// folded stretch); a false return costs only zone-map lookups, never a
+// byte.
 func (r *Reader) aggStatsShortcut(pos int64) (end int64, ok bool, err error) {
 	m := r.members[0]
-	if len(r.members) > 1 || m.fold == nil || r.dels != nil {
+	if r.pruneTri != scan.AllMatch || len(r.members) > 1 || m.fold == nil || r.dels != nil {
 		// A directory with superseded rows cannot fold from stats: the
 		// entries describe deleted rows too.
 		return 0, false, nil
 	}
-	all, end := r.planner.MatchAllGroup(pos, r.total, r.zones)
-	if !all || end <= pos {
-		return 0, false, nil
-	}
+	end = r.pruneValidTo
 	if r.aggEntry == nil {
 		r.aggEntries = make([]*scan.ColStats, len(m.aggCols))
 		r.aggEntry = func(col string) *scan.ColStats {

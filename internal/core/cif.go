@@ -397,8 +397,10 @@ type Reader struct {
 	batch    colBatch
 	surfaced int64
 	done     bool
-	// pruneValidTo bounds the records covered by the last union zone-map
-	// verdict; pruning re-runs only once a batch starts past it.
+	// pruneTri is the last union zone-map verdict and pruneValidTo bounds
+	// the records it covers; pruning re-runs only once a batch starts past
+	// it.
+	pruneTri     scan.Tri
 	pruneValidTo int64
 	// matCounted is the record most recently counted as materialized (once
 	// per record, however many members or Gets consumed it).

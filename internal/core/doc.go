@@ -30,7 +30,7 @@
 // lazy records (Section 5, lazy.go) whose Get decodes a value only when the
 // map function asks — skipping ahead with the skip lists, or a run at a time
 // for a column read row after row — or an aggregate fold (aggexec.go) that
-// builds no record at all, answering MatchAll regions from zone statistics
+// builds no record at all, answering AllMatch regions from zone statistics
 // with zero bytes decoded. Spec.NoVec runs the same loop a row at a time as
 // the test oracle; batch boundaries never cross a zone-map consultation, so
 // the logical counters are identical either way. See docs/VECTORIZED.md.

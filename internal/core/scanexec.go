@@ -16,10 +16,12 @@ import (
 //  1. File pruning: a split-directory's filter-column files are judged by
 //     their whole-file statistics before any header is parsed
 //     (Reader.pruneDirFiles); a NoMatch proof crosses the whole directory.
-//  2. Group pruning: at each new batch the planner tests the predicate
-//     against the filter columns' zone maps (colfile.StatsSource); a NoMatch
-//     proof jumps curPos past the group, whose records the cursors later
-//     cross with skips instead of reads.
+//  2. Group pruning: at each batch past the last verdict's extent the
+//     planner tests the predicate against the filter columns' zone maps
+//     (colfile.StatsSource); a NoMatch proof jumps curPos past the group,
+//     whose records the cursors later cross with skips instead of reads,
+//     and an AllMatch proof lets an aggregating scan fold the region from
+//     the zone map (aggexec.go).
 //  3. Record filtering: only filter columns are evaluated exactly — a batch
 //     at a time (vecexec.go), or under Spec.NoVec record by record through
 //     evalCtx below, where DCSL map-key tests resolve through the column's

@@ -351,12 +351,6 @@ func (r *Reader) step() error {
 	if pos >= r.total {
 		return r.nextDir()
 	}
-	if end, ok, err := r.aggStatsShortcut(pos); err != nil {
-		return err
-	} else if ok {
-		r.curPos = end - 1
-		return nil
-	}
 	// A zone map is never consulted at — nor an extent counted from — a
 	// superseded row.
 	for r.dels.has(pos) {
@@ -366,29 +360,34 @@ func (r *Reader) step() error {
 		r.curPos = r.total - 1
 		return nil
 	}
-	end, limit := r.total, int64(vecBatchRows)
-	if r.planner.Predicate() != nil {
-		// The union tier's verdict is scoped to the narrowest group
-		// consulted: on NoMatch the scan steps past it; on MayMatch batches
-		// run without re-consulting zone maps until one starts past it.
-		// byBloom splits out the proofs only a Bloom filter could make.
-		if pos >= r.pruneValidTo {
-			tri, gEnd, byBloom := r.planner.PruneGroup(pos, r.total, r.zones)
-			if tri == scan.NoMatch {
-				r.unionPruned(true, gEnd-pos, byBloom)
-				r.curPos = gEnd - 1
-				return nil
-			}
-			r.pruneValidTo = gEnd
+	// The union tier's verdict is scoped to the narrowest group consulted:
+	// on NoMatch the scan steps past it; otherwise batches run without
+	// re-consulting zone maps until one starts past it, and inside an
+	// AllMatch region each batch start first tries the stats shortcut.
+	// byBloom splits out the proofs only a Bloom filter could make.
+	if pos >= r.pruneValidTo {
+		tri, gEnd, byBloom := r.planner.PruneGroup(pos, r.total, r.zones)
+		if tri == scan.NoMatch {
+			r.unionPruned(true, gEnd-pos, byBloom)
+			r.curPos = gEnd - 1
+			return nil
 		}
-		end = min(end, r.pruneValidTo)
-	} else if r.eager > 0 {
+		r.pruneTri, r.pruneValidTo = tri, gEnd
+	}
+	if end, ok, err := r.aggStatsShortcut(pos); err != nil {
+		return err
+	} else if ok {
+		r.curPos = end - 1
+		return nil
+	}
+	limit := int64(vecBatchRows)
+	if r.planner.Predicate() == nil && r.eager > 0 {
 		limit = eagerBatchRows
 	}
 	if !r.vectorize {
 		limit = 1
 	}
-	end = min(end, pos+limit)
+	end := min(r.pruneValidTo, pos+limit)
 	r.batch = colBatch{r: r, start: pos, end: end, n: int(end - pos)}
 	b := &r.batch
 	if !r.vectorize {

@@ -14,8 +14,8 @@ import (
 // scan.Spec, answered inside the scan without materializing rows. The
 // fold sites, cheapest first:
 //
-//   - zone stats: when a group's zone map already decides the predicate
-//     (MatchAll) and every function is stats-answerable, the group folds
+//   - zone stats: when a group's zone map proves the predicate holds for
+//     every record (Prune answers AllMatch) and every function is stats-answerable, the group folds
 //     from its ColStats entries — count from row counts, MIN/MAX from the
 //     recorded bounds — with zero bytes decoded (FoldStats).
 //   - vectors: batches that need evaluation fold straight from the
@@ -843,7 +843,7 @@ func (s *AggState) StatsAnswerable(rows int64, stats StatsFunc) bool {
 	return true
 }
 
-// FoldStats folds a MatchAll-decided group of rows records from its zone
+// FoldStats folds an AllMatch-decided group of rows records from its zone
 // stats with zero bytes decoded. The caller must have checked
 // StatsAnswerable with the same arguments.
 func (s *AggState) FoldStats(rows int64, stats StatsFunc) error {

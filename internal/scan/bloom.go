@@ -9,8 +9,8 @@ import "math/bits"
 // A per-group Bloom filter answers the one question zone maps cannot: "is
 // this exact byte string possibly present?" A negative answer is a proof
 // (Bloom filters have no false negatives), so it slots into the same
-// conservative Prune/MatchAll machinery as Min/Max: bloom-negative =>
-// NoMatch, bloom-positive => MayMatch.
+// three-valued Prune verdict as Min/Max: bloom-negative => NoMatch,
+// bloom-positive => MayMatch (a filter never proves AllMatch).
 //
 // The layout is cache-line blocked (Putze et al., "Cache-, Hash- and
 // Space-Efficient Bloom Filters"): a key selects one 512-bit block, then

@@ -286,7 +286,7 @@ func TestPlannerBloomSwitchAndAttribution(t *testing.T) {
 	if tri, _, byBloom = pl.PruneGroup(0, 10, group); tri != MayMatch || byBloom {
 		t.Errorf("disabled planner still pruned: tri=%v byBloom=%v", tri, byBloom)
 	}
-	if pl.PruneFile(func(string) *ColStats { return st }) != MayMatch {
+	if pruned, _ := pl.PruneFileRows(func(string) *ColStats { return st }, nil); pruned {
 		t.Error("disabled planner pruned at the file tier")
 	}
 

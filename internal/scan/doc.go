@@ -18,11 +18,11 @@
 //	          with AND/OR as narrowing/union bitmap arithmetic so a
 //	          column alive only under an empty selection is never
 //	          decoded — see docs/VECTORIZED.md;
-//	Prune     conservative, per record group, over ColStats — NoMatch
-//	          proves the group holds no qualifying record;
-//	MatchAll  conservative, per record group — true proves every record
-//	          in the group qualifies (the dual Prune needs to invert NOT
-//	          soundly).
+//	Prune     conservative, per record group, over ColStats — one
+//	          three-valued verdict, NoMatch < MayMatch < AllMatch: NoMatch
+//	          proves the group holds no qualifying record, AllMatch that
+//	          every record qualifies (And takes the least of its children,
+//	          Or the greatest, and Not swaps the two proofs).
 //
 // ColStats carries the statistics one record group (or one whole file,
 // after Merge) exposes to Prune: Min/Max bounds, null and distinct
@@ -64,8 +64,12 @@
 //   - Pushdown equivalence (property_test.go): a pushdown scan returns
 //     exactly the records a full scan plus an in-memory filter returns,
 //     over random schemas, predicates, layouts, projections, and both
-//     execution modes (the vectorize dimension is randomized) — Prune
-//     and MatchAll are proofs, never heuristics.
+//     execution modes (the vectorize dimension is randomized) — a Prune
+//     verdict is a proof, never a heuristic.
+//   - Verdict soundness (verdict_property_test.go): over random records
+//     written through colfile at mixed group geometries, no record of a
+//     NoMatch region satisfies Eval and every record of an AllMatch
+//     region does.
 //   - Vectorized equivalence (vector_test.go): VecEval's selection
 //     bitmaps equal per-record Eval verdicts — including which inputs
 //     error — over random vectors with nulls, type-mismatched literals,

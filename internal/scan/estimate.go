@@ -13,9 +13,8 @@ import "math"
 //
 // The estimator uses the classic System R independence assumptions where
 // the statistics cannot narrow a predicate, refined by the same
-// conservative Prune/MatchAll duals pruning uses: a group the statistics
-// prove empty estimates to 0, one they prove full estimates to the non-null
-// fraction.
+// three-valued Prune verdict pruning uses: a group the statistics prove
+// empty (NoMatch) estimates to 0, one they prove full (AllMatch) to 1.
 
 // Default match fractions where the statistics offer nothing sharper
 // (System R, Selinger et al. 1979).
@@ -51,16 +50,16 @@ func clampFraction(f float64) float64 {
 }
 
 func estimateFraction(p Predicate, stats StatsFunc) float64 {
-	// The conservative duals give exact answers at the extremes; checking
-	// them first keeps the estimator consistent with pruning (a group the
-	// planner elides always estimates to zero). Because Prune consults
+	// The verdict is exact at the extremes; asking it first, once per node,
+	// keeps the estimator consistent with pruning (a group the planner
+	// elides always estimates to zero). Because Prune consults
 	// Bloom filters, a bloom-negative equality estimates to exactly 0 here
 	// — before the 1/Distinct uniform-spread guess below ever runs.
 	// Callers honoring Spec.NoBloom pass a StripBloom-wrapped source.
-	if p.Prune(stats) == NoMatch {
+	switch p.Prune(stats) {
+	case NoMatch:
 		return 0
-	}
-	if p.MatchAll(stats) {
+	case AllMatch:
 		return 1
 	}
 	switch q := p.(type) {

@@ -92,23 +92,15 @@ func (p *Planner) FilterColumns() []string {
 	return p.cols
 }
 
-// PruneFile decides the scheduler and file tiers: given whole-file (or
-// whole-split) aggregate statistics per column, NoMatch proves the file
+// PruneFileRows decides the scheduler and file tiers: given whole-file (or
+// whole-split) aggregate statistics per column, pruned proves the file
 // holds no qualifying record. Columns without aggregates resolve to nil,
-// which pruning treats as MayMatch.
-func (p *Planner) PruneFile(stats StatsFunc) Tri {
-	if p == nil || p.pred == nil {
-		return MayMatch
-	}
-	return p.pred.Prune(p.statsView(stats))
-}
-
-// PruneFileRows is PruneFile plus the accounting protocol both file-tier
-// consumers share: on a NoMatch proof it reports how many records the
-// proof covers, taken from the statistics the predicate consulted — or,
-// when the proof consulted none (a constant-false predicate), from
-// recordCount. Keeping the fallback here keeps the scheduler and reader
-// tiers' record accounting identical by construction.
+// which pruning treats as MayMatch. It also keeps the accounting protocol
+// both file-tier consumers share: on a NoMatch proof it reports how many
+// records the proof covers, taken from the statistics the predicate
+// consulted — or, when the proof consulted none (a constant-false
+// predicate), from recordCount. Keeping the fallback here keeps the
+// scheduler and reader tiers' record accounting identical by construction.
 func (p *Planner) PruneFileRows(stats StatsFunc, recordCount func() int64) (pruned bool, rows int64) {
 	if p == nil || p.pred == nil {
 		return false, 0
@@ -139,8 +131,10 @@ type GroupStatsFunc func(column string, rec int64) (*ColStats, int64)
 // different layouts with different group geometries, so the verdict is
 // scoped to the narrowest group consulted: the returned end is the smallest
 // extent bound, and [rec, end) lies inside every consulted group. On
-// NoMatch the caller may skip to end; on MayMatch it need not re-consult
-// zone maps before end.
+// NoMatch the caller may skip to end; on MayMatch or AllMatch it need not
+// re-consult zone maps before end, and AllMatch lets an aggregate fold
+// [rec, end) from the zone map alone. A nil planner or predicate matches
+// everything: AllMatch, end = total.
 //
 // byBloom attributes the proof: true when the NoMatch verdict needed a
 // Bloom filter (the same statistics with filters stripped could not prune),
@@ -149,37 +143,19 @@ type GroupStatsFunc func(column string, rec int64) (*ColStats, int64)
 // path, over statistics the first pass already loaded.
 func (p *Planner) PruneGroup(rec, total int64, group GroupStatsFunc) (tri Tri, end int64, byBloom bool) {
 	if p == nil || p.pred == nil {
-		return MayMatch, total, false
+		return AllMatch, total, false
 	}
 	v := getGroupView(group, rec, total, p.noBloom)
 	defer v.release()
-	if p.pred.Prune(v.fn) == NoMatch && v.minEnd > rec {
-		if !p.noBloom {
-			v.strip = true
-			byBloom = p.pred.Prune(v.fn) != NoMatch
-		}
-		return NoMatch, v.minEnd, byBloom
+	tri = p.pred.Prune(v.fn)
+	if v.minEnd <= rec {
+		return MayMatch, v.minEnd, false
 	}
-	return MayMatch, v.minEnd, false
-}
-
-// MatchAllGroup decides whether every record in [rec, end) satisfies the
-// predicate from zone statistics alone — the aggregate drain's shortcut
-// tier (a region proven all-matching folds into aggregates straight from
-// the zone map, decoding nothing). Like PruneGroup the verdict is scoped
-// to the narrowest group consulted: the returned end is the smallest
-// extent bound, and [rec, end) lies inside every consulted group. A nil
-// planner or predicate matches everything (end = total).
-func (p *Planner) MatchAllGroup(rec, total int64, group GroupStatsFunc) (all bool, end int64) {
-	if p == nil || p.pred == nil {
-		return true, total
+	if tri == NoMatch && !p.noBloom {
+		v.strip = true
+		byBloom = p.pred.Prune(v.fn) != NoMatch
 	}
-	v := getGroupView(group, rec, total, p.noBloom)
-	defer v.release()
-	if p.pred.MatchAll(v.fn) && v.minEnd > rec {
-		return true, v.minEnd
-	}
-	return false, v.minEnd
+	return tri, v.minEnd, byBloom
 }
 
 // groupView is one group-tier consultation's statistics source: the zone

@@ -23,8 +23,9 @@ func groupTierFixture() GroupStatsFunc {
 }
 
 // TestPlannerGroupAllocGuard: consulting the group tier allocates nothing
-// per call — no closure over the source, no captured bound — whether the
-// verdict is MayMatch, a zone-map NoMatch or an all-match.
+// per call — no closure over the source, no captured bound — whatever the
+// verdict: MayMatch, a zone-map NoMatch, AllMatch, or a nil predicate's
+// AllMatch over the whole file.
 func TestPlannerGroupAllocGuard(t *testing.T) {
 	group := groupTierFixture()
 	for _, tc := range []struct {
@@ -35,6 +36,8 @@ func TestPlannerGroupAllocGuard(t *testing.T) {
 	}{
 		{"MayMatch", NewPlanner(And(Le("i", int32(50)), Eq("s", "present"))), MayMatch, 150},
 		{"zone-map NoMatch", NewPlanner(And(Gt("i", int32(500)), Eq("s", "present"))), NoMatch, 200},
+		{"AllMatch", NewPlanner(Le("i", int32(200))), AllMatch, 200},
+		{"nil predicate", NewPlanner(nil), AllMatch, 1000},
 	} {
 		var tri Tri
 		var end int64
@@ -44,14 +47,6 @@ func TestPlannerGroupAllocGuard(t *testing.T) {
 		}
 		race.AllocCeiling(t, "PruneGroup, "+tc.what, allocs, 0)
 	}
-	pl := NewPlanner(Le("i", int32(200)))
-	var all bool
-	var end int64
-	allocs := testing.AllocsPerRun(100, func() { all, end = pl.MatchAllGroup(120, 1000, group) })
-	if !all || end != 200 {
-		t.Errorf("MatchAllGroup = %v, end %d; want true, end 200", all, end)
-	}
-	race.AllocCeiling(t, "MatchAllGroup", allocs, 0)
 }
 
 // BenchmarkPruneGroup times one group-tier consultation over two columns.

@@ -21,20 +21,27 @@ func queryErrorf(format string, args ...any) error {
 	return &QueryError{fmt.Errorf(format, args...)}
 }
 
-// Tri is the outcome of zone-map pruning.
+// Tri is the zone-map verdict on a record group, ordered NoMatch <
+// MayMatch < AllMatch. NoMatch and AllMatch are proofs; MayMatch is not a
+// promise.
 type Tri int
 
 const (
 	// NoMatch proves no record in the group satisfies the predicate.
 	NoMatch Tri = iota
-	// MayMatch means the statistics cannot rule the group out.
+	// MayMatch means the statistics prove neither extreme.
 	MayMatch
+	// AllMatch proves every record in the group satisfies the predicate.
+	AllMatch
 )
 
-// String returns a short name for the outcome.
+// String returns a short name for the verdict.
 func (t Tri) String() string {
-	if t == NoMatch {
+	switch t {
+	case NoMatch:
 		return "no-match"
+	case AllMatch:
+		return "all-match"
 	}
 	return "may-match"
 }
@@ -231,13 +238,10 @@ type Predicate interface {
 	// (row, subpredicate) pairs the scalar short-circuit order would, so
 	// verdicts and errors agree with per-record Eval. in is not mutated.
 	VecEval(src VecSource, in *Selection) (*Selection, error)
-	// Prune decides conservatively whether a record group can contain a
-	// match, given per-column zone maps. NoMatch is a proof; MayMatch is
-	// not a promise.
+	// Prune decides conservatively, from per-column zone maps, whether no
+	// record of a group matches (NoMatch), every record does (AllMatch),
+	// or the statistics cannot tell (MayMatch).
 	Prune(stats StatsFunc) Tri
-	// MatchAll reports whether the statistics prove that every record in
-	// the group matches. It is the dual Prune needs to handle NOT.
-	MatchAll(stats StatsFunc) bool
 	// Columns appends the distinct top-level columns the predicate reads,
 	// preserving first-appearance order.
 	Columns(dst []string) []string
@@ -556,60 +560,31 @@ func (p *cmpPred) Prune(stats StatsFunc) Tri {
 	if !okMin || !okMax {
 		return MayMatch
 	}
+	// none: no value in [Min, Max] satisfies the operator; all: every one
+	// does.
+	var none, all bool
 	switch p.op {
 	case OpEq:
-		if cMin > 0 || cMax < 0 {
-			return NoMatch
-		}
+		none, all = cMin > 0 || cMax < 0, cMin == 0 && cMax == 0
 	case OpNe:
 		// Only a constant group equal to the literal has no mismatches.
-		if cMin == 0 && cMax == 0 && st.Nulls == 0 {
-			return NoMatch
-		}
+		none, all = cMin == 0 && cMax == 0 && st.Nulls == 0, cMin > 0 || cMax < 0
 	case OpLt:
-		if cMin >= 0 {
-			return NoMatch
-		}
+		none, all = cMin >= 0, cMax < 0
 	case OpLe:
-		if cMin > 0 {
-			return NoMatch
-		}
+		none, all = cMin > 0, cMax <= 0
 	case OpGt:
-		if cMax <= 0 {
-			return NoMatch
-		}
-	case OpGe:
-		if cMax < 0 {
-			return NoMatch
-		}
+		none, all = cMax <= 0, cMin > 0
+	default:
+		none, all = cMax < 0, cMin >= 0
+	}
+	switch {
+	case none:
+		return NoMatch
+	case all && st.Nulls == 0:
+		return AllMatch
 	}
 	return MayMatch
-}
-
-func (p *cmpPred) MatchAll(stats StatsFunc) bool {
-	st := stats(p.col)
-	if st == nil || st.Nulls != 0 || !st.HasMinMax {
-		return false
-	}
-	cMin, okMin := CompareValues(st.Min, p.lit)
-	cMax, okMax := CompareValues(st.Max, p.lit)
-	if !okMin || !okMax {
-		return false
-	}
-	switch p.op {
-	case OpEq:
-		return cMin == 0 && cMax == 0
-	case OpNe:
-		return cMin > 0 || cMax < 0
-	case OpLt:
-		return cMax < 0
-	case OpLe:
-		return cMax <= 0
-	case OpGt:
-		return cMin > 0
-	default:
-		return cMin >= 0
-	}
 }
 
 func (p *cmpPred) Columns(dst []string) []string { return appendColumn(dst, p.col) }
@@ -660,17 +635,13 @@ func (p *rangePred) Prune(stats StatsFunc) Tri {
 	if cMaxLo < 0 || cMinHi > 0 {
 		return NoMatch
 	}
-	return MayMatch
-}
-
-func (p *rangePred) MatchAll(stats StatsFunc) bool {
-	st := stats(p.col)
-	if st == nil || st.Nulls != 0 || !st.HasMinMax {
-		return false
-	}
+	// Every record matches if [Min, Max] lies inside [lo, hi].
 	cMinLo, ok1 := CompareValues(st.Min, p.lo)
 	cMaxHi, ok2 := CompareValues(st.Max, p.hi)
-	return ok1 && ok2 && cMinLo >= 0 && cMaxHi <= 0
+	if st.Nulls == 0 && ok1 && ok2 && cMinLo >= 0 && cMaxHi <= 0 {
+		return AllMatch
+	}
+	return MayMatch
 }
 
 func (p *rangePred) Columns(dst []string) []string { return appendColumn(dst, p.col) }
@@ -735,18 +706,13 @@ func (p *prefixPred) Prune(stats StatsFunc) Tri {
 			return NoMatch
 		}
 	}
-	return MayMatch
-}
-
-func (p *prefixPred) MatchAll(stats StatsFunc) bool {
-	st := stats(p.col)
-	if st == nil || st.Nulls != 0 || !st.HasMinMax {
-		return false
-	}
 	// If Min and Max both carry the prefix, everything between them does.
 	minS, okMin := st.Min.(string)
 	maxS, okMax := st.Max.(string)
-	return okMin && okMax && strings.HasPrefix(minS, p.prefix) && strings.HasPrefix(maxS, p.prefix)
+	if st.Nulls == 0 && okMin && okMax && strings.HasPrefix(minS, p.prefix) && strings.HasPrefix(maxS, p.prefix) {
+		return AllMatch
+	}
+	return MayMatch
 }
 
 func (p *prefixPred) Columns(dst []string) []string { return appendColumn(dst, p.col) }
@@ -774,24 +740,17 @@ func (p *nullPred) Prune(stats StatsFunc) Tri {
 	if st == nil {
 		return MayMatch
 	}
-	if !p.negate && st.Nulls == 0 {
-		return NoMatch
+	accepted := st.Nulls // the rows the test accepts
+	if p.negate {
+		accepted = st.Rows - st.Nulls
 	}
-	if p.negate && st.Nulls == st.Rows {
+	switch accepted {
+	case 0:
 		return NoMatch
+	case st.Rows:
+		return AllMatch
 	}
 	return MayMatch
-}
-
-func (p *nullPred) MatchAll(stats StatsFunc) bool {
-	st := stats(p.col)
-	if st == nil {
-		return false
-	}
-	if p.negate {
-		return st.Nulls == 0
-	}
-	return st.Nulls == st.Rows
 }
 
 func (p *nullPred) Columns(dst []string) []string { return appendColumn(dst, p.col) }
@@ -833,6 +792,8 @@ func (p *keyPred) Eval(ev Evaluator) (bool, error) {
 	return has, nil
 }
 
+// Prune never answers AllMatch: keys are a union over the group, so presence
+// proves nothing about individual records.
 func (p *keyPred) Prune(stats StatsFunc) Tri {
 	st := stats(p.col)
 	if st == nil {
@@ -857,12 +818,6 @@ func (p *keyPred) Prune(stats StatsFunc) Tri {
 	return MayMatch
 }
 
-func (p *keyPred) MatchAll(StatsFunc) bool {
-	// Keys are a union over the group, so presence proves nothing about
-	// individual records.
-	return false
-}
-
 func (p *keyPred) Columns(dst []string) []string { return appendColumn(dst, p.col) }
 
 func (p *keyPred) String() string {
@@ -884,22 +839,16 @@ func (p *andPred) Eval(ev Evaluator) (bool, error) {
 	return true, nil
 }
 
+// Prune is the least of the children's verdicts: one empty child empties the
+// group, and only full children fill it. The empty And is constant true.
 func (p *andPred) Prune(stats StatsFunc) Tri {
+	t := AllMatch
 	for _, k := range p.kids {
-		if k.Prune(stats) == NoMatch {
+		if t = min(t, k.Prune(stats)); t == NoMatch {
 			return NoMatch
 		}
 	}
-	return MayMatch
-}
-
-func (p *andPred) MatchAll(stats StatsFunc) bool {
-	for _, k := range p.kids {
-		if !k.MatchAll(stats) {
-			return false
-		}
-	}
-	return true
+	return t
 }
 
 func (p *andPred) Columns(dst []string) []string {
@@ -926,24 +875,16 @@ func (p *orPred) Eval(ev Evaluator) (bool, error) {
 	return false, nil
 }
 
+// Prune is the greatest of the children's verdicts: one full child fills the
+// group, and only empty children empty it. The empty Or is constant false.
 func (p *orPred) Prune(stats StatsFunc) Tri {
+	t := NoMatch
 	for _, k := range p.kids {
-		if k.Prune(stats) == MayMatch {
-			return MayMatch
+		if t = max(t, k.Prune(stats)); t == AllMatch {
+			return AllMatch
 		}
 	}
-	// Every child pruned; the empty Or is constant false. Either way the
-	// group cannot match.
-	return NoMatch
-}
-
-func (p *orPred) MatchAll(stats StatsFunc) bool {
-	for _, k := range p.kids {
-		if k.MatchAll(stats) {
-			return true
-		}
-	}
-	return false
+	return t
 }
 
 func (p *orPred) Columns(dst []string) []string {
@@ -965,16 +906,10 @@ func (p *notPred) Eval(ev Evaluator) (bool, error) {
 	return !ok, err
 }
 
+// Prune swaps the child's proofs: no record matches !kid exactly when every
+// record matches kid. The verdicts are ordered symmetrically about MayMatch.
 func (p *notPred) Prune(stats StatsFunc) Tri {
-	// No record matches !kid exactly when every record matches kid.
-	if p.kid.MatchAll(stats) {
-		return NoMatch
-	}
-	return MayMatch
-}
-
-func (p *notPred) MatchAll(stats StatsFunc) bool {
-	return p.kid.Prune(stats) == NoMatch
+	return AllMatch - p.kid.Prune(stats)
 }
 
 func (p *notPred) Columns(dst []string) []string { return p.kid.Columns(dst) }

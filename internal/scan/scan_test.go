@@ -103,7 +103,14 @@ func TestPruneCmp(t *testing.T) {
 		{Between("i", 150, 160), MayMatch},
 		{Ne("i", 150), MayMatch},
 		{IsNull("i"), NoMatch},
-		{NotNull("i"), MayMatch},
+		// The group has no nulls, so every record is non-null.
+		{NotNull("i"), AllMatch},
+		{Lt("i", 201), AllMatch},
+		{Le("i", 200), AllMatch},
+		{Gt("i", 99), AllMatch},
+		{Ge("i", 100), AllMatch},
+		{Ne("i", 99), AllMatch},
+		{Between("i", 100, 200), AllMatch},
 		// Unknown column: no stats, cannot prune.
 		{Eq("x", 1), MayMatch},
 	}
@@ -112,22 +119,63 @@ func TestPruneCmp(t *testing.T) {
 			t.Errorf("Prune(%s) = %v, want %v", c.pred, got, c.want)
 		}
 	}
+	// A zero-row entry (the writer never cuts one, and Zones.GroupStats
+	// never serves one) could satisfy both proofs vacuously: a leaf answers
+	// NoMatch there, its NoMatch checks coming first.
+	empty := statsFor(map[string]*ColStats{"i": {}})
+	for _, p := range []Predicate{IsNull("i"), NotNull("i"), Eq("i", 1), Ne("i", 1), Between("i", 0, 1)} {
+		if got := p.Prune(empty); got != NoMatch {
+			t.Errorf("Prune(%s) over zero rows = %v, want NoMatch", p, got)
+		}
+	}
 }
 
-func TestPruneNotUsesMatchAll(t *testing.T) {
-	// Every value in [100, 200] is > 50, so !(i > 50) prunes.
+func TestPruneNotSwapsVerdict(t *testing.T) {
 	st := statsFor(map[string]*ColStats{
 		"i": {Rows: 10, HasMinMax: true, Min: int32(100), Max: int32(200)},
 	})
+	// Every value in [100, 200] is > 50, so !(i > 50) prunes.
 	if got := Not(Gt("i", 50)).Prune(st); got != NoMatch {
 		t.Errorf("Not(i > 50).Prune = %v, want NoMatch", got)
 	}
 	if got := Not(Gt("i", 150)).Prune(st); got != MayMatch {
 		t.Errorf("Not(i > 150).Prune = %v, want MayMatch", got)
 	}
+	// No value is > 200, so every record matches !(i > 200).
+	if got := Not(Gt("i", 200)).Prune(st); got != AllMatch {
+		t.Errorf("Not(i > 200).Prune = %v, want AllMatch", got)
+	}
 	// Double negation restores pruning of the inner predicate.
 	if got := Not(Not(Gt("i", 200))).Prune(st); got != NoMatch {
 		t.Errorf("Not(Not(i > 200)).Prune = %v, want NoMatch", got)
+	}
+}
+
+// TestPruneComposites: And is the least of its children's verdicts, Or the
+// greatest; the empty And is constant true and the empty Or constant false.
+func TestPruneComposites(t *testing.T) {
+	st := statsFor(map[string]*ColStats{
+		"i": {Rows: 10, HasMinMax: true, Min: int32(100), Max: int32(200)},
+	})
+	none, may, all := Gt("i", 200), Gt("i", 150), Gt("i", 99)
+	for _, c := range []struct {
+		pred Predicate
+		want Tri
+	}{
+		{And(all, all), AllMatch},
+		{And(all, may), MayMatch},
+		{And(may, none, all), NoMatch},
+		{And(), AllMatch},
+		{Or(none, none), NoMatch},
+		{Or(none, may), MayMatch},
+		{Or(may, all, none), AllMatch},
+		{Or(), NoMatch},
+		{Not(And(all, may)), MayMatch},
+		{Not(Or(none, all)), NoMatch},
+	} {
+		if got := c.pred.Prune(st); got != c.want {
+			t.Errorf("Prune(%s) = %v, want %v", c.pred, got, c.want)
+		}
 	}
 }
 
@@ -289,7 +337,7 @@ func TestNaNTotalOrder(t *testing.T) {
 			t.Errorf("%s over NaN = (%v, %v), want %v", c.pred, got, err, c.want)
 		}
 	}
-	// An all-NaN group must not let MatchAll prove equality with a real
+	// An all-NaN group must not let the verdict prove equality with a real
 	// literal (which would wrongly prune its negation).
 	st := statsFor(map[string]*ColStats{
 		"d": {Rows: 3, HasMinMax: true, Min: nan, Max: nan},
@@ -297,8 +345,9 @@ func TestNaNTotalOrder(t *testing.T) {
 	if Not(Eq("d", 5.0)).Prune(st) == NoMatch {
 		t.Error("Not(d == 5) pruned an all-NaN group")
 	}
-	if got := Eq("d", nan).Prune(st); got != MayMatch {
-		t.Errorf("Eq(NaN) over NaN group = %v, want MayMatch", got)
+	// Under the total order NaN == NaN, so an all-NaN group is full.
+	if got := Eq("d", nan).Prune(st); got != AllMatch {
+		t.Errorf("Eq(NaN) over NaN group = %v, want AllMatch", got)
 	}
 }
 

@@ -87,8 +87,8 @@ func TestEstimateFraction(t *testing.T) {
 		{Le("x", int64(50)), 0.4, 0.6},
 		{Gt("x", int64(75)), 0.15, 0.35},
 		{Between("x", int64(25), int64(75)), 0.4, 0.6},
-		{Le("x", int64(200)), 1, 1},  // MatchAll: bounds prove every row matches
-		{Gt("x", int64(200)), 0, 0},  // Prune: bounds prove no row matches
+		{Le("x", int64(200)), 1, 1},  // AllMatch: bounds prove every row matches
+		{Gt("x", int64(200)), 0, 0},  // NoMatch: bounds prove no row matches
 		{Eq("x", int64(7)), 0, 0.05}, // 1/Distinct
 		{IsNull("n"), 0.5, 0.5},
 		{NotNull("n"), 0.5, 0.5},

@@ -30,7 +30,7 @@ func BenchmarkZoneVerdictProperty(b *testing.B) {
 func checkZoneVerdictProperty(t testing.TB, rounds int) {
 	const records = 120
 	rng := rand.New(rand.NewSource(49))
-	var proved [2]int // NoMatch and all-match verdicts checked
+	var proved [2]int // NoMatch and AllMatch verdicts checked
 	for round := 0; round < rounds; round++ {
 		schema := randSchema(rng)
 		// Values come in runs, so some groups are constant and the
@@ -70,33 +70,25 @@ func checkZoneVerdictProperty(t testing.TB, rounds int) {
 		for range 4 {
 			pred := randPredicate(rng, schema, 2)
 			for rec := int64(0); rec < records; {
-				// view is the group tier's statistics source at rec: it
-				// narrows *end to the smallest group extent consulted.
-				view := func(end *int64) scan.StatsFunc {
-					*end = records
-					return func(col string) *scan.ColStats {
-						st, gEnd := zones[col].GroupStats(rec)
-						if st != nil && gEnd < *end {
-							*end = gEnd
-						}
-						return st
+				// The group tier's view at rec: the verdict covers the
+				// smallest group extent consulted.
+				end := int64(records)
+				verdict := pred.Prune(func(col string) *scan.ColStats {
+					st, gEnd := zones[col].GroupStats(rec)
+					if st != nil && gEnd < end {
+						end = gEnd
 					}
-				}
-				var noEnd, allEnd int64
-				none := pred.Prune(view(&noEnd)) == scan.NoMatch
-				all := pred.MatchAll(view(&allEnd))
-				if none && all {
-					t.Fatalf("round %d: %s at %d: both NoMatch and all-match", round, pred, rec)
-				}
-				if none {
+					return st
+				})
+				switch verdict {
+				case scan.NoMatch:
 					proved[0]++
-					checkVerdictRegion(t, pred, recs[rec:noEnd], false)
-				}
-				if all {
+					checkVerdictRegion(t, pred, recs[rec:end], false)
+				case scan.AllMatch:
 					proved[1]++
-					checkVerdictRegion(t, pred, recs[rec:allEnd], true)
+					checkVerdictRegion(t, pred, recs[rec:end], true)
 				}
-				rec = min(noEnd, allEnd)
+				rec = end
 			}
 		}
 	}
