@@ -218,9 +218,9 @@ func TestBloomSaturatedAggregate(t *testing.T) {
 }
 
 // TestDCSLProberBloomConsistency: the key prober and the group Bloom
-// filter must agree — wherever the filter refutes a key, the prober (and
-// the materialized map) must report it absent, with or without the bloom
-// fast path. This is the soundness contract evalCtx.HasKey relies on.
+// filter must agree — wherever the filter refutes a key, ProbeKeys clears
+// the row, and every verdict equals the materialized map's, with or without
+// the bloom fast path.
 func TestDCSLProberBloomConsistency(t *testing.T) {
 	schema := mapSchema()
 	const n = 150
@@ -240,43 +240,50 @@ func TestDCSLProberBloomConsistency(t *testing.T) {
 	opts := Options{Layout: DCSL, Levels: []int{100, 10}, StatsEvery: 20}
 	f, _ := writeColumn(t, schema, opts, n, func(i int) any { return vals[i] })
 
+	// Batches of 37 straddle groups (20) and windows (10, 100).
+	const batch = 37
 	probes := append(append([]string(nil), keys...), "absent-a", "absent-b")
 	for _, noBloom := range []bool{false, true} {
-		r, err := NewReaderOpts(f.reader(), schema, ReaderOptions{NoBloom: noBloom}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		src := statsSource(t, r, "dcsl")
-		kp := r.(KeyProber)
-		for rec := int64(0); rec < n; rec++ {
-			if err := r.SkipTo(rec); err != nil {
+		for _, key := range probes {
+			r, err := NewReaderOpts(f.reader(), schema, ReaderOptions{NoBloom: noBloom}, nil)
+			if err != nil {
 				t.Fatal(err)
 			}
-			st, _ := src.GroupStats(rec)
-			if st == nil || st.Bloom == nil {
-				t.Fatalf("record %d: missing group bloom", rec)
-			}
-			for _, key := range probes {
-				has, answered, err := kp.HasKey(key)
+			src := statsSource(t, r, "dcsl")
+			for start := int64(0); start < n; start += batch {
+				end := min(start+batch, n)
+				sel := scan.NewSelection(int(end - start))
+				answered, err := r.(KeyVecProber).ProbeKeys(key, start, end, sel, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, want := vals[rec].(map[string]any)[key]
-				if answered && has != want {
-					t.Fatalf("noBloom=%v record %d key %q: prober says %v, map says %v",
-						noBloom, rec, key, has, want)
+				if !answered {
+					t.Fatalf("noBloom=%v key %q [%d,%d): prober did not answer", noBloom, key, start, end)
 				}
-				if !st.Bloom.MayContainString(key) {
-					// Bloom-negative is a proof: the prober must agree.
-					if !answered || has {
-						t.Fatalf("noBloom=%v record %d key %q: bloom refutes but prober answered=%v has=%v",
-							noBloom, rec, key, answered, has)
+				for rec := start; rec < end; rec++ {
+					has := sel.Test(int(rec - start))
+					_, want := vals[rec].(map[string]any)[key]
+					if has != want {
+						t.Fatalf("noBloom=%v record %d key %q: prober says %v, map says %v",
+							noBloom, rec, key, has, want)
 					}
-					if want {
-						t.Fatalf("record %d key %q: bloom refutes a present key", rec, key)
+					st, _ := src.GroupStats(rec)
+					if st == nil || st.Bloom == nil {
+						t.Fatalf("record %d: missing group bloom", rec)
+					}
+					if !st.Bloom.MayContainString(key) {
+						// Bloom-negative is a proof: the row must be cleared.
+						if has {
+							t.Fatalf("noBloom=%v record %d key %q: bloom refutes but the row stayed selected",
+								noBloom, rec, key)
+						}
+						if want {
+							t.Fatalf("record %d key %q: bloom refutes a present key", rec, key)
+						}
 					}
 				}
 			}
+			r.Release()
 		}
 	}
 }

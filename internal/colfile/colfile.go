@@ -273,18 +273,6 @@ type Reader interface {
 	Release()
 }
 
-// KeyProber is implemented by readers (DCSL) that can decide whether the
-// record at the cursor contains a map key more cheaply than materializing
-// the value: one window-dictionary lookup refutes a whole window at a time,
-// and a per-record id walk decides the rest without building the map — the
-// paper's "extremely fast" dictionary decode applied to filtering. The
-// cursor must be positioned on the record (SkipTo) before probing; probing
-// never advances it. answered=false means the reader cannot answer cheaply
-// and the caller should materialize the value instead.
-type KeyProber interface {
-	HasKey(key string) (has, answered bool, err error)
-}
-
 // groupPtrSize is the byte width of one skip pointer.
 const groupPtrSize = 4
 

@@ -44,8 +44,9 @@
 // GroupStats — through a reader's StatsSource, which takes the image from
 // ReaderOptions.Zones — the group tier. FileStats is the head-only view
 // (the aggregate alone) for callers without a catalog, and the DCSL
-// reader's KeyProber serves the value tier (window-dictionary and
-// group-Bloom key probes without materializing maps). The pruning
+// reader's KeyVecProber serves the batch value tier (group-Bloom,
+// window-dictionary and id-walk key probes without materializing maps;
+// ProbeKeys is the one place DCSL key existence is decided). The pruning
 // *decisions* live in internal/scan; the readers here only expose
 // statistics and never interpret predicates.
 //
@@ -61,9 +62,10 @@
 //   - Parser totality (stats_fuzz_test.go): the stats parser never panics
 //     on arbitrary bytes, and whatever parses re-encodes and re-parses to
 //     the same geometry.
-//   - Prober soundness (bloomstats_test.go): wherever a group's Bloom
-//     filter refutes a map key, the DCSL prober and the materialized map
-//     agree the key is absent, with the bloom fast path on or off.
+//   - Prober soundness (bloomstats_test.go): ProbeKeys' verdict on every
+//     record equals the materialized map's, and wherever a group's Bloom
+//     filter refutes a map key the row is cleared, with the bloom fast
+//     path on or off.
 //   - Reader equivalence (colfile_test.go, stream_test.go): all layouts
 //     return identical values and honor SkipTo geometry, which is what
 //     lets the cost model compare them fairly.

@@ -94,7 +94,6 @@ func NewReaderOpts(r ReaderAtSize, schema *serde.Schema, opts ReaderOptions, sta
 			levels:     h.levels,
 			dcsl:       h.layout == DCSL,
 			noBloom:    opts.NoBloom,
-			probeWin:   -1,
 		}, nil
 	}
 	return nil, fmt.Errorf("colfile: unknown layout %v", h.layout)
@@ -284,17 +283,6 @@ type slReader struct {
 	aligned bool
 	win     dictWindow // DCSL: the current window's dictionary
 	ptrs    []byte     // readGroup's copy of the current group's skip pointers
-
-	// KeyProber memoization: repeated probes for the same key reuse the
-	// group's Bloom verdict and the window's dictionary answer instead of
-	// re-probing per record. Cursor movement never invalidates the memos —
-	// they are keyed by position range — and a different key resets them.
-	probeKey      string
-	probeGroupEnd int64 // bloom verdict valid for rec < probeGroupEnd
-	probeBloomNeg bool
-	probeWin      int64 // window start the dict answer covers; -1 = none
-	probeID       uint32
-	probeInWin    bool
 }
 
 func (r *slReader) minLevel() int64 { return int64(r.levels[len(r.levels)-1]) }
@@ -509,56 +497,6 @@ func (r *slReader) SkipTo(target int64) error {
 		}
 	}
 	return nil
-}
-
-// HasKey implements KeyProber for DCSL files. The group's Bloom filter is
-// consulted first when present: a negative probe refutes the key for the
-// whole record group from already-loaded (uncharged) metadata, before the
-// reader even aligns on the record — cheaper than the dictionary walk and
-// able to skip the window dictionary load entirely. Past the filter, the
-// window dictionary is the union of every map key in the window, so a
-// failed lookup refutes the whole window with one dictionary search; a hit
-// walks the current record's (id, value) pairs comparing ids, skipping
-// element bytes, building no objects. The walk is priced as raw byte
-// movement.
-func (r *slReader) HasKey(key string) (bool, bool, error) {
-	if !r.dcsl || r.schema.Kind != serde.KindMap || r.rec >= r.total {
-		return false, false, nil
-	}
-	if key != r.probeKey {
-		r.probeKey = key
-		r.probeGroupEnd = 0
-		r.probeWin = -1
-	}
-	if !r.noBloom {
-		if r.rec >= r.probeGroupEnd {
-			st, gEnd := r.GroupStats(r.rec)
-			r.probeBloomNeg = st != nil && st.Bloom != nil && !st.Bloom.MayContainString(key)
-			if gEnd <= r.rec {
-				gEnd = r.rec + 1
-			}
-			r.probeGroupEnd = gEnd
-		}
-		if r.probeBloomNeg {
-			return false, true, nil
-		}
-	}
-	if err := r.align(); err != nil {
-		return false, false, err
-	}
-	if r.win.dict == nil {
-		return false, false, nil
-	}
-	if win := r.rec - r.rec%r.maxLevel(); win != r.probeWin {
-		r.probeID, r.probeInWin = r.win.dict.ResolveID(key)
-		r.probeWin = win
-	}
-	id, inWindow := r.probeID, r.probeInWin
-	if !inWindow {
-		return false, true, nil
-	}
-	has, err := r.peekHasID(id)
-	return has, err == nil, err
 }
 
 // peekHasID reports whether the map record at the cursor carries dictionary

@@ -53,7 +53,7 @@ func FuzzColumnReader(f *testing.F) {
 	schemas := fuzzSchemas()
 	names := fuzzSchemaNames()
 	// Two bytes an op: which call, and its argument.
-	ops := []byte{0, 0, 1, 15, 2, 20, 2, 33, 3, 10, 4, 7, 5, 1, 0, 0, 1, 39, 2, 49, 3, 60, 4, 90}
+	ops := []byte{0, 0, 1, 15, 2, 20, 2, 33, 3, 10, 4, 7, 0, 0, 1, 39, 2, 49, 3, 60, 4, 90}
 	seed := func(name string, opts Options, gen func(*rand.Rand, int) any) {
 		schema := schemas[name]
 		if _, err := NewWriter(&memFile{}, schema, opts, nil); err != nil {
@@ -97,7 +97,7 @@ func FuzzColumnReader(f *testing.F) {
 			// Ranges start at or a little past the cursor and may run past
 			// the end, so the entry checks are driven too.
 			start, end := rec+arg%8, rec+arg%8+arg%50
-			switch op % 6 {
+			switch op % 5 {
 			case 0:
 				_, _ = r.Value()
 			case 1:
@@ -113,10 +113,6 @@ func FuzzColumnReader(f *testing.F) {
 			case 4:
 				if p, ok := r.(KeyVecProber); ok {
 					_, _ = p.ProbeKeys(keys[arg%int64(len(keys))], start, end, scan.NewSelection(int(end-start)), nil)
-				}
-			case 5:
-				if p, ok := r.(KeyProber); ok {
-					_, _, _ = p.HasKey(keys[arg%int64(len(keys))])
 				}
 			}
 		}

@@ -948,26 +948,40 @@ type ZoneSource interface {
 // statistics: pruning degrades, it does not fail. Only a footer or a read
 // that fails is an error.
 func ReadZones(r ReaderAtSize, schema *serde.Schema) (*Zones, error) {
-	count, statsLen, err := readFooter(r)
+	count, blob, readErr, err := readStatsSection(r)
 	if err != nil {
 		return nil, err
 	}
-	z := &Zones{records: count, bytes: statsLen + footerSize}
-	if statsLen == 0 {
+	if readErr != nil {
+		return nil, readErr
+	}
+	z := &Zones{records: count, bytes: int64(len(blob)) + footerSize}
+	if len(blob) == 0 {
 		return z, nil
-	}
-	blob := make([]byte, statsLen)
-	readAt := r.ReadAt
-	if u, ok := r.(unchargedReaderAt); ok {
-		readAt = u.UnchargedReadAt
-	}
-	if _, err := readAt(blob, r.Size()-footerSize-statsLen); err != nil && err != io.EOF {
-		return nil, fmt.Errorf("colfile: reading stats section: %w", err)
 	}
 	if entries, agg, err := parseStatsSection(blob, schema); err == nil {
 		z.entries, z.agg = entries, agg
 	}
 	return z, nil
+}
+
+// readStatsSection reads the footer, then the stats section (nil when the
+// file has none) through the uncharged path. err is the footer's; readErr a
+// failed section read, which ReadZones and FileStats each treat their way.
+func readStatsSection(r ReaderAtSize) (count int64, blob []byte, readErr, err error) {
+	count, statsLen, err := readFooter(r)
+	if err != nil || statsLen == 0 {
+		return count, nil, nil, err
+	}
+	blob = make([]byte, statsLen)
+	readAt := r.ReadAt
+	if u, ok := r.(unchargedReaderAt); ok {
+		readAt = u.UnchargedReadAt
+	}
+	if _, err := readAt(blob, r.Size()-footerSize-statsLen); err != nil && err != io.EOF {
+		return count, nil, fmt.Errorf("colfile: reading stats section: %w", err), nil
+	}
+	return count, blob, nil, nil
 }
 
 // GroupStats returns the statistics of the record group containing rec and
@@ -1054,19 +1068,11 @@ func (l *statsLoader) GroupStats(rec int64) (*scan.ColStats, int64) {
 // returns (nil, nil) for files without (or with unreadable, or foreign)
 // statistics — planning degrades, it does not fail.
 func FileStats(r ReaderAtSize, schema *serde.Schema) (*scan.ColStats, error) {
-	_, statsLen, err := readFooter(r)
+	_, blob, readErr, err := readStatsSection(r)
 	if err != nil {
 		return nil, err
 	}
-	if statsLen == 0 {
-		return nil, nil
-	}
-	blob := make([]byte, statsLen)
-	readAt := r.ReadAt
-	if u, ok := r.(unchargedReaderAt); ok {
-		readAt = u.UnchargedReadAt
-	}
-	if _, err := readAt(blob, r.Size()-footerSize-statsLen); err != nil && err != io.EOF {
+	if readErr != nil || len(blob) == 0 {
 		return nil, nil
 	}
 	agg, _, err := parseStatsHead(blob, schema)

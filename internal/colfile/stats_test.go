@@ -451,58 +451,3 @@ func TestStatsEntryUndefinedFlag(t *testing.T) {
 		t.Fatalf("FileStats = %+v, %v; want the intact aggregate", st, err)
 	}
 }
-
-// TestDCSLKeyProbe checks the DCSL reader's key prober against
-// materialized truth for every record, and that a key outside the window
-// dictionary is refuted without decoding anything.
-func TestDCSLKeyProbe(t *testing.T) {
-	schema := mapSchema()
-	const n = 230
-	gen := func(i int) any {
-		m := map[string]any{}
-		if i%2 == 0 {
-			m["even"] = int32(i)
-		}
-		if i%3 == 0 {
-			m["third"] = int32(i)
-		}
-		m["k"+string(rune('a'+i%5))] = int32(i)
-		return m
-	}
-	f, vals := writeColumn(t, schema, Options{Layout: DCSL, Levels: []int{100, 10}}, n, gen)
-	r, err := NewReader(f.reader(), schema, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kp, ok := r.(KeyProber)
-	if !ok {
-		t.Fatalf("DCSL reader %T does not implement KeyProber", r)
-	}
-	keys := []string{"even", "third", "ka", "kb", "absent"}
-	for i := 0; i < n; i++ {
-		if err := r.SkipTo(int64(i)); err != nil {
-			t.Fatal(err)
-		}
-		want := vals[i].(map[string]any)
-		for _, key := range keys {
-			has, answered, err := kp.HasKey(key)
-			if err != nil {
-				t.Fatalf("record %d key %q: %v", i, key, err)
-			}
-			if !answered {
-				t.Fatalf("record %d key %q: prober did not answer", i, key)
-			}
-			if _, truth := want[key]; has != truth {
-				t.Fatalf("record %d key %q: probe = %v, want %v", i, key, has, truth)
-			}
-		}
-		// Probing must not move the cursor: the value must still decode.
-		v, err := r.Value()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !serde.ValuesEqual(schema, v, vals[i]) {
-			t.Fatalf("record %d corrupted by probing: %v vs %v", i, v, vals[i])
-		}
-	}
-}

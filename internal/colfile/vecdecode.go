@@ -465,7 +465,8 @@ func (r *slReader) DecodeIDVector(start, end int64, iv *scan.IDVector, cpu *sim.
 	return err == nil, err
 }
 
-// ProbeKeys implements KeyVecProber for DCSL files.
+// ProbeKeys implements KeyVecProber for DCSL files: the one place DCSL key
+// existence is decided (the record-at-a-time loop reads the decoded map).
 func (r *slReader) ProbeKeys(key string, start, end int64, sel *scan.Selection, cpu *sim.CPUStats) (bool, error) {
 	if !r.dcsl {
 		return false, nil
@@ -517,7 +518,7 @@ func (r *slReader) ProbeKeys(key string, start, end int64, sel *scan.Selection, 
 				continue
 			}
 			if sel.Test(int(r.rec - start)) {
-				// Record tier: the id walk HasKey uses.
+				// Record tier: walk the record's ids, building no map.
 				has, err := r.peekHasID(id)
 				if err != nil {
 					return err

@@ -41,11 +41,11 @@
 // elided from footer statistics before any task exists); Reader.openDir the
 // file tier (a directory skipped from the same aggregates before any header
 // parse); Reader.step the group tier (zone-map and Bloom proofs jump whole
-// groups) and the value tier (exact evaluation over filter columns only,
-// with DCSL map-key tests routed to the column's prober and string equality
-// over window dictionary ids). With N > 1 members each member's own planner
-// replays its solo consultation sequence, so its logical accounting matches
-// its solo run.
+// groups) and the value tier (exact evaluation over filter columns only; a
+// batch answers DCSL map-key tests with the column's ProbeKeys and string
+// equality over window dictionary ids). With N > 1 members each member's
+// own planner replays its solo consultation sequence, so its logical
+// accounting matches its solo run.
 //
 // The write side is COF: Writer cuts a record stream into split-directories,
 // each written by a SplitWriter (splitwriter.go). A round of records fans

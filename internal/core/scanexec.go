@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"colmr/internal/colfile"
 	"colmr/internal/scan"
 )
@@ -24,9 +22,9 @@ import (
 //     the zone map (aggexec.go).
 //  3. Record filtering: only filter columns are evaluated exactly — a batch
 //     at a time (vecexec.go), or under Spec.NoVec record by record through
-//     evalCtx below, where DCSL map-key tests resolve through the column's
-//     prober and other tests read through the cursor cache lazy records
-//     use. Non-qualifying records never materialize projected columns.
+//     evalCtx below, whose tests read values through the cursor cache lazy
+//     records use. Non-qualifying records never materialize projected
+//     columns.
 //
 // Filter columns outside the projection are opened as extra cursors; the
 // record handed to the map function still carries only the projected
@@ -47,9 +45,8 @@ func (r *Reader) groupStats(col string, rec int64) (*scan.ColStats, int64) {
 }
 
 // evalCtx adapts the Reader to scan.Evaluator for record-at-a-time
-// evaluation and folding: plain value access goes through the per-record
-// cursor cache, and map-key tests are routed to the column reader's prober
-// when it has one (DCSL).
+// evaluation and folding: every value, a map tested by exists() included,
+// is read through the per-record cursor cache.
 type evalCtx struct {
 	r *Reader
 }
@@ -61,27 +58,4 @@ func (e evalCtx) Value(col string) (any, error) {
 		return nil, err
 	}
 	return e.r.valueAt(c)
-}
-
-// HasKey implements scan.Evaluator: key-existence tests on probing layouts
-// are decided without materializing the map value. A record whose map is
-// already cached answers from the cache instead (answered=false falls back
-// to Value, which is then free).
-func (e evalCtx) HasKey(col, key string) (bool, bool, error) {
-	r := e.r
-	c, err := r.cursorFor(col)
-	if err != nil {
-		return false, false, err
-	}
-	if c.cachedPos == r.curPos {
-		return false, false, nil
-	}
-	kp, ok := c.r.(colfile.KeyProber)
-	if !ok {
-		return false, false, nil
-	}
-	if err := c.r.SkipTo(r.curPos); err != nil {
-		return false, false, fmt.Errorf("core: column %q skip to %d: %w", c.name, r.curPos, err)
-	}
-	return kp.HasKey(key)
 }

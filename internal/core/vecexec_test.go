@@ -336,15 +336,31 @@ func checkEagerBatchEquivalence(t testing.TB, rounds int) {
 
 // TestVectorizedProbeOnlyKeyTest pins the batch key-probe fast path: a DCSL
 // map column read only through one exists() test and not projected is
-// answered by ProbeKeys — no map values are decoded for the filter.
+// answered by ProbeKeys — no map values are decoded for the filter. The
+// record-at-a-time oracle returns the same rows deciding exists() from the
+// decoded map: each evaluated record's metadata map materializes once.
 func TestVectorizedProbeOnlyKeyTest(t *testing.T) {
 	fs := testFS(t, 4)
 	recs := loadDataset(t, fs, "/data/crawl", vecLayouts()["dcsl"], 300)
 	pred := scan.KeyExists("metadata", "server")
 	want := wantMatches(t, recs, pred)
+	proj, err := crawlSchema.Project("url")
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	conf := predConf([]string{"url"}, false, pred)
-	rows, st := scanAll(t, fs, "/data/crawl", conf)
+	var st, ost sim.TaskStats
+	rows := checkVecEquivalence(t, "probe-only", proj, pred, 300, func(vect bool) ([]map[string]any, sim.TaskStats) {
+		conf := predConf([]string{"url"}, false, pred)
+		conf.Scan.NoVec = !vect
+		rows, s := scanAll(t, fs, "/data/crawl", conf)
+		if vect {
+			st = s
+		} else {
+			ost = s
+		}
+		return rows, s
+	})
 	if len(rows) != len(want) {
 		t.Fatalf("probe-only scan returned %d rows, brute force %d", len(rows), len(want))
 	}
@@ -355,5 +371,21 @@ func TestVectorizedProbeOnlyKeyTest(t *testing.T) {
 	// projected url column's, one per match.
 	if st.CPU.ValuesMaterialized != int64(len(rows)) {
 		t.Fatalf("probe-only scan materialized %d values for %d matches", st.CPU.ValuesMaterialized, len(rows))
+	}
+	// The oracle charges each metadata map as the map plus its entries.
+	if ost.RecordsPruned != 0 {
+		t.Fatalf("NoVec scan pruned %d records; the count below assumes every record is evaluated", ost.RecordsPruned)
+	}
+	mapValues := int64(0)
+	for _, rec := range recs {
+		m, err := rec.Get("metadata")
+		if err != nil {
+			t.Fatal(err)
+		}
+		mapValues += int64(len(m.(map[string]any)) + 1)
+	}
+	if got := ost.CPU.ValuesMaterialized; got != int64(len(rows))+mapValues {
+		t.Fatalf("NoVec scan materialized %d values, want %d url values + %d for %d metadata maps",
+			got, len(rows), mapValues, len(recs))
 	}
 }

@@ -273,24 +273,12 @@ func drainAggRecords(reader RecordReader, agg *scan.Aggregate, stats *sim.TaskSt
 		if !isRec {
 			return nil, fmt.Errorf("mapred: cannot aggregate over %T records (input format lacks AggRecordReader)", v)
 		}
-		if err := st.FoldRecord(recordEval{rec}); err != nil {
+		if err := st.FoldRecord(scan.Getter(rec.Get)); err != nil {
 			return nil, err
 		}
 		stats.RowsAggregated++
 	}
 }
-
-// recordEval adapts a materialized record to scan.Evaluator for the
-// capability-free fold.
-type recordEval struct {
-	rec serde.Record
-}
-
-// Value implements scan.Evaluator.
-func (e recordEval) Value(col string) (any, error) { return e.rec.Get(col) }
-
-// HasKey implements scan.Evaluator: never answered — the fold reads values.
-func (e recordEval) HasKey(string, string) (bool, bool, error) { return false, false, nil }
 
 // emitInto readies out's numParts shuffle partitions and returns the Emit
 // closure appending map-output pairs to them with the shuffle's accounting.

@@ -31,7 +31,8 @@ func EstimateFraction(p Predicate, stats StatsFunc) float64 {
 	if p == nil {
 		return 1
 	}
-	return clampFraction(estimateFraction(p, stats))
+	_, f := estimate(p, stats)
+	return clampFraction(f)
 }
 
 // EstimateRows scales EstimateFraction to a row count.
@@ -49,19 +50,47 @@ func clampFraction(f float64) float64 {
 	return f
 }
 
-func estimateFraction(p Predicate, stats StatsFunc) float64 {
-	// The verdict is exact at the extremes; asking it first, once per node,
-	// keeps the estimator consistent with pruning (a group the planner
-	// elides always estimates to zero). Because Prune consults
-	// Bloom filters, a bloom-negative equality estimates to exactly 0 here
-	// — before the 1/Distinct uniform-spread guess below ever runs.
-	// Callers honoring Spec.NoBloom pass a StripBloom-wrapped source.
-	switch p.Prune(stats) {
-	case NoMatch:
-		return 0
-	case AllMatch:
-		return 1
+// estimate returns p's zone-map verdict and its fraction, walking the tree
+// once. A leaf asks its own Prune; a composite folds its children's
+// verdicts, never their estimates, by its Prune's rule. Because Prune
+// consults Bloom filters, a bloom-negative equality estimates to exactly 0;
+// callers honoring Spec.NoBloom pass a StripBloom-wrapped source.
+func estimate(p Predicate, stats StatsFunc) (t Tri, f float64) {
+	switch q := p.(type) {
+	case *andPred:
+		f = 1
+		t = allOf(q.kids, func(k Predicate) Tri {
+			kt, kf := estimate(k, stats)
+			f *= clampFraction(kf)
+			return kt
+		})
+	case *orPred:
+		miss := 1.0
+		t = anyOf(q.kids, func(k Predicate) Tri {
+			kt, kf := estimate(k, stats)
+			miss *= 1 - clampFraction(kf)
+			return kt
+		})
+		f = 1 - miss
+	case *notPred:
+		kt, kf := estimate(q.kid, stats)
+		t, f = kt.negate(), 1-clampFraction(kf)
+	default:
+		if t = p.Prune(stats); t == MayMatch {
+			return t, leafFraction(p, stats)
+		}
 	}
+	switch t {
+	case NoMatch:
+		return t, 0
+	case AllMatch:
+		return t, 1
+	}
+	return t, f
+}
+
+// leafFraction estimates a leaf the statistics could not decide.
+func leafFraction(p Predicate, stats StatsFunc) float64 {
 	switch q := p.(type) {
 	case *cmpPred:
 		return estimateCmp(q, stats)
@@ -83,20 +112,6 @@ func estimateFraction(p Predicate, stats StatsFunc) float64 {
 		// Prune already handled complete-universe misses; a present (or
 		// unknowable) key defaults to a coin flip over non-null rows.
 		return valueFraction(stats(q.col)) * defaultKeyFraction
-	case *andPred:
-		f := 1.0
-		for _, k := range q.kids {
-			f *= clampFraction(estimateFraction(k, stats))
-		}
-		return f
-	case *orPred:
-		miss := 1.0
-		for _, k := range q.kids {
-			miss *= 1 - clampFraction(estimateFraction(k, stats))
-		}
-		return 1 - miss
-	case *notPred:
-		return 1 - clampFraction(estimateFraction(q.kid, stats))
 	}
 	return defaultRangeFraction
 }

@@ -35,6 +35,9 @@ const (
 	AllMatch
 )
 
+// negate is a negation's verdict: the two proofs swap.
+func (t Tri) negate() Tri { return AllMatch - t }
+
 // String returns a short name for the verdict.
 func (t Tri) String() string {
 	switch t {
@@ -196,29 +199,21 @@ func mergeSortedKeys(a, b []string) []string {
 }
 
 // Evaluator resolves the current record's values for exact predicate
-// evaluation. Beyond plain value access it can answer capability queries a
-// storage layer serves cheaper than materialization — today, map-key
-// existence from a DCSL window dictionary.
+// evaluation. Every leaf, exists() included, decides from Value; deciding
+// from a storage layer's encoding (a DCSL window dictionary) is the batch
+// path's job (VecSource.KeyVec).
 type Evaluator interface {
 	// Value resolves a column name to the current record's value. A nil
 	// value with a nil error represents SQL NULL.
 	Value(column string) (any, error)
-	// HasKey decides whether the map column contains key without
-	// materializing the map value. answered reports whether the store
-	// could decide; when false the caller falls back to Value.
-	HasKey(column, key string) (has, answered bool, err error)
 }
 
-// Getter adapts a plain column-value function to Evaluator (with no cheap
-// capabilities). A nil value with a nil error represents SQL NULL.
+// Getter adapts a plain column-value function to Evaluator. A nil value
+// with a nil error represents SQL NULL.
 type Getter func(column string) (any, error)
 
 // Value implements Evaluator.
 func (g Getter) Value(column string) (any, error) { return g(column) }
-
-// HasKey implements Evaluator: a bare Getter never answers, so key tests
-// fall back to materializing the map.
-func (Getter) HasKey(column, key string) (bool, bool, error) { return false, false, nil }
 
 // StatsFunc resolves a column name to the zone-map statistics of the record
 // group under consideration. Returning nil means "no statistics available",
@@ -444,21 +439,7 @@ func CompareValues(a, b any) (int, bool) {
 	af, aNum := asFloat(a)
 	bf, bNum := asFloat(b)
 	if aNum && bNum {
-		aNaN, bNaN := math.IsNaN(af), math.IsNaN(bf)
-		switch {
-		case aNaN && bNaN:
-			return 0, true
-		case aNaN:
-			return -1, true
-		case bNaN:
-			return 1, true
-		case af < bf:
-			return -1, true
-		case af > bf:
-			return 1, true
-		default:
-			return 0, true
-		}
+		return cmpFloat(af, bf), true
 	}
 	return 0, false
 }
@@ -769,18 +750,15 @@ type keyPred struct {
 }
 
 func (p *keyPred) Eval(ev Evaluator) (bool, error) {
-	// A store that can probe key existence directly (the DCSL window
-	// dictionary: one lookup decides a whole window's key universe, and an
-	// id walk decides one record) answers without building the map.
-	if has, answered, err := ev.HasKey(p.col, p.key); err != nil {
-		return false, err
-	} else if answered {
-		return has, nil
-	}
 	v, err := ev.Value(p.col)
 	if err != nil {
 		return false, err
 	}
+	return p.has(v)
+}
+
+// has decides the test on one decoded value: a null has no keys.
+func (p *keyPred) has(v any) (bool, error) {
 	if v == nil {
 		return false, nil
 	}
@@ -842,9 +820,15 @@ func (p *andPred) Eval(ev Evaluator) (bool, error) {
 // Prune is the least of the children's verdicts: one empty child empties the
 // group, and only full children fill it. The empty And is constant true.
 func (p *andPred) Prune(stats StatsFunc) Tri {
+	return allOf(p.kids, func(k Predicate) Tri { return k.Prune(stats) })
+}
+
+// allOf is a conjunction's verdict over its children's, asked of verdict in
+// order: the least of them, stopping at the first NoMatch.
+func allOf(kids []Predicate, verdict func(Predicate) Tri) Tri {
 	t := AllMatch
-	for _, k := range p.kids {
-		if t = min(t, k.Prune(stats)); t == NoMatch {
+	for _, k := range kids {
+		if t = min(t, verdict(k)); t == NoMatch {
 			return NoMatch
 		}
 	}
@@ -878,9 +862,15 @@ func (p *orPred) Eval(ev Evaluator) (bool, error) {
 // Prune is the greatest of the children's verdicts: one full child fills the
 // group, and only empty children empty it. The empty Or is constant false.
 func (p *orPred) Prune(stats StatsFunc) Tri {
+	return anyOf(p.kids, func(k Predicate) Tri { return k.Prune(stats) })
+}
+
+// anyOf is a disjunction's verdict over its children's, asked of verdict in
+// order: the greatest of them, stopping at the first AllMatch.
+func anyOf(kids []Predicate, verdict func(Predicate) Tri) Tri {
 	t := NoMatch
-	for _, k := range p.kids {
-		if t = max(t, k.Prune(stats)); t == AllMatch {
+	for _, k := range kids {
+		if t = max(t, verdict(k)); t == AllMatch {
 			return AllMatch
 		}
 	}
@@ -909,7 +899,7 @@ func (p *notPred) Eval(ev Evaluator) (bool, error) {
 // Prune swaps the child's proofs: no record matches !kid exactly when every
 // record matches kid. The verdicts are ordered symmetrically about MayMatch.
 func (p *notPred) Prune(stats StatsFunc) Tri {
-	return AllMatch - p.kid.Prune(stats)
+	return p.kid.Prune(stats).negate()
 }
 
 func (p *notPred) Columns(dst []string) []string { return p.kid.Columns(dst) }

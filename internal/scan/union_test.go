@@ -108,6 +108,90 @@ func TestEstimateFraction(t *testing.T) {
 	}
 }
 
+// TestEstimateWalksOnce: the estimator asks each leaf's statistics at most
+// twice (its Prune and its formula) however deep the tree, and matches the
+// per-node reference that asked Prune at every node — NaN estimates from
+// infinite bounds included, which only the children's verdicts may decide.
+func TestEstimateWalksOnce(t *testing.T) {
+	lookups := 0
+	stats := func(col string) *ColStats {
+		lookups++
+		switch col {
+		case "x":
+			return &ColStats{Rows: 1000, HasMinMax: true, Min: int64(0), Max: int64(100), Distinct: 64}
+		case "n":
+			return &ColStats{Rows: 1000, Nulls: 500}
+		case "f": // infinite bounds: interpolation yields NaN
+			return &ColStats{Rows: 1000, HasMinMax: true, Min: math.Inf(-1), Max: math.Inf(1)}
+		}
+		return nil
+	}
+	leaves := []Predicate{
+		Le("x", int64(50)), Gt("x", int64(25)), IsNull("n"), Ne("x", int64(7)),
+		Ge("x", int64(10)), NotNull("n"), Lt("x", int64(90)), Eq("x", int64(3)),
+	}
+	// Eight undecided leaves under three levels of && and ||: nothing
+	// short-circuits, so every leaf is reached.
+	deep := And(
+		Or(And(leaves[0], leaves[1]), And(leaves[2], leaves[3])),
+		Or(And(leaves[4], leaves[5]), Or(leaves[6], leaves[7])))
+	nan := Le("f", 0.0)
+	for _, c := range []struct {
+		pred    Predicate
+		leaves  int
+		nanWant bool
+	}{
+		{deep, 8, false},
+		{Not(deep), 8, false},
+		{And(nan, Gt("x", int64(200))), 2, false}, // NoMatch beside a NaN estimate
+		{Or(nan, Le("x", int64(200))), 2, false},  // AllMatch beside a NaN estimate
+		{Not(nan), 1, true},
+		{And(nan, Le("x", int64(50))), 2, true},
+	} {
+		lookups = 0
+		got := EstimateFraction(c.pred, stats)
+		if lookups > 2*c.leaves {
+			t.Errorf("%s: %d statistics lookups for %d leaves, want at most %d", c.pred, lookups, c.leaves, 2*c.leaves)
+		}
+		want := clampFraction(estimatePerNode(c.pred, stats))
+		if math.IsNaN(want) != c.nanWant {
+			t.Fatalf("%s: reference estimate %v; the case expects NaN=%v", c.pred, want, c.nanWant)
+		}
+		if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Errorf("%s: EstimateFraction = %v, per-node reference %v", c.pred, got, want)
+		}
+	}
+}
+
+// estimatePerNode is the estimator that asked Prune at every node, each
+// composite's Prune walking its whole subtree again: the reference the
+// one-walk estimator must match.
+func estimatePerNode(p Predicate, stats StatsFunc) float64 {
+	switch p.Prune(stats) {
+	case NoMatch:
+		return 0
+	case AllMatch:
+		return 1
+	}
+	switch q := p.(type) {
+	case *andPred:
+		f := 1.0
+		for _, k := range q.kids {
+			f *= clampFraction(estimatePerNode(k, stats))
+		}
+		return f
+	case *orPred:
+		miss := 1.0
+		for _, k := range q.kids {
+			miss *= 1 - clampFraction(estimatePerNode(k, stats))
+		}
+		return 1 - miss
+	case *notPred:
+		return 1 - clampFraction(estimatePerNode(q.kid, stats))
+	}
+	return leafFraction(p, stats)
+}
+
 // TestEstimateEqZeroDistinct: an all-null group, or statistics built by
 // hand with only a Bloom filter, carry no distinct count, so the 1/Distinct
 // uniform guess must be guarded — the estimate falls back to

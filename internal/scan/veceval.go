@@ -34,8 +34,8 @@ type VecSource interface {
 	KeyVec(column, key string, sel *Selection) (res *Selection, answered bool, err error)
 }
 
-// cmpFloat mirrors CompareValues' float branch: a total order with NaN
-// below -Inf and NaN == NaN.
+// cmpFloat is the float order CompareValues and the batch comparers share:
+// a total order with NaN below -Inf and NaN == NaN.
 func cmpFloat(a, b float64) int {
 	aN, bN := math.IsNaN(a), math.IsNaN(b)
 	switch {
@@ -324,15 +324,11 @@ func (p *keyPred) VecEval(src VecSource, in *Selection) (*Selection, error) {
 		if v.IsNull(i) {
 			continue
 		}
-		val := v.Value(&bx, i)
-		if val == nil {
-			continue
+		has, err := p.has(v.Value(&bx, i))
+		if err != nil {
+			return nil, err
 		}
-		m, ok := val.(map[string]any)
-		if !ok {
-			return nil, queryErrorf("scan: exists on non-map column %q (%T)", p.col, val)
-		}
-		if _, has := m[p.key]; has {
+		if has {
 			out.Set(i)
 		}
 	}

@@ -484,8 +484,8 @@ func TestVectorEvalProperty(t *testing.T) {
 			}
 		}
 
-		// Scalar reference: per-record Eval over the same rows, through the
-		// unanswered-HasKey fallback (materialize the map, test the key).
+		// Scalar reference: per-record Eval over the same rows, deciding key
+		// tests from the materialized map.
 		want := scan.NewEmptySelection(n)
 		var wantErr bool
 		for i := in.Next(0); i >= 0; i = in.Next(i + 1) {
