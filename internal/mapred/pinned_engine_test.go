@@ -378,8 +378,9 @@ func TestEnginePinnedIngestCompaction(t *testing.T) {
 	checkPinned(t, "ingest_compaction", fmt.Sprintf("gen=%d %s", ing.Generation(), renderStats(*ing.Stats())))
 }
 
-// TestEnginePinnedCorruptColumn pins Run's error over a column file whose
-// data was overwritten behind an intact footer.
+// TestEnginePinnedCorruptColumn pins the errors of Run, of a one-job batch
+// and of a shared batch over a column file whose data was overwritten behind
+// an intact footer.
 func TestEnginePinnedCorruptColumn(t *testing.T) {
 	fs := pinFS()
 	loadPinned(t, fs)
@@ -408,6 +409,15 @@ func TestEnginePinnedCorruptColumn(t *testing.T) {
 		t.Fatal("a corrupt column file scanned in a batch without an error")
 	}
 	checkPinned(t, "corrupt_column_batch", err.Error())
+	// Two jobs sharing the corrupt file's task: a co-scheduled group's error
+	// names the shared task.
+	_, err = mapred.RunBatch(fs,
+		core.ScanDataset("/pin/cif").Columns("x", "s").Job(pinMapper),
+		core.ScanDataset("/pin/cif").Columns("x", "s").Where(scan.Le("x", int64(500))).Job(pinMapper))
+	if err == nil {
+		t.Fatal("a corrupt column file scanned in a shared batch without an error")
+	}
+	checkPinned(t, "corrupt_shared_task", err.Error())
 }
 
 // Recorded before Run and RunBatch became one engine.
@@ -427,5 +437,6 @@ var pinnedEngine = map[string]string{
 	"session_round2":       "shared: IO.LogicalBytes=15281 IO.InterleavedBytes=3823 IO.Opens=12 CPU.StringBytes=2762 CPU.SkippedBytes=723 CPU.RecordsMaterialized=1202 CPU.ValuesMaterialized=2404 CPU.VecBytes=7245 CPU.VecValues=1220 GroupsPruned=9 RecordsPruned=170 SharedReads=8 CacheHits=12 BytesFromCache=25576 VecBatches=39 RowsVectorized=730\ntasks=6 shared=4 groups=1 declined=0\n[0] /pin/cif/s0@0 /pin/cif/s1@1 /pin/cif/s2@2 /pin/cif/s3@0 tasks#f49089a9f9b8\ntotal: RecordsProcessed=482 OutputBytes=9634 OutputRecords=482 GroupsPruned=6 RecordsPruned=710 RecordsFiltered=8 SplitsPruned=4\nreduce: \ngroups=0 out=482 plan: SplitsTotal=8 SplitsPruned=4 FilesChecked=8 RecordsPruned=600 Columns=[x] Vectorized=true\n[1] /pin/cif/s0@0 /pin/cif/s1@1 /pin/cif/s2@2 /pin/cif/s3@0 tasks#a9ee7fd7d19f\ntotal: RecordsProcessed=542 OutputBytes=10822 OutputRecords=542 GroupsPruned=3 RecordsPruned=650 RecordsFiltered=8 SplitsPruned=4\nreduce: \ngroups=0 out=542 plan: SplitsTotal=8 SplitsPruned=4 FilesChecked=8 RecordsPruned=600 Columns=[x] Vectorized=true\n[2] /pin/cif/s6@1 /pin/cif/s7@3 tasks#d3c59beae8b6\ntotal: RecordsProcessed=178 OutputBytes=3562 OutputRecords=178 GroupsPruned=6 RecordsPruned=1020 RecordsFiltered=2 SplitsPruned=6\nreduce: \ngroups=0 out=178 plan: SplitsTotal=8 SplitsPruned=6 FilesChecked=8 RecordsPruned=900 Columns=[x] Vectorized=true\n[3] /pin/data.rc[0:8192]@0 /pin/data.rc[8192:9122]@2 tasks#706fa6ee53c4\ntotal: IO.LocalBytes=10052 IO.RemoteBytes=4096 IO.LogicalBytes=10091 IO.Seeks=1 IO.Opens=2 CPU.IntBytes=5986 CPU.StringBytes=14382 CPU.ZlibBytes=16705 CPU.RecordsMaterialized=1200 CPU.ValuesMaterialized=2400 RecordsProcessed=1200 OutputBytes=23982 OutputRecords=1200\nreduce: \ngroups=0 out=1200 plan: \n[4] /pin/cif2/s0@0 tasks#754a48bbce4f\ntotal: IO.LogicalBytes=2464 IO.InterleavedBytes=617 IO.Opens=2 CPU.StringBytes=1444 CPU.SkippedBytes=124 CPU.RecordsMaterialized=122 CPU.ValuesMaterialized=244 CPU.VecBytes=203 CPU.VecValues=140 RecordsProcessed=122 OutputBytes=2420 OutputRecords=122 GroupsPruned=1 RecordsPruned=1060 RecordsFiltered=18 SplitsPruned=7 CacheHits=2 BytesFromCache=4140 VecBatches=7 RowsVectorized=140\nreduce: \ngroups=0 out=122 plan: SplitsTotal=8 SplitsPruned=7 FilesChecked=8 RecordsPruned=1050 Columns=[x] Vectorized=true\n[5] /pin/cif/s0,/pin/cif/s1@0 /pin/cif/s2,/pin/cif/s3@2 tasks#aeec032df033\ntotal: IO.LogicalBytes=10160 IO.InterleavedBytes=2542 IO.Opens=8 CPU.StringBytes=6066 CPU.SkippedBytes=464 CPU.RecordsMaterialized=506 CPU.ValuesMaterialized=1012 CPU.VecBytes=943 CPU.VecValues=510 RecordsProcessed=506 OutputBytes=10114 OutputRecords=506 GroupsPruned=5 RecordsPruned=690 RecordsFiltered=4 SplitsPruned=4 CacheHits=8 BytesFromCache=17001 VecBatches=27 RowsVectorized=510\nreduce: \ngroups=0 out=506 plan: SplitsTotal=8 SplitsPruned=4 FilesChecked=8 RecordsPruned=600 Columns=[x] Vectorized=true",
 	"ingest_compaction":    "gen=8 IO.LocalBytes=175063 IO.LogicalBytes=130141 IO.InterleavedBytes=106979 IO.Opens=56 IO.BytesWritten=322842 CPU.RawBytes=291741 CPU.IntBytes=2429 CPU.StringBytes=52668 CPU.MapBytes=20127 CPU.SkippedBytes=4510 CPU.DictBytes=13708 CPU.DictCompBytes=30010 CPU.RecordsMaterialized=263 CPU.ValuesMaterialized=5113 RecordsProcessed=263 FlushedFiles=64 CompactionBytes=134110 UpsertsResolved=137 FreshPartitionsScanned=8",
 	"corrupt_column":       "mapred: map task 2 (/pin/cif/s2): core: column \"s\": colfile: bad magic \"\\xff\\xff\\xff\\xff\"",
+	"corrupt_shared_task":  "mapred: shared task 2 (/pin/cif/s2): core: column \"s\": colfile: bad magic \"\\xff\\xff\\xff\\xff\"",
 	"corrupt_column_batch": "mapred: batch job 0: mapred: map task 2 (/pin/cif/s2): core: column \"s\": colfile: bad magic \"\\xff\\xff\\xff\\xff\"",
 }
