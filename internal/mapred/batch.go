@@ -20,6 +20,13 @@ import (
 // shared-scan pattern of Hall et al., "Processing a Trillion Cells per Mouse
 // Click" — whose physical work is charged once, to BatchResult.Shared. Any
 // other job is a group of one, read through its own format (soloInput).
+//
+// A group carries what its tasks share (the filesystem, the batch's jobs, the
+// members' confs, the input that plans and opens them); a mapTask carries one
+// task's own state from scheduling to its Result: split, members, node, stats
+// sinks, outputs and error. The engine is the one task driver: experiments
+// and commands run their scans through Run or RunBatch, not by opening splits
+// themselves.
 
 // BatchResult is the outcome of a batch run.
 type BatchResult struct {
@@ -72,8 +79,9 @@ func runBatch(fs *hdfs.FileSystem, jobs []*Job, jobErr func(i int, err error) er
 		}
 	}
 	br := &BatchResult{Results: make([]*Result, len(jobs))}
-	for _, g := range groupJobs(jobs) {
-		if err := runGroup(fs, jobs, g, br, jobErr); err != nil {
+	groups := groupJobs(fs, jobs)
+	for g := range groups {
+		if err := runGroup(&groups[g], br, jobErr); err != nil {
 			return nil, err
 		}
 	}
@@ -82,10 +90,24 @@ func runBatch(fs *hdfs.FileSystem, jobs []*Job, jobErr func(i int, err error) er
 
 func batchJobErr(i int, err error) error { return fmt.Errorf("mapred: batch job %d: %w", i, err) }
 
-// group is jobs run together; in plans and opens their tasks.
+// group is jobs run together: the batch's filesystem and jobs, the group's
+// members as indexes into jobs and their confs in member order, and in, which
+// plans and opens the group's tasks.
 type group struct {
-	in  groupInput
-	idx []int
+	fs    *hdfs.FileSystem
+	jobs  []*Job
+	in    groupInput
+	idx   []int
+	confs []*JobConf
+}
+
+// newGroup returns the group of jobs idx, planned and opened through in.
+func newGroup(fs *hdfs.FileSystem, jobs []*Job, in groupInput, idx []int) group {
+	g := group{fs: fs, jobs: jobs, in: in, idx: idx, confs: make([]*JobConf, len(idx))}
+	for k, i := range idx {
+		g.confs[k] = &jobs[i].Conf
+	}
+	return g
 }
 
 // groupJobs groups the jobs in the order the groups run. Jobs whose format
@@ -95,16 +117,16 @@ type group struct {
 // planning cannot represent multiplicity), or no job shares with it. Groups
 // of one run first — those that cannot share, then the partnerless, each in
 // job order — then co-scheduled groups; a session's cache state depends on it.
-func groupJobs(jobs []*Job) []group {
+func groupJobs(fs *hdfs.FileSystem, jobs []*Job) []group {
 	if len(jobs) == 1 { // Run: a group of one, with no key to build
-		return []group{{in: soloInput{jobs[0]}, idx: []int{0}}}
+		return []group{newGroup(fs, jobs, soloInput{jobs[0]}, []int{0})}
 	}
 	var order, shared []group
 	byKey := make(map[string]int)
 	for i, job := range jobs {
 		sif, ok := job.Input.(SharedInputFormat)
 		if !ok || hasDuplicatePaths(job.Conf.InputPaths) {
-			order = append(order, group{in: soloInput{job}, idx: []int{i}})
+			order = append(order, newGroup(fs, jobs, soloInput{job}, []int{i}))
 			continue
 		}
 		// The key includes the format's printed configuration (CIF has
@@ -127,9 +149,9 @@ func groupJobs(jobs []*Job) []group {
 	var cosched []group
 	for _, g := range shared {
 		if len(g.idx) > 1 {
-			cosched = append(cosched, g)
+			cosched = append(cosched, newGroup(fs, jobs, g.in, g.idx))
 		} else {
-			order = append(order, group{in: soloInput{jobs[g.idx[0]]}, idx: g.idx})
+			order = append(order, newGroup(fs, jobs, soloInput{jobs[g.idx[0]]}, g.idx))
 		}
 	}
 	return append(order, cosched...)
@@ -138,29 +160,28 @@ func groupJobs(jobs []*Job) []group {
 // runGroup runs one group and assembles its members' Results. A group of one
 // books everything on its job's Result, and its errors are its job's; a
 // co-scheduled group books its cursor sets' physical work to br.Shared.
-func runGroup(fs *hdfs.FileSystem, jobs []*Job, g group, br *BatchResult, jobErr func(int, error) error) error {
+func runGroup(g *group, br *BatchResult, jobErr func(int, error) error) error {
 	solo := len(g.idx) == 1
 	groupErr, kind := func(err error) error { return err }, "shared task"
 	if solo {
 		groupErr, kind = func(err error) error { return jobErr(g.idx[0], err) }, "map task"
 	}
-	confs := make([]*JobConf, len(g.idx))
-	for k, i := range g.idx {
-		confs[k] = &jobs[i].Conf
-	}
-	tasks, reports, err := g.in.SharedSplits(fs, confs)
+	splits, reports, err := g.in.SharedSplits(g.fs, g.confs)
 	if err != nil {
 		return groupErr(err)
 	}
-	nodes := scheduleSplits(fs, tasks)
-	var sharedStats []sim.TaskStats
-	if !solo {
-		sharedStats = make([]sim.TaskStats, len(tasks))
+	tasks := make([]mapTask, len(splits))
+	for t, sp := range splits {
+		tasks[t].SharedSplit = sp
+		if !solo {
+			tasks[t].shared = new(sim.TaskStats)
+		}
 	}
-	done := runTasks(fs, g, jobs, confs, tasks, nodes, sharedStats)
-	for t, d := range done {
-		if d.err != nil {
-			return groupErr(fmt.Errorf("mapred: %s %d (%s): %w", kind, t, tasks[t].Split, d.err))
+	scheduleSplits(g.fs, tasks)
+	runTasks(g, tasks)
+	for t := range tasks {
+		if err := tasks[t].err; err != nil {
+			return groupErr(fmt.Errorf("mapred: %s %d (%s): %w", kind, t, tasks[t].Split, err))
 		}
 	}
 
@@ -171,10 +192,11 @@ func runGroup(fs *hdfs.FileSystem, jobs []*Job, g group, br *BatchResult, jobErr
 		if solo && len(tasks) > 0 { // every task serves the one member
 			res.MapTasks, outs = make([]TaskReport, 0, len(tasks)), make([]*taskOutput, 0, len(tasks))
 		}
-		for t, sp := range tasks {
-			if pos := slices.Index(sp.Members, k); pos >= 0 {
-				out := &done[t].outs[pos]
-				res.MapTasks = append(res.MapTasks, TaskReport{Split: sp.Split.String(), Node: nodes[t], Stats: out.stats})
+		for t := range tasks {
+			task := &tasks[t]
+			if pos := slices.Index(task.Members, k); pos >= 0 {
+				out := &task.outs[pos]
+				res.MapTasks = append(res.MapTasks, TaskReport{Split: task.Split.String(), Node: task.node, Stats: out.stats})
 				res.Total.Add(out.stats)
 				outs = append(outs, out)
 			}
@@ -185,7 +207,7 @@ func runGroup(fs *hdfs.FileSystem, jobs []*Job, g group, br *BatchResult, jobErr
 		// proof fired.
 		res.Total.SplitsPruned += int64(reports[k].SplitsPruned)
 		res.Total.RecordsPruned += reports[k].RecordsPruned
-		if agg := jobAggregate(confs[k]); agg != nil {
+		if agg := jobAggregate(g.confs[k]); agg != nil {
 			// Aggregation jobs have no shuffle or reduce: merge the tasks'
 			// partial states into the job's answer.
 			res.Agg = scan.NewAggState(agg)
@@ -197,14 +219,14 @@ func runGroup(fs *hdfs.FileSystem, jobs []*Job, g group, br *BatchResult, jobErr
 					return jobErr(i, err)
 				}
 			}
-		} else if err := reducePhase(fs, jobs[i], outs, numParts(jobs[i]), res); err != nil {
+		} else if err := reducePhase(g.fs, g.jobs[i], outs, numParts(g.jobs[i]), res); err != nil {
 			return jobErr(i, err)
 		}
 		br.Results[i] = res
 	}
 	if !solo {
 		for t := range tasks {
-			br.Shared.Add(sharedStats[t])
+			br.Shared.Add(*tasks[t].shared)
 			if len(tasks[t].Members) > 1 {
 				br.SharedTasks++
 			}
@@ -215,15 +237,9 @@ func runGroup(fs *hdfs.FileSystem, jobs []*Job, g group, br *BatchResult, jobErr
 	return nil
 }
 
-type taskResult struct {
-	*mapTask
-	err error
-}
-
 // runTasks runs a group's map tasks on one worker per CPU, at most eight,
-// charging task t's cursor set to shared[t] when shared is non-nil.
-func runTasks(fs *hdfs.FileSystem, g group, jobs []*Job, confs []*JobConf, tasks []SharedSplit, nodes []hdfs.NodeID, shared []sim.TaskStats) []taskResult {
-	done := make([]taskResult, len(tasks))
+// each task keeping its outcome in its own mapTask.
+func runTasks(g *group, tasks []mapTask) {
 	var wg sync.WaitGroup
 	next := make(chan int)
 	for w := min(max(runtime.NumCPU(), 1), 8); w > 0; w-- {
@@ -231,11 +247,7 @@ func runTasks(fs *hdfs.FileSystem, g group, jobs []*Job, confs []*JobConf, tasks
 		go func() {
 			defer wg.Done()
 			for t := range next {
-				var sh *sim.TaskStats
-				if shared != nil {
-					sh = &shared[t]
-				}
-				done[t].mapTask, done[t].err = runTask(fs, g.in, jobs, g.idx, confs, tasks[t], nodes[t], sh)
+				tasks[t].err = runTask(g, &tasks[t])
 			}
 		}()
 	}
@@ -244,7 +256,6 @@ func runTasks(fs *hdfs.FileSystem, g group, jobs []*Job, confs []*JobConf, tasks
 	}
 	close(next)
 	wg.Wait()
-	return done
 }
 
 func hasDuplicatePaths(paths []string) bool {

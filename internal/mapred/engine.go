@@ -72,13 +72,13 @@ func Run(fs *hdfs.FileSystem, job *Job) (*Result, error) {
 // scheduleSplits assigns each task's split to a node, preferring the
 // split's locality candidates and balancing assignment counts — a
 // deterministic stand-in for Hadoop's locality-aware task scheduler.
-func scheduleSplits(fs *hdfs.FileSystem, tasks []SharedSplit) []hdfs.NodeID {
+func scheduleSplits(fs *hdfs.FileSystem, tasks []mapTask) {
 	n := fs.Config().Nodes
 	load := make([]int, n)
-	nodes := make([]hdfs.NodeID, len(tasks))
-	for i, task := range tasks {
+	for i := range tasks {
+		t := &tasks[i]
 		best := hdfs.NodeID(-1)
-		for _, c := range task.Split.Hosts(fs) {
+		for _, c := range t.Split.Hosts(fs) {
 			if int(c) < 0 || int(c) >= n {
 				continue
 			}
@@ -95,10 +95,9 @@ func scheduleSplits(fs *hdfs.FileSystem, tasks []SharedSplit) []hdfs.NodeID {
 				}
 			}
 		}
-		nodes[i] = best
+		t.node = best
 		load[best]++
 	}
-	return nodes
 }
 
 // numParts is the number of shuffle partitions a job's map output fills.
@@ -109,41 +108,48 @@ func numParts(job *Job) int {
 	return job.Conf.NumReducers
 }
 
-// mapTask is one map task: its members' outputs and the stats sinks its
-// reader charges. A one-member task's live in out1 and stats1, so a group of
-// one allocates no slices per task.
+// mapTask is one map task: its split and the members it serves, the node it
+// runs on, the physical work its cursor set charges, its members' outputs and
+// the stats sinks its reader charges, and its error. shared is nil in a group
+// of one, whose reader books its physical work on the member. A one-member
+// task's outputs live in out1 and stats1, so a group of one allocates nothing
+// per task beyond the group's task slice; a mapTask must not be copied once
+// runTask has readied it.
 type mapTask struct {
+	SharedSplit
+	node   hdfs.NodeID
+	shared *sim.TaskStats
 	outs   []taskOutput
 	stats  []*sim.TaskStats
 	out1   [1]taskOutput
 	stats1 [1]*sim.TaskStats
+	err    error
 }
 
 // runTask is the one task loop. The reader hands each record to the map
 // function of every member it qualifies for, each member filling its own
 // taskOutput as a task of its own would; aggregating members surface no
 // records and take their partial states from the reader; combiners run last.
-func runTask(fs *hdfs.FileSystem, in groupInput, jobs []*Job, idx []int, confs []*JobConf, sp SharedSplit, node hdfs.NodeID, shared *sim.TaskStats) (*mapTask, error) {
-	t := &mapTask{}
+func runTask(g *group, t *mapTask) error {
 	t.outs, t.stats = t.out1[:], t.stats1[:]
-	if n := len(sp.Members); n > 1 {
+	if n := len(t.Members); n > 1 {
 		t.outs, t.stats = make([]taskOutput, n), make([]*sim.TaskStats, n)
 	}
-	for pos, k := range sp.Members {
+	for pos, k := range t.Members {
 		t.stats[pos] = &t.outs[pos].stats
-		if job := jobs[idx[k]]; jobAggregate(confs[k]) == nil {
+		if job := g.jobs[g.idx[k]]; jobAggregate(g.confs[k]) == nil {
 			t.outs[pos].mapper, t.outs[pos].emit = job.Mapper, emitInto(&t.outs[pos], numParts(job))
 		}
 	}
-	rr, err := in.OpenShared(fs, confs, sp.Split, sp.Members, node, t.stats, shared)
+	rr, err := g.in.OpenShared(g.fs, g.confs, t.Split, t.Members, t.node, t.stats, t.shared)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for {
 		key, vals, ms, ok, err := rr.Next()
 		if err != nil {
 			rr.Close()
-			return nil, err
+			return err
 		}
 		if !ok {
 			break
@@ -153,28 +159,28 @@ func runTask(fs *hdfs.FileSystem, in groupInput, jobs []*Job, idx []int, confs [
 			out.stats.RecordsProcessed++
 			if err := out.mapper.Map(key, vals[i], out.emit); err != nil {
 				rr.Close()
-				return nil, err
+				return err
 			}
 		}
 	}
-	// Close before AggStates, and before the caller reads shared: a CIF
+	// Close before AggStates, and before the caller reads t.shared: a CIF
 	// reader folds its cursor accounting into the stats on Close.
 	if err := rr.Close(); err != nil {
-		return nil, err
+		return err
 	}
 	if ar, ok := rr.(AggSharedRecordReader); ok {
 		for pos, st := range ar.AggStates() {
 			t.outs[pos].agg = st
 		}
 	}
-	for pos, k := range sp.Members {
-		if job := jobs[idx[k]]; job.Combiner != nil {
+	for pos, k := range t.Members {
+		if job := g.jobs[g.idx[k]]; job.Combiner != nil {
 			if err := combine(job, &t.outs[pos]); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
-	return t, nil
+	return nil
 }
 
 // groupInput plans and opens a group's tasks: a co-scheduled group's
