@@ -35,6 +35,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"text/tabwriter"
 
 	"colmr/internal/core"
@@ -160,61 +161,35 @@ func main() {
 	}
 	var results []result
 
-	// pushdown formats carry the predicate inside the reader; the others
-	// scan every record and filter here, after materialization.
-	runScan := func(name string, in mapred.InputFormat, conf *mapred.JobConf, pushdown bool) {
-		var splits []mapred.Split
-		var total sim.TaskStats
-		var err error
-		if pf, ok := in.(mapred.PlannedInputFormat); ok {
-			var report scan.PruneReport
-			splits, report, err = pf.PlannedSplits(fs, conf)
-			if err == nil && pred != nil {
-				fmt.Printf("%s plan: %s\n", name, report)
-			}
-			// Fold the scheduler tier into the totals, as the engine does:
-			// the pruned column then covers every tier.
-			total.SplitsPruned = int64(report.SplitsPruned)
-			total.RecordsPruned = report.RecordsPruned
-		} else {
-			splits, err = in.Splits(fs, conf)
-		}
-		check(err)
-		var matched int64
-		for _, sp := range splits {
-			var st sim.TaskStats
-			rr, err := in.Open(fs, conf, sp, 0, &st)
-			check(err)
-			for {
-				_, v, ok, err := rr.Next()
-				check(err)
-				if !ok {
-					break
-				}
+	// pushdown formats carry the predicate inside the reader; for the others
+	// the map function filters every record after materialization. Map
+	// tasks run concurrently, so the match count is atomic.
+	runScan := func(name string, in mapred.InputFormat, conf mapred.JobConf, pushdown bool) {
+		var matched atomic.Int64
+		res, err := mapred.Run(fs, &mapred.Job{Conf: conf, Input: in, Output: mapred.NullOutput{},
+			Mapper: mapred.MapperFunc(func(_, v any, _ mapred.Emit) error {
 				rec, isRec := v.(serde.Record)
 				if isRec && pred != nil && !pushdown {
-					ok, err := pred.Eval(scan.Getter(func(col string) (any, error) { return rec.Get(col) }))
-					check(err)
-					if !ok {
-						st.RecordsProcessed++
-						continue
+					if ok, err := pred.Eval(scan.Getter(rec.Get)); !ok || err != nil {
+						return err
 					}
 				}
-				matched++
-				if isRec && len(proj) > 0 {
+				matched.Add(1)
+				if isRec {
 					// Touch the projected fields, as a map function would.
 					for _, c := range proj {
 						if _, err := rec.Get(c); err != nil {
-							check(err)
+							return err
 						}
 					}
 				}
-				st.RecordsProcessed++
-			}
-			check(rr.Close())
-			total.Add(st)
+				return nil
+			})})
+		check(err)
+		if _, ok := in.(mapred.PlannedInputFormat); ok && pred != nil {
+			fmt.Printf("%s plan: %s\n", name, res.Plan)
 		}
-		results = append(results, result{name, total, matched})
+		results = append(results, result{name, res.Total, matched.Load()})
 	}
 
 	// Scan-then-filter formats must project the filter columns too; CIF
@@ -225,11 +200,11 @@ func main() {
 		filterProj = pred.Columns(append([]string(nil), proj...))
 	}
 
-	runScan("SEQ", &seq.InputFormat{}, &mapred.JobConf{InputPaths: []string{"/s/data.seq"}}, false)
-	rconf := &mapred.JobConf{InputPaths: []string{"/s/data.rc"}, Scan: &scan.Spec{Columns: filterProj}}
+	runScan("SEQ", &seq.InputFormat{}, mapred.JobConf{InputPaths: []string{"/s/data.seq"}}, false)
+	rconf := mapred.JobConf{InputPaths: []string{"/s/data.rc"}, Scan: &scan.Spec{Columns: filterProj}}
 	runScan("RCFile", &rcfile.InputFormat{}, rconf, false)
 	cconf := core.ScanDataset("/s/cif").Columns(proj...).Where(pred).Lazy(*lazy).Elide(*elide).Vectorize(*vect).Conf()
-	runScan("CIF", &core.InputFormat{}, &cconf, true)
+	runScan("CIF", &core.InputFormat{}, cconf, true)
 
 	// The per-format table compares one predicate; additional clauses run
 	// only in the shared batch section below.

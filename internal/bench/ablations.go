@@ -76,7 +76,7 @@ func AblationSkipLevels(cfg Config) (*SkipLevelsResult, error) {
 
 		// 5%-selective scan: predicate on str0, aggregate map0.
 		conf := core.ScanDataset("/a/cif").Columns("str0", "map0").Lazy(true).Conf()
-		scan, _, err := scanSplits(fs, &core.InputFormat{}, &conf, 0, func(rec serde.Record) error {
+		scan, _, err := scanSplits(fs, &core.InputFormat{}, &conf, func(rec serde.Record) error {
 			s, err := rec.Get("str0")
 			if err != nil {
 				return err

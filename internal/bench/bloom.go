@@ -7,6 +7,7 @@ import (
 
 	"colmr/internal/colfile"
 	"colmr/internal/core"
+	"colmr/internal/mapred"
 	"colmr/internal/scan"
 	"colmr/internal/sim"
 	"colmr/internal/workload"
@@ -123,65 +124,34 @@ func Bloom(cfg Config) (*BloomResult, error) {
 		{"eq present, no filters", scan.Eq("str0", present), noBloomDir},
 	}
 
-	run := func(pred scan.Predicate, dataset string, bloom bool) (sim.TaskStats, scan.PruneReport, int64, error) {
-		conf := core.ScanDataset(dataset).Columns("str0", "map0").Where(pred).Bloom(bloom).Conf()
-		in := &core.InputFormat{}
-		splits, report, err := in.PlannedSplits(fs, &conf)
-		if err != nil {
-			return sim.TaskStats{}, report, 0, err
-		}
-		var total sim.TaskStats
-		total.SplitsPruned = int64(report.SplitsPruned)
-		total.RecordsPruned = report.RecordsPruned
-		var matches int64
-		for _, sp := range splits {
-			var st sim.TaskStats
-			rr, err := in.Open(fs, &conf, sp, 0, &st)
-			if err != nil {
-				return total, report, 0, err
-			}
-			for {
-				_, _, ok, err := rr.Next()
-				if err != nil {
-					rr.Close()
-					return total, report, 0, err
-				}
-				if !ok {
-					break
-				}
-				matches++
-				st.RecordsProcessed++
-			}
-			if err := rr.Close(); err != nil {
-				return total, report, 0, err
-			}
-			total.Add(st)
-		}
-		return total, report, matches, nil
+	// Every record the scan returns reaches the map function: the engine's
+	// RecordsProcessed counts the matches.
+	run := func(pred scan.Predicate, dataset string, bloom bool) (*mapred.Result, error) {
+		return mapred.Run(fs, core.ScanDataset(dataset).Columns("str0", "map0").Where(pred).Bloom(bloom).Job(noop))
 	}
 
 	res := &BloomResult{Records: n}
 	for _, arm := range arms {
-		onSt, onReport, onMatches, err := run(arm.pred, arm.dir, true)
+		on, err := run(arm.pred, arm.dir, true)
 		if err != nil {
 			return nil, fmt.Errorf("%s (bloom): %w", arm.name, err)
 		}
-		baseSt, baseReport, baseMatches, err := run(arm.pred, arm.dir, false)
+		base, err := run(arm.pred, arm.dir, false)
 		if err != nil {
 			return nil, fmt.Errorf("%s (baseline): %w", arm.name, err)
 		}
-		if onMatches != baseMatches {
+		if on.Total.RecordsProcessed != base.Total.RecordsProcessed {
 			return nil, fmt.Errorf("%s: bloom returned %d records, baseline %d",
-				arm.name, onMatches, baseMatches)
+				arm.name, on.Total.RecordsProcessed, base.Total.RecordsProcessed)
 		}
 		cell := BloomCell{
 			Name:                 arm.name,
-			Matches:              onMatches,
-			SplitsScheduledBloom: onReport.SplitsTotal - onReport.SplitsPruned,
-			SplitsScheduledBase:  baseReport.SplitsTotal - baseReport.SplitsPruned,
-			BloomPruned:          onSt.BloomPruned,
-			Bloom:                scanCost(onSt, model),
-			Base:                 scanCost(baseSt, model),
+			Matches:              on.Total.RecordsProcessed,
+			SplitsScheduledBloom: on.Plan.SplitsTotal - on.Plan.SplitsPruned,
+			SplitsScheduledBase:  base.Plan.SplitsTotal - base.Plan.SplitsPruned,
+			BloomPruned:          on.Total.BloomPruned,
+			Bloom:                scanCost(on.Total, model),
+			Base:                 scanCost(base.Total, model),
 		}
 		if cell.Bloom.ChargedBytes == 0 && cell.Base.ChargedBytes > 0 {
 			// An absent value's file filters can elide every split: the

@@ -134,64 +134,34 @@ func Elision(cfg Config) (*ElisionResult, error) {
 		}
 		pred := scan.Le("int0", cut)
 
-		run := func(elide bool) (sim.TaskStats, scan.PruneReport, int64, error) {
-			conf := core.ScanDataset(dir).Columns("str0", "map0").Where(pred).Elide(elide).Conf()
-			in := &core.InputFormat{}
-			splits, report, err := in.PlannedSplits(fs, &conf)
-			if err != nil {
-				return sim.TaskStats{}, report, 0, err
-			}
-			var total sim.TaskStats
-			total.SplitsPruned = int64(report.SplitsPruned)
-			total.RecordsPruned = report.RecordsPruned
-			var matches int64
-			for _, sp := range splits {
-				var st sim.TaskStats
-				rr, err := in.Open(fs, &conf, sp, 0, &st)
-				if err != nil {
-					return total, report, 0, err
-				}
-				for {
-					_, _, ok, err := rr.Next()
-					if err != nil {
-						rr.Close()
-						return total, report, 0, err
-					}
-					if !ok {
-						break
-					}
-					matches++
-					st.RecordsProcessed++
-				}
-				if err := rr.Close(); err != nil {
-					return total, report, 0, err
-				}
-				total.Add(st)
-			}
-			return total, report, matches, nil
+		// Every record the scan returns reaches the map function: the
+		// engine's RecordsProcessed counts the matches.
+		run := func(elide bool) (*mapred.Result, error) {
+			return mapred.Run(fs, core.ScanDataset(dir).Columns("str0", "map0").Where(pred).Elide(elide).Job(noop))
 		}
 
-		elideSt, report, elideMatches, err := run(true)
+		elide, err := run(true)
 		if err != nil {
 			return nil, fmt.Errorf("elision at %.4f: %w", frac, err)
 		}
-		baseSt, _, baseMatches, err := run(false)
+		base, err := run(false)
 		if err != nil {
 			return nil, fmt.Errorf("baseline at %.4f: %w", frac, err)
 		}
-		if elideMatches != baseMatches {
+		if elide.Total.RecordsProcessed != base.Total.RecordsProcessed {
 			return nil, fmt.Errorf("at %.4f: elision returned %d records, baseline %d",
-				frac, elideMatches, baseMatches)
+				frac, elide.Total.RecordsProcessed, base.Total.RecordsProcessed)
 		}
 
+		report := elide.Plan
 		cell := ElisionCell{
 			Fraction:        frac,
-			Matches:         elideMatches,
+			Matches:         elide.Total.RecordsProcessed,
 			SplitsTotal:     report.SplitsTotal,
 			SplitsScheduled: report.SplitsTotal - report.SplitsPruned,
 			FootersRead:     report.FilesChecked,
-			Elision:         scanCost(elideSt, model),
-			Baseline:        scanCost(baseSt, model),
+			Elision:         scanCost(elide.Total, model),
+			Baseline:        scanCost(base.Total, model),
 		}
 		cell.ChargedRatio = ratio(float64(cell.Baseline.ChargedBytes), float64(cell.Elision.ChargedBytes))
 		res.Cells = append(res.Cells, cell)

@@ -87,7 +87,7 @@ func Figure10(cfg Config) (*Figure10Result, error) {
 			sel := sel
 			conf := core.ScanDataset("/f10/cif").Columns("str0", "map0").Lazy(arm.lazy).Conf()
 			var sum int64
-			total, _, err := scanSplits(fs, &core.InputFormat{}, &conf, 0, func(rec serde.Record) error {
+			total, _, err := scanSplits(fs, &core.InputFormat{}, &conf, func(rec serde.Record) error {
 				s, err := rec.Get("str0")
 				if err != nil {
 					return err

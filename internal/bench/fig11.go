@@ -99,7 +99,7 @@ func Figure11(cfg Config) (*Figure11Result, error) {
 		}
 
 		// SEQ reads everything regardless of projection: one series.
-		st, _, err := scanSplits(fs, &seq.InputFormat{}, &mapred.JobConf{InputPaths: []string{"/f11/data.seq"}}, 0, nil)
+		st, _, err := scanSplits(fs, &seq.InputFormat{}, &mapred.JobConf{InputPaths: []string{"/f11/data.seq"}}, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -111,14 +111,14 @@ func Figure11(cfg Config) (*Figure11Result, error) {
 				nProj = len(proj.cols)
 			}
 			conf := core.ScanDataset("/f11/cif").Columns(proj.cols...).Conf()
-			st, _, err := scanSplits(fs, &core.InputFormat{}, &conf, 0, nil)
+			st, _, err := scanSplits(fs, &core.InputFormat{}, &conf, nil)
 			if err != nil {
 				return nil, err
 			}
 			record("CIF_"+proj.label, st, nProj)
 
 			rconf := core.ScanDataset("/f11/data.rc").Columns(proj.cols...).Conf()
-			st, _, err = scanSplits(fs, &rcfile.InputFormat{}, &rconf, 0, nil)
+			st, _, err = scanSplits(fs, &rcfile.InputFormat{}, &rconf, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -87,7 +87,7 @@ func Figure7(cfg Config) (*Figure7Result, error) {
 	res := &Figure7Result{SeqBytes: seqBytes, ScaleFactor: k}
 
 	scan := func(format string, in mapred.InputFormat, conf *mapred.JobConf, projection string) error {
-		st, _, err := scanSplits(fs, in, conf, 0, nil)
+		st, _, err := scanSplits(fs, in, conf, nil)
 		if err != nil {
 			return fmt.Errorf("%s %s: %w", format, projection, err)
 		}

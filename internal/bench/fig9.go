@@ -67,7 +67,7 @@ func Figure9(cfg Config) (*Figure9Result, error) {
 
 	for _, proj := range Fig7Projections {
 		conf := core.ScanDataset("/f9/cif").Columns(proj.Columns...).Conf()
-		st, _, err := scanSplits(fs, &core.InputFormat{}, &conf, 0, nil)
+		st, _, err := scanSplits(fs, &core.InputFormat{}, &conf, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -80,7 +80,7 @@ func Figure9(cfg Config) (*Figure9Result, error) {
 		for _, rg := range Fig9RowGroups {
 			name := fmt.Sprintf("%dM RCFile", rg>>20)
 			conf := core.ScanDataset(fmt.Sprintf("/f9/rc%dm.rc", rg>>20)).Columns(proj.Columns...).Conf()
-			st, _, err := scanSplits(fs, &rcfile.InputFormat{}, &conf, 0, nil)
+			st, _, err := scanSplits(fs, &rcfile.InputFormat{}, &conf, nil)
 			if err != nil {
 				return nil, err
 			}

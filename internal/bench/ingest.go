@@ -257,7 +257,7 @@ func ingestCell(cfg Config, cluster sim.ClusterConfig, model sim.CostModel, n in
 	pred := scan.Gt("fetchTime", cutoff)
 	urlScan := func(dir string) (sim.TaskStats, int64, error) {
 		conf := core.ScanDataset(dir).Columns("url").Where(pred).Conf()
-		return scanSplits(fs, &core.InputFormat{}, &conf, 0, nil)
+		return scanSplits(fs, &core.InputFormat{}, &conf, nil)
 	}
 	sSt, sMatches, err := urlScan(streamed)
 	if err != nil {
@@ -289,7 +289,7 @@ func ingestCell(cfg Config, cluster sim.ClusterConfig, model sim.CostModel, n in
 	// column (pushdown + adaptive readahead) vs the dense control that
 	// streams content for every row and filters in the visit function.
 	selConf := core.ScanDataset(streamed).Columns("content").Where(pred).Conf()
-	selSt, selMatches, err := scanSplits(fs, &core.InputFormat{}, &selConf, 0, nil)
+	selSt, selMatches, err := scanSplits(fs, &core.InputFormat{}, &selConf, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -298,7 +298,7 @@ func ingestCell(cfg Config, cluster sim.ClusterConfig, model sim.CostModel, n in
 	}
 	denseConf := core.ScanDataset(streamed).Columns("content", "fetchTime").Conf()
 	var denseMatches int64
-	denseSt, _, err := scanSplits(fs, &core.InputFormat{}, &denseConf, 0, func(rec serde.Record) error {
+	denseSt, _, err := scanSplits(fs, &core.InputFormat{}, &denseConf, func(rec serde.Record) error {
 		v, err := rec.Get("fetchTime")
 		if err != nil {
 			return err

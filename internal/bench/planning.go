@@ -122,10 +122,6 @@ func planningJob(dataset string, pred scan.Predicate) *core.ScanBuilder {
 	return core.ScanDataset(dataset).Columns("int0").Where(pred)
 }
 
-func planningNoop() mapred.Mapper {
-	return mapred.MapperFunc(func(_, _ any, _ mapred.Emit) error { return nil })
-}
-
 // Planning runs the sweep.
 func Planning(cfg Config) (*PlanningResult, error) {
 	n := cfg.records(100_000)
@@ -163,7 +159,7 @@ func Planning(cfg Config) (*PlanningResult, error) {
 			// The chosen arm leaves materialization and sizing unpinned,
 			// explains, and applies the plan — exactly the colscan -explain
 			// path.
-			job := planningJob(dir, arm.pred).Job(planningNoop())
+			job := planningJob(dir, arm.pred).Job(noop)
 			plan, err := in.Explain(fs, &job.Conf, model)
 			if err != nil {
 				return nil, fmt.Errorf("%s %s: explain: %w", skew, arm.name, err)
@@ -173,11 +169,11 @@ func Planning(cfg Config) (*PlanningResult, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s %s (chosen): %w", skew, arm.name, err)
 			}
-			eager, err := mapred.Run(fs, planningJob(dir, arm.pred).Lazy(false).DirsPerSplit(1).Job(planningNoop()))
+			eager, err := mapred.Run(fs, planningJob(dir, arm.pred).Lazy(false).DirsPerSplit(1).Job(noop))
 			if err != nil {
 				return nil, fmt.Errorf("%s %s (forced eager): %w", skew, arm.name, err)
 			}
-			lazy, err := mapred.Run(fs, planningJob(dir, arm.pred).Lazy(true).DirsPerSplit(1).Job(planningNoop()))
+			lazy, err := mapred.Run(fs, planningJob(dir, arm.pred).Lazy(true).DirsPerSplit(1).Job(noop))
 			if err != nil {
 				return nil, fmt.Errorf("%s %s (forced lazy): %w", skew, arm.name, err)
 			}

@@ -155,7 +155,7 @@ func Selectivity(cfg Config) (*SelectivityResult, error) {
 		}
 		filterMatches := make([]int64, len(preds))
 		fconf := core.ScanDataset(dir).Columns("str0", "map0", "int0").Conf()
-		fullSt, _, err := scanSplits(fs, &core.InputFormat{}, &fconf, 0, func(rec serde.Record) error {
+		fullSt, _, err := scanSplits(fs, &core.InputFormat{}, &fconf, func(rec serde.Record) error {
 			get := scan.Getter(func(col string) (any, error) { return rec.Get(col) })
 			for i, pred := range preds {
 				ok, err := pred.Eval(get)
@@ -175,7 +175,7 @@ func Selectivity(cfg Config) (*SelectivityResult, error) {
 		for i, frac := range SelectivityFractions {
 			// Pushdown: predicate below materialization.
 			pconf := core.ScanDataset(dir).Columns("str0", "map0").Where(preds[i]).Conf()
-			pushSt, pushMatches, err := scanSplits(fs, &core.InputFormat{}, &pconf, 0, nil)
+			pushSt, pushMatches, err := scanSplits(fs, &core.InputFormat{}, &pconf, nil)
 			if err != nil {
 				return nil, fmt.Errorf("%s pushdown: %w", layout, err)
 			}
