@@ -842,7 +842,7 @@ func (p *andPred) Columns(dst []string) []string {
 	return dst
 }
 
-func (p *andPred) String() string { return renderJoin(p.kids, "&&", "true") }
+func (p *andPred) String() string { return render(p) }
 
 // orPred is the disjunction of its children.
 type orPred struct {
@@ -884,7 +884,7 @@ func (p *orPred) Columns(dst []string) []string {
 	return dst
 }
 
-func (p *orPred) String() string { return renderJoin(p.kids, "||", "false") }
+func (p *orPred) String() string { return render(p) }
 
 // notPred negates its child.
 type notPred struct {
@@ -904,25 +904,52 @@ func (p *notPred) Prune(stats StatsFunc) Tri {
 
 func (p *notPred) Columns(dst []string) []string { return p.kid.Columns(dst) }
 
-func (p *notPred) String() string {
-	if _, composite := p.kid.(*andPred); composite {
-		return "!" + p.kid.String()
-	}
-	if _, composite := p.kid.(*orPred); composite {
-		return "!" + p.kid.String()
-	}
-	return "!(" + p.kid.String() + ")"
+func (p *notPred) String() string { return render(p) }
+
+// render prints a predicate tree into one builder, so printing is linear in
+// the tree's size: the composite predicates are walked here, and each leaf
+// prints through its own String.
+func render(p Predicate) string {
+	var b strings.Builder
+	writePred(&b, p)
+	return b.String()
 }
 
-func renderJoin(kids []Predicate, op, empty string) string {
+func writePred(b *strings.Builder, p Predicate) {
+	switch p := p.(type) {
+	case *andPred:
+		writeJoin(b, p.kids, " && ", "true")
+	case *orPred:
+		writeJoin(b, p.kids, " || ", "false")
+	case *notPred:
+		// A conjunction or disjunction prints its own parentheses.
+		b.WriteByte('!')
+		switch p.kid.(type) {
+		case *andPred, *orPred:
+			writePred(b, p.kid)
+		default:
+			b.WriteByte('(')
+			writePred(b, p.kid)
+			b.WriteByte(')')
+		}
+	default:
+		b.WriteString(p.String())
+	}
+}
+
+func writeJoin(b *strings.Builder, kids []Predicate, sep, empty string) {
 	if len(kids) == 0 {
-		return empty
+		b.WriteString(empty)
+		return
 	}
-	parts := make([]string, len(kids))
+	b.WriteByte('(')
 	for i, k := range kids {
-		parts[i] = k.String()
+		if i > 0 {
+			b.WriteString(sep)
+		}
+		writePred(b, k)
 	}
-	return "(" + strings.Join(parts, " "+op+" ") + ")"
+	b.WriteByte(')')
 }
 
 // literalString renders a literal in the expression language.

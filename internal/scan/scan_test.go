@@ -2,6 +2,7 @@ package scan
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -306,6 +307,46 @@ func TestParsePrecedence(t *testing.T) {
 	want := Or(Eq("a", 1), And(Eq("b", 2), Eq("c", 3)))
 	if p.String() != want.String() {
 		t.Errorf("precedence: got %s, want %s", p, want)
+	}
+}
+
+// TestStringLinearInDepth doubles a nested predicate's depth and holds what
+// String allocates to about double: printing is linear, not quadratic, in the
+// tree's size.
+func TestStringLinearInDepth(t *testing.T) {
+	nested := func(depth int) Predicate {
+		src := "x > 1"
+		for i := 0; i < depth; i++ {
+			switch i % 3 {
+			case 0:
+				src = "!(" + src + ")"
+			case 1:
+				src = "(" + src + " && y < 2)"
+			default:
+				src = "(" + src + " || z >= 3)"
+			}
+		}
+		p, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	allocated := func(p Predicate) uint64 {
+		least := uint64(math.MaxUint64)
+		for i := 0; i < 5; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_ = p.String()
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	const depth = 1500
+	small, large := allocated(nested(depth)), allocated(nested(2*depth))
+	if ratio := float64(large) / float64(small); ratio > 2.5 {
+		t.Errorf("String of depth %d allocated %d bytes, of depth %d %d: %.1fx for twice the depth", depth, small, 2*depth, large, ratio)
 	}
 }
 
