@@ -26,7 +26,8 @@ import (
 // task's own state from scheduling to its Result: split, members, node, stats
 // sinks, outputs and error. The engine is the one task driver: experiments
 // and commands run their scans through Run or RunBatch, not by opening splits
-// themselves.
+// themselves (bench's serial scan harness and its ordered Table 2 conversion
+// aside).
 
 // BatchResult is the outcome of a batch run.
 type BatchResult struct {
